@@ -66,8 +66,7 @@ HINGE = BaseLoss("hinge")
 LOGISTIC = BaseLoss("logistic")
 
 
-def _check_multiclass(w: np.ndarray, z: LabeledExample) -> int:
-    c = w.shape[1]
+def _check_multiclass(c: int, z: LabeledExample) -> int:
     if c < 2:
         raise ValueError(f"multiclass losses need at least 2 components, got {c}")
     return z.class_index(c)
@@ -87,7 +86,7 @@ def _assemble(x: SparseVector, coef: np.ndarray, d: int) -> np.ndarray:
 
 def mc_svm_value(w: np.ndarray, z: LabeledExample, base: BaseLoss) -> float:
     """max_{y' != y} base(<w[:, y] - w[:, y'], x>)."""
-    y = _check_multiclass(w, z)
+    y = _check_multiclass(w.shape[1], z)
     s = predict(w, z.x)
     margins = np.delete(s[y] - s, y)
     return float(np.max(base.value(margins)))
@@ -106,7 +105,7 @@ def _mc_svm_coef(s: np.ndarray, y: int, base: BaseLoss) -> np.ndarray:
 
 def mc_svm_subgrad(w: np.ndarray, z: LabeledExample, base: BaseLoss) -> np.ndarray:
     """Subgradient with column y getting g*x and the argmax class -g*x."""
-    y = _check_multiclass(w, z)
+    y = _check_multiclass(w.shape[1], z)
     return _assemble(z.x, _mc_svm_coef(predict(w, z.x), y, base), w.shape[0])
 
 
@@ -120,7 +119,7 @@ def multinomial_logistic_value(w: np.ndarray, z: LabeledExample) -> float:
     The j = y term contributes exp(0) = 1, so the value is nonnegative;
     it is clamped at 0 to absorb last-bit rounding.
     """
-    y = _check_multiclass(w, z)
+    y = _check_multiclass(w.shape[1], z)
     diffs = predict(w, z.x)
     diffs -= diffs[y]
     diffs[y] = 0.0
@@ -144,7 +143,7 @@ def multinomial_logistic_subgrad(w: np.ndarray, z: LabeledExample) -> np.ndarray
 
     p is the softmax of the score vector; the coefficients sum to zero.
     """
-    y = _check_multiclass(w, z)
+    y = _check_multiclass(w.shape[1], z)
     return _assemble(z.x, _multinomial_logistic_coef(predict(w, z.x), y), w.shape[0])
 
 
@@ -162,7 +161,7 @@ def _topk_terms(s: np.ndarray, y: int, k: int) -> np.ndarray:
 
 def topk_svm_value(w: np.ndarray, z: LabeledExample, k: int) -> float:
     """max(0, average of the k largest entries of a), a_j = 1[j != y] + s_j - s_y."""
-    y = _check_multiclass(w, z)
+    y = _check_multiclass(w.shape[1], z)
     a = _topk_terms(predict(w, z.x), y, k)
     top = np.sort(a)[-k:]
     return float(max(0.0, np.sum(top) / k))
@@ -187,7 +186,7 @@ def topk_svm_subgrad(w: np.ndarray, z: LabeledExample, k: int) -> np.ndarray:
     index.  The net coefficient on column y is -|selected \\ {y}| / k, and
     the subgradient is zero when the truncated average is not positive.
     """
-    y = _check_multiclass(w, z)
+    y = _check_multiclass(w.shape[1], z)
     return _assemble(z.x, _topk_svm_coef(predict(w, z.x), y, k), w.shape[0])
 
 
@@ -325,20 +324,29 @@ class LossSpec:
             return ranking_value(w, z, self.base)
         raise ValueError(f"unknown loss kind {self.kind!r}")
 
+    def score_coef(self, s: np.ndarray, z: LabeledExample) -> np.ndarray:
+        """Column coefficients of the subgradient at the score vector s.
+
+        ``s`` is ``predict(w, z.x)``; its length is the number of
+        components.  Callers that hold the scores already (the lazily
+        scaled SGD loop) skip the prediction this way.
+        """
+        c = s.size
+        if self.kind == "mc_svm":
+            return _mc_svm_coef(s, _check_multiclass(c, z), self.base)
+        if self.kind == "multinomial_logistic":
+            return _multinomial_logistic_coef(s, _check_multiclass(c, z))
+        if self.kind == "topk_svm":
+            return _topk_svm_coef(s, _check_multiclass(c, z), self.k)
+        if self.kind == "subset":
+            return _subset_coef(s, z.sign_vector(c), self.base)
+        if self.kind == "ranking":
+            return _ranking_coef(s, z.sign_vector(c), self.base)
+        raise ValueError(f"unknown loss kind {self.kind!r}")
+
     def coef(self, w: np.ndarray, z: LabeledExample) -> np.ndarray:
         """Column coefficients of the subgradient (see module docstring)."""
-        s = predict(w, z.x)
-        if self.kind == "mc_svm":
-            return _mc_svm_coef(s, _check_multiclass(w, z), self.base)
-        if self.kind == "multinomial_logistic":
-            return _multinomial_logistic_coef(s, _check_multiclass(w, z))
-        if self.kind == "topk_svm":
-            return _topk_svm_coef(s, _check_multiclass(w, z), self.k)
-        if self.kind == "subset":
-            return _subset_coef(s, z.sign_vector(w.shape[1]), self.base)
-        if self.kind == "ranking":
-            return _ranking_coef(s, z.sign_vector(w.shape[1]), self.base)
-        raise ValueError(f"unknown loss kind {self.kind!r}")
+        return self.score_coef(predict(w, z.x), z)
 
     def subgrad(self, w: np.ndarray, z: LabeledExample) -> np.ndarray:
         return _assemble(z.x, self.coef(w, z), w.shape[0])

@@ -10,10 +10,25 @@ the iterates provably stay inside the ball ||w_t||_F <= L * kappa / sigma,
 where L is the loss's certified max-norm Lipschitz constant and kappa the
 largest input norm.  That bound is enforced as a runtime certificate on
 every training run, not just under test.
+
+Frobenius runs store the iterate lazily scaled, W = a * V (Pegasos,
+Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
+2012).  The shrink (1 - eta*sigma) multiplies the scalar a, and the loss
+update touches only the nnz rows of V, so a step costs O(nnz * c) instead
+of O(d * c).  A running ||V||_F^2, updated by the change in those rows,
+gives the iterate norm |a| * ||V||_F in O(1), and the certificate checks it
+on every step.  When |a| drops below a floor (at step 1 of the theorem
+schedule the shrink is zero) a is folded into V.  Recording steps
+materialize W, resync ||V||_F^2, and check the certificate and the
+single-step contract against the exact frobenius_norm(W).  Trajectories
+agree with the dense ``sgd_step`` oracle to rounding (about 1e-15), not bit
+for bit.  ``l2p`` runs take plain dense steps.  On both paths a non-finite
+iterate norm stops the run with a CertificateError.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +40,8 @@ from .regularizers import RegularizerSpec
 
 _INDEX_CHUNK = 1 << 20
 _CERT_TOL = 1e-9
+# Below this |a| the lazily scaled iterate W = a * V is folded back into V.
+_SCALE_FLOOR = 1e-9
 
 
 class CertificateError(RuntimeError):
@@ -112,21 +129,6 @@ def _examples_of(data) -> list[LabeledExample]:
     return examples
 
 
-def _step(
-    w: np.ndarray,
-    z: LabeledExample,
-    loss: LossSpec,
-    reg: RegularizerSpec,
-    eta: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One update w - eta * (loss_subgrad + reg_grad); returns (w_next, grad)."""
-    grad = reg.grad(w)
-    coef = loss.coef(w, z)
-    if z.x.nnz:
-        grad[z.x.indices, :] += z.x.values[:, None] * coef[None, :]
-    return w - eta * grad, grad
-
-
 def sgd_step(
     w: np.ndarray,
     z: LabeledExample,
@@ -134,10 +136,16 @@ def sgd_step(
     reg: RegularizerSpec,
     eta: float,
 ) -> np.ndarray:
-    """Single subgradient step from w; the input array is not modified."""
+    """Single subgradient step w - eta * (loss_subgrad + reg_grad).
+
+    The input array is not modified.
+    """
     w = np.asarray(w, dtype=np.float64)
-    w_next, _ = _step(w, z, loss, reg, eta)
-    return w_next
+    grad = reg.grad(w)
+    coef = loss.coef(w, z)
+    if z.x.nnz:
+        grad[z.x.indices, :] += z.x.values[:, None] * coef[None, :]
+    return w - eta * grad
 
 
 def evaluate_objective(
@@ -147,9 +155,7 @@ def evaluate_objective(
     reg: RegularizerSpec,
 ) -> float:
     """Mean loss over the data plus the regularizer, in a fixed order."""
-    examples = _examples_of(data)
-    values = np.array([loss.value(w, z) for z in examples])
-    return float(np.sum(values) / values.size + reg.value(w))
+    return evaluate_mean_loss(w, data, loss) + reg.value(w)
 
 
 def evaluate_mean_loss(w: np.ndarray, data, loss: LossSpec) -> float:
@@ -157,6 +163,101 @@ def evaluate_mean_loss(w: np.ndarray, data, loss: LossSpec) -> float:
     examples = _examples_of(data)
     values = np.array([loss.value(w, z) for z in examples])
     return float(np.sum(values) / values.size)
+
+
+def _draws(config: TrainConfig, n: int):
+    """(t, example index, recording) for t = 1..total_steps.
+
+    Indices are uniform from a PCG64 seeded with ``config.seed``; recording
+    is true every ``record_every`` steps and at the final step.
+    """
+    rng = np.random.Generator(np.random.PCG64(config.seed))
+    total = config.total_steps
+    record_every = config.record_every or total
+    t = 0
+    while t < total:
+        block = min(total - t, _INDEX_CHUNK)
+        for i in rng.integers(0, n, size=block).tolist():
+            t += 1
+            yield t, i, t % record_every == 0 or t == total
+
+
+def _check_iterate(norm: float, bound: float, t: int, loss: LossSpec, reg: RegularizerSpec):
+    if not math.isfinite(norm):
+        raise CertificateError(f"iterate norm became {norm} at step {t} (loss {loss.name}, {reg.name})")
+    if norm > bound:
+        raise CertificateError(
+            f"iterate norm {norm:.6g} exceeded the certified bound "
+            f"{bound:.6g} at step {t} (loss {loss.name}, sigma {reg.sigma})"
+        )
+
+
+def _scaled_frobenius_steps(examples, d, c, kappa, config):
+    """Frobenius SGD on W = a * V; yields (t, W, ||W||_F) on recording steps.
+
+    The shrink (1 - eta*sigma) multiplies the scalar a and the loss update
+    touches only the nnz rows of V, so a step costs O(nnz * c).  A running
+    ||V||_F^2, updated by the change in those rows, puts the iterate
+    certificate at O(1) per step.
+    """
+    loss, reg, schedule = config.loss, config.reg, config.schedule
+    sigma = reg.sigma
+    # Valid whenever eta_1 * sigma <= 1 (both schedules qualify at their
+    # usual parameters), since then ||w_{t+1}|| <= max(||w_t||, L*kappa/sigma).
+    # Otherwise only finiteness is checked.
+    if schedule.eta(1) * sigma <= 1.0 + 1e-12:
+        norm_bound = loss.lipschitz_inf * kappa / sigma + _CERT_TOL
+    else:
+        norm_bound = math.inf
+    a, v, v_sq = 1.0, np.zeros((d, c)), 0.0
+    for t, i, recording in _draws(config, len(examples)):
+        eta = schedule.eta(t)
+        z = examples[i]
+        idx, vals = z.x.indices, z.x.values
+        rows = v[idx]
+        outer = vals[:, None] * loss.score_coef(a * (vals @ rows), z)[None, :]
+        if recording:
+            # Single-step contract from the subgradient norm bounds.
+            w = a * v
+            grad = reg.grad(w)
+            grad[idx, :] += outer
+            step_norm = eta * frobenius_norm(grad)
+            allowed = eta * (loss.lipschitz_inf * kappa + sigma * frobenius_norm(w))
+            if step_norm > allowed + _CERT_TOL:
+                raise CertificateError(
+                    f"step {t} moved {step_norm:.6g}, above the bound {allowed:.6g}"
+                )
+        a *= 1.0 - eta * sigma
+        if abs(a) < _SCALE_FLOOR:
+            # Exact or near-zero shrink (eta_1 * sigma = 1 under the theorem
+            # schedule): fold a into V before dividing by it.
+            v *= a
+            a = 1.0
+            rows = v[idx]
+            v_sq = float(np.vdot(v, v))
+        new_rows = rows - (eta / a) * outer
+        v[idx] = new_rows
+        v_sq += float(np.vdot(new_rows, new_rows)) - float(np.vdot(rows, rows))
+        # abs: rounding can leave a near-zero running sum just below zero.
+        _check_iterate(abs(a) * math.sqrt(abs(v_sq)), norm_bound, t, loss, reg)
+        if recording:
+            w = a * v
+            v_sq = float(np.vdot(v, v))
+            iterate_norm = frobenius_norm(w)
+            _check_iterate(iterate_norm, norm_bound, t, loss, reg)
+            yield t, w, iterate_norm
+
+
+def _dense_steps(examples, d, c, kappa, config):
+    """Plain SGD on a dense W; yields (t, W, ||W||_F) on recording steps."""
+    loss, reg, schedule = config.loss, config.reg, config.schedule
+    w = np.zeros((d, c))
+    for t, i, recording in _draws(config, len(examples)):
+        w = sgd_step(w, examples[i], loss, reg, schedule.eta(t))
+        iterate_norm = frobenius_norm(w)
+        _check_iterate(iterate_norm, math.inf, t, loss, reg)
+        if recording:
+            yield t, w, iterate_norm
 
 
 def train(data, config: TrainConfig) -> tuple[np.ndarray, list[RunRecord]]:
@@ -167,72 +268,35 @@ def train(data, config: TrainConfig) -> tuple[np.ndarray, list[RunRecord]]:
     every ``record_every`` steps and at the final step.
     """
     examples = _examples_of(data)
-    n = len(examples)
     if hasattr(data, "d") and hasattr(data, "c"):
         d, c = data.d, data.c
     else:
-        dims = {z.x.dim for z in examples}
-        if len(dims) != 1:
-            raise ValueError(f"examples disagree on input dimension: {sorted(dims)}")
-        d = dims.pop()
+        d = examples[0].x.dim
         if config.loss.is_multilabel:
             c = max(z.label.size for z in examples if z.is_multilabel)
         else:
             c = max(2, max(int(z.label) for z in examples) + 1)
+    dims = {z.x.dim for z in examples}
+    if dims != {d}:
+        raise ValueError(f"examples have input dimensions {sorted(dims)}, expected {d}")
 
-    loss, reg, schedule = config.loss, config.reg, config.schedule
+    loss, reg = config.loss, config.reg
     kappa = max(z.x.norm() for z in examples)
-    record_every = config.record_every or config.total_steps
+    steps = _scaled_frobenius_steps if reg.kind == "frobenius" else _dense_steps
 
-    # Iterate-norm certificate: valid whenever the Frobenius regularizer is
-    # used with eta_1 * sigma <= 1 (both schedules qualify at their usual
-    # parameters), since then ||w_{t+1}|| <= max(||w_t||, L*kappa/sigma).
-    certify = reg.kind == "frobenius" and schedule.eta(1) * reg.sigma <= 1.0 + 1e-12
-    norm_bound = loss.lipschitz_inf * kappa / reg.sigma + _CERT_TOL
-
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    w = np.zeros((d, c))
     records: list[RunRecord] = []
     started = time.perf_counter()
-
-    t = 0
-    remaining = config.total_steps
-    while remaining > 0:
-        block = min(remaining, _INDEX_CHUNK)
-        indices = rng.integers(0, n, size=block)
-        for i in indices:
-            t += 1
-            eta = schedule.eta(t)
-            z = examples[int(i)]
-            recording = t % record_every == 0 or t == config.total_steps
-            w_next, grad = _step(w, z, loss, reg, eta)
-            if recording and reg.kind == "frobenius":
-                # Single-step contract from the subgradient norm bounds.
-                step_norm = eta * frobenius_norm(grad)
-                allowed = eta * (loss.lipschitz_inf * kappa + reg.sigma * frobenius_norm(w))
-                if step_norm > allowed + _CERT_TOL:
-                    raise CertificateError(
-                        f"step {t} moved {step_norm:.6g}, above the bound {allowed:.6g}"
-                    )
-            w = w_next
-            iterate_norm = frobenius_norm(w)
-            if certify and iterate_norm > norm_bound:
-                raise CertificateError(
-                    f"iterate norm {iterate_norm:.6g} exceeded the certified bound "
-                    f"{norm_bound:.6g} at step {t} (loss {loss.name}, sigma {reg.sigma})"
-                )
-            if recording:
-                holdout = None
-                if config.eval_holdout is not None:
-                    holdout = evaluate_objective(w, config.eval_holdout, loss, reg)
-                records.append(
-                    RunRecord(
-                        step=t,
-                        empirical_objective=evaluate_objective(w, examples, loss, reg),
-                        holdout_objective=holdout,
-                        iterate_frobenius_norm=iterate_norm,
-                        elapsed=time.perf_counter() - started,
-                    )
-                )
-        remaining -= block
+    for t, w, iterate_norm in steps(examples, d, c, kappa, config):
+        holdout = None
+        if config.eval_holdout is not None:
+            holdout = evaluate_objective(w, config.eval_holdout, loss, reg)
+        records.append(
+            RunRecord(
+                step=t,
+                empirical_objective=evaluate_objective(w, examples, loss, reg),
+                holdout_objective=holdout,
+                iterate_frobenius_norm=iterate_norm,
+                elapsed=time.perf_counter() - started,
+            )
+        )
     return w, records

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
 import vvlearn.optimizer as optimizer_module
-from vvlearn.core import LabeledExample, frobenius_norm, sparse_from_dense
-from vvlearn.dataio import synth_gen
+from vvlearn.core import LabeledExample, SparseVector, frobenius_norm, sparse_from_dense
+from vvlearn.dataio import Dataset, synth_gen
 from vvlearn.losses import HINGE, LossSpec, standard_loss_specs
 from vvlearn.optimizer import (
     CertificateError,
@@ -212,6 +214,69 @@ class TestTrain:
         assert a == b
 
 
+def sparse_wide_dataset(task, n=100, d=200, nnz=5, c=6, seed=0):
+    """synth_gen rows scattered onto nnz random coordinates, so d >> nnz."""
+    base = synth_gen(n=n, d=nnz, c=c, task=task, noise=0.1, seed=seed)
+    rng = generator(seed + 1)
+    examples = [
+        LabeledExample(SparseVector(d, np.sort(rng.choice(d, size=nnz, replace=False)), z.x.values), z.label)
+        for z in base.examples
+    ]
+    return Dataset(examples, d, c, task)
+
+
+def dense_replay(data, config):
+    """The iterate after the last step and ||w_t||_F at every step t,
+    rebuilt from plain sgd_step calls."""
+    indices = generator(config.seed).integers(0, len(data), size=config.total_steps)
+    w = np.zeros((data.d, data.c))
+    norms = []
+    for t, i in enumerate(indices, start=1):
+        w = sgd_step(w, data.examples[int(i)], config.loss, config.reg, config.schedule.eta(t))
+        norms.append(frobenius_norm(w))
+    return w, norms
+
+
+class TestScaledFrobeniusOracle:
+    SIGMA = 0.05
+
+    @pytest.mark.parametrize(
+        "schedule",
+        [
+            StepSchedule.theorem(SIGMA),
+            StepSchedule.experiment(SIGMA),
+            # eta_t * sigma = 3.5 / t: the shrink is negative for t < 3.5 and
+            # the scale falls below the fold floor at step 381.
+            StepSchedule.theorem(SIGMA / 3.5),
+        ],
+        ids=["theorem", "experiment", "eta-sigma-above-1"],
+    )
+    @pytest.mark.parametrize("spec", standard_loss_specs(k=2), ids=lambda s: s.name)
+    def test_train_matches_dense_sgd_step_replay(self, monkeypatch, spec, schedule):
+        data = sparse_wide_dataset("mlc" if spec.is_multilabel else "mcc")
+        config = TrainConfig(
+            loss=spec,
+            reg=RegularizerSpec.frobenius(self.SIGMA),
+            schedule=schedule,
+            total_steps=2000,
+            seed=17,
+            record_every=500,
+        )
+        checked = []  # (step, norm) of every certificate check, running and exact
+        check = optimizer_module._check_iterate
+        monkeypatch.setattr(
+            optimizer_module,
+            "_check_iterate",
+            lambda norm, bound, t, loss, reg: (checked.append((t, norm)), check(norm, bound, t, loss, reg)),
+        )
+        w, _ = train(data, config)
+        expected, norms = dense_replay(data, config)
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(w - expected)) <= 1e-12 * scale
+        assert {t for t, _ in checked} == set(range(1, config.total_steps + 1))
+        assert max(abs(norm - norms[t - 1]) for t, norm in checked) <= 1e-12 * max(1.0, max(norms))
+
+
 class TestIterateNormCertificate:
     @pytest.mark.parametrize("spec", standard_loss_specs(k=2), ids=lambda s: s.name)
     def test_bound_holds_on_synthetic_runs(self, spec):
@@ -238,6 +303,33 @@ class TestIterateNormCertificate:
         monkeypatch.setattr(optimizer_module, "frobenius_norm", lambda w: 1e12)
         with pytest.raises(CertificateError):
             train(data, config_for(data, total_steps=5))
+
+    def test_running_norm_trips_between_records(self, monkeypatch):
+        # a bound below every nonzero norm; only the final step records
+        data = tiny_dataset()
+        monkeypatch.setattr(optimizer_module, "_CERT_TOL", -1e6)
+        with pytest.raises(CertificateError, match="certified bound") as err:
+            train(data, config_for(data, total_steps=50, record_every=50))
+        assert int(re.search(r"at step (\d+)", str(err.value)).group(1)) < 50
+
+    @pytest.mark.parametrize(
+        "reg",
+        [RegularizerSpec.frobenius(0.05), RegularizerSpec.l2p(0.05, 1.5)],
+        ids=lambda r: r.name,
+    )
+    def test_non_finite_iterate_fails_fast(self, monkeypatch, reg):
+        data = tiny_dataset()
+        monkeypatch.setattr(LossSpec, "score_coef", lambda self, s, z: np.full(s.size, np.nan))
+        config = TrainConfig(
+            loss=MLOG,
+            reg=reg,
+            schedule=StepSchedule.theorem(0.05),
+            total_steps=50,
+            seed=0,
+            record_every=50,
+        )
+        with pytest.raises(CertificateError, match="iterate norm became nan at step 1 "):
+            train(data, config)
 
     def test_l2p_runs_complete_without_certificate(self):
         # the bound derivation is specific to the frobenius regularizer
