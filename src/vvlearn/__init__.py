@@ -1,21 +1,13 @@
 """Regularized linear models for multiclass and multilabel problems.
 
-The package bundles sparse linear prediction, a family of convex losses
-with certified Lipschitz constants, two strongly convex regularizers,
-a certified SGD trainer, Rademacher complexity estimators, a sparse text
-data format, learning-curve experiment drivers, and randomized property
-check suites.
+The package bundles sparse linear prediction over a CSR dataset, a family
+of convex losses computed on score matrices with certified Lipschitz
+constants, two strongly convex regularizers, a certified SGD trainer,
+Rademacher complexity estimators, a sparse text data format,
+learning-curve experiment drivers, and randomized property check suites.
 """
 
-from .core import (
-    LabeledExample,
-    SparseVector,
-    frobenius_norm,
-    inf_norm_diff,
-    l2p_norm,
-    predict,
-    sparse_from_dense,
-)
+from .core import frobenius_norm, inf_norm_diff, l2p_norm, predict
 from .dataio import (
     Dataset,
     ParseError,
@@ -35,23 +27,7 @@ from .experiments import (
     run_passes_curve,
     run_samplesize_curve,
 )
-from .losses import (
-    BaseLoss,
-    HINGE,
-    LOGISTIC,
-    LossSpec,
-    mc_svm_subgrad,
-    mc_svm_value,
-    multinomial_logistic_subgrad,
-    multinomial_logistic_value,
-    ranking_subgrad,
-    ranking_value,
-    standard_loss_specs,
-    subset_subgrad,
-    subset_value,
-    topk_svm_subgrad,
-    topk_svm_value,
-)
+from .losses import BaseLoss, HINGE, LOGISTIC, LossSpec, standard_loss_specs
 from .optimizer import (
     CertificateError,
     RunRecord,
@@ -90,7 +66,6 @@ __all__ = [
     "ExtendedSample",
     "HINGE",
     "LOGISTIC",
-    "LabeledExample",
     "LossSpec",
     "ParseError",
     "RademacherEstimate",
@@ -99,7 +74,6 @@ __all__ = [
     "SUITE_NAMES",
     "SandwichReport",
     "SandwichRow",
-    "SparseVector",
     "StepSchedule",
     "SuiteReport",
     "TrainConfig",
@@ -116,32 +90,21 @@ __all__ = [
     "inf_norm_diff",
     "khintchine_floor",
     "l2p_norm",
-    "mc_svm_subgrad",
-    "mc_svm_value",
     "mean_abs_sign_sum",
-    "multinomial_logistic_subgrad",
-    "multinomial_logistic_value",
     "normalize_rows",
     "parse_sparse_text",
     "predict",
-    "ranking_subgrad",
-    "ranking_value",
     "run_gap_curve",
     "run_passes_curve",
     "run_samplesize_curve",
     "run_suite",
     "sandwich_check",
     "sgd_step",
-    "sparse_from_dense",
     "split",
     "standard_loss_specs",
     "subsample",
-    "subset_subgrad",
-    "subset_value",
     "sup_ball",
     "synth_gen",
-    "topk_svm_subgrad",
-    "topk_svm_value",
     "train",
     "write_report_csv",
     "write_sparse_text",

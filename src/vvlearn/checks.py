@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LabeledExample, inf_norm_diff, predict, sparse_from_dense
+from .core import inf_norm_diff
 from .dataio import synth_gen
 from .losses import LossSpec, standard_loss_specs
 from .optimizer import CertificateError, StepSchedule, TrainConfig, train
@@ -41,31 +41,25 @@ class SuiteReport:
 
 
 def _random_triple(rng: np.random.Generator, d: int, c: int):
-    """Two weight matrices and an input, entries uniform in [-5, 5]."""
+    """Two weight matrices and a dense input, entries uniform in [-5, 5]."""
     w1 = rng.uniform(-5.0, 5.0, size=(d, c))
     w2 = rng.uniform(-5.0, 5.0, size=(d, c))
-    dense = rng.uniform(-5.0, 5.0, size=d)
-    dense[rng.random(d) < 0.3] = 0.0  # keep the sparse path exercised
-    return w1, w2, _sparse_input(dense)
+    x = rng.uniform(-5.0, 5.0, size=d)
+    x[rng.random(d) < 0.3] = 0.0  # keep zero features in the mix
+    return w1, w2, x
 
 
-def _sparse_input(dense: np.ndarray):
-    x = sparse_from_dense(dense)
-    if x.nnz == 0:  # an all-zero draw still needs a valid carrier
-        return sparse_from_dense(np.full_like(dense, 1e-3))
-    return x
-
-
-def _random_labels(rng: np.random.Generator, c: int) -> tuple[int, np.ndarray]:
-    y = int(rng.integers(0, c))
+def _random_labels(rng: np.random.Generator, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """One-row label arrays: a class id, and a sign row holding both signs."""
+    y = np.array([rng.integers(0, c)])
     signs = 2 * rng.integers(0, 2, size=c, dtype=np.int8) - 1
     while np.all(signs == signs[0]):
         signs = 2 * rng.integers(0, 2, size=c, dtype=np.int8) - 1
-    return y, signs
+    return y, signs[None, :]
 
 
-def _example(spec: LossSpec, x, y: int, signs: np.ndarray) -> LabeledExample:
-    return LabeledExample(x, signs if spec.is_multilabel else y)
+def _value(spec: LossSpec, scores: np.ndarray, labels: np.ndarray) -> float:
+    return float(spec.value(scores[None, :], labels)[0])
 
 
 def lipschitz_suite(
@@ -85,22 +79,24 @@ def lipschitz_suite(
     for trial in range(trials):
         w1, w2, x = _random_triple(rng, d, c)
         y, signs = _random_labels(rng, c)
-        gap = inf_norm_diff(predict(w1, x), predict(w2, x))
+        s1, s2 = x @ w1, x @ w2
+        gap = inf_norm_diff(s1, s2)
+        x_norm = float(np.linalg.norm(x))
         for spec in specs:
-            z = _example(spec, x, y, signs)
-            diff = abs(spec.value(w1, z) - spec.value(w2, z))
+            labels = signs if spec.is_multilabel else y
+            diff = abs(_value(spec, s1, labels) - _value(spec, s2, labels))
             checks += 1
             if diff > spec.lipschitz_inf * gap + tol:
                 failures.append(
                     f"loss={spec.name} trial={trial}: value gap {diff:.9g} exceeds "
                     f"L*score_gap = {spec.lipschitz_inf:.3g}*{gap:.9g} + {tol:g}"
                 )
-            grad_norm = float(np.linalg.norm(spec.subgrad(w1, z)))
+            grad_norm = float(np.linalg.norm(np.outer(x, spec.coef(s1[None, :], labels)[0])))
             checks += 1
-            if grad_norm > spec.lipschitz_inf * x.norm() + tol:
+            if grad_norm > spec.lipschitz_inf * x_norm + tol:
                 failures.append(
                     f"loss={spec.name} trial={trial}: subgradient norm {grad_norm:.9g} "
-                    f"exceeds L*||x|| = {spec.lipschitz_inf * x.norm():.9g} + {tol:g}"
+                    f"exceeds L*||x|| = {spec.lipschitz_inf * x_norm:.9g} + {tol:g}"
                 )
     return SuiteReport("lipschitz", checks, failures)
 
@@ -131,15 +127,17 @@ def convexity_suite(
         y, signs = _random_labels(rng, c)
         theta = float(rng.uniform(0.0, 1.0))
         mid = theta * w1 + (1.0 - theta) * w2
+        s1, s2, s_mid = x @ w1, x @ w2, x @ mid
         for spec in specs:
-            z = _example(spec, x, y, signs)
-            v1, v2 = spec.value(w1, z), spec.value(w2, z)
+            labels = signs if spec.is_multilabel else y
+            v1, v2 = _value(spec, s1, labels), _value(spec, s2, labels)
             checks += 1
-            if spec.value(mid, z) > theta * v1 + (1.0 - theta) * v2 + tol:
+            if _value(spec, s_mid, labels) > theta * v1 + (1.0 - theta) * v2 + tol:
                 failures.append(
                     f"loss={spec.name} trial={trial}: convexity broken at theta={theta:.6g}"
                 )
-            lhs = v1 + float(np.sum(spec.subgrad(w1, z) * (w2 - w1)))
+            grad = np.outer(x, spec.coef(s1[None, :], labels)[0])
+            lhs = v1 + float(np.sum(grad * (w2 - w1)))
             checks += 1
             if v2 < lhs - tol:
                 failures.append(
@@ -202,12 +200,11 @@ def gradient_suite(
     loss = LossSpec.multinomial_logistic()
     for point in range(points):
         w = rng.uniform(-2.0, 2.0, size=(d, c))
-        dense = rng.uniform(-1.0, 1.0, size=d)
-        x = _sparse_input(dense)
-        y = int(rng.integers(0, c))
-        z = LabeledExample(x, y)
-        fd = central_difference(lambda v: loss.value(v, z), w, step)
-        err = float(np.linalg.norm(loss.subgrad(w, z) - fd))
+        x = rng.uniform(-1.0, 1.0, size=d)
+        labels = np.array([int(rng.integers(0, c))])
+        fd = central_difference(lambda v: _value(loss, x @ v, labels), w, step)
+        grad = np.outer(x, loss.coef((x @ w)[None, :], labels)[0])
+        err = float(np.linalg.norm(grad - fd))
         checks += 1
         if err > rel_tol * max(1.0, float(np.linalg.norm(fd))):
             failures.append(

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .checks import SUITE_NAMES, run_suite
-from .dataio import Dataset, ParseError, normalize_rows, parse_sparse_text, synth_gen
+from .dataio import Dataset, ParseError, normalize_rows, parse_sparse_text, synth_gen, write_lines
 from .experiments import (
     CurveSpec,
     default_samplesize_grid,
@@ -178,7 +178,15 @@ def _check_task_compatible(loss_name: str, task: str) -> None:
         raise UsageError(f"--loss {loss_name} needs task {needs!r}, got {task!r}")
 
 
-def _load_training_data(args) -> Dataset:
+def _check_labels(loss: LossSpec, data: Dataset) -> None:
+    """Reject labels the loss cannot take before any work starts."""
+    try:
+        loss.check_labels(data.y, data.c)
+    except ValueError as err:
+        raise DataError(str(err)) from None
+
+
+def _load_training_data(args, loss: LossSpec) -> Dataset:
     if (args.data is None) == (args.synth is None):
         raise UsageError("exactly one of --data or --synth is required")
     if args.synth is not None:
@@ -186,14 +194,13 @@ def _load_training_data(args) -> Dataset:
     else:
         data = parse_sparse_text(args.data, args.task)
     _check_task_compatible(args.loss, data.task)
-    if args.loss == "topk" and args.k >= data.c:
-        raise DataError(f"--k {args.k} needs at least {args.k + 1} classes, data has {data.c}")
+    _check_labels(loss, data)
     if args.normalize:
         data = normalize_rows(data)
     return data
 
 
-def _write_log_csv(records, path) -> None:
+def _write_log_csv(records, destination) -> None:
     lines = ["step,empirical_objective,holdout_objective,iterate_frobenius_norm"]
     for record in records:
         holdout = "" if record.holdout_objective is None else f"{record.holdout_objective:.17g}"
@@ -201,8 +208,7 @@ def _write_log_csv(records, path) -> None:
             f"{record.step},{record.empirical_objective:.17g},{holdout},"
             f"{record.iterate_frobenius_norm:.17g}"
         )
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_lines(destination, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +221,7 @@ def _cmd_train(args) -> int:
     loss = _loss_from_flags(args)
     strength, schedule = _strength_and_schedule(args)
     reg = _reg_from_flags(args, strength)
-    data = _load_training_data(args)
+    data = _load_training_data(args, loss)
     n = len(data)
     total_steps = args.steps if args.steps is not None else args.passes * n
     if total_steps < 1:
@@ -251,17 +257,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     w, task, _ = load_model(args.model)
-    needs = "mlc" if args.loss in _MULTILABEL_LOSSES else "mcc"
-    if task != needs:
-        raise DataError(f"--loss {args.loss} needs a {needs} model, got {task!r}")
     loss = _loss_from_flags(args)
-    if args.sigma is not None and args.lam is not None:
-        raise UsageError("--sigma and --lambda are mutually exclusive")
-    strength = args.sigma if args.sigma is not None else (args.lam if args.lam is not None else 0.01)
+    strength, _ = _strength_and_schedule(args, default_lambda=0.01)
     reg = _reg_from_flags(args, strength)
     data = parse_sparse_text(args.data, task, d=w.shape[0], c=w.shape[1])
-    if args.loss == "topk" and args.k >= data.c:
-        raise DataError(f"--k {args.k} needs at least {args.k + 1} classes, data has {data.c}")
+    _check_labels(loss, data)
     if args.normalize:
         data = normalize_rows(data)
     objective = evaluate_objective(w, data, loss, reg)
@@ -275,7 +275,7 @@ def _cmd_curve(args) -> int:
     loss = _loss_from_flags(args)
     strength, schedule = _strength_and_schedule(args, default_lambda=0.01)
     reg = _reg_from_flags(args, strength)
-    data = _load_training_data(args)
+    data = _load_training_data(args, loss)
     if args.grid is not None:
         try:
             grid = tuple(int(g) for g in args.grid.split(","))
@@ -305,7 +305,6 @@ def _cmd_curve(args) -> int:
             seed=args.seed,
             train_fraction=args.train_fraction,
             passes_per_point=args.passes_per_point,
-            threads=args.threads,
         )
     except ValueError as err:
         raise UsageError(str(err)) from None
@@ -447,7 +446,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--train-fraction", type=float, default=0.8)
     sub.add_argument("--passes-per-point", type=int, default=5)
-    sub.add_argument("--threads", type=int, default=1)
     sub.add_argument("--out", default="curve.csv")
     sub.set_defaults(handler=_cmd_curve)
 

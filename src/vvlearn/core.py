@@ -1,151 +1,31 @@
-"""Core data types and linear-algebra operations.
+"""Prediction and matrix norms.
 
 A predictor is a dense weight matrix ``w`` of shape ``(d, c)`` holding one
 column per output component: component j scores an input x as the inner
-product <w[:, j], x>.  Inputs are sparse feature vectors.  Weight matrices
-are plain float64 numpy arrays throughout; rows are feature-contiguous so
-the per-example update in stochastic training touches contiguous memory.
+product <w[:, j], x>.  Inputs are the rows of a scipy CSR matrix (see
+``dataio.Dataset``) or dense vectors.  Weight matrices are plain float64
+numpy arrays throughout; rows are feature-contiguous so the per-example
+update in stochastic training touches contiguous memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 
-@dataclass
-class SparseVector:
-    """Sparse feature vector: sorted (index, value) entries over [0, dim).
+def predict(w: np.ndarray, x) -> np.ndarray:
+    """Scores x @ w: shape (n, c) for an (n, d) input matrix, (c,) for a vector.
 
-    Indices are 0-based, strictly increasing, and all values must be
-    finite.  Zero-valued entries are permitted but discouraged.
+    ``x`` may be a scipy sparse matrix or a dense array.
     """
-
-    dim: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.dim < 0:
-            raise ValueError(f"dim must be nonnegative, got {self.dim}")
-        if self.indices.ndim != 1 or self.values.ndim != 1:
-            raise ValueError("indices and values must be one-dimensional")
-        if self.indices.shape != self.values.shape:
-            raise ValueError(
-                f"index/value length mismatch: {self.indices.size} vs {self.values.size}"
-            )
-        if self.indices.size:
-            if self.indices[0] < 0 or self.indices[-1] >= self.dim:
-                raise ValueError(
-                    f"indices must lie in [0, {self.dim}), got range "
-                    f"[{self.indices[0]}, {self.indices[-1]}]"
-                )
-            if np.any(np.diff(self.indices) <= 0):
-                raise ValueError("indices must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("values must be finite")
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-    def norm(self) -> float:
-        """Euclidean norm of the vector."""
-        return float(np.linalg.norm(self.values))
-
-    def dense(self) -> np.ndarray:
-        """Dense copy of shape (dim,)."""
-        out = np.zeros(self.dim)
-        out[self.indices] = self.values
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseVector):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
-        )
-
-
-def sparse_from_dense(x: np.ndarray) -> SparseVector:
-    """Sparse view of a dense vector, keeping only nonzero entries."""
-    x = np.asarray(x, dtype=np.float64)
-    idx = np.flatnonzero(x)
-    return SparseVector(x.size, idx, x[idx])
-
-
-@dataclass
-class LabeledExample:
-    """A sparse input paired with either a class index or a sign vector.
-
-    Multiclass examples carry ``label`` as a plain int in [0, c).
-    Multilabel examples carry a length-c array with entries in {-1, +1};
-    the ranking loss additionally requires at least one of each sign,
-    which is validated at use time rather than here.
-    """
-
-    x: SparseVector
-    label: int | np.ndarray
-
-    def __post_init__(self):
-        if isinstance(self.label, (int, np.integer)):
-            self.label = int(self.label)
-            if self.label < 0:
-                raise ValueError(f"class index must be nonnegative, got {self.label}")
-        else:
-            self.label = np.asarray(self.label, dtype=np.int8)
-            if self.label.ndim != 1 or self.label.size == 0:
-                raise ValueError("sign vector must be a nonempty one-dimensional array")
-            if not np.all(np.abs(self.label) == 1):
-                raise ValueError("sign vector entries must be -1 or +1")
-
-    @property
-    def is_multilabel(self) -> bool:
-        return isinstance(self.label, np.ndarray)
-
-    def class_index(self, c: int) -> int:
-        """The class index, validated against the number of components."""
-        if self.is_multilabel:
-            raise ValueError("example carries a sign vector, not a class index")
-        if not 0 <= self.label < c:
-            raise ValueError(f"class index {self.label} out of range [0, {c})")
-        return self.label
-
-    def sign_vector(self, c: int) -> np.ndarray:
-        """The sign vector, validated to have length c."""
-        if not self.is_multilabel:
-            raise ValueError("example carries a class index, not a sign vector")
-        if self.label.size != c:
-            raise ValueError(f"sign vector has length {self.label.size}, expected {c}")
-        return self.label
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabeledExample):
-            return NotImplemented
-        if self.is_multilabel != other.is_multilabel:
-            return False
-        if self.is_multilabel:
-            return self.x == other.x and np.array_equal(self.label, other.label)
-        return self.x == other.x and self.label == other.label
-
-
-def predict(w: np.ndarray, x: SparseVector) -> np.ndarray:
-    """Score vector (<w[:, j], x>)_j of shape (c,) for a sparse input."""
     w = np.asarray(w)
     if w.ndim != 2:
         raise ValueError(f"weight matrix must be two-dimensional, got shape {w.shape}")
-    if x.dim != w.shape[0]:
+    if x.shape[-1] != w.shape[0]:
         raise ValueError(
-            f"input has dimension {x.dim} but weight matrix expects {w.shape[0]}"
+            f"input has dimension {x.shape[-1]} but weight matrix expects {w.shape[0]}"
         )
-    if x.nnz == 0:
-        return np.zeros(w.shape[1])
-    return x.values @ w[x.indices, :]
+    return np.asarray(x @ w)
 
 
 def frobenius_norm(w: np.ndarray) -> float:

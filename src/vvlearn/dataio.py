@@ -16,11 +16,15 @@ positional and never remapped.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 
-from .core import LabeledExample, SparseVector
 from .seeding import generator
 
 
@@ -32,17 +36,21 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Examples plus their declared dimensions and task kind.
+    """Input rows as a CSR matrix, their labels, and the task kind.
 
-    ``task`` is "mcc" (multiclass, integer labels) or "mlc" (multilabel,
-    sign-vector labels).  ``label_map`` records how file label ids were
-    remapped to dense indices; it is bookkeeping, not part of equality.
+    ``X`` is an (n, d) scipy CSR matrix (anything ``scipy.sparse.csr_matrix``
+    accepts, dense arrays included) with sorted, unique column indices in
+    every row and finite values.  ``task`` is "mcc" (multiclass: ``y`` holds
+    integer class ids in [0, c), shape (n,)) or "mlc" (multilabel: ``y``
+    holds signs in {-1, +1}, shape (n, c)).  The constructor rejects
+    anything else.  ``label_map`` records how file label ids were remapped
+    to dense indices; it is bookkeeping, not part of equality.
     """
 
-    examples: list[LabeledExample]
-    d: int
+    X: sp.csr_matrix
+    y: np.ndarray
     c: int
     task: str
     label_map: dict[int, int] = field(default_factory=dict)
@@ -50,28 +58,73 @@ class Dataset:
     def __post_init__(self):
         if self.task not in ("mcc", "mlc"):
             raise ValueError(f"task must be 'mcc' or 'mlc', got {self.task!r}")
-        if self.d < 0 or self.c < 0:
-            raise ValueError(f"dimensions must be nonnegative, got d={self.d}, c={self.c}")
+        if self.c < 0:
+            raise ValueError(f"component count must be nonnegative, got {self.c}")
+        X = sp.csr_matrix(self.X, dtype=np.float64)
+        # A fresh matrix, so scipy recomputes its canonical-format flag.
+        X = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+        n, d = X.shape
+        if X.nnz and (X.indices.min() < 0 or X.indices.max() >= d):
+            raise ValueError(f"column indices must lie in [0, {d})")
+        if not X.has_canonical_format:
+            raise ValueError("column indices must be strictly increasing within each row")
+        if not np.all(np.isfinite(X.data)):
+            raise ValueError("values must be finite")
+        y = np.asarray(self.y)
+        if self.task == "mcc":
+            if y.shape != (n,) or (n and not np.issubdtype(y.dtype, np.integer)):
+                raise ValueError(f"class ids must be {n} integers, got {y.dtype} of shape {y.shape}")
+            y = y.astype(np.int64)
+            if n and (y.min() < 0 or y.max() >= self.c):
+                raise ValueError(f"class ids must lie in [0, {self.c})")
+        else:
+            if y.shape != (n, self.c):
+                raise ValueError(f"sign matrix must have shape {(n, self.c)}, got {y.shape}")
+            if not np.all(np.abs(y) == 1):
+                raise ValueError("sign vector entries must be -1 or +1")
+            y = y.astype(np.int8)
+        self.X, self.y = X, y
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return self.X.shape[0]
 
     @property
+    def d(self) -> int:
+        return self.X.shape[1]
+
+    @cached_property
     def kappa(self) -> float:
-        """Largest input norm, recomputed from the current examples."""
-        if not self.examples:
-            return 0.0
-        return max(z.x.norm() for z in self.examples)
+        """Largest row norm, with the per-row norm ``normalize_rows`` makes 1.0."""
+        data, bounds = self.X.data, self.X.indptr.tolist()
+        return max((float(np.linalg.norm(data[s:e])) for s, e in zip(bounds, bounds[1:])), default=0.0)
+
+    def take(self, rows) -> "Dataset":
+        """The rows at the given indices, in that order, with the same d, c and task."""
+        return Dataset(self.X[rows], self.y[rows], self.c, self.task, dict(self.label_map))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
+        a, b = self.X, other.X
         return (
-            self.d == other.d
+            a.shape == b.shape
             and self.c == other.c
             and self.task == other.task
-            and self.examples == other.examples
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data)
+            and np.array_equal(self.y, other.y)
         )
+
+
+def write_lines(destination, lines) -> None:
+    """Write the lines, each ended by a newline, to a path or a file-like object."""
+    text = "\n".join(lines) + "\n"
+    if hasattr(destination, "write"):
+        destination.write(text)
+    else:
+        with open(destination, "w") as handle:
+            handle.write(text)
 
 
 def _parse_label_field(token: str, task: str, line_no: int) -> list[int]:
@@ -95,8 +148,9 @@ def _parse_label_field(token: str, task: str, line_no: int) -> list[int]:
     return ids
 
 
-def _parse_features(tokens: list[str], line_no: int) -> tuple[np.ndarray, np.ndarray]:
-    indices, values, seen = [], [], set()
+def _parse_features(tokens: list[str], line_no: int, d: int | None, cols: array, vals: array) -> None:
+    """Append one line's 0-based feature indices and values to cols and vals."""
+    seen: set[int] = set()
     for token in tokens:
         head, sep, tail = token.partition(":")
         if not sep or not head or not tail:
@@ -104,22 +158,19 @@ def _parse_features(tokens: list[str], line_no: int) -> tuple[np.ndarray, np.nda
         try:
             idx = int(head)
             val = float(tail)
-        except ValueError:
+            cols.append(idx - 1)  # OverflowError past int64; a bad line ends the parse anyway
+        except (ValueError, OverflowError):
             raise ParseError(f"bad feature token {token!r}", line_no) from None
         if idx < 1:
             raise ParseError(f"feature indices are 1-based, got {idx}", line_no)
-        if not np.isfinite(val):
+        if not math.isfinite(val):
             raise ParseError(f"non-finite feature value in {token!r}", line_no)
         if idx in seen:
             raise ParseError(f"duplicate feature index {idx}", line_no)
         seen.add(idx)
-        indices.append(idx - 1)
-        values.append(val)
-    order = np.argsort(np.asarray(indices, dtype=np.int64), kind="stable")
-    return (
-        np.asarray(indices, dtype=np.int64)[order],
-        np.asarray(values, dtype=np.float64)[order],
-    )
+        vals.append(val)
+    if d is not None and seen and max(seen) > d:
+        raise ParseError(f"feature index {max(seen)} exceeds declared d={d}", line_no)
 
 
 def _build_label_map(
@@ -169,45 +220,36 @@ def parse_sparse_text(
         with open(source) as handle:
             lines = handle.read().splitlines()
 
-    rows = []
-    max_index = -1
-    seen_order: list[int] = []
-    seen: set[int] = set()
+    labels: list[list[int]] = []
+    counts: list[int] = []
+    cols, vals = array("q"), array("d")
     for line_no, line in enumerate(lines, start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        tokens = line.split()
-        labels = _parse_label_field(tokens[0], task, line_no)
-        indices, values = _parse_features(tokens[1:], line_no)
-        if indices.size:
-            top = int(indices[-1])
-            if d is not None and top >= d:
-                raise ParseError(f"feature index {top + 1} exceeds declared d={d}", line_no)
-            max_index = max(max_index, top)
-        for i in labels:
-            if i not in seen:
-                seen.add(i)
-                seen_order.append(i)
-        rows.append((line_no, labels, indices, values))
-    if not rows:
+        fields = line.split()
+        labels.append(_parse_label_field(fields[0], task, line_no))
+        _parse_features(fields[1:], line_no, d, cols, vals)
+        counts.append(len(fields) - 1)
+    if not labels:
         raise ParseError("no examples found")
 
-    dim = d if d is not None else max_index + 1
-    label_map, n_components = _build_label_map(seen_order, c, task)
-
-    examples = []
-    for line_no, labels, indices, values in rows:
-        try:
-            x = SparseVector(dim, indices, values)
-        except ValueError as err:
-            raise ParseError(str(err), line_no) from None
-        if task == "mcc":
-            examples.append(LabeledExample(x, label_map[labels[0]]))
-        else:
-            signs = np.full(n_components, -1, dtype=np.int8)
-            signs[[label_map[i] for i in labels]] = 1
-            examples.append(LabeledExample(x, signs))
-    return Dataset(examples, dim, n_components, task, label_map)
+    n = len(labels)
+    cols, vals = np.frombuffer(cols, dtype=np.int64), np.frombuffer(vals, dtype=np.float64)
+    row = np.repeat(np.arange(n), counts)
+    if np.any((row[1:] == row[:-1]) & (cols[1:] < cols[:-1])):
+        order = np.lexsort((cols, row))  # sort each row by feature index
+        cols, vals = cols[order], vals[order]
+    dim = d if d is not None else (int(cols.max()) + 1 if cols.size else 0)
+    label_map, n_components = _build_label_map(list(dict.fromkeys(chain.from_iterable(labels))), c, task)
+    if task == "mcc":
+        y = np.array([label_map[ids[0]] for ids in labels], dtype=np.int64)
+    else:
+        y = np.full((n, n_components), -1, dtype=np.int8)
+        hits = [label_map[i] for ids in labels for i in ids]
+        y[np.repeat(np.arange(n), [len(ids) for ids in labels]), hits] = 1
+    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    X = sp.csr_matrix((vals, cols, indptr), shape=(n, dim))
+    return Dataset(X, y, n_components, task, label_map)
 
 
 def write_sparse_text(dataset: Dataset, destination) -> None:
@@ -218,25 +260,21 @@ def write_sparse_text(dataset: Dataset, destination) -> None:
     representation that round-trips exactly.
     """
     inverse = {dense: raw for raw, dense in dataset.label_map.items()}
+    X = dataset.X
+    bounds, cols, vals = X.indptr.tolist(), (X.indices + 1).tolist(), X.data.tolist()
     lines = []
-    for z in dataset.examples:
-        if z.is_multilabel:
-            positive = np.flatnonzero(z.label > 0)
-            if positive.size == 0:
+    for i, (s, e) in enumerate(zip(bounds, bounds[1:])):
+        if dataset.task == "mlc":
+            positive = np.flatnonzero(dataset.y[i] > 0).tolist()
+            if not positive:
                 raise ValueError("cannot serialize a sign vector with no +1 entries")
-            head = ",".join(str(inverse.get(int(j), int(j)) + 1) for j in positive)
+            head = ",".join(str(inverse.get(j, j) + 1) for j in positive)
         else:
-            head = str(inverse.get(z.label, z.label))
-        feats = " ".join(
-            f"{int(i) + 1}:{float(v)!r}" for i, v in zip(z.x.indices, z.x.values)
-        )
+            label = int(dataset.y[i])
+            head = str(inverse.get(label, label))
+        feats = " ".join(f"{j}:{v!r}" for j, v in zip(cols[s:e], vals[s:e]))
         lines.append(f"{head} {feats}".rstrip())
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as handle:
-            handle.write(text)
+    write_lines(destination, lines)
 
 
 def _unit_values(values: np.ndarray) -> np.ndarray:
@@ -246,11 +284,13 @@ def _unit_values(values: np.ndarray) -> np.ndarray:
     entry is then stepped one ulp at a time until the norm lands on 1.0
     exactly.  Near 1.0 the achievable norms are denser than the rounding
     window, so the walk ends after a handful of steps (observed worst case
-    is two digits).  Rows that already have unit norm come back unchanged,
-    which makes the rescaling idempotent.
+    is two digits).  Rows that already have unit norm, and zero rows, come
+    back unchanged, which makes the rescaling idempotent.
     """
     out = values.astype(np.float64, copy=True)
     norm = float(np.linalg.norm(out))
+    if norm == 0.0:
+        return out
     if norm != 1.0:
         out /= norm
     j = int(np.argmax(np.abs(out)))
@@ -265,14 +305,13 @@ def _unit_values(values: np.ndarray) -> np.ndarray:
 
 def normalize_rows(dataset: Dataset) -> Dataset:
     """Scale every nonzero input to unit Euclidean norm; zero rows stay."""
-    examples = []
-    for z in dataset.examples:
-        if z.x.nnz == 0 or z.x.norm() == 0.0:
-            examples.append(z)
-        else:
-            x = SparseVector(z.x.dim, z.x.indices.copy(), _unit_values(z.x.values))
-            examples.append(LabeledExample(x, z.label))
-    return Dataset(examples, dataset.d, dataset.c, dataset.task, dict(dataset.label_map))
+    X = dataset.X
+    data = X.data.copy()
+    bounds = X.indptr.tolist()
+    for s, e in zip(bounds, bounds[1:]):
+        data[s:e] = _unit_values(data[s:e])
+    unit = sp.csr_matrix((data, X.indices, X.indptr), shape=X.shape)
+    return Dataset(unit, dataset.y, dataset.c, dataset.task, dict(dataset.label_map))
 
 
 def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -281,36 +320,22 @@ def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Datase
     Both sides inherit d, c, task and the label map.  Fractions that
     leave either side empty are rejected.
     """
-    n = len(dataset.examples)
+    n = len(dataset)
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     head = int(fraction * n)
     if head == 0 or head == n:
         raise ValueError(f"fraction {fraction} leaves an empty side for n={n}")
     perm = generator(seed).permutation(n)
-    pick = lambda ids: Dataset(
-        [dataset.examples[i] for i in ids],
-        dataset.d,
-        dataset.c,
-        dataset.task,
-        dict(dataset.label_map),
-    )
-    return pick(perm[:head]), pick(perm[head:])
+    return dataset.take(perm[:head]), dataset.take(perm[head:])
 
 
 def subsample(dataset: Dataset, size: int, seed: int) -> Dataset:
     """A uniform subset of the given size, drawn without replacement."""
-    n = len(dataset.examples)
+    n = len(dataset)
     if not 1 <= size <= n:
         raise ValueError(f"subsample size must lie in [1, {n}], got {size}")
-    perm = generator(seed).permutation(n)[:size]
-    return Dataset(
-        [dataset.examples[i] for i in perm],
-        dataset.d,
-        dataset.c,
-        dataset.task,
-        dict(dataset.label_map),
-    )
+    return dataset.take(generator(seed).permutation(n)[:size])
 
 
 def synth_gen(
@@ -323,7 +348,8 @@ def synth_gen(
     score; multilabel sign vectors are the score signs, nudged at the
     most extreme component so that both signs occur.  Each label is then
     flipped with probability ``noise`` (multiclass: to a random other
-    class), and degenerate sign vectors are nudged again.
+    class), and degenerate sign vectors are nudged again.  Every input
+    stores all d entries.
     """
     if n < 1 or d < 1 or c < 2:
         raise ValueError(f"need n >= 1, d >= 1, c >= 2, got {(n, d, c)}")
@@ -342,22 +368,15 @@ def synth_gen(
         flip = rng.random(n) < noise
         other = rng.integers(0, c - 1, size=n)
         flipped = other + (other >= labels)
-        labels = np.where(flip, flipped, labels)
-        examples = [
-            LabeledExample(SparseVector(d, np.arange(d), inputs[i]), int(labels[i]))
-            for i in range(n)
-        ]
+        y = np.where(flip, flipped, labels)
     else:
         signs = np.where(scores >= 0.0, 1, -1).astype(np.int8)
         _force_both_signs(signs, scores)
         flip = rng.random((n, c)) < noise
-        signs = np.where(flip, -signs, signs).astype(np.int8)
-        _force_both_signs(signs, scores)
-        examples = [
-            LabeledExample(SparseVector(d, np.arange(d), inputs[i]), signs[i])
-            for i in range(n)
-        ]
-    return Dataset(examples, d, c, task, {i: i for i in range(c)})
+        y = np.where(flip, -signs, signs).astype(np.int8)
+        _force_both_signs(y, scores)
+    X = sp.csr_matrix((inputs.ravel(), np.tile(np.arange(d), n), np.arange(0, n * d + 1, d)), shape=(n, d))
+    return Dataset(X, y, c, task, {i: i for i in range(c)})
 
 
 def _force_both_signs(signs: np.ndarray, scores: np.ndarray) -> None:

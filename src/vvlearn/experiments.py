@@ -3,18 +3,17 @@
 Each curve repeats training over independent repetitions and aggregates
 objective values into means and standard deviations per grid point.  All
 randomness (splits, subsamples, SGD index draws) is derived from the
-spec's base seed with fixed tags, so a spec maps to one exact curve, and
-repetitions can run on any number of threads without changing it.
+spec's base seed with fixed tags, so a spec maps to one exact curve
+whatever order the repetitions run in.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Dataset, split, subsample
+from .dataio import Dataset, split, subsample, write_lines
 from .losses import LossSpec
 from .optimizer import StepSchedule, TrainConfig, train
 from .regularizers import RegularizerSpec
@@ -45,7 +44,6 @@ class CurveSpec:
     seed: int
     train_fraction: float = 0.8
     passes_per_point: int = 5
-    threads: int = 1
 
     def __post_init__(self):
         if self.kind not in CURVE_KINDS:
@@ -62,8 +60,6 @@ class CurveSpec:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if self.passes_per_point < 1:
             raise ValueError(f"passes_per_point must be positive, got {self.passes_per_point}")
-        if self.threads < 1:
-            raise ValueError(f"threads must be positive, got {self.threads}")
 
 
 @dataclass
@@ -80,16 +76,25 @@ class CurvePoint:
     gap_std: float | None = None
 
 
-def _run_parallel(tasks, threads: int) -> list:
-    """Evaluate thunks preserving order, optionally on a thread pool."""
-    if threads <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda task: task(), tasks))
-
-
 def _stats(values: np.ndarray) -> tuple[float, float]:
     return float(np.mean(values)), float(np.std(values))
+
+
+def _points(spec: CurveSpec, test, train=None, with_gap: bool = False) -> list[CurvePoint]:
+    """Aggregates per grid value from (len(grid), repetitions) objective arrays.
+
+    The gap of each repetition is its test minus its train objective.
+    """
+    points = []
+    for gi, g in enumerate(spec.grid):
+        point = CurvePoint(grid_value=g, repetitions=spec.repetitions)
+        point.test_mean, point.test_std = _stats(test[gi])
+        if train is not None:
+            point.train_mean, point.train_std = _stats(train[gi])
+        if with_gap:
+            point.gap_mean, point.gap_std = _stats(test[gi] - train[gi])
+        points.append(point)
+    return points
 
 
 def run_passes_curve(pool: Dataset, spec: CurveSpec) -> list[CurvePoint]:
@@ -101,36 +106,26 @@ def run_passes_curve(pool: Dataset, spec: CurveSpec) -> list[CurvePoint]:
     if spec.kind != "passes":
         raise ValueError(f"spec kind is {spec.kind!r}, expected 'passes'")
 
-    def one_repetition(rep: int):
-        def thunk():
-            train_set, test_set = split(
-                pool, spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG, rep)
-            )
-            n = len(train_set)
-            config = TrainConfig(
-                loss=spec.loss,
-                reg=spec.reg,
-                schedule=spec.schedule,
-                total_steps=spec.grid[-1] * n,
-                seed=derive_seed(spec.seed, _TRAIN_TAG, rep),
-                record_every=n,
-                eval_holdout=test_set,
-            )
-            _, records = train(train_set, config)
-            by_step = {record.step: record for record in records}
-            return [by_step[g * n].holdout_objective for g in spec.grid]
-
-        return thunk
-
-    rows = _run_parallel([one_repetition(r) for r in range(spec.repetitions)], spec.threads)
-    test = np.asarray(rows)  # (repetitions, len(grid))
-    points = []
-    for gi, g in enumerate(spec.grid):
-        mean, std = _stats(test[:, gi])
-        points.append(
-            CurvePoint(grid_value=g, repetitions=spec.repetitions, test_mean=mean, test_std=std)
+    def one_repetition(rep: int) -> list[float]:
+        train_set, test_set = split(
+            pool, spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG, rep)
         )
-    return points
+        n = len(train_set)
+        config = TrainConfig(
+            loss=spec.loss,
+            reg=spec.reg,
+            schedule=spec.schedule,
+            total_steps=spec.grid[-1] * n,
+            seed=derive_seed(spec.seed, _TRAIN_TAG, rep),
+            record_every=n,
+            eval_holdout=test_set,
+        )
+        _, records = train(train_set, config)
+        by_step = {record.step: record for record in records}
+        return [by_step[g * n].holdout_objective for g in spec.grid]
+
+    test = np.asarray([one_repetition(r) for r in range(spec.repetitions)])  # (repetitions, len(grid))
+    return _points(spec, test.T)
 
 
 def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -146,31 +141,24 @@ def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.nda
             f"grid value {spec.grid[-1]} exceeds the available pool of {len(train_pool)}"
         )
 
-    def one_run(gi: int, size: int, rep: int):
-        def thunk():
-            subset = subsample(train_pool, size, derive_seed(spec.seed, _SUBSAMPLE_TAG, gi, rep))
-            config = TrainConfig(
-                loss=spec.loss,
-                reg=spec.reg,
-                schedule=spec.schedule,
-                total_steps=spec.passes_per_point * size,
-                seed=derive_seed(spec.seed, _TRAIN_TAG, gi, rep),
-                eval_holdout=test_set,
-            )
-            _, records = train(subset, config)
-            final = records[-1]
-            return final.empirical_objective, final.holdout_objective
+    def one_run(gi: int, size: int, rep: int) -> tuple[float, float]:
+        subset = subsample(train_pool, size, derive_seed(spec.seed, _SUBSAMPLE_TAG, gi, rep))
+        config = TrainConfig(
+            loss=spec.loss,
+            reg=spec.reg,
+            schedule=spec.schedule,
+            total_steps=spec.passes_per_point * size,
+            seed=derive_seed(spec.seed, _TRAIN_TAG, gi, rep),
+            eval_holdout=test_set,
+        )
+        _, records = train(subset, config)
+        final = records[-1]
+        return final.empirical_objective, final.holdout_objective
 
-        return thunk
-
-    tasks = [
-        one_run(gi, size, rep)
-        for gi, size in enumerate(spec.grid)
-        for rep in range(spec.repetitions)
-    ]
-    flat = np.asarray(_run_parallel(tasks, spec.threads))
-    shaped = flat.reshape(len(spec.grid), spec.repetitions, 2)
-    return shaped[:, :, 0], shaped[:, :, 1]
+    runs = np.asarray(
+        [[one_run(gi, size, rep) for rep in range(spec.repetitions)] for gi, size in enumerate(spec.grid)]
+    )  # (len(grid), repetitions, 2)
+    return runs[:, :, 0], runs[:, :, 1]
 
 
 def run_samplesize_curve(pool: Dataset, spec: CurveSpec) -> list[CurvePoint]:
@@ -178,21 +166,7 @@ def run_samplesize_curve(pool: Dataset, spec: CurveSpec) -> list[CurvePoint]:
     if spec.kind != "sample_size":
         raise ValueError(f"spec kind is {spec.kind!r}, expected 'sample_size'")
     train_vals, test_vals = _samplesize_runs(pool, spec)
-    points = []
-    for gi, g in enumerate(spec.grid):
-        train_mean, train_std = _stats(train_vals[gi])
-        test_mean, test_std = _stats(test_vals[gi])
-        points.append(
-            CurvePoint(
-                grid_value=g,
-                repetitions=spec.repetitions,
-                train_mean=train_mean,
-                train_std=train_std,
-                test_mean=test_mean,
-                test_std=test_std,
-            )
-        )
-    return points
+    return _points(spec, test_vals, train_vals)
 
 
 def run_gap_curve(pool: Dataset, spec: CurveSpec) -> list[CurvePoint]:
@@ -204,25 +178,7 @@ def run_gap_curve(pool: Dataset, spec: CurveSpec) -> list[CurvePoint]:
     if spec.kind != "gap":
         raise ValueError(f"spec kind is {spec.kind!r}, expected 'gap'")
     train_vals, test_vals = _samplesize_runs(pool, spec)
-    gaps = test_vals - train_vals
-    points = []
-    for gi, g in enumerate(spec.grid):
-        train_mean, train_std = _stats(train_vals[gi])
-        test_mean, test_std = _stats(test_vals[gi])
-        gap_mean, gap_std = _stats(gaps[gi])
-        points.append(
-            CurvePoint(
-                grid_value=g,
-                repetitions=spec.repetitions,
-                train_mean=train_mean,
-                train_std=train_std,
-                test_mean=test_mean,
-                test_std=test_std,
-                gap_mean=gap_mean,
-                gap_std=gap_std,
-            )
-        )
-    return points
+    return _points(spec, test_vals, train_vals, with_gap=True)
 
 
 def default_samplesize_grid(available: int, start: int = 100) -> tuple[int, ...]:
@@ -256,9 +212,4 @@ def emit_csv(points: list[CurvePoint], destination) -> None:
             lines.append(
                 f"{point.grid_value},{metric},{mean:.17g},{std:.17g},{point.repetitions}"
             )
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as handle:
-            handle.write(text)
+    write_lines(destination, lines)

@@ -5,9 +5,16 @@ s = (<w[:, j], x>)_j, and every subgradient has the rank-one form
 
     grad[:, j] = coef[j] * x,
 
-so subgradients are assembled from a per-column coefficient vector.  Each
-loss carries a certified Lipschitz constant L with respect to the max norm
-on score vectors:
+so each loss kind is one pair of functions of a score matrix S (one row of
+scores per example) and the matching labels: the values, shape (n,), and
+the per-column coefficients, shape (n, c).  The same pair serves batched
+evaluation and the single-row SGD step.  Labels are class ids, shape (n,),
+for the multiclass losses and +1/-1 sign rows, shape (n, c), for the
+multilabel ones; ``LossSpec.check_labels`` says whether a label array suits
+a loss, and the kernels assume it does.
+
+Each loss carries a certified Lipschitz constant L with respect to the max
+norm on score vectors:
 
     |loss(w; z) - loss(w'; z)| <= L * max_j |<w[:, j] - w'[:, j], x>|.
 
@@ -26,8 +33,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
-
-from .core import LabeledExample, SparseVector, predict
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,7 @@ class BaseLoss:
     def deriv(self, t):
         t = np.asarray(t, dtype=np.float64)
         if self.kind == "hinge":
-            return np.where(t < 1.0, -1.0, 0.0)
+            return (t >= 1.0) - 1.0  # -1 below the kink, +0 from it on
         return -expit(-t)
 
 
@@ -66,195 +71,179 @@ HINGE = BaseLoss("hinge")
 LOGISTIC = BaseLoss("logistic")
 
 
-def _check_multiclass(c: int, z: LabeledExample) -> int:
-    if c < 2:
-        raise ValueError(f"multiclass losses need at least 2 components, got {c}")
-    return z.class_index(c)
-
-
-def _assemble(x: SparseVector, coef: np.ndarray, d: int) -> np.ndarray:
-    """Dense (d, c) gradient with column j equal to coef[j] * x."""
-    grad = np.zeros((d, coef.size))
-    if x.nnz:
-        grad[x.indices, :] = x.values[:, None] * coef[None, :]
-    return grad
-
-
 # ---------------------------------------------------------------------------
-# Multiclass SVM: max over wrong classes of the margin loss.
+# Multiclass SVM: max over wrong classes of base(s_y - s_j).
 
 
-def mc_svm_value(w: np.ndarray, z: LabeledExample, base: BaseLoss) -> float:
-    """max_{y' != y} base(<w[:, y] - w[:, y'], x>)."""
-    y = _check_multiclass(w.shape[1], z)
-    s = predict(w, z.x)
-    margins = np.delete(s[y] - s, y)
-    return float(np.max(base.value(margins)))
+def _mc_svm_terms(spec, S, y):
+    rows = np.arange(len(y))
+    margins = S[rows, y, None] - S
+    vals = spec.base.value(margins)
+    vals[rows, y] = -np.inf  # exclude the true class; argmax picks the first max
+    return rows, margins, vals, vals.argmax(axis=1)
 
 
-def _mc_svm_coef(s: np.ndarray, y: int, base: BaseLoss) -> np.ndarray:
-    vals = base.value(s[y] - s)
-    vals[y] = -np.inf  # exclude the true class; argmax picks the first max
-    y_star = int(np.argmax(vals))
-    g = float(base.deriv(s[y] - s[y_star]))
-    coef = np.zeros(s.size)
-    coef[y] += g
-    coef[y_star] -= g
+def _mc_svm_value(spec, S, y):
+    return _mc_svm_terms(spec, S, y)[2].max(axis=1)
+
+
+def _mc_svm_coef(spec, S, y):
+    """Column y gets g, the argmax class -g, with g = base'(s_y - s_argmax)."""
+    rows, margins, _, top = _mc_svm_terms(spec, S, y)
+    g = spec.base.deriv(margins[rows, top])
+    coef = np.zeros(S.shape)
+    coef[rows, y] = g
+    coef[rows, top] = -g  # top != y: the true class is excluded
     return coef
-
-
-def mc_svm_subgrad(w: np.ndarray, z: LabeledExample, base: BaseLoss) -> np.ndarray:
-    """Subgradient with column y getting g*x and the argmax class -g*x."""
-    y = _check_multiclass(w.shape[1], z)
-    return _assemble(z.x, _mc_svm_coef(predict(w, z.x), y, base), w.shape[0])
 
 
 # ---------------------------------------------------------------------------
 # Multinomial logistic: log-sum-exp of score differences.
 
 
-def multinomial_logistic_value(w: np.ndarray, z: LabeledExample) -> float:
-    """log sum_j exp(<w[:, j] - w[:, y], x>), computed with max subtraction.
+def _multinomial_logistic_value(spec, S, y):
+    """log sum_j exp(s_j - s_y), computed with max subtraction.
 
     The j = y term contributes exp(0) = 1, so the value is nonnegative;
     it is clamped at 0 to absorb last-bit rounding.
     """
-    y = _check_multiclass(w.shape[1], z)
-    diffs = predict(w, z.x)
-    diffs -= diffs[y]
-    diffs[y] = 0.0
-    m = float(np.max(diffs))
-    return max(0.0, m + float(np.log(np.sum(np.exp(diffs - m)))))
+    rows = np.arange(len(y))
+    diffs = S - S[rows, y, None]
+    diffs[rows, y] = 0.0
+    m = diffs.max(axis=1)
+    return np.maximum(0.0, m + np.log(np.exp(diffs - m[:, None]).sum(axis=1)))
 
 
-def _softmax(s: np.ndarray) -> np.ndarray:
-    e = np.exp(s - np.max(s))
-    return e / np.sum(e)
-
-
-def _multinomial_logistic_coef(s: np.ndarray, y: int) -> np.ndarray:
-    coef = _softmax(s)
-    coef[y] -= 1.0
+def _multinomial_logistic_coef(spec, S, y):
+    """p_j for j != y and p_y - 1 at y, p the softmax of the scores."""
+    e = np.exp(S - S.max(axis=1, keepdims=True))
+    coef = e / e.sum(axis=1, keepdims=True)
+    coef[np.arange(len(y)), y] -= 1.0
     return coef
-
-
-def multinomial_logistic_subgrad(w: np.ndarray, z: LabeledExample) -> np.ndarray:
-    """Gradient with column j getting p_j*x for j != y and (p_y - 1)*x at y.
-
-    p is the softmax of the score vector; the coefficients sum to zero.
-    """
-    y = _check_multiclass(w.shape[1], z)
-    return _assemble(z.x, _multinomial_logistic_coef(predict(w, z.x), y), w.shape[0])
 
 
 # ---------------------------------------------------------------------------
 # Top-k SVM: truncated average of the k largest shifted score gaps.
 
 
-def _topk_terms(s: np.ndarray, y: int, k: int) -> np.ndarray:
-    if not 1 <= k < s.size:
-        raise ValueError(f"k must satisfy 1 <= k < {s.size}, got {k}")
-    a = 1.0 + s - s[y]
-    a[y] = 0.0  # indicator vanishes for the true class
-    return a
+def _topk_terms(S, y):
+    """a_j = 1[j != y] + s_j - s_y."""
+    rows = np.arange(len(y))
+    a = 1.0 + S - S[rows, y, None]
+    a[rows, y] = 0.0  # indicator vanishes for the true class
+    return rows, a
 
 
-def topk_svm_value(w: np.ndarray, z: LabeledExample, k: int) -> float:
-    """max(0, average of the k largest entries of a), a_j = 1[j != y] + s_j - s_y."""
-    y = _check_multiclass(w.shape[1], z)
-    a = _topk_terms(predict(w, z.x), y, k)
-    top = np.sort(a)[-k:]
-    return float(max(0.0, np.sum(top) / k))
+def _topk_svm_value(spec, S, y):
+    """max(0, average of the k largest a_j)."""
+    _, a = _topk_terms(S, y)
+    return np.maximum(0.0, np.sort(a, axis=1)[:, -spec.k :].sum(axis=1) / spec.k)
 
 
-def _topk_svm_coef(s: np.ndarray, y: int, k: int) -> np.ndarray:
-    a = _topk_terms(s, y, k)
-    order = np.argsort(-a, kind="stable")  # descending, ties to smaller index
-    top = order[:k]
-    coef = np.zeros(s.size)
-    if np.sum(a[top]) / k <= 0.0:
-        return coef  # flat region of max{0, .}, and zero at the kink itself
-    coef[top] = 1.0 / k
-    coef[y] -= len(top) / k
-    return coef
-
-
-def topk_svm_subgrad(w: np.ndarray, z: LabeledExample, k: int) -> np.ndarray:
-    """Columns of the k selected terms get x/k; column y absorbs the rest.
+def _topk_svm_coef(spec, S, y):
+    """The k selected columns get 1/k and column y absorbs -1.
 
     Selection takes the k largest a_j, ties resolved toward the smaller
-    index.  The net coefficient on column y is -|selected \\ {y}| / k, and
-    the subgradient is zero when the truncated average is not positive.
+    index; the coefficients are zero where the truncated average is not
+    positive.
     """
-    y = _check_multiclass(w.shape[1], z)
-    return _assemble(z.x, _topk_svm_coef(predict(w, z.x), y, k), w.shape[0])
+    k = spec.k
+    rows, a = _topk_terms(S, y)
+    top = np.argsort(-a, axis=1, kind="stable")[:, :k]  # descending, ties to smaller index
+    coef = np.zeros(S.shape)
+    coef[rows[:, None], top] = 1.0 / k
+    coef[rows, y] -= 1.0
+    # flat region of max{0, .}, and zero at the kink itself
+    coef[a[rows[:, None], top].sum(axis=1) / k <= 0.0] = 0.0
+    return coef
 
 
 # ---------------------------------------------------------------------------
 # Subset loss: worst single component against its target sign.
 
 
-def subset_value(w: np.ndarray, z: LabeledExample, base: BaseLoss) -> float:
-    """max_j base(y_j * <w[:, j], x>) over a sign vector y."""
-    y = z.sign_vector(w.shape[1])
-    return float(np.max(base.value(y * predict(w, z.x))))
+def _subset_terms(spec, S, y):
+    rows = np.arange(len(y))
+    t = y * S
+    vals = spec.base.value(t)
+    return rows, t, vals, vals.argmax(axis=1)
 
 
-def _subset_coef(s: np.ndarray, y: np.ndarray, base: BaseLoss) -> np.ndarray:
-    t = y * s
-    j_star = int(np.argmax(base.value(t)))
-    coef = np.zeros(s.size)
-    coef[j_star] = float(y[j_star]) * float(base.deriv(t[j_star]))
+def _subset_value(spec, S, y):
+    """max_j base(y_j * s_j)."""
+    return _subset_terms(spec, S, y)[2].max(axis=1)
+
+
+def _subset_coef(spec, S, y):
+    """A single nonzero column at the argmax component j*."""
+    rows, t, _, top = _subset_terms(spec, S, y)
+    coef = np.zeros(S.shape)
+    coef[rows, top] = y[rows, top] * spec.base.deriv(t[rows, top])
     return coef
-
-
-def subset_subgrad(w: np.ndarray, z: LabeledExample, base: BaseLoss) -> np.ndarray:
-    """Single nonzero column at the argmax component j*."""
-    y = z.sign_vector(w.shape[1])
-    return _assemble(z.x, _subset_coef(predict(w, z.x), y, base), w.shape[0])
 
 
 # ---------------------------------------------------------------------------
 # Ranking loss: average margin loss over (positive, negative) pairs.
 
 
-def _ranking_split(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pos = np.flatnonzero(y > 0)
-    neg = np.flatnonzero(y < 0)
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("ranking loss needs at least one +1 and one -1 label")
-    return pos, neg
+def _sign_patterns(y):
+    """(rows, positives, negatives) for each distinct sign row of y.
+
+    Grouping rows by pattern keeps every row's pair terms in one contiguous
+    (positives x negatives) block, summed in the same order for a batch as
+    for a single row.
+    """
+    if len(y) == 1:
+        yield slice(None), (y[0] > 0).nonzero()[0], (y[0] < 0).nonzero()[0]
+        return
+    patterns, inverse, counts = np.unique(y, axis=0, return_inverse=True, return_counts=True)
+    groups = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    for pattern, rows in zip(patterns, groups):
+        yield rows, (pattern > 0).nonzero()[0], (pattern < 0).nonzero()[0]
 
 
-def ranking_value(w: np.ndarray, z: LabeledExample, base: BaseLoss) -> float:
+def _pair_diffs(S, rows, pos, neg):
+    """s_p - s_q for every (positive p, negative q), shape (rows, |pos|, |neg|).
+
+    C order makes each row's block contiguous, so its sums take the same
+    (pairwise) order whatever the number of rows.
+    """
+    block = S[rows]
+    return np.subtract(block[:, pos, None], block[:, None, neg], order="C")
+
+
+def _ranking_value(spec, S, y):
     """Mean of base(s_p - s_q) over positive components p and negative q."""
-    y = z.sign_vector(w.shape[1])
-    pos, neg = _ranking_split(y)
-    s = predict(w, z.x)
-    diffs = s[pos][:, None] - s[neg][None, :]
-    return float(np.mean(base.value(diffs)))
+    out = np.empty(len(y))
+    for rows, pos, neg in _sign_patterns(y):
+        vals = spec.base.value(_pair_diffs(S, rows, pos, neg))
+        out[rows] = vals.reshape(len(vals), -1).sum(axis=1) / (pos.size * neg.size)
+    return out
 
 
-def _ranking_coef(s: np.ndarray, y: np.ndarray, base: BaseLoss) -> np.ndarray:
-    pos, neg = _ranking_split(y)
-    diffs = s[pos][:, None] - s[neg][None, :]
-    g = base.deriv(diffs) / (pos.size * neg.size)
-    coef = np.zeros(s.size)
-    coef[pos] += g.sum(axis=1)
-    coef[neg] -= g.sum(axis=0)
+def _ranking_coef(spec, S, y):
+    """Each pair (p, q) adds g to column p and -g to column q."""
+    coef = np.zeros(S.shape)
+    for rows, pos, neg in _sign_patterns(y):
+        g = spec.base.deriv(_pair_diffs(S, rows, pos, neg)) / (pos.size * neg.size)
+        block = coef[rows]
+        block[:, pos] = g.sum(axis=2)
+        block[:, neg] = -g.sum(axis=1)
+        coef[rows] = block
     return coef
-
-
-def ranking_subgrad(w: np.ndarray, z: LabeledExample, base: BaseLoss) -> np.ndarray:
-    """Each pair (p, q) adds g*x to column p and -g*x to column q."""
-    y = z.sign_vector(w.shape[1])
-    return _assemble(z.x, _ranking_coef(predict(w, z.x), y, base), w.shape[0])
 
 
 # ---------------------------------------------------------------------------
 # Dispatch wrapper carrying the certified Lipschitz constant.
 
 
+_KERNELS = {
+    "mc_svm": (_mc_svm_value, _mc_svm_coef),
+    "multinomial_logistic": (_multinomial_logistic_value, _multinomial_logistic_coef),
+    "topk_svm": (_topk_svm_value, _topk_svm_coef),
+    "subset": (_subset_value, _subset_coef),
+    "ranking": (_ranking_value, _ranking_coef),
+}
 _MULTILABEL_KINDS = ("subset", "ranking")
 
 
@@ -271,6 +260,10 @@ class LossSpec:
     base: BaseLoss | None = None
     k: int | None = None
     lipschitz_inf: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in _KERNELS:
+            raise ValueError(f"unknown loss kind {self.kind!r}")
 
     @staticmethod
     def mc_svm(base: BaseLoss = HINGE) -> "LossSpec":
@@ -311,45 +304,35 @@ class LossSpec:
         """Copy with an overridden constant; exists for check-suite hooks."""
         return replace(self, lipschitz_inf=value)
 
-    def value(self, w: np.ndarray, z: LabeledExample) -> float:
-        if self.kind == "mc_svm":
-            return mc_svm_value(w, z, self.base)
-        if self.kind == "multinomial_logistic":
-            return multinomial_logistic_value(w, z)
-        if self.kind == "topk_svm":
-            return topk_svm_value(w, z, self.k)
-        if self.kind == "subset":
-            return subset_value(w, z, self.base)
-        if self.kind == "ranking":
-            return ranking_value(w, z, self.base)
-        raise ValueError(f"unknown loss kind {self.kind!r}")
+    def check_labels(self, y: np.ndarray, c: int) -> None:
+        """Raise ValueError unless the labels y over c components suit this loss.
 
-    def score_coef(self, s: np.ndarray, z: LabeledExample) -> np.ndarray:
-        """Column coefficients of the subgradient at the score vector s.
-
-        ``s`` is ``predict(w, z.x)``; its length is the number of
-        components.  Callers that hold the scores already (the lazily
-        scaled SGD loop) skip the prediction this way.
+        Multiclass losses need class ids and at least two components (top-k
+        at least k + 1); multilabel losses need sign rows, and the ranking
+        loss needs a +1 and a -1 in every row.
         """
-        c = s.size
-        if self.kind == "mc_svm":
-            return _mc_svm_coef(s, _check_multiclass(c, z), self.base)
-        if self.kind == "multinomial_logistic":
-            return _multinomial_logistic_coef(s, _check_multiclass(c, z))
-        if self.kind == "topk_svm":
-            return _topk_svm_coef(s, _check_multiclass(c, z), self.k)
-        if self.kind == "subset":
-            return _subset_coef(s, z.sign_vector(c), self.base)
+        if self.is_multilabel != (np.ndim(y) == 2):
+            wanted = "sign vectors" if self.is_multilabel else "class indices"
+            raise ValueError(f"loss {self.name} needs {wanted} as labels")
+        if not self.is_multilabel and c < 2:
+            raise ValueError(f"multiclass losses need at least 2 components, got {c}")
+        if self.kind == "topk_svm" and not self.k < c:
+            raise ValueError(f"top-k with k={self.k} needs at least {self.k + 1} classes, got {c}")
         if self.kind == "ranking":
-            return _ranking_coef(s, z.sign_vector(c), self.base)
-        raise ValueError(f"unknown loss kind {self.kind!r}")
+            single = np.flatnonzero(~(np.any(y > 0, axis=1) & np.any(y < 0, axis=1)))
+            if single.size:
+                raise ValueError(
+                    f"ranking loss needs at least one +1 and one -1 label in every row; "
+                    f"{single.size} of {len(y)} rows have one sign only (first: row {single[0]})"
+                )
 
-    def coef(self, w: np.ndarray, z: LabeledExample) -> np.ndarray:
-        """Column coefficients of the subgradient (see module docstring)."""
-        return self.score_coef(predict(w, z.x), z)
+    def value(self, S: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Loss values, shape (n,), at the score rows S (n, c) with labels y."""
+        return _KERNELS[self.kind][0](self, S, y)
 
-    def subgrad(self, w: np.ndarray, z: LabeledExample) -> np.ndarray:
-        return _assemble(z.x, self.coef(w, z), w.shape[0])
+    def coef(self, S: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Subgradient column coefficients, shape (n, c); see the module docstring."""
+        return _KERNELS[self.kind][1](self, S, y)
 
 
 def standard_loss_specs(k: int = 2) -> list[LossSpec]:

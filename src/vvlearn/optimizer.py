@@ -23,7 +23,9 @@ materialize W, resync ||V||_F^2, and check the certificate and the
 single-step contract against the exact frobenius_norm(W).  Trajectories
 agree with the dense ``sgd_step`` oracle to rounding (about 1e-15), not bit
 for bit.  ``l2p`` runs take plain dense steps.  On both paths a non-finite
-iterate norm stops the run with a CertificateError.
+iterate norm stops the run with a CertificateError.  Both loops read row i
+of the CSR input and get its loss coefficients from ``LossSpec.coef`` on a
+1 x c score row, the kernel that batched evaluation runs on all rows.
 """
 
 from __future__ import annotations
@@ -34,11 +36,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import LabeledExample, frobenius_norm
+from .core import frobenius_norm, predict
+from .dataio import Dataset
 from .losses import LossSpec
 from .regularizers import RegularizerSpec
 
 _INDEX_CHUNK = 1 << 20
+# Rows per evaluation chunk are this many entries over c * c, bounding the
+# score and pair-term arrays a chunk allocates.
+_EVAL_CHUNK_ENTRIES = 1 << 16
 _CERT_TOL = 1e-9
 # Below this |a| the lazily scaled iterate W = a * V is folded back into V.
 _SCALE_FLOOR = 1e-9
@@ -122,47 +128,62 @@ class RunRecord:
     elapsed: float = field(default=0.0, compare=False)
 
 
-def _examples_of(data) -> list[LabeledExample]:
-    examples = list(data.examples) if hasattr(data, "examples") else list(data)
-    if not examples:
-        raise ValueError("training data must be nonempty")
-    return examples
+def _check_data(data: Dataset, loss: LossSpec) -> None:
+    if len(data) == 0:
+        raise ValueError("data must be nonempty")
+    loss.check_labels(data.y, data.c)
 
 
 def sgd_step(
     w: np.ndarray,
-    z: LabeledExample,
+    data: Dataset,
+    i: int,
     loss: LossSpec,
     reg: RegularizerSpec,
     eta: float,
 ) -> np.ndarray:
-    """Single subgradient step w - eta * (loss_subgrad + reg_grad).
+    """Single subgradient step w - eta * (loss_subgrad + reg_grad) on row i.
 
-    The input array is not modified.
+    The dense reference step: it costs O(d * c) and serves as the oracle
+    for the training loops.  The input array is not modified.
     """
     w = np.asarray(w, dtype=np.float64)
+    if w.shape != (data.d, data.c):
+        raise ValueError(f"weight matrix has shape {w.shape}, data needs {(data.d, data.c)}")
+    lo, hi = data.X.indptr[i], data.X.indptr[i + 1]
+    idx, vals = data.X.indices[lo:hi], data.X.data[lo:hi]
     grad = reg.grad(w)
-    coef = loss.coef(w, z)
-    if z.x.nnz:
-        grad[z.x.indices, :] += z.x.values[:, None] * coef[None, :]
+    coef = loss.coef((vals @ w[idx])[None, :], data.y[i : i + 1])[0]
+    grad[idx, :] += vals[:, None] * coef[None, :]
     return w - eta * grad
 
 
 def evaluate_objective(
     w: np.ndarray,
-    data,
+    data: Dataset,
     loss: LossSpec,
     reg: RegularizerSpec,
 ) -> float:
-    """Mean loss over the data plus the regularizer, in a fixed order."""
+    """Mean loss over the data plus the regularizer."""
     return evaluate_mean_loss(w, data, loss) + reg.value(w)
 
 
-def evaluate_mean_loss(w: np.ndarray, data, loss: LossSpec) -> float:
-    """Mean loss over the data without the regularization term."""
-    examples = _examples_of(data)
-    values = np.array([loss.value(w, z) for z in examples])
-    return float(np.sum(values) / values.size)
+def evaluate_mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec) -> float:
+    """Mean loss over the data without the regularization term.
+
+    Scores come from one sparse product per chunk of rows; the chunks only
+    bound memory and do not change any value.
+    """
+    _check_data(data, loss)
+    if np.shape(w) != (data.d, data.c):
+        raise ValueError(f"weight matrix has shape {np.shape(w)}, data needs {(data.d, data.c)}")
+    n = len(data)
+    values = np.empty(n)
+    step = max(1, _EVAL_CHUNK_ENTRIES // (data.c * data.c))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        values[lo:hi] = loss.value(predict(w, data.X[lo:hi]), data.y[lo:hi])
+    return float(np.sum(values) / n)
 
 
 def _draws(config: TrainConfig, n: int):
@@ -192,7 +213,7 @@ def _check_iterate(norm: float, bound: float, t: int, loss: LossSpec, reg: Regul
         )
 
 
-def _scaled_frobenius_steps(examples, d, c, kappa, config):
+def _scaled_frobenius_steps(data, kappa, config):
     """Frobenius SGD on W = a * V; yields (t, W, ||W||_F) on recording steps.
 
     The shrink (1 - eta*sigma) multiplies the scalar a and the loss update
@@ -209,13 +230,14 @@ def _scaled_frobenius_steps(examples, d, c, kappa, config):
         norm_bound = loss.lipschitz_inf * kappa / sigma + _CERT_TOL
     else:
         norm_bound = math.inf
-    a, v, v_sq = 1.0, np.zeros((d, c)), 0.0
-    for t, i, recording in _draws(config, len(examples)):
+    bounds, indices, values, labels = data.X.indptr.tolist(), data.X.indices, data.X.data, data.y
+    a, v, v_sq = 1.0, np.zeros((data.d, data.c)), 0.0
+    for t, i, recording in _draws(config, len(data)):
         eta = schedule.eta(t)
-        z = examples[i]
-        idx, vals = z.x.indices, z.x.values
+        idx, vals = indices[bounds[i] : bounds[i + 1]], values[bounds[i] : bounds[i + 1]]
         rows = v[idx]
-        outer = vals[:, None] * loss.score_coef(a * (vals @ rows), z)[None, :]
+        coef = loss.coef((a * (vals @ rows))[None, :], labels[i : i + 1])[0]
+        outer = vals[:, None] * coef[None, :]
         if recording:
             # Single-step contract from the subgradient norm bounds.
             w = a * v
@@ -248,52 +270,40 @@ def _scaled_frobenius_steps(examples, d, c, kappa, config):
             yield t, w, iterate_norm
 
 
-def _dense_steps(examples, d, c, kappa, config):
+def _dense_steps(data, kappa, config):
     """Plain SGD on a dense W; yields (t, W, ||W||_F) on recording steps."""
     loss, reg, schedule = config.loss, config.reg, config.schedule
-    w = np.zeros((d, c))
-    for t, i, recording in _draws(config, len(examples)):
-        w = sgd_step(w, examples[i], loss, reg, schedule.eta(t))
+    w = np.zeros((data.d, data.c))
+    for t, i, recording in _draws(config, len(data)):
+        w = sgd_step(w, data, i, loss, reg, schedule.eta(t))
         iterate_norm = frobenius_norm(w)
         _check_iterate(iterate_norm, math.inf, t, loss, reg)
         if recording:
             yield t, w, iterate_norm
 
 
-def train(data, config: TrainConfig) -> tuple[np.ndarray, list[RunRecord]]:
+def train(data: Dataset, config: TrainConfig) -> tuple[np.ndarray, list[RunRecord]]:
     """Run SGD from w = 0 and return the last iterate with its records.
 
     Indices are drawn i.i.d. uniform from a seeded PCG64 generator, so a
     fixed config reproduces the run bit for bit.  Records are emitted
-    every ``record_every`` steps and at the final step.
+    every ``record_every`` steps and at the final step.  The labels are
+    checked against the loss before the first step.
     """
-    examples = _examples_of(data)
-    if hasattr(data, "d") and hasattr(data, "c"):
-        d, c = data.d, data.c
-    else:
-        d = examples[0].x.dim
-        if config.loss.is_multilabel:
-            c = max(z.label.size for z in examples if z.is_multilabel)
-        else:
-            c = max(2, max(int(z.label) for z in examples) + 1)
-    dims = {z.x.dim for z in examples}
-    if dims != {d}:
-        raise ValueError(f"examples have input dimensions {sorted(dims)}, expected {d}")
-
     loss, reg = config.loss, config.reg
-    kappa = max(z.x.norm() for z in examples)
+    _check_data(data, loss)
     steps = _scaled_frobenius_steps if reg.kind == "frobenius" else _dense_steps
 
     records: list[RunRecord] = []
     started = time.perf_counter()
-    for t, w, iterate_norm in steps(examples, d, c, kappa, config):
+    for t, w, iterate_norm in steps(data, data.kappa, config):
         holdout = None
         if config.eval_holdout is not None:
             holdout = evaluate_objective(w, config.eval_holdout, loss, reg)
         records.append(
             RunRecord(
                 step=t,
-                empirical_objective=evaluate_objective(w, examples, loss, reg),
+                empirical_objective=evaluate_objective(w, data, loss, reg),
                 holdout_objective=holdout,
                 iterate_frobenius_norm=iterate_norm,
                 elapsed=time.perf_counter() - started,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SparseVector
+from .dataio import write_lines
 from .seeding import derive_seed, generator
 
 _EXACT_LIMIT = 20
@@ -34,53 +34,51 @@ _CHUNK_ENTRIES = 4_000_000
 
 @dataclass
 class ExtendedSample:
-    """A sequence of (input, component) pairs over c components."""
+    """A sequence of (input, component) pairs over c components.
 
-    xs: list[SparseVector]
+    ``X`` holds the inputs as dense rows, shape (m, d); ``js`` the
+    component index of each pair.
+    """
+
+    X: np.ndarray
     js: np.ndarray
     c: int
 
     def __post_init__(self):
+        self.X = np.asarray(self.X, dtype=np.float64)
         self.js = np.asarray(self.js, dtype=np.int64)
-        if len(self.xs) != self.js.size:
+        if self.X.ndim != 2:
+            raise ValueError(f"inputs must form an (m, d) array, got shape {self.X.shape}")
+        if self.X.shape[0] != self.js.size:
             raise ValueError(
-                f"{len(self.xs)} inputs but {self.js.size} component indices"
+                f"{self.X.shape[0]} inputs but {self.js.size} component indices"
             )
-        if len(self.xs) == 0:
+        if self.X.shape[0] == 0:
             raise ValueError("extended sample must be nonempty")
         if self.c < 1:
             raise ValueError(f"component count must be positive, got {self.c}")
         if np.any(self.js < 0) or np.any(self.js >= self.c):
             raise ValueError(f"component indices must lie in [0, {self.c})")
-        dims = {x.dim for x in self.xs}
-        if len(dims) != 1:
-            raise ValueError(f"inputs disagree on dimension: {sorted(dims)}")
-        self._dense = None
 
     @property
     def m(self) -> int:
-        return len(self.xs)
+        return self.X.shape[0]
 
     @property
     def d(self) -> int:
-        return self.xs[0].dim
-
-    def dense_inputs(self) -> np.ndarray:
-        """Stacked dense inputs, shape (m, d), built once."""
-        if self._dense is None:
-            self._dense = np.stack([x.dense() for x in self.xs])
-        return self._dense
+        return self.X.shape[1]
 
 
 def identical_pair_sample(m: int, d: int, c: int, kappa: float = 1.0) -> ExtendedSample:
     """The worst-case sample: m copies of (kappa * e_0, component 0)."""
-    x = SparseVector(d, np.array([0]), np.array([kappa]))
-    return ExtendedSample([x] * m, np.zeros(m, dtype=np.int64), c)
+    X = np.zeros((m, d))
+    X[:, 0] = kappa
+    return ExtendedSample(X, np.zeros(m, dtype=np.int64), c)
 
 
 def _sup_batch(sample: ExtendedSample, signs: np.ndarray, radius: float) -> np.ndarray:
     """sup_ball for each row of a (K, m) sign matrix."""
-    X = sample.dense_inputs()
+    X = sample.X
     sq = np.zeros(signs.shape[0])
     s_float = signs.astype(np.float64)
     for j in np.unique(sample.js):
@@ -267,9 +265,8 @@ def sandwich_check(
         rng = generator(derive_seed(seed, 2, r))
         X = rng.standard_normal((m, d))
         X *= kappa / np.linalg.norm(X, axis=1, keepdims=True)
-        xs = [SparseVector(d, np.arange(d), row) for row in X]
         js = rng.integers(0, c, size=m)
-        add_row(f"random_{r}", ExtendedSample(xs, js, c), derive_seed(seed, 3, r), False)
+        add_row(f"random_{r}", ExtendedSample(X, js, c), derive_seed(seed, 3, r), False)
     return SandwichReport(n=n, c=c, lower_bound=lower, upper_bound=upper, rows=rows)
 
 
@@ -282,9 +279,4 @@ def write_report_csv(report: SandwichReport, destination) -> None:
             f"{report.lower_bound:.17g},{report.upper_bound:.17g},"
             f"{'true' if row.passed else 'false'}"
         )
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w") as handle:
-            handle.write(text)
+    write_lines(destination, lines)

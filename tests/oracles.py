@@ -1,0 +1,137 @@
+"""Per-example loss oracles: one score vector and one label at a time.
+
+These are the single-example loss values and subgradient coefficients the
+batched kernels in ``vvlearn.losses`` replaced.  Each takes a score vector
+``s`` of shape (c,) and a label (a class index, or a +1/-1 sign vector),
+so tests can compare the batched kernels against them row by row.
+"""
+
+import numpy as np
+from scipy.special import expit
+
+
+def base_value(base, t):
+    t = np.asarray(t, dtype=np.float64)
+    if base.kind == "hinge":
+        return np.maximum(0.0, 1.0 - t)
+    return np.logaddexp(0.0, -t)
+
+
+def base_deriv(base, t):
+    t = np.asarray(t, dtype=np.float64)
+    if base.kind == "hinge":
+        return np.where(t < 1.0, -1.0, 0.0)
+    return -expit(-t)
+
+
+def mc_svm_value(s, y, base):
+    margins = np.delete(s[y] - s, y)
+    return float(np.max(base_value(base, margins)))
+
+
+def mc_svm_coef(s, y, base):
+    vals = base_value(base, s[y] - s)
+    vals[y] = -np.inf  # exclude the true class; argmax picks the first max
+    y_star = int(np.argmax(vals))
+    g = float(base_deriv(base, s[y] - s[y_star]))
+    coef = np.zeros(s.size)
+    coef[y] += g
+    coef[y_star] -= g
+    return coef
+
+
+def multinomial_logistic_value(s, y):
+    diffs = np.array(s, dtype=np.float64)
+    diffs -= diffs[y]
+    diffs[y] = 0.0
+    m = float(np.max(diffs))
+    return max(0.0, m + float(np.log(np.sum(np.exp(diffs - m)))))
+
+
+def multinomial_logistic_coef(s, y):
+    e = np.exp(s - np.max(s))
+    coef = e / np.sum(e)
+    coef[y] -= 1.0
+    return coef
+
+
+def _topk_terms(s, y):
+    a = 1.0 + s - s[y]
+    a[y] = 0.0
+    return a
+
+
+def topk_svm_value(s, y, k):
+    top = np.sort(_topk_terms(s, y))[-k:]
+    return float(max(0.0, np.sum(top) / k))
+
+
+def topk_svm_coef(s, y, k):
+    a = _topk_terms(s, y)
+    order = np.argsort(-a, kind="stable")  # descending, ties to smaller index
+    top = order[:k]
+    coef = np.zeros(s.size)
+    if np.sum(a[top]) / k <= 0.0:
+        return coef
+    coef[top] = 1.0 / k
+    coef[y] -= len(top) / k
+    return coef
+
+
+def subset_value(s, y, base):
+    return float(np.max(base_value(base, y * s)))
+
+
+def subset_coef(s, y, base):
+    t = y * s
+    j_star = int(np.argmax(base_value(base, t)))
+    coef = np.zeros(s.size)
+    coef[j_star] = float(y[j_star]) * float(base_deriv(base, t[j_star]))
+    return coef
+
+
+def _ranking_diffs(s, y):
+    pos, neg = np.flatnonzero(y > 0), np.flatnonzero(y < 0)
+    return pos, neg, s[pos][:, None] - s[neg][None, :]
+
+
+def ranking_value(s, y, base):
+    _, _, diffs = _ranking_diffs(s, y)
+    return float(np.mean(base_value(base, diffs)))
+
+
+def ranking_coef(s, y, base):
+    pos, neg, diffs = _ranking_diffs(s, y)
+    g = base_deriv(base, diffs) / (pos.size * neg.size)
+    coef = np.zeros(s.size)
+    coef[pos] += g.sum(axis=1)
+    coef[neg] -= g.sum(axis=0)
+    return coef
+
+
+def row_value(spec, s, y):
+    """The loss value of one example with scores s and label y."""
+    s = np.asarray(s, dtype=np.float64)
+    if spec.kind == "mc_svm":
+        return mc_svm_value(s, int(y), spec.base)
+    if spec.kind == "multinomial_logistic":
+        return multinomial_logistic_value(s, int(y))
+    if spec.kind == "topk_svm":
+        return topk_svm_value(s, int(y), spec.k)
+    if spec.kind == "subset":
+        return subset_value(s, y, spec.base)
+    return ranking_value(s, y, spec.base)
+
+
+def row_coef(spec, s, y):
+    """The subgradient coefficients of one example with scores s and label y."""
+    s = np.asarray(s, dtype=np.float64)
+    if spec.kind == "mc_svm":
+        return mc_svm_coef(s, int(y), spec.base)
+    if spec.kind == "multinomial_logistic":
+        return multinomial_logistic_coef(s, int(y))
+    if spec.kind == "topk_svm":
+        return topk_svm_coef(s, int(y), spec.k)
+    if spec.kind == "subset":
+        return subset_coef(s, y, spec.base)
+    return ranking_coef(s, y, spec.base)

@@ -3,120 +3,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vvlearn.core import (
-    LabeledExample,
-    SparseVector,
-    frobenius_norm,
-    inf_norm_diff,
-    l2p_norm,
-    predict,
-    sparse_from_dense,
-)
+import scipy.sparse as sp
+
+from vvlearn.core import frobenius_norm, inf_norm_diff, l2p_norm, predict
 
 
 def predict_oracle(w, x):
     """Dense dot-product reference: materialize x and multiply."""
-    return x.dense() @ w
+    return x.toarray() @ w
 
 
-def random_sparse(rng, dim, density=0.5):
-    mask = rng.random(dim) < density
-    idx = np.flatnonzero(mask)
-    vals = rng.standard_normal(idx.size)
-    return SparseVector(dim, idx.astype(np.int64), vals)
-
-
-class TestSparseVector:
-    def test_round_trip_dense(self):
-        x = SparseVector(4, np.array([1, 3]), np.array([2.0, -1.0]))
-        assert np.array_equal(x.dense(), np.array([0.0, 2.0, 0.0, -1.0]))
-
-    def test_sparse_from_dense_inverse(self):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            dense = rng.standard_normal(7)
-            dense[rng.random(7) < 0.4] = 0.0
-            x = sparse_from_dense(dense)
-            assert np.array_equal(x.dense(), dense)
-
-    def test_nnz_and_norm(self):
-        x = SparseVector(5, np.array([0, 2]), np.array([3.0, 4.0]))
-        assert x.nnz == 2
-        assert x.norm() == 5.0
-
-    def test_empty_vector(self):
-        x = SparseVector(3, np.array([], dtype=np.int64), np.array([]))
-        assert x.nnz == 0
-        assert x.norm() == 0.0
-        assert np.array_equal(x.dense(), np.zeros(3))
-
-    @pytest.mark.parametrize(
-        "indices,values",
-        [
-            ([2, 1], [1.0, 1.0]),        # not increasing
-            ([1, 1], [1.0, 1.0]),        # duplicate
-            ([-1], [1.0]),               # negative index
-            ([5], [1.0]),                # past dim
-            ([0, 1], [1.0]),             # length mismatch
-            ([0], [np.nan]),             # non-finite
-            ([0], [np.inf]),
-        ],
-    )
-    def test_rejects_malformed(self, indices, values):
-        with pytest.raises(ValueError):
-            SparseVector(5, np.asarray(indices), np.asarray(values, dtype=float))
-
-    def test_equality_is_exact(self):
-        a = SparseVector(3, np.array([1]), np.array([0.5]))
-        b = SparseVector(3, np.array([1]), np.array([0.5]))
-        c = SparseVector(3, np.array([1]), np.array([0.5 + 1e-17]))
-        d = SparseVector(3, np.array([1]), np.array([np.nextafter(0.5, 1)]))
-        assert a == b
-        assert a == c  # 0.5 + 1e-17 rounds back to 0.5
-        assert a != d
-
-
-class TestLabeledExample:
-    def test_multiclass_accessors(self):
-        z = LabeledExample(SparseVector(2, np.array([0]), np.array([1.0])), 3)
-        assert not z.is_multilabel
-        assert z.class_index(5) == 3
-        with pytest.raises(ValueError):
-            z.class_index(3)  # label 3 needs c >= 4
-        with pytest.raises(ValueError):
-            z.sign_vector(5)
-
-    def test_multilabel_accessors(self):
-        label = np.array([1, -1, 1], dtype=np.int8)
-        z = LabeledExample(SparseVector(2, np.array([0]), np.array([1.0])), label)
-        assert z.is_multilabel
-        assert np.array_equal(z.sign_vector(3), label)
-        with pytest.raises(ValueError):
-            z.sign_vector(4)
-        with pytest.raises(ValueError):
-            z.class_index(3)
-
-    def test_rejects_non_sign_entries(self):
-        x = SparseVector(2, np.array([0]), np.array([1.0]))
-        with pytest.raises(ValueError):
-            LabeledExample(x, np.array([1, 0, -1], dtype=np.int8))
+def random_sparse(rng, dim, rows=1, density=0.5):
+    mask = rng.random((rows, dim)) < density
+    return sp.csr_matrix(np.where(mask, rng.standard_normal((rows, dim)), 0.0))
 
 
 class TestPredict:
     def test_zero_model_trivial(self):
-        x = SparseVector(4, np.array([1, 2]), np.array([1.0, -2.0]))
-        assert np.array_equal(predict(np.zeros((4, 3)), x), np.zeros(3))
+        x = sp.csr_matrix(np.array([[0.0, 1.0, -2.0, 0.0]]))
+        assert np.array_equal(predict(np.zeros((4, 3)), x), np.zeros((1, 3)))
 
     def test_identity_like_columns_trivial(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        x = sparse_from_dense(np.array([1.0, 1.0]))
-        assert np.array_equal(predict(w, x), np.array([1.0, 1.0]))
+        assert np.array_equal(predict(w, np.array([1.0, 1.0])), np.array([1.0, 1.0]))
 
     def test_two_column_value(self):
         # columns (1,2,0) and (0,0,3) against sparse {0: 2.0, 2: 1.0}
         w = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 3.0]])
-        x = SparseVector(3, np.array([0, 2]), np.array([2.0, 1.0]))
-        expected = np.array([2.0, 3.0])
+        x = sp.csr_matrix((np.array([2.0, 1.0]), np.array([0, 2]), np.array([0, 2])), shape=(1, 3))
+        expected = np.array([[2.0, 3.0]])
         assert np.array_equal(predict_oracle(w, x), expected)
         assert np.array_equal(predict(w, x), expected)
 
@@ -125,13 +40,19 @@ class TestPredict:
         for _ in range(50):
             d, c = rng.integers(1, 10), rng.integers(1, 6)
             w = rng.standard_normal((d, c))
-            x = random_sparse(rng, d)
+            x = random_sparse(rng, d, rows=int(rng.integers(1, 5)))
             assert np.allclose(predict(w, x), predict_oracle(w, x), atol=1e-12)
 
+    def test_empty_rows_score_zero(self):
+        x = sp.csr_matrix((3, 4))
+        assert np.array_equal(predict(np.ones((4, 2)), x), np.zeros((3, 2)))
+
     def test_dim_mismatch_rejected(self):
-        x = SparseVector(3, np.array([0]), np.array([1.0]))
+        x = sp.csr_matrix(np.array([[1.0, 0.0, 0.0]]))
         with pytest.raises(ValueError):
             predict(np.zeros((4, 2)), x)
+        with pytest.raises(ValueError):
+            predict(np.zeros(3), x)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 5))

@@ -3,8 +3,8 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from vvlearn.core import LabeledExample, sparse_from_dense
 from vvlearn.dataio import (
     Dataset,
     ParseError,
@@ -21,29 +21,112 @@ def parse_text(text, task, **kwargs):
     return parse_sparse_text(io.StringIO(text), task, **kwargs)
 
 
+def row(ds, i):
+    """(column indices, values) of row i."""
+    X = ds.X
+    lo, hi = X.indptr[i], X.indptr[i + 1]
+    return X.indices[lo:hi], X.data[lo:hi]
+
+
+def one_row(indices, values, d=5):
+    return sp.csr_matrix(
+        (np.asarray(values, dtype=float), np.asarray(indices), np.array([0, len(indices)])),
+        shape=(1, d),
+    )
+
+
+class TestDatasetConstructor:
+    @pytest.mark.parametrize(
+        "indices,values",
+        [
+            ([2, 1], [1.0, 1.0]),        # not increasing
+            ([1, 1], [1.0, 1.0]),        # duplicate
+            ([-1], [1.0]),               # negative index
+            ([5], [1.0]),                # past dim
+            ([0, 1], [1.0]),             # length mismatch
+            ([0], [np.nan]),             # non-finite
+            ([0], [np.inf]),
+        ],
+    )
+    def test_rejects_malformed_rows(self, indices, values):
+        with pytest.raises(ValueError):
+            Dataset(one_row(indices, values), np.array([0]), 2, "mcc")
+
+    def test_dense_rows_round_trip(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            dense = rng.standard_normal((3, 7))
+            dense[rng.random((3, 7)) < 0.4] = 0.0
+            ds = Dataset(dense, np.array([0, 1, 0]), 2, "mcc")
+            assert ds.d == 7 and len(ds) == 3
+            assert np.array_equal(ds.X.toarray(), dense)
+
+    def test_kappa_is_largest_row_norm(self):
+        ds = Dataset(np.array([[3.0, 4.0], [0.0, 1.0]]), np.array([0, 1]), 2, "mcc")
+        assert ds.kappa == 5.0
+
+    def test_empty_rows(self):
+        ds = Dataset(sp.csr_matrix((2, 3)), np.array([0, 1]), 2, "mcc")
+        assert ds.X.nnz == 0 and ds.kappa == 0.0
+        assert len(Dataset(sp.csr_matrix((0, 3)), np.zeros(0, dtype=int), 2, "mcc")) == 0
+
+    def test_equality_is_exact(self):
+        def make(v):
+            return Dataset(one_row([1], [v], d=3), np.array([0]), 2, "mcc")
+
+        assert make(0.5) == make(0.5)
+        assert make(0.5) == make(0.5 + 1e-17)  # 0.5 + 1e-17 rounds back to 0.5
+        assert make(0.5) != make(np.nextafter(0.5, 1))
+        other_label = Dataset(one_row([1], [0.5], d=3), np.array([1]), 2, "mcc")
+        assert make(0.5) != other_label
+
+    @pytest.mark.parametrize("label", [2, -1])
+    def test_class_id_out_of_range(self, label):
+        with pytest.raises(ValueError):
+            Dataset(one_row([0], [1.0]), np.array([label]), 2, "mcc")
+
+    def test_class_ids_must_be_integers(self):
+        with pytest.raises(ValueError):
+            Dataset(one_row([0], [1.0]), np.array([0.5]), 2, "mcc")
+
+    def test_rejects_non_sign_entries(self):
+        with pytest.raises(ValueError):
+            Dataset(one_row([0], [1.0]), np.array([[1, 0, -1]]), 3, "mlc")
+
+    def test_sign_matrix_shape_checked(self):
+        with pytest.raises(ValueError):
+            Dataset(one_row([0], [1.0]), np.array([[1, -1, 1]]), 4, "mlc")
+        with pytest.raises(ValueError):
+            Dataset(one_row([0], [1.0]), np.array([1, -1]), 2, "mlc")
+
+    def test_bad_task_rejected(self):
+        with pytest.raises(ValueError):
+            Dataset(one_row([0], [1.0]), np.array([0]), 2, "other")
+
+
 class TestParseMcc:
     def test_single_line_mapping(self):
         ds = parse_text("2 1:0.5 3:1.5\n", "mcc", c=3)
         assert ds.task == "mcc" and len(ds) == 1
-        z = ds.examples[0]
-        assert z.label == 2  # ids 0..2 present in range: kept as-is
-        assert np.array_equal(z.x.indices, np.array([0, 2]))
-        assert np.array_equal(z.x.values, np.array([0.5, 1.5]))
+        assert ds.y[0] == 2  # ids 0..2 present in range: kept as-is
+        indices, values = row(ds, 0)
+        assert np.array_equal(indices, np.array([0, 2]))
+        assert np.array_equal(values, np.array([0.5, 1.5]))
 
     def test_inferred_c_remaps_by_first_appearance(self):
         ds = parse_text("5 1:1.0\n9 1:1.0\n5 2:1.0\n", "mcc")
         assert ds.c == 2
-        assert [z.label for z in ds.examples] == [0, 1, 0]
+        assert ds.y.tolist() == [0, 1, 0]
         assert ds.label_map == {5: 0, 9: 1}
 
     def test_inferred_contiguous_ids_stay_identity(self):
         ds = parse_text("1 1:1.0\n0 1:1.0\n2 2:1.0\n", "mcc")
         assert ds.c == 3
-        assert [z.label for z in ds.examples] == [1, 0, 2]
+        assert ds.y.tolist() == [1, 0, 2]
 
     def test_explicit_c_with_out_of_range_ids_remaps(self):
         ds = parse_text("7 1:1.0\n3 1:1.0\n", "mcc", c=2)
-        assert [z.label for z in ds.examples] == [0, 1]
+        assert ds.y.tolist() == [0, 1]
         assert ds.label_map == {7: 0, 3: 1}
 
     def test_too_many_distinct_labels_for_c(self):
@@ -54,6 +137,15 @@ class TestParseMcc:
         ds = parse_text("0 4:1.0\n1 2:1.0\n", "mcc")
         assert ds.d == 4
 
+    def test_features_sorted_within_rows(self):
+        ds = parse_text("0 3:1.5 1:2.0\n1 2:1.0 1:0.5\n", "mcc")
+        assert np.array_equal(row(ds, 0)[0], [0, 2]) and np.array_equal(row(ds, 0)[1], [2.0, 1.5])
+        assert np.array_equal(row(ds, 1)[0], [0, 1]) and np.array_equal(row(ds, 1)[1], [0.5, 1.0])
+
+    def test_empty_feature_rows_kept(self):
+        ds = parse_text("0\n1 2:1.0\n", "mcc")
+        assert len(ds) == 2 and ds.X[0].nnz == 0 and ds.d == 2
+
     def test_comments_and_blank_lines_skipped(self):
         ds = parse_text("# header\n\n0 1:1.0\n# trailing\n1 1:2.0\n\n", "mcc")
         assert len(ds) == 2
@@ -62,10 +154,10 @@ class TestParseMcc:
 class TestParseMlc:
     def test_sign_vector_mapping(self):
         ds = parse_text("1,3 2:1.0\n", "mlc", c=4)
-        z = ds.examples[0]
-        assert np.array_equal(z.label, np.array([1, -1, 1, -1], dtype=np.int8))
-        assert np.array_equal(z.x.indices, np.array([1]))
-        assert np.array_equal(z.x.values, np.array([1.0]))
+        assert np.array_equal(ds.y[0], np.array([1, -1, 1, -1], dtype=np.int8))
+        indices, values = row(ds, 0)
+        assert np.array_equal(indices, np.array([1]))
+        assert np.array_equal(values, np.array([1.0]))
 
     def test_component_ids_are_one_based(self):
         with pytest.raises(ParseError) as err:
@@ -79,7 +171,7 @@ class TestParseMlc:
     def test_c_inferred_from_largest_component(self):
         ds = parse_text("1,4 1:1.0\n2 2:1.0\n", "mlc")
         assert ds.c == 4
-        assert np.array_equal(ds.examples[0].label, np.array([1, -1, -1, 1], dtype=np.int8))
+        assert np.array_equal(ds.y[0], np.array([1, -1, -1, 1], dtype=np.int8))
 
     def test_component_id_above_declared_c_rejected(self):
         with pytest.raises(ParseError) as err:
@@ -98,6 +190,7 @@ class TestParseErrors:
             ("x 1:0.5\n", "class id"),
             ("0 1:nan\n", "finite"),
             ("0 1:inf\n", "finite"),
+            ("0 99999999999999999999:1\n", "99999999999999999999"),  # past int64
         ],
     )
     def test_malformed_lines_carry_line_numbers(self, text, fragment):
@@ -106,6 +199,11 @@ class TestParseErrors:
         message = str(err.value)
         assert "line 1" in message
         assert fragment in message
+
+    def test_first_bad_line_is_reported(self):
+        with pytest.raises(ParseError) as err:
+            parse_text("0 1:1.0\n0 1:x\nq 1:1.0\n", "mcc")
+        assert "line 2" in str(err.value)
 
     def test_line_numbers_count_comments(self):
         with pytest.raises(ParseError) as err:
@@ -171,48 +269,36 @@ class TestRoundTrip:
 
     def test_awkward_floats_round_trip(self):
         values = [1e-300, 1.5e300, 0.1, -2.0 / 3.0, 1.0 + 2**-52]
-        examples = [
-            LabeledExample(sparse_from_dense(np.array([v])), 0) for v in values
-        ]
-        ds = Dataset(examples, d=1, c=2, task="mcc", label_map={0: 0})
+        ds = Dataset(np.array(values)[:, None], np.zeros(5, dtype=int), 2, "mcc", {0: 0})
         buffer = io.StringIO()
         write_sparse_text(ds, buffer)
         back = parse_text(buffer.getvalue(), "mcc", d=1, c=2)
         assert back == ds
 
     def test_all_negative_sign_vector_rejected_on_write(self):
-        z = LabeledExample(
-            sparse_from_dense(np.array([1.0])), np.array([-1, -1], dtype=np.int8)
-        )
-        ds = Dataset([z], d=1, c=2, task="mlc", label_map={})
+        ds = Dataset(np.array([[1.0]]), np.array([[-1, -1]]), 2, "mlc")
         with pytest.raises(ValueError):
             write_sparse_text(ds, io.StringIO())
 
 
 class TestNormalize:
     def test_three_four_five(self):
-        z = LabeledExample(sparse_from_dense(np.array([3.0, 4.0])), 0)
-        ds = Dataset([z], d=2, c=2, task="mcc", label_map={0: 0})
+        ds = Dataset(np.array([[3.0, 4.0]]), np.array([0]), 2, "mcc", {0: 0})
         out = normalize_rows(ds)
-        assert np.array_equal(out.examples[0].x.values, np.array([0.6, 0.8]))
+        assert np.array_equal(out.X.data, np.array([0.6, 0.8]))
 
     def test_zero_row_untouched(self):
-        z = LabeledExample(
-            sparse_from_dense(np.array([0.0, 0.0])), 1
-        )
-        ds = Dataset([z], d=2, c=2, task="mcc", label_map={1: 1})
+        ds = Dataset(np.array([[0.0, 0.0], [0.0, 2.0]]), np.array([1, 0]), 2, "mcc", {1: 1})
         out = normalize_rows(ds)
-        assert out.examples[0].x.nnz == 0
+        assert out.X[0].nnz == 0
+        assert np.array_equal(out.X.data, np.array([1.0]))
 
     def test_kappa_exactly_one(self):
         rng = np.random.default_rng(18)
-        examples = []
-        for i in range(200):
-            x = rng.standard_normal(7) * 10.0 ** rng.integers(-2, 3)
-            examples.append(LabeledExample(sparse_from_dense(x), int(rng.integers(3))))
-        ds = Dataset(examples, d=7, c=3, task="mcc", label_map={i: i for i in range(3)})
+        X = rng.standard_normal((200, 7)) * 10.0 ** rng.integers(-2, 3, size=(200, 1))
+        ds = Dataset(X, rng.integers(3, size=200), 3, "mcc", {i: i for i in range(3)})
         out = normalize_rows(ds)
-        norms = [z.x.norm() for z in out.examples]
+        norms = [np.linalg.norm(out.X[i].data) for i in range(len(out))]
         assert out.kappa == 1.0
         assert min(norms) == 1.0 and max(norms) == 1.0
 
@@ -238,12 +324,13 @@ class TestSplit:
     def test_union_preserves_multiset(self):
         ds = synth_gen(n=23, d=4, c=3, task="mcc", seed=2)
         train, test = split(ds, 0.6, seed=3)
-        combined = list(train.examples) + list(test.examples)
-        assert len(combined) == len(ds)
-        remaining = list(ds.examples)
-        for z in combined:
-            remaining.remove(z)  # relies on exact example equality
-        assert remaining == []
+
+        def rows(part):
+            dense = part.X.toarray()
+            return sorted((tuple(dense[i]), int(part.y[i])) for i in range(len(part)))
+
+        combined = sorted(rows(train) + rows(test))
+        assert combined == rows(ds)  # relies on exact row equality
 
     def test_empty_side_rejected(self):
         ds = synth_gen(n=3, d=2, c=2, task="mcc", seed=0)
@@ -276,8 +363,9 @@ class TestSubsample:
     def test_draws_from_original(self):
         ds = synth_gen(n=25, d=3, c=2, task="mcc", seed=0)
         sub = subsample(ds, 10, seed=1)
-        for z in sub.examples:
-            assert z in ds.examples
+        originals = {tuple(r): y for r, y in zip(ds.X.toarray(), ds.y)}
+        for r, y in zip(sub.X.toarray(), sub.y):
+            assert originals[tuple(r)] == y
 
 
 class TestSynthGen:
@@ -293,23 +381,20 @@ class TestSynthGen:
 
     def test_mcc_labels_in_range(self):
         ds = synth_gen(n=100, d=4, c=5, task="mcc", noise=0.3, seed=2)
-        labels = np.array([z.label for z in ds.examples])
+        labels = ds.y
         assert labels.min() >= 0 and labels.max() < 5
         assert np.unique(labels).size > 1
 
     def test_mlc_rows_have_both_signs(self):
         for noise in (0.0, 0.4):
             ds = synth_gen(n=150, d=5, c=4, task="mlc", noise=noise, seed=6)
-            for z in ds.examples:
-                assert np.any(z.label == 1) and np.any(z.label == -1)
+            assert np.all(np.any(ds.y == 1, axis=1) & np.any(ds.y == -1, axis=1))
 
     def test_noise_changes_labels_only(self):
         clean = synth_gen(n=60, d=5, c=3, task="mcc", noise=0.0, seed=8)
         noisy = synth_gen(n=60, d=5, c=3, task="mcc", noise=0.5, seed=8)
-        for a, b in zip(clean.examples, noisy.examples):
-            assert a.x == b.x
-        flips = sum(a.label != b.label for a, b in zip(clean.examples, noisy.examples))
-        assert flips > 0
+        assert np.array_equal(clean.X.toarray(), noisy.X.toarray())
+        assert np.sum(clean.y != noisy.y) > 0
 
     def test_validation(self):
         with pytest.raises(ValueError):

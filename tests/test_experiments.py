@@ -22,7 +22,7 @@ FRO = RegularizerSpec.frobenius(0.01)
 SCHED = StepSchedule.experiment(0.01)
 
 
-def make_spec(kind, grid, reps=2, seed=0, threads=1, passes_per_point=2):
+def make_spec(kind, grid, reps=2, seed=0, passes_per_point=2):
     return CurveSpec(
         kind=kind,
         grid=grid,
@@ -32,7 +32,6 @@ def make_spec(kind, grid, reps=2, seed=0, threads=1, passes_per_point=2):
         schedule=SCHED,
         seed=seed,
         passes_per_point=passes_per_point,
-        threads=threads,
     )
 
 
@@ -144,11 +143,6 @@ class TestSampleSizeAndGapCurves:
         a = run_gap_curve(pool, make_spec("gap", (40, 80), reps=2, seed=5))
         b = run_gap_curve(pool, make_spec("gap", (40, 80), reps=2, seed=5))
         assert a == b
-
-    def test_threads_do_not_change_results(self, pool):
-        serial = run_gap_curve(pool, make_spec("gap", (40, 80), reps=3, seed=6))
-        threaded = run_gap_curve(pool, make_spec("gap", (40, 80), reps=3, seed=6, threads=4))
-        assert serial == threaded
 
 
 class TestDefaultGrid:

@@ -2,10 +2,12 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.stats import spearmanr
 
+import oracles
 import vvlearn.optimizer as optimizer_module
-from vvlearn.core import LabeledExample, SparseVector, frobenius_norm, sparse_from_dense
+from vvlearn.core import frobenius_norm
 from vvlearn.dataio import Dataset, synth_gen
 from vvlearn.losses import HINGE, LossSpec, standard_loss_specs
 from vvlearn.optimizer import (
@@ -26,6 +28,17 @@ MLOG = LossSpec.multinomial_logistic()
 
 def tiny_dataset(n=40, d=5, c=3, seed=0, task="mcc"):
     return synth_gen(n=n, d=d, c=c, task=task, noise=0.1, seed=seed)
+
+
+def single_row(x, y, c=None):
+    """A one-row multiclass dataset with dense input x and class y."""
+    return Dataset(np.array([x], dtype=float), np.array([y]), c or y + 2, "mcc")
+
+
+def loss_grad(loss, w, data, i=0):
+    """The dense (d, c) loss subgradient at row i."""
+    x = data.X[i].toarray()
+    return x.T * loss.coef(x @ w, data.y[i : i + 1])
 
 
 class TestStepSchedule:
@@ -55,38 +68,38 @@ class TestStepSchedule:
 
 class TestSgdStep:
     def test_zero_model_frobenius_is_pure_loss_step(self):
-        z = LabeledExample(sparse_from_dense(np.array([1.0, -2.0])), 1)
+        data = single_row([1.0, -2.0], 1, c=3)
         w = np.zeros((2, 3))
         reg = RegularizerSpec.frobenius(0.7)
-        stepped = sgd_step(w, z, MLOG, reg, 0.25)
-        expected = -0.25 * MLOG.subgrad(w, z)
+        stepped = sgd_step(w, data, 0, MLOG, reg, 0.25)
+        expected = -0.25 * loss_grad(MLOG, w, data)
         assert np.allclose(stepped, expected, atol=1e-15)
 
     def test_eta_zero_is_identity(self):
-        z = LabeledExample(sparse_from_dense(np.array([1.0])), 0)
+        data = single_row([1.0], 0)
         w = np.array([[0.3, -0.2]])
-        out = sgd_step(w, z, MLOG, RegularizerSpec.frobenius(1.0), 0.0)
+        out = sgd_step(w, data, 0, MLOG, RegularizerSpec.frobenius(1.0), 0.0)
         assert np.array_equal(out, w)
 
     def test_hand_derived_softmax_step(self):
         # c=2, d=1, x=(1), y=0, sigma=1, eta=1 from the zero matrix:
         # softmax at zero is (1/2, 1/2), so the update is (+1/2, -1/2)
-        z = LabeledExample(sparse_from_dense(np.array([1.0])), 0)
+        data = single_row([1.0], 0)
         w = np.zeros((1, 2))
-        out = sgd_step(w, z, MLOG, RegularizerSpec.frobenius(1.0), 1.0)
+        out = sgd_step(w, data, 0, MLOG, RegularizerSpec.frobenius(1.0), 1.0)
         assert np.allclose(out, np.array([[0.5, -0.5]]), atol=1e-15)
 
     def test_input_not_mutated(self):
-        z = LabeledExample(sparse_from_dense(np.array([1.0, 2.0])), 0)
+        data = single_row([1.0, 2.0], 0)
         w = np.full((2, 2), 0.5)
         before = w.copy()
-        sgd_step(w, z, MLOG, RegularizerSpec.frobenius(0.5), 0.1)
+        sgd_step(w, data, 0, MLOG, RegularizerSpec.frobenius(0.5), 0.1)
         assert np.array_equal(w, before)
 
     def test_dimension_mismatch(self):
-        z = LabeledExample(sparse_from_dense(np.array([1.0, 2.0, 3.0])), 0)
+        data = single_row([1.0, 2.0, 3.0], 0)
         with pytest.raises(ValueError):
-            sgd_step(np.zeros((2, 2)), z, MLOG, RegularizerSpec.frobenius(0.5), 0.1)
+            sgd_step(np.zeros((2, 2)), data, 0, MLOG, RegularizerSpec.frobenius(0.5), 0.1)
 
 
 class TestEvaluateObjective:
@@ -98,11 +111,12 @@ class TestEvaluateObjective:
 
     def test_single_example_identity(self):
         data = tiny_dataset(n=2)
-        z = data.examples[0]
+        first = data.take([0])
         w = np.full((data.d, data.c), 0.2)
         reg = RegularizerSpec.frobenius(0.3)
-        got = evaluate_objective(w, [z], MLOG, reg)
-        assert np.isclose(got, MLOG.value(w, z) + reg.value(w), atol=1e-15)
+        got = evaluate_objective(w, first, MLOG, reg)
+        scores = first.X.toarray()[0] @ w
+        assert np.isclose(got, oracles.row_value(MLOG, scores, first.y[0]) + reg.value(w), atol=1e-15)
 
     def test_naive_two_pass_oracle(self):
         rng = np.random.default_rng(6)
@@ -110,7 +124,8 @@ class TestEvaluateObjective:
         reg = RegularizerSpec.l2p(0.4, 1.5)
         for _ in range(10):
             w = rng.standard_normal((data.d, data.c))
-            values = [MLOG.value(w, z) for z in data.examples]
+            dense = data.X.toarray()
+            values = [oracles.row_value(MLOG, dense[i] @ w, data.y[i]) for i in range(len(data))]
             naive = sum(values) / len(values) + reg.value(w)
             assert np.isclose(evaluate_objective(w, data, MLOG, reg), naive, atol=1e-12)
 
@@ -125,8 +140,61 @@ class TestEvaluateObjective:
         )
 
     def test_empty_data_rejected(self):
+        empty = Dataset(sp.csr_matrix((0, 2)), np.zeros(0, dtype=int), 2, "mcc")
         with pytest.raises(ValueError):
-            evaluate_objective(np.zeros((2, 2)), [], MLOG, RegularizerSpec.frobenius(0.1))
+            evaluate_objective(np.zeros((2, 2)), empty, MLOG, RegularizerSpec.frobenius(0.1))
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize(
+        "spec",
+        standard_loss_specs(k=2) + [LossSpec.topk_svm(3), LossSpec.topk_svm(4)],
+        ids=lambda s: s.name,
+    )
+    def test_matches_per_row_oracle(self, spec):
+        data = sparse_wide_dataset("mlc" if spec.is_multilabel else "mcc", n=300, d=60)
+        rng = np.random.default_rng(8)
+        dense = data.X.toarray()
+        reg = RegularizerSpec.frobenius(0.1)
+        for _ in range(3):
+            w = rng.standard_normal((data.d, data.c))
+            values = [oracles.row_value(spec, dense[i] @ w, data.y[i]) for i in range(len(data))]
+            expected = sum(values) / len(values) + reg.value(w)
+            got = evaluate_objective(w, data, spec, reg)
+            assert abs(got - expected) <= 1e-12 * abs(expected)
+            assert evaluate_objective(w, data, spec, reg) == got  # bitwise repeatable
+
+    def test_chunks_do_not_change_values(self, monkeypatch):
+        data = sparse_wide_dataset("mlc", n=300, d=60)
+        w = np.random.default_rng(9).standard_normal((data.d, data.c))
+        spec = LossSpec.ranking(HINGE)
+        whole = evaluate_mean_loss(w, data, spec)
+        monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", 7 * data.c * data.c)
+        assert evaluate_mean_loss(w, data, spec) == whole
+
+    def test_weight_shape_checked(self):
+        data = tiny_dataset()
+        with pytest.raises(ValueError):
+            evaluate_mean_loss(np.zeros((data.d, data.c + 1)), data, MLOG)
+
+
+class TestLabelsCheckedUpFront:
+    def test_single_sign_row_fails_before_training(self, monkeypatch):
+        data = tiny_dataset(task="mlc")
+        y = data.y.copy()
+        y[7] = 1
+        bad = Dataset(data.X, y, data.c, "mlc")
+        steps = []
+        monkeypatch.setattr(optimizer_module, "_draws", lambda *a: steps.append(1) or iter(()))
+        config = config_for(bad, total_steps=10, loss=LossSpec.ranking(HINGE))
+        with pytest.raises(ValueError, match="row 7"):
+            train(bad, config)
+        assert steps == []
+
+    def test_one_class_fails_for_multiclass_losses(self):
+        one = Dataset(np.ones((3, 2)), np.zeros(3, dtype=int), 1, "mcc")
+        with pytest.raises(ValueError, match="at least 2 components"):
+            train(one, config_for(one, total_steps=5))
 
 
 def config_for(data, total_steps, seed=0, sigma=0.05, record_every=None, loss=MLOG):
@@ -146,9 +214,8 @@ class TestTrain:
         config = config_for(data, total_steps=1, seed=9)
         w, records = train(data, config)
         first_index = int(generator(9).integers(0, len(data), size=1)[0])
-        z = data.examples[first_index]
         manual = sgd_step(
-            np.zeros((data.d, data.c)), z, MLOG, config.reg, config.schedule.eta(1)
+            np.zeros((data.d, data.c)), data, first_index, MLOG, config.reg, config.schedule.eta(1)
         )
         assert np.array_equal(w, manual)
         assert len(records) == 1 and records[0].step == 1
@@ -203,8 +270,9 @@ class TestTrain:
         )
 
     def test_empty_data_rejected(self):
+        empty = Dataset(sp.csr_matrix((0, 5)), np.zeros(0, dtype=int), 3, "mcc")
         with pytest.raises(ValueError):
-            train([], config_for(tiny_dataset(), total_steps=1))
+            train(empty, config_for(tiny_dataset(), total_steps=1))
 
     def test_elapsed_excluded_from_equality(self):
         a = RunRecord(step=1, empirical_objective=0.5, holdout_objective=None,
@@ -218,11 +286,9 @@ def sparse_wide_dataset(task, n=100, d=200, nnz=5, c=6, seed=0):
     """synth_gen rows scattered onto nnz random coordinates, so d >> nnz."""
     base = synth_gen(n=n, d=nnz, c=c, task=task, noise=0.1, seed=seed)
     rng = generator(seed + 1)
-    examples = [
-        LabeledExample(SparseVector(d, np.sort(rng.choice(d, size=nnz, replace=False)), z.x.values), z.label)
-        for z in base.examples
-    ]
-    return Dataset(examples, d, c, task)
+    cols = np.concatenate([np.sort(rng.choice(d, size=nnz, replace=False)) for _ in range(n)])
+    X = sp.csr_matrix((base.X.data, cols, base.X.indptr), shape=(n, d))
+    return Dataset(X, base.y, c, task)
 
 
 def dense_replay(data, config):
@@ -232,7 +298,7 @@ def dense_replay(data, config):
     w = np.zeros((data.d, data.c))
     norms = []
     for t, i in enumerate(indices, start=1):
-        w = sgd_step(w, data.examples[int(i)], config.loss, config.reg, config.schedule.eta(t))
+        w = sgd_step(w, data, int(i), config.loss, config.reg, config.schedule.eta(t))
         norms.append(frobenius_norm(w))
     return w, norms
 
@@ -319,7 +385,7 @@ class TestIterateNormCertificate:
     )
     def test_non_finite_iterate_fails_fast(self, monkeypatch, reg):
         data = tiny_dataset()
-        monkeypatch.setattr(LossSpec, "score_coef", lambda self, s, z: np.full(s.size, np.nan))
+        monkeypatch.setattr(LossSpec, "coef", lambda self, S, y: np.full(S.shape, np.nan))
         config = TrainConfig(
             loss=MLOG,
             reg=reg,

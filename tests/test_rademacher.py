@@ -4,7 +4,6 @@ import itertools
 import numpy as np
 import pytest
 
-from vvlearn.core import SparseVector, sparse_from_dense
 from vvlearn.rademacher import (
     ExtendedSample,
     estimate_complexity,
@@ -18,8 +17,7 @@ from vvlearn.rademacher import (
 
 
 def sample_from_dense(rows, js, c):
-    xs = [sparse_from_dense(np.asarray(r, dtype=float)) for r in rows]
-    return ExtendedSample(xs, np.asarray(js, dtype=np.int64), c)
+    return ExtendedSample(np.asarray(rows, dtype=float), np.asarray(js, dtype=np.int64), c)
 
 
 def brute_force_sup(sample, signs, radius, directions=200_000, seed=0):
@@ -27,7 +25,7 @@ def brute_force_sup(sample, signs, radius, directions=200_000, seed=0):
     true supremum that approaches it as the direction count grows."""
     rng = np.random.default_rng(seed)
     d, c = sample.d, sample.c
-    dense = np.stack([x.dense() for x in sample.xs])
+    dense = sample.X
     best = -np.inf
     for _ in range(4):
         ws = rng.standard_normal((directions // 4, d * c))
@@ -88,20 +86,19 @@ class TestExtendedSample:
     def test_identical_pair_sample(self):
         sample = identical_pair_sample(4, 3, 2, kappa=2.0)
         assert sample.m == 4 and sample.d == 3 and sample.c == 2
-        assert all(np.isclose(x.norm(), 2.0, atol=1e-12) for x in sample.xs)
+        assert np.allclose(np.linalg.norm(sample.X, axis=1), 2.0, atol=1e-12)
         assert np.array_equal(sample.js, np.zeros(4, dtype=np.int64))
 
     def test_validation(self):
-        x = sparse_from_dense(np.array([1.0]))
+        x = np.array([[1.0]])
         with pytest.raises(ValueError):
-            ExtendedSample([], np.array([], dtype=np.int64), 2)  # empty
+            ExtendedSample(np.zeros((0, 1)), np.array([], dtype=np.int64), 2)  # empty
         with pytest.raises(ValueError):
-            ExtendedSample([x], np.array([2], dtype=np.int64), 2)  # j out of range
+            ExtendedSample(x, np.array([2], dtype=np.int64), 2)  # j out of range
         with pytest.raises(ValueError):
-            ExtendedSample([x, x], np.array([0], dtype=np.int64), 2)  # length mismatch
-        y = sparse_from_dense(np.array([1.0, 2.0]))
+            ExtendedSample(np.ones((2, 1)), np.array([0], dtype=np.int64), 2)  # length mismatch
         with pytest.raises(ValueError):
-            ExtendedSample([x, y], np.array([0, 0], dtype=np.int64), 2)  # mixed dims
+            ExtendedSample(np.array([1.0, 2.0]), np.array([0, 0], dtype=np.int64), 2)  # not (m, d)
 
 
 class TestEstimateComplexity:
