@@ -29,7 +29,6 @@ from .optimizer import (
     StepSchedule,
     TrainConfig,
     evaluate_mean_loss,
-    evaluate_objective,
     train,
 )
 from .rademacher import sandwich_check, write_report_csv
@@ -39,7 +38,6 @@ MODEL_MAGIC = "vvlearn-model"
 MODEL_VERSION = 1
 
 _LOSS_CHOICES = ("mc_svm", "mlogistic", "topk", "subset", "ranking")
-_MULTILABEL_LOSSES = ("subset", "ranking")
 
 
 class UsageError(Exception):
@@ -86,10 +84,9 @@ def load_model(path) -> tuple[np.ndarray, str, dict]:
     task = parts[2]
     if task not in ("mcc", "mlc"):
         raise DataError(f"{path}: unknown task kind {task!r}")
-    try:
-        d, c = int(parts[3]), int(parts[4])
-    except ValueError:
-        raise DataError(f"{path}: malformed dimensions in header") from None
+    if not (parts[3].isdecimal() and parts[4].isdecimal()):  # also rejects signs
+        raise DataError(f"{path}: malformed dimensions in header")
+    d, c = int(parts[3]), int(parts[4])
     metadata = {}
     for token in parts[5:]:
         key, sep, value = token.partition("=")
@@ -172,8 +169,8 @@ def _strength_and_schedule(args, default_lambda: float | None = None):
         raise UsageError(str(err)) from None
 
 
-def _check_task_compatible(loss_name: str, task: str) -> None:
-    needs = "mlc" if loss_name in _MULTILABEL_LOSSES else "mcc"
+def _check_task_compatible(loss_name: str, loss: LossSpec, task: str) -> None:
+    needs = "mlc" if loss.is_multilabel else "mcc"
     if task != needs:
         raise UsageError(f"--loss {loss_name} needs task {needs!r}, got {task!r}")
 
@@ -193,7 +190,7 @@ def _load_training_data(args, loss: LossSpec) -> Dataset:
         data = _parse_synth_spec(args.synth, args.task)
     else:
         data = parse_sparse_text(args.data, args.task)
-    _check_task_compatible(args.loss, data.task)
+    _check_task_compatible(args.loss, loss, data.task)
     _check_labels(loss, data)
     if args.normalize:
         data = normalize_rows(data)
@@ -264,8 +261,8 @@ def _cmd_eval(args) -> int:
     _check_labels(loss, data)
     if args.normalize:
         data = normalize_rows(data)
-    objective = evaluate_objective(w, data, loss, reg)
     mean_loss = evaluate_mean_loss(w, data, loss)
+    objective = mean_loss + reg.value(w)  # evaluate_objective, scoring the data once
     print(f"objective={objective:.17g} loss={mean_loss:.17g}")
     return 0
 
@@ -326,6 +323,8 @@ def _cmd_rademacher(args) -> int:
         raise UsageError("--lambda-cap and --sigma must be positive")
     if args.trials < 0:
         raise UsageError(f"--trials must be nonnegative, got {args.trials}")
+    if args.random_samples < 0:
+        raise UsageError(f"--random-samples must be nonnegative, got {args.random_samples}")
     if args.trials == 0 and args.n * args.c > 20:
         raise UsageError(
             f"--trials 0 enumerates exactly and needs n*c <= 20, got {args.n * args.c}"

@@ -11,21 +11,22 @@ where L is the loss's certified max-norm Lipschitz constant and kappa the
 largest input norm.  That bound is enforced as a runtime certificate on
 every training run, not just under test.
 
-Frobenius runs store the iterate lazily scaled, W = a * V (Pegasos,
-Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
-2012).  The shrink (1 - eta*sigma) multiplies the scalar a, and the loss
-update touches only the nnz rows of V, so a step costs O(nnz * c) instead
-of O(d * c).  A running ||V||_F^2, updated by the change in those rows,
-gives the iterate norm |a| * ||V||_F in O(1), and the certificate checks it
-on every step.  When |a| drops below a floor (at step 1 of the theorem
-schedule the shrink is zero) a is folded into V.  Recording steps
-materialize W, resync ||V||_F^2, and check the certificate and the
-single-step contract against the exact frobenius_norm(W).  Trajectories
-agree with the dense ``sgd_step`` oracle to rounding (about 1e-15), not bit
-for bit.  ``l2p`` runs take plain dense steps.  On both paths a non-finite
-iterate norm stops the run with a CertificateError.  Both loops read row i
-of the CSR input and get its loss coefficients from ``LossSpec.coef`` on a
-1 x c score row, the kernel that batched evaluation runs on all rows.
+One loop trains both regularizers on the iterate stored lazily scaled,
+W = a * V (Pegasos, Shalev-Shwartz et al. 2011; Bottou, "Stochastic
+Gradient Descent Tricks", 2012).  The loss update touches only the nnz
+rows of V, with coefficients from ``LossSpec.coef`` on a 1 x c score row.
+The regularizer's step is ``_shrink``: the Frobenius shrink (1 - eta*sigma)
+multiplies a, so a step costs O(nnz * c), and a is folded into V when |a|
+drops below a floor (at step 1 of the theorem schedule the shrink is
+zero); the group (2, p) gradient rescales each column, so V's columns are
+rescaled in place at O(d * c) and a stays 1.  A running ||V||_F^2, updated
+by the change in the touched rows, gives the iterate norm in O(1): the
+certificate checks it on every step, and a non-finite norm stops any run
+with a CertificateError.  Recording steps materialize W, check the exact
+norm, and check the l-infinity duality ||coef||_1 <= L of the step's loss
+coefficients, which bounds the loss subgradient by kappa * L for either
+regularizer.  Trajectories agree with the dense ``sgd_step`` oracle to
+rounding (about 1e-15), not bit for bit.
 """
 
 from __future__ import annotations
@@ -128,10 +129,12 @@ class RunRecord:
     elapsed: float = field(default=0.0, compare=False)
 
 
-def _check_data(data: Dataset, loss: LossSpec) -> None:
+def _check_data(data: Dataset, loss: LossSpec, shape=None) -> None:
     if len(data) == 0:
         raise ValueError("data must be nonempty")
     loss.check_labels(data.y, data.c)
+    if shape is not None and shape != (data.d, data.c):
+        raise ValueError(f"data has dimensions {(data.d, data.c)}, the weight matrix {shape}")
 
 
 def sgd_step(
@@ -174,9 +177,7 @@ def evaluate_mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec) -> float:
     Scores come from one sparse product per chunk of rows; the chunks only
     bound memory and do not change any value.
     """
-    _check_data(data, loss)
-    if np.shape(w) != (data.d, data.c):
-        raise ValueError(f"weight matrix has shape {np.shape(w)}, data needs {(data.d, data.c)}")
+    _check_data(data, loss, np.shape(w))
     n = len(data)
     values = np.empty(n)
     step = max(1, _EVAL_CHUNK_ENTRIES // (data.c * data.c))
@@ -213,21 +214,29 @@ def _check_iterate(norm: float, bound: float, t: int, loss: LossSpec, reg: Regul
         )
 
 
-def _scaled_frobenius_steps(data, kappa, config):
-    """Frobenius SGD on W = a * V; yields (t, W, ||W||_F) on recording steps.
+def _shrink(reg: RegularizerSpec, a: float, v: np.ndarray, eta: float):
+    """The regularizer's step on W = a * V: the new a, and ||V||_F^2 if V changed."""
+    if reg.kind == "frobenius":
+        a *= 1.0 - eta * reg.sigma
+        if abs(a) >= _SCALE_FLOOR:
+            return a, None
+        # Exact or near-zero shrink (eta_1 * sigma = 1 under the theorem
+        # schedule): fold a into V before dividing by it.
+        v *= a
+    else:
+        v *= 1.0 - eta * reg.column_scale(v)
+    return 1.0, float(np.vdot(v, v))
 
-    The shrink (1 - eta*sigma) multiplies the scalar a and the loss update
-    touches only the nnz rows of V, so a step costs O(nnz * c).  A running
-    ||V||_F^2, updated by the change in those rows, puts the iterate
-    certificate at O(1) per step.
-    """
+
+def _steps(data: Dataset, config: TrainConfig):
+    """SGD on W = a * V; yields (t, W, ||W||_F) on recording steps."""
     loss, reg, schedule = config.loss, config.reg, config.schedule
-    sigma = reg.sigma
-    # Valid whenever eta_1 * sigma <= 1 (both schedules qualify at their
-    # usual parameters), since then ||w_{t+1}|| <= max(||w_t||, L*kappa/sigma).
-    # Otherwise only finiteness is checked.
-    if schedule.eta(1) * sigma <= 1.0 + 1e-12:
-        norm_bound = loss.lipschitz_inf * kappa / sigma + _CERT_TOL
+    # Valid for the Frobenius regularizer whenever eta_1 * sigma <= 1 (both
+    # schedules qualify at their usual parameters), since then
+    # ||w_{t+1}|| <= max(||w_t||, L*kappa/sigma).  Otherwise only
+    # finiteness is checked.
+    if reg.kind == "frobenius" and schedule.eta(1) * reg.sigma <= 1.0 + 1e-12:
+        norm_bound = loss.lipschitz_inf * data.kappa / reg.sigma + _CERT_TOL
     else:
         norm_bound = math.inf
     bounds, indices, values, labels = data.X.indptr.tolist(), data.X.indices, data.X.data, data.y
@@ -237,27 +246,18 @@ def _scaled_frobenius_steps(data, kappa, config):
         idx, vals = indices[bounds[i] : bounds[i + 1]], values[bounds[i] : bounds[i + 1]]
         rows = v[idx]
         coef = loss.coef((a * (vals @ rows))[None, :], labels[i : i + 1])[0]
-        outer = vals[:, None] * coef[None, :]
         if recording:
-            # Single-step contract from the subgradient norm bounds.
-            w = a * v
-            grad = reg.grad(w)
-            grad[idx, :] += outer
-            step_norm = eta * frobenius_norm(grad)
-            allowed = eta * (loss.lipschitz_inf * kappa + sigma * frobenius_norm(w))
-            if step_norm > allowed + _CERT_TOL:
+            # An L-Lipschitz loss in the max norm has subgradients of l1 norm <= L.
+            dual = float(np.sum(np.abs(coef)))
+            if not dual <= loss.lipschitz_inf + _CERT_TOL:
                 raise CertificateError(
-                    f"step {t} moved {step_norm:.6g}, above the bound {allowed:.6g}"
+                    f"loss coefficients at step {t} have l1 norm {dual:.6g}, above the "
+                    f"certified max-norm Lipschitz constant {loss.lipschitz_inf:.6g} (loss {loss.name})"
                 )
-        a *= 1.0 - eta * sigma
-        if abs(a) < _SCALE_FLOOR:
-            # Exact or near-zero shrink (eta_1 * sigma = 1 under the theorem
-            # schedule): fold a into V before dividing by it.
-            v *= a
-            a = 1.0
-            rows = v[idx]
-            v_sq = float(np.vdot(v, v))
-        new_rows = rows - (eta / a) * outer
+        a, shrunk_sq = _shrink(reg, a, v, eta)
+        if shrunk_sq is not None:
+            rows, v_sq = v[idx], shrunk_sq
+        new_rows = rows - (eta / a) * (vals[:, None] * coef[None, :])
         v[idx] = new_rows
         v_sq += float(np.vdot(new_rows, new_rows)) - float(np.vdot(rows, rows))
         # abs: rounding can leave a near-zero running sum just below zero.
@@ -270,36 +270,26 @@ def _scaled_frobenius_steps(data, kappa, config):
             yield t, w, iterate_norm
 
 
-def _dense_steps(data, kappa, config):
-    """Plain SGD on a dense W; yields (t, W, ||W||_F) on recording steps."""
-    loss, reg, schedule = config.loss, config.reg, config.schedule
-    w = np.zeros((data.d, data.c))
-    for t, i, recording in _draws(config, len(data)):
-        w = sgd_step(w, data, i, loss, reg, schedule.eta(t))
-        iterate_norm = frobenius_norm(w)
-        _check_iterate(iterate_norm, math.inf, t, loss, reg)
-        if recording:
-            yield t, w, iterate_norm
-
-
 def train(data: Dataset, config: TrainConfig) -> tuple[np.ndarray, list[RunRecord]]:
     """Run SGD from w = 0 and return the last iterate with its records.
 
     Indices are drawn i.i.d. uniform from a seeded PCG64 generator, so a
     fixed config reproduces the run bit for bit.  Records are emitted
     every ``record_every`` steps and at the final step.  The labels are
-    checked against the loss before the first step.
+    checked against the loss, and the holdout against the data's
+    dimensions, before the first step.
     """
-    loss, reg = config.loss, config.reg
+    loss, reg, holdout_data = config.loss, config.reg, config.eval_holdout
     _check_data(data, loss)
-    steps = _scaled_frobenius_steps if reg.kind == "frobenius" else _dense_steps
+    if holdout_data is not None:
+        _check_data(holdout_data, loss, (data.d, data.c))
 
     records: list[RunRecord] = []
     started = time.perf_counter()
-    for t, w, iterate_norm in steps(data, data.kappa, config):
+    for t, w, iterate_norm in _steps(data, config):
         holdout = None
-        if config.eval_holdout is not None:
-            holdout = evaluate_objective(w, config.eval_holdout, loss, reg)
+        if holdout_data is not None:
+            holdout = evaluate_objective(w, holdout_data, loss, reg)
         records.append(
             RunRecord(
                 step=t,

@@ -60,23 +60,25 @@ class RegularizerSpec:
     def value(self, w: np.ndarray) -> float:
         return 0.5 * self.sigma * self.norm(w) ** 2
 
-    def grad(self, w: np.ndarray) -> np.ndarray:
-        """Gradient of (sigma/2) * N(w)^2.
+    def column_scale(self, w: np.ndarray) -> np.ndarray:
+        """Factors s, shape (c,), with grad(w) = w * s column by column.
 
-        Frobenius: sigma * w.  Group (2, p): column j maps to
+        Frobenius: s_j = sigma.  Group (2, p):
 
-            sigma * ||w||_{2,p}^{2-p} * ||w_j||_2^{p-2} * w_j,
+            s_j = sigma * ||w||_{2,p}^{2-p} * ||w_j||_2^{p-2},
 
-        with zero columns contributing zero and grad(0) = 0.
+        with s_j = 0 for zero columns, so grad(0) = 0.
         """
-        w = np.asarray(w, dtype=np.float64)
         if self.kind == "frobenius":
-            return self.sigma * w
+            return np.full(np.shape(w)[1], self.sigma)
         col_norms = np.linalg.norm(w, axis=0)
         total = float(np.sum(col_norms**self.p) ** (1.0 / self.p))
-        if total == 0.0:
-            return np.zeros_like(w)
         scale = np.zeros_like(col_norms)
         nz = col_norms > 0.0
         scale[nz] = self.sigma * total ** (2.0 - self.p) * col_norms[nz] ** (self.p - 2.0)
-        return w * scale[None, :]
+        return scale
+
+    def grad(self, w: np.ndarray) -> np.ndarray:
+        """Gradient of (sigma/2) * N(w)^2: each column w_j times column_scale(w)[j]."""
+        w = np.asarray(w, dtype=np.float64)
+        return w * self.column_scale(w)[None, :]

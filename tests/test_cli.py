@@ -60,6 +60,15 @@ class TestModelContainer:
         with pytest.raises(DataError):
             load_model(path)
 
+    def test_negative_dimensions_are_data_error(self, tmp_path, mcc_file, capsys):
+        # (-2) * (-3) * 8 = 48 payload bytes pass the size check
+        model = tmp_path / "m.bin"
+        model.write_bytes(b"vvlearn-model 1 mcc -2 -3\n" + b"\x00" * 48)
+        with pytest.raises(DataError, match="malformed dimensions"):
+            load_model(model)
+        assert run("eval", "--model", str(model), "--data", mcc_file) == 2
+        assert "data error" in capsys.readouterr().err
+
     def test_rejects_whitespace_metadata(self, tmp_path):
         with pytest.raises(ValueError):
             save_model(tmp_path / "m.bin", np.ones((1, 1)), "mcc", {"a": "b c"})
@@ -262,6 +271,15 @@ class TestEvalCommand:
         assert float(fields["objective"]) == evaluate_objective(w, data, loss, reg)
         assert float(fields["loss"]) == evaluate_mean_loss(w, data, loss)
 
+    def test_scores_the_file_once(self, tmp_path, mcc_file, monkeypatch, capsys):
+        model = self.train_once(tmp_path, mcc_file)
+        rows = []
+        value = LossSpec.value
+        monkeypatch.setattr(LossSpec, "value", lambda self, S, y: rows.append(len(S)) or value(self, S, y))
+        assert run("eval", "--model", str(model), "--data", mcc_file) == 0
+        assert sum(rows) == 120
+        capsys.readouterr()
+
     def test_objective_minus_loss_is_reg_value(self, tmp_path, mcc_file, capsys):
         model = self.train_once(tmp_path, mcc_file)
         capsys.readouterr()
@@ -389,6 +407,14 @@ class TestRademacherCommand:
         )
         assert code == 3
         capsys.readouterr()
+
+    def test_rejects_negative_random_samples(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run(
+            "rademacher", "--n", "5", "--c", "2", "--d", "4", "--trials", "0",
+            "--random-samples", "-1", "--out", str(out),
+        ) == 1
+        assert not out.exists()
 
     def test_rejects_nonpositive_dimensions(self, tmp_path):
         assert run(

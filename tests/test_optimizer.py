@@ -179,6 +179,28 @@ class TestBatchedEvaluation:
 
 
 class TestLabelsCheckedUpFront:
+    @pytest.mark.parametrize(
+        "holdout, match",
+        [(tiny_dataset(d=7), "data has dimensions"), (tiny_dataset(task="mlc"), "class indices")],
+        ids=["wrong-d", "mlc-under-mlogistic"],
+    )
+    def test_bad_holdout_fails_before_training(self, monkeypatch, holdout, match):
+        data = tiny_dataset()
+        steps = []
+        monkeypatch.setattr(optimizer_module, "_draws", lambda *a: steps.append(1) or iter(()))
+        config = TrainConfig(
+            loss=MLOG,
+            reg=RegularizerSpec.frobenius(0.05),
+            schedule=StepSchedule.theorem(0.05),
+            total_steps=10,
+            seed=0,
+            record_every=5,
+            eval_holdout=holdout,
+        )
+        with pytest.raises(ValueError, match=match):
+            train(data, config)
+        assert steps == []
+
     def test_single_sign_row_fails_before_training(self, monkeypatch):
         data = tiny_dataset(task="mlc")
         y = data.y.copy()
@@ -303,7 +325,10 @@ def dense_replay(data, config):
     return w, norms
 
 
-class TestScaledFrobeniusOracle:
+REGULARIZERS = [RegularizerSpec.frobenius(0.05), RegularizerSpec.l2p(0.05, 1.5), RegularizerSpec.l2p(0.05, 1.1)]
+
+
+class TestLazyLoopOracle:
     SIGMA = 0.05
 
     @pytest.mark.parametrize(
@@ -318,11 +343,12 @@ class TestScaledFrobeniusOracle:
         ids=["theorem", "experiment", "eta-sigma-above-1"],
     )
     @pytest.mark.parametrize("spec", standard_loss_specs(k=2), ids=lambda s: s.name)
-    def test_train_matches_dense_sgd_step_replay(self, monkeypatch, spec, schedule):
+    @pytest.mark.parametrize("reg", REGULARIZERS, ids=lambda r: r.name)
+    def test_train_matches_dense_sgd_step_replay(self, monkeypatch, reg, spec, schedule):
         data = sparse_wide_dataset("mlc" if spec.is_multilabel else "mcc")
         config = TrainConfig(
             loss=spec,
-            reg=RegularizerSpec.frobenius(self.SIGMA),
+            reg=reg,
             schedule=schedule,
             total_steps=2000,
             seed=17,
@@ -378,11 +404,7 @@ class TestIterateNormCertificate:
             train(data, config_for(data, total_steps=50, record_every=50))
         assert int(re.search(r"at step (\d+)", str(err.value)).group(1)) < 50
 
-    @pytest.mark.parametrize(
-        "reg",
-        [RegularizerSpec.frobenius(0.05), RegularizerSpec.l2p(0.05, 1.5)],
-        ids=lambda r: r.name,
-    )
+    @pytest.mark.parametrize("reg", REGULARIZERS[:2], ids=lambda r: r.name)
     def test_non_finite_iterate_fails_fast(self, monkeypatch, reg):
         data = tiny_dataset()
         monkeypatch.setattr(LossSpec, "coef", lambda self, S, y: np.full(S.shape, np.nan))
@@ -396,6 +418,37 @@ class TestIterateNormCertificate:
         )
         with pytest.raises(CertificateError, match="iterate norm became nan at step 1 "):
             train(data, config)
+
+    @pytest.mark.parametrize("reg", REGULARIZERS[:2], ids=lambda r: r.name)
+    def test_inflated_loss_coefficients_fail_duality_check(self, monkeypatch, reg):
+        data = tiny_dataset()
+        coef = LossSpec.coef
+        monkeypatch.setattr(LossSpec, "coef", lambda self, S, y: 3.0 * coef(self, S, y))
+        config = TrainConfig(
+            loss=MLOG,
+            reg=reg,
+            schedule=StepSchedule.theorem(0.05),
+            total_steps=50,
+            seed=0,
+            record_every=1,
+        )
+        with pytest.raises(CertificateError, match="loss coefficients at step 1 have l1 norm"):
+            train(data, config)
+
+    @pytest.mark.parametrize("spec", standard_loss_specs(k=2), ids=lambda s: s.name)
+    @pytest.mark.parametrize("reg", REGULARIZERS[:2], ids=lambda r: r.name)
+    def test_duality_check_holds_on_every_step(self, reg, spec):
+        data = synth_gen(n=60, d=6, c=4, task="mlc" if spec.is_multilabel else "mcc", noise=0.1, seed=4)
+        config = TrainConfig(
+            loss=spec,
+            reg=reg,
+            schedule=StepSchedule.theorem(0.05),
+            total_steps=300,
+            seed=8,
+            record_every=1,
+        )
+        _, records = train(data, config)
+        assert len(records) == 300
 
     def test_l2p_runs_complete_without_certificate(self):
         # the bound derivation is specific to the frobenius regularizer
