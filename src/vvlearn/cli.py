@@ -317,18 +317,6 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_rademacher(args) -> int:
-    if args.n < 1 or args.c < 1 or args.d < 1:
-        raise UsageError(f"--n, --c, --d must be positive, got {(args.n, args.c, args.d)}")
-    if args.lambda_cap <= 0 or args.sigma <= 0:
-        raise UsageError("--lambda-cap and --sigma must be positive")
-    if args.trials < 0:
-        raise UsageError(f"--trials must be nonnegative, got {args.trials}")
-    if args.random_samples < 0:
-        raise UsageError(f"--random-samples must be nonnegative, got {args.random_samples}")
-    if args.trials == 0 and args.n * args.c > 20:
-        raise UsageError(
-            f"--trials 0 enumerates exactly and needs n*c <= 20, got {args.n * args.c}"
-        )
     report = sandwich_check(
         n=args.n,
         c=args.c,

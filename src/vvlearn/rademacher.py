@@ -9,8 +9,12 @@ signed sum has a closed form,
 
 where A accumulates s_i * x_i into column j_i.  Complexity estimates
 average sup/m over random sign vectors, or over all 2^m of them exactly
-when m is small.  ``sandwich_check`` compares estimates against the
-analytic band
+when m is small.  One kernel, ``_accumulate``, forms A for a matrix of
+sign vectors from the pairs stable-sorted by component, so each column of
+A is one contiguous slice of the signs times contiguous input rows.  The
+exact average meets in the middle over the sign patterns of two halves of
+the pairs; Monte-Carlo signs are unpacked from packed random bytes.
+``sandwich_check`` compares estimates against the analytic band
 
     sqrt(1/(2*m)) * R * kappa  <=  worst-case estimate  <=  sqrt(2*cap/(m*sigma)) * kappa,
 
@@ -46,7 +50,12 @@ class ExtendedSample:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.js = np.asarray(self.js, dtype=np.int64)
+        js = np.asarray(self.js)
+        if js.dtype.kind not in "iu":
+            raise ValueError(f"component indices must be integers, got dtype {js.dtype}")
+        self.js = js.astype(np.int64)
+        if not np.all(np.isfinite(self.X)):
+            raise ValueError("inputs must be finite")
         if self.X.ndim != 2:
             raise ValueError(f"inputs must form an (m, d) array, got shape {self.X.shape}")
         if self.X.shape[0] != self.js.size:
@@ -76,16 +85,30 @@ def identical_pair_sample(m: int, d: int, c: int, kappa: float = 1.0) -> Extende
     return ExtendedSample(X, np.zeros(m, dtype=np.int64), c)
 
 
-def _sup_batch(sample: ExtendedSample, signs: np.ndarray, radius: float) -> np.ndarray:
-    """sup_ball for each row of a (K, m) sign matrix."""
-    X = sample.X
-    sq = np.zeros(signs.shape[0])
-    s_float = signs.astype(np.float64)
-    for j in np.unique(sample.js):
-        idx = np.flatnonzero(sample.js == j)
-        col = s_float[:, idx] @ X[idx]
-        sq += np.einsum("kd,kd->k", col, col)
-    return radius * np.sqrt(sq)
+def _by_component(sample: ExtendedSample):
+    """Stable pair order by component, sorted inputs and ids, and the ids in use."""
+    order = np.argsort(sample.js, kind="stable")
+    js = sample.js[order]
+    return order, sample.X[order], js, np.unique(js)
+
+
+def _accumulate(signs: np.ndarray, X: np.ndarray, js: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """A for each row of a (K, m) sign matrix, flattened to (K, slots.size * d).
+
+    ``X`` and ``js`` are sorted by component; block t sums the pairs of
+    component slots[t], one column slice of ``signs`` widened to float64 alone.
+    """
+    d = X.shape[1]
+    A = np.zeros((signs.shape[0], slots.size * d))
+    lo, hi = np.searchsorted(js, slots, side="left"), np.searchsorted(js, slots, side="right")
+    for t in np.flatnonzero(hi > lo):
+        block = np.asarray(signs[:, lo[t] : hi[t]], dtype=np.float64)
+        A[:, t * d : (t + 1) * d] = block @ X[lo[t] : hi[t]]
+    return A
+
+
+def _sup(A: np.ndarray, radius: float) -> np.ndarray:
+    return radius * np.sqrt(np.einsum("...w,...w->...", A, A))
 
 
 def sup_ball(sample: ExtendedSample, signs: np.ndarray, radius: float) -> float:
@@ -97,9 +120,10 @@ def sup_ball(sample: ExtendedSample, signs: np.ndarray, radius: float) -> float:
     signs = np.asarray(signs, dtype=np.float64)
     if signs.shape != (sample.m,):
         raise ValueError(f"expected {sample.m} signs, got shape {signs.shape}")
-    if radius < 0.0:
+    if not radius >= 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    return float(_sup_batch(sample, signs[None, :], radius)[0])
+    order, X, js, slots = _by_component(sample)
+    return float(_sup(_accumulate(signs[None, order], X, js, slots), radius)[0])
 
 
 @dataclass
@@ -112,10 +136,25 @@ class RademacherEstimate:
     exact: bool
 
 
-def _enumerate_signs(m: int, lo: int, hi: int) -> np.ndarray:
-    codes = np.arange(lo, hi, dtype=np.uint32)[:, None]
-    bits = (codes >> np.arange(m, dtype=np.uint32)[None, :]) & 1
-    return (2 * bits - 1).astype(np.int8)
+def _all_signs(h: int) -> np.ndarray:
+    """All 2^h sign vectors of length h as rows of +-1 floats."""
+    return ((np.arange(1 << h)[:, None] >> np.arange(h)) & 1) * 2.0 - 1.0
+
+
+def _exact_sum(X: np.ndarray, js: np.ndarray, slots: np.ndarray, radius: float) -> float:
+    """Sum of sup over all 2^m sign vectors: over every pair of sign
+    patterns of the two halves of the pairs.  A_high + A_low is formed
+    directly, since expanding its square norm leaves a rounding residue
+    near A = 0 that can be negative."""
+    h = X.shape[0] // 2
+    low = _accumulate(_all_signs(h), X[:h], js[:h], slots)
+    high = _accumulate(_all_signs(X.shape[0] - h), X[h:], js[h:], slots)
+    rows = max(1, _CHUNK_ENTRIES // max(1, low.size))
+    acc = 0.0
+    for b in range(0, high.shape[0], rows):
+        block = high[b : b + rows, None, :] + low[None, :, :]
+        acc += float(np.sum(_sup(block, radius)))
+    return acc
 
 
 def estimate_complexity(
@@ -123,40 +162,35 @@ def estimate_complexity(
 ) -> RademacherEstimate:
     """Monte-Carlo estimate of the empirical Rademacher complexity.
 
-    With ``trials`` = 0 and m <= 20 the expectation is computed exactly by
-    enumerating all 2^m sign vectors (std_error 0).  Otherwise ``trials``
-    sign vectors are drawn from a PCG64 stream seeded with ``seed``; the
-    stream is consumed in fixed-size chunks, so the estimate depends only
-    on the seed.
+    With ``trials`` = 0 and m <= 20 the expectation is computed exactly
+    over all 2^m sign vectors (std_error 0).  Otherwise ``trials`` sign
+    vectors are drawn as packed random bytes from a PCG64 stream seeded
+    with ``seed``; the stream is consumed in fixed-size chunks, so the
+    estimate depends only on the seed.
     """
-    m = sample.m
-    chunk = max(1, _CHUNK_ENTRIES // m)
-    if trials == 0:
-        if m > _EXACT_LIMIT:
-            raise ValueError(f"exact enumeration needs m <= {_EXACT_LIMIT}, got {m}")
-        total = 1 << m
-        acc = 0.0
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            acc += float(np.sum(_sup_batch(sample, _enumerate_signs(m, lo, hi), radius)))
-        return RademacherEstimate(acc / (total * m), 0.0, total, True)
+    if not radius >= 0.0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
+    m = sample.m
+    if trials == 0 and m > _EXACT_LIMIT:
+        raise ValueError(f"exact enumeration needs m <= {_EXACT_LIMIT}, got {m}")
+    _, X, js, slots = _by_component(sample)
+    if trials == 0:
+        total = 1 << m
+        return RademacherEstimate(_exact_sum(X, js, slots, radius) / (total * m), 0.0, total, True)
+    chunk = max(1, _CHUNK_ENTRIES // m)
+    width = (m + 7) // 8
     rng = generator(seed)
     sups = np.empty(trials)
-    done = 0
-    while done < trials:
+    for done in range(0, trials, chunk):
         k = min(chunk, trials - done)
-        signs = 2 * rng.integers(0, 2, size=(k, m), dtype=np.int8) - 1
-        sups[done : done + k] = _sup_batch(sample, signs, radius)
-        done += k
+        packed = np.frombuffer(rng.bytes(k * width), dtype=np.uint8).reshape(k, width)
+        signs = 2 * np.unpackbits(packed, axis=1, count=m).view(np.int8) - 1
+        sups[done : done + k] = _sup(_accumulate(signs, X, js, slots), radius)
     per_trial = sups / m
-    mean = float(np.mean(per_trial))
-    if trials > 1:
-        std_error = float(np.std(per_trial, ddof=1) / np.sqrt(trials))
-    else:
-        std_error = 0.0
-    return RademacherEstimate(mean, std_error, trials, False)
+    std_error = float(np.std(per_trial, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return RademacherEstimate(float(np.mean(per_trial)), std_error, trials, False)
 
 
 def mean_abs_sign_sum(m: int) -> float:
@@ -232,13 +266,11 @@ def sandwich_check(
     """
     if n < 1 or c < 1 or d < 1:
         raise ValueError(f"n, c, d must be positive, got {(n, c, d)}")
-    if cap <= 0.0 or sigma <= 0.0 or kappa <= 0.0:
-        raise ValueError("cap, sigma and kappa must be positive")
+    if not all(0.0 < v < np.inf for v in (cap, sigma, kappa)):
+        raise ValueError(f"cap, sigma and kappa must be positive and finite, got {(cap, sigma, kappa)}")
+    if trials < 0 or random_samples < 0:
+        raise ValueError(f"trials, random_samples must be nonnegative, got {(trials, random_samples)}")
     m = n * c
-    if trials == 0 and m > _EXACT_LIMIT:
-        raise ValueError(
-            f"exact mode (trials = 0) needs n*c <= {_EXACT_LIMIT}, got {m}"
-        )
     radius = float(np.sqrt(2.0 * cap / sigma))
     lower = float(np.sqrt(1.0 / (2.0 * m)) * radius * kappa) * lower_scale
     upper = float(np.sqrt(2.0 * cap / (m * sigma)) * kappa)

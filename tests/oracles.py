@@ -1,9 +1,14 @@
-"""Per-example loss oracles: one score vector and one label at a time.
+"""Reference implementations the fast kernels replaced.
 
-These are the single-example loss values and subgradient coefficients the
-batched kernels in ``vvlearn.losses`` replaced.  Each takes a score vector
-``s`` of shape (c,) and a label (a class index, or a +1/-1 sign vector),
-so tests can compare the batched kernels against them row by row.
+The per-example loss oracles are the single-example loss values and
+subgradient coefficients the batched kernels in ``vvlearn.losses``
+replaced.  Each takes a score vector ``s`` of shape (c,) and a label (a
+class index, or a +1/-1 sign vector), so tests can compare the batched
+kernels against them row by row.
+
+The Rademacher oracles are the per-component supremum loop and the flat
+enumeration of all 2^m sign vectors that ``vvlearn.rademacher`` replaced
+with component-sorted slices and a meet-in-the-middle sum.
 """
 
 import numpy as np
@@ -135,3 +140,32 @@ def row_coef(spec, s, y):
     if spec.kind == "subset":
         return subset_coef(s, y, spec.base)
     return ranking_coef(s, y, spec.base)
+
+
+def sup_batch(sample, signs, radius):
+    """sup_ball for each row of a (K, m) sign matrix, one component at a time."""
+    X = sample.X
+    sq = np.zeros(signs.shape[0])
+    s_float = signs.astype(np.float64)
+    for j in np.unique(sample.js):
+        idx = np.flatnonzero(sample.js == j)
+        col = s_float[:, idx] @ X[idx]
+        sq += np.einsum("kd,kd->k", col, col)
+    return radius * np.sqrt(sq)
+
+
+def enumerate_signs(m, lo, hi):
+    """Sign vectors lo..hi-1 of the 2^m, bit i of the code giving sign i."""
+    codes = np.arange(lo, hi, dtype=np.uint32)[:, None]
+    bits = (codes >> np.arange(m, dtype=np.uint32)[None, :]) & 1
+    return (2 * bits - 1).astype(np.int8)
+
+
+def exact_complexity(sample, radius, chunk=200_000):
+    """The mean of sup/m over all 2^m sign vectors, enumerated flat."""
+    total = 1 << sample.m
+    acc = 0.0
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        acc += float(np.sum(sup_batch(sample, enumerate_signs(sample.m, lo, hi), radius)))
+    return acc / (total * sample.m)

@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from vvlearn.rademacher import (
     ExtendedSample,
     estimate_complexity,
@@ -36,6 +37,12 @@ def brute_force_sup(sample, signs, radius, directions=200_000, seed=0):
         totals = picked @ np.asarray(signs, dtype=float)
         best = max(best, float(totals.max()))
     return radius * best
+
+
+def random_sample(m, c, d=3, seed=0):
+    """m random pairs over the components 0..c-2, so component c-1 has none."""
+    rng = np.random.default_rng(seed)
+    return sample_from_dense(rng.standard_normal((m, d)), rng.integers(0, c - 1, size=m), c)
 
 
 def exhaustive_estimate(sample, radius):
@@ -74,6 +81,13 @@ class TestSupBall:
             assert brute <= exact + 1e-9
             assert np.isclose(brute, exact, rtol=0.02)
 
+    def test_matches_oracle_on_random_sign_rows(self):
+        sample = random_sample(9, 4, seed=2)
+        signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(50, sample.m))
+        expected = oracles.sup_batch(sample, signs, 1.7)
+        got = np.array([sup_ball(sample, row, 1.7) for row in signs])
+        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+
     def test_sign_shape_checked(self):
         sample = sample_from_dense([[1.0]], [0], 1)
         with pytest.raises(ValueError):
@@ -99,6 +113,14 @@ class TestExtendedSample:
             ExtendedSample(np.ones((2, 1)), np.array([0], dtype=np.int64), 2)  # length mismatch
         with pytest.raises(ValueError):
             ExtendedSample(np.array([1.0, 2.0]), np.array([0, 0], dtype=np.int64), 2)  # not (m, d)
+
+    def test_rejects_nonfinite_inputs(self):
+        with pytest.raises(ValueError):
+            ExtendedSample(np.array([[np.nan, 1.0]]), np.array([0]), 2)
+
+    def test_rejects_noninteger_component_ids(self):
+        with pytest.raises(ValueError):
+            ExtendedSample(np.array([[1.0, 0.0]]), np.array([0.7]), 2)
 
 
 class TestEstimateComplexity:
@@ -128,6 +150,15 @@ class TestEstimateComplexity:
             est = estimate_complexity(sample, radius=0.7, trials=0, seed=0)
             assert np.isclose(est.mean, exhaustive_estimate(sample, 0.7), atol=1e-12)
 
+    @pytest.mark.parametrize("m,c", [(1, 2), (2, 3), (7, 5), (19, 4), (20, 5)])
+    def test_exact_matches_flat_enumeration_oracle(self, m, c):
+        # m = 1 leaves the low half empty; odd m gives unequal halves
+        sample = random_sample(m, c, seed=m)
+        est = estimate_complexity(sample, radius=0.9, trials=0, seed=0)
+        expected = oracles.exact_complexity(sample, 0.9)
+        assert est.trials == 2**m
+        assert abs(est.mean - expected) <= 1e-13 * expected
+
     def test_exact_limit(self):
         sample = identical_pair_sample(21, 2, 2)
         with pytest.raises(ValueError):
@@ -137,6 +168,15 @@ class TestEstimateComplexity:
         sample = identical_pair_sample(4, 3, 2, kappa=1.0)
         est = estimate_complexity(sample, radius=1.0, trials=100_000, seed=3)
         assert abs(est.mean - 0.375) <= 3 * est.std_error
+
+    def test_monte_carlo_packed_bits_with_partial_byte(self):
+        # 13 pairs fill one byte and 5 bits of a second one
+        sample = random_sample(13, 4, seed=13)
+        exact = oracles.exact_complexity(sample, 1.0)
+        est = estimate_complexity(sample, radius=1.0, trials=40_000, seed=21)
+        again = estimate_complexity(sample, radius=1.0, trials=40_000, seed=21)
+        assert abs(est.mean - exact) <= 3 * est.std_error
+        assert (est.mean, est.std_error) == (again.mean, again.std_error)
 
     def test_monte_carlo_deterministic_in_seed(self):
         sample = identical_pair_sample(10, 4, 3)
@@ -157,6 +197,12 @@ class TestEstimateComplexity:
         sample = identical_pair_sample(3, 2, 2)
         with pytest.raises(ValueError):
             estimate_complexity(sample, radius=1.0, trials=-5, seed=0)
+
+    @pytest.mark.parametrize("trials", [0, 100])
+    def test_negative_radius_rejected(self, trials):
+        sample = identical_pair_sample(3, 2, 2)
+        with pytest.raises(ValueError):
+            estimate_complexity(sample, radius=-1.0, trials=trials, seed=0)
 
 
 class TestSignSumMoments:
@@ -237,3 +283,12 @@ class TestSandwich:
             sandwich_check(n=2, c=2, d=3, cap=-0.5, sigma=1.0, seed=0)
         with pytest.raises(ValueError):
             sandwich_check(n=2, c=2, d=3, cap=0.5, sigma=0.0, seed=0)
+        for cap, sigma in [(np.inf, 1.0), (np.nan, 1.0), (0.5, np.inf)]:
+            with pytest.raises(ValueError):
+                sandwich_check(n=2, c=2, d=3, cap=cap, sigma=sigma, seed=0)
+
+    def test_negative_counts_rejected(self):
+        with pytest.raises(ValueError):
+            sandwich_check(n=2, c=2, d=3, cap=0.5, sigma=1.0, seed=0, random_samples=-3)
+        with pytest.raises(ValueError):
+            sandwich_check(n=2, c=2, d=3, cap=0.5, sigma=1.0, seed=0, trials=-3)
