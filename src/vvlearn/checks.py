@@ -273,12 +273,14 @@ def run_suite(
     specs: list[LossSpec] | None = None,
 ) -> SuiteReport:
     """Run one named suite; ``trials`` maps onto each suite's own knob."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     if name == "lipschitz":
         return lipschitz_suite(trials=trials, seed=seed, specs=specs)
     if name == "convexity":
         return convexity_suite(trials=trials, seed=seed, specs=specs)
     if name == "gradients":
-        return gradient_suite(points=max(1, min(trials, 1000)), seed=seed)
+        return gradient_suite(points=min(trials, 1000), seed=seed)
     if name == "sgd-bound":
         return sgd_bound_suite(seed=seed)
     raise ValueError(f"unknown suite {name!r}")

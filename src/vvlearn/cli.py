@@ -116,17 +116,14 @@ def _parse_synth_spec(text: str, default_task: str) -> Dataset:
     for required in ("n", "d", "c"):
         if required not in values:
             raise UsageError(f"--synth needs {required}=")
-    try:
-        return synth_gen(
-            n=int(values["n"]),
-            d=int(values["d"]),
-            c=int(values["c"]),
-            task=values.get("task", default_task),
-            noise=float(values.get("noise", 0.0)),
-            seed=int(values.get("seed", 0)),
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    return synth_gen(
+        n=int(values["n"]),
+        d=int(values["d"]),
+        c=int(values["c"]),
+        task=values.get("task", default_task),
+        noise=float(values.get("noise", 0.0)),
+        seed=int(values.get("seed", 0)),
+    )
 
 
 def _loss_from_flags(args) -> LossSpec:
@@ -136,8 +133,6 @@ def _loss_from_flags(args) -> LossSpec:
     if args.loss == "mlogistic":
         return LossSpec.multinomial_logistic()
     if args.loss == "topk":
-        if args.k < 1:
-            raise UsageError(f"--k must be a positive integer, got {args.k}")
         return LossSpec.topk_svm(args.k)
     if args.loss == "subset":
         return LossSpec.subset(base)
@@ -145,12 +140,9 @@ def _loss_from_flags(args) -> LossSpec:
 
 
 def _reg_from_flags(args, strength: float) -> RegularizerSpec:
-    try:
-        if args.reg == "frobenius":
-            return RegularizerSpec.frobenius(strength)
-        return RegularizerSpec.l2p(strength, args.p)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    if args.reg == "frobenius":
+        return RegularizerSpec.frobenius(strength)
+    return RegularizerSpec.l2p(strength, args.p)
 
 
 def _strength_and_schedule(args, default_lambda: float | None = None):
@@ -161,12 +153,9 @@ def _strength_and_schedule(args, default_lambda: float | None = None):
         if default_lambda is None:
             raise UsageError("exactly one of --sigma or --lambda is required")
         lam = default_lambda
-    try:
-        if sigma is not None:
-            return sigma, StepSchedule.theorem(sigma)
-        return lam, StepSchedule.experiment(lam)
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    if sigma is not None:
+        return sigma, StepSchedule.theorem(sigma)
+    return lam, StepSchedule.experiment(lam)
 
 
 def _check_task_compatible(loss_name: str, loss: LossSpec, task: str) -> None:
@@ -221,8 +210,6 @@ def _cmd_train(args) -> int:
     data = _load_training_data(args, loss)
     n = len(data)
     total_steps = args.steps if args.steps is not None else args.passes * n
-    if total_steps < 1:
-        raise UsageError(f"training needs at least one step, got {total_steps}")
     record_every = args.record_every if args.record_every else n
     config = TrainConfig(
         loss=loss,
@@ -291,20 +278,17 @@ def _cmd_curve(args) -> int:
             f"grid value {grid[-1]} exceeds the available training pool of "
             f"{int(args.train_fraction * len(data))}"
         )
-    try:
-        spec = CurveSpec(
-            kind=kind,
-            grid=grid,
-            repetitions=args.reps,
-            loss=loss,
-            reg=reg,
-            schedule=schedule,
-            seed=args.seed,
-            train_fraction=args.train_fraction,
-            passes_per_point=args.passes_per_point,
-        )
-    except ValueError as err:
-        raise UsageError(str(err)) from None
+    spec = CurveSpec(
+        kind=kind,
+        grid=grid,
+        repetitions=args.reps,
+        loss=loss,
+        reg=reg,
+        schedule=schedule,
+        seed=args.seed,
+        train_fraction=args.train_fraction,
+        passes_per_point=args.passes_per_point,
+    )
     runner = {
         "passes": run_passes_curve,
         "sample_size": run_samplesize_curve,
@@ -482,7 +466,7 @@ def main(argv=None) -> int:
     except CertificateError as err:
         print(f"property failure: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
+    except ValueError as err:  # a flag value the library rejects
         print(f"usage error: {err}", file=sys.stderr)
         return 1
 

@@ -264,6 +264,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in _KERNELS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
+        if not 0.0 <= self.lipschitz_inf < np.inf:
+            raise ValueError(f"lipschitz_inf must be finite and nonnegative, got {self.lipschitz_inf}")
 
     @staticmethod
     def mc_svm(base: BaseLoss = HINGE) -> "LossSpec":

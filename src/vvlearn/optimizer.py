@@ -25,15 +25,14 @@ certificate checks it on every step, and a non-finite norm stops any run
 with a CertificateError.  Recording steps materialize W, check the exact
 norm, and check the l-infinity duality ||coef||_1 <= L of the step's loss
 coefficients, which bounds the loss subgradient by kappa * L for either
-regularizer.  Trajectories agree with the dense ``sgd_step`` oracle to
-rounding (about 1e-15), not bit for bit.
+regularizer.  Trajectories agree with the dense ``sgd_step`` oracle in
+``tests/oracles.py`` to rounding (about 1e-15), not bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,7 +60,8 @@ class StepSchedule:
 
     ``theorem`` is eta_t = 1 / (t * sigma), the schedule the regret
     analysis assumes.  ``experiment`` is eta_t = 1 / (lam * t + 1), the
-    gentler schedule used for learning-curve runs.
+    gentler schedule used for learning-curve runs.  The parameter must be
+    positive and finite, and so must eta_1.
     """
 
     kind: str
@@ -72,6 +72,8 @@ class StepSchedule:
             raise ValueError(f"unknown schedule {self.kind!r}")
         if not self.param > 0.0:
             raise ValueError(f"schedule parameter must be positive, got {self.param}")
+        if self.param == math.inf or not math.isfinite(self.eta(1)):
+            raise ValueError(f"schedule parameter {self.param} must be finite and give a finite eta_1")
 
     @staticmethod
     def theorem(sigma: float) -> "StepSchedule":
@@ -116,17 +118,12 @@ class TrainConfig:
 
 @dataclass
 class RunRecord:
-    """Snapshot of a run at one step.
-
-    ``elapsed`` is wall-clock seconds since the run started; it is
-    excluded from equality so record streams compare deterministically.
-    """
+    """Snapshot of a run at one step."""
 
     step: int
     empirical_objective: float
     holdout_objective: float | None
     iterate_frobenius_norm: float
-    elapsed: float = field(default=0.0, compare=False)
 
 
 def _check_data(data: Dataset, loss: LossSpec, shape=None) -> None:
@@ -135,30 +132,6 @@ def _check_data(data: Dataset, loss: LossSpec, shape=None) -> None:
     loss.check_labels(data.y, data.c)
     if shape is not None and shape != (data.d, data.c):
         raise ValueError(f"data has dimensions {(data.d, data.c)}, the weight matrix {shape}")
-
-
-def sgd_step(
-    w: np.ndarray,
-    data: Dataset,
-    i: int,
-    loss: LossSpec,
-    reg: RegularizerSpec,
-    eta: float,
-) -> np.ndarray:
-    """Single subgradient step w - eta * (loss_subgrad + reg_grad) on row i.
-
-    The dense reference step: it costs O(d * c) and serves as the oracle
-    for the training loops.  The input array is not modified.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (data.d, data.c):
-        raise ValueError(f"weight matrix has shape {w.shape}, data needs {(data.d, data.c)}")
-    lo, hi = data.X.indptr[i], data.X.indptr[i + 1]
-    idx, vals = data.X.indices[lo:hi], data.X.data[lo:hi]
-    grad = reg.grad(w)
-    coef = loss.coef((vals @ w[idx])[None, :], data.y[i : i + 1])[0]
-    grad[idx, :] += vals[:, None] * coef[None, :]
-    return w - eta * grad
 
 
 def evaluate_objective(
@@ -285,7 +258,6 @@ def train(data: Dataset, config: TrainConfig) -> tuple[np.ndarray, list[RunRecor
         _check_data(holdout_data, loss, (data.d, data.c))
 
     records: list[RunRecord] = []
-    started = time.perf_counter()
     for t, w, iterate_norm in _steps(data, config):
         holdout = None
         if holdout_data is not None:
@@ -296,7 +268,6 @@ def train(data: Dataset, config: TrainConfig) -> tuple[np.ndarray, list[RunRecor
                 empirical_objective=evaluate_objective(w, data, loss, reg),
                 holdout_objective=holdout,
                 iterate_frobenius_norm=iterate_norm,
-                elapsed=time.perf_counter() - started,
             )
         )
     return w, records

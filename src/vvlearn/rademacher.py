@@ -120,8 +120,8 @@ def sup_ball(sample: ExtendedSample, signs: np.ndarray, radius: float) -> float:
     signs = np.asarray(signs, dtype=np.float64)
     if signs.shape != (sample.m,):
         raise ValueError(f"expected {sample.m} signs, got shape {signs.shape}")
-    if not radius >= 0.0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    if not 0.0 <= radius < np.inf:
+        raise ValueError(f"radius must be nonnegative and finite, got {radius}")
     order, X, js, slots = _by_component(sample)
     return float(_sup(_accumulate(signs[None, order], X, js, slots), radius)[0])
 
@@ -168,8 +168,8 @@ def estimate_complexity(
     with ``seed``; the stream is consumed in fixed-size chunks, so the
     estimate depends only on the seed.
     """
-    if not radius >= 0.0:
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    if not 0.0 <= radius < np.inf:
+        raise ValueError(f"radius must be nonnegative and finite, got {radius}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
     m = sample.m
@@ -191,22 +191,6 @@ def estimate_complexity(
     per_trial = sups / m
     std_error = float(np.std(per_trial, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return RademacherEstimate(float(np.mean(per_trial)), std_error, trials, False)
-
-
-def mean_abs_sign_sum(m: int) -> float:
-    """E|sum of m independent signs|, by exhaustive enumeration (m <= 20)."""
-    if not 1 <= m <= _EXACT_LIMIT:
-        raise ValueError(f"m must lie in [1, {_EXACT_LIMIT}], got {m}")
-    codes = np.arange(1 << m, dtype=np.uint32)
-    ones = np.bitwise_count(codes).astype(np.int64)
-    return float(np.mean(np.abs(m - 2 * ones)))
-
-
-def khintchine_floor(m: int) -> float:
-    """The lower bound sqrt(m/2) on E|sum of m signs|."""
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    return float(np.sqrt(m / 2.0))
 
 
 @dataclass
@@ -258,10 +242,10 @@ def sandwich_check(
     """Estimate complexities at m = n*c and compare with the analytic band.
 
     ``cap`` bounds the regularizer value, so the class is the Frobenius
-    ball of radius R = sqrt(2*cap/sigma).  The worst-case sample of
-    identical pairs must land between lower and upper; random samples
-    (inputs scaled to norm kappa) must stay below upper.  Comparisons
-    allow a 3-standard-error band.  ``lower_scale`` rescales the lower
+    ball of radius R = sqrt(2*cap/sigma); R and both bounds must be
+    finite.  The worst-case sample of identical pairs must land between
+    lower and upper; random samples (inputs scaled to norm kappa) must
+    stay below upper.  Comparisons allow a 3-standard-error band.  ``lower_scale`` rescales the lower
     bound and exists only so failure paths can be exercised.
     """
     if n < 1 or c < 1 or d < 1:
@@ -274,6 +258,10 @@ def sandwich_check(
     radius = float(np.sqrt(2.0 * cap / sigma))
     lower = float(np.sqrt(1.0 / (2.0 * m)) * radius * kappa) * lower_scale
     upper = float(np.sqrt(2.0 * cap / (m * sigma)) * kappa)
+    if not np.all(np.isfinite((radius, lower, upper))):
+        raise ValueError(
+            f"radius sqrt(2*cap/sigma) = {radius:g} and bounds [{lower:g}, {upper:g}] must be finite"
+        )
 
     rows = []
 

@@ -26,6 +26,8 @@ class RegularizerSpec:
             raise ValueError(f"unknown regularizer {self.kind!r}")
         if not self.sigma > 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if self.sigma == np.inf:
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.kind == "l2p":
             if self.p is None or not 1.0 < self.p <= 2.0:
                 raise ValueError(f"l2p needs p in (1, 2], got {self.p}")

@@ -8,7 +8,11 @@ kernels against them row by row.
 
 The Rademacher oracles are the per-component supremum loop and the flat
 enumeration of all 2^m sign vectors that ``vvlearn.rademacher`` replaced
-with component-sorted slices and a meet-in-the-middle sum.
+with component-sorted slices and a meet-in-the-middle sum, plus the exact
+sign-sum moment E|sum of m signs| behind the sandwich's Khintchine floor.
+
+``sgd_step`` is the dense O(d * c) subgradient step that the lazily scaled
+training loop in ``vvlearn.optimizer`` must reproduce to rounding.
 """
 
 import numpy as np
@@ -169,3 +173,36 @@ def exact_complexity(sample, radius, chunk=200_000):
         hi = min(lo + chunk, total)
         acc += float(np.sum(sup_batch(sample, enumerate_signs(sample.m, lo, hi), radius)))
     return acc / (total * sample.m)
+
+
+def mean_abs_sign_sum(m):
+    """E|sum of m independent signs|, by exhaustive enumeration (m <= 20)."""
+    if not 1 <= m <= 20:
+        raise ValueError(f"m must lie in [1, 20], got {m}")
+    codes = np.arange(1 << m, dtype=np.uint32)
+    ones = np.bitwise_count(codes).astype(np.int64)
+    return float(np.mean(np.abs(m - 2 * ones)))
+
+
+def khintchine_floor(m):
+    """The lower bound sqrt(m/2) on E|sum of m signs|."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    return float(np.sqrt(m / 2.0))
+
+
+def sgd_step(w, data, i, loss, reg, eta):
+    """Single subgradient step w - eta * (loss_subgrad + reg_grad) on row i.
+
+    The dense reference step: it costs O(d * c) and serves as the oracle
+    for the training loop.  The input array is not modified.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (data.d, data.c):
+        raise ValueError(f"weight matrix has shape {w.shape}, data needs {(data.d, data.c)}")
+    lo, hi = data.X.indptr[i], data.X.indptr[i + 1]
+    idx, vals = data.X.indices[lo:hi], data.X.data[lo:hi]
+    grad = reg.grad(w)
+    coef = loss.coef((vals @ w[idx])[None, :], data.y[i : i + 1])[0]
+    grad[idx, :] += vals[:, None] * coef[None, :]
+    return w - eta * grad

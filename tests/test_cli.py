@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vvlearn.optimizer as optimizer_module
 from vvlearn.cli import DataError, load_model, main, save_model
 from vvlearn.dataio import synth_gen, write_sparse_text
 from vvlearn.losses import LossSpec
@@ -131,6 +132,31 @@ class TestTrainCommand:
             "train", "--synth", "n=50,d=3,c=3", "--loss", "topk", "--k", "0",
             "--sigma", "0.1", "--passes", "1",
         ) == 1
+
+    def test_zero_steps_rejected(self, tmp_path, capsys):
+        assert run(
+            "train", "--synth", "n=50,d=3,c=3", "--loss", "mlogistic",
+            "--sigma", "0.1", "--steps", "0",
+            "--model-out", str(tmp_path / "m.bin"), "--log-out", str(tmp_path / "l.csv"),
+        ) == 1
+        assert "usage error: total_steps must be positive, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
+    @pytest.mark.parametrize(
+        "strength", [("--sigma", "inf"), ("--lambda", "inf"), ("--sigma", "1e-320")]
+    )
+    def test_non_finite_strength_fails_before_first_step(self, tmp_path, monkeypatch, capsys, strength):
+        steps = []
+        monkeypatch.setattr(optimizer_module, "_draws", lambda *a: steps.append(1) or iter(()))
+        code = run(
+            "train", "--synth", "n=50,d=3,c=3", "--loss", "mlogistic", *strength,
+            "--passes", "1",
+            "--model-out", str(tmp_path / "m.bin"), "--log-out", str(tmp_path / "l.csv"),
+        )
+        assert code == 1
+        assert "usage error" in capsys.readouterr().err
+        assert steps == []
+        assert not (tmp_path / "m.bin").exists()
 
     def test_k_at_least_c_is_data_error(self, tmp_path):
         assert run(
@@ -416,6 +442,19 @@ class TestRademacherCommand:
         ) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "cap_sigma",
+        [("--sigma", "1e-320"), ("--lambda-cap", "1e308", "--sigma", "1e-10")],
+    )
+    def test_overflowing_radius_exits_one(self, tmp_path, capsys, cap_sigma):
+        out = tmp_path / "r.csv"
+        assert run(
+            "rademacher", "--n", "3", "--c", "2", "--d", "2", "--trials", "0",
+            *cap_sigma, "--out", str(out),
+        ) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rejects_nonpositive_dimensions(self, tmp_path):
         assert run(
             "rademacher", "--n", "0", "--c", "2", "--d", "3",
@@ -441,6 +480,21 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "counterexample" in out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_override_lipschitz_must_be_finite_and_nonnegative(self, capsys, value):
+        assert run(
+            "check", "--suite", "lipschitz", "--trials", "5",
+            "--override-lipschitz", f"mc_svm/hinge={value}",
+        ) == 1
+        assert "PASS" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_empty_run_rejected(self, capsys, trials):
+        assert run("check", "--suite", "lipschitz", "--trials", trials) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "trials must be positive" in captured.err
 
     def test_override_unknown_name(self):
         assert run(

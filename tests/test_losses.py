@@ -573,6 +573,12 @@ def test_lipschitz_bound_random(spec):
         assert diff <= spec.lipschitz_inf * gap + 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_lipschitz_constant_finite_and_nonnegative(bad):
+    with pytest.raises(ValueError, match="lipschitz_inf"):
+        LossSpec.mc_svm(HINGE).with_lipschitz(bad)
+
+
 def test_with_lipschitz_replaces_only_constant():
     spec = LossSpec.mc_svm(HINGE)
     loose = spec.with_lipschitz(0.5)

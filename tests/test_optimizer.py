@@ -12,12 +12,10 @@ from vvlearn.dataio import Dataset, synth_gen
 from vvlearn.losses import HINGE, LossSpec, standard_loss_specs
 from vvlearn.optimizer import (
     CertificateError,
-    RunRecord,
     StepSchedule,
     TrainConfig,
     evaluate_mean_loss,
     evaluate_objective,
-    sgd_step,
     train,
 )
 from vvlearn.regularizers import RegularizerSpec
@@ -65,20 +63,29 @@ class TestStepSchedule:
         with pytest.raises(ValueError):
             StepSchedule.experiment(-1.0)
 
+    def test_param_and_first_step_finite(self):
+        with pytest.raises(ValueError):
+            StepSchedule.theorem(np.inf)
+        with pytest.raises(ValueError):
+            StepSchedule.experiment(np.inf)
+        with pytest.raises(ValueError, match="finite eta_1"):
+            StepSchedule.theorem(1e-320)  # eta_1 = 1 / 1e-320 overflows
+        assert StepSchedule.experiment(1e-320).eta(1) == 1.0
+
 
 class TestSgdStep:
     def test_zero_model_frobenius_is_pure_loss_step(self):
         data = single_row([1.0, -2.0], 1, c=3)
         w = np.zeros((2, 3))
         reg = RegularizerSpec.frobenius(0.7)
-        stepped = sgd_step(w, data, 0, MLOG, reg, 0.25)
+        stepped = oracles.sgd_step(w, data, 0, MLOG, reg, 0.25)
         expected = -0.25 * loss_grad(MLOG, w, data)
         assert np.allclose(stepped, expected, atol=1e-15)
 
     def test_eta_zero_is_identity(self):
         data = single_row([1.0], 0)
         w = np.array([[0.3, -0.2]])
-        out = sgd_step(w, data, 0, MLOG, RegularizerSpec.frobenius(1.0), 0.0)
+        out = oracles.sgd_step(w, data, 0, MLOG, RegularizerSpec.frobenius(1.0), 0.0)
         assert np.array_equal(out, w)
 
     def test_hand_derived_softmax_step(self):
@@ -86,20 +93,20 @@ class TestSgdStep:
         # softmax at zero is (1/2, 1/2), so the update is (+1/2, -1/2)
         data = single_row([1.0], 0)
         w = np.zeros((1, 2))
-        out = sgd_step(w, data, 0, MLOG, RegularizerSpec.frobenius(1.0), 1.0)
+        out = oracles.sgd_step(w, data, 0, MLOG, RegularizerSpec.frobenius(1.0), 1.0)
         assert np.allclose(out, np.array([[0.5, -0.5]]), atol=1e-15)
 
     def test_input_not_mutated(self):
         data = single_row([1.0, 2.0], 0)
         w = np.full((2, 2), 0.5)
         before = w.copy()
-        sgd_step(w, data, 0, MLOG, RegularizerSpec.frobenius(0.5), 0.1)
+        oracles.sgd_step(w, data, 0, MLOG, RegularizerSpec.frobenius(0.5), 0.1)
         assert np.array_equal(w, before)
 
     def test_dimension_mismatch(self):
         data = single_row([1.0, 2.0, 3.0], 0)
         with pytest.raises(ValueError):
-            sgd_step(np.zeros((2, 2)), data, 0, MLOG, RegularizerSpec.frobenius(0.5), 0.1)
+            oracles.sgd_step(np.zeros((2, 2)), data, 0, MLOG, RegularizerSpec.frobenius(0.5), 0.1)
 
 
 class TestEvaluateObjective:
@@ -236,7 +243,7 @@ class TestTrain:
         config = config_for(data, total_steps=1, seed=9)
         w, records = train(data, config)
         first_index = int(generator(9).integers(0, len(data), size=1)[0])
-        manual = sgd_step(
+        manual = oracles.sgd_step(
             np.zeros((data.d, data.c)), data, first_index, MLOG, config.reg, config.schedule.eta(1)
         )
         assert np.array_equal(w, manual)
@@ -296,13 +303,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(empty, config_for(tiny_dataset(), total_steps=1))
 
-    def test_elapsed_excluded_from_equality(self):
-        a = RunRecord(step=1, empirical_objective=0.5, holdout_objective=None,
-                      iterate_frobenius_norm=1.0, elapsed=0.1)
-        b = RunRecord(step=1, empirical_objective=0.5, holdout_objective=None,
-                      iterate_frobenius_norm=1.0, elapsed=99.0)
-        assert a == b
-
 
 def sparse_wide_dataset(task, n=100, d=200, nnz=5, c=6, seed=0):
     """synth_gen rows scattered onto nnz random coordinates, so d >> nnz."""
@@ -320,7 +320,7 @@ def dense_replay(data, config):
     w = np.zeros((data.d, data.c))
     norms = []
     for t, i in enumerate(indices, start=1):
-        w = sgd_step(w, data, int(i), config.loss, config.reg, config.schedule.eta(t))
+        w = oracles.sgd_step(w, data, int(i), config.loss, config.reg, config.schedule.eta(t))
         norms.append(frobenius_norm(w))
     return w, norms
 

@@ -9,8 +9,6 @@ from vvlearn.rademacher import (
     ExtendedSample,
     estimate_complexity,
     identical_pair_sample,
-    khintchine_floor,
-    mean_abs_sign_sum,
     sandwich_check,
     sup_ball,
     write_report_csv,
@@ -199,6 +197,14 @@ class TestEstimateComplexity:
             estimate_complexity(sample, radius=1.0, trials=-5, seed=0)
 
     @pytest.mark.parametrize("trials", [0, 100])
+    def test_infinite_radius_rejected(self, trials):
+        sample = identical_pair_sample(3, 2, 2)
+        with pytest.raises(ValueError, match="finite"):
+            estimate_complexity(sample, radius=np.inf, trials=trials, seed=0)
+        with pytest.raises(ValueError, match="finite"):
+            sup_ball(sample, np.ones(3), np.inf)
+
+    @pytest.mark.parametrize("trials", [0, 100])
     def test_negative_radius_rejected(self, trials):
         sample = identical_pair_sample(3, 2, 2)
         with pytest.raises(ValueError):
@@ -211,22 +217,22 @@ class TestSignSumMoments:
             exact = np.mean(
                 [abs(sum(signs)) for signs in itertools.product((-1, 1), repeat=m)]
             )
-            assert np.isclose(mean_abs_sign_sum(m), exact, atol=1e-12)
+            assert np.isclose(oracles.mean_abs_sign_sum(m), exact, atol=1e-12)
 
     def test_khintchine_floor_holds_exactly(self):
         for m in range(1, 11):
-            assert mean_abs_sign_sum(m) >= khintchine_floor(m) - 1e-12
+            assert oracles.mean_abs_sign_sum(m) >= oracles.khintchine_floor(m) - 1e-12
 
     def test_known_values(self):
-        assert mean_abs_sign_sum(1) == 1.0
-        assert mean_abs_sign_sum(2) == 1.0
-        assert np.isclose(mean_abs_sign_sum(4), 1.5, atol=1e-15)
+        assert oracles.mean_abs_sign_sum(1) == 1.0
+        assert oracles.mean_abs_sign_sum(2) == 1.0
+        assert np.isclose(oracles.mean_abs_sign_sum(4), 1.5, atol=1e-15)
 
     def test_range_checked(self):
         with pytest.raises(ValueError):
-            mean_abs_sign_sum(0)
+            oracles.mean_abs_sign_sum(0)
         with pytest.raises(ValueError):
-            mean_abs_sign_sum(21)
+            oracles.mean_abs_sign_sum(21)
 
 
 class TestSandwich:
@@ -283,7 +289,8 @@ class TestSandwich:
             sandwich_check(n=2, c=2, d=3, cap=-0.5, sigma=1.0, seed=0)
         with pytest.raises(ValueError):
             sandwich_check(n=2, c=2, d=3, cap=0.5, sigma=0.0, seed=0)
-        for cap, sigma in [(np.inf, 1.0), (np.nan, 1.0), (0.5, np.inf)]:
+        # the last two overflow R = sqrt(2 * cap / sigma) from finite values
+        for cap, sigma in [(np.inf, 1.0), (np.nan, 1.0), (0.5, np.inf), (1.0, 1e-320), (1e308, 1e-10)]:
             with pytest.raises(ValueError):
                 sandwich_check(n=2, c=2, d=3, cap=cap, sigma=sigma, seed=0)
 

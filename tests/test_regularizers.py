@@ -119,7 +119,7 @@ class TestStrongConvexity:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("sigma", [0.0, -0.1])
+    @pytest.mark.parametrize("sigma", [0.0, -0.1, np.inf])
     def test_sigma_positive(self, sigma):
         with pytest.raises(ValueError):
             RegularizerSpec.frobenius(sigma)
