@@ -10,19 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .checks import SUITE_NAMES, run_suite
 from .dataio import Dataset, ParseError, normalize_rows, parse_sparse_text, synth_gen, write_lines
-from .experiments import (
-    CurveSpec,
-    default_samplesize_grid,
-    emit_csv,
-    run_gap_curve,
-    run_passes_curve,
-    run_samplesize_curve,
-)
+from .experiments import CURVE_KINDS, CurveSpec, default_samplesize_grid, emit_csv, run_curve
 from .losses import HINGE, LOGISTIC, LossSpec, standard_loss_specs
 from .optimizer import (
     CertificateError,
@@ -255,32 +249,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    kind = {"passes": "passes", "samplesize": "sample_size", "gap": "gap"}[args.kind]
     loss = _loss_from_flags(args)
     strength, schedule = _strength_and_schedule(args, default_lambda=0.01)
     reg = _reg_from_flags(args, strength)
     data = _load_training_data(args, loss)
+    grid = None
     if args.grid is not None:
         try:
             grid = tuple(int(g) for g in args.grid.split(","))
         except ValueError:
             raise UsageError(f"--grid must be comma-separated integers, got {args.grid!r}") from None
-    elif kind == "passes":
+    elif args.kind == "passes":
         raise UsageError("--grid is required for --kind passes")
-    else:
-        available = int(args.train_fraction * len(data))
-        try:
-            grid = default_samplesize_grid(available)
-        except ValueError as err:
-            raise DataError(str(err)) from None
-    if kind != "passes" and grid and grid[-1] > int(args.train_fraction * len(data)):
-        raise DataError(
-            f"grid value {grid[-1]} exceeds the available training pool of "
-            f"{int(args.train_fraction * len(data))}"
-        )
+    # The spec checks train_fraction before it sizes the pool; the default grid replaces (1,).
     spec = CurveSpec(
-        kind=kind,
-        grid=grid,
+        kind=args.kind,
+        grid=grid or (1,),
         repetitions=args.reps,
         loss=loss,
         reg=reg,
@@ -289,14 +273,18 @@ def _cmd_curve(args) -> int:
         train_fraction=args.train_fraction,
         passes_per_point=args.passes_per_point,
     )
-    runner = {
-        "passes": run_passes_curve,
-        "sample_size": run_samplesize_curve,
-        "gap": run_gap_curve,
-    }[kind]
-    points = runner(data, spec)
-    emit_csv(points, args.out)
-    print(f"wrote {len(points)} curve points to {args.out}")
+    available = int(spec.train_fraction * len(data))
+    if grid is None:
+        try:
+            spec = replace(spec, grid=default_samplesize_grid(available))
+        except ValueError as err:
+            raise DataError(str(err)) from None
+    if spec.kind != "passes" and spec.grid[-1] > available:
+        raise DataError(
+            f"grid value {spec.grid[-1]} exceeds the available training pool of {available}"
+        )
+    emit_csv(spec, run_curve(data, spec), args.out)
+    print(f"wrote {len(spec.grid)} curve points to {args.out}")
     return 0
 
 
@@ -409,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_eval)
 
     sub = commands.add_parser("curve", help="learning-curve experiments")
-    sub.add_argument("--kind", choices=("passes", "samplesize", "gap"), required=True)
+    sub.add_argument("--kind", choices=CURVE_KINDS, required=True)
     _add_data_flags(sub)
     _add_loss_flags(sub, loss_required=False, default_loss="mlogistic")
     sub.add_argument("--grid", help="comma-separated grid values")

@@ -1,10 +1,12 @@
 """Learning-curve experiments: error versus passes, sample size, and gap.
 
-Each curve repeats training over independent repetitions and aggregates
-objective values into means and standard deviations per grid point.  All
-randomness (splits, subsamples, SGD index draws) is derived from the
-spec's base seed with fixed tags, so a spec maps to one exact curve
-whatever order the repetitions run in.
+Each curve repeats training over independent repetitions.  ``run_curve``
+returns the objective of every repetition at every grid point as arrays of
+shape (len(grid), repetitions), one per metric, and ``emit_csv`` reduces
+them to a mean and standard deviation per grid point.  All randomness
+(splits, subsamples, SGD index draws) is derived from the spec's base seed
+with fixed tags, so a spec maps to one exact curve whatever order the
+repetitions run in.
 """
 
 from __future__ import annotations
@@ -23,14 +25,14 @@ _SPLIT_TAG = 11
 _SUBSAMPLE_TAG = 12
 _TRAIN_TAG = 13
 
-CURVE_KINDS = ("passes", "sample_size", "gap")
+CURVE_KINDS = ("passes", "samplesize", "gap")
 
 
 @dataclass(frozen=True)
 class CurveSpec:
     """What to sweep, how often to repeat, and the training configuration.
 
-    For the "passes" kind the grid lists pass counts; for "sample_size"
+    For the "passes" kind the grid lists pass counts; for "samplesize"
     and "gap" it lists training-set sizes and ``passes_per_point`` fixes
     the training length at each size.
     """
@@ -62,43 +64,8 @@ class CurveSpec:
             raise ValueError(f"passes_per_point must be positive, got {self.passes_per_point}")
 
 
-@dataclass
-class CurvePoint:
-    """Aggregates at one grid value; absent metrics stay None."""
-
-    grid_value: int
-    repetitions: int
-    train_mean: float | None = None
-    train_std: float | None = None
-    test_mean: float | None = None
-    test_std: float | None = None
-    gap_mean: float | None = None
-    gap_std: float | None = None
-
-
-def _stats(values: np.ndarray) -> tuple[float, float]:
-    return float(np.mean(values)), float(np.std(values))
-
-
-def _points(spec: CurveSpec, test, train=None, with_gap: bool = False) -> list[CurvePoint]:
-    """Aggregates per grid value from (len(grid), repetitions) objective arrays.
-
-    The gap of each repetition is its test minus its train objective.
-    """
-    points = []
-    for gi, g in enumerate(spec.grid):
-        point = CurvePoint(grid_value=g, repetitions=spec.repetitions)
-        point.test_mean, point.test_std = _stats(test[gi])
-        if train is not None:
-            point.train_mean, point.train_std = _stats(train[gi])
-        if with_gap:
-            point.gap_mean, point.gap_std = _stats(test[gi] - train[gi])
-        points.append(point)
-    return points
-
-
-def run_passes_curve(pool: Dataset, spec: CurveSpec) -> list[CurvePoint]:
-    """Test objective after each grid pass count, per repetition.
+def run_passes_curve(pool: Dataset, spec: CurveSpec) -> np.ndarray:
+    """Test objectives after each grid pass count, shape (len(grid), repetitions).
 
     Each repetition resplits the pool, trains once for max(grid) passes,
     and reads the held-out objective at the recorded pass boundaries.
@@ -124,8 +91,7 @@ def run_passes_curve(pool: Dataset, spec: CurveSpec) -> list[CurvePoint]:
         by_step = {record.step: record for record in records}
         return [by_step[g * n].holdout_objective for g in spec.grid]
 
-    test = np.asarray([one_repetition(r) for r in range(spec.repetitions)])  # (repetitions, len(grid))
-    return _points(spec, test.T)
+    return np.asarray([one_repetition(r) for r in range(spec.repetitions)]).T
 
 
 def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -161,24 +127,19 @@ def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.nda
     return runs[:, :, 0], runs[:, :, 1]
 
 
-def run_samplesize_curve(pool: Dataset, spec: CurveSpec) -> list[CurvePoint]:
-    """Final train and test objectives against training-set size."""
-    if spec.kind != "sample_size":
-        raise ValueError(f"spec kind is {spec.kind!r}, expected 'sample_size'")
-    train_vals, test_vals = _samplesize_runs(pool, spec)
-    return _points(spec, test_vals, train_vals)
+def run_curve(pool: Dataset, spec: CurveSpec) -> dict[str, np.ndarray]:
+    """Per-repetition objectives by metric, each of shape (len(grid), repetitions).
 
-
-def run_gap_curve(pool: Dataset, spec: CurveSpec) -> list[CurvePoint]:
-    """Sample-size runs plus the per-repetition generalization gap.
-
-    The gap at each repetition is exactly test minus train for that same
-    run; means and deviations aggregate those per-repetition gaps.
+    "passes" gives "test"; "samplesize" gives "train" and "test"; "gap"
+    adds "gap", each repetition's test minus its train objective.
     """
-    if spec.kind != "gap":
-        raise ValueError(f"spec kind is {spec.kind!r}, expected 'gap'")
+    if spec.kind == "passes":
+        return {"test": run_passes_curve(pool, spec)}
     train_vals, test_vals = _samplesize_runs(pool, spec)
-    return _points(spec, test_vals, train_vals, with_gap=True)
+    metrics = {"train": train_vals, "test": test_vals}
+    if spec.kind == "gap":
+        metrics["gap"] = test_vals - train_vals
+    return metrics
 
 
 def default_samplesize_grid(available: int, start: int = 100) -> tuple[int, ...]:
@@ -193,23 +154,17 @@ def default_samplesize_grid(available: int, start: int = 100) -> tuple[int, ...]
     return tuple(grid)
 
 
-def emit_csv(points: list[CurvePoint], destination) -> None:
-    """Write curve points as CSV rows, one per (grid value, metric).
+def emit_csv(spec: CurveSpec, metrics: dict[str, np.ndarray], destination) -> None:
+    """Write one CSV row per (grid value, metric): mean and std over repetitions.
 
     Header is ``grid,metric,mean,std,repetitions``; metrics appear in the
     fixed order train, test, gap, skipping absent ones, and floats carry
-    17 significant digits, so equal points produce identical bytes.
+    17 significant digits, so equal curves produce identical bytes.
     """
     lines = ["grid,metric,mean,std,repetitions"]
-    for point in points:
-        for metric, mean, std in (
-            ("train", point.train_mean, point.train_std),
-            ("test", point.test_mean, point.test_std),
-            ("gap", point.gap_mean, point.gap_std),
-        ):
-            if mean is None:
-                continue
-            lines.append(
-                f"{point.grid_value},{metric},{mean:.17g},{std:.17g},{point.repetitions}"
-            )
+    for gi, g in enumerate(spec.grid):
+        for metric in ("train", "test", "gap"):
+            if metric in metrics:
+                row = metrics[metric][gi]
+                lines.append(f"{g},{metric},{np.mean(row):.17g},{np.std(row):.17g},{spec.repetitions}")
     write_lines(destination, lines)

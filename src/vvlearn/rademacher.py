@@ -2,8 +2,9 @@
 
 The function class is viewed through extended samples: pairs (x, j) of an
 input and a component index, with the class member w scoring a pair as
-<w[:, j], x>.  Over the Frobenius ball of radius R the supremum of the
-signed sum has a closed form,
+<w[:, j], x>.  An extended sample is a multiclass ``Dataset`` whose class
+ids are the components, ``Dataset(X, js, c, "mcc")``.  Over the Frobenius
+ball of radius R the supremum of the signed sum has a closed form,
 
     sup_{||w||_F <= R} sum_i s_i <w[:, j_i], x_i> = R * ||A||_F,
 
@@ -14,13 +15,14 @@ sign vectors from the pairs stable-sorted by component, so each column of
 A is one contiguous slice of the signs times contiguous input rows.  The
 exact average meets in the middle over the sign patterns of two halves of
 the pairs; Monte-Carlo signs are unpacked from packed random bytes.
-``sandwich_check`` compares estimates against the analytic band
+``sandwich_check`` compares estimates on unit-norm inputs against the
+analytic band
 
-    sqrt(1/(2*m)) * R * kappa  <=  worst-case estimate  <=  sqrt(2*cap/(m*sigma)) * kappa,
+    sqrt(1/(2*m)) * R  <=  worst-case estimate  <=  sqrt(2*cap/(m*sigma)),
 
 whose lower half comes from a sample of m identical pairs plus the
 Khintchine inequality E|sum of m signs| >= sqrt(m/2), and whose upper
-half holds for every sample with input norms at most kappa.
+half holds for every sample with input norms at most 1.
 """
 
 from __future__ import annotations
@@ -29,67 +31,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import write_lines
+from .dataio import Dataset, write_lines
 from .seeding import derive_seed, generator
 
 _EXACT_LIMIT = 20
 _CHUNK_ENTRIES = 4_000_000
 
 
-@dataclass
-class ExtendedSample:
-    """A sequence of (input, component) pairs over c components.
-
-    ``X`` holds the inputs as dense rows, shape (m, d); ``js`` the
-    component index of each pair.
-    """
-
-    X: np.ndarray
-    js: np.ndarray
-    c: int
-
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        js = np.asarray(self.js)
-        if js.dtype.kind not in "iu":
-            raise ValueError(f"component indices must be integers, got dtype {js.dtype}")
-        self.js = js.astype(np.int64)
-        if not np.all(np.isfinite(self.X)):
-            raise ValueError("inputs must be finite")
-        if self.X.ndim != 2:
-            raise ValueError(f"inputs must form an (m, d) array, got shape {self.X.shape}")
-        if self.X.shape[0] != self.js.size:
-            raise ValueError(
-                f"{self.X.shape[0]} inputs but {self.js.size} component indices"
-            )
-        if self.X.shape[0] == 0:
-            raise ValueError("extended sample must be nonempty")
-        if self.c < 1:
-            raise ValueError(f"component count must be positive, got {self.c}")
-        if np.any(self.js < 0) or np.any(self.js >= self.c):
-            raise ValueError(f"component indices must lie in [0, {self.c})")
-
-    @property
-    def m(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.X.shape[1]
-
-
-def identical_pair_sample(m: int, d: int, c: int, kappa: float = 1.0) -> ExtendedSample:
-    """The worst-case sample: m copies of (kappa * e_0, component 0)."""
+def identical_pair_sample(m: int, d: int, c: int) -> Dataset:
+    """The worst-case sample: m copies of (e_0, component 0)."""
     X = np.zeros((m, d))
-    X[:, 0] = kappa
-    return ExtendedSample(X, np.zeros(m, dtype=np.int64), c)
+    X[:, 0] = 1.0
+    return Dataset(X, np.zeros(m, dtype=np.int64), c, "mcc")
 
 
-def _by_component(sample: ExtendedSample):
-    """Stable pair order by component, sorted inputs and ids, and the ids in use."""
-    order = np.argsort(sample.js, kind="stable")
-    js = sample.js[order]
-    return order, sample.X[order], js, np.unique(js)
+def _by_component(sample: Dataset):
+    """Stable pair order by component, sorted dense inputs and ids, and the ids in use."""
+    if sample.task != "mcc" or len(sample) == 0:
+        raise ValueError("an extended sample must be a nonempty 'mcc' Dataset")
+    order = np.argsort(sample.y, kind="stable")
+    js = sample.y[order]
+    return order, sample.X[order].toarray(), js, np.unique(js)
 
 
 def _accumulate(signs: np.ndarray, X: np.ndarray, js: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -108,18 +70,21 @@ def _accumulate(signs: np.ndarray, X: np.ndarray, js: np.ndarray, slots: np.ndar
 
 
 def _sup(A: np.ndarray, radius: float) -> np.ndarray:
-    return radius * np.sqrt(np.einsum("...w,...w->...", A, A))
+    sups = radius * np.sqrt(np.einsum("...w,...w->...", A, A))
+    if not np.all(np.isfinite(sups)):
+        raise ValueError("a supremum overflowed; the inputs or the radius are too large")
+    return sups
 
 
-def sup_ball(sample: ExtendedSample, signs: np.ndarray, radius: float) -> float:
+def sup_ball(sample: Dataset, signs: np.ndarray, radius: float) -> float:
     """Closed-form supremum of the signed sum over the Frobenius ball.
 
     Accumulates signs[i] * x_i into column j_i and returns radius times
     the Frobenius norm of the accumulated matrix.
     """
     signs = np.asarray(signs, dtype=np.float64)
-    if signs.shape != (sample.m,):
-        raise ValueError(f"expected {sample.m} signs, got shape {signs.shape}")
+    if signs.shape != (len(sample),):
+        raise ValueError(f"expected {len(sample)} signs, got shape {signs.shape}")
     if not 0.0 <= radius < np.inf:
         raise ValueError(f"radius must be nonnegative and finite, got {radius}")
     order, X, js, slots = _by_component(sample)
@@ -158,7 +123,7 @@ def _exact_sum(X: np.ndarray, js: np.ndarray, slots: np.ndarray, radius: float) 
 
 
 def estimate_complexity(
-    sample: ExtendedSample, radius: float, trials: int, seed: int
+    sample: Dataset, radius: float, trials: int, seed: int
 ) -> RademacherEstimate:
     """Monte-Carlo estimate of the empirical Rademacher complexity.
 
@@ -166,13 +131,14 @@ def estimate_complexity(
     over all 2^m sign vectors (std_error 0).  Otherwise ``trials`` sign
     vectors are drawn as packed random bytes from a PCG64 stream seeded
     with ``seed``; the stream is consumed in fixed-size chunks, so the
-    estimate depends only on the seed.
+    estimate depends only on the seed.  An empty sample and a supremum
+    that overflows raise ValueError.
     """
     if not 0.0 <= radius < np.inf:
         raise ValueError(f"radius must be nonnegative and finite, got {radius}")
     if trials < 0:
         raise ValueError(f"trials must be nonnegative, got {trials}")
-    m = sample.m
+    m = len(sample)
     if trials == 0 and m > _EXACT_LIMIT:
         raise ValueError(f"exact enumeration needs m <= {_EXACT_LIMIT}, got {m}")
     _, X, js, slots = _by_component(sample)
@@ -236,36 +202,38 @@ def sandwich_check(
     seed: int,
     trials: int = 0,
     random_samples: int = 2,
-    kappa: float = 1.0,
     lower_scale: float = 1.0,
 ) -> SandwichReport:
     """Estimate complexities at m = n*c and compare with the analytic band.
 
     ``cap`` bounds the regularizer value, so the class is the Frobenius
     ball of radius R = sqrt(2*cap/sigma); R and both bounds must be
-    finite.  The worst-case sample of identical pairs must land between
-    lower and upper; random samples (inputs scaled to norm kappa) must
-    stay below upper.  Comparisons allow a 3-standard-error band.  ``lower_scale`` rescales the lower
-    bound and exists only so failure paths can be exercised.
+    positive and finite.  The worst-case sample of identical pairs must
+    land between lower and upper; random samples (inputs scaled to unit
+    norm) must stay below upper.  Comparisons allow a 3-standard-error
+    band.  ``lower_scale`` rescales the lower bound and exists only so
+    failure paths can be exercised.
     """
     if n < 1 or c < 1 or d < 1:
         raise ValueError(f"n, c, d must be positive, got {(n, c, d)}")
-    if not all(0.0 < v < np.inf for v in (cap, sigma, kappa)):
-        raise ValueError(f"cap, sigma and kappa must be positive and finite, got {(cap, sigma, kappa)}")
+    if not all(0.0 < v < np.inf for v in (cap, sigma)):
+        raise ValueError(f"cap and sigma must be positive and finite, got {(cap, sigma)}")
     if trials < 0 or random_samples < 0:
         raise ValueError(f"trials, random_samples must be nonnegative, got {(trials, random_samples)}")
     m = n * c
-    radius = float(np.sqrt(2.0 * cap / sigma))
-    lower = float(np.sqrt(1.0 / (2.0 * m)) * radius * kappa) * lower_scale
-    upper = float(np.sqrt(2.0 * cap / (m * sigma)) * kappa)
-    if not np.all(np.isfinite((radius, lower, upper))):
+    # Doubling after the division is exact, and cannot overflow 2*cap first.
+    radius = float(np.sqrt(2.0 * (cap / sigma)))
+    lower = float(np.sqrt(1.0 / (2.0 * m)) * radius) * lower_scale
+    upper = float(np.sqrt(2.0 * (cap / (m * sigma))))
+    if not all(0.0 < v < np.inf for v in (radius, lower, upper)):
         raise ValueError(
-            f"radius sqrt(2*cap/sigma) = {radius:g} and bounds [{lower:g}, {upper:g}] must be finite"
+            f"radius sqrt(2*cap/sigma) = {radius:g} and bounds [{lower:g}, {upper:g}] "
+            "must be finite and positive"
         )
 
     rows = []
 
-    def add_row(label: str, sample: ExtendedSample, est_seed: int, check_lower: bool):
+    def add_row(label: str, sample: Dataset, est_seed: int, check_lower: bool):
         est = estimate_complexity(sample, radius, trials, est_seed)
         band = 3.0 * est.std_error
         rows.append(
@@ -280,13 +248,13 @@ def sandwich_check(
             )
         )
 
-    add_row("worst_case", identical_pair_sample(m, d, c, kappa), derive_seed(seed, 1), True)
+    add_row("worst_case", identical_pair_sample(m, d, c), derive_seed(seed, 1), True)
     for r in range(random_samples):
         rng = generator(derive_seed(seed, 2, r))
         X = rng.standard_normal((m, d))
-        X *= kappa / np.linalg.norm(X, axis=1, keepdims=True)
+        X *= 1.0 / np.linalg.norm(X, axis=1, keepdims=True)
         js = rng.integers(0, c, size=m)
-        add_row(f"random_{r}", ExtendedSample(X, js, c), derive_seed(seed, 3, r), False)
+        add_row(f"random_{r}", Dataset(X, js, c, "mcc"), derive_seed(seed, 3, r), False)
     return SandwichReport(n=n, c=c, lower_bound=lower, upper_bound=upper, rows=rows)
 
 

@@ -6,10 +6,12 @@ replaced.  Each takes a score vector ``s`` of shape (c,) and a label (a
 class index, or a +1/-1 sign vector), so tests can compare the batched
 kernels against them row by row.
 
-The Rademacher oracles are the per-component supremum loop and the flat
-enumeration of all 2^m sign vectors that ``vvlearn.rademacher`` replaced
-with component-sorted slices and a meet-in-the-middle sum, plus the exact
-sign-sum moment E|sum of m signs| behind the sandwich's Khintchine floor.
+The Rademacher oracles take an extended sample, a multiclass ``Dataset``
+whose class ids are the components.  They are the per-component supremum
+loop and the flat enumeration of all 2^m sign vectors that
+``vvlearn.rademacher`` replaced with component-sorted slices and a
+meet-in-the-middle sum, plus the exact sign-sum moment E|sum of m signs|
+behind the sandwich's Khintchine floor.
 
 ``sgd_step`` is the dense O(d * c) subgradient step that the lazily scaled
 training loop in ``vvlearn.optimizer`` must reproduce to rounding.
@@ -148,11 +150,11 @@ def row_coef(spec, s, y):
 
 def sup_batch(sample, signs, radius):
     """sup_ball for each row of a (K, m) sign matrix, one component at a time."""
-    X = sample.X
+    X = sample.X.toarray()
     sq = np.zeros(signs.shape[0])
     s_float = signs.astype(np.float64)
-    for j in np.unique(sample.js):
-        idx = np.flatnonzero(sample.js == j)
+    for j in np.unique(sample.y):
+        idx = np.flatnonzero(sample.y == j)
         col = s_float[:, idx] @ X[idx]
         sq += np.einsum("kd,kd->k", col, col)
     return radius * np.sqrt(sq)
@@ -167,12 +169,13 @@ def enumerate_signs(m, lo, hi):
 
 def exact_complexity(sample, radius, chunk=200_000):
     """The mean of sup/m over all 2^m sign vectors, enumerated flat."""
-    total = 1 << sample.m
+    m = len(sample)
+    total = 1 << m
     acc = 0.0
     for lo in range(0, total, chunk):
         hi = min(lo + chunk, total)
-        acc += float(np.sum(sup_batch(sample, enumerate_signs(sample.m, lo, hi), radius)))
-    return acc / (total * sample.m)
+        acc += float(np.sum(sup_batch(sample, enumerate_signs(m, lo, hi), radius)))
+    return acc / (total * m)
 
 
 def mean_abs_sign_sum(m):

@@ -23,7 +23,7 @@ from vvlearn.checks import (
 )
 from vvlearn.cli import main
 from vvlearn.dataio import parse_sparse_text, synth_gen, write_sparse_text
-from vvlearn.experiments import CurveSpec, run_gap_curve, run_passes_curve
+from vvlearn.experiments import CurveSpec, run_curve
 from vvlearn.losses import LossSpec, standard_loss_specs
 from vvlearn.optimizer import StepSchedule
 from vvlearn.rademacher import sandwich_check
@@ -122,7 +122,8 @@ def test_06_plateau_after_few_passes():
             kind="passes", grid=(1, 5, 10), repetitions=10,
             loss=loss, reg=reg, schedule=schedule, seed=0,
         )
-        points = {p.grid_value: p.test_mean for p in run_passes_curve(pool, spec)}
+        test = run_curve(pool, spec)["test"]
+        points = {g: float(np.mean(row)) for g, row in zip(spec.grid, test)}
         print(f"\n  test means by pass count: {points}")
         assert points[5] <= points[1]
         assert abs(points[10] - points[5]) <= 0.1 * (points[1] - points[5]) + 1e-3
@@ -136,11 +137,9 @@ def test_07_sample_size_trends():
             kind="gap", grid=(100, 200, 400, 800, 1600, 3200), repetitions=10,
             loss=loss, reg=reg, schedule=schedule, seed=0, passes_per_point=5,
         )
-        points = run_gap_curve(pool, spec)
-        train = [p.train_mean for p in points]
-        test = [p.test_mean for p in points]
-        gap = [p.gap_mean for p in points]
-        grid = [p.grid_value for p in points]
+        metrics = run_curve(pool, spec)
+        train, test, gap = ([float(np.mean(row)) for row in metrics[k]] for k in ("train", "test", "gap"))
+        grid = list(spec.grid)
         rho_train = spearmanr(grid, train).statistic
         rho_test = spearmanr(grid, test).statistic
         rho_gap = spearmanr(grid, gap).statistic

@@ -376,6 +376,18 @@ class TestCurveCommand:
             "--grid", "500", "--out", str(tmp_path / "x.csv"),
         ) == 2
 
+    @pytest.mark.parametrize("grid", [(), ("--grid", "100")])
+    def test_bad_train_fraction_is_usage_error(self, tmp_path, capsys, grid):
+        # the default grid and the pool check must not size a pool from it first
+        out = tmp_path / "x.csv"
+        assert run(
+            "curve", "--kind", "gap" if grid else "samplesize",
+            "--synth", "n=1000,d=5,c=3,seed=1", *grid,
+            "--train-fraction", "-0.5", "--out", str(out),
+        ) == 1
+        assert "train_fraction must lie in (0, 1), got -0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_grid_string(self, tmp_path):
         assert run(
             "curve", "--kind", "passes", "--synth", "n=100,d=4,c=3",
@@ -444,7 +456,12 @@ class TestRademacherCommand:
 
     @pytest.mark.parametrize(
         "cap_sigma",
-        [("--sigma", "1e-320"), ("--lambda-cap", "1e308", "--sigma", "1e-10")],
+        [
+            ("--sigma", "1e-320"),
+            ("--lambda-cap", "1e308", "--sigma", "1e-10"),
+            ("--sigma", "1e308"),  # m * sigma overflows: upper bound 0
+            ("--sigma", "1e307", "--lambda-cap", "1e-300"),  # radius underflows to 0
+        ],
     )
     def test_overflowing_radius_exits_one(self, tmp_path, capsys, cap_sigma):
         out = tmp_path / "r.csv"
@@ -454,6 +471,15 @@ class TestRademacherCommand:
         ) == 1
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_huge_cap_with_finite_radius_passes(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run(
+            "rademacher", "--n", "2", "--c", "2", "--d", "3", "--trials", "0",
+            "--lambda-cap", "1e308", "--sigma", "10", "--out", str(out),
+        ) == 0
+        assert "lower=1.58114e+153 upper=2.23607e+153" in capsys.readouterr().out
+        assert all(line.endswith(",true") for line in out.read_text().split()[1:])
 
     def test_rejects_nonpositive_dimensions(self, tmp_path):
         assert run(

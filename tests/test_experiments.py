@@ -8,9 +8,8 @@ from vvlearn.experiments import (
     CurveSpec,
     default_samplesize_grid,
     emit_csv,
-    run_gap_curve,
+    run_curve,
     run_passes_curve,
-    run_samplesize_curve,
 )
 from vvlearn.losses import LossSpec
 from vvlearn.optimizer import StepSchedule, TrainConfig, evaluate_objective, train
@@ -70,8 +69,8 @@ class TestCurveSpecValidation:
 class TestPassesCurve:
     def test_single_grid_point_equals_one_train_call(self, pool):
         spec = make_spec("passes", (1,), reps=1, seed=4)
-        points = run_passes_curve(pool, spec)
-        assert len(points) == 1
+        test = run_passes_curve(pool, spec)
+        assert test.shape == (1, 1)
 
         # replay the protocol by hand for the single repetition
         train_set, test_set = split(pool, 0.8, derive_seed(4, 11, 0))
@@ -82,25 +81,25 @@ class TestPassesCurve:
         )
         w, records = train(train_set, config)
         expected = evaluate_objective(w, test_set, MLOG, FRO)
-        assert points[0].test_mean == expected
-        assert points[0].test_std == 0.0
+        assert test[0, 0] == expected
 
     def test_grid_points_share_one_trajectory(self, pool):
         # evaluating at 1 and 2 passes must match two separate shorter runs
         spec2 = make_spec("passes", (1, 2), reps=1, seed=9)
         both = run_passes_curve(pool, spec2)
         only1 = run_passes_curve(pool, make_spec("passes", (1,), reps=1, seed=9))
-        assert both[0].test_mean == only1[0].test_mean
+        assert np.array_equal(both[0], only1[0])
 
-    def test_train_and_gap_left_empty(self, pool):
-        points = run_passes_curve(pool, make_spec("passes", (1, 2)))
-        for p in points:
-            assert p.train_mean is None and p.gap_mean is None
-            assert p.test_mean is not None
+    def test_only_test_metric(self, pool):
+        spec = make_spec("passes", (1, 2))
+        metrics = run_curve(pool, spec)
+        assert set(metrics) == {"test"}
+        assert np.array_equal(metrics["test"], run_passes_curve(pool, spec))
 
-    def test_repetitions_recorded(self, pool):
-        points = run_passes_curve(pool, make_spec("passes", (1,), reps=3))
-        assert points[0].repetitions == 3
+    def test_one_column_per_repetition(self, pool):
+        test = run_passes_curve(pool, make_spec("passes", (1, 2), reps=3))
+        assert test.shape == (2, 3)
+        assert len(set(test[0])) == 3  # each repetition resplits the pool
 
     def test_kind_guard(self, pool):
         with pytest.raises(ValueError):
@@ -109,40 +108,45 @@ class TestPassesCurve:
 
 class TestSampleSizeAndGapCurves:
     def test_gap_is_test_minus_train(self, pool):
-        spec = make_spec("gap", (50, 100), reps=3, seed=1)
-        points = run_gap_curve(pool, spec)
-        for p in points:
-            assert p.gap_mean is not None
-            # means are computed from per-repetition gaps, which equal the
-            # differences of the paired objectives, so the identity is exact
-            assert np.isclose(p.gap_mean, p.test_mean - p.train_mean, atol=1e-12)
+        metrics = run_curve(pool, make_spec("gap", (50, 100), reps=3, seed=1))
+        assert metrics["gap"].shape == (2, 3)
+        assert np.array_equal(metrics["gap"], metrics["test"] - metrics["train"])
 
-    def test_samplesize_omits_gap(self, pool):
-        points = run_samplesize_curve(pool, make_spec("sample_size", (50, 100)))
-        for p in points:
-            assert p.gap_mean is None
-            assert p.train_mean is not None and p.test_mean is not None
+    def test_gap_run_repeats_samplesize_run(self, pool):
+        # the same spec fields give the same runs; the gap kind only adds a metric
+        size = run_curve(pool, make_spec("samplesize", (40, 80), reps=3, seed=6))
+        gap = run_curve(pool, make_spec("gap", (40, 80), reps=3, seed=6))
+        assert set(size) == {"train", "test"}
+        assert set(gap) == {"train", "test", "gap"}
+        for metric in ("train", "test"):
+            assert gap[metric].tobytes() == size[metric].tobytes()
+        assert gap["gap"].tobytes() == (gap["test"] - gap["train"]).tobytes()
 
     def test_single_repetition_has_zero_std(self, pool):
-        points = run_samplesize_curve(pool, make_spec("sample_size", (60,), reps=1))
-        assert points[0].train_std == 0.0 and points[0].test_std == 0.0
+        spec = make_spec("samplesize", (60,), reps=1)
+        metrics = run_curve(pool, spec)
+        assert metrics["train"].shape == metrics["test"].shape == (1, 1)
+        buffer = io.StringIO()
+        emit_csv(spec, metrics, buffer)
+        assert [row.split(",")[3] for row in buffer.getvalue().split()[1:]] == ["0", "0"]
 
     def test_full_pool_point_matches_standard_split_protocol(self, pool):
         # a single grid value of 0.8 * n reduces to the plain 80/20 protocol
         size = int(0.8 * len(pool))
-        spec = make_spec("sample_size", (size,), reps=1, seed=3, passes_per_point=2)
-        points = run_samplesize_curve(pool, spec)
-        assert points[0].train_mean is not None
-        assert len(points) == 1
+        spec = make_spec("samplesize", (size,), reps=1, seed=3, passes_per_point=2)
+        metrics = run_curve(pool, spec)
+        assert metrics["train"].shape == (1, 1)
+        assert np.all(np.isfinite(metrics["train"]))
 
     def test_grid_exceeding_pool_rejected(self, pool):
         with pytest.raises(ValueError):
-            run_gap_curve(pool, make_spec("gap", (1000,)))
+            run_curve(pool, make_spec("gap", (1000,)))
 
     def test_same_seed_same_curve(self, pool):
-        a = run_gap_curve(pool, make_spec("gap", (40, 80), reps=2, seed=5))
-        b = run_gap_curve(pool, make_spec("gap", (40, 80), reps=2, seed=5))
-        assert a == b
+        a = run_curve(pool, make_spec("gap", (40, 80), reps=2, seed=5))
+        b = run_curve(pool, make_spec("gap", (40, 80), reps=2, seed=5))
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
 class TestDefaultGrid:
@@ -160,30 +164,27 @@ class TestDefaultGrid:
 
 
 class TestEmitCsv:
-    def test_empty_points(self):
-        buffer = io.StringIO()
-        emit_csv([], buffer)
-        assert buffer.getvalue() == "grid,metric,mean,std,repetitions\n"
-
     def test_passes_schema_one_row_per_point(self, pool):
-        points = run_passes_curve(pool, make_spec("passes", (1, 2)))
+        spec = make_spec("passes", (1, 2))
         buffer = io.StringIO()
-        emit_csv(points, buffer)
+        emit_csv(spec, run_curve(pool, spec), buffer)
         lines = buffer.getvalue().strip().split("\n")
         assert len(lines) == 3
         assert all(line.split(",")[1] == "test" for line in lines[1:])
 
     def test_gap_schema_three_rows_per_point(self, pool):
-        points = run_gap_curve(pool, make_spec("gap", (50,)))
+        spec = make_spec("gap", (50,))
         buffer = io.StringIO()
-        emit_csv(points, buffer)
+        emit_csv(spec, run_curve(pool, spec), buffer)
         lines = buffer.getvalue().strip().split("\n")
         assert [line.split(",")[1] for line in lines[1:]] == ["train", "test", "gap"]
 
     def test_floats_round_trip(self, pool):
-        points = run_gap_curve(pool, make_spec("gap", (50,), reps=2, seed=8))
+        spec = make_spec("gap", (50,), reps=2, seed=8)
+        metrics = run_curve(pool, spec)
         buffer = io.StringIO()
-        emit_csv(points, buffer)
+        emit_csv(spec, metrics, buffer)
         row = buffer.getvalue().strip().split("\n")[2].split(",")
-        assert float(row[2]) == points[0].test_mean
+        assert float(row[2]) == np.mean(metrics["test"][0])
+        assert float(row[3]) == np.std(metrics["test"][0])
         assert int(row[4]) == 2

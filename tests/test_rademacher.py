@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import oracles
+from vvlearn.dataio import Dataset
 from vvlearn.rademacher import (
-    ExtendedSample,
     estimate_complexity,
     identical_pair_sample,
     sandwich_check,
@@ -16,7 +16,7 @@ from vvlearn.rademacher import (
 
 
 def sample_from_dense(rows, js, c):
-    return ExtendedSample(np.asarray(rows, dtype=float), np.asarray(js, dtype=np.int64), c)
+    return Dataset(np.asarray(rows, dtype=float), np.asarray(js, dtype=np.int64), c, "mcc")
 
 
 def brute_force_sup(sample, signs, radius, directions=200_000, seed=0):
@@ -24,14 +24,14 @@ def brute_force_sup(sample, signs, radius, directions=200_000, seed=0):
     true supremum that approaches it as the direction count grows."""
     rng = np.random.default_rng(seed)
     d, c = sample.d, sample.c
-    dense = sample.X
+    dense = sample.X.toarray()
     best = -np.inf
     for _ in range(4):
         ws = rng.standard_normal((directions // 4, d * c))
         ws /= np.linalg.norm(ws, axis=1, keepdims=True)
         ws = ws.reshape(-1, d, c)
         scores = np.einsum("bdc,md->bmc", ws, dense)
-        picked = scores[:, np.arange(sample.m), sample.js]
+        picked = scores[:, np.arange(len(sample)), sample.y]
         totals = picked @ np.asarray(signs, dtype=float)
         best = max(best, float(totals.max()))
     return radius * best
@@ -45,9 +45,9 @@ def random_sample(m, c, d=3, seed=0):
 
 def exhaustive_estimate(sample, radius):
     sups = []
-    for signs in itertools.product((-1.0, 1.0), repeat=sample.m):
+    for signs in itertools.product((-1.0, 1.0), repeat=len(sample)):
         sups.append(sup_ball(sample, np.array(signs), radius))
-    return float(np.mean(sups)) / sample.m
+    return float(np.mean(sups)) / len(sample)
 
 
 class TestSupBall:
@@ -81,7 +81,7 @@ class TestSupBall:
 
     def test_matches_oracle_on_random_sign_rows(self):
         sample = random_sample(9, 4, seed=2)
-        signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(50, sample.m))
+        signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(50, len(sample)))
         expected = oracles.sup_batch(sample, signs, 1.7)
         got = np.array([sup_ball(sample, row, 1.7) for row in signs])
         assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
@@ -96,29 +96,48 @@ class TestSupBall:
 
 class TestExtendedSample:
     def test_identical_pair_sample(self):
-        sample = identical_pair_sample(4, 3, 2, kappa=2.0)
-        assert sample.m == 4 and sample.d == 3 and sample.c == 2
-        assert np.allclose(np.linalg.norm(sample.X, axis=1), 2.0, atol=1e-12)
-        assert np.array_equal(sample.js, np.zeros(4, dtype=np.int64))
+        sample = identical_pair_sample(4, 3, 2)
+        assert len(sample) == 4 and sample.d == 3 and sample.c == 2
+        assert sample.task == "mcc" and sample.kappa == 1.0
+        assert np.array_equal(sample.X.toarray(), np.tile([1.0, 0.0, 0.0], (4, 1)))
+        assert np.array_equal(sample.y, np.zeros(4, dtype=np.int64))
+
+    def test_scaled_identical_pairs_scale_the_estimate(self):
+        # m copies of (2 * e_0, component 0): twice the unit-norm estimate 0.375
+        sample = sample_from_dense(np.tile([2.0, 0.0, 0.0], (4, 1)), np.zeros(4), 2)
+        est = estimate_complexity(sample, radius=1.0, trials=0, seed=0)
+        assert np.isclose(est.mean, 0.75, atol=1e-12)
 
     def test_validation(self):
         x = np.array([[1.0]])
+        empty = Dataset(np.zeros((0, 1)), np.array([], dtype=np.int64), 2, "mcc")
         with pytest.raises(ValueError):
-            ExtendedSample(np.zeros((0, 1)), np.array([], dtype=np.int64), 2)  # empty
+            estimate_complexity(empty, radius=1.0, trials=0, seed=0)
         with pytest.raises(ValueError):
-            ExtendedSample(x, np.array([2], dtype=np.int64), 2)  # j out of range
+            estimate_complexity(empty, radius=1.0, trials=10, seed=0)
         with pytest.raises(ValueError):
-            ExtendedSample(np.ones((2, 1)), np.array([0], dtype=np.int64), 2)  # length mismatch
+            sup_ball(empty, np.array([]), 1.0)
         with pytest.raises(ValueError):
-            ExtendedSample(np.array([1.0, 2.0]), np.array([0, 0], dtype=np.int64), 2)  # not (m, d)
+            Dataset(x, np.array([2], dtype=np.int64), 2, "mcc")  # j out of range
+        with pytest.raises(ValueError):
+            Dataset(np.ones((2, 1)), np.array([0], dtype=np.int64), 2, "mcc")  # length mismatch
+        with pytest.raises(ValueError):
+            Dataset(np.array([1.0, 2.0]), np.array([0, 0], dtype=np.int64), 2, "mcc")  # not (m, d)
 
     def test_rejects_nonfinite_inputs(self):
         with pytest.raises(ValueError):
-            ExtendedSample(np.array([[np.nan, 1.0]]), np.array([0]), 2)
+            Dataset(np.array([[np.nan, 1.0]]), np.array([0]), 2, "mcc")
 
     def test_rejects_noninteger_component_ids(self):
         with pytest.raises(ValueError):
-            ExtendedSample(np.array([[1.0, 0.0]]), np.array([0.7]), 2)
+            Dataset(np.array([[1.0, 0.0]]), np.array([0.7]), 2, "mcc")
+
+    def test_rejects_multilabel_dataset(self):
+        sample = Dataset(np.eye(2), np.array([[1, -1], [-1, 1]]), 2, "mlc")
+        with pytest.raises(ValueError, match="mcc"):
+            estimate_complexity(sample, radius=1.0, trials=0, seed=0)
+        with pytest.raises(ValueError, match="mcc"):
+            sup_ball(sample, np.ones(2), 1.0)
 
 
 class TestEstimateComplexity:
@@ -132,7 +151,7 @@ class TestEstimateComplexity:
 
     def test_exact_four_identical_pairs(self):
         # E|sum of 4 signs| = 24/16, estimate = (24/16)/4 = 0.375
-        sample = identical_pair_sample(4, 3, 2, kappa=1.0)
+        sample = identical_pair_sample(4, 3, 2)
         est = estimate_complexity(sample, radius=1.0, trials=0, seed=0)
         assert np.isclose(est.mean, 0.375, atol=1e-12)
         assert est.trials == 16
@@ -163,7 +182,7 @@ class TestEstimateComplexity:
             estimate_complexity(sample, radius=1.0, trials=0, seed=0)
 
     def test_monte_carlo_within_band_of_exact(self):
-        sample = identical_pair_sample(4, 3, 2, kappa=1.0)
+        sample = identical_pair_sample(4, 3, 2)
         est = estimate_complexity(sample, radius=1.0, trials=100_000, seed=3)
         assert abs(est.mean - 0.375) <= 3 * est.std_error
 
@@ -203,6 +222,24 @@ class TestEstimateComplexity:
             estimate_complexity(sample, radius=np.inf, trials=trials, seed=0)
         with pytest.raises(ValueError, match="finite"):
             sup_ball(sample, np.ones(3), np.inf)
+
+    @pytest.mark.parametrize("trials", [0, 100])
+    def test_power_of_two_scaling_is_exact_in_range(self, trials):
+        sample = random_sample(9, 3, seed=4)
+        scaled = sample_from_dense(2.0**400 * sample.X.toarray(), sample.y, 3)
+        unit = estimate_complexity(sample, radius=1.0, trials=trials, seed=2)
+        big = estimate_complexity(scaled, radius=1.0, trials=trials, seed=2)
+        assert big.mean == 2.0**400 * unit.mean
+        assert big.std_error == 2.0**400 * unit.std_error
+
+    @pytest.mark.parametrize("trials", [0, 100])
+    def test_overflowing_supremum_rejected(self, trials):
+        # entries near 1e160 square past the float range inside ||A||_F
+        sample = sample_from_dense([[1e160, 0.0], [1e160, 1.0]], [0, 0], 2)
+        with pytest.raises(ValueError, match="overflowed"):
+            estimate_complexity(sample, radius=1.0, trials=trials, seed=0)
+        with pytest.raises(ValueError, match="overflowed"):
+            sup_ball(sample, np.ones(2), 1.0)
 
     @pytest.mark.parametrize("trials", [0, 100])
     def test_negative_radius_rejected(self, trials):
@@ -289,10 +326,32 @@ class TestSandwich:
             sandwich_check(n=2, c=2, d=3, cap=-0.5, sigma=1.0, seed=0)
         with pytest.raises(ValueError):
             sandwich_check(n=2, c=2, d=3, cap=0.5, sigma=0.0, seed=0)
-        # the last two overflow R = sqrt(2 * cap / sigma) from finite values
-        for cap, sigma in [(np.inf, 1.0), (np.nan, 1.0), (0.5, np.inf), (1.0, 1e-320), (1e308, 1e-10)]:
+        # from finite values: R = sqrt(2 * cap / sigma) overflows (twice),
+        # m * sigma overflows so upper is 0, cap / sigma underflows so R is 0
+        for cap, sigma in [
+            (np.inf, 1.0), (np.nan, 1.0), (0.5, np.inf),
+            (1.0, 1e-320), (1e308, 1e-10), (1.0, 1e308), (1e-300, 1e307),
+        ]:  # fmt: skip
             with pytest.raises(ValueError):
                 sandwich_check(n=2, c=2, d=3, cap=cap, sigma=sigma, seed=0)
+
+    def test_huge_cap_with_finite_radius_runs(self):
+        # 2 * cap overflows, but R = sqrt(2 * (cap / sigma)) is about 4.5e153
+        report = sandwich_check(n=2, c=2, d=3, cap=1e308, sigma=10.0, seed=0, trials=0)
+        assert 0.0 < report.lower_bound < report.upper_bound < np.inf
+        assert report.passed
+
+    def test_band_matches_plain_formula_in_range(self):
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            cap, sigma = 10.0 ** rng.uniform(-6.0, 6.0, size=2)
+            m = 2 * int(rng.integers(1, 8))
+            report = sandwich_check(
+                n=m // 2, c=2, d=2, cap=cap, sigma=sigma, seed=0, trials=0, random_samples=0
+            )
+            radius = np.sqrt(2.0 * cap / sigma)
+            assert report.lower_bound == float(np.sqrt(1.0 / (2.0 * m)) * radius)
+            assert report.upper_bound == float(np.sqrt(2.0 * cap / (m * sigma)))
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
