@@ -1,12 +1,15 @@
 """Learning-curve experiments: error versus passes, sample size, and gap.
 
-Each curve repeats training over independent repetitions.  ``run_curve``
-returns the objective of every repetition at every grid point as arrays of
-shape (len(grid), repetitions), one per metric, and ``emit_csv`` reduces
-them to a mean and standard deviation per grid point.  All randomness
-(splits, subsamples, SGD index draws) is derived from the spec's base seed
-with fixed tags, so a spec maps to one exact curve whatever order the
-repetitions run in.
+Each curve repeats training over independent repetitions, and the
+repetitions of a curve (passes) or of a grid point (sample size, gap) run
+in lockstep through one ``train_many`` call.  ``run_curve`` returns the
+objective of every repetition at every grid point as arrays of shape
+(len(grid), repetitions), one per metric, and ``emit_csv`` reduces them to
+a mean and standard deviation per grid point.  All randomness (splits,
+subsamples, SGD index draws) is derived from the spec's base seed with
+fixed tags, and each lockstep chain equals a lone ``train`` of its
+repetition bit for bit, so a spec maps to one exact curve whether the
+repetitions run together or one at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 
 from .dataio import Dataset, split, subsample, write_lines
 from .losses import LossSpec
-from .optimizer import StepSchedule, TrainConfig, train
+from .optimizer import StepSchedule, TrainConfig, train_many
 from .regularizers import RegularizerSpec
 from .seeding import derive_seed
 
@@ -68,17 +71,17 @@ def run_passes_curve(pool: Dataset, spec: CurveSpec) -> np.ndarray:
     """Test objectives after each grid pass count, shape (len(grid), repetitions).
 
     Each repetition resplits the pool, trains once for max(grid) passes,
-    and reads the held-out objective at the recorded pass boundaries.
+    and reads the held-out objective at the recorded pass boundaries; the
+    repetitions train in lockstep.
     """
     if spec.kind != "passes":
         raise ValueError(f"spec kind is {spec.kind!r}, expected 'passes'")
 
-    def one_repetition(rep: int) -> list[float]:
-        train_set, test_set = split(
-            pool, spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG, rep)
-        )
-        n = len(train_set)
-        config = TrainConfig(
+    reps = range(spec.repetitions)
+    splits = [split(pool, spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG, rep)) for rep in reps]
+    n = len(splits[0][0])
+    configs = [
+        TrainConfig(
             loss=spec.loss,
             reg=spec.reg,
             schedule=spec.schedule,
@@ -87,11 +90,11 @@ def run_passes_curve(pool: Dataset, spec: CurveSpec) -> np.ndarray:
             record_every=n,
             eval_holdout=test_set,
         )
-        _, records = train(train_set, config)
-        by_step = {record.step: record for record in records}
-        return [by_step[g * n].holdout_objective for g in spec.grid]
-
-    return np.asarray([one_repetition(r) for r in range(spec.repetitions)]).T
+        for rep, (_, test_set) in enumerate(splits)
+    ]
+    runs = train_many([train_set for train_set, _ in splits], configs)
+    # Records fall at every pass boundary: records[g - 1] is pass g.
+    return np.asarray([[records[g - 1].holdout_objective for _, records in runs] for g in spec.grid])
 
 
 def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +102,8 @@ def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.nda
 
     A single split reserves the test set once; each (size, repetition)
     pair draws a fresh training subsample of that size and trains for
-    ``passes_per_point`` passes over it.
+    ``passes_per_point`` passes over it, the repetitions of one size in
+    lockstep.
     """
     train_pool, test_set = split(pool, spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG))
     if spec.grid[-1] > len(train_pool):
@@ -107,24 +111,27 @@ def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.nda
             f"grid value {spec.grid[-1]} exceeds the available pool of {len(train_pool)}"
         )
 
-    def one_run(gi: int, size: int, rep: int) -> tuple[float, float]:
-        subset = subsample(train_pool, size, derive_seed(spec.seed, _SUBSAMPLE_TAG, gi, rep))
-        config = TrainConfig(
-            loss=spec.loss,
-            reg=spec.reg,
-            schedule=spec.schedule,
-            total_steps=spec.passes_per_point * size,
-            seed=derive_seed(spec.seed, _TRAIN_TAG, gi, rep),
-            eval_holdout=test_set,
-        )
-        _, records = train(subset, config)
-        final = records[-1]
-        return final.empirical_objective, final.holdout_objective
-
-    runs = np.asarray(
-        [[one_run(gi, size, rep) for rep in range(spec.repetitions)] for gi, size in enumerate(spec.grid)]
-    )  # (len(grid), repetitions, 2)
-    return runs[:, :, 0], runs[:, :, 1]
+    reps = range(spec.repetitions)
+    train_vals, test_vals = [], []
+    for gi, size in enumerate(spec.grid):
+        subsets = [
+            subsample(train_pool, size, derive_seed(spec.seed, _SUBSAMPLE_TAG, gi, rep)) for rep in reps
+        ]
+        configs = [
+            TrainConfig(
+                loss=spec.loss,
+                reg=spec.reg,
+                schedule=spec.schedule,
+                total_steps=spec.passes_per_point * size,
+                seed=derive_seed(spec.seed, _TRAIN_TAG, gi, rep),
+                eval_holdout=test_set,
+            )
+            for rep in reps
+        ]
+        finals = [records[-1] for _, records in train_many(subsets, configs)]
+        train_vals.append([final.empirical_objective for final in finals])
+        test_vals.append([final.holdout_objective for final in finals])
+    return np.asarray(train_vals), np.asarray(test_vals)
 
 
 def run_curve(pool: Dataset, spec: CurveSpec) -> dict[str, np.ndarray]:

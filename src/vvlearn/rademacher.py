@@ -155,7 +155,12 @@ def estimate_complexity(
         signs = 2 * np.unpackbits(packed, axis=1, count=m).view(np.int8) - 1
         sups[done : done + k] = _sup(_accumulate(signs, X, js, slots), radius)
     per_trial = sups / m
-    std_error = float(np.std(per_trial, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    std_error = 0.0
+    if trials > 1:
+        # Squaring suprema near the top of the float range overflows, so the
+        # spread is taken at a power-of-two scale, which is exact.
+        _, e = np.frexp(np.max(per_trial))
+        std_error = float(np.ldexp(np.std(np.ldexp(per_trial, -e), ddof=1), e) / np.sqrt(trials))
     return RademacherEstimate(float(np.mean(per_trial)), std_error, trials, False)
 
 

@@ -147,7 +147,7 @@ class TestTrainCommand:
     )
     def test_non_finite_strength_fails_before_first_step(self, tmp_path, monkeypatch, capsys, strength):
         steps = []
-        monkeypatch.setattr(optimizer_module, "_draws", lambda *a: steps.append(1) or iter(()))
+        monkeypatch.setattr(optimizer_module, "_chunks", lambda *a: steps.append(1) or iter(()))
         code = run(
             "train", "--synth", "n=50,d=3,c=3", "--loss", "mlogistic", *strength,
             "--passes", "1",
@@ -480,6 +480,20 @@ class TestRademacherCommand:
         ) == 0
         assert "lower=1.58114e+153 upper=2.23607e+153" in capsys.readouterr().out
         assert all(line.endswith(",true") for line in out.read_text().split()[1:])
+
+    def test_huge_cap_monte_carlo_standard_error_is_finite(self, tmp_path, capsys):
+        # R is about 1.26e154, so the squared suprema would overflow
+        out = tmp_path / "r.csv"
+        assert run(
+            "rademacher", "--n", "2", "--c", "2", "--d", "3", "--trials", "10000",
+            "--lambda-cap", "8e307", "--sigma", "1", "--out", str(out),
+        ) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in out.read_text().split()[1:]]
+        assert len(rows) == 3
+        for row in rows:
+            assert 0.0 < float(row[3]) < float(row[2]) < np.inf
+            assert row[6] == "true"
 
     def test_rejects_nonpositive_dimensions(self, tmp_path):
         assert run(

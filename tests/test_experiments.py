@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from vvlearn.dataio import split, synth_gen
+from vvlearn.dataio import Dataset, split, subsample, synth_gen
 from vvlearn.experiments import (
     CurveSpec,
     default_samplesize_grid,
@@ -11,7 +11,7 @@ from vvlearn.experiments import (
     run_curve,
     run_passes_curve,
 )
-from vvlearn.losses import LossSpec
+from vvlearn.losses import HINGE, LossSpec
 from vvlearn.optimizer import StepSchedule, TrainConfig, evaluate_objective, train
 from vvlearn.regularizers import RegularizerSpec
 from vvlearn.seeding import derive_seed
@@ -83,6 +83,20 @@ class TestPassesCurve:
         expected = evaluate_objective(w, test_set, MLOG, FRO)
         assert test[0, 0] == expected
 
+    def test_repetitions_equal_lone_train_runs(self, pool):
+        # the repetitions run in lockstep; each equals its own train call bit for bit
+        spec = make_spec("passes", (1, 3), reps=3, seed=4)
+        test = run_passes_curve(pool, spec)
+        for rep in range(3):
+            train_set, test_set = split(pool, 0.8, derive_seed(4, 11, rep))
+            n = len(train_set)
+            config = TrainConfig(
+                loss=MLOG, reg=FRO, schedule=SCHED, total_steps=3 * n,
+                seed=derive_seed(4, 13, rep), record_every=n, eval_holdout=test_set,
+            )
+            _, records = train(train_set, config)
+            assert test[:, rep].tolist() == [records[0].holdout_objective, records[2].holdout_objective]
+
     def test_grid_points_share_one_trajectory(self, pool):
         # evaluating at 1 and 2 passes must match two separate shorter runs
         spec2 = make_spec("passes", (1, 2), reps=1, seed=9)
@@ -121,6 +135,29 @@ class TestSampleSizeAndGapCurves:
         for metric in ("train", "test"):
             assert gap[metric].tobytes() == size[metric].tobytes()
         assert gap["gap"].tobytes() == (gap["test"] - gap["train"]).tobytes()
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "ragged"])
+    def test_repetitions_equal_lone_train_runs(self, pool, sparse):
+        if sparse:  # rows of different nnz, so lockstep steps score chain by chain
+            dense = pool.X.toarray()
+            dense[np.random.default_rng(0).random(dense.shape) < 0.5] = 0.0
+            pool = Dataset(dense, pool.y, pool.c, pool.task)
+        spec = CurveSpec(
+            kind="samplesize", grid=(40, 80), repetitions=3, loss=LossSpec.mc_svm(HINGE),
+            reg=FRO, schedule=SCHED, seed=6, passes_per_point=2,
+        )
+        metrics = run_curve(pool, spec)
+        train_pool, test_set = split(pool, 0.8, derive_seed(6, 11))
+        for gi, size in enumerate(spec.grid):
+            for rep in range(3):
+                subset = subsample(train_pool, size, derive_seed(6, 12, gi, rep))
+                config = TrainConfig(
+                    loss=spec.loss, reg=FRO, schedule=SCHED, total_steps=2 * size,
+                    seed=derive_seed(6, 13, gi, rep), eval_holdout=test_set,
+                )
+                final = train(subset, config)[1][-1]
+                assert metrics["train"][gi, rep] == final.empirical_objective
+                assert metrics["test"][gi, rep] == final.holdout_objective
 
     def test_single_repetition_has_zero_std(self, pool):
         spec = make_spec("samplesize", (60,), reps=1)

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from vvlearn.optimizer import (
     evaluate_mean_loss,
     evaluate_objective,
     train,
+    train_many,
 )
 from vvlearn.regularizers import RegularizerSpec
 from vvlearn.seeding import generator
@@ -194,7 +196,7 @@ class TestLabelsCheckedUpFront:
     def test_bad_holdout_fails_before_training(self, monkeypatch, holdout, match):
         data = tiny_dataset()
         steps = []
-        monkeypatch.setattr(optimizer_module, "_draws", lambda *a: steps.append(1) or iter(()))
+        monkeypatch.setattr(optimizer_module, "_chunks", lambda *a: steps.append(1) or iter(()))
         config = TrainConfig(
             loss=MLOG,
             reg=RegularizerSpec.frobenius(0.05),
@@ -214,7 +216,7 @@ class TestLabelsCheckedUpFront:
         y[7] = 1
         bad = Dataset(data.X, y, data.c, "mlc")
         steps = []
-        monkeypatch.setattr(optimizer_module, "_draws", lambda *a: steps.append(1) or iter(()))
+        monkeypatch.setattr(optimizer_module, "_chunks", lambda *a: steps.append(1) or iter(()))
         config = config_for(bad, total_steps=10, loss=LossSpec.ranking(HINGE))
         with pytest.raises(ValueError, match="row 7"):
             train(bad, config)
@@ -354,19 +356,204 @@ class TestLazyLoopOracle:
             seed=17,
             record_every=500,
         )
-        checked = []  # (step, norm) of every certificate check, running and exact
-        check = optimizer_module._check_iterate
-        monkeypatch.setattr(
-            optimizer_module,
-            "_check_iterate",
-            lambda norm, bound, t, loss, reg: (checked.append((t, norm)), check(norm, bound, t, loss, reg)),
-        )
+        running, exact = [], []  # (step, norm) of every certificate check
+        check_running, check_iterate = optimizer_module._check_running, optimizer_module._check_iterate
+
+        def spy_running(a, v_sq, bounds, t, loss, reg):
+            (sq,) = v_sq  # one chain
+            running.append((t, abs(a) * np.sqrt(abs(sq))))
+            check_running(a, v_sq, bounds, t, loss, reg)
+
+        def spy_iterate(norm, bound, t, loss, reg, r=None):
+            exact.append((t, norm))
+            check_iterate(norm, bound, t, loss, reg, r)
+
+        monkeypatch.setattr(optimizer_module, "_check_running", spy_running)
+        monkeypatch.setattr(optimizer_module, "_check_iterate", spy_iterate)
         w, _ = train(data, config)
         expected, norms = dense_replay(data, config)
         scale = max(1.0, float(np.max(np.abs(expected))))
         assert np.max(np.abs(w - expected)) <= 1e-12 * scale
-        assert {t for t, _ in checked} == set(range(1, config.total_steps + 1))
+        assert [t for t, _ in running] == list(range(1, config.total_steps + 1))
+        assert [t for t, _ in exact] == list(range(config.record_every, config.total_steps + 1, config.record_every))
+        checked = running + exact
         assert max(abs(norm - norms[t - 1]) for t, norm in checked) <= 1e-12 * max(1.0, max(norms))
+
+
+def ragged_dataset(task="mcc", n=120, d=40, c=5, seed=0):
+    """synth_gen rows with most entries zeroed, so rows hold 1 to about 20 nonzeros."""
+    base = synth_gen(n=n, d=d, c=c, task=task, noise=0.1, seed=seed)
+    keep = generator(seed + 1).random((n, d)) < 0.2
+    keep[np.arange(n), generator(seed + 2).integers(0, d, size=n)] = True
+    return Dataset(np.where(keep, base.X.toarray(), 0.0), base.y, c, task)
+
+
+def chain_configs(loss, reg, schedule, total_steps, record_every=None, repetitions=3, holdouts=None):
+    holdouts = holdouts or [None] * repetitions
+    return [
+        TrainConfig(
+            loss=loss,
+            reg=reg,
+            schedule=schedule,
+            total_steps=total_steps,
+            seed=100 + r,
+            record_every=record_every,
+            eval_holdout=holdouts[r],
+        )
+        for r in range(repetitions)
+    ]
+
+
+def assert_chains_equal_lone_runs(datasets, configs):
+    runs = train_many(datasets, configs)
+    assert len(runs) == len(configs)
+    for (w, records), data, config in zip(runs, datasets, configs):
+        w_alone, records_alone = train(data, config)
+        assert w.shape == w_alone.shape and w.tobytes() == w_alone.tobytes()
+        assert records == records_alone
+
+
+class TestLockstepChains:
+    SIGMA = 0.05
+
+    def test_mlogistic_on_dense_data(self):
+        datasets = [tiny_dataset(n=60, d=7, c=4, seed=s) for s in range(4)]
+        holdouts = [tiny_dataset(n=30, d=7, c=4, seed=10 + s) for s in range(4)]
+        configs = chain_configs(
+            MLOG, RegularizerSpec.frobenius(0.01), StepSchedule.experiment(0.01), 300,
+            record_every=60, repetitions=4, holdouts=holdouts,
+        )
+        assert_chains_equal_lone_runs(datasets, configs)
+
+    def test_ranking_on_multilabel_data(self):
+        datasets = [tiny_dataset(n=50, d=6, c=5, seed=s, task="mlc") for s in range(3)]
+        configs = chain_configs(
+            LossSpec.ranking(HINGE), RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 250,
+            record_every=50,
+        )
+        assert_chains_equal_lone_runs(datasets, configs)
+
+    def test_ragged_sparse_rows(self):
+        datasets = [ragged_dataset(seed=s) for s in range(3)]
+        configs = chain_configs(
+            LossSpec.mc_svm(HINGE), RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 400,
+            record_every=100,
+        )
+        uniform = [flag for chunk in optimizer_module._chunks(datasets, configs) for flag in chunk[-1]]
+        assert len(uniform) == 400 and 0 < uniform.count(False) < 400
+        assert_chains_equal_lone_runs(datasets, configs)
+
+    def test_l2p_regularizer(self):
+        datasets = [sparse_wide_dataset("mcc", n=80, d=30, seed=s) for s in range(3)]
+        configs = chain_configs(
+            MLOG, RegularizerSpec.l2p(self.SIGMA, 1.5), StepSchedule.theorem(self.SIGMA), 300, record_every=75
+        )
+        assert_chains_equal_lone_runs(datasets, configs)
+
+    def test_scale_folds(self):
+        # eta_t * sigma = 3.5 / t: the shared scale falls below the fold floor at step 381
+        datasets = [sparse_wide_dataset("mcc", n=80, d=30, seed=s) for s in range(3)]
+        configs = chain_configs(
+            MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA / 3.5), 500,
+            record_every=100,
+        )
+        assert_chains_equal_lone_runs(datasets, configs)
+
+    @pytest.mark.parametrize("spec", standard_loss_specs(k=2), ids=lambda s: s.name)
+    def test_every_loss(self, spec):
+        task = "mlc" if spec.is_multilabel else "mcc"
+        datasets = [ragged_dataset(task, n=60, seed=s) for s in range(3)]
+        configs = chain_configs(
+            spec, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 120, record_every=40
+        )
+        assert_chains_equal_lone_runs(datasets, configs)
+
+    def test_run_longer_than_one_chunk_matches_dense_replay(self):
+        datasets = [sparse_wide_dataset("mcc", seed=s) for s in range(3)]
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 2500)
+        assert configs[0].total_steps > 2 * optimizer_module._DRAW_CHUNK_ENTRIES // (3 * 5)  # nnz is 5
+        for (w, _), data, config in zip(train_many(datasets, configs), datasets, configs):
+            expected, _ = dense_replay(data, config)
+            assert np.max(np.abs(w - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+
+    def test_chunk_size_changes_no_value(self, monkeypatch):
+        datasets = [ragged_dataset(seed=s) for s in range(3)]
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 300)
+        runs = train_many(datasets, configs)
+        monkeypatch.setattr(optimizer_module, "_DRAW_CHUNK_ENTRIES", 7)
+        for (w, records), (w_small, records_small) in zip(runs, train_many(datasets, configs)):
+            assert w.tobytes() == w_small.tobytes() and records == records_small
+
+    def test_chain_over_its_bound_is_named(self):
+        datasets = [tiny_dataset(seed=s) for s in range(3)]
+        datasets[2].kappa = 1e-6  # a bound no nonzero step-1 iterate meets
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
+        with pytest.raises(CertificateError, match="certified bound .* at step 1 in chain 2 "):
+            train_many(datasets, configs)
+
+    def test_non_finite_chain_is_named(self, monkeypatch):
+        coef = LossSpec.coef
+
+        def nan_in_chain_one(self, S, y):
+            out = coef(self, S, y)
+            out[1] = np.nan
+            return out
+
+        monkeypatch.setattr(LossSpec, "coef", nan_in_chain_one)
+        datasets = [tiny_dataset(seed=s) for s in range(3)]
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
+        with pytest.raises(CertificateError, match="iterate norm became nan at step 1 in chain 1 "):
+            train_many(datasets, configs)
+
+    def test_inflated_chain_coefficients_are_named(self, monkeypatch):
+        coef = LossSpec.coef
+
+        def inflate_chain_two(self, S, y):
+            out = coef(self, S, y)
+            out[2] *= 3.0
+            return out
+
+        monkeypatch.setattr(LossSpec, "coef", inflate_chain_two)
+        datasets = [tiny_dataset(seed=s) for s in range(3)]
+        configs = chain_configs(
+            MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20, record_every=1
+        )
+        with pytest.raises(CertificateError, match="loss coefficients at step 1 in chain 2 have l1 norm"):
+            train_many(datasets, configs)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"loss": LossSpec.mc_svm(HINGE)},
+            {"reg": RegularizerSpec.frobenius(0.1)},
+            {"schedule": StepSchedule.experiment(0.05)},
+            {"total_steps": 21},
+            {"record_every": 5},
+        ],
+        ids=lambda change: next(iter(change)),
+    )
+    def test_configs_must_agree(self, change):
+        datasets = [tiny_dataset(seed=s) for s in range(3)]
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
+        configs[1] = replace(configs[1], **change)
+        with pytest.raises(ValueError, match="config 1 differs from config 0"):
+            train_many(datasets, configs)
+
+    @pytest.mark.parametrize("shape", [{"d": 6}, {"c": 4}], ids=["d", "c"])
+    def test_datasets_must_agree_on_dimensions(self, shape):
+        datasets = [tiny_dataset(seed=0), tiny_dataset(seed=1, **shape)]
+        configs = chain_configs(
+            MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20, repetitions=2
+        )
+        with pytest.raises(ValueError, match="dataset 1 has dimensions"):
+            train_many(datasets, configs)
+
+    def test_one_config_per_dataset(self):
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
+        with pytest.raises(ValueError, match="one config per dataset"):
+            train_many([tiny_dataset()], configs)
+        with pytest.raises(ValueError, match="at least one dataset"):
+            train_many([], [])
 
 
 class TestIterateNormCertificate:

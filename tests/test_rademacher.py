@@ -232,6 +232,15 @@ class TestEstimateComplexity:
         assert big.mean == 2.0**400 * unit.mean
         assert big.std_error == 2.0**400 * unit.std_error
 
+    def test_standard_error_finite_for_suprema_near_the_float_limit(self):
+        # suprema above 2**512 square past the float range inside np.std
+        sample = random_sample(9, 3, seed=4)
+        unit = estimate_complexity(sample, radius=1.0, trials=100, seed=2)
+        big = estimate_complexity(sample, radius=2.0**600, trials=100, seed=2)
+        assert 0.0 < big.std_error < np.inf
+        assert big.mean == 2.0**600 * unit.mean
+        assert big.std_error == 2.0**600 * unit.std_error
+
     @pytest.mark.parametrize("trials", [0, 100])
     def test_overflowing_supremum_rejected(self, trials):
         # entries near 1e160 square past the float range inside ||A||_F
