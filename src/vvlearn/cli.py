@@ -175,9 +175,23 @@ def _load_training_data(args, loss: LossSpec) -> Dataset:
         data = parse_sparse_text(args.data, args.task)
     _check_task_compatible(args.loss, loss, data.task)
     _check_labels(loss, data)
-    if args.normalize:
+    if args.normalize and args.synth is None:  # synthetic rows are unit-norm already
         data = normalize_rows(data)
     return data
+
+
+def _data_reading(metadata: dict, task: str, c: int) -> tuple[dict[int, int], bool]:
+    """The label map and row normalization a model's training data was read with."""
+    classes, normalize = metadata.get("classes"), metadata.get("normalize", "true")
+    try:
+        ids = list(range(c)) if classes is None else [int(i) for i in classes.split(",")]
+    except ValueError:
+        ids = None
+    if ids is None or not len(set(ids)) == len(ids) == c or (classes and task != "mcc"):
+        raise DataError(f"model token classes={classes} must list {c} distinct integer mcc class ids")
+    if normalize not in ("true", "false"):
+        raise DataError(f"model token normalize={normalize} must be true or false")
+    return {raw: column for column, raw in enumerate(ids)}, normalize == "true"
 
 
 def _write_log_csv(records, destination) -> None:
@@ -223,6 +237,8 @@ def _cmd_train(args) -> int:
         "steps": str(total_steps),
         "normalize": "true" if args.normalize else "false",
     }
+    if data.task == "mcc" and data.label_map != {i: i for i in range(data.c)}:
+        metadata["classes"] = ",".join(str(raw) for raw in sorted(data.label_map, key=data.label_map.get))
     save_model(args.model_out, w, data.task, metadata)
     _write_log_csv(records, args.log_out)
     final = records[-1]
@@ -234,13 +250,14 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    w, task, _ = load_model(args.model)
+    w, task, metadata = load_model(args.model)
     loss = _loss_from_flags(args)
     strength, _ = _strength_and_schedule(args, default_lambda=0.01)
     reg = _reg_from_flags(args, strength)
-    data = parse_sparse_text(args.data, task, d=w.shape[0], c=w.shape[1])
+    label_map, normalize = _data_reading(metadata, task, w.shape[1])
+    data = parse_sparse_text(args.data, task, d=w.shape[0], label_map=label_map)
     _check_labels(loss, data)
-    if args.normalize:
+    if normalize:
         data = normalize_rows(data)
     mean_loss = evaluate_mean_loss(w, data, loss)
     objective = mean_loss + reg.value(w)  # evaluate_objective, scoring the data once
@@ -388,12 +405,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--model", required=True)
     sub.add_argument("--data", required=True)
     _add_loss_flags(sub, loss_required=False, default_loss="mlogistic")
-    sub.add_argument(
-        "--normalize",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="scale inputs to unit norm (default on)",
-    )
     sub.set_defaults(handler=_cmd_eval)
 
     sub = commands.add_parser("curve", help="learning-curve experiments")

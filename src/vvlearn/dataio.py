@@ -7,11 +7,11 @@ The text format is one example per line:
 Feature indices are 1-based on disk and 0-based in memory.  Multiclass
 lines carry a single integer class id; multilabel lines carry a
 comma-separated list of 1-based component ids that map to a +1/-1 sign
-vector.  Lines starting with '#' and blank lines are skipped.  Multiclass
-class ids are remapped to a dense [0, c) by first appearance unless they
-already are dense (or an explicit c is given and they fit inside it), and
-the mapping is retained on the dataset.  Multilabel component ids are
-positional and never remapped.
+vector.  Lines starting with '#' and blank lines are skipped.  Without a
+given label map, multiclass class ids are remapped to a dense [0, c) by
+first appearance unless they already are dense, and multilabel component
+ids are positional and never remapped; the mapping is retained on the
+dataset.  A given map (a saved model's classes) is used as it is.
 """
 
 from __future__ import annotations
@@ -95,8 +95,13 @@ class Dataset:
     @cached_property
     def kappa(self) -> float:
         """Largest row norm, with the per-row norm ``normalize_rows`` makes 1.0."""
-        data, bounds = self.X.data, self.X.indptr.tolist()
-        return max((float(np.linalg.norm(data[s:e])) for s, e in zip(bounds, bounds[1:])), default=0.0)
+        # vecdot on equal-nnz row blocks runs np.linalg.norm's per-row dot; sqrt is monotone
+        starts, lengths = self.X.indptr[:-1], np.diff(self.X.indptr)
+        largest = 0.0
+        for k in np.unique(lengths[lengths > 0]):
+            block = self.X.data[starts[lengths == k][:, None] + np.arange(k)]
+            largest = max(largest, float(np.vecdot(block, block).max()))
+        return math.sqrt(largest)
 
     def take(self, rows) -> "Dataset":
         """The rows at the given indices, in that order, with the same d, c and task."""
@@ -173,44 +178,16 @@ def _parse_features(tokens: list[str], line_no: int, d: int | None, cols: array,
         raise ParseError(f"feature index {max(seen)} exceeds declared d={d}", line_no)
 
 
-def _build_label_map(
-    seen_order: list[int], c: int | None, task: str
-) -> tuple[dict[int, int], int]:
-    """Dense label mapping and the resulting component count.
-
-    Multilabel component ids are positions in the sign vector, so they are
-    never remapped: c is the largest id + 1 unless declared larger.
-    Multiclass ids are opaque; ids already forming a dense range are kept
-    as they are (always when an explicit c admits them), otherwise they
-    are remapped by first appearance.
-    """
-    distinct = set(seen_order)
-    if task == "mlc":
-        needed = max(distinct) + 1
-        if c is not None:
-            if needed > c:
-                raise ParseError(f"component id {needed} exceeds declared c={c}")
-            needed = c
-        return {i: i for i in range(needed)}, needed
-    if c is not None:
-        if all(0 <= i < c for i in distinct):
-            return {i: i for i in range(c)}, c
-        if len(distinct) > c:
-            raise ParseError(f"{len(distinct)} distinct labels exceed declared c={c}")
-        return {i: rank for rank, i in enumerate(seen_order)}, c
-    if distinct == set(range(len(distinct))):
-        return {i: i for i in range(len(distinct))}, len(distinct)
-    return {i: rank for rank, i in enumerate(seen_order)}, len(distinct)
-
-
 def parse_sparse_text(
-    source, task: str, d: int | None = None, c: int | None = None
+    source, task: str, d: int | None = None, label_map: dict[int, int] | None = None
 ) -> Dataset:
     """Parse the sparse text format into a Dataset.
 
-    ``source`` is a path or a file-like object.  ``d`` and ``c`` override
-    the inferred dimension (max feature index) and component count; with
-    an explicit bound, out-of-range entries are parse errors.
+    ``source`` is a path or a file-like object.  ``d`` overrides the
+    inferred dimension (max feature index); a feature index past it is a
+    parse error.  ``label_map`` (file id, 0-based for multilabel, to
+    component) replaces the inference the module docstring describes and
+    sets c to its size; a label outside it is a parse error.
     """
     if task not in ("mcc", "mlc"):
         raise ValueError(f"task must be 'mcc' or 'mlc', got {task!r}")
@@ -240,16 +217,24 @@ def parse_sparse_text(
         order = np.lexsort((cols, row))  # sort each row by feature index
         cols, vals = cols[order], vals[order]
     dim = d if d is not None else (int(cols.max()) + 1 if cols.size else 0)
-    label_map, n_components = _build_label_map(list(dict.fromkeys(chain.from_iterable(labels))), c, task)
+    seen = list(dict.fromkeys(chain.from_iterable(labels)))
+    if label_map is None and (task == "mlc" or set(seen) == set(range(len(seen)))):
+        label_map = {i: i for i in range(max(seen) + 1)}
+    elif label_map is None:
+        label_map = {i: rank for rank, i in enumerate(seen)}
+    unknown = [i for i in seen if i not in label_map]
+    if unknown:
+        shown = unknown[0] + (task == "mlc")  # multilabel ids are 1-based on disk
+        raise ParseError(f"label id {shown} is not one of the {len(label_map)} known classes")
     if task == "mcc":
         y = np.array([label_map[ids[0]] for ids in labels], dtype=np.int64)
     else:
-        y = np.full((n, n_components), -1, dtype=np.int8)
+        y = np.full((n, len(label_map)), -1, dtype=np.int8)
         hits = [label_map[i] for ids in labels for i in ids]
         y[np.repeat(np.arange(n), [len(ids) for ids in labels]), hits] = 1
     indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
     X = sp.csr_matrix((vals, cols, indptr), shape=(n, dim))
-    return Dataset(X, y, n_components, task, label_map)
+    return Dataset(X, y, len(label_map), task, label_map)
 
 
 def write_sparse_text(dataset: Dataset, destination) -> None:
@@ -280,14 +265,17 @@ def write_sparse_text(dataset: Dataset, destination) -> None:
 def _unit_values(values: np.ndarray) -> np.ndarray:
     """Rescale so the recomputed Euclidean norm is exactly 1.0.
 
-    Plain division can leave the norm a few ulps off 1.0, so the largest
-    entry is then stepped one ulp at a time until the norm lands on 1.0
-    exactly.  Near 1.0 the achievable norms are denser than the rounding
-    window, so the walk ends after a handful of steps (observed worst case
-    is two digits).  Rows that already have unit norm, and zero rows, come
-    back unchanged, which makes the rescaling idempotent.
+    The row is first scaled by the power of two that brings its largest
+    entry into [0.5, 1), which is exact and keeps the norm clear of
+    overflow and underflow.  Plain division can leave the norm a few ulps
+    off 1.0, so the largest entry is then stepped one ulp at a time until
+    the norm lands on 1.0 exactly.  Near 1.0 the achievable norms are
+    denser than the rounding window, so the walk ends after a handful of
+    steps (observed worst case is two digits).  Rows that already have
+    unit norm, and zero rows, come back unchanged, which makes the
+    rescaling idempotent.
     """
-    out = values.astype(np.float64, copy=True)
+    out = np.ldexp(values, -math.frexp(np.abs(values).max(initial=0.0))[1])
     norm = float(np.linalg.norm(out))
     if norm == 0.0:
         return out

@@ -15,6 +15,11 @@ behind the sandwich's Khintchine floor.
 
 ``sgd_step`` is the dense O(d * c) subgradient step that the lazily scaled
 training loop in ``vvlearn.optimizer`` must reproduce to rounding.
+
+``unit_values`` and ``max_row_norm`` are the row normalization without the
+power-of-two prescaling and the per-row norm loop that ``vvlearn.dataio``
+replaced; on rows whose norm neither overflows nor underflows they give the
+same bits.
 """
 
 import numpy as np
@@ -209,3 +214,27 @@ def sgd_step(w, data, i, loss, reg, eta):
     coef = loss.coef((vals @ w[idx])[None, :], data.y[i : i + 1])[0]
     grad[idx, :] += vals[:, None] * coef[None, :]
     return w - eta * grad
+
+
+def unit_values(values):
+    """Unit rescaling of one row by its raw norm, then the one-ulp walk."""
+    out = values.astype(np.float64, copy=True)
+    norm = float(np.linalg.norm(out))
+    if norm == 0.0:
+        return out
+    if norm != 1.0:
+        out /= norm
+    j = int(np.argmax(np.abs(out)))
+    for _ in range(100_000):
+        norm = float(np.linalg.norm(out))
+        if norm == 1.0:
+            return out
+        toward = 0.0 if norm > 1.0 else np.copysign(np.inf, out[j])
+        out[j] = np.nextafter(out[j], toward)
+    raise ArithmeticError("unit rescaling failed to land on norm 1.0")
+
+
+def max_row_norm(X):
+    """Largest Euclidean row norm of a CSR matrix, one ``np.linalg.norm`` per row."""
+    data, bounds = X.data, X.indptr.tolist()
+    return max((float(np.linalg.norm(data[s:e])) for s, e in zip(bounds, bounds[1:])), default=0.0)

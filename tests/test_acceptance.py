@@ -189,5 +189,5 @@ def test_09_parser_round_trip(tmp_path):
             data = synth_gen(n=n, d=d, c=c, task=task, noise=noise, seed=1000 + i)
             path = tmp_path / f"{task}_{i}.txt"
             write_sparse_text(data, path)
-            back = parse_sparse_text(path, task, d=data.d, c=data.c)
+            back = parse_sparse_text(path, task, d=data.d, label_map=data.label_map)
             assert back == data, f"dataset {i} ({task}) changed across write->parse"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+import vvlearn.cli as cli_module
 import vvlearn.optimizer as optimizer_module
 from vvlearn.cli import DataError, load_model, main, save_model
-from vvlearn.dataio import synth_gen, write_sparse_text
+from vvlearn.dataio import Dataset, normalize_rows, parse_sparse_text, synth_gen, write_sparse_text
 from vvlearn.losses import LossSpec
 from vvlearn.optimizer import evaluate_mean_loss, evaluate_objective
 from vvlearn.regularizers import RegularizerSpec
@@ -290,8 +291,8 @@ class TestEvalCommand:
 
         # reloading the model and evaluating in memory gives the same bytes
         w, task, _ = load_model(model)
-        from vvlearn.dataio import normalize_rows, parse_sparse_text
-        data = normalize_rows(parse_sparse_text(mcc_file, task, d=w.shape[0], c=w.shape[1]))
+        label_map = {i: i for i in range(w.shape[1])}
+        data = normalize_rows(parse_sparse_text(mcc_file, task, d=w.shape[0], label_map=label_map))
         loss = LossSpec.multinomial_logistic()
         reg = RegularizerSpec.frobenius(0.01)
         assert float(fields["objective"]) == evaluate_objective(w, data, loss, reg)
@@ -341,6 +342,129 @@ class TestEvalCommand:
         assert run(
             "eval", "--model", str(model), "--data", mcc_file, "--loss", "subset"
         ) == 2
+
+
+class TestModelRecordsHowItsDataWasRead:
+    """eval takes class ids and row normalization from the model, not from flags or the file."""
+
+    TRAIN = ("--loss", "mlogistic", "--lambda", "0.01", "--passes", "3", "--seed", "0")
+
+    @staticmethod
+    def write(path, ids, scale_rows=False, keep=lambda raw: True):
+        """300 synthetic rows with class k written as ids[k]."""
+        data = synth_gen(n=300, d=6, c=3, task="mcc", noise=0.1, seed=0)
+        if scale_rows:
+            scales = 10.0 ** np.random.default_rng(1).uniform(-1.0, 1.0, size=len(data))
+            data = Dataset(data.X.multiply(scales[:, None]).tocsr(), data.y, data.c, data.task)
+        write_sparse_text(Dataset(data.X, data.y, data.c, data.task, {raw: k for k, raw in enumerate(ids)}), path)
+        lines = [line for line in path.read_text().splitlines() if keep(int(line.split()[0]))]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def train(self, tmp_path, data, *flags):
+        model, log = tmp_path / "m.bin", tmp_path / "log.csv"
+        assert run(
+            "train", "--data", str(data), *self.TRAIN, *flags,
+            "--model-out", str(model), "--log-out", str(log),
+        ) == 0
+        return model, log.read_text().splitlines()[-1].split(",")[1]
+
+    def evaluate(self, capsys, model, data):
+        capsys.readouterr()
+        assert run("eval", "--model", str(model), "--data", str(data)) == 0
+        return dict(part.split("=") for part in capsys.readouterr().out.split())
+
+    def test_rotated_file_scores_the_training_objective(self, tmp_path, capsys):
+        data = self.write(tmp_path / "ids.txt", (5, 7, 9))
+        model, logged = self.train(tmp_path, data)
+        lines = data.read_text().splitlines()
+        turn = next(i for i, line in enumerate(lines) if line.split()[0] != lines[0].split()[0])
+        rotated = tmp_path / "rotated.txt"
+        rotated.write_text("\n".join(lines[turn:] + lines[:turn]) + "\n")
+        assert self.evaluate(capsys, model, data)["objective"] == logged
+        assert self.evaluate(capsys, model, rotated)["objective"] == logged
+        first_seen = dict.fromkeys(line.split()[0] for line in lines)
+        assert load_model(model)[2]["classes"] == ",".join(first_seen)
+
+    def test_one_based_subset_scores_under_the_models_map(self, tmp_path, capsys):
+        data = self.write(tmp_path / "ids.txt", (1, 3, 2))
+        assert data.read_text().startswith("2 ")
+        model, _ = self.train(tmp_path, data)
+        subset = self.write(tmp_path / "subset.txt", (1, 3, 2), keep=lambda raw: raw != 3)
+        w, task, _ = load_model(model)
+        label_map = parse_sparse_text(data, task).label_map
+        rows = normalize_rows(parse_sparse_text(subset, task, d=w.shape[0], label_map=label_map))
+        expected = evaluate_mean_loss(w, rows, LossSpec.multinomial_logistic())
+        assert float(self.evaluate(capsys, model, subset)["loss"]) == expected
+
+    def test_no_normalize_model_scores_the_training_objective(self, tmp_path, capsys):
+        data = self.write(tmp_path / "scaled.txt", (0, 1, 2), scale_rows=True)
+        model, logged = self.train(tmp_path, data, "--no-normalize")
+        assert load_model(model)[2]["normalize"] == "false"
+        assert self.evaluate(capsys, model, data)["objective"] == logged
+
+    def test_dense_ids_write_no_classes_token(self, tmp_path):
+        model, _ = self.train(tmp_path, self.write(tmp_path / "dense.txt", (0, 1, 2)))
+        assert "classes" not in load_model(model)[2]
+
+    def test_unknown_id_is_data_error(self, tmp_path, capsys):
+        model, _ = self.train(tmp_path, self.write(tmp_path / "ids.txt", (5, 7, 9)))
+        other = self.write(tmp_path / "other.txt", (5, 8, 9))
+        capsys.readouterr()
+        assert run("eval", "--model", str(model), "--data", str(other)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "label id 8" in captured.err
+
+    def test_model_without_classes_reads_ids_as_columns(self, tmp_path, capsys):
+        model = tmp_path / "old.bin"
+        save_model(model, np.zeros((6, 3)), "mcc")
+        data = self.write(tmp_path / "ids.txt", (5, 7, 9))
+        assert run("eval", "--model", str(model), "--data", str(data)) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "task,token",
+        [
+            ("mcc", {"classes": "5,x,9"}),
+            ("mcc", {"classes": "5,5,9"}),
+            ("mcc", {"classes": "5,7"}),
+            ("mcc", {"classes": "5,7,9,11"}),
+            ("mcc", {"classes": ""}),
+            ("mlc", {"classes": "0,1,2"}),
+            ("mcc", {"normalize": "yes"}),
+            ("mcc", {"normalize": ""}),
+        ],
+    )
+    def test_malformed_model_token_is_data_error(self, tmp_path, capsys, task, token):
+        model = tmp_path / "bad.bin"
+        save_model(model, np.zeros((6, 3)), task, token)
+        data = self.write(tmp_path / "ids.txt", (0, 1, 2))
+        assert run("eval", "--model", str(model), "--data", str(data), "--loss", "mc_svm") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "model token" in captured.err
+
+    def test_eval_has_no_normalize_flag(self, tmp_path, mcc_file):
+        model = tmp_path / "zero.bin"
+        save_model(model, np.zeros((6, 3)), "mcc")
+        for flag in ("--normalize", "--no-normalize"):
+            assert run("eval", "--model", str(model), "--data", mcc_file, flag) == 1
+
+    def test_rows_past_the_norm_range_train(self, tmp_path):
+        data = tmp_path / "huge.txt"
+        data.write_text("0 1:1e200 2:3e199\n1 1:1e-200 2:2e-200\n0 1:1.0 2:-2.0\n")
+        assert run(
+            "train", "--data", str(data), "--loss", "mc_svm", "--lambda", "0.01", "--steps", "20",
+            "--model-out", str(tmp_path / "m.bin"), "--log-out", str(tmp_path / "l.csv"),
+        ) == 0
+        assert np.all(np.isfinite(load_model(tmp_path / "m.bin")[0]))
+
+    def test_synthetic_rows_are_not_renormalized(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_module, "normalize_rows", lambda data: pytest.fail("renormalized"))
+        assert run(
+            "train", "--synth", "n=40,d=3,c=3", "--loss", "mlogistic", "--lambda", "0.01",
+            "--passes", "1", "--model-out", str(tmp_path / "m.bin"), "--log-out", str(tmp_path / "l.csv"),
+        ) == 0
+        assert load_model(tmp_path / "m.bin")[2]["normalize"] == "true"
 
 
 class TestCurveCommand:

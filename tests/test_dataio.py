@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import oracles
 from vvlearn.dataio import (
     Dataset,
     ParseError,
@@ -14,11 +15,17 @@ from vvlearn.dataio import (
     subsample,
     synth_gen,
     write_sparse_text,
+    _unit_values,
 )
 
 
 def parse_text(text, task, **kwargs):
     return parse_sparse_text(io.StringIO(text), task, **kwargs)
+
+
+def identity(c):
+    """The label map of c classes, or c multilabel positions, kept as they are."""
+    return {i: i for i in range(c)}
 
 
 def row(ds, i):
@@ -70,6 +77,19 @@ class TestDatasetConstructor:
         assert ds.X.nnz == 0 and ds.kappa == 0.0
         assert len(Dataset(sp.csr_matrix((0, 3)), np.zeros(0, dtype=int), 2, "mcc")) == 0
 
+    def test_kappa_skips_empty_rows(self):
+        X = sp.csr_matrix(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 2.0], [0.0, 0.0, 0.0], [0.0, 4.0, 0.0]]))
+        assert Dataset(X, np.zeros(4, dtype=int), 2, "mcc").kappa == 4.0
+
+    def test_kappa_equals_per_row_norm_loop(self):
+        rng = np.random.default_rng(19)
+        for trial in range(300):
+            n, d = int(rng.integers(0, 30)), int(rng.integers(1, 25))
+            X = sp.random(n, d, density=rng.uniform(0.0, 1.0), format="csr", random_state=trial)
+            ds = Dataset(X * 10.0 ** rng.uniform(-5, 5), np.zeros(n, dtype=int), 2, "mcc")
+            for data in (ds, normalize_rows(ds)):
+                assert data.kappa == oracles.max_row_norm(data.X)
+
     def test_equality_is_exact(self):
         def make(v):
             return Dataset(one_row([1], [v], d=3), np.array([0]), 2, "mcc")
@@ -106,7 +126,7 @@ class TestDatasetConstructor:
 
 class TestParseMcc:
     def test_single_line_mapping(self):
-        ds = parse_text("2 1:0.5 3:1.5\n", "mcc", c=3)
+        ds = parse_text("2 1:0.5 3:1.5\n", "mcc", label_map=identity(3))
         assert ds.task == "mcc" and len(ds) == 1
         assert ds.y[0] == 2  # ids 0..2 present in range: kept as-is
         indices, values = row(ds, 0)
@@ -124,14 +144,19 @@ class TestParseMcc:
         assert ds.c == 3
         assert ds.y.tolist() == [1, 0, 2]
 
-    def test_explicit_c_with_out_of_range_ids_remaps(self):
-        ds = parse_text("7 1:1.0\n3 1:1.0\n", "mcc", c=2)
-        assert ds.y.tolist() == [0, 1]
-        assert ds.label_map == {7: 0, 3: 1}
+    def test_given_map_is_used_as_it_is(self):
+        ds = parse_text("7 1:1.0\n3 1:1.0\n", "mcc", label_map={3: 0, 7: 1, 5: 2})
+        assert ds.c == 3
+        assert ds.y.tolist() == [1, 0]
+        assert ds.label_map == {3: 0, 7: 1, 5: 2}
 
-    def test_too_many_distinct_labels_for_c(self):
-        with pytest.raises(ParseError):
-            parse_text("0 1:1.0\n1 1:1.0\n2 1:1.0\n", "mcc", c=2)
+    def test_id_outside_given_map_is_parse_error(self):
+        with pytest.raises(ParseError, match="label id 7 "):
+            parse_text("7 1:1.0\n3 1:1.0\n", "mcc", label_map=identity(2))
+
+    def test_id_outside_given_map_is_parse_error_when_ids_are_dense(self):
+        with pytest.raises(ParseError, match="label id 2 "):
+            parse_text("0 1:1.0\n1 1:1.0\n2 1:1.0\n", "mcc", label_map=identity(2))
 
     def test_d_inferred_from_max_index(self):
         ds = parse_text("0 4:1.0\n1 2:1.0\n", "mcc")
@@ -153,7 +178,7 @@ class TestParseMcc:
 
 class TestParseMlc:
     def test_sign_vector_mapping(self):
-        ds = parse_text("1,3 2:1.0\n", "mlc", c=4)
+        ds = parse_text("1,3 2:1.0\n", "mlc", label_map=identity(4))
         assert np.array_equal(ds.y[0], np.array([1, -1, 1, -1], dtype=np.int8))
         indices, values = row(ds, 0)
         assert np.array_equal(indices, np.array([1]))
@@ -161,12 +186,12 @@ class TestParseMlc:
 
     def test_component_ids_are_one_based(self):
         with pytest.raises(ParseError) as err:
-            parse_text("0,2 1:1.0\n", "mlc", c=3)
+            parse_text("0,2 1:1.0\n", "mlc", label_map=identity(3))
         assert "line 1" in str(err.value)
 
     def test_duplicate_component_rejected(self):
         with pytest.raises(ParseError):
-            parse_text("1,1 1:1.0\n", "mlc", c=3)
+            parse_text("1,1 1:1.0\n", "mlc", label_map=identity(3))
 
     def test_c_inferred_from_largest_component(self):
         ds = parse_text("1,4 1:1.0\n2 2:1.0\n", "mlc")
@@ -175,8 +200,12 @@ class TestParseMlc:
 
     def test_component_id_above_declared_c_rejected(self):
         with pytest.raises(ParseError) as err:
-            parse_text("1,5 1:1.0\n", "mlc", c=4)
+            parse_text("1,5 1:1.0\n", "mlc", label_map=identity(4))
         assert "5" in str(err.value)
+
+    def test_given_map_sets_c_past_the_largest_id(self):
+        ds = parse_text("1,2 1:1.0\n", "mlc", label_map=identity(4))
+        assert ds.c == 4 and ds.y.tolist() == [[1, 1, -1, -1]]
 
 
 class TestParseErrors:
@@ -241,7 +270,7 @@ class TestRoundTrip:
             ds = synth_gen(n=n, d=d, c=c, task=task, noise=0.2, seed=trial)
             path = tmp_path / f"{task}_{trial}.txt"
             write_sparse_text(ds, path)
-            back = parse_sparse_text(path, task, d=ds.d, c=ds.c)
+            back = parse_sparse_text(path, task, d=ds.d, label_map=ds.label_map)
             assert back == ds
 
     def test_canonicalized_text_round_trips(self):
@@ -249,12 +278,12 @@ class TestRoundTrip:
         ds = parse_text(text, "mcc")
         buffer = io.StringIO()
         write_sparse_text(ds, buffer)
-        again = parse_text(buffer.getvalue(), "mcc", d=ds.d, c=ds.c)
+        again = parse_text(buffer.getvalue(), "mcc", d=ds.d, label_map=ds.label_map)
         assert again == ds
 
     def test_label_ids_restored_on_write(self):
         # original ids reappear even though labels are stored remapped
-        ds = parse_text("7 1:1.0\n3 2:0.5\n", "mcc", c=2)
+        ds = parse_text("7 1:1.0\n3 2:0.5\n", "mcc", label_map={7: 0, 3: 1})
         buffer = io.StringIO()
         write_sparse_text(ds, buffer)
         lines = buffer.getvalue().strip().split("\n")
@@ -262,7 +291,7 @@ class TestRoundTrip:
         assert lines[1].startswith("3 ")
 
     def test_mlc_positive_labels_written_one_based(self):
-        ds = parse_text("1,3 2:1.0\n", "mlc", c=4)
+        ds = parse_text("1,3 2:1.0\n", "mlc", label_map=identity(4))
         buffer = io.StringIO()
         write_sparse_text(ds, buffer)
         assert buffer.getvalue() == "1,3 2:1.0\n"
@@ -272,7 +301,7 @@ class TestRoundTrip:
         ds = Dataset(np.array(values)[:, None], np.zeros(5, dtype=int), 2, "mcc", {0: 0})
         buffer = io.StringIO()
         write_sparse_text(ds, buffer)
-        back = parse_text(buffer.getvalue(), "mcc", d=1, c=2)
+        back = parse_text(buffer.getvalue(), "mcc", d=1, label_map=identity(2))
         assert back == ds
 
     def test_all_negative_sign_vector_rejected_on_write(self):
@@ -307,6 +336,21 @@ class TestNormalize:
         once = normalize_rows(ds)
         twice = normalize_rows(once)
         assert once == twice
+
+    def test_in_range_rows_match_the_unscaled_formula(self):
+        rng = np.random.default_rng(20)
+        for _ in range(2000):
+            values = rng.standard_normal(int(rng.integers(1, 30))) * 10.0 ** rng.uniform(-100, 100)
+            assert np.array_equal(_unit_values(values), oracles.unit_values(values))
+
+    @pytest.mark.parametrize(
+        "values", [[1e200, 3e199], [1e-200, 2e-200], [5e-324, 1e-323], [1.7e308, -1.7e308]]
+    )
+    def test_rows_past_the_norm_range_get_unit_norm(self, values):
+        ds = Dataset(np.array([values]), np.array([0]), 2, "mcc")
+        out = normalize_rows(ds)
+        assert np.linalg.norm(out.X.data) == 1.0 and out.kappa == 1.0
+        assert normalize_rows(out) == out
 
 
 class TestSplit:
