@@ -28,6 +28,11 @@ import scipy.sparse as sp
 from .seeding import generator
 
 
+# Entries per block that ``normalize_rows`` rescales at once, bounding its
+# temporary arrays.
+_NORMALIZE_CHUNK_ENTRIES = 1 << 14
+
+
 class ParseError(ValueError):
     """A malformed data file; carries the 1-based line number if known."""
 
@@ -262,42 +267,53 @@ def write_sparse_text(dataset: Dataset, destination) -> None:
     write_lines(destination, lines)
 
 
-def _unit_values(values: np.ndarray) -> np.ndarray:
-    """Rescale so the recomputed Euclidean norm is exactly 1.0.
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Rescale each row of an (m, k) array so its recomputed Euclidean norm is exactly 1.0.
 
-    The row is first scaled by the power of two that brings its largest
+    Each row is first scaled by the power of two that brings its largest
     entry into [0.5, 1), which is exact and keeps the norm clear of
-    overflow and underflow.  Plain division can leave the norm a few ulps
-    off 1.0, so the largest entry is then stepped one ulp at a time until
-    the norm lands on 1.0 exactly.  Near 1.0 the achievable norms are
-    denser than the rounding window, so the walk ends after a handful of
-    steps (observed worst case is two digits).  Rows that already have
+    overflow and underflow, then divided by its norm.  Norms are per-row
+    dots (``np.vecdot``), the same bits as ``np.linalg.norm`` of the row.
+    Plain division can leave the norm a few ulps off 1.0; on those rows the
+    largest entry is then stepped one ulp at a time, all such rows at once,
+    until each norm lands on 1.0 exactly.  Near 1.0 the achievable norms
+    are denser than the rounding window, so the walk ends after a handful
+    of steps (observed worst case is two digits).  Rows that already have
     unit norm, and zero rows, come back unchanged, which makes the
     rescaling idempotent.
     """
-    out = np.ldexp(values, -math.frexp(np.abs(values).max(initial=0.0))[1])
-    norm = float(np.linalg.norm(out))
-    if norm == 0.0:
-        return out
-    if norm != 1.0:
-        out /= norm
-    j = int(np.argmax(np.abs(out)))
+    largest = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
+    out = np.ldexp(rows, -np.frexp(largest)[1][:, None])
+    norms = np.sqrt(np.vecdot(out, out))
+    walk = (norms != 0.0) & (norms != 1.0)
+    np.divide(out, norms[:, None], out=out, where=walk[:, None])
+    walk = walk.nonzero()[0]
+    top = np.argmax(np.abs(out[walk]), axis=1)  # the entry each row's walk steps
     for _ in range(100_000):
-        norm = float(np.linalg.norm(out))
-        if norm == 1.0:
+        norms = np.sqrt(np.vecdot(out[walk], out[walk]))
+        off = norms != 1.0
+        if not off.any():
             return out
-        toward = 0.0 if norm > 1.0 else np.copysign(np.inf, out[j])
-        out[j] = np.nextafter(out[j], toward)
+        walk, top, norms = walk[off], top[off], norms[off]
+        ends = out[walk, top]
+        out[walk, top] = np.nextafter(ends, np.where(norms > 1.0, 0.0, np.copysign(np.inf, ends)))
     raise ArithmeticError("unit rescaling failed to land on norm 1.0")
 
 
 def normalize_rows(dataset: Dataset) -> Dataset:
-    """Scale every nonzero input to unit Euclidean norm; zero rows stay."""
+    """Scale every nonzero input to unit Euclidean norm; zero rows stay.
+
+    Rows are rescaled in blocks of equal nnz, as ``Dataset.kappa`` reads
+    them, of at most _NORMALIZE_CHUNK_ENTRIES entries each.
+    """
     X = dataset.X
     data = X.data.copy()
-    bounds = X.indptr.tolist()
-    for s, e in zip(bounds, bounds[1:]):
-        data[s:e] = _unit_values(data[s:e])
+    starts, lengths = X.indptr[:-1], np.diff(X.indptr)
+    for k in np.unique(lengths[lengths > 0]):
+        firsts, size = starts[lengths == k], max(1, _NORMALIZE_CHUNK_ENTRIES // k)
+        for lo in range(0, len(firsts), size):
+            entries = firsts[lo : lo + size, None] + np.arange(k)
+            data[entries] = _unit_rows(data[entries])
     unit = sp.csr_matrix((data, X.indices, X.indptr), shape=X.shape)
     return Dataset(unit, dataset.y, dataset.c, dataset.task, dict(dataset.label_map))
 
@@ -348,7 +364,7 @@ def synth_gen(
     rng = generator(seed)
     hidden = rng.standard_normal((d, c))
     hidden /= np.linalg.norm(hidden, axis=0, keepdims=True)
-    inputs = np.stack([_unit_values(row) for row in rng.standard_normal((n, d))])
+    inputs = _unit_rows(rng.standard_normal((n, d)))
     scores = inputs @ hidden
 
     if task == "mcc":

@@ -8,7 +8,8 @@ s = (<w[:, j], x>)_j, and every subgradient has the rank-one form
 so each loss kind is one pair of functions of a score matrix S (one row of
 scores per example) and the matching labels: the values, shape (n,), and
 the per-column coefficients, shape (n, c).  The same pair serves batched
-evaluation and the single-row SGD step.  Labels are class ids, shape (n,),
+evaluation and the SGD step's rows, and a row's output does not depend on
+the batch it comes in.  Labels are class ids, shape (n,),
 for the multiclass losses and +1/-1 sign rows, shape (n, c), for the
 multilabel ones; ``LossSpec.check_labels`` says whether a label array suits
 a loss, and the kernels assume it does.
@@ -25,11 +26,24 @@ scores) and 1 for the subset loss (one score at a time).
 Tie-breaking is deterministic everywhere: argmax and top-k selections
 prefer the smallest index, and at kinks of the margin function or of the
 outer max{0, .} the minimal-magnitude subgradient (zero) is chosen.
+
+The ranking kernels work on flat pair lists.  Each sign row's (positive,
+negative) pairs are cached by the row's bytes, in runs led by a zeroed
+slot; a batch's pair terms are two ``take`` calls and a subtraction, and
+``np.add.reduceat`` and ``bincount`` sum them per row and per column.  A
+call thus costs a fixed number of numpy calls however many sign patterns
+its rows have, with O(sum of |pos| * |neg|) work.  Each sum is taken in
+the order of the grouped kernel this replaced (now in ``tests/oracles.py``),
+except a row's lone negative column, which adds its terms in pair order
+where numpy sums them pairwise.  Rows with many pairs are neither cached
+nor listed but scored on their own (|pos|, |neg|) blocks, which numpy sums
+as the grouped kernel does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
@@ -186,50 +200,118 @@ def _subset_coef(spec, S, y):
 # Ranking loss: average margin loss over (positive, negative) pairs.
 
 
-def _sign_patterns(y):
-    """(rows, positives, negatives) for each distinct sign row of y.
+# Rows with at most this many (positive, negative) pairs are flat: their
+# pair runs are cached, and a call scores all its flat rows at once.  A row
+# with more is scored on its own (|pos|, |neg|) block, where the per-row
+# numpy calls cost less than the pair index arrays.  Which way a row goes
+# depends only on its signs, never on the batch.
+_FLAT_PAIRS = 256
 
-    Grouping rows by pattern keeps every row's pair terms in one contiguous
-    (positives x negatives) block, summed in the same order for a batch as
-    for a single row.
+
+@lru_cache(maxsize=1024)
+def _pair_runs(signs: bytes, per_positive: bool):
+    """(p, q, lead, pairs) of one flat int8 sign row, the arrays read-only.
+
+    The row's pairs (p, q) are listed p-major in runs, each led by a slot
+    with q = p whose term is zeroed before summing, because
+    ``np.add.reduceat`` adds a run's first term to the sum of the rest:
+    behind a zero, a run is summed as ``np.add.reduce`` sums it alone.  The
+    runs are the whole row for its value, and one per positive p, led by
+    p, for its coefficients.
     """
-    if len(y) == 1:
-        yield slice(None), (y[0] > 0).nonzero()[0], (y[0] < 0).nonzero()[0]
-        return
-    patterns, inverse, counts = np.unique(y, axis=0, return_inverse=True, return_counts=True)
-    groups = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
-    for pattern, rows in zip(patterns, groups):
-        yield rows, (pattern > 0).nonzero()[0], (pattern < 0).nonzero()[0]
+    row = np.frombuffer(signs, dtype=np.int8)
+    pos, neg = (row > 0).nonzero()[0], (row < 0).nonzero()[0]
+    shape = (pos.size, neg.size + 1) if per_positive else (1, pos.size * neg.size + 1)
+    p, q = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
+    p[:, 1:] = pos.repeat(neg.size).reshape(len(p), -1)
+    q[:, 1:] = np.tile(neg, pos.size).reshape(len(q), -1)
+    p[:, 0] = q[:, 0] = p[:, 1]
+    lead = np.zeros(shape, dtype=bool)
+    lead[:, 0] = True
+    runs = p.ravel(), q.ravel(), lead.ravel()
+    for a in runs:
+        a.setflags(write=False)
+    return *runs, pos.size * neg.size
 
 
-def _pair_diffs(S, rows, pos, neg):
-    """s_p - s_q for every (positive p, negative q), shape (rows, |pos|, |neg|).
+def _ranking_rows(S, y, per_positive):
+    """The flat rows' pair runs together, and the other rows' blocks.
 
-    C order makes each row's block contiguous, so its sums take the same
-    (pairwise) order whatever the number of rows.
+    Returns (flat, blocks).  flat is None when no row is flat, else (rows,
+    p, q, lead, pairs, slot_pairs): the flat rows, their runs with p and q
+    indexing the raveled scores, each flat row's pair count, and the pair
+    count of each slot's row.  blocks lists (i, pos, neg) of the others.
     """
-    block = S[rows]
-    return np.subtract(block[:, pos, None], block[:, None, neg], order="C")
+    c = S.shape[1]
+    signs = np.ascontiguousarray(y, dtype=np.int8).tobytes()
+    rows, runs, blocks = [], [], []
+    for i in range(len(S)):
+        row = signs[i * c : i * c + c]
+        positives = row.count(1)
+        if positives * (c - positives) <= _FLAT_PAIRS:
+            rows.append(i)
+            runs.append(_pair_runs(row, per_positive))
+        else:
+            blocks.append((i, (y[i] > 0).nonzero()[0], (y[i] < 0).nonzero()[0]))
+    if not rows:
+        return None, blocks
+    pairs = np.array([r[3] for r in runs])
+    if len(runs) == 1:
+        p, q, lead, _ = runs[0]
+        return (rows, p + rows[0] * c, q + rows[0] * c, lead, pairs, pairs), blocks
+    sizes = np.array([r[0].size for r in runs])
+    shift = (np.array(rows) * c).repeat(sizes)
+    p = np.concatenate([r[0] for r in runs]) + shift
+    q = np.concatenate([r[1] for r in runs]) + shift
+    return (rows, p, q, np.concatenate([r[2] for r in runs]), pairs, pairs.repeat(sizes)), blocks
+
+
+def _pair_terms(fn, S, p, q, lead):
+    """fn(s_p - s_q) on every slot, the leads zeroed."""
+    scores = S.ravel()
+    terms = fn(scores.take(p) - scores.take(q))
+    terms[lead] = 0.0
+    return terms
+
+
+def _block_diffs(S, i, pos, neg):
+    """s_p - s_q of row i, shape (|pos|, |neg|), whose sums numpy takes as the grouped oracle's."""
+    s = S[i]
+    return s.take(pos)[:, None] - s.take(neg)
 
 
 def _ranking_value(spec, S, y):
     """Mean of base(s_p - s_q) over positive components p and negative q."""
-    out = np.empty(len(y))
-    for rows, pos, neg in _sign_patterns(y):
-        vals = spec.base.value(_pair_diffs(S, rows, pos, neg))
-        out[rows] = vals.reshape(len(vals), -1).sum(axis=1) / (pos.size * neg.size)
+    out = np.empty(len(S))
+    flat, blocks = _ranking_rows(S, y, per_positive=False)
+    if flat is not None:
+        rows, p, q, lead, pairs, _ = flat
+        out[rows] = np.add.reduceat(_pair_terms(spec.base.value, S, p, q, lead), lead.nonzero()[0]) / pairs
+    for i, pos, neg in blocks:
+        out[i] = spec.base.value(_block_diffs(S, i, pos, neg)).sum() / (pos.size * neg.size)
     return out
 
 
 def _ranking_coef(spec, S, y):
-    """Each pair (p, q) adds g to column p and -g to column q."""
-    coef = np.zeros(S.shape)
-    for rows, pos, neg in _sign_patterns(y):
-        g = spec.base.deriv(_pair_diffs(S, rows, pos, neg)) / (pos.size * neg.size)
-        block = coef[rows]
-        block[:, pos] = g.sum(axis=2)
-        block[:, neg] = -g.sum(axis=1)
-        coef[rows] = block
+    """Each pair (p, q) adds g to column p and -g to column q, g = base'(s_p - s_q) / (|pos| * |neg|).
+
+    A flat row's negative column adds its terms in pair order
+    (``bincount``), and a positive column sums its run.
+    """
+    flat, blocks = _ranking_rows(S, y, per_positive=True)
+    if flat is None:
+        coef = np.empty(S.shape)
+    else:  # a block row's columns are all overwritten below
+        _, p, q, lead, _, slot_pairs = flat
+        g = _pair_terms(spec.base.deriv, S, p, q, lead) / slot_pairs
+        coef = -np.bincount(q, g, S.size)  # a lead adds its zero to a positive column
+        runs = lead.nonzero()[0]
+        coef[p.take(runs)] = np.add.reduceat(g, runs)
+        coef = coef.reshape(S.shape)
+    for i, pos, neg in blocks:
+        g = spec.base.deriv(_block_diffs(S, i, pos, neg)) / (pos.size * neg.size)
+        coef[i, pos] = g.sum(axis=1)
+        coef[i, neg] = -g.sum(axis=0)
     return coef
 
 

@@ -21,27 +21,35 @@ Every chain stores its iterate lazily scaled, W_r = a * V_r (Pegasos,
 Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
 2012), with V of shape (R, d, c) and one scale a for all chains: they
 start at a = 1 under one schedule, so a stays equal across them.  The
-regularizer's step is ``_shrink``: the Frobenius shrink (1 - eta*sigma)
-multiplies a, so a step costs O(nnz * c) per chain, and a is folded into
-every V_r when |a| drops below a floor (at step 1 of the theorem schedule
-the shrink is zero); the group (2, p) gradient rescales each chain's
-columns, so V_r's columns are rescaled in place at O(d * c) and a stays 1.
+Frobenius shrink (1 - eta*sigma) multiplies a (``_shrink``), so a step
+costs O(nnz * c) per chain, and a is folded into every V_r when |a| would
+drop below a floor (at step 1 of the theorem schedule the shrink is zero);
+the group (2, p) gradient rescales each chain's columns, so V_r's columns
+are rescaled in place at O(d * c) and a stays 1 (``_rescale`` does both).
 
 Indices are drawn one chunk of steps at a time, each chain from its own
 generator; numpy's bounded-integer stream does not depend on how the draws
 are split, so the chunk size changes no value.  A chunk's feature indices
 (offset by r * d into V viewed as (R * d, c)), values and labels are
-gathered once, laid out step by step, so a step reads one slice of each.
-The chunk holds a bounded number of entries, not of steps.
+gathered once, laid out step by step, so a run of steps reads one slice of
+each.  The chunk holds a bounded number of entries, not of steps.
 
-A step gathers the touched rows of all chains at once and scores them
-with one stacked (R, 1, k) @ (R, k, c) product, which equals each chain's
-own vals @ rows bit for bit; the coefficients come from one
-``LossSpec.coef`` call on the (R, c) score matrix.  On a step where the
-chains' drawn rows differ in nnz (possible only for R > 1 on sparse data)
-the scores are computed chain by chain, since zero-padding to a common
-length would change their rounding; the update is elementwise and stays
-batched either way.
+Steps advance in blocks: maximal runs of consecutive steps in which no step
+reads a row of V that an earlier step of the run wrote (checked in every
+chain at once, since the offset indices of different chains never meet).
+Within a block the rows a step reads are still those at its turn, so the
+block is advanced in one batched pass: one row gather, one stacked
+(B, 1, k) @ (B, k, c) product and one scatter per distinct nnz k among
+its B drawn rows (one for each chain at each step), and one
+``LossSpec.coef`` call.  The scalars stay sequential: each step's scale a, eta_t / a, the
+running norms and their certificate.  A stacked product equals each row's
+own vals @ rows bit for bit and the update is elementwise, so a blocked run
+equals stepping one at a time bit for bit.  Recording steps end a block, a
+block of more than one step gathers at most ``_BLOCK_VALUES`` values of V,
+and a step that changes V itself (a fold of the scale, every group (2, p)
+step) stands alone.  When some chain's rows all hold more than d / 2 entries,
+any two of them share a column, so no block has two steps and the scan is
+skipped.
 
 A running ||V_r||_F^2 per chain, a list of R floats updated by the change
 in the touched rows, gives every iterate norm in O(1): the certificate checks
@@ -70,6 +78,10 @@ from .regularizers import RegularizerSpec
 # Steps per draw chunk are this many entries over R times the widest row,
 # bounding the gathered index and value buffers of a chunk.
 _DRAW_CHUNK_ENTRIES = 1 << 13
+# A block of steps gathers at most this many values of V (entries times c)
+# unless it is one step, so its stacked temporaries stay cache-sized: at
+# c = 256 blocks measured slower than single steps without this bound.
+_BLOCK_VALUES = 1 << 13
 # Rows per evaluation chunk are this many entries over c * c, bounding the
 # score and pair-term arrays a chunk allocates.
 _EVAL_CHUNK_ENTRIES = 1 << 16
@@ -192,10 +204,9 @@ def evaluate_mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec) -> float:
 def _gather(datasets: list[Dataset], draws: list[np.ndarray]):
     """The rows each chain draws at each step of a chunk, laid out step by step.
 
-    Returns (offsets, features, values, uniform).  The entries of chain r
-    at step s are features[offsets[s*R + r] : offsets[s*R + r + 1]] (its
-    feature indices offset by r * d) and the same slice of values;
-    uniform[s] says whether the chains' rows at step s have equal nnz.
+    Returns (offsets, features, values).  The entries of chain r at step s
+    are features[offsets[s*R + r] : offsets[s*R + r + 1]] (its feature
+    indices offset by r * d) and the same slice of values.
     """
     R, k, d = len(datasets), len(draws[0]), datasets[0].d
     starts = np.stack([data.X.indptr.take(i) for data, i in zip(datasets, draws)])
@@ -219,28 +230,46 @@ def _gather(datasets: list[Dataset], draws: list[np.ndarray]):
     np.cumsum(nnz, out=offsets[1:])
     order = np.repeat(first.reshape(R, k).T.ravel() - offsets[:-1], nnz)
     order += positions
-    uniform = np.all(counts == counts[:1], axis=0)
-    return offsets.tolist(), features.take(order), values.take(order), uniform.tolist()
+    return offsets, features.take(order), values.take(order)
+
+
+def _conflicts(offsets: np.ndarray, features: np.ndarray, R: int) -> list[int]:
+    """For each step of a chunk, the latest earlier step that touched one of its rows of V, or -1."""
+    steps = (len(offsets) - 1) // R
+    step = np.repeat(np.arange(steps), np.diff(offsets[::R]))
+    # A step touches a row once, so sorting (row, step) keys lists each
+    # row's touches in step order.
+    rows, step = np.divmod(np.sort(features * steps + step), steps)
+    same = rows[1:] == rows[:-1]
+    latest = np.full(steps, -1)
+    np.maximum.at(latest, step[1:][same], step[:-1][same])
+    return latest.tolist()
 
 
 def _chunks(datasets: list[Dataset], configs: list[TrainConfig]):
     """The draws of every chain, one chunk of steps at a time.
 
-    Yields (t0, offsets, features, values, labels, uniform) per chunk, for
-    its steps t0 + 1, t0 + 2, ...: labels[s] holds the chains' labels at
-    the chunk's step s and the rest comes from ``_gather``.  Indices are
-    uniform from a PCG64 per chain, seeded with its config's seed.
+    Yields (t0, offsets, features, values, labels, conflicts) per chunk,
+    for its steps t0 + 1, t0 + 2, ...: labels holds the chains' labels in
+    (step, chain) order, conflicts comes from ``_conflicts`` and the rest
+    from ``_gather``.  Indices are uniform from a PCG64 per chain, seeded
+    with its config's seed.  When some chain's rows all hold more than
+    d / 2 entries, any two of its rows share a column, so every step
+    conflicts with the one before and the scan is skipped.
     """
     R = len(datasets)
     rngs = [np.random.Generator(np.random.PCG64(config.seed)) for config in configs]
-    widest = max(int(np.max(np.diff(data.X.indptr))) for data in datasets)
+    widths = [np.diff(data.X.indptr) for data in datasets]
+    widest = max(int(np.max(w)) for w in widths)
+    dense = any(2 * int(np.min(w)) > data.d for w, data in zip(widths, datasets))
     size = max(1, _DRAW_CHUNK_ENTRIES // (R * max(1, widest)))
     total = configs[0].total_steps
     for t0 in range(0, total, size):
         draws = [rng.integers(0, len(data), size=min(size, total - t0)) for rng, data in zip(rngs, datasets)]
         labels = np.stack([data.y.take(i, axis=0) for data, i in zip(datasets, draws)], axis=1)
-        offsets, features, values, uniform = _gather(datasets, draws)
-        yield t0, offsets, features, values, labels, uniform
+        offsets, features, values = _gather(datasets, draws)
+        conflicts = list(range(-1, len(draws[0]) - 1)) if dense else _conflicts(offsets, features, R)
+        yield t0, offsets, features, values, labels.reshape(-1, *labels.shape[2:]), conflicts
 
 
 def _chain(r: int | None) -> str:
@@ -277,34 +306,59 @@ def _check_running(
         _check_iterate(abs(a) * math.sqrt(abs(sq)), bound, t, loss, reg, r if len(bounds) > 1 else None)
 
 
-def _square(x: np.ndarray) -> float:
-    return float(np.vdot(x, x))
-
-
 def _squares(v: np.ndarray) -> list[float]:
-    """_square of every chain of v, shape (R, ...); vecdot's rows equal vdot bit for bit."""
+    """||v[i]||^2 for every i, v of shape (n, ...); vecdot's rows equal vdot bit for bit."""
     if len(v) == 1:  # one vdot dispatches faster than the vecdot gufunc
-        return [_square(v)]
+        return [float(np.vdot(v, v))]
     flat = v.reshape(len(v), -1)
     return np.vecdot(flat, flat).tolist()
 
 
-def _shrink(reg: RegularizerSpec, a: float, v: np.ndarray, eta: float):
-    """The regularizer's step on W_r = a * V_r for all chains, v of shape (R, d, c).
+def _shrink(reg: RegularizerSpec, a: float, eta: float) -> float | None:
+    """The Frobenius shrink of the shared scale a, or None when the step must change V instead."""
+    if reg.kind == "frobenius" and abs(a * (1.0 - eta * reg.sigma)) >= _SCALE_FLOOR:
+        return a * (1.0 - eta * reg.sigma)
+    return None
 
-    Returns the new a, and the chains' ||V_r||_F^2 if V changed.
+
+def _rescale(reg: RegularizerSpec, a: float, v: np.ndarray, eta: float) -> list[float]:
+    """The regularizer's step on V when a cannot carry it; a becomes 1.
+
+    Frobenius folds the shrunk scale into V (an exact or near-zero shrink,
+    as eta_1 * sigma = 1 under the theorem schedule, so a is never divided
+    by it); group (2, p) rescales each chain's columns.  Returns the
+    chains' ||V_r||_F^2.
     """
     if reg.kind == "frobenius":
-        a *= 1.0 - eta * reg.sigma
-        if abs(a) >= _SCALE_FLOOR:
-            return a, None
-        # Exact or near-zero shrink (eta_1 * sigma = 1 under the theorem
-        # schedule): fold a into V before dividing by it.
-        v *= a
+        v *= a * (1.0 - eta * reg.sigma)
     else:
         for chain in v:
             chain *= 1.0 - eta * reg.column_scale(chain)
-    return 1.0, _squares(v)
+    return _squares(v)
+
+
+def _groups(flat: np.ndarray, idx: np.ndarray, vals: np.ndarray, n: int, offsets: np.ndarray | None):
+    """A block's n drawn rows, grouped by nnz, as stacked matrices.
+
+    idx and vals (entries,) hold the block's indices into V, viewed as
+    ``flat`` of shape (R * d, c), and the input values; offsets, counted
+    from 0, says where each drawn row's entries start, and is None when all
+    n have the same nnz.  Returns (members, where, grid, x) per nnz: the
+    drawn rows with it, their indices into V as (members, nnz), their rows
+    of V as (members, nnz, c) and their values as (members, 1, nnz).
+    """
+    if offsets is None:
+        k = len(vals) // n
+        where = idx.reshape(n, k)
+        return [(slice(None), where, flat.take(where, axis=0), vals.reshape(n, 1, k))]
+    rows = flat.take(idx, axis=0)
+    widths = np.diff(offsets)
+    order = np.argsort(widths, kind="stable")
+    groups = []
+    for members in np.split(order, np.flatnonzero(np.diff(widths.take(order))) + 1):
+        entries = offsets.take(members)[:, None] + np.arange(widths[members[0]])
+        groups.append((members, idx[entries], rows[entries], vals[entries][:, None, :]))
+    return groups
 
 
 def _steps(datasets: list[Dataset], configs: list[TrainConfig]):
@@ -327,42 +381,83 @@ def _steps(datasets: list[Dataset], configs: list[TrainConfig]):
     chain_ids = list(range(R)) if R > 1 else [None]
     a, v, v_sq = 1.0, np.zeros((R, d, c)), [0.0] * R
     flat = v.reshape(R * d, c)
-    for t0, offsets, features, values, labels, uniform in _chunks(datasets, configs):
-        for s, same_nnz in enumerate(uniform):
-            t = t0 + s + 1
-            eta = schedule.eta(t)
-            lo, hi = offsets[s * R], offsets[s * R + R]
-            if same_nnz:
-                idx, vals = features[lo:hi].reshape(R, -1), values[lo:hi].reshape(R, 1, -1)
-                rows = flat.take(idx, axis=0)  # (R, k, c)
-                scores = (vals @ rows)[:, 0]
+    for t0, offsets, features, values, labels, conflicts in _chunks(datasets, configs):
+        cuts = offsets.tolist()
+        # Drawn rows i to same_nnz[i] - 1 (in step, chain order) have equal
+        # nnz; None when all of the chunk's rows do, as on dense data.
+        widths, same_nnz = np.diff(offsets), None
+        ends = np.flatnonzero(widths[1:] != widths[:-1]) + 1
+        if len(ends):
+            ends = np.append(ends, len(widths))
+            same_nnz = ends.take(np.searchsorted(ends, np.arange(len(widths)), "right")).tolist()
+        size, s = len(conflicts), 0
+        while s < size:
+            # The block's scalars, one step at a time.  It runs from step lo
+            # while no step reads a row of V that an earlier one wrote, and a
+            # recording step ends it; a step that must change V stands alone.
+            lo, a0, afters, etas = s, a, [], []
+            while True:
+                t = t0 + s + 1
+                eta = schedule.eta(t)
+                shrunk = _shrink(reg, a, eta)
+                if shrunk is None and s > lo:
+                    break
+                etas.append(eta)
+                s += 1
+                if shrunk is None:
+                    break
+                a = shrunk
+                afters.append(a)
+                if t % record_every == 0 or t == total or s == size or conflicts[s] >= lo:
+                    break
+                if (cuts[(s + 1) * R] - cuts[lo * R]) * c > _BLOCK_VALUES:
+                    break
+            lone, steps, r0, r1 = not afters, s - lo, lo * R, s * R
+            n, e0, e1 = r1 - r0, cuts[r0], cuts[r1]
+            idx, vals = features[e0:e1], values[e0:e1]
+            starts = None if same_nnz is None or same_nnz[r0] >= r1 else offsets[r0 : r1 + 1] - e0
+            groups = _groups(flat, idx, vals, n, starts)
+            if starts is None:
+                scores = (groups[0][3] @ groups[0][2])[:, 0]
             else:
-                idx, vals = features[lo:hi], values[lo:hi]
-                rows = flat.take(idx, axis=0)  # (entries, c)
-                cuts = [o - lo for o in offsets[s * R : s * R + R + 1]]
-                scores = np.stack([vals[p:q] @ rows[p:q] for p, q in zip(cuts, cuts[1:])])
-            coef = loss.coef(a * scores, labels[s])
-            recording = t % record_every == 0 or t == total
-            if recording:
-                # An L-Lipschitz loss in the max norm has subgradients of l1 norm <= L.
-                for r, dual in zip(chain_ids, np.sum(np.abs(coef), axis=1).tolist()):
-                    if not dual <= loss.lipschitz_inf + _CERT_TOL:
-                        raise CertificateError(
-                            f"loss coefficients at step {t}{_chain(r)} have l1 norm {dual:.6g}, above the "
-                            f"certified max-norm Lipschitz constant {loss.lipschitz_inf:.6g} (loss {loss.name})"
-                        )
-            a, shrunk_sq = _shrink(reg, a, v, eta)
-            if shrunk_sq is not None:
-                rows, v_sq = flat.take(idx, axis=0), shrunk_sq
-            if same_nnz:
-                new_rows = rows - (eta / a) * (vals.mT * coef[:, None, :])
-                changes = zip(_squares(new_rows), _squares(rows))
+                scores = np.empty((n, c))
+                for members, _, grid, x in groups:
+                    scores[members] = (x @ grid)[:, 0]
+            scale = a0 if steps == 1 else np.repeat([a0, *afters[:-1]], R)[:, None]
+            coef = loss.coef(scale * scores, labels[r0:r1])
+            if lone:
+                v_sq = _rescale(reg, a, v, etas[0])
+                a = 1.0
+                afters.append(a)
+                groups = _groups(flat, idx, vals, n, starts)
+            ratio = etas[0] / afters[0] if steps == 1 else np.repeat(np.divide(etas, afters), R)[:, None, None]
+            if starts is None:
+                ((_, where, grid, x),) = groups
+                new = grid - ratio * (x.mT * coef[:, None, :])
+                flat[where] = new
+                new_sq, old_sq = _squares(new), _squares(grid)
             else:
-                new_rows = rows - (eta / a) * (vals[:, None] * np.repeat(coef, np.diff(cuts), axis=0))
-                changes = [(_square(new_rows[p:q]), _square(rows[p:q])) for p, q in zip(cuts, cuts[1:])]
-            flat[idx] = new_rows
-            v_sq = [sq + (new - old) for sq, (new, old) in zip(v_sq, changes)]
-            _check_running(a, v_sq, bounds, t, loss, reg)
+                new_sq, old_sq = [0.0] * n, [0.0] * n
+                for members, where, grid, x in groups:
+                    new = grid - (ratio if steps == 1 else ratio[members]) * (x.mT * coef[members, None, :])
+                    flat[where] = new
+                    for i, sq_new, sq_old in zip(members.tolist(), _squares(new), _squares(grid)):
+                        new_sq[i], old_sq[i] = sq_new, sq_old
+            for j in range(steps):
+                t = t0 + lo + j + 1
+                recording = t % record_every == 0 or t == total
+                if recording:
+                    # An L-Lipschitz loss in the max norm has subgradients of l1 norm <= L.
+                    duals = np.sum(np.abs(coef[j * R : j * R + R]), axis=1).tolist()
+                    for r, dual in zip(chain_ids, duals):
+                        if not dual <= loss.lipschitz_inf + _CERT_TOL:
+                            raise CertificateError(
+                                f"loss coefficients at step {t}{_chain(r)} have l1 norm {dual:.6g}, above the "
+                                f"certified max-norm Lipschitz constant {loss.lipschitz_inf:.6g} (loss {loss.name})"
+                            )
+                changes = zip(v_sq, new_sq[j * R : j * R + R], old_sq[j * R : j * R + R])
+                v_sq = [sq + (new - old) for sq, new, old in changes]
+                _check_running(afters[j], v_sq, bounds, t, loss, reg)
             if recording:
                 w = a * v
                 v_sq = _squares(v)

@@ -4,7 +4,10 @@ The per-example loss oracles are the single-example loss values and
 subgradient coefficients the batched kernels in ``vvlearn.losses``
 replaced.  Each takes a score vector ``s`` of shape (c,) and a label (a
 class index, or a +1/-1 sign vector), so tests can compare the batched
-kernels against them row by row.
+kernels against them row by row.  ``grouped_ranking_value`` and
+``grouped_ranking_coef`` are the batched ranking kernels the pair-list
+kernel replaced: rows grouped by sign pattern, one (positives x
+negatives) block per group.
 
 The Rademacher oracles take an extended sample, a multiclass ``Dataset``
 whose class ids are the components.  They are the per-component supremum
@@ -19,8 +22,11 @@ training loop in ``vvlearn.optimizer`` must reproduce to rounding.
 ``unit_values`` and ``max_row_norm`` are the row normalization without the
 power-of-two prescaling and the per-row norm loop that ``vvlearn.dataio``
 replaced; on rows whose norm neither overflows nor underflows they give the
-same bits.
+same bits.  ``prescaled_unit_values`` is the per-row normalization with the
+prescaling, which the blockwise ``normalize_rows`` must match on every row.
 """
+
+import math
 
 import numpy as np
 from scipy.special import expit
@@ -125,6 +131,44 @@ def ranking_coef(s, y, base):
     return coef
 
 
+def _sign_patterns(y):
+    """(rows, positives, negatives) for each distinct sign row of y."""
+    if len(y) == 1:
+        yield slice(None), (y[0] > 0).nonzero()[0], (y[0] < 0).nonzero()[0]
+        return
+    patterns, inverse, counts = np.unique(y, axis=0, return_inverse=True, return_counts=True)
+    groups = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    for pattern, rows in zip(patterns, groups):
+        yield rows, (pattern > 0).nonzero()[0], (pattern < 0).nonzero()[0]
+
+
+def _pair_diffs(S, rows, pos, neg):
+    """s_p - s_q for every (positive p, negative q), shape (rows, |pos|, |neg|), in C order."""
+    block = S[rows]
+    return np.subtract(block[:, pos, None], block[:, None, neg], order="C")
+
+
+def grouped_ranking_value(spec, S, y):
+    """The batched ranking values with rows grouped by sign pattern, one (pos x neg) block per group."""
+    out = np.empty(len(y))
+    for rows, pos, neg in _sign_patterns(y):
+        vals = base_value(spec.base, _pair_diffs(S, rows, pos, neg))
+        out[rows] = vals.reshape(len(vals), -1).sum(axis=1) / (pos.size * neg.size)
+    return out
+
+
+def grouped_ranking_coef(spec, S, y):
+    """The batched ranking coefficients with rows grouped by sign pattern."""
+    coef = np.zeros(S.shape)
+    for rows, pos, neg in _sign_patterns(y):
+        g = base_deriv(spec.base, _pair_diffs(S, rows, pos, neg)) / (pos.size * neg.size)
+        block = coef[rows]
+        block[:, pos] = g.sum(axis=2)
+        block[:, neg] = -g.sum(axis=1)
+        coef[rows] = block
+    return coef
+
+
 def row_value(spec, s, y):
     """The loss value of one example with scores s and label y."""
     s = np.asarray(s, dtype=np.float64)
@@ -219,6 +263,24 @@ def sgd_step(w, data, i, loss, reg, eta):
 def unit_values(values):
     """Unit rescaling of one row by its raw norm, then the one-ulp walk."""
     out = values.astype(np.float64, copy=True)
+    norm = float(np.linalg.norm(out))
+    if norm == 0.0:
+        return out
+    if norm != 1.0:
+        out /= norm
+    j = int(np.argmax(np.abs(out)))
+    for _ in range(100_000):
+        norm = float(np.linalg.norm(out))
+        if norm == 1.0:
+            return out
+        toward = 0.0 if norm > 1.0 else np.copysign(np.inf, out[j])
+        out[j] = np.nextafter(out[j], toward)
+    raise ArithmeticError("unit rescaling failed to land on norm 1.0")
+
+
+def prescaled_unit_values(values):
+    """Unit rescaling of one row: power-of-two prescale, divide by the norm, then the one-ulp walk."""
+    out = np.ldexp(values, -math.frexp(np.abs(values).max(initial=0.0))[1])
     norm = float(np.linalg.norm(out))
     if norm == 0.0:
         return out

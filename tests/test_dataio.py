@@ -15,12 +15,21 @@ from vvlearn.dataio import (
     subsample,
     synth_gen,
     write_sparse_text,
-    _unit_values,
+    _unit_rows,
 )
 
 
 def parse_text(text, task, **kwargs):
     return parse_sparse_text(io.StringIO(text), task, **kwargs)
+
+
+def ragged_rows(rows, d, seed):
+    """A multiclass Dataset whose row i holds the values rows[i] on sorted random columns."""
+    rng = np.random.default_rng(seed)
+    cols = np.concatenate([np.sort(rng.choice(d, size=len(values), replace=False)) for values in rows])
+    indptr = np.cumsum([0] + [len(values) for values in rows])
+    X = sp.csr_matrix((np.concatenate(rows), cols, indptr), shape=(len(rows), d))
+    return Dataset(X, np.zeros(len(rows), dtype=int), 2, "mcc")
 
 
 def identity(c):
@@ -339,9 +348,38 @@ class TestNormalize:
 
     def test_in_range_rows_match_the_unscaled_formula(self):
         rng = np.random.default_rng(20)
-        for _ in range(2000):
-            values = rng.standard_normal(int(rng.integers(1, 30))) * 10.0 ** rng.uniform(-100, 100)
-            assert np.array_equal(_unit_values(values), oracles.unit_values(values))
+        rows = [rng.standard_normal(int(rng.integers(1, 30))) * 10.0 ** rng.uniform(-100, 100) for _ in range(2000)]
+        X = normalize_rows(ragged_rows(rows, d=30, seed=21)).X
+        for i, values in enumerate(rows):
+            assert np.array_equal(X.data[X.indptr[i] : X.indptr[i + 1]], oracles.unit_values(values))
+
+    def test_blocks_match_the_per_row_rescaling(self):
+        # rows past the norm range, subnormal rows, explicit zeros and zero
+        # rows, in blocks of many widths: every row keeps the per-row bits
+        rng = np.random.default_rng(22)
+        rows = []
+        for i in range(3000):
+            values = rng.standard_normal(int(rng.integers(1, 30))) * 10.0 ** rng.uniform(-300, 300)
+            if i % 10 == 0:
+                values[rng.integers(len(values))] = 0.0
+            if i % 20 == 1:
+                values = rng.integers(-50, 50, size=len(values)) * 5e-324
+            rows.append(values)
+        X = normalize_rows(ragged_rows(rows, d=30, seed=23)).X
+        walked = 0
+        for i, values in enumerate(rows):
+            expected = oracles.prescaled_unit_values(values.copy())
+            assert np.array_equal(X.data[X.indptr[i] : X.indptr[i + 1]], expected)
+            if np.any(values):
+                scaled = np.ldexp(values, -np.frexp(np.max(np.abs(values)))[1])
+                walked += np.linalg.norm(scaled / np.linalg.norm(scaled)) != 1.0
+        assert walked > 0  # some rows needed the one-ulp walk
+
+    def test_dense_rows_match_the_per_row_rescaling(self):
+        # synth_gen's inputs go through the same helper
+        rows = np.random.default_rng(24).standard_normal((500, 17))
+        for out, values in zip(_unit_rows(rows.copy()), rows):
+            assert np.array_equal(out, oracles.prescaled_unit_values(values.copy()))
 
     @pytest.mark.parametrize(
         "values", [[1e200, 3e199], [1e-200, 2e-200], [5e-324, 1e-323], [1.7e308, -1.7e308]]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+import vvlearn.losses as losses_module
 from vvlearn.losses import HINGE, LOGISTIC, LossSpec, standard_loss_specs
 
 # ---------------------------------------------------------------------------
@@ -671,3 +672,59 @@ def test_tie_breaking_is_pinned():
 def test_check_labels_accepts_its_own_kind(spec):
     for S, y in oracle_batches(spec, seed=42):
         spec.check_labels(y, S.shape[1])
+
+
+# ---------------------------------------------------------------------------
+# The pair-list ranking kernel against the grouped kernel it replaced.
+
+
+def sign_rows(rng, R, c, positives=None):
+    """R random sign rows over c components, each with both signs."""
+    share = rng.random((R, 1)) if positives is None else positives / c
+    y = np.where(rng.random((R, c)) < share, 1, -1).astype(np.int8)
+    y[:, 0], y[:, 1] = 1, -1
+    return y[:, rng.permutation(c)]
+
+
+class TestPairListRankingKernel:
+    @pytest.mark.parametrize("base", [HINGE, LOGISTIC], ids=lambda b: b.kind)
+    @pytest.mark.parametrize("R", [1, 3, 10])
+    @pytest.mark.parametrize("c", [2, 10, 64, 256])
+    def test_matches_grouped_oracle(self, c, R, base):
+        spec, rng = LossSpec.ranking(base), np.random.default_rng(c * 100 + R)
+        for _ in range(10):
+            S, y = rng.standard_normal((R, c)) * 3.0, sign_rows(rng, R, c)
+            values, coefs = spec.value(S, y), spec.coef(S, y)
+            assert values.tobytes() == oracles.grouped_ranking_value(spec, S, y).tobytes()
+            for coef, want, signs in zip(coefs, oracles.grouped_ranking_coef(spec, S, y), y):
+                positives, negatives = np.sum(signs > 0), np.sum(signs < 0)
+                if negatives > 1:
+                    assert np.array_equal(coef, want)
+                else:
+                    # numpy sums a lone column pairwise, and row by row when
+                    # there are more; the kernel adds in pair order
+                    assert np.max(np.abs(coef - want)) <= positives * np.spacing(np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("c", [2, 10, 64, 256])
+    def test_row_alone_equals_row_in_any_batch(self, c):
+        rng = np.random.default_rng(c)
+        for base in (HINGE, LOGISTIC):
+            spec = LossSpec.ranking(base)
+            # rows with one positive (few pairs, cached) and balanced rows (many) mixed
+            y = np.concatenate([sign_rows(rng, 6, c, positives=1), sign_rows(rng, 6, c)])
+            S = rng.standard_normal((12, c)) * 3.0
+            alone = [(spec.value(S[i : i + 1], y[i : i + 1]), spec.coef(S[i : i + 1], y[i : i + 1])) for i in range(12)]
+            for rows in [np.arange(12), rng.permutation(12), np.arange(6), np.arange(6, 12), [3, 3, 7]]:
+                values, coefs = spec.value(S[rows], y[rows]), spec.coef(S[rows], y[rows])
+                for k, i in enumerate(rows):
+                    assert values[k : k + 1].tobytes() == alone[i][0].tobytes()
+                    assert coefs[k : k + 1].tobytes() == alone[i][1].tobytes()
+
+    def test_cached_pair_runs_are_read_only(self):
+        signs = np.array([1, -1, 1, -1, -1], dtype=np.int8).tobytes()
+        for per_positive in (False, True):
+            *arrays, pairs = losses_module._pair_runs(signs, per_positive)
+            assert pairs == 6
+            for a in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = 0

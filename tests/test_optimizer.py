@@ -10,7 +10,7 @@ import oracles
 import vvlearn.optimizer as optimizer_module
 from vvlearn.core import frobenius_norm
 from vvlearn.dataio import Dataset, synth_gen
-from vvlearn.losses import HINGE, LossSpec, standard_loss_specs
+from vvlearn.losses import HINGE, LOGISTIC, LossSpec, standard_loss_specs
 from vvlearn.optimizer import (
     CertificateError,
     StepSchedule,
@@ -24,6 +24,7 @@ from vvlearn.regularizers import RegularizerSpec
 from vvlearn.seeding import generator
 
 MLOG = LossSpec.multinomial_logistic()
+LOGISTIC_SUBSET = LossSpec.subset(LOGISTIC)
 
 
 def tiny_dataset(n=40, d=5, c=3, seed=0, task="mcc"):
@@ -439,8 +440,10 @@ class TestLockstepChains:
             LossSpec.mc_svm(HINGE), RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 400,
             record_every=100,
         )
-        uniform = [flag for chunk in optimizer_module._chunks(datasets, configs) for flag in chunk[-1]]
-        assert len(uniform) == 400 and 0 < uniform.count(False) < 400
+        # a step is ragged when the chains' drawn rows differ in nnz
+        widths = np.concatenate([np.diff(chunk[1]) for chunk in optimizer_module._chunks(datasets, configs)])
+        ragged = np.any(widths.reshape(-1, 3) != widths.reshape(-1, 3)[:, :1], axis=1)
+        assert len(ragged) == 400 and 0 < ragged.sum() < 400
         assert_chains_equal_lone_runs(datasets, configs)
 
     def test_l2p_regularizer(self):
@@ -554,6 +557,218 @@ class TestLockstepChains:
             train_many([tiny_dataset()], configs)
         with pytest.raises(ValueError, match="at least one dataset"):
             train_many([], [])
+
+
+def ragged_wide_dataset(task="mcc", n=120, d=300, c=5, seed=0):
+    """synth_gen rows cut to 1 to 10 leading entries on random columns, so d >> nnz and rows differ in nnz."""
+    base = synth_gen(n=n, d=10, c=c, task=task, noise=0.1, seed=seed)
+    rng = generator(seed + 1)
+    widths = rng.integers(1, 11, size=n)
+    values = base.X.toarray()
+    cols = np.concatenate([np.sort(rng.choice(d, size=k, replace=False)) for k in widths])
+    data = np.concatenate([values[i, :k] for i, k in enumerate(widths)])
+    X = sp.csr_matrix((data, cols, np.concatenate(([0], np.cumsum(widths)))), shape=(n, d))
+    return Dataset(X, base.y, c, task)
+
+
+def one_step_blocks(monkeypatch):
+    """Make every step conflict with the step before it, so each block is one step."""
+    monkeypatch.setattr(
+        optimizer_module, "_conflicts", lambda offsets, features, R: list(range(-1, (len(offsets) - 1) // R - 1))
+    )
+
+
+def block_sizes(monkeypatch, R):
+    """Steps per block, read from the rows of each LossSpec.coef call; filled as training runs."""
+    sizes, coef = [], LossSpec.coef
+
+    def spy(self, S, y):
+        assert len(S) % R == 0
+        sizes.append(len(S) // R)
+        return coef(self, S, y)
+
+    monkeypatch.setattr(LossSpec, "coef", spy)
+    return sizes
+
+
+def patch_coef_row(monkeypatch, row, change):
+    """Apply change to coefficient row `row` of a run, counting rows across LossSpec.coef calls.
+
+    Rows come in step, chain order whether steps are blocked or not, so row
+    (t - 1) * R + r is chain r at step t either way.
+    """
+    seen, coef = [0], LossSpec.coef
+
+    def patched(self, S, y):
+        out = coef(self, S, y)
+        if seen[0] <= row < seen[0] + len(S):
+            out[row - seen[0]] = change(out[row - seen[0]])
+        seen[0] += len(S)
+        return out
+
+    monkeypatch.setattr(LossSpec, "coef", patched)
+
+
+def first_steps(sizes):
+    """The 1-based first step of each block."""
+    return (np.cumsum([0] + sizes[:-1]) + 1).tolist()
+
+
+class TestStepBlocks:
+    SIGMA = 0.05
+
+    def run_both(self, monkeypatch, datasets, configs):
+        blocked = train_many(datasets, configs)
+        with monkeypatch.context() as m:
+            one_step_blocks(m)
+            stepped = train_many(datasets, configs)
+        return blocked, stepped
+
+    @pytest.mark.parametrize("case", ["ranking-R1", "ragged-R3", "l2p", "fold-mid-run"])
+    def test_blocked_runs_equal_step_at_a_time(self, monkeypatch, case):
+        sigma, schedule = self.SIGMA, StepSchedule.theorem(self.SIGMA)  # folds at step 1
+        reg, loss, R = RegularizerSpec.frobenius(sigma), LossSpec.ranking(HINGE), 1
+        if case == "ranking-R1":
+            datasets = [sparse_wide_dataset("mlc", n=200, d=400, nnz=8, c=6)]
+        elif case == "ragged-R3":
+            loss, R = LOGISTIC_SUBSET, 3
+            datasets = [ragged_wide_dataset("mlc", seed=s) for s in range(R)]
+        elif case == "l2p":
+            loss, reg, R = MLOG, RegularizerSpec.l2p(sigma, 1.5), 2
+            datasets = [sparse_wide_dataset("mcc", seed=s) for s in range(R)]
+        else:  # eta_t * sigma = 3.5 / t: the scale folds at step 381
+            schedule = StepSchedule.theorem(sigma / 3.5)
+            datasets = [sparse_wide_dataset("mlc", n=200, d=400, nnz=8, c=6)]
+        task = datasets[0].task
+        holdouts = [sparse_wide_dataset(task, n=50, d=datasets[0].d, nnz=3, c=datasets[0].c, seed=9)] * R
+        configs = chain_configs(loss, reg, schedule, 600, record_every=150, repetitions=R, holdouts=holdouts)
+        sizes = block_sizes(monkeypatch, R)
+        blocked, stepped = self.run_both(monkeypatch, datasets, configs)
+        blocked_sizes = sizes[: len(sizes) - 600]  # the stepped run added 600 one-step calls
+        assert sum(blocked_sizes) == 600 and sizes[len(blocked_sizes) :] == [1] * 600
+        if reg.kind == "l2p":
+            assert max(blocked_sizes) == 1  # every group (2, p) step stands alone
+        else:
+            assert max(blocked_sizes) > 1
+        fold = 1 if case != "fold-mid-run" else 381
+        if reg.kind == "frobenius":  # the fold stands alone
+            assert blocked_sizes[first_steps(blocked_sizes).index(fold)] == 1
+        for (w, records), (w_one, records_one) in zip(blocked, stepped):
+            assert w.tobytes() == w_one.tobytes()
+            assert records == records_one and all(r.holdout_objective is not None for r in records)
+
+    def test_blocks_form_on_sparse_rows_and_never_on_dense_rows(self, monkeypatch):
+        loss, reg = LossSpec.ranking(HINGE), RegularizerSpec.frobenius(0.01)
+        sparse = sparse_wide_dataset("mlc", n=500, d=2000, nnz=20, c=10)  # shaped like train-sparse-mlc
+        sizes = block_sizes(monkeypatch, 1)
+        train(sparse, TrainConfig(loss, reg, StepSchedule.theorem(0.01), 2000, seed=7))
+        assert sum(sizes) == 2000 and max(sizes) > 1 and len(sizes) < 1500
+        dense = [tiny_dataset(n=60, d=6, c=5, seed=s, task="mlc") for s in range(3)]
+        sizes = block_sizes(monkeypatch, 3)
+        train_many(dense, chain_configs(loss, reg, StepSchedule.theorem(0.01), 300, repetitions=3))
+        assert sizes == [1] * 300
+
+    def test_a_block_gathers_at_most_block_values_of_v(self, monkeypatch):
+        data = sparse_wide_dataset("mlc", n=500, d=2000, nnz=20, c=64)  # 1,280 values of V per step
+        config = TrainConfig(LossSpec.ranking(HINGE), RegularizerSpec.frobenius(0.01), StepSchedule.theorem(0.01), 1000, seed=7)
+        sizes = block_sizes(monkeypatch, 1)
+        w, _ = train(data, config)
+        assert max(sizes) > 1 and max(sizes) * 20 * 64 <= optimizer_module._BLOCK_VALUES
+        one_step_blocks(monkeypatch)
+        assert train(data, config)[0].tobytes() == w.tobytes()
+
+    def test_a_step_reading_a_row_written_earlier_in_the_block_splits_it(self, monkeypatch):
+        # rows over columns {3, 8}, {8, 11}, {20}, {3}: step 2 reads column 8,
+        # which step 1 wrote; step 4 reads column 3, written before its block
+        X = sp.csr_matrix((np.ones(6), [3, 8, 8, 11, 20, 3], [0, 2, 4, 5, 6]), shape=(4, 30))
+        data = Dataset(X, np.array([0, 1, 2, 0]), 3, "mcc")
+        offsets, features, _ = optimizer_module._gather([data], [np.arange(4)])
+        assert optimizer_module._conflicts(offsets, features, 1) == [-1, 0, -1, 0]
+        # two chains, the second drawing rows 2, 2, 1, 0: chain 1's columns are
+        # offset by d, so a step conflicts only through each chain's own rows
+        offsets, features, _ = optimizer_module._gather([data, data], [np.arange(4), np.array([2, 2, 1, 0])])
+        assert optimizer_module._conflicts(offsets, features, 2) == [-1, 0, -1, 2]
+
+        def draws(datasets, configs):
+            offsets, features, values = optimizer_module._gather(datasets, [np.arange(4)])
+            conflicts = optimizer_module._conflicts(offsets, features, 1)
+            yield 0, offsets, features, values, data.y[:4], conflicts
+
+        monkeypatch.setattr(optimizer_module, "_chunks", draws)
+        sizes = block_sizes(monkeypatch, 1)
+        config = TrainConfig(MLOG, RegularizerSpec.frobenius(0.1), StepSchedule.experiment(0.1), 4, seed=0)
+        w, _ = train(data, config)
+        assert sizes == [1, 3]
+        one_step_blocks(monkeypatch)
+        assert train(data, config)[0].tobytes() == w.tobytes()
+
+
+class TestFailuresInsideBlocks:
+    """Each certificate names the same step and chain whether or not steps are blocked."""
+
+    SIGMA = 0.05
+    R = 3
+
+    def setup(self, monkeypatch, record_every=None):
+        datasets = [ragged_wide_dataset("mcc", seed=s) for s in range(self.R)]
+        configs = chain_configs(
+            MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.experiment(self.SIGMA), 300,
+            record_every=record_every, repetitions=self.R,
+        )
+        with monkeypatch.context() as m:
+            sizes = block_sizes(m, self.R)
+            train_many(datasets, configs)
+        return datasets, configs, sizes
+
+    def raise_both(self, monkeypatch, datasets, configs, row=None, change=None):
+        messages = []
+        for blocked in (True, False):
+            with monkeypatch.context() as m:
+                if not blocked:
+                    one_step_blocks(m)
+                if change is not None:
+                    patch_coef_row(m, row, change)
+                with pytest.raises(CertificateError) as err:
+                    train_many(datasets, configs)
+                messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        return messages[0]
+
+    def mid_block_steps(self, sizes):
+        """Steps that are neither alone nor first in their block."""
+        return [first + j for first, size in zip(first_steps(sizes), sizes) for j in range(1, size)]
+
+    def test_nan_mid_block(self, monkeypatch):
+        datasets, configs, sizes = self.setup(monkeypatch)
+        t, r = self.mid_block_steps(sizes)[0], 1
+        message = self.raise_both(monkeypatch, datasets, configs, (t - 1) * self.R + r, lambda row: row * np.nan)
+        assert f"iterate norm became nan at step {t} in chain {r} " in message
+
+    def test_inflated_coefficients_mid_block(self, monkeypatch):
+        datasets, configs, sizes = self.setup(monkeypatch, record_every=7)
+        t = next(t for t in self.mid_block_steps(sizes) if t % 7 == 0)  # a recording step inside a block
+        r = 2
+        message = self.raise_both(monkeypatch, datasets, configs, (t - 1) * self.R + r, lambda row: row * 3.0)
+        assert f"loss coefficients at step {t} in chain {r} have l1 norm" in message
+
+    def test_chain_over_its_bound_mid_block(self, monkeypatch):
+        datasets, configs, sizes = self.setup(monkeypatch)
+        r, norms = 0, []
+        check_running = optimizer_module._check_running
+
+        def spy(a, v_sq, bounds, t, loss, reg):
+            norms.append(abs(a) * np.sqrt(abs(v_sq[r])))
+            check_running(a, v_sq, bounds, t, loss, reg)
+
+        with monkeypatch.context() as m:
+            m.setattr(optimizer_module, "_check_running", spy)
+            train_many(datasets, configs)
+        # a mid-block step whose norm tops every earlier one of chain r
+        t = next(t for t in self.mid_block_steps(sizes) if norms[t - 1] > max(norms[: t - 1]))
+        bound = (norms[t - 1] + max(norms[: t - 1])) / 2
+        datasets[r].kappa = (bound - optimizer_module._CERT_TOL) * self.SIGMA / MLOG.lipschitz_inf
+        message = self.raise_both(monkeypatch, datasets, configs)
+        assert f"exceeded the certified bound {bound:.6g} at step {t} in chain {r} " in message
 
 
 class TestIterateNormCertificate:
