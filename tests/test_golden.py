@@ -1,0 +1,100 @@
+"""The bytes of four small CLI runs, pinned by their sha256.
+
+A change meant to keep every result bit for bit leaves these digests alone.
+One that moves numbers on purpose updates them here and lists old -> new
+values in CHANGES.md.  The runs cover the step loop's main paths: sparse
+ranking rows under the theorem schedule (the scale folds at step 1, and
+some rows have more than 256 pairs), ragged multiclass rows with one
+chain, a lockstep passes curve, and the group (2, p) regularizer.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from vvlearn.cli import main
+from vvlearn.seeding import generator
+
+
+def sparse_lines(task, n, d, c, seed):
+    """Sparse text rows of 1 to 10 entries over d columns.
+
+    mlc rows get 1 to c / 2 positive components at random, so with c = 36
+    some rows have more than 256 (positive, negative) pairs.
+    """
+    rng = generator(seed)
+    lines = []
+    for i in range(n):
+        cols = np.sort(rng.choice(d, size=int(rng.integers(1, 11)), replace=False))
+        if i == 0:
+            cols[-1] = d - 1  # fixes the parsed d
+        vals = rng.standard_normal(len(cols))
+        if task == "mlc":
+            positive = np.sort(rng.choice(c, size=int(rng.integers(1, c // 2 + 1)), replace=False))
+            if i == 0:
+                positive = np.union1d(positive, [c - 1])  # fixes the parsed c
+            head = ",".join(str(int(j) + 1) for j in positive)
+        else:
+            head = str(c - 1 if i == 0 else int(rng.integers(0, c)))
+        lines.append(head + " " + " ".join(f"{int(j) + 1}:{float(v)!r}" for j, v in zip(cols, vals)))
+    return "\n".join(lines) + "\n"
+
+
+CASES = {
+    "ranking-sparse-theorem": (
+        ("mlc", 300, 400, 36, 1),
+        ["train", "--task", "mlc", "--loss", "ranking", "--sigma", "0.05", "--steps", "3000",
+         "--record-every", "1000", "--seed", "7"],
+    ),
+    "ragged-mcc-one-chain": (
+        ("mcc", 200, 60, 5, 2),
+        ["train", "--loss", "mc_svm", "--lambda", "0.01", "--steps", "2000", "--record-every", "500",
+         "--seed", "11"],
+    ),
+    "passes-curve": (
+        None,
+        ["curve", "--kind", "passes", "--synth", "n=300,d=10,c=4,noise=0.1,seed=3", "--grid", "1,2,3",
+         "--reps", "3", "--seed", "5"],
+    ),
+    "l2p": (
+        None,
+        ["train", "--synth", "n=200,d=12,c=4,noise=0.1,seed=4", "--loss", "mlogistic", "--reg", "l2p",
+         "--p", "1.5", "--sigma", "0.05", "--steps", "1000", "--record-every", "250", "--seed", "23"],
+    ),
+}  # fmt: skip
+
+DIGESTS = {
+    "ranking-sparse-theorem": {
+        "model.bin": "d43a517dfb87fecc01663f7032027e1d3a5c254598dc729cc4dc1c48fe1d2c65",
+        "log.csv": "8709af78788e40a6cf2b1750e6f389fce25385715b9b6425344022822d017a23",
+    },
+    "ragged-mcc-one-chain": {
+        "model.bin": "87e5713f8a501f2147d65b748196a33d8ece9b0a0059445e9f31eb7d579259a6",
+        "log.csv": "e4e71bec241037df82e808a4433b620fb3ca2de6ea854de888d9cce4d5a549a8",
+    },
+    "passes-curve": {
+        "curve.csv": "a8261446d04cdd4523090c55cfb90e31d7b35fc5b47beac326390f91df0f3e3c",
+    },
+    "l2p": {
+        "model.bin": "dc585362991da2ab45eea42ff464965680f5aa862a81a701257a875566486310",
+        "log.csv": "67a672fef542f1206637947d9028bb157f486440dfa9ed3b9fa32ed5441a5075",
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_outputs_keep_their_bytes(tmp_path, capsys, case):
+    data, argv = CASES[case]
+    argv = list(argv)
+    if data is not None:
+        path = tmp_path / "data.txt"
+        path.write_text(sparse_lines(*data))
+        argv += ["--data", str(path)]
+    if argv[0] == "train":
+        argv += ["--model-out", str(tmp_path / "model.bin"), "--log-out", str(tmp_path / "log.csv")]
+    else:
+        argv += ["--out", str(tmp_path / "curve.csv")]
+    assert main(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS[case]}
+    assert digests == DIGESTS[case]
