@@ -27,17 +27,16 @@ Tie-breaking is deterministic everywhere: argmax and top-k selections
 prefer the smallest index, and at kinks of the margin function or of the
 outer max{0, .} the minimal-magnitude subgradient (zero) is chosen.
 
-The ranking kernels work on flat pair lists.  Each sign row's (positive,
-negative) pairs are cached by the row's bytes, in runs led by a zeroed
-slot; a batch's pair terms are two ``take`` calls and a subtraction, and
-``np.add.reduceat`` and ``bincount`` sum them per row and per column.  A
-call thus costs a fixed number of numpy calls however many sign patterns
-its rows have, with O(sum of |pos| * |neg|) work.  Each sum is taken in
-the order of the grouped kernel this replaced (now in ``tests/oracles.py``),
-except a row's lone negative column, which adds its terms in pair order
-where numpy sums them pairwise.  Rows with many pairs are neither cached
-nor listed but scored on their own (|pos|, |neg|) blocks, which numpy sums
-as the grouped kernel does.
+The ranking kernels work on a label plan (``LossSpec.plan``): each
+distinct sign row's (positive, negative) pairs, cached by the row's bytes
+in runs led by a zeroed slot, gathered into one flat pair list.  SGD plans
+a chunk of draws once and each step block slices it; evaluation plans once
+per call.  A call's pair terms are two ``take`` calls and a subtraction,
+and ``np.add.reduceat`` and ``bincount`` sum them per row and per column,
+in the order of the grouped kernel in ``tests/oracles.py`` except a row's
+lone negative column, which adds its terms in pair order where numpy sums
+them pairwise.  Rows with many pairs are scored on their own (|pos|, |neg|)
+blocks, which numpy sums as the grouped kernel does.
 """
 
 from __future__ import annotations
@@ -208,9 +207,39 @@ def _subset_coef(spec, S, y):
 _FLAT_PAIRS = 256
 
 
+@dataclass(slots=True, eq=False)
+class PairPlan:
+    """Sign rows with the pairs of their flat rows listed once, for ranking calls on slices of them.
+
+    Row i's slots run from slots[i] to slots[i + 1] (a list; counted from
+    slots[0]) in p, q, lead and pairs: p and q index the rows' raveled
+    scores, and pairs is the pair count of the slot's row.  A row with more
+    than ``_FLAT_PAIRS`` pairs has no slots; wide marks those rows, and is
+    None when there are none.  ``plan[r0:r1]`` plans rows r0 to r1 - 1.
+    """
+
+    y: np.ndarray
+    per_positive: bool
+    slots: list
+    p: np.ndarray
+    q: np.ndarray
+    lead: np.ndarray
+    pairs: np.ndarray
+    wide: np.ndarray | None
+
+    def __getitem__(self, rows: slice) -> "PairPlan":
+        r0, r1, _ = rows.indices(len(self.y))
+        s0, s1, shift = self.slots[r0] - self.slots[0], self.slots[r1] - self.slots[0], r0 * self.y.shape[1]
+        wide = None if self.wide is None else self.wide[r0:r1]
+        return PairPlan(
+            self.y[r0:r1], self.per_positive, self.slots[r0 : r1 + 1], self.p[s0:s1] - shift,
+            self.q[s0:s1] - shift, self.lead[s0:s1], self.pairs[s0:s1], wide,
+        )  # fmt: skip
+
+
 @lru_cache(maxsize=1024)
-def _pair_runs(signs: bytes, per_positive: bool):
-    """(p, q, lead, pairs) of one flat int8 sign row, the arrays read-only.
+def _row_plan(signs: bytes, per_positive: bool) -> PairPlan:
+    """The plan of one int8 sign row, its arrays read-only.
 
     The row's pairs (p, q) are listed p-major in runs, each led by a slot
     with q = p whose term is zeroed before summing, because
@@ -221,6 +250,9 @@ def _pair_runs(signs: bytes, per_positive: bool):
     """
     row = np.frombuffer(signs, dtype=np.int8)
     pos, neg = (row > 0).nonzero()[0], (row < 0).nonzero()[0]
+    if pos.size * neg.size > _FLAT_PAIRS:
+        none = np.empty(0, dtype=np.intp)
+        return PairPlan(row[None, :], per_positive, [0, 0], none, none, none != 0, none, np.ones(1, dtype=bool))
     shape = (pos.size, neg.size + 1) if per_positive else (1, pos.size * neg.size + 1)
     p, q = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
     p[:, 1:] = pos.repeat(neg.size).reshape(len(p), -1)
@@ -228,67 +260,79 @@ def _pair_runs(signs: bytes, per_positive: bool):
     p[:, 0] = q[:, 0] = p[:, 1]
     lead = np.zeros(shape, dtype=bool)
     lead[:, 0] = True
-    runs = p.ravel(), q.ravel(), lead.ravel()
-    for a in runs:
+    slots = (p.ravel(), q.ravel(), lead.ravel(), np.full(p.size, pos.size * neg.size))
+    for a in slots:
         a.setflags(write=False)
-    return *runs, pos.size * neg.size
+    return PairPlan(row[None, :], per_positive, [0, p.size], *slots, None)
 
 
-def _ranking_rows(S, y, per_positive):
-    """The flat rows' pair runs together, and the other rows' blocks.
-
-    Returns (flat, blocks).  flat is None when no row is flat, else (rows,
-    p, q, lead, pairs, slot_pairs): the flat rows, their runs with p and q
-    indexing the raveled scores, each flat row's pair count, and the pair
-    count of each slot's row.  blocks lists (i, pos, neg) of the others.
-    """
-    c = S.shape[1]
-    signs = np.ascontiguousarray(y, dtype=np.int8).tobytes()
-    rows, runs, blocks = [], [], []
-    for i in range(len(S)):
-        row = signs[i * c : i * c + c]
-        positives = row.count(1)
-        if positives * (c - positives) <= _FLAT_PAIRS:
-            rows.append(i)
-            runs.append(_pair_runs(row, per_positive))
-        else:
-            blocks.append((i, (y[i] > 0).nonzero()[0], (y[i] < 0).nonzero()[0]))
-    if not rows:
-        return None, blocks
-    pairs = np.array([r[3] for r in runs])
-    if len(runs) == 1:
-        p, q, lead, _ = runs[0]
-        return (rows, p + rows[0] * c, q + rows[0] * c, lead, pairs, pairs), blocks
-    sizes = np.array([r[0].size for r in runs])
-    shift = (np.array(rows) * c).repeat(sizes)
-    p = np.concatenate([r[0] for r in runs]) + shift
-    q = np.concatenate([r[1] for r in runs]) + shift
-    return (rows, p, q, np.concatenate([r[2] for r in runs]), pairs, pairs.repeat(sizes)), blocks
+def _pairs(y: np.ndarray) -> np.ndarray:
+    """The (positive, negative) pair count of each sign row."""
+    positives = np.count_nonzero(y > 0, axis=1)
+    return positives * (y.shape[1] - positives)
 
 
-def _pair_terms(fn, S, p, q, lead):
-    """fn(s_p - s_q) on every slot, the leads zeroed."""
+def _pair_plan(y, per_positive: bool) -> PairPlan:
+    """The plan of sign rows y: the cached plans of its distinct flat rows, gathered row by row."""
+    n, c = y.shape
+    signs = np.ascontiguousarray(y, dtype=np.int8).view(np.dtype((np.void, c))).ravel()
+    distinct, inverse = np.unique(signs, return_inverse=True)
+    raw = distinct.tobytes()
+    flat = _pairs(np.frombuffer(raw, dtype=np.int8).reshape(-1, c)) <= _FLAT_PAIRS
+    plans = [_row_plan(raw[i * c : i * c + c], per_positive) for i in np.flatnonzero(flat).tolist()]
+    # Row i's slots copy slots first[u] + j, j < sizes[u], of the distinct rows' plans, u = inverse[i].
+    sizes = np.zeros(len(flat), dtype=np.intp)
+    sizes[flat] = [plan.slots[1] for plan in plans]
+    first, counts = np.cumsum(sizes) - sizes, sizes.take(inverse)
+    slots = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(counts, out=slots[1:])
+    source = np.repeat(first.take(inverse) - slots[:-1], counts)
+    source += np.arange(slots[-1])
+    none = [np.empty(0, dtype=np.intp)]  # for no flat row; an empty lead selects nothing either way
+    columns = ("p", "q", "lead", "pairs")
+    p, q, lead, pairs = (np.concatenate([getattr(plan, k) for plan in plans] or none).take(source) for k in columns)
+    shift = np.repeat(np.arange(0, n * c, c), counts)
+    wide = None if flat.all() else ~flat.take(inverse)
+    return PairPlan(y, per_positive, slots.tolist(), p + shift, q + shift, lead, pairs, wide)
+
+
+def _planned(y, per_positive: bool) -> PairPlan:
+    """The plan of raw or planned labels y; a single row's is cached, as the property suites call row by row."""
+    if not isinstance(y, PairPlan):
+        signs = np.ascontiguousarray(y, dtype=np.int8)
+        return _row_plan(signs.tobytes(), per_positive) if len(y) == 1 else _pair_plan(signs, per_positive)
+    if y.per_positive != per_positive:
+        raise ValueError("a ranking plan serves either value or coef calls, not both")
+    return y
+
+
+def _pair_terms(fn, S, plan):
+    """fn(s_p - s_q) on every slot of the plan, the leads zeroed."""
     scores = S.ravel()
-    terms = fn(scores.take(p) - scores.take(q))
-    terms[lead] = 0.0
+    terms = fn(scores.take(plan.p) - scores.take(plan.q))
+    terms[plan.lead] = 0.0
     return terms
 
 
-def _block_diffs(S, i, pos, neg):
-    """s_p - s_q of row i, shape (|pos|, |neg|), whose sums numpy takes as the grouped oracle's."""
-    s = S[i]
-    return s.take(pos)[:, None] - s.take(neg)
+def _wide_rows(S, plan):
+    """(i, pos, neg, s_p - s_q) of each row without slots, the differences shaped (|pos|, |neg|).
+
+    numpy sums these blocks as the grouped kernel in ``tests/oracles.py`` does.
+    """
+    for i in [] if plan.wide is None else plan.wide.nonzero()[0].tolist():
+        pos, neg = (plan.y[i] > 0).nonzero()[0], (plan.y[i] < 0).nonzero()[0]
+        yield i, pos, neg, S[i].take(pos)[:, None] - S[i].take(neg)
 
 
 def _ranking_value(spec, S, y):
-    """Mean of base(s_p - s_q) over positive components p and negative q."""
+    """Mean of base(s_p - s_q) over positive components p and negative q; a flat row is one run."""
+    plan = _planned(y, per_positive=False)
     out = np.empty(len(S))
-    flat, blocks = _ranking_rows(S, y, per_positive=False)
-    if flat is not None:
-        rows, p, q, lead, pairs, _ = flat
-        out[rows] = np.add.reduceat(_pair_terms(spec.base.value, S, p, q, lead), lead.nonzero()[0]) / pairs
-    for i, pos, neg in blocks:
-        out[i] = spec.base.value(_block_diffs(S, i, pos, neg)).sum() / (pos.size * neg.size)
+    runs = plan.lead.nonzero()[0]
+    sums = np.add.reduceat(_pair_terms(spec.base.value, S, plan), runs)
+    out[slice(None) if plan.wide is None else ~plan.wide] = sums / plan.pairs.take(runs)
+    for i, pos, neg, diffs in _wide_rows(S, plan):
+        out[i] = spec.base.value(diffs).sum() / (pos.size * neg.size)
     return out
 
 
@@ -296,20 +340,17 @@ def _ranking_coef(spec, S, y):
     """Each pair (p, q) adds g to column p and -g to column q, g = base'(s_p - s_q) / (|pos| * |neg|).
 
     A flat row's negative column adds its terms in pair order
-    (``bincount``), and a positive column sums its run.
+    (``bincount``), and a positive column sums its run.  A lead adds its
+    zero to a positive column, and a wide row's columns are all overwritten.
     """
-    flat, blocks = _ranking_rows(S, y, per_positive=True)
-    if flat is None:
-        coef = np.empty(S.shape)
-    else:  # a block row's columns are all overwritten below
-        _, p, q, lead, _, slot_pairs = flat
-        g = _pair_terms(spec.base.deriv, S, p, q, lead) / slot_pairs
-        coef = -np.bincount(q, g, S.size)  # a lead adds its zero to a positive column
-        runs = lead.nonzero()[0]
-        coef[p.take(runs)] = np.add.reduceat(g, runs)
-        coef = coef.reshape(S.shape)
-    for i, pos, neg in blocks:
-        g = spec.base.deriv(_block_diffs(S, i, pos, neg)) / (pos.size * neg.size)
+    plan = _planned(y, per_positive=True)
+    g = _pair_terms(spec.base.deriv, S, plan) / plan.pairs
+    coef = np.negative(np.bincount(plan.q, g, S.size), dtype=np.float64)  # bincount of no slots is int
+    runs = plan.lead.nonzero()[0]
+    coef[plan.p.take(runs)] = np.add.reduceat(g, runs)
+    coef = coef.reshape(S.shape)
+    for i, pos, neg, diffs in _wide_rows(S, plan):
+        g = spec.base.deriv(diffs) / (pos.size * neg.size)
         coef[i, pos] = g.sum(axis=1)
         coef[i, neg] = -g.sum(axis=0)
     return coef
@@ -410,12 +451,28 @@ class LossSpec:
                     f"{single.size} of {len(y)} rows have one sign only (first: row {single[0]})"
                 )
 
-    def value(self, S: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Loss values, shape (n,), at the score rows S (n, c) with labels y."""
+    def plan(self, y: np.ndarray):
+        """The labels y prepared for ``coef`` calls on row slices of them.
+
+        Ranking labels become a ``PairPlan``, which lists their pairs once;
+        other labels come back as they are.  Either slices like y, and a
+        call on a slice of it equals the call on that slice of y bit for bit.
+        """
+        return _pair_plan(y, per_positive=True) if self.kind == "ranking" else y
+
+    def work(self, y: np.ndarray, c: int) -> np.ndarray:
+        """Entries a ``value`` call allocates per row of labels y: c scores, plus a flat ranking row's slots."""
+        if self.kind != "ranking":
+            return np.full(len(y), c)
+        pairs = _pairs(y)
+        return c + np.where(pairs <= _FLAT_PAIRS, pairs + 1, 0)
+
+    def value(self, S: np.ndarray, y) -> np.ndarray:
+        """Loss values, shape (n,), at the score rows S (n, c) with labels y (raw or planned)."""
         return _KERNELS[self.kind][0](self, S, y)
 
-    def coef(self, S: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Subgradient column coefficients, shape (n, c); see the module docstring."""
+    def coef(self, S: np.ndarray, y) -> np.ndarray:
+        """Subgradient column coefficients, shape (n, c), with labels y raw or planned; see the module docstring."""
         return _KERNELS[self.kind][1](self, S, y)
 
 

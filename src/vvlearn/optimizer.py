@@ -19,48 +19,41 @@ r of a lockstep run equals a lone ``train`` of that chain bit for bit.
 
 Every chain stores its iterate lazily scaled, W_r = a * V_r (Pegasos,
 Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
-2012), with V of shape (R, d, c) and one scale a for all chains: they
-start at a = 1 under one schedule, so a stays equal across them.  The
-Frobenius shrink (1 - eta*sigma) multiplies a (``_shrink``), so a step
-costs O(nnz * c) per chain, and a is folded into every V_r when |a| would
-drop below a floor (at step 1 of the theorem schedule the shrink is zero);
-the group (2, p) gradient rescales each chain's columns, so V_r's columns
-are rescaled in place at O(d * c) and a stays 1 (``_rescale`` does both).
+2012), with V of shape (R, d, c) and one scale a that all chains share.
+The Frobenius shrink (1 - eta*sigma) multiplies a, so a step costs
+O(nnz * c) per chain.  A step that would take |a| below a floor folds a
+into V (at step 1 of the theorem schedule the shrink is zero), and every
+group (2, p) step rescales V's columns at O(d * c); both leave a = 1.
 
-Indices are drawn one chunk of steps at a time, each chain from its own
-generator; numpy's bounded-integer stream does not depend on how the draws
-are split, so the chunk size changes no value.  A chunk's feature indices
-(offset by r * d into V viewed as (R * d, c)), values and labels are
-gathered once, laid out step by step, so a run of steps reads one slice of
-each.  The chunk holds a bounded number of entries, not of steps.
+Indices are drawn a chunk of steps at a time, each chain from its own
+generator (numpy's bounded-integer stream does not depend on how the draws
+are split).  Each chunk is planned in arrays: its drawn rows, laid out step
+by step with feature indices offset by r * d into V viewed as (R * d, c);
+eta_t, the scale before and after each step and eta_t / a; the ranking
+pair lists (``LossSpec.plan``); and where each block may end.  Left folds
+in numpy (``np.multiply.accumulate``) keep the sequential loop's bits.
 
-Steps advance in blocks: maximal runs of consecutive steps in which no step
-reads a row of V that an earlier step of the run wrote (checked in every
-chain at once, since the offset indices of different chains never meet).
-Within a block the rows a step reads are still those at its turn, so the
-block is advanced in one batched pass: one row gather, one stacked
-(B, 1, k) @ (B, k, c) product and one scatter per distinct nnz k among
-its B drawn rows (one for each chain at each step), and one
-``LossSpec.coef`` call.  The scalars stay sequential: each step's scale a, eta_t / a, the
-running norms and their certificate.  A stacked product equals each row's
+Python then walks blocks, not steps: maximal runs of steps in which no step
+reads a row of V that an earlier one wrote (offset indices of different
+chains never meet).  A block is one row gather, one stacked (B, 1, k) @
+(B, k, c) product and one scatter per distinct nnz k among its B drawn
+rows, and one ``LossSpec.coef`` call.  A stacked product equals each row's
 own vals @ rows bit for bit and the update is elementwise, so a blocked run
 equals stepping one at a time bit for bit.  Recording steps end a block, a
 block of more than one step gathers at most ``_BLOCK_VALUES`` values of V,
-and a step that changes V itself (a fold of the scale, every group (2, p)
-step) stands alone.  When some chain's rows all hold more than d / 2 entries,
-any two of them share a column, so no block has two steps and the scan is
-skipped.
+and a folding step stands alone.  When some chain's rows all hold more
+than d / 2 entries, any two share a column and every block is one step.
 
-A running ||V_r||_F^2 per chain, a list of R floats updated by the change
-in the touched rows, gives every iterate norm in O(1): the certificate checks
-them on every step, first against the smallest chain bound and chain by
-chain only when that fails, and a non-finite norm stops any run with a
-CertificateError naming the step (and the chain when R > 1).  Recording
-steps materialize W, check each exact norm, and check the l-infinity
-duality ||coef_r||_1 <= L of the step's loss coefficients, which bounds
-the loss subgradient by kappa * L for either regularizer.  Trajectories
-agree with the dense ``sgd_step`` oracle in ``tests/oracles.py`` to
-rounding (about 1e-15), not bit for bit.
+Each block writes its change to every chain's ||V_r||_F^2 into a chunk
+array whose left fold (``np.add.accumulate``) is the running norm after
+each step.  One comparison per segment, up to each recording step and the
+chunk's end, certifies them all, and names the first failing step (and
+chain, when R > 1); a non-finite norm stops any run.  Recording steps
+materialize W, check each exact norm, and check the l-infinity duality
+||coef_r||_1 <= L of the step's loss coefficients, which bounds the loss
+subgradient by kappa * L for either regularizer.  Trajectories agree with
+the dense ``sgd_step`` oracle in ``tests/oracles.py`` to rounding (about
+1e-15), not bit for bit.
 """
 
 from __future__ import annotations
@@ -82,8 +75,7 @@ _DRAW_CHUNK_ENTRIES = 1 << 13
 # unless it is one step, so its stacked temporaries stay cache-sized: at
 # c = 256 blocks measured slower than single steps without this bound.
 _BLOCK_VALUES = 1 << 13
-# Rows per evaluation chunk are this many entries over c * c, bounding the
-# score and pair-term arrays a chunk allocates.
+# Evaluation chunks hold this many score entries and ranking pair slots.
 _EVAL_CHUNK_ENTRIES = 1 << 16
 _CERT_TOL = 1e-9
 # Below this |a| the lazily scaled iterate W = a * V is folded back into V.
@@ -123,8 +115,9 @@ class StepSchedule:
     def experiment(lam: float) -> "StepSchedule":
         return StepSchedule("experiment", lam)
 
-    def eta(self, t: int) -> float:
-        if t < 1:
+    def eta(self, t):
+        """eta_t for a step counter t, or for each of an integer array of them with the same bits."""
+        if np.min(t) < 1:
             raise ValueError(f"step counter is 1-based, got {t}")
         if self.kind == "theorem":
             return 1.0 / (t * self.param)
@@ -174,12 +167,7 @@ def _check_data(data: Dataset, loss: LossSpec, shape=None) -> None:
         raise ValueError(f"data has dimensions {(data.d, data.c)}, the weight matrix {shape}")
 
 
-def evaluate_objective(
-    w: np.ndarray,
-    data: Dataset,
-    loss: LossSpec,
-    reg: RegularizerSpec,
-) -> float:
+def evaluate_objective(w: np.ndarray, data: Dataset, loss: LossSpec, reg: RegularizerSpec) -> float:
     """Mean loss over the data plus the regularizer."""
     return evaluate_mean_loss(w, data, loss) + reg.value(w)
 
@@ -187,17 +175,20 @@ def evaluate_objective(
 def evaluate_mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec) -> float:
     """Mean loss over the data without the regularization term.
 
-    Scores come from one sparse product per chunk of rows; the chunks only
-    bound memory and do not change any value.
+    Scores come from one sparse product per chunk of rows.  A chunk holds
+    at most ``_EVAL_CHUNK_ENTRIES`` entries of the arrays its loss call
+    allocates (``LossSpec.work``), or one row; the chunks change no value.
     """
     _check_data(data, loss, np.shape(w))
     n = len(data)
-    values = np.empty(n)
-    step = max(1, _EVAL_CHUNK_ENTRIES // (data.c * data.c))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
+    work = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(loss.work(data.y, data.c), out=work[1:])
+    values, lo = np.empty(n), 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(work, work[lo] + _EVAL_CHUNK_ENTRIES, "right")) - 1)
         rows = data.X if hi - lo == n else data.X[lo:hi]  # slicing copies the rows
         values[lo:hi] = loss.value(predict(w, rows), data.y[lo:hi])
+        lo = hi
     return float(np.sum(values) / n)
 
 
@@ -289,52 +280,62 @@ def _check_iterate(norm: float, bound: float, t: int, loss: LossSpec, reg: Regul
         )
 
 
-def _check_running(
-    a: float, v_sq: list[float], bounds: list[float], t: int, loss: LossSpec, reg: RegularizerSpec
-):
-    """The per-step certificate on every chain's running norm |a| * sqrt(|v_sq[r]|).
+def _check_segment(a: np.ndarray, v_sq: np.ndarray, bounds: np.ndarray, t: int, loss: LossSpec, reg: RegularizerSpec):
+    """The certificate on the running norms |a[j]| * sqrt(|v_sq[j, r]|) after steps t, t + 1, ...
 
-    The largest norm is compared with the smallest bound first; only when
-    that fails is each chain checked, so the error names the failing chain.
+    a (steps,) holds the scale after each step and v_sq (steps, R) each
+    chain's running ||V_r||_F^2; the first failing step and chain raise.
     """
-    # abs: rounding can leave a near-zero running sum just below zero.
-    top = abs(a) * math.sqrt(max(map(abs, v_sq)))
-    # max passes over a NaN that is not first; their sum carries it.
-    if top <= min(bounds) and top < math.inf and math.isfinite(sum(v_sq)):
-        return
-    for r, (sq, bound) in enumerate(zip(v_sq, bounds)):
-        _check_iterate(abs(a) * math.sqrt(abs(sq)), bound, t, loss, reg, r if len(bounds) > 1 else None)
+    with np.errstate(over="ignore"):  # abs: rounding can leave a near-zero running sum just below zero
+        norms = np.abs(a)[:, None] * np.sqrt(np.abs(v_sq))
+    failed = np.flatnonzero(~(norms <= bounds) | np.isinf(norms))  # NaN fails the comparison
+    if failed.size:
+        j, r = divmod(int(failed[0]), len(bounds))
+        _check_iterate(float(norms[j, r]), float(bounds[r]), t + j, loss, reg, r if len(bounds) > 1 else None)
 
 
-def _squares(v: np.ndarray) -> list[float]:
-    """||v[i]||^2 for every i, v of shape (n, ...); vecdot's rows equal vdot bit for bit."""
-    if len(v) == 1:  # one vdot dispatches faster than the vecdot gufunc
-        return [float(np.vdot(v, v))]
+def _squares(v: np.ndarray) -> np.ndarray:
+    """||v[i]||^2 for every i, v of shape (n, ...)."""
     flat = v.reshape(len(v), -1)
-    return np.vecdot(flat, flat).tolist()
+    return np.vecdot(flat, flat)
 
 
-def _shrink(reg: RegularizerSpec, a: float, eta: float) -> float | None:
-    """The Frobenius shrink of the shared scale a, or None when the step must change V instead."""
-    if reg.kind == "frobenius" and abs(a * (1.0 - eta * reg.sigma)) >= _SCALE_FLOOR:
-        return a * (1.0 - eta * reg.sigma)
-    return None
+def _scales(reg: RegularizerSpec, a: float, eta: np.ndarray):
+    """The scale before and after each step of a chunk that starts at scale a, and the steps that fold.
+
+    A Frobenius step multiplies a by 1 - eta_t * sigma, a left fold
+    (``np.multiply.accumulate``) with the bits of one step at a time.  A
+    step that would take |a| below ``_SCALE_FLOOR`` (or to NaN) folds
+    instead: it changes V (``_rescale``) and leaves a = 1, as every group
+    (2, p) step does.
+    """
+    after, folds, j = np.ones(len(eta)), [], 0
+    if reg.kind != "frobenius":
+        return after, after, list(range(len(eta)))
+    start, shrink = a, 1.0 - eta * reg.sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        while j < len(eta):
+            run = np.multiply.accumulate(np.concatenate(([a], shrink[j:])))[1:]
+            low = np.flatnonzero(~(np.abs(run) >= _SCALE_FLOOR))
+            k = int(low[0]) if low.size else len(run)
+            after[j : j + k] = run[:k]
+            folds += [j + k] if low.size else []
+            j, a = j + k + 1, 1.0
+    return np.concatenate(([start], after[:-1])), after, folds
 
 
-def _rescale(reg: RegularizerSpec, a: float, v: np.ndarray, eta: float) -> list[float]:
+def _rescale(reg: RegularizerSpec, a: float, v: np.ndarray, eta: float) -> None:
     """The regularizer's step on V when a cannot carry it; a becomes 1.
 
     Frobenius folds the shrunk scale into V (an exact or near-zero shrink,
     as eta_1 * sigma = 1 under the theorem schedule, so a is never divided
-    by it); group (2, p) rescales each chain's columns.  Returns the
-    chains' ||V_r||_F^2.
+    by it); group (2, p) rescales each chain's columns.
     """
     if reg.kind == "frobenius":
         v *= a * (1.0 - eta * reg.sigma)
     else:
         for chain in v:
             chain *= 1.0 - eta * reg.column_scale(chain)
-    return _squares(v)
 
 
 def _groups(flat: np.ndarray, idx: np.ndarray, vals: np.ndarray, n: int, offsets: np.ndarray | None):
@@ -361,6 +362,22 @@ def _groups(flat: np.ndarray, idx: np.ndarray, vals: np.ndarray, n: int, offsets
     return groups
 
 
+def _block_limits(offsets: np.ndarray, conflicts: list[int], R: int, c: int) -> list[int]:
+    """For each step lo of a chunk, the end of the longest block that may start at it.
+
+    A block stops before the first step that reads a row of V an earlier
+    step of the block wrote, and before its values of V pass ``_BLOCK_VALUES``.
+    """
+    size = (len(offsets) - 1) // R
+    # Step s ends every block that starts at or before conflicts[s] (< s):
+    # a block from lo ends at the least such s, a suffix minimum.
+    ends = np.full(size + 1, size)
+    np.minimum.at(ends, np.add(conflicts, 1), np.arange(size))  # a step without conflicts lands on 0
+    ends = np.minimum.accumulate(ends[::-1])[::-1][1:]
+    fits = np.searchsorted(offsets[R::R], offsets[:-1:R] + _BLOCK_VALUES // c, "right")
+    return np.minimum(ends, np.maximum(np.arange(1, size + 1), fits)).tolist()
+
+
 def _steps(datasets: list[Dataset], configs: list[TrainConfig]):
     """SGD on W_r = a * V_r for every chain; yields (t, W, norms) on recording steps.
 
@@ -375,96 +392,88 @@ def _steps(datasets: list[Dataset], configs: list[TrainConfig]):
     # ||w_{t+1}|| <= max(||w_t||, L*kappa/sigma).  Otherwise only
     # finiteness is checked.
     if reg.kind == "frobenius" and schedule.eta(1) * reg.sigma <= 1.0 + 1e-12:
-        bounds = [loss.lipschitz_inf * data.kappa / reg.sigma + _CERT_TOL for data in datasets]
+        bounds = np.array([loss.lipschitz_inf * data.kappa / reg.sigma + _CERT_TOL for data in datasets])
     else:
-        bounds = [math.inf] * R
+        bounds = np.full(R, math.inf)
     chain_ids = list(range(R)) if R > 1 else [None]
-    a, v, v_sq = 1.0, np.zeros((R, d, c)), [0.0] * R
+    a, v, v_sq = 1.0, np.zeros((R, d, c)), np.zeros(R)
     flat = v.reshape(R * d, c)
     for t0, offsets, features, values, labels, conflicts in _chunks(datasets, configs):
+        size = (len(offsets) - 1) // R
+        eta = schedule.eta(np.arange(t0 + 1, t0 + size + 1))
+        before, after, folds = _scales(reg, a, eta)
+        a = float(after[-1])
+        # Each drawn row (in step, chain order) is scored at the scale
+        # before its step and updated with eta_t / a after it.
+        scale, ratio = np.repeat(before, R)[:, None], np.repeat(eta / after, R)[:, None, None]
+        labels = loss.plan(labels)
+        limits = _block_limits(offsets, conflicts, R, c)
+        uniform = bool(np.ptp(np.diff(offsets)) == 0)
         cuts = offsets.tolist()
-        # Drawn rows i to same_nnz[i] - 1 (in step, chain order) have equal
-        # nnz; None when all of the chunk's rows do, as on dense data.
-        widths, same_nnz = np.diff(offsets), None
-        ends = np.flatnonzero(widths[1:] != widths[:-1]) + 1
-        if len(ends):
-            ends = np.append(ends, len(widths))
-            same_nnz = ends.take(np.searchsorted(ends, np.arange(len(widths)), "right")).tolist()
-        size, s = len(conflicts), 0
-        while s < size:
-            # The block's scalars, one step at a time.  It runs from step lo
-            # while no step reads a row of V that an earlier one wrote, and a
-            # recording step ends it; a step that must change V stands alone.
-            lo, a0, afters, etas = s, a, [], []
-            while True:
-                t = t0 + s + 1
-                eta = schedule.eta(t)
-                shrunk = _shrink(reg, a, eta)
-                if shrunk is None and s > lo:
-                    break
-                etas.append(eta)
-                s += 1
-                if shrunk is None:
-                    break
-                a = shrunk
-                afters.append(a)
-                if t % record_every == 0 or t == total or s == size or conflicts[s] >= lo:
-                    break
-                if (cuts[(s + 1) * R] - cuts[lo * R]) * c > _BLOCK_VALUES:
-                    break
-            lone, steps, r0, r1 = not afters, s - lo, lo * R, s * R
-            n, e0, e1 = r1 - r0, cuts[r0], cuts[r1]
-            idx, vals = features[e0:e1], values[e0:e1]
-            starts = None if same_nnz is None or same_nnz[r0] >= r1 else offsets[r0 : r1 + 1] - e0
-            groups = _groups(flat, idx, vals, n, starts)
-            if starts is None:
-                scores = (groups[0][3] @ groups[0][2])[:, 0]
-            else:
-                scores = np.empty((n, c))
-                for members, _, grid, x in groups:
-                    scores[members] = (x @ grid)[:, 0]
-            scale = a0 if steps == 1 else np.repeat([a0, *afters[:-1]], R)[:, None]
-            coef = loss.coef(scale * scores, labels[r0:r1])
-            if lone:
-                v_sq = _rescale(reg, a, v, etas[0])
-                a = 1.0
-                afters.append(a)
-                groups = _groups(flat, idx, vals, n, starts)
-            ratio = etas[0] / afters[0] if steps == 1 else np.repeat(np.divide(etas, afters), R)[:, None, None]
-            if starts is None:
-                ((_, where, grid, x),) = groups
-                new = grid - ratio * (x.mT * coef[:, None, :])
-                flat[where] = new
-                new_sq, old_sq = _squares(new), _squares(grid)
-            else:
-                new_sq, old_sq = [0.0] * n, [0.0] * n
-                for members, where, grid, x in groups:
-                    new = grid - (ratio if steps == 1 else ratio[members]) * (x.mT * coef[members, None, :])
-                    flat[where] = new
-                    for i, sq_new, sq_old in zip(members.tolist(), _squares(new), _squares(grid)):
-                        new_sq[i], old_sq[i] = sq_new, sq_old
-            for j in range(steps):
-                t = t0 + lo + j + 1
-                recording = t % record_every == 0 or t == total
-                if recording:
-                    # An L-Lipschitz loss in the max norm has subgradients of l1 norm <= L.
-                    duals = np.sum(np.abs(coef[j * R : j * R + R]), axis=1).tolist()
-                    for r, dual in zip(chain_ids, duals):
-                        if not dual <= loss.lipschitz_inf + _CERT_TOL:
-                            raise CertificateError(
-                                f"loss coefficients at step {t}{_chain(r)} have l1 norm {dual:.6g}, above the "
-                                f"certified max-norm Lipschitz constant {loss.lipschitz_inf:.6g} (loss {loss.name})"
-                            )
-                changes = zip(v_sq, new_sq[j * R : j * R + R], old_sq[j * R : j * R + R])
-                v_sq = [sq + (new - old) for sq, new, old in changes]
-                _check_running(afters[j], v_sq, bounds, t, loss, reg)
-            if recording:
-                w = a * v
-                v_sq = _squares(v)
-                norms = [frobenius_norm(w_r) for w_r in w]
-                for r, norm, bound in zip(chain_ids, norms, bounds):
-                    _check_iterate(norm, bound, t, loss, reg, r)
-                yield t, w, norms
+        # Row 0 of sq holds each chain's ||V_r||^2 before the chunk, and row
+        # j + 1 the change that step j makes, added to ||V_r||^2 after the
+        # rescale when step j folds.  A left fold of the rows from each start
+        # gives the running sums, checked at recording steps and the chunk's end.
+        sq = np.empty((size + 1, R))
+        sq[0] = v_sq
+        changes = sq[1:].reshape(-1)
+        checks = {size, min(size, total - t0), *range(record_every - t0 % record_every, size, record_every)}
+        folded, lo, g0 = set(folds), 0, 0
+        for end in sorted(checks.union(folds, [f + 1 for f in folds]) - {0}):
+            with np.errstate(all="ignore"):  # a non-finite iterate raises below, naming its step
+                while lo < end:
+                    # One block: steps lo to hi - 1 advance in one batched pass.
+                    hi = min(end, limits[lo])
+                    r0, r1 = lo * R, hi * R
+                    idx, vals = features[cuts[r0] : cuts[r1]], values[cuts[r0] : cuts[r1]]
+                    starts = None if uniform or r1 - r0 == 1 else offsets[r0 : r1 + 1] - cuts[r0]
+                    groups = _groups(flat, idx, vals, r1 - r0, starts)
+                    scores = np.empty((r1 - r0, c))
+                    for members, _, grid, x in groups:
+                        scores[members] = (x @ grid)[:, 0]
+                    coef = loss.coef(scale[r0:r1] * scores, labels[r0:r1])
+                    base = None
+                    if lo in folded:
+                        _rescale(reg, float(before[lo]), v, float(eta[lo]))
+                        base = _squares(v)
+                        groups = _groups(flat, idx, vals, r1 - r0, starts)
+                    block_ratio, block_changes = ratio[r0:r1], changes[r0:r1]
+                    for members, where, grid, x in groups:
+                        new = grid - block_ratio[members] * (x.mT * coef[members, None, :])
+                        flat[where] = new
+                        block_changes[members] = _squares(new) - _squares(grid)
+                    if base is not None:
+                        block_changes += base
+                    lo = hi
+            if end not in checks:
+                continue
+            t = t0 + end
+            recording = t % record_every == 0 or t == total
+            restarts = [g0, *(f + 1 for f in folds if g0 <= f < end), end + 1]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for s0, s1 in zip(restarts, restarts[1:]):
+                    np.add.accumulate(sq[s0:s1], axis=0, out=sq[s0:s1])
+            last = end - recording
+            if last > g0:
+                _check_segment(after[g0:last], sq[g0 + 1 : last + 1], bounds, t0 + g0 + 1, loss, reg)
+            g0 = end
+            if not recording:
+                continue
+            # An L-Lipschitz loss in the max norm has subgradients of l1 norm <= L.
+            for r, dual in zip(chain_ids, np.sum(np.abs(coef[-R:]), axis=1).tolist()):
+                if not dual <= loss.lipschitz_inf + _CERT_TOL:
+                    raise CertificateError(
+                        f"loss coefficients at step {t}{_chain(r)} have l1 norm {dual:.6g}, above the "
+                        f"certified max-norm Lipschitz constant {loss.lipschitz_inf:.6g} (loss {loss.name})"
+                    )
+            _check_segment(after[last:end], sq[end : end + 1], bounds, t, loss, reg)
+            w = float(after[end - 1]) * v
+            sq[end] = _squares(v)
+            norms = [frobenius_norm(w_r) for w_r in w]
+            for r, norm, bound in zip(chain_ids, norms, bounds.tolist()):
+                _check_iterate(norm, bound, t, loss, reg, r)
+            yield t, w, norms
+        v_sq = sq[size].copy()
 
 
 def train_many(

@@ -2,6 +2,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import vvlearn.losses as losses_module
@@ -720,11 +722,39 @@ class TestPairListRankingKernel:
                     assert values[k : k + 1].tobytes() == alone[i][0].tobytes()
                     assert coefs[k : k + 1].tobytes() == alone[i][1].tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 40), st.integers(1, 30), st.data())
+    def test_sliced_plan_matches_unprepared_call_and_grouped_oracle(self, seed, c, n, data):
+        # up to 20 x 20 = 400 pairs per row, so some rows pass _FLAT_PAIRS
+        rng = np.random.default_rng(seed)
+        y, S = sign_rows(rng, n, c), rng.standard_normal((n, c)) * 3.0
+        r0 = data.draw(st.integers(0, n - 1))
+        r1 = data.draw(st.integers(r0 + 1, n))
+        rows = slice(r0, r1)
+        for base in (HINGE, LOGISTIC):
+            spec = LossSpec.ranking(base)
+            values = spec.value(S[rows], losses_module._pair_plan(y, per_positive=False)[rows])
+            coefs = spec.coef(S[rows], spec.plan(y)[rows])
+            assert values.tobytes() == spec.value(S[rows], y[rows]).tobytes()
+            assert coefs.tobytes() == spec.coef(S[rows], y[rows]).tobytes()
+            assert values.tobytes() == oracles.grouped_ranking_value(spec, S[rows], y[rows]).tobytes()
+            for coef, want, signs in zip(coefs, oracles.grouped_ranking_coef(spec, S[rows], y[rows]), y[rows]):
+                if np.sum(signs < 0) > 1:
+                    assert np.array_equal(coef, want)
+                else:  # a lone negative column, summed in pair order as above
+                    assert np.max(np.abs(coef - want)) <= np.sum(signs > 0) * np.spacing(np.max(np.abs(want)))
+
+    def test_plan_serves_the_kernel_it_was_made_for(self):
+        spec, y = LossSpec.ranking(HINGE), np.array([[1, -1, -1], [-1, 1, 1]], dtype=np.int8)
+        with pytest.raises(ValueError, match="either value or coef"):
+            spec.value(np.zeros((2, 3)), spec.plan(y))
+        assert LossSpec.mc_svm(HINGE).plan(np.array([0, 2])).tolist() == [0, 2]  # other labels stay as they are
+
     def test_cached_pair_runs_are_read_only(self):
         signs = np.array([1, -1, 1, -1, -1], dtype=np.int8).tobytes()
         for per_positive in (False, True):
-            *arrays, pairs = losses_module._pair_runs(signs, per_positive)
-            assert pairs == 6
-            for a in arrays:
+            plan = losses_module._row_plan(signs, per_positive)
+            assert plan.pairs[0] == 6 and plan.wide is None
+            for a in (plan.y, plan.p, plan.q, plan.lead, plan.pairs):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0

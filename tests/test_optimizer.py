@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from scipy.stats import spearmanr
 
 import oracles
+import vvlearn.losses as losses_module
 import vvlearn.optimizer as optimizer_module
 from vvlearn.core import frobenius_norm
 from vvlearn.dataio import Dataset, synth_gen
@@ -74,6 +76,61 @@ class TestStepSchedule:
         with pytest.raises(ValueError, match="finite eta_1"):
             StepSchedule.theorem(1e-320)  # eta_1 = 1 / 1e-320 overflows
         assert StepSchedule.experiment(1e-320).eta(1) == 1.0
+
+
+
+def sequential_scales(reg, a, etas):
+    """The scale before and after each step and the folding steps, one step at a time."""
+    before, after, folds = [], [], []
+    for j, eta in enumerate(etas):
+        before.append(a)
+        shrunk = a * (1.0 - eta * reg.sigma)
+        if reg.kind == "frobenius" and abs(shrunk) >= optimizer_module._SCALE_FLOOR:
+            a = shrunk
+        else:
+            a = 1.0
+            folds.append(j)
+        after.append(a)
+    return before, after, folds
+
+
+class TestChunkScalars:
+    @pytest.mark.parametrize("kind", ["theorem", "experiment"])
+    def test_array_eta_equals_eta_bit_for_bit(self, kind):
+        rng = np.random.default_rng(5)
+        firsts = [1, 2, 381, *rng.integers(1, 10**7, size=40).tolist(), 10**7 - 7]
+        for param in [*np.geomspace(1e-4, 1e2, 13).tolist(), *rng.uniform(1e-4, 1e2, size=5).tolist()]:
+            schedule = StepSchedule(kind, param)
+            for t in firsts:
+                want = np.array([schedule.eta(t + j) for j in range(8)])
+                assert schedule.eta(np.arange(t, t + 8)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "schedule, reg, folds",
+        [
+            (StepSchedule.theorem(0.05), RegularizerSpec.frobenius(0.05), [0]),  # step 1
+            (StepSchedule.experiment(0.01), RegularizerSpec.frobenius(0.01), []),
+            (StepSchedule.theorem(0.05 / 3.5), RegularizerSpec.frobenius(0.05), [380]),  # step 381
+            (StepSchedule.theorem(0.05), RegularizerSpec.l2p(0.05, 1.5), list(range(1000))),  # every step changes V
+        ],
+        ids=["theorem", "experiment", "eta-sigma-above-1", "l2p"],
+    )
+    def test_accumulated_scale_equals_sequential_shrink(self, schedule, reg, folds):
+        etas = [schedule.eta(t) for t in range(1, 1001)]
+        want = sequential_scales(reg, 1.0, etas)
+        assert want[2] == folds
+        for size in (1000, 97, 7):  # chunkings of the same run
+            before, after, folds, a = [], [], [], 1.0
+            for t0 in range(0, 1000, size):
+                eta = schedule.eta(np.arange(t0 + 1, min(t0 + size, 1000) + 1))
+                chunk_before, chunk_after, chunk_folds = optimizer_module._scales(reg, a, eta)
+                before += chunk_before.tolist()
+                after += chunk_after.tolist()
+                folds += [t0 + f for f in chunk_folds]
+                a = after[-1]
+            assert np.array(before).tobytes() == np.array(want[0]).tobytes()
+            assert np.array(after).tobytes() == np.array(want[1]).tobytes()
+            assert folds == want[2]
 
 
 class TestSgdStep:
@@ -186,6 +243,28 @@ class TestBatchedEvaluation:
         data = tiny_dataset()
         with pytest.raises(ValueError):
             evaluate_mean_loss(np.zeros((data.d, data.c + 1)), data, MLOG)
+
+    def test_chunks_hold_the_work_present(self, monkeypatch):
+        # c = 256: half the rows have one positive (255 pairs, listed in the
+        # plan), half are balanced (about 16,000 pairs, scored on their own)
+        c, rng = 256, np.random.default_rng(12)
+        base = sparse_wide_dataset("mlc", n=2000, d=300, c=4)
+        y = np.where(rng.random((2000, c)) < 0.5, 1, -1).astype(np.int8)
+        y[::2] = -1
+        y[::2, 0] = 1
+        y[:, 1], y[:, 2] = 1, -1
+        data = Dataset(base.X, y, c, "mlc")
+        w = np.random.default_rng(13).standard_normal((data.d, c))
+        spec = LossSpec.ranking(HINGE)
+        calls, predict = [], optimizer_module.predict
+        monkeypatch.setattr(optimizer_module, "predict", lambda w, X: calls.append(X.shape[0]) or predict(w, X))
+        got = evaluate_mean_loss(w, data, spec)
+        positives = np.sum(y > 0, axis=1)
+        pairs = positives * (c - positives)
+        work = c * len(data) + int(np.sum(np.where(pairs <= losses_module._FLAT_PAIRS, pairs + 1, 0)))
+        assert sum(calls) == len(data) and len(calls) <= -(-work // 2**16) + 1
+        monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", 1 << 40)
+        assert evaluate_mean_loss(w, data, spec) == got
 
 
 class TestLabelsCheckedUpFront:
@@ -358,18 +437,18 @@ class TestLazyLoopOracle:
             record_every=500,
         )
         running, exact = [], []  # (step, norm) of every certificate check
-        check_running, check_iterate = optimizer_module._check_running, optimizer_module._check_iterate
+        check_segment, check_iterate = optimizer_module._check_segment, optimizer_module._check_iterate
 
         def spy_running(a, v_sq, bounds, t, loss, reg):
-            (sq,) = v_sq  # one chain
-            running.append((t, abs(a) * np.sqrt(abs(sq))))
-            check_running(a, v_sq, bounds, t, loss, reg)
+            for j, (scale, (sq,)) in enumerate(zip(a, v_sq)):  # one chain
+                running.append((t + j, abs(scale) * np.sqrt(abs(sq))))
+            check_segment(a, v_sq, bounds, t, loss, reg)
 
         def spy_iterate(norm, bound, t, loss, reg, r=None):
             exact.append((t, norm))
             check_iterate(norm, bound, t, loss, reg, r)
 
-        monkeypatch.setattr(optimizer_module, "_check_running", spy_running)
+        monkeypatch.setattr(optimizer_module, "_check_segment", spy_running)
         monkeypatch.setattr(optimizer_module, "_check_iterate", spy_iterate)
         w, _ = train(data, config)
         expected, norms = dense_replay(data, config)
@@ -751,24 +830,57 @@ class TestFailuresInsideBlocks:
         message = self.raise_both(monkeypatch, datasets, configs, (t - 1) * self.R + r, lambda row: row * 3.0)
         assert f"loss coefficients at step {t} in chain {r} have l1 norm" in message
 
-    def test_chain_over_its_bound_mid_block(self, monkeypatch):
-        datasets, configs, sizes = self.setup(monkeypatch)
-        r, norms = 0, []
-        check_running = optimizer_module._check_running
+    def chain_norms(self, monkeypatch, datasets, configs, r):
+        """Chain r's running norm at every step, read through the certificate."""
+        norms, check_segment = [], optimizer_module._check_segment
 
         def spy(a, v_sq, bounds, t, loss, reg):
-            norms.append(abs(a) * np.sqrt(abs(v_sq[r])))
-            check_running(a, v_sq, bounds, t, loss, reg)
+            assert t == len(norms) + 1  # every step once, in order
+            norms.extend(np.abs(a) * np.sqrt(np.abs(v_sq[:, r])))
+            check_segment(a, v_sq, bounds, t, loss, reg)
 
         with monkeypatch.context() as m:
-            m.setattr(optimizer_module, "_check_running", spy)
+            m.setattr(optimizer_module, "_check_segment", spy)
             train_many(datasets, configs)
+        return norms
+
+    def test_chain_over_its_bound_mid_block(self, monkeypatch):
+        datasets, configs, sizes = self.setup(monkeypatch)
+        r = 0
+        norms = self.chain_norms(monkeypatch, datasets, configs, r)
         # a mid-block step whose norm tops every earlier one of chain r
         t = next(t for t in self.mid_block_steps(sizes) if norms[t - 1] > max(norms[: t - 1]))
         bound = (norms[t - 1] + max(norms[: t - 1])) / 2
         datasets[r].kappa = (bound - optimizer_module._CERT_TOL) * self.SIGMA / MLOG.lipschitz_inf
         message = self.raise_both(monkeypatch, datasets, configs)
         assert f"exceeded the certified bound {bound:.6g} at step {t} in chain {r} " in message
+
+    def test_first_of_two_failures_in_a_chunk_is_named(self, monkeypatch):
+        datasets, configs, _ = self.setup(monkeypatch)
+        steps = (len(next(optimizer_module._chunks(datasets, configs))[1]) - 1) // self.R
+        norms = self.chain_norms(monkeypatch, datasets, configs, 2)
+        # chain 2 tops its bound at step t and chain 0 turns NaN at step t + 3,
+        # in the same chunk and running-norm segment (nothing records before the end)
+        t = next(t for t in range(10, steps - 3) if norms[t - 1] > max(norms[: t - 1]))
+        bound = (norms[t - 1] + max(norms[: t - 1])) / 2
+        datasets[2].kappa = (bound - optimizer_module._CERT_TOL) * self.SIGMA / MLOG.lipschitz_inf
+        message = self.raise_both(monkeypatch, datasets, configs, (t + 2) * self.R, lambda row: row * np.nan)
+        assert f"exceeded the certified bound {bound:.6g} at step {t} in chain 2 " in message
+
+    @pytest.mark.parametrize("poison, shown", [(np.nan, "nan"), (np.inf, "inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("loss", [MLOG, LossSpec.ranking(HINGE)], ids=lambda loss: loss.name)
+    def test_non_finite_mid_segment_raises_a_certificate_error(self, monkeypatch, poison, shown, loss):
+        # later blocks of the segment run on the poisoned rows before the check
+        task = "mlc" if loss.is_multilabel else "mcc"
+        datasets = [ragged_wide_dataset(task, seed=s) for s in range(self.R)]
+        configs = chain_configs(loss, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.experiment(self.SIGMA), 300)
+        t, r = 40, 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would fail here
+            message = self.raise_both(
+                monkeypatch, datasets, configs, (t - 1) * self.R + r, lambda row: np.full_like(row, poison)
+            )
+        assert f"iterate norm became {shown} at step {t} in chain {r} " in message
 
 
 class TestIterateNormCertificate:
