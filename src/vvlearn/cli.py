@@ -291,6 +291,8 @@ def _cmd_curve(args) -> int:
         passes_per_point=args.passes_per_point,
     )
     available = int(spec.train_fraction * len(data))
+    if not 0 < available < len(data):
+        raise DataError(f"train fraction {spec.train_fraction} leaves an empty side for n={len(data)}")
     if grid is None:
         try:
             spec = replace(spec, grid=default_samplesize_grid(available))

@@ -98,19 +98,21 @@ class Dataset:
         return self.X.shape[1]
 
     @cached_property
-    def kappa(self) -> float:
-        """Largest row norm, with the per-row norm ``normalize_rows`` makes 1.0."""
-        # vecdot on equal-nnz row blocks runs np.linalg.norm's per-row dot; sqrt is monotone
+    def row_sq_norms(self) -> np.ndarray:
+        """Each row's squared norm, with the per-row dot ``normalize_rows`` makes 1.0."""
+        # vecdot on equal-nnz row blocks runs np.linalg.norm's per-row dot
         starts, lengths = self.X.indptr[:-1], np.diff(self.X.indptr)
-        largest = 0.0
+        out = np.zeros(len(self))
         for k in np.unique(lengths[lengths > 0]):
-            block = self.X.data[starts[lengths == k][:, None] + np.arange(k)]
-            largest = max(largest, float(np.vecdot(block, block).max()))
-        return math.sqrt(largest)
+            rows = lengths == k
+            block = self.X.data[starts[rows][:, None] + np.arange(k)]
+            out[rows] = np.vecdot(block, block)
+        return out
 
-    def take(self, rows) -> "Dataset":
-        """The rows at the given indices, in that order, with the same d, c and task."""
-        return Dataset(self.X[rows], self.y[rows], self.c, self.task, dict(self.label_map))
+    @property
+    def kappa(self) -> float:
+        """Largest row norm."""
+        return math.sqrt(float(self.row_sq_norms.max(initial=0.0)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
@@ -303,8 +305,8 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 def normalize_rows(dataset: Dataset) -> Dataset:
     """Scale every nonzero input to unit Euclidean norm; zero rows stay.
 
-    Rows are rescaled in blocks of equal nnz, as ``Dataset.kappa`` reads
-    them, of at most _NORMALIZE_CHUNK_ENTRIES entries each.
+    Rows are rescaled in blocks of equal nnz, as ``Dataset.row_sq_norms``
+    reads them, of at most _NORMALIZE_CHUNK_ENTRIES entries each.
     """
     X = dataset.X
     data = X.data.copy()
@@ -318,28 +320,25 @@ def normalize_rows(dataset: Dataset) -> Dataset:
     return Dataset(unit, dataset.y, dataset.c, dataset.task, dict(dataset.label_map))
 
 
-def split(dataset: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Deterministic shuffle, then the first floor(fraction * n) rows.
+def split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of an n-row dataset: a deterministic shuffle, cut after floor(fraction * n).
 
-    Both sides inherit d, c, task and the label map.  Fractions that
-    leave either side empty are rejected.
+    Fractions that leave either side empty are rejected.
     """
-    n = len(dataset)
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     head = int(fraction * n)
     if head == 0 or head == n:
         raise ValueError(f"fraction {fraction} leaves an empty side for n={n}")
     perm = generator(seed).permutation(n)
-    return dataset.take(perm[:head]), dataset.take(perm[head:])
+    return perm[:head], perm[head:]
 
 
-def subsample(dataset: Dataset, size: int, seed: int) -> Dataset:
-    """A uniform subset of the given size, drawn without replacement."""
-    n = len(dataset)
+def subsample(n: int, size: int, seed: int) -> np.ndarray:
+    """A uniform subset of the given size of n rows, drawn without replacement."""
     if not 1 <= size <= n:
         raise ValueError(f"subsample size must lie in [1, {n}], got {size}")
-    return dataset.take(generator(seed).permutation(n)[:size])
+    return generator(seed).permutation(n)[:size]
 
 
 def synth_gen(

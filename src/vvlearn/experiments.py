@@ -2,7 +2,9 @@
 
 Each curve repeats training over independent repetitions, and the
 repetitions of a curve (passes) or of a grid point (sample size, gap) run
-in lockstep through one ``train_many`` call.  ``run_curve`` returns the
+in lockstep through one ``train_many`` call.  The pool is held once: splits
+and subsamples are arrays of its row indices, and every repetition trains
+and evaluates on its rows of the pool.  ``run_curve`` returns the
 objective of every repetition at every grid point as arrays of shape
 (len(grid), repetitions), one per metric, and ``emit_csv`` reduces them to
 a mean and standard deviation per grid point.  All randomness (splits,
@@ -78,7 +80,7 @@ def run_passes_curve(pool: Dataset, spec: CurveSpec) -> np.ndarray:
         raise ValueError(f"spec kind is {spec.kind!r}, expected 'passes'")
 
     reps = range(spec.repetitions)
-    splits = [split(pool, spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG, rep)) for rep in reps]
+    splits = [split(len(pool), spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG, rep)) for rep in reps]
     n = len(splits[0][0])
     configs = [
         TrainConfig(
@@ -88,11 +90,11 @@ def run_passes_curve(pool: Dataset, spec: CurveSpec) -> np.ndarray:
             total_steps=spec.grid[-1] * n,
             seed=derive_seed(spec.seed, _TRAIN_TAG, rep),
             record_every=n,
-            eval_holdout=test_set,
+            eval_holdout=test_rows,
         )
-        for rep, (_, test_set) in enumerate(splits)
+        for rep, (_, test_rows) in enumerate(splits)
     ]
-    runs = train_many([train_set for train_set, _ in splits], configs)
+    runs = train_many(pool, [train_rows for train_rows, _ in splits], configs)
     # Records fall at every pass boundary: records[g - 1] is pass g.
     return np.asarray([[records[g - 1].holdout_objective for _, records in runs] for g in spec.grid])
 
@@ -105,17 +107,18 @@ def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.nda
     ``passes_per_point`` passes over it, the repetitions of one size in
     lockstep.
     """
-    train_pool, test_set = split(pool, spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG))
-    if spec.grid[-1] > len(train_pool):
+    train_rows, test_rows = split(len(pool), spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG))
+    if spec.grid[-1] > len(train_rows):
         raise ValueError(
-            f"grid value {spec.grid[-1]} exceeds the available pool of {len(train_pool)}"
+            f"grid value {spec.grid[-1]} exceeds the available pool of {len(train_rows)}"
         )
 
     reps = range(spec.repetitions)
     train_vals, test_vals = [], []
     for gi, size in enumerate(spec.grid):
         subsets = [
-            subsample(train_pool, size, derive_seed(spec.seed, _SUBSAMPLE_TAG, gi, rep)) for rep in reps
+            train_rows.take(subsample(len(train_rows), size, derive_seed(spec.seed, _SUBSAMPLE_TAG, gi, rep)))
+            for rep in reps
         ]
         configs = [
             TrainConfig(
@@ -124,11 +127,11 @@ def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.nda
                 schedule=spec.schedule,
                 total_steps=spec.passes_per_point * size,
                 seed=derive_seed(spec.seed, _TRAIN_TAG, gi, rep),
-                eval_holdout=test_set,
+                eval_holdout=test_rows,
             )
             for rep in reps
         ]
-        finals = [records[-1] for _, records in train_many(subsets, configs)]
+        finals = [records[-1] for _, records in train_many(pool, subsets, configs)]
         train_vals.append([final.empirical_objective for final in finals])
         test_vals.append([final.holdout_objective for final in finals])
     return np.asarray(train_vals), np.asarray(test_vals)

@@ -13,9 +13,10 @@ every training run, not just under test.
 
 One loop, ``_steps``, advances R independent chains in lockstep; ``train``
 is its R = 1 case and ``train_many`` runs the R repetitions of a learning
-curve.  The chains share the loss, regularizer, schedule, length and record
-cadence; each keeps its own data, PCG64 stream and certificates, and chain
-r of a lockstep run equals a lone ``train`` of that chain bit for bit.
+curve.  The chains share the data pool, loss, regularizer, schedule, length
+and record cadence; each keeps its own rows of the pool (its i-th draw is
+row rows[r][i]), holdout rows, PCG64 stream and certificates, and chain r
+of a lockstep run equals a lone ``train`` on its rows bit for bit.
 
 Every chain stores its iterate lazily scaled, W_r = a * V_r (Pegasos,
 Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
@@ -27,11 +28,12 @@ group (2, p) step rescales V's columns at O(d * c); both leave a = 1.
 
 Indices are drawn a chunk of steps at a time, each chain from its own
 generator (numpy's bounded-integer stream does not depend on how the draws
-are split).  Each chunk is planned in arrays: its drawn rows, laid out step
-by step with feature indices offset by r * d into V viewed as (R * d, c);
-eta_t, the scale before and after each step and eta_t / a; the ranking
-pair lists (``LossSpec.plan``); and where each block may end.  Left folds
-in numpy (``np.multiply.accumulate``) keep the sequential loop's bits.
+are split).  Each chunk is planned in arrays: its drawn pool rows, read
+from the pool's CSR step by step with feature indices offset by r * d into
+V viewed as (R * d, c); eta_t, the scale before and after each step and
+eta_t / a; the ranking pair lists (``LossSpec.plan``); and where each block
+may end.  Left folds in numpy (``np.multiply.accumulate``) keep the
+sequential loop's bits.
 
 Python then walks blocks, not steps: maximal runs of steps in which no step
 reads a row of V that an earlier one wrote (offset indices of different
@@ -128,8 +130,9 @@ class StepSchedule:
 class TrainConfig:
     """Everything a training run depends on, seed included.
 
-    ``record_every`` of None records only the final step.  ``eval_holdout``
-    adds the objective on held-out data to every record.
+    ``record_every`` of None records only the final step.  ``eval_holdout``,
+    an integer array of rows of the training pool, adds the objective on
+    those held-out rows to every record.
     """
 
     loss: LossSpec
@@ -138,7 +141,7 @@ class TrainConfig:
     total_steps: int
     seed: int
     record_every: int | None = None
-    eval_holdout: object = None
+    eval_holdout: np.ndarray | None = None
 
     def __post_init__(self):
         if self.total_steps < 1:
@@ -159,69 +162,61 @@ class RunRecord:
     iterate_frobenius_norm: float
 
 
-def _check_data(data: Dataset, loss: LossSpec, shape=None) -> None:
-    if len(data) == 0:
-        raise ValueError("data must be nonempty")
-    loss.check_labels(data.y, data.c)
-    if shape is not None and shape != (data.d, data.c):
-        raise ValueError(f"data has dimensions {(data.d, data.c)}, the weight matrix {shape}")
+def _check_rows(rows, n: int, what: str) -> np.ndarray:
+    """rows as a nonempty one-dimensional integer array of indices into n rows."""
+    rows = np.asarray(rows)
+    if rows.ndim != 1 or not len(rows) or not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError(f"{what} must be a nonempty array of row indices, got {rows.dtype} of shape {rows.shape}")
+    if rows.min() < 0 or rows.max() >= n:
+        raise ValueError(f"{what} must lie in [0, {n})")
+    return rows
 
 
-def evaluate_objective(w: np.ndarray, data: Dataset, loss: LossSpec, reg: RegularizerSpec) -> float:
-    """Mean loss over the data plus the regularizer."""
-    return evaluate_mean_loss(w, data, loss) + reg.value(w)
+def evaluate_objective(w: np.ndarray, data: Dataset, loss: LossSpec, reg: RegularizerSpec, rows=None) -> float:
+    """Mean loss over the data, or over the given rows of it, plus the regularizer."""
+    return evaluate_mean_loss(w, data, loss, rows) + reg.value(w)
 
 
-def evaluate_mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec) -> float:
-    """Mean loss over the data without the regularization term.
+def evaluate_mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec, rows=None) -> float:
+    """Mean loss over the data, or over the given rows of it, without the regularization term.
 
     Scores come from one sparse product per chunk of rows.  A chunk holds
     at most ``_EVAL_CHUNK_ENTRIES`` entries of the arrays its loss call
     allocates (``LossSpec.work``), or one row; the chunks change no value.
     """
-    _check_data(data, loss, np.shape(w))
-    n = len(data)
+    rows = _check_rows(np.arange(len(data)) if rows is None else rows, len(data), "rows")
+    loss.check_labels(data.y, data.c)
+    if np.shape(w) != (data.d, data.c):
+        raise ValueError(f"data has dimensions {(data.d, data.c)}, the weight matrix {np.shape(w)}")
+    y, n = data.y.take(rows, axis=0), len(rows)
     work = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(loss.work(data.y, data.c), out=work[1:])
+    np.cumsum(loss.work(y, data.c), out=work[1:])
     values, lo = np.empty(n), 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(work, work[lo] + _EVAL_CHUNK_ENTRIES, "right")) - 1)
-        rows = data.X if hi - lo == n else data.X[lo:hi]  # slicing copies the rows
-        values[lo:hi] = loss.value(predict(w, rows), data.y[lo:hi])
+        values[lo:hi] = loss.value(predict(w, data.X[rows[lo:hi]]), y[lo:hi])
         lo = hi
     return float(np.sum(values) / n)
 
 
-def _gather(datasets: list[Dataset], draws: list[np.ndarray]):
-    """The rows each chain draws at each step of a chunk, laid out step by step.
+def _gather(data: Dataset, draws: np.ndarray):
+    """The pool rows each chain draws at each step of a chunk, laid out step by step.
 
-    Returns (offsets, features, values).  The entries of chain r at step s
-    are features[offsets[s*R + r] : offsets[s*R + r + 1]] (its feature
-    indices offset by r * d) and the same slice of values.
+    draws (steps, R) holds the drawn rows of data.  Returns (offsets,
+    features, values): the entries of chain r at step s are
+    features[offsets[s*R + r] : offsets[s*R + r + 1]] (its feature indices
+    offset by r * d) and the same slice of values.
     """
-    R, k, d = len(datasets), len(draws[0]), datasets[0].d
-    starts = np.stack([data.X.indptr.take(i) for data, i in zip(datasets, draws)])
-    counts = np.stack([data.X.indptr.take(i + 1) for data, i in zip(datasets, draws)]) - starts
-    # Gather chain by chain, in (chain, step) order: entry j of the row
-    # chain r draws at step s sits at first[r, s] + j of the gathered
-    # arrays and at starts[r, s] + j of chain r's CSR arrays.
-    nnz = counts.ravel()
-    first = np.cumsum(nnz) - nnz
-    positions = np.arange(int(first[-1] + nnz[-1]))
-    source = np.repeat(starts.ravel() - first, nnz)
-    source += positions
-    features, values = np.empty(len(positions), dtype=np.intp), np.empty(len(positions))
-    cuts = [*first[::k].tolist(), len(positions)]
-    for r, (data, lo, hi) in enumerate(zip(datasets, cuts, cuts[1:])):
-        np.add(data.X.indices.take(source[lo:hi]), r * d, out=features[lo:hi], dtype=np.intp)
-        data.X.data.take(source[lo:hi], out=values[lo:hi])
-    # Reorder to (step, chain) order, so that a step's entries are one slice.
-    nnz = counts.T.ravel()
+    steps, R = draws.shape
+    starts = data.X.indptr.take(draws.ravel())
+    nnz = data.X.indptr.take(draws.ravel() + 1) - starts
     offsets = np.zeros(len(nnz) + 1, dtype=np.int64)
     np.cumsum(nnz, out=offsets[1:])
-    order = np.repeat(first.reshape(R, k).T.ravel() - offsets[:-1], nnz)
-    order += positions
-    return offsets, features.take(order), values.take(order)
+    # entry j of a drawn row sits at offsets[k] + j here and at starts[k] + j in the CSR
+    source = np.repeat(starts - offsets[:-1], nnz)
+    source += np.arange(offsets[-1])
+    shift = np.repeat(np.tile(np.arange(R) * data.d, steps), nnz)
+    return offsets, np.add(data.X.indices.take(source), shift, dtype=np.intp), data.X.data.take(source)
 
 
 def _conflicts(offsets: np.ndarray, features: np.ndarray, R: int) -> list[int]:
@@ -237,30 +232,30 @@ def _conflicts(offsets: np.ndarray, features: np.ndarray, R: int) -> list[int]:
     return latest.tolist()
 
 
-def _chunks(datasets: list[Dataset], configs: list[TrainConfig]):
+def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     """The draws of every chain, one chunk of steps at a time.
 
     Yields (t0, offsets, features, values, labels, conflicts) per chunk,
-    for its steps t0 + 1, t0 + 2, ...: labels holds the chains' labels in
-    (step, chain) order, conflicts comes from ``_conflicts`` and the rest
-    from ``_gather``.  Indices are uniform from a PCG64 per chain, seeded
-    with its config's seed.  When some chain's rows all hold more than
-    d / 2 entries, any two of its rows share a column, so every step
-    conflicts with the one before and the scan is skipped.
+    for its steps t0 + 1, t0 + 2, ...: labels holds the drawn rows' labels
+    in (step, chain) order, conflicts comes from ``_conflicts`` and the rest
+    from ``_gather``.  Chain r draws indices into rows[r] uniformly from a
+    PCG64 seeded with its config's seed.  When some chain's rows all hold
+    more than d / 2 entries, any two of its rows share a column, so every
+    step conflicts with the one before and the scan is skipped.
     """
-    R = len(datasets)
+    R = len(rows)
     rngs = [np.random.Generator(np.random.PCG64(config.seed)) for config in configs]
-    widths = [np.diff(data.X.indptr) for data in datasets]
+    widths = [np.diff(data.X.indptr).take(chain) for chain in rows]
     widest = max(int(np.max(w)) for w in widths)
-    dense = any(2 * int(np.min(w)) > data.d for w, data in zip(widths, datasets))
+    dense = any(2 * int(np.min(w)) > data.d for w in widths)
     size = max(1, _DRAW_CHUNK_ENTRIES // (R * max(1, widest)))
     total = configs[0].total_steps
     for t0 in range(0, total, size):
-        draws = [rng.integers(0, len(data), size=min(size, total - t0)) for rng, data in zip(rngs, datasets)]
-        labels = np.stack([data.y.take(i, axis=0) for data, i in zip(datasets, draws)], axis=1)
-        offsets, features, values = _gather(datasets, draws)
-        conflicts = list(range(-1, len(draws[0]) - 1)) if dense else _conflicts(offsets, features, R)
-        yield t0, offsets, features, values, labels.reshape(-1, *labels.shape[2:]), conflicts
+        k = min(size, total - t0)
+        draws = np.stack([chain.take(rng.integers(0, len(chain), size=k)) for rng, chain in zip(rngs, rows)], axis=1)
+        offsets, features, values = _gather(data, draws)
+        conflicts = list(range(-1, k - 1)) if dense else _conflicts(offsets, features, R)
+        yield t0, offsets, features, values, data.y.take(draws.ravel(), axis=0), conflicts
 
 
 def _chain(r: int | None) -> str:
@@ -378,7 +373,7 @@ def _block_limits(offsets: np.ndarray, conflicts: list[int], R: int, c: int) -> 
     return np.minimum(ends, np.maximum(np.arange(1, size + 1), fits)).tolist()
 
 
-def _steps(datasets: list[Dataset], configs: list[TrainConfig]):
+def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     """SGD on W_r = a * V_r for every chain; yields (t, W, norms) on recording steps.
 
     W has shape (R, d, c) and norms lists each chain's ||W_r||_F.
@@ -386,19 +381,20 @@ def _steps(datasets: list[Dataset], configs: list[TrainConfig]):
     config = configs[0]
     loss, reg, schedule, total = config.loss, config.reg, config.schedule, config.total_steps
     record_every = config.record_every or total
-    R, d, c = len(datasets), datasets[0].d, datasets[0].c
+    R, d, c = len(rows), data.d, data.c
     # Valid for the Frobenius regularizer whenever eta_1 * sigma <= 1 (both
     # schedules qualify at their usual parameters), since then
-    # ||w_{t+1}|| <= max(||w_t||, L*kappa/sigma).  Otherwise only
-    # finiteness is checked.
+    # ||w_{t+1}|| <= max(||w_t||, L*kappa/sigma), kappa the largest norm of
+    # the chain's rows.  Otherwise only finiteness is checked.
     if reg.kind == "frobenius" and schedule.eta(1) * reg.sigma <= 1.0 + 1e-12:
-        bounds = np.array([loss.lipschitz_inf * data.kappa / reg.sigma + _CERT_TOL for data in datasets])
+        kappas = [math.sqrt(float(data.row_sq_norms.take(chain).max())) for chain in rows]
+        bounds = np.array([loss.lipschitz_inf * kappa / reg.sigma + _CERT_TOL for kappa in kappas])
     else:
         bounds = np.full(R, math.inf)
     chain_ids = list(range(R)) if R > 1 else [None]
     a, v, v_sq = 1.0, np.zeros((R, d, c)), np.zeros(R)
     flat = v.reshape(R * d, c)
-    for t0, offsets, features, values, labels, conflicts in _chunks(datasets, configs):
+    for t0, offsets, features, values, labels, conflicts in _chunks(data, rows, configs):
         size = (len(offsets) - 1) // R
         eta = schedule.eta(np.arange(t0 + 1, t0 + size + 1))
         before, after, folds = _scales(reg, a, eta)
@@ -477,22 +473,21 @@ def _steps(datasets: list[Dataset], configs: list[TrainConfig]):
 
 
 def train_many(
-    datasets: list[Dataset], configs: list[TrainConfig]
+    data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]
 ) -> list[tuple[np.ndarray, list[RunRecord]]]:
-    """Run one SGD chain per (dataset, config) pair in lockstep.
+    """Run one SGD chain per (rows, config) pair in lockstep over the pool data.
 
-    Returns each chain's last iterate and records, bit for bit what
-    ``train`` returns for that pair alone.  The configs must agree on
-    loss, regularizer, schedule, ``total_steps`` and ``record_every``,
-    and the datasets on d and c; each config keeps its own seed and
-    holdout.  All data is checked before the first step.
+    Chain r trains on rows[r] of data, an integer array: its i-th draw is
+    row rows[r][i].  Returns each chain's last iterate and records, bit for
+    bit what ``train`` returns on those rows alone.  The configs must agree
+    on loss, regularizer, schedule, ``total_steps`` and ``record_every``;
+    each keeps its own seed and holdout rows.  The data, labels and rows
+    are checked before the first step.
     """
-    if not datasets:
-        raise ValueError("need at least one dataset")
-    if len(datasets) != len(configs):
-        raise ValueError(
-            f"need one config per dataset, got {len(datasets)} datasets and {len(configs)} configs"
-        )
+    if not configs:
+        raise ValueError("need at least one chain")
+    if len(rows) != len(configs):
+        raise ValueError(f"need one config per chain, got {len(rows)} row arrays and {len(configs)} configs")
     first = configs[0]
     loss, reg = first.loss, first.reg
     shared = (loss, reg, first.schedule, first.total_steps, first.record_every)
@@ -501,24 +496,22 @@ def train_many(
             raise ValueError(
                 f"config {r} differs from config 0 in loss, regularizer, schedule, total_steps or record_every"
             )
-    shape = (datasets[0].d, datasets[0].c)
-    for r, (data, config) in enumerate(zip(datasets, configs)):
-        _check_data(data, loss)
-        if (data.d, data.c) != shape:
-            raise ValueError(f"dataset {r} has dimensions {(data.d, data.c)}, dataset 0 {shape}")
+    rows = [_check_rows(chain, len(data), f"rows of chain {r}") for r, chain in enumerate(rows)]
+    for r, config in enumerate(configs):
         if config.eval_holdout is not None:
-            _check_data(config.eval_holdout, loss, shape)
+            _check_rows(config.eval_holdout, len(data), f"holdout rows of chain {r}")
+    loss.check_labels(data.y, data.c)
 
     records: list[list[RunRecord]] = [[] for _ in configs]
-    for t, w, norms in _steps(datasets, configs):
-        for data, config, w_r, norm, chain in zip(datasets, configs, w, norms, records):
+    for t, w, norms in _steps(data, rows, configs):
+        for chain_rows, config, w_r, norm, chain in zip(rows, configs, w, norms, records):
             holdout = None
             if config.eval_holdout is not None:
-                holdout = evaluate_objective(w_r, config.eval_holdout, loss, reg)
+                holdout = evaluate_objective(w_r, data, loss, reg, config.eval_holdout)
             chain.append(
                 RunRecord(
                     step=t,
-                    empirical_objective=evaluate_objective(w_r, data, loss, reg),
+                    empirical_objective=evaluate_objective(w_r, data, loss, reg, chain_rows),
                     holdout_objective=holdout,
                     iterate_frobenius_norm=norm,
                 )
@@ -527,13 +520,12 @@ def train_many(
 
 
 def train(data: Dataset, config: TrainConfig) -> tuple[np.ndarray, list[RunRecord]]:
-    """Run SGD from w = 0 and return the last iterate with its records.
+    """Run SGD from w = 0 over every row of data and return the last iterate with its records.
 
     Indices are drawn i.i.d. uniform from a seeded PCG64 generator, so a
     fixed config reproduces the run bit for bit.  Records are emitted
-    every ``record_every`` steps and at the final step.  The labels are
-    checked against the loss, and the holdout against the data's
-    dimensions, before the first step.  This is ``train_many`` with one
-    chain.
+    every ``record_every`` steps and at the final step.  The labels and
+    holdout rows are checked before the first step.  This is
+    ``train_many`` with one chain over ``np.arange(len(data))``.
     """
-    return train_many([data], [config])[0]
+    return train_many(data, [np.arange(len(data))], [config])[0]

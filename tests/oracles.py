@@ -24,12 +24,21 @@ power-of-two prescaling and the per-row norm loop that ``vvlearn.dataio``
 replaced; on rows whose norm neither overflows nor underflows they give the
 same bits.  ``prescaled_unit_values`` is the per-row normalization with the
 prescaling, which the blockwise ``normalize_rows`` must match on every row.
+
+``take`` copies rows of a dataset into a dataset of their own, as every
+split and chain held its rows before chains read row maps into one pool;
+``lone_run`` trains one chain on such a copy, the reference that a chain of
+``train_many`` must equal bit for bit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.special import expit
+
+from vvlearn.dataio import Dataset
+from vvlearn.optimizer import train, train_many
 
 
 def base_value(base, t):
@@ -300,3 +309,21 @@ def max_row_norm(X):
     """Largest Euclidean row norm of a CSR matrix, one ``np.linalg.norm`` per row."""
     data, bounds = X.data, X.indptr.tolist()
     return max((float(np.linalg.norm(data[s:e])) for s, e in zip(bounds, bounds[1:])), default=0.0)
+
+
+def take(data, rows):
+    """The rows of data at the given indices, in that order, as a Dataset of their own."""
+    return Dataset(data.X[rows], data.y[rows], data.c, data.task)
+
+
+def lone_run(pool, rows, config):
+    """``train`` of one chain on its own copy of its rows of the pool.
+
+    With holdout rows, the copy holds the chain's rows and then its holdout
+    rows, and the chain trains on the first part.
+    """
+    if config.eval_holdout is None:
+        return train(take(pool, rows), config)
+    local = take(pool, np.concatenate([rows, config.eval_holdout]))
+    holdout = np.arange(len(rows), len(local))
+    return train_many(local, [np.arange(len(rows))], [replace(config, eval_holdout=holdout)])[0]

@@ -500,6 +500,19 @@ class TestCurveCommand:
             "--grid", "500", "--out", str(tmp_path / "x.csv"),
         ) == 2
 
+    @pytest.mark.parametrize(
+        "n, fraction, kind",
+        [(1, "0.8", "passes"), (3, "0.1", "passes"), (1, "0.8", "samplesize"), (3, "0.1", "gap")],
+    )
+    def test_pool_too_small_to_split_is_data_error(self, tmp_path, capsys, n, fraction, kind):
+        out = tmp_path / "x.csv"
+        assert run(
+            "curve", "--kind", kind, "--synth", f"n={n},d=2,c=2", "--grid", "1", "--reps", "1",
+            "--train-fraction", fraction, "--out", str(out),
+        ) == 2
+        assert f"train fraction {fraction} leaves an empty side for n={n}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", [(), ("--grid", "100")])
     def test_bad_train_fraction_is_usage_error(self, tmp_path, capsys, grid):
         # the default grid and the pool check must not size a pool from it first

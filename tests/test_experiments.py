@@ -1,8 +1,10 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracles
 from vvlearn.dataio import Dataset, split, subsample, synth_gen
 from vvlearn.experiments import (
     CurveSpec,
@@ -72,15 +74,14 @@ class TestPassesCurve:
         test = run_passes_curve(pool, spec)
         assert test.shape == (1, 1)
 
-        # replay the protocol by hand for the single repetition
-        train_set, test_set = split(pool, 0.8, derive_seed(4, 11, 0))
-        n = len(train_set)
+        # replay the protocol by hand for the single repetition, on copies of the split
+        train_rows, test_rows = split(len(pool), 0.8, derive_seed(4, 11, 0))
+        n = len(train_rows)
         config = TrainConfig(
-            loss=MLOG, reg=FRO, schedule=SCHED, total_steps=n,
-            seed=derive_seed(4, 13, 0), record_every=n, eval_holdout=test_set,
+            loss=MLOG, reg=FRO, schedule=SCHED, total_steps=n, seed=derive_seed(4, 13, 0), record_every=n,
         )
-        w, records = train(train_set, config)
-        expected = evaluate_objective(w, test_set, MLOG, FRO)
+        w, records = train(oracles.take(pool, train_rows), config)
+        expected = evaluate_objective(w, oracles.take(pool, test_rows), MLOG, FRO)
         assert test[0, 0] == expected
 
     def test_repetitions_equal_lone_train_runs(self, pool):
@@ -88,13 +89,13 @@ class TestPassesCurve:
         spec = make_spec("passes", (1, 3), reps=3, seed=4)
         test = run_passes_curve(pool, spec)
         for rep in range(3):
-            train_set, test_set = split(pool, 0.8, derive_seed(4, 11, rep))
-            n = len(train_set)
+            train_rows, test_rows = split(len(pool), 0.8, derive_seed(4, 11, rep))
+            n = len(train_rows)
             config = TrainConfig(
                 loss=MLOG, reg=FRO, schedule=SCHED, total_steps=3 * n,
-                seed=derive_seed(4, 13, rep), record_every=n, eval_holdout=test_set,
+                seed=derive_seed(4, 13, rep), record_every=n, eval_holdout=test_rows,
             )
-            _, records = train(train_set, config)
+            _, records = oracles.lone_run(pool, train_rows, config)
             assert test[:, rep].tolist() == [records[0].holdout_objective, records[2].holdout_objective]
 
     def test_grid_points_share_one_trajectory(self, pool):
@@ -118,6 +119,29 @@ class TestPassesCurve:
     def test_kind_guard(self, pool):
         with pytest.raises(ValueError):
             run_passes_curve(pool, make_spec("gap", (1, 2)))
+
+
+class TestOnePool:
+    def test_repetitions_add_less_than_one_split_of_memory(self):
+        # the curve-passes benchmark settings, on which one split copies about 0.5 MB
+        pool = synth_gen(n=2000, d=20, c=5, task="mcc", noise=0.05, seed=0)
+        split_bytes = sum(a.nbytes for a in (pool.X.data, pool.X.indices, pool.X.indptr, pool.X.indptr, pool.y))
+        peaks = []
+        for reps in (1, 10):
+            tracemalloc.start()
+            try:
+                run_passes_curve(pool, make_spec("passes", (1,), reps=reps))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < split_bytes
+
+    def test_curves_build_no_dataset(self, pool, monkeypatch):
+        built = []
+        monkeypatch.setattr(Dataset, "__post_init__", lambda self: built.append(self))
+        for kind, grid in [("passes", (1, 2)), ("samplesize", (40, 80)), ("gap", (40, 80))]:
+            run_curve(pool, make_spec(kind, grid, reps=3))
+        assert built == []
 
 
 class TestSampleSizeAndGapCurves:
@@ -147,15 +171,15 @@ class TestSampleSizeAndGapCurves:
             reg=FRO, schedule=SCHED, seed=6, passes_per_point=2,
         )
         metrics = run_curve(pool, spec)
-        train_pool, test_set = split(pool, 0.8, derive_seed(6, 11))
+        train_rows, test_rows = split(len(pool), 0.8, derive_seed(6, 11))
         for gi, size in enumerate(spec.grid):
             for rep in range(3):
-                subset = subsample(train_pool, size, derive_seed(6, 12, gi, rep))
+                subset = train_rows[subsample(len(train_rows), size, derive_seed(6, 12, gi, rep))]
                 config = TrainConfig(
                     loss=spec.loss, reg=FRO, schedule=SCHED, total_steps=2 * size,
-                    seed=derive_seed(6, 13, gi, rep), eval_holdout=test_set,
+                    seed=derive_seed(6, 13, gi, rep), eval_holdout=test_rows,
                 )
-                final = train(subset, config)[1][-1]
+                final = oracles.lone_run(pool, subset, config)[1][-1]
                 assert metrics["train"][gi, rep] == final.empirical_objective
                 assert metrics["test"][gi, rep] == final.holdout_objective
 

@@ -11,7 +11,7 @@ import oracles
 import vvlearn.losses as losses_module
 import vvlearn.optimizer as optimizer_module
 from vvlearn.core import frobenius_norm
-from vvlearn.dataio import Dataset, synth_gen
+from vvlearn.dataio import Dataset, split, synth_gen
 from vvlearn.losses import HINGE, LOGISTIC, LossSpec, standard_loss_specs
 from vvlearn.optimizer import (
     CertificateError,
@@ -31,6 +31,20 @@ LOGISTIC_SUBSET = LossSpec.subset(LOGISTIC)
 
 def tiny_dataset(n=40, d=5, c=3, seed=0, task="mcc"):
     return synth_gen(n=n, d=d, c=c, task=task, noise=0.1, seed=seed)
+
+
+def pooled(*datasets):
+    """One pool holding the datasets back to back, and the rows of each in it."""
+    first = datasets[0]
+    X = sp.vstack([data.X for data in datasets], format="csr")
+    pool = Dataset(X, np.concatenate([data.y for data in datasets]), first.c, first.task)
+    bounds = np.cumsum([0] + [len(data) for data in datasets])
+    return pool, [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def set_kappa(pool, rows, kappa):
+    """Give the chain on these rows the largest row norm kappa, through the pool's cached row norms."""
+    pool.row_sq_norms[rows] = kappa**2
 
 
 def single_row(x, y, c=None):
@@ -178,7 +192,7 @@ class TestEvaluateObjective:
 
     def test_single_example_identity(self):
         data = tiny_dataset(n=2)
-        first = data.take([0])
+        first = oracles.take(data, [0])
         w = np.full((data.d, data.c), 0.2)
         reg = RegularizerSpec.frobenius(0.3)
         got = evaluate_objective(w, first, MLOG, reg)
@@ -239,6 +253,18 @@ class TestBatchedEvaluation:
         monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", 7 * data.c * data.c)
         assert evaluate_mean_loss(w, data, spec) == whole
 
+    @pytest.mark.parametrize("spec", [MLOG, LossSpec.ranking(HINGE)], ids=lambda s: s.name)
+    def test_rows_equal_their_copy_bit_for_bit(self, monkeypatch, spec):
+        data = sparse_wide_dataset("mlc" if spec.is_multilabel else "mcc", n=300, d=60)
+        rows = generator(3).integers(0, len(data), size=250)  # repeats and any order
+        w = np.random.default_rng(10).standard_normal((data.d, data.c))
+        reg = RegularizerSpec.frobenius(0.1)
+        for chunk in (optimizer_module._EVAL_CHUNK_ENTRIES, 7 * data.c * data.c):
+            monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", chunk)
+            copy = oracles.take(data, rows)
+            assert evaluate_mean_loss(w, data, spec, rows) == evaluate_mean_loss(w, copy, spec)
+            assert evaluate_objective(w, data, spec, reg, rows) == evaluate_objective(w, copy, spec, reg)
+
     def test_weight_shape_checked(self):
         data = tiny_dataset()
         with pytest.raises(ValueError):
@@ -269,25 +295,28 @@ class TestBatchedEvaluation:
 
 class TestLabelsCheckedUpFront:
     @pytest.mark.parametrize(
-        "holdout, match",
-        [(tiny_dataset(d=7), "data has dimensions"), (tiny_dataset(task="mlc"), "class indices")],
-        ids=["wrong-d", "mlc-under-mlogistic"],
+        "chain_rows, holdout, match",
+        [
+            (np.array([], dtype=int), None, "rows of chain 1 must be a nonempty array"),
+            (np.array([3, 40]), None, r"rows of chain 1 must lie in \[0, 40\)"),
+            (np.array([-1, 3]), None, r"rows of chain 1 must lie in \[0, 40\)"),
+            (np.array([0.0, 1.0]), None, "rows of chain 1 must be a nonempty array of row indices"),
+            (np.array([[0, 1]]), None, "rows of chain 1 must be a nonempty array"),
+            (np.arange(20), np.array([20, 40]), r"holdout rows of chain 1 must lie in \[0, 40\)"),
+            (np.arange(20), np.array([0.5]), "holdout rows of chain 1 must be a nonempty array"),
+        ],
+        ids=["empty", "past-the-end", "negative", "floats", "two-dimensional", "holdout-past-the-end", "holdout-floats"],
     )
-    def test_bad_holdout_fails_before_training(self, monkeypatch, holdout, match):
+    def test_bad_rows_fail_before_training(self, monkeypatch, chain_rows, holdout, match):
         data = tiny_dataset()
         steps = []
         monkeypatch.setattr(optimizer_module, "_chunks", lambda *a: steps.append(1) or iter(()))
-        config = TrainConfig(
-            loss=MLOG,
-            reg=RegularizerSpec.frobenius(0.05),
-            schedule=StepSchedule.theorem(0.05),
-            total_steps=10,
-            seed=0,
-            record_every=5,
-            eval_holdout=holdout,
+        configs = chain_configs(
+            MLOG, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), 10, record_every=5,
+            repetitions=2, holdouts=[np.arange(20, 40), holdout],
         )
         with pytest.raises(ValueError, match=match):
-            train(data, config)
+            train_many(data, [np.arange(20), chain_rows], configs)
         assert steps == []
 
     def test_single_sign_row_fails_before_training(self, monkeypatch):
@@ -361,8 +390,8 @@ class TestTrain:
         assert np.isclose(records[-1].iterate_frobenius_norm, frobenius_norm(w), atol=1e-15)
 
     def test_holdout_objective_recorded(self):
-        data = tiny_dataset(seed=0)
         holdout = tiny_dataset(seed=1)
+        pool, (rows, holdout_rows) = pooled(tiny_dataset(seed=0), holdout)
         config = TrainConfig(
             loss=MLOG,
             reg=RegularizerSpec.frobenius(0.05),
@@ -370,9 +399,9 @@ class TestTrain:
             total_steps=40,
             seed=0,
             record_every=20,
-            eval_holdout=holdout,
+            eval_holdout=holdout_rows,
         )
-        w, records = train(data, config)
+        w, records = train_many(pool, [rows], [config])[0]
         assert all(r.holdout_objective is not None for r in records)
         assert np.isclose(
             records[-1].holdout_objective,
@@ -484,11 +513,11 @@ def chain_configs(loss, reg, schedule, total_steps, record_every=None, repetitio
     ]
 
 
-def assert_chains_equal_lone_runs(datasets, configs):
-    runs = train_many(datasets, configs)
+def assert_chains_equal_lone_runs(pool, rows, configs):
+    runs = train_many(pool, rows, configs)
     assert len(runs) == len(configs)
-    for (w, records), data, config in zip(runs, datasets, configs):
-        w_alone, records_alone = train(data, config)
+    for (w, records), chain_rows, config in zip(runs, rows, configs):
+        w_alone, records_alone = oracles.lone_run(pool, chain_rows, config)
         assert w.shape == w_alone.shape and w.tobytes() == w_alone.tobytes()
         assert records == records_alone
 
@@ -499,11 +528,24 @@ class TestLockstepChains:
     def test_mlogistic_on_dense_data(self):
         datasets = [tiny_dataset(n=60, d=7, c=4, seed=s) for s in range(4)]
         holdouts = [tiny_dataset(n=30, d=7, c=4, seed=10 + s) for s in range(4)]
+        pool, rows = pooled(*datasets, *holdouts)
         configs = chain_configs(
             MLOG, RegularizerSpec.frobenius(0.01), StepSchedule.experiment(0.01), 300,
-            record_every=60, repetitions=4, holdouts=holdouts,
+            record_every=60, repetitions=4, holdouts=rows[4:],
         )
-        assert_chains_equal_lone_runs(datasets, configs)
+        assert_chains_equal_lone_runs(pool, rows[:4], configs)
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("rows_kind", ["dense", "ragged"])
+    def test_row_maps_into_one_pool(self, rows_kind, R):
+        # each chain trains on a shuffled split of the shared pool and holds out the rest
+        pool = tiny_dataset(n=120, d=8, c=4) if rows_kind == "dense" else ragged_dataset(n=120)
+        splits = [split(len(pool), 0.7, seed) for seed in range(R)]
+        configs = chain_configs(
+            MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 250,
+            record_every=84, repetitions=R, holdouts=[test for _, test in splits],
+        )
+        assert_chains_equal_lone_runs(pool, [train_rows for train_rows, _ in splits], configs)
 
     def test_ranking_on_multilabel_data(self):
         datasets = [tiny_dataset(n=50, d=6, c=5, seed=s, task="mlc") for s in range(3)]
@@ -511,7 +553,7 @@ class TestLockstepChains:
             LossSpec.ranking(HINGE), RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 250,
             record_every=50,
         )
-        assert_chains_equal_lone_runs(datasets, configs)
+        assert_chains_equal_lone_runs(*pooled(*datasets), configs)
 
     def test_ragged_sparse_rows(self):
         datasets = [ragged_dataset(seed=s) for s in range(3)]
@@ -520,17 +562,17 @@ class TestLockstepChains:
             record_every=100,
         )
         # a step is ragged when the chains' drawn rows differ in nnz
-        widths = np.concatenate([np.diff(chunk[1]) for chunk in optimizer_module._chunks(datasets, configs)])
+        widths = np.concatenate([np.diff(chunk[1]) for chunk in optimizer_module._chunks(*pooled(*datasets), configs)])
         ragged = np.any(widths.reshape(-1, 3) != widths.reshape(-1, 3)[:, :1], axis=1)
         assert len(ragged) == 400 and 0 < ragged.sum() < 400
-        assert_chains_equal_lone_runs(datasets, configs)
+        assert_chains_equal_lone_runs(*pooled(*datasets), configs)
 
     def test_l2p_regularizer(self):
         datasets = [sparse_wide_dataset("mcc", n=80, d=30, seed=s) for s in range(3)]
         configs = chain_configs(
             MLOG, RegularizerSpec.l2p(self.SIGMA, 1.5), StepSchedule.theorem(self.SIGMA), 300, record_every=75
         )
-        assert_chains_equal_lone_runs(datasets, configs)
+        assert_chains_equal_lone_runs(*pooled(*datasets), configs)
 
     def test_scale_folds(self):
         # eta_t * sigma = 3.5 / t: the shared scale falls below the fold floor at step 381
@@ -539,7 +581,7 @@ class TestLockstepChains:
             MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA / 3.5), 500,
             record_every=100,
         )
-        assert_chains_equal_lone_runs(datasets, configs)
+        assert_chains_equal_lone_runs(*pooled(*datasets), configs)
 
     @pytest.mark.parametrize("spec", standard_loss_specs(k=2), ids=lambda s: s.name)
     def test_every_loss(self, spec):
@@ -548,30 +590,30 @@ class TestLockstepChains:
         configs = chain_configs(
             spec, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 120, record_every=40
         )
-        assert_chains_equal_lone_runs(datasets, configs)
+        assert_chains_equal_lone_runs(*pooled(*datasets), configs)
 
     def test_run_longer_than_one_chunk_matches_dense_replay(self):
         datasets = [sparse_wide_dataset("mcc", seed=s) for s in range(3)]
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 2500)
         assert configs[0].total_steps > 2 * optimizer_module._DRAW_CHUNK_ENTRIES // (3 * 5)  # nnz is 5
-        for (w, _), data, config in zip(train_many(datasets, configs), datasets, configs):
+        for (w, _), data, config in zip(train_many(*pooled(*datasets), configs), datasets, configs):
             expected, _ = dense_replay(data, config)
             assert np.max(np.abs(w - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
 
     def test_chunk_size_changes_no_value(self, monkeypatch):
-        datasets = [ragged_dataset(seed=s) for s in range(3)]
+        pool, rows = pooled(*[ragged_dataset(seed=s) for s in range(3)])
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 300)
-        runs = train_many(datasets, configs)
+        runs = train_many(pool, rows, configs)
         monkeypatch.setattr(optimizer_module, "_DRAW_CHUNK_ENTRIES", 7)
-        for (w, records), (w_small, records_small) in zip(runs, train_many(datasets, configs)):
+        for (w, records), (w_small, records_small) in zip(runs, train_many(pool, rows, configs)):
             assert w.tobytes() == w_small.tobytes() and records == records_small
 
     def test_chain_over_its_bound_is_named(self):
-        datasets = [tiny_dataset(seed=s) for s in range(3)]
-        datasets[2].kappa = 1e-6  # a bound no nonzero step-1 iterate meets
+        pool, rows = pooled(*[tiny_dataset(seed=s) for s in range(3)])
+        set_kappa(pool, rows[2], 1e-6)  # a bound no nonzero step-1 iterate meets
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
         with pytest.raises(CertificateError, match="certified bound .* at step 1 in chain 2 "):
-            train_many(datasets, configs)
+            train_many(pool, rows, configs)
 
     def test_non_finite_chain_is_named(self, monkeypatch):
         coef = LossSpec.coef
@@ -582,10 +624,10 @@ class TestLockstepChains:
             return out
 
         monkeypatch.setattr(LossSpec, "coef", nan_in_chain_one)
-        datasets = [tiny_dataset(seed=s) for s in range(3)]
+        pool, rows = pooled(*[tiny_dataset(seed=s) for s in range(3)])
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
         with pytest.raises(CertificateError, match="iterate norm became nan at step 1 in chain 1 "):
-            train_many(datasets, configs)
+            train_many(pool, rows, configs)
 
     def test_inflated_chain_coefficients_are_named(self, monkeypatch):
         coef = LossSpec.coef
@@ -596,12 +638,12 @@ class TestLockstepChains:
             return out
 
         monkeypatch.setattr(LossSpec, "coef", inflate_chain_two)
-        datasets = [tiny_dataset(seed=s) for s in range(3)]
+        pool, rows = pooled(*[tiny_dataset(seed=s) for s in range(3)])
         configs = chain_configs(
             MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20, record_every=1
         )
         with pytest.raises(CertificateError, match="loss coefficients at step 1 in chain 2 have l1 norm"):
-            train_many(datasets, configs)
+            train_many(pool, rows, configs)
 
     @pytest.mark.parametrize(
         "change",
@@ -615,27 +657,19 @@ class TestLockstepChains:
         ids=lambda change: next(iter(change)),
     )
     def test_configs_must_agree(self, change):
-        datasets = [tiny_dataset(seed=s) for s in range(3)]
+        pool, rows = pooled(*[tiny_dataset(seed=s) for s in range(3)])
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
         configs[1] = replace(configs[1], **change)
         with pytest.raises(ValueError, match="config 1 differs from config 0"):
-            train_many(datasets, configs)
+            train_many(pool, rows, configs)
 
-    @pytest.mark.parametrize("shape", [{"d": 6}, {"c": 4}], ids=["d", "c"])
-    def test_datasets_must_agree_on_dimensions(self, shape):
-        datasets = [tiny_dataset(seed=0), tiny_dataset(seed=1, **shape)]
-        configs = chain_configs(
-            MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20, repetitions=2
-        )
-        with pytest.raises(ValueError, match="dataset 1 has dimensions"):
-            train_many(datasets, configs)
-
-    def test_one_config_per_dataset(self):
+    def test_one_config_per_chain(self):
+        pool, rows = pooled(tiny_dataset())
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
-        with pytest.raises(ValueError, match="one config per dataset"):
-            train_many([tiny_dataset()], configs)
-        with pytest.raises(ValueError, match="at least one dataset"):
-            train_many([], [])
+        with pytest.raises(ValueError, match="one config per chain"):
+            train_many(pool, rows, configs)
+        with pytest.raises(ValueError, match="at least one chain"):
+            train_many(pool, [], [])
 
 
 def ragged_wide_dataset(task="mcc", n=120, d=300, c=5, seed=0):
@@ -696,11 +730,11 @@ def first_steps(sizes):
 class TestStepBlocks:
     SIGMA = 0.05
 
-    def run_both(self, monkeypatch, datasets, configs):
-        blocked = train_many(datasets, configs)
+    def run_both(self, monkeypatch, pool, rows, configs):
+        blocked = train_many(pool, rows, configs)
         with monkeypatch.context() as m:
             one_step_blocks(m)
-            stepped = train_many(datasets, configs)
+            stepped = train_many(pool, rows, configs)
         return blocked, stepped
 
     @pytest.mark.parametrize("case", ["ranking-R1", "ragged-R3", "l2p", "fold-mid-run"])
@@ -718,11 +752,12 @@ class TestStepBlocks:
         else:  # eta_t * sigma = 3.5 / t: the scale folds at step 381
             schedule = StepSchedule.theorem(sigma / 3.5)
             datasets = [sparse_wide_dataset("mlc", n=200, d=400, nnz=8, c=6)]
-        task = datasets[0].task
-        holdouts = [sparse_wide_dataset(task, n=50, d=datasets[0].d, nnz=3, c=datasets[0].c, seed=9)] * R
-        configs = chain_configs(loss, reg, schedule, 600, record_every=150, repetitions=R, holdouts=holdouts)
+        first = datasets[0]
+        holdout = sparse_wide_dataset(first.task, n=50, d=first.d, nnz=3, c=first.c, seed=9)
+        pool, rows = pooled(*datasets, holdout)
+        configs = chain_configs(loss, reg, schedule, 600, record_every=150, repetitions=R, holdouts=[rows[R]] * R)
         sizes = block_sizes(monkeypatch, R)
-        blocked, stepped = self.run_both(monkeypatch, datasets, configs)
+        blocked, stepped = self.run_both(monkeypatch, pool, rows[:R], configs)
         blocked_sizes = sizes[: len(sizes) - 600]  # the stepped run added 600 one-step calls
         assert sum(blocked_sizes) == 600 and sizes[len(blocked_sizes) :] == [1] * 600
         if reg.kind == "l2p":
@@ -744,7 +779,7 @@ class TestStepBlocks:
         assert sum(sizes) == 2000 and max(sizes) > 1 and len(sizes) < 1500
         dense = [tiny_dataset(n=60, d=6, c=5, seed=s, task="mlc") for s in range(3)]
         sizes = block_sizes(monkeypatch, 3)
-        train_many(dense, chain_configs(loss, reg, StepSchedule.theorem(0.01), 300, repetitions=3))
+        train_many(*pooled(*dense), chain_configs(loss, reg, StepSchedule.theorem(0.01), 300, repetitions=3))
         assert sizes == [1] * 300
 
     def test_a_block_gathers_at_most_block_values_of_v(self, monkeypatch):
@@ -761,15 +796,15 @@ class TestStepBlocks:
         # which step 1 wrote; step 4 reads column 3, written before its block
         X = sp.csr_matrix((np.ones(6), [3, 8, 8, 11, 20, 3], [0, 2, 4, 5, 6]), shape=(4, 30))
         data = Dataset(X, np.array([0, 1, 2, 0]), 3, "mcc")
-        offsets, features, _ = optimizer_module._gather([data], [np.arange(4)])
+        offsets, features, _ = optimizer_module._gather(data, np.arange(4)[:, None])
         assert optimizer_module._conflicts(offsets, features, 1) == [-1, 0, -1, 0]
         # two chains, the second drawing rows 2, 2, 1, 0: chain 1's columns are
         # offset by d, so a step conflicts only through each chain's own rows
-        offsets, features, _ = optimizer_module._gather([data, data], [np.arange(4), np.array([2, 2, 1, 0])])
+        offsets, features, _ = optimizer_module._gather(data, np.array([[0, 2], [1, 2], [2, 1], [3, 0]]))
         assert optimizer_module._conflicts(offsets, features, 2) == [-1, 0, -1, 2]
 
-        def draws(datasets, configs):
-            offsets, features, values = optimizer_module._gather(datasets, [np.arange(4)])
+        def draws(data, rows, configs):
+            offsets, features, values = optimizer_module._gather(data, np.arange(4)[:, None])
             conflicts = optimizer_module._conflicts(offsets, features, 1)
             yield 0, offsets, features, values, data.y[:4], conflicts
 
@@ -789,17 +824,17 @@ class TestFailuresInsideBlocks:
     R = 3
 
     def setup(self, monkeypatch, record_every=None):
-        datasets = [ragged_wide_dataset("mcc", seed=s) for s in range(self.R)]
+        pool, rows = pooled(*[ragged_wide_dataset("mcc", seed=s) for s in range(self.R)])
         configs = chain_configs(
             MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.experiment(self.SIGMA), 300,
             record_every=record_every, repetitions=self.R,
         )
         with monkeypatch.context() as m:
             sizes = block_sizes(m, self.R)
-            train_many(datasets, configs)
-        return datasets, configs, sizes
+            train_many(pool, rows, configs)
+        return pool, rows, configs, sizes
 
-    def raise_both(self, monkeypatch, datasets, configs, row=None, change=None):
+    def raise_both(self, monkeypatch, pool, rows, configs, row=None, change=None):
         messages = []
         for blocked in (True, False):
             with monkeypatch.context() as m:
@@ -808,7 +843,7 @@ class TestFailuresInsideBlocks:
                 if change is not None:
                     patch_coef_row(m, row, change)
                 with pytest.raises(CertificateError) as err:
-                    train_many(datasets, configs)
+                    train_many(pool, rows, configs)
                 messages.append(str(err.value))
         assert messages[0] == messages[1]
         return messages[0]
@@ -818,19 +853,19 @@ class TestFailuresInsideBlocks:
         return [first + j for first, size in zip(first_steps(sizes), sizes) for j in range(1, size)]
 
     def test_nan_mid_block(self, monkeypatch):
-        datasets, configs, sizes = self.setup(monkeypatch)
+        pool, rows, configs, sizes = self.setup(monkeypatch)
         t, r = self.mid_block_steps(sizes)[0], 1
-        message = self.raise_both(monkeypatch, datasets, configs, (t - 1) * self.R + r, lambda row: row * np.nan)
+        message = self.raise_both(monkeypatch, pool, rows, configs, (t - 1) * self.R + r, lambda row: row * np.nan)
         assert f"iterate norm became nan at step {t} in chain {r} " in message
 
     def test_inflated_coefficients_mid_block(self, monkeypatch):
-        datasets, configs, sizes = self.setup(monkeypatch, record_every=7)
+        pool, rows, configs, sizes = self.setup(monkeypatch, record_every=7)
         t = next(t for t in self.mid_block_steps(sizes) if t % 7 == 0)  # a recording step inside a block
         r = 2
-        message = self.raise_both(monkeypatch, datasets, configs, (t - 1) * self.R + r, lambda row: row * 3.0)
+        message = self.raise_both(monkeypatch, pool, rows, configs, (t - 1) * self.R + r, lambda row: row * 3.0)
         assert f"loss coefficients at step {t} in chain {r} have l1 norm" in message
 
-    def chain_norms(self, monkeypatch, datasets, configs, r):
+    def chain_norms(self, monkeypatch, pool, rows, configs, r):
         """Chain r's running norm at every step, read through the certificate."""
         norms, check_segment = [], optimizer_module._check_segment
 
@@ -841,30 +876,30 @@ class TestFailuresInsideBlocks:
 
         with monkeypatch.context() as m:
             m.setattr(optimizer_module, "_check_segment", spy)
-            train_many(datasets, configs)
+            train_many(pool, rows, configs)
         return norms
 
     def test_chain_over_its_bound_mid_block(self, monkeypatch):
-        datasets, configs, sizes = self.setup(monkeypatch)
+        pool, rows, configs, sizes = self.setup(monkeypatch)
         r = 0
-        norms = self.chain_norms(monkeypatch, datasets, configs, r)
+        norms = self.chain_norms(monkeypatch, pool, rows, configs, r)
         # a mid-block step whose norm tops every earlier one of chain r
         t = next(t for t in self.mid_block_steps(sizes) if norms[t - 1] > max(norms[: t - 1]))
         bound = (norms[t - 1] + max(norms[: t - 1])) / 2
-        datasets[r].kappa = (bound - optimizer_module._CERT_TOL) * self.SIGMA / MLOG.lipschitz_inf
-        message = self.raise_both(monkeypatch, datasets, configs)
+        set_kappa(pool, rows[r], (bound - optimizer_module._CERT_TOL) * self.SIGMA / MLOG.lipschitz_inf)
+        message = self.raise_both(monkeypatch, pool, rows, configs)
         assert f"exceeded the certified bound {bound:.6g} at step {t} in chain {r} " in message
 
     def test_first_of_two_failures_in_a_chunk_is_named(self, monkeypatch):
-        datasets, configs, _ = self.setup(monkeypatch)
-        steps = (len(next(optimizer_module._chunks(datasets, configs))[1]) - 1) // self.R
-        norms = self.chain_norms(monkeypatch, datasets, configs, 2)
+        pool, rows, configs, _ = self.setup(monkeypatch)
+        steps = (len(next(optimizer_module._chunks(pool, rows, configs))[1]) - 1) // self.R
+        norms = self.chain_norms(monkeypatch, pool, rows, configs, 2)
         # chain 2 tops its bound at step t and chain 0 turns NaN at step t + 3,
         # in the same chunk and running-norm segment (nothing records before the end)
         t = next(t for t in range(10, steps - 3) if norms[t - 1] > max(norms[: t - 1]))
         bound = (norms[t - 1] + max(norms[: t - 1])) / 2
-        datasets[2].kappa = (bound - optimizer_module._CERT_TOL) * self.SIGMA / MLOG.lipschitz_inf
-        message = self.raise_both(monkeypatch, datasets, configs, (t + 2) * self.R, lambda row: row * np.nan)
+        set_kappa(pool, rows[2], (bound - optimizer_module._CERT_TOL) * self.SIGMA / MLOG.lipschitz_inf)
+        message = self.raise_both(monkeypatch, pool, rows, configs, (t + 2) * self.R, lambda row: row * np.nan)
         assert f"exceeded the certified bound {bound:.6g} at step {t} in chain 2 " in message
 
     @pytest.mark.parametrize("poison, shown", [(np.nan, "nan"), (np.inf, "inf")], ids=["nan", "inf"])
@@ -872,13 +907,13 @@ class TestFailuresInsideBlocks:
     def test_non_finite_mid_segment_raises_a_certificate_error(self, monkeypatch, poison, shown, loss):
         # later blocks of the segment run on the poisoned rows before the check
         task = "mlc" if loss.is_multilabel else "mcc"
-        datasets = [ragged_wide_dataset(task, seed=s) for s in range(self.R)]
+        pool, rows = pooled(*[ragged_wide_dataset(task, seed=s) for s in range(self.R)])
         configs = chain_configs(loss, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.experiment(self.SIGMA), 300)
         t, r = 40, 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a RuntimeWarning would fail here
             message = self.raise_both(
-                monkeypatch, datasets, configs, (t - 1) * self.R + r, lambda row: np.full_like(row, poison)
+                monkeypatch, pool, rows, configs, (t - 1) * self.R + r, lambda row: np.full_like(row, poison)
             )
         assert f"iterate norm became {shown} at step {t} in chain {r} " in message
 

@@ -1,0 +1,36 @@
+"""Each benchmark workload, run once through the CLI and checked by its own output checks.
+
+The checks in ``perfbench/workloads.py`` call the library directly
+(``evaluate_objective(w, data, loss, reg)``, ``parse_sparse_text(path, "mlc")``
+and ``normalize_rows``), so a change to that surface fails here, not only
+in a benchmark run.  The module is imported as it is and never modified.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from vvlearn.cli import main
+
+PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
+
+
+def load_workloads():
+    sys.path.insert(0, PERFBENCH)  # workloads imports its sibling module calibration
+    try:
+        return importlib.import_module("workloads").WORKLOADS
+    finally:
+        sys.path.remove(PERFBENCH)
+
+
+WORKLOADS = load_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_runs_and_passes_its_checks(tmp_path, name):
+    workload = WORKLOADS[name](tmp_path, 1)
+    for op in workload.ops:
+        assert main(op.argv) == 0
+        assert op.check([path.read_bytes() for path in op.outputs]) == []
