@@ -28,6 +28,23 @@ def predict(w: np.ndarray, x) -> np.ndarray:
     return np.asarray(x @ w)
 
 
+def segments(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where the entries of the given rows of a CSR layout sit once gathered row after row.
+
+    indptr is the layout's row pointer.  Returns (offsets, source): row k
+    of rows has its entries at offsets[k] to offsets[k + 1] of the gathered
+    arrays, taken from positions source[offsets[k] : offsets[k + 1]].
+    """
+    starts = indptr.take(rows)
+    widths = indptr.take(rows + 1) - starts
+    offsets = np.zeros(len(widths) + 1, dtype=np.int64)
+    np.cumsum(widths, out=offsets[1:])
+    # entry j of row k sits at offsets[k] + j once gathered and at starts[k] + j before
+    source = np.repeat(starts - offsets[:-1], widths)
+    source += np.arange(offsets[-1])
+    return offsets, source
+
+
 def frobenius_norm(w: np.ndarray) -> float:
     """Frobenius norm (sum of squared column norms, rooted)."""
     return float(np.linalg.norm(np.asarray(w, dtype=np.float64)))

@@ -12,15 +12,20 @@ given label map, multiclass class ids are remapped to a dense [0, c) by
 first appearance unless they already are dense, and multilabel component
 ids are positional and never remapped; the mapping is retained on the
 dataset.  A given map (a saved model's classes) is used as it is.
+
+The parser reads batches of whole lines in array passes: one tokenization,
+Python's ``int`` and ``float`` mapped over every token, and one numpy mask
+per rule.  Only a batch that breaks a rule is read again, one line at a
+time, up to the line that raises the error with its 1-based number.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +36,9 @@ from .seeding import generator
 # Entries per block that ``normalize_rows`` rescales at once, bounding its
 # temporary arrays.
 _NORMALIZE_CHUNK_ENTRIES = 1 << 14
+# Characters of whole lines that ``parse_sparse_text`` reads at once, bounding
+# its token lists.
+_PARSE_BATCH_CHARS = 1 << 15
 
 
 class ParseError(ValueError):
@@ -139,40 +147,30 @@ def write_lines(destination, lines) -> None:
             handle.write(text)
 
 
-def _parse_label_field(token: str, task: str, line_no: int) -> list[int]:
-    """Raw label ids from the first token; multilabel ids shifted to 0-based."""
-    if task == "mcc":
-        try:
-            return [int(token)]
-        except ValueError:
-            raise ParseError(f"bad class id {token!r}", line_no) from None
+def _check_line(line: str, line_no: int, task: str, d: int | None) -> None:
+    """Raise the ParseError of the first rule the line breaks, in reading order; read only in a batch that broke one."""
+    head, *tokens = line.split()
     ids = []
-    for part in token.split(","):
+    for part in [head] if task == "mcc" else head.split(","):
         try:
-            value = int(part)
+            ids.append(int(part))
+            if task == "mlc" and ids[-1] >= 2**63:  # component ids are int64
+                raise ValueError
         except ValueError:
-            raise ParseError(f"bad label id {part!r}", line_no) from None
-        if value < 1:
-            raise ParseError(f"label ids are 1-based, got {value}", line_no)
-        ids.append(value - 1)
+            raise ParseError(f"bad {'class' if task == 'mcc' else 'label'} id {part!r}", line_no) from None
+        if task == "mlc" and ids[-1] < 1:
+            raise ParseError(f"label ids are 1-based, got {ids[-1]}", line_no)
     if len(set(ids)) != len(ids):
-        raise ParseError(f"duplicate label id in {token!r}", line_no)
-    return ids
-
-
-def _parse_features(tokens: list[str], line_no: int, d: int | None, cols: array, vals: array) -> None:
-    """Append one line's 0-based feature indices and values to cols and vals."""
+        raise ParseError(f"duplicate label id in {head!r}", line_no)
     seen: set[int] = set()
     for token in tokens:
-        head, sep, tail = token.partition(":")
-        if not sep or not head or not tail:
-            raise ParseError(f"bad feature token {token!r}", line_no)
+        index, sep, value = token.partition(":")
         try:
-            idx = int(head)
-            val = float(tail)
-            cols.append(idx - 1)  # OverflowError past int64; a bad line ends the parse anyway
-        except (ValueError, OverflowError):
-            raise ParseError(f"bad feature token {token!r}", line_no) from None
+            idx, val = int(index), float(value)  # both reject an empty side and a second ':'
+        except ValueError:
+            idx = 2**63
+        if not sep or not -(2**63) < idx < 2**63:  # idx - 1 and idx are int64
+            raise ParseError(f"bad feature token {token!r}", line_no)
         if idx < 1:
             raise ParseError(f"feature indices are 1-based, got {idx}", line_no)
         if not math.isfinite(val):
@@ -180,9 +178,79 @@ def _parse_features(tokens: list[str], line_no: int, d: int | None, cols: array,
         if idx in seen:
             raise ParseError(f"duplicate feature index {idx}", line_no)
         seen.add(idx)
-        vals.append(val)
     if d is not None and seen and max(seen) > d:
         raise ParseError(f"feature index {max(seen)} exceeds declared d={d}", line_no)
+
+
+def _read_text(source) -> str:
+    """The text of a path or a file-like object; undecodable bytes are a ParseError naming their line."""
+    if hasattr(source, "read"):
+        return source.read()
+    with open(source) as handle:
+        encoding, raw = handle.encoding, handle.buffer.read()
+    try:
+        return raw.decode(encoding)
+    except UnicodeDecodeError as err:
+        line = len((raw[: err.start].decode(encoding) + ".").splitlines())
+        raise ParseError(f"cannot decode {raw[err.start : err.end]!r} as {encoding}", line) from None
+
+
+def _batches(text: str):
+    """(number of the first line, lines) of runs of whole lines of about _PARSE_BATCH_CHARS characters."""
+    start, number = 0, 1
+    while start < len(text):
+        cut = text.find("\n", start + _PARSE_BATCH_CHARS) + 1 or len(text)  # never inside a CRLF
+        lines = text[start:cut].splitlines()
+        yield number, lines
+        start, number = cut, number + len(lines)
+
+
+def _sorted_within(rows: np.ndarray, keys: np.ndarray):
+    """The order that sorts keys within each run of equal rows (None if they already increase), and whether a row repeats a key."""
+    same = rows[1:] == rows[:-1]
+    if not np.any(same & (keys[1:] <= keys[:-1])):
+        return None, False
+    order = np.lexsort((keys, rows))
+    keys = keys.take(order)
+    return order, bool(np.any(same & (keys[1:] == keys[:-1])))
+
+
+def _parse_batch(lines: list[str], task: str, d: int | None):
+    """Row widths, sorted 0-based columns and values, and raw label ids of the example lines.
+
+    Returns None for a batch that breaks a rule, each rule checked by one
+    mask over the batch; multilabel ids come with their count on each line.
+    """
+    fields = list(map(str.split, lines))
+    m = len(fields)
+    widths = np.fromiter(map(len, fields), np.intp, m) - 1
+    heads = list(map(itemgetter(0), fields))
+    tokens = list(chain.from_iterable(map(itemgetter(slice(1, None)), fields)))
+    ntok, body = len(tokens), " ".join(tokens)
+    # Every token reads index ':' value exactly when the pieces are ntok such triples.
+    parts = body.replace(":", " : ").split()
+    if body.count(":") != ntok or len(parts) != 3 * ntok or parts[1::3].count(":") != ntok:
+        return None
+    try:
+        idx = np.fromiter(map(int, parts[0::3]), np.int64, ntok)
+        vals = np.fromiter(map(float, parts[2::3]), np.float64, ntok)
+        if task == "mcc":
+            ids, counts = list(map(int, heads)), None
+        else:
+            counts = np.fromiter(map(str.count, heads, repeat(",")), np.intp, m) + 1
+            ids = np.fromiter(map(int, ",".join(heads).split(",")), np.int64, int(counts.sum()))
+    except (ValueError, OverflowError):  # past int64, or not a number Python reads
+        return None
+    cols = idx - 1
+    order, twice = _sorted_within(np.repeat(np.arange(m), widths), cols)
+    broken = twice or np.any(idx < 1) or not np.isfinite(vals).all() or (d is not None and np.any(cols >= d))
+    if task == "mlc":
+        broken = broken or np.any(ids < 1) or _sorted_within(np.repeat(np.arange(m), counts), ids)[1]
+    if broken:
+        return None
+    if order is not None:
+        cols, vals = cols.take(order), vals.take(order)
+    return widths, cols, vals, ids, counts
 
 
 def parse_sparse_text(
@@ -194,37 +262,36 @@ def parse_sparse_text(
     inferred dimension (max feature index); a feature index past it is a
     parse error.  ``label_map`` (file id, 0-based for multilabel, to
     component) replaces the inference the module docstring describes and
-    sets c to its size; a label outside it is a parse error.
+    sets c to its size; a label outside it is a parse error.  Lines are
+    read in batches of about ``_PARSE_BATCH_CHARS`` characters.
     """
     if task not in ("mcc", "mlc"):
         raise ValueError(f"task must be 'mcc' or 'mlc', got {task!r}")
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        with open(source) as handle:
-            lines = handle.read().splitlines()
-
-    labels: list[list[int]] = []
-    counts: list[int] = []
-    cols, vals = array("q"), array("d")
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.startswith("#"):
+    text = _read_text(source)
+    bound = text.count(":")  # every token holds one ':'
+    cols, vals = np.empty(bound, dtype=np.int64), np.empty(bound)
+    widths, ids, counts, filled = [], [], [], 0
+    for number, lines in _batches(text):
+        examples = [line for line in lines if line and not line.isspace() and line[0] != "#"]
+        if not examples:
             continue
-        fields = line.split()
-        labels.append(_parse_label_field(fields[0], task, line_no))
-        _parse_features(fields[1:], line_no, d, cols, vals)
-        counts.append(len(fields) - 1)
-    if not labels:
+        parsed = _parse_batch(examples, task, d)
+        if parsed is None:  # some line breaks a rule; reading them in order raises its error
+            for line_no, line in enumerate(lines, start=number):
+                if line and not line.isspace() and line[0] != "#":
+                    _check_line(line, line_no, task, d)
+        w, c, v, i, k = parsed
+        cols[filled : filled + len(c)], vals[filled : filled + len(v)] = c, v
+        filled += len(c)
+        widths.append(w)
+        ids += i if task == "mcc" else (i - 1).tolist()
+        counts.append(k)
+    if not widths:
         raise ParseError("no examples found")
-
-    n = len(labels)
-    cols, vals = np.frombuffer(cols, dtype=np.int64), np.frombuffer(vals, dtype=np.float64)
-    row = np.repeat(np.arange(n), counts)
-    if np.any((row[1:] == row[:-1]) & (cols[1:] < cols[:-1])):
-        order = np.lexsort((cols, row))  # sort each row by feature index
-        cols, vals = cols[order], vals[order]
-    dim = d if d is not None else (int(cols.max()) + 1 if cols.size else 0)
-    seen = list(dict.fromkeys(chain.from_iterable(labels)))
+    widths = np.concatenate(widths)
+    n, cols, vals = len(widths), cols[:filled], vals[:filled]
+    dim = d if d is not None else (int(cols.max()) + 1 if filled else 0)
+    seen = list(dict.fromkeys(ids))
     if label_map is None and (task == "mlc" or set(seen) == set(range(len(seen)))):
         label_map = {i: i for i in range(max(seen) + 1)}
     elif label_map is None:
@@ -233,13 +300,14 @@ def parse_sparse_text(
     if unknown:
         shown = unknown[0] + (task == "mlc")  # multilabel ids are 1-based on disk
         raise ParseError(f"label id {shown} is not one of the {len(label_map)} known classes")
+    hits = np.fromiter(map(label_map.__getitem__, ids), np.int64, len(ids))
     if task == "mcc":
-        y = np.array([label_map[ids[0]] for ids in labels], dtype=np.int64)
+        y = hits
     else:
         y = np.full((n, len(label_map)), -1, dtype=np.int8)
-        hits = [label_map[i] for ids in labels for i in ids]
-        y[np.repeat(np.arange(n), [len(ids) for ids in labels]), hits] = 1
-    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        y[np.repeat(np.arange(n), np.concatenate(counts)), hits] = 1
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(widths, out=indptr[1:])
     X = sp.csr_matrix((vals, cols, indptr), shape=(n, dim))
     return Dataset(X, y, len(label_map), task, label_map)
 

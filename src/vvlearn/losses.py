@@ -27,15 +27,19 @@ Tie-breaking is deterministic everywhere: argmax and top-k selections
 prefer the smallest index, and at kinks of the margin function or of the
 outer max{0, .} the minimal-magnitude subgradient (zero) is chosen.
 
-The ranking kernels work on a label plan (``LossSpec.plan``): each
-distinct sign row's (positive, negative) pairs, cached by the row's bytes
-in runs led by a zeroed slot, gathered into one flat pair list.  SGD plans
-a chunk of draws once and each step block slices it; evaluation plans once
-per call.  A call's pair terms are two ``take`` calls and a subtraction,
-and ``np.add.reduceat`` and ``bincount`` sum them per row and per column,
-in the order of the grouped kernel in ``tests/oracles.py`` except a row's
-lone negative column, which adds its terms in pair order where numpy sums
-them pairwise.  Rows with many pairs are scored on their own (|pos|, |neg|)
+The ranking kernels work on a pair plan: the (positive, negative) pairs of
+the call's rows in one flat list of runs, each led by a zeroed slot.  A
+``PairTable`` (``LossSpec.plan``) lists each distinct sign row's pairs
+once, laid out in array passes, and gathers the plans of any rows of its
+labels the way a CSR gather does (``core.segments``).  SGD plans the pool's
+labels once; each chunk of draws gathers its rows' pairs and cuts them into
+step blocks (``LossSpec.blocks``), already shifted to each block's own
+rows.  Evaluation plans once per call, and a single row's plan is cached.
+A call's pair terms are two ``take`` calls and a subtraction, and
+``np.add.reduceat`` and ``bincount`` sum them per row and per column, in
+the order of the grouped kernel in ``tests/oracles.py`` except a row's lone
+negative column, which adds its terms in pair order where numpy sums them
+pairwise.  Rows with many pairs are scored on their own (|pos|, |neg|)
 blocks, which numpy sums as the grouped kernel does.
 """
 
@@ -46,6 +50,8 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
+
+from .core import segments
 
 
 @dataclass(frozen=True)
@@ -200,70 +206,79 @@ def _subset_coef(spec, S, y):
 
 
 # Rows with at most this many (positive, negative) pairs are flat: their
-# pair runs are cached, and a call scores all its flat rows at once.  A row
-# with more is scored on its own (|pos|, |neg|) block, where the per-row
-# numpy calls cost less than the pair index arrays.  Which way a row goes
-# depends only on its signs, never on the batch.
+# pairs are listed in the plan, and a call scores all its flat rows at
+# once.  A row with more is scored on its own (|pos|, |neg|) block, where
+# the per-row numpy calls cost less than the pair index arrays.  Which way
+# a row goes depends only on its signs, never on the batch.
 _FLAT_PAIRS = 256
 
 
 @dataclass(slots=True, eq=False)
 class PairPlan:
-    """Sign rows with the pairs of their flat rows listed once, for ranking calls on slices of them.
+    """Sign rows y with the pairs of their flat rows listed, for one ranking call on scores shaped like y.
 
-    Row i's slots run from slots[i] to slots[i + 1] (a list; counted from
-    slots[0]) in p, q, lead and pairs: p and q index the rows' raveled
-    scores, and pairs is the pair count of the slot's row.  A row with more
-    than ``_FLAT_PAIRS`` pairs has no slots; wide marks those rows, and is
-    None when there are none.  ``plan[r0:r1]`` plans rows r0 to r1 - 1.
+    p and q index the raveled scores, and pairs is the pair count of each
+    slot's row.  The slots form runs, each led by a slot with q = p whose
+    term is zeroed before summing, because ``np.add.reduceat`` adds a run's
+    first term to the sum of the rest: behind a zero, a run is summed as
+    ``np.add.reduce`` sums it alone.  runs lists the leading slots and
+    heads their p.  A flat row is one run for its value, and one run per
+    positive p, led by p, for its coefficients.  A row with more than
+    ``_FLAT_PAIRS`` pairs has no slots; wide marks those rows, and is None
+    when there are none.
     """
 
     y: np.ndarray
     per_positive: bool
-    slots: list
+    p: np.ndarray
+    q: np.ndarray
+    pairs: np.ndarray
+    runs: np.ndarray
+    heads: np.ndarray
+    wide: np.ndarray | None
+
+
+@dataclass(slots=True, eq=False)
+class PairTable:
+    """The slots of sign rows y, listed once per distinct row, from which plans of any rows of y are gathered.
+
+    Row i of y is distinct row u = index[i], whose slots run from slots[u]
+    to slots[u + 1] in p, q, lead and pairs; here p and q are columns.
+    wide marks the distinct rows that are not flat, or is None.
+    """
+
+    y: np.ndarray
+    per_positive: bool
+    index: np.ndarray
+    slots: np.ndarray
     p: np.ndarray
     q: np.ndarray
     lead: np.ndarray
     pairs: np.ndarray
     wide: np.ndarray | None
 
-    def __getitem__(self, rows: slice) -> "PairPlan":
-        r0, r1, _ = rows.indices(len(self.y))
-        s0, s1, shift = self.slots[r0] - self.slots[0], self.slots[r1] - self.slots[0], r0 * self.y.shape[1]
-        wide = None if self.wide is None else self.wide[r0:r1]
-        return PairPlan(
-            self.y[r0:r1], self.per_positive, self.slots[r0 : r1 + 1], self.p[s0:s1] - shift,
-            self.q[s0:s1] - shift, self.lead[s0:s1], self.pairs[s0:s1], wide,
-        )  # fmt: skip
-
-
-@lru_cache(maxsize=1024)
-def _row_plan(signs: bytes, per_positive: bool) -> PairPlan:
-    """The plan of one int8 sign row, its arrays read-only.
-
-    The row's pairs (p, q) are listed p-major in runs, each led by a slot
-    with q = p whose term is zeroed before summing, because
-    ``np.add.reduceat`` adds a run's first term to the sum of the rest:
-    behind a zero, a run is summed as ``np.add.reduce`` sums it alone.  The
-    runs are the whole row for its value, and one per positive p, led by
-    p, for its coefficients.
-    """
-    row = np.frombuffer(signs, dtype=np.int8)
-    pos, neg = (row > 0).nonzero()[0], (row < 0).nonzero()[0]
-    if pos.size * neg.size > _FLAT_PAIRS:
-        none = np.empty(0, dtype=np.intp)
-        return PairPlan(row[None, :], per_positive, [0, 0], none, none, none != 0, none, np.ones(1, dtype=bool))
-    shape = (pos.size, neg.size + 1) if per_positive else (1, pos.size * neg.size + 1)
-    p, q = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=np.intp)
-    p[:, 1:] = pos.repeat(neg.size).reshape(len(p), -1)
-    q[:, 1:] = np.tile(neg, pos.size).reshape(len(q), -1)
-    p[:, 0] = q[:, 0] = p[:, 1]
-    lead = np.zeros(shape, dtype=bool)
-    lead[:, 0] = True
-    slots = (p.ravel(), q.ravel(), lead.ravel(), np.full(p.size, pos.size * neg.size))
-    for a in slots:
-        a.setflags(write=False)
-    return PairPlan(row[None, :], per_positive, [0, p.size], *slots, None)
+    def plans(self, rows: np.ndarray, bounds) -> list[PairPlan]:
+        """The plans of y[rows[b0:b1]] for each pair b0, b1 of consecutive bounds, each as if planned alone."""
+        c, bounds = self.y.shape[1], np.asarray(bounds)
+        distinct = self.index.take(rows)
+        offsets, source = segments(self.slots, distinct)
+        local = np.arange(len(rows)) - np.repeat(bounds[:-1], np.diff(bounds))
+        shift = np.repeat(local * c, np.diff(offsets))
+        p, q = self.p.take(source) + shift, self.q.take(source) + shift
+        pairs, runs = self.pairs.take(source), np.flatnonzero(self.lead.take(source))
+        heads, cuts = p.take(runs), offsets.take(bounds)
+        firsts = np.searchsorted(runs, cuts)
+        runs -= np.repeat(cuts[:-1], np.diff(firsts))
+        y, wide = self.y.take(rows, axis=0), None if self.wide is None else self.wide.take(distinct)
+        b, s, k = bounds.tolist(), cuts.tolist(), firsts.tolist()
+        return [
+            PairPlan(
+                y[b[i] : b[i + 1]], self.per_positive, p[s[i] : s[i + 1]], q[s[i] : s[i + 1]],
+                pairs[s[i] : s[i + 1]], runs[k[i] : k[i + 1]], heads[k[i] : k[i + 1]],
+                None if wide is None else wide[b[i] : b[i + 1]],
+            )
+            for i in range(len(b) - 1)
+        ]  # fmt: skip
 
 
 def _pairs(y: np.ndarray) -> np.ndarray:
@@ -272,35 +287,54 @@ def _pairs(y: np.ndarray) -> np.ndarray:
     return positives * (y.shape[1] - positives)
 
 
-def _pair_plan(y, per_positive: bool) -> PairPlan:
-    """The plan of sign rows y: the cached plans of its distinct flat rows, gathered row by row."""
-    n, c = y.shape
+def _pair_table(y, per_positive: bool) -> PairTable:
+    """The table of sign rows y, its distinct rows' slots laid out in array passes.
+
+    A coefficient run is one positive p's pairs (p, q), negatives q in
+    column order, behind a lead (p, p); a row's value run is its coefficient
+    runs behind the first one's lead alone.  A row without pairs has no slots.
+    """
+    c = y.shape[1]
     signs = np.ascontiguousarray(y, dtype=np.int8).view(np.dtype((np.void, c))).ravel()
-    distinct, inverse = np.unique(signs, return_inverse=True)
-    raw = distinct.tobytes()
-    flat = _pairs(np.frombuffer(raw, dtype=np.int8).reshape(-1, c)) <= _FLAT_PAIRS
-    plans = [_row_plan(raw[i * c : i * c + c], per_positive) for i in np.flatnonzero(flat).tolist()]
-    # Row i's slots copy slots first[u] + j, j < sizes[u], of the distinct rows' plans, u = inverse[i].
-    sizes = np.zeros(len(flat), dtype=np.intp)
-    sizes[flat] = [plan.slots[1] for plan in plans]
-    first, counts = np.cumsum(sizes) - sizes, sizes.take(inverse)
-    slots = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(counts, out=slots[1:])
-    source = np.repeat(first.take(inverse) - slots[:-1], counts)
-    source += np.arange(slots[-1])
-    none = [np.empty(0, dtype=np.intp)]  # for no flat row; an empty lead selects nothing either way
-    columns = ("p", "q", "lead", "pairs")
-    p, q, lead, pairs = (np.concatenate([getattr(plan, k) for plan in plans] or none).take(source) for k in columns)
-    shift = np.repeat(np.arange(0, n * c, c), counts)
-    wide = None if flat.all() else ~flat.take(inverse)
-    return PairPlan(y, per_positive, slots.tolist(), p + shift, q + shift, lead, pairs, wide)
+    distinct, index = np.unique(signs, return_inverse=True)
+    rows = np.frombuffer(distinct.tobytes(), dtype=np.int8).reshape(-1, c)
+    nneg = np.count_nonzero(rows < 0, axis=1)
+    pairs = np.count_nonzero(rows > 0, axis=1) * nneg
+    flat = (pairs > 0) & (pairs <= _FLAT_PAIRS)
+    run_row, lead_col = ((rows > 0) & flat[:, None]).nonzero()
+    width = nneg.take(run_row) + 1
+    starts = np.cumsum(width) - width
+    row = np.repeat(run_row, width)
+    # each slot's place among all rows' negatives; at a lead, one before its row's first
+    at = np.repeat(np.cumsum(nneg).take(run_row) - width - starts, width) + np.arange(len(row))
+    p, q = np.repeat(lead_col, width), (rows < 0).nonzero()[1].take(at)
+    q[starts] = lead_col
+    lead = np.zeros(len(p), dtype=bool)
+    lead[starts] = True
+    if not per_positive:
+        keep = ~lead
+        keep[starts[np.diff(run_row, prepend=-1) != 0]] = True
+        p, q, lead, row = p[keep], q[keep], lead[keep], row[keep]
+    slots = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row, minlength=len(rows)), out=slots[1:])
+    return PairTable(y, per_positive, index, slots, p, q, lead, pairs.take(row), None if flat.all() else ~flat)
+
+
+@lru_cache(maxsize=1024)
+def _row_plan(signs: bytes, per_positive: bool) -> PairPlan:
+    """The plan of one int8 sign row, its arrays read-only."""
+    plan = _pair_table(np.frombuffer(signs, dtype=np.int8)[None, :], per_positive).plans(np.arange(1), [0, 1])[0]
+    for a in (plan.y, plan.p, plan.q, plan.pairs, plan.runs, plan.heads):
+        a.setflags(write=False)
+    return plan
 
 
 def _planned(y, per_positive: bool) -> PairPlan:
     """The plan of raw or planned labels y; a single row's is cached, as the property suites call row by row."""
     if not isinstance(y, PairPlan):
-        signs = np.ascontiguousarray(y, dtype=np.int8)
-        return _row_plan(signs.tobytes(), per_positive) if len(y) == 1 else _pair_plan(signs, per_positive)
+        if len(y) == 1:
+            return _row_plan(np.ascontiguousarray(y, dtype=np.int8).tobytes(), per_positive)
+        return _pair_table(y, per_positive).plans(np.arange(len(y)), [0, len(y)])[0]
     if y.per_positive != per_positive:
         raise ValueError("a ranking plan serves either value or coef calls, not both")
     return y
@@ -310,7 +344,7 @@ def _pair_terms(fn, S, plan):
     """fn(s_p - s_q) on every slot of the plan, the leads zeroed."""
     scores = S.ravel()
     terms = fn(scores.take(plan.p) - scores.take(plan.q))
-    terms[plan.lead] = 0.0
+    terms[plan.runs] = 0.0
     return terms
 
 
@@ -328,9 +362,8 @@ def _ranking_value(spec, S, y):
     """Mean of base(s_p - s_q) over positive components p and negative q; a flat row is one run."""
     plan = _planned(y, per_positive=False)
     out = np.empty(len(S))
-    runs = plan.lead.nonzero()[0]
-    sums = np.add.reduceat(_pair_terms(spec.base.value, S, plan), runs)
-    out[slice(None) if plan.wide is None else ~plan.wide] = sums / plan.pairs.take(runs)
+    sums = np.add.reduceat(_pair_terms(spec.base.value, S, plan), plan.runs)
+    out[slice(None) if plan.wide is None else ~plan.wide] = sums / plan.pairs.take(plan.runs)
     for i, pos, neg, diffs in _wide_rows(S, plan):
         out[i] = spec.base.value(diffs).sum() / (pos.size * neg.size)
     return out
@@ -346,8 +379,7 @@ def _ranking_coef(spec, S, y):
     plan = _planned(y, per_positive=True)
     g = _pair_terms(spec.base.deriv, S, plan) / plan.pairs
     coef = np.negative(np.bincount(plan.q, g, S.size), dtype=np.float64)  # bincount of no slots is int
-    runs = plan.lead.nonzero()[0]
-    coef[plan.p.take(runs)] = np.add.reduceat(g, runs)
+    coef[plan.heads] = np.add.reduceat(g, plan.runs)
     coef = coef.reshape(S.shape)
     for i, pos, neg, diffs in _wide_rows(S, plan):
         g = spec.base.deriv(diffs) / (pos.size * neg.size)
@@ -452,13 +484,19 @@ class LossSpec:
                 )
 
     def plan(self, y: np.ndarray):
-        """The labels y prepared for ``coef`` calls on row slices of them.
+        """The labels y prepared for ``blocks``: ranking labels become a ``PairTable``, others stay as they are."""
+        return _pair_table(y, per_positive=True) if self.kind == "ranking" else y
 
-        Ranking labels become a ``PairPlan``, which lists their pairs once;
-        other labels come back as they are.  Either slices like y, and a
-        call on a slice of it equals the call on that slice of y bit for bit.
+    def blocks(self, plan, rows: np.ndarray, bounds) -> list:
+        """The labels of rows[b0:b1] of planned labels, for each pair b0, b1 of consecutive bounds.
+
+        A ``coef`` call on a block's labels equals the call on those rows
+        of the raw labels bit for bit.
         """
-        return _pair_plan(y, per_positive=True) if self.kind == "ranking" else y
+        if isinstance(plan, PairTable):
+            return plan.plans(rows, bounds)
+        labels = plan.take(rows, axis=0)
+        return [labels[b0:b1] for b0, b1 in zip(bounds, bounds[1:])]
 
     def work(self, y: np.ndarray, c: int) -> np.ndarray:
         """Entries a ``value`` call allocates per row of labels y: c scores, plus a flat ranking row's slots."""

@@ -31,9 +31,10 @@ generator (numpy's bounded-integer stream does not depend on how the draws
 are split).  Each chunk is planned in arrays: its drawn pool rows, read
 from the pool's CSR step by step with feature indices offset by r * d into
 V viewed as (R * d, c); eta_t, the scale before and after each step and
-eta_t / a; the ranking pair lists (``LossSpec.plan``); and where each block
-may end.  Left folds in numpy (``np.multiply.accumulate``) keep the
-sequential loop's bits.
+eta_t / a; its blocks; and each block's labels, gathered from the labels
+planned once for the pool (``LossSpec.plan`` and ``LossSpec.blocks``).
+Left folds in numpy (``np.multiply.accumulate``) keep the sequential
+loop's bits.
 
 Python then walks blocks, not steps: maximal runs of steps in which no step
 reads a row of V that an earlier one wrote (offset indices of different
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frobenius_norm, predict
+from .core import frobenius_norm, predict, segments
 from .dataio import Dataset
 from .losses import LossSpec
 from .regularizers import RegularizerSpec
@@ -208,14 +209,8 @@ def _gather(data: Dataset, draws: np.ndarray):
     offset by r * d) and the same slice of values.
     """
     steps, R = draws.shape
-    starts = data.X.indptr.take(draws.ravel())
-    nnz = data.X.indptr.take(draws.ravel() + 1) - starts
-    offsets = np.zeros(len(nnz) + 1, dtype=np.int64)
-    np.cumsum(nnz, out=offsets[1:])
-    # entry j of a drawn row sits at offsets[k] + j here and at starts[k] + j in the CSR
-    source = np.repeat(starts - offsets[:-1], nnz)
-    source += np.arange(offsets[-1])
-    shift = np.repeat(np.tile(np.arange(R) * data.d, steps), nnz)
+    offsets, source = segments(data.X.indptr, draws.ravel())
+    shift = np.repeat(np.tile(np.arange(R) * data.d, steps), np.diff(offsets))
     return offsets, np.add(data.X.indices.take(source), shift, dtype=np.intp), data.X.data.take(source)
 
 
@@ -235,9 +230,9 @@ def _conflicts(offsets: np.ndarray, features: np.ndarray, R: int) -> list[int]:
 def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     """The draws of every chain, one chunk of steps at a time.
 
-    Yields (t0, offsets, features, values, labels, conflicts) per chunk,
-    for its steps t0 + 1, t0 + 2, ...: labels holds the drawn rows' labels
-    in (step, chain) order, conflicts comes from ``_conflicts`` and the rest
+    Yields (t0, offsets, features, values, drawn, conflicts) per chunk,
+    for its steps t0 + 1, t0 + 2, ...: drawn holds the drawn pool rows in
+    (step, chain) order, conflicts comes from ``_conflicts`` and the rest
     from ``_gather``.  Chain r draws indices into rows[r] uniformly from a
     PCG64 seeded with its config's seed.  When some chain's rows all hold
     more than d / 2 entries, any two of its rows share a column, so every
@@ -255,7 +250,7 @@ def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         draws = np.stack([chain.take(rng.integers(0, len(chain), size=k)) for rng, chain in zip(rngs, rows)], axis=1)
         offsets, features, values = _gather(data, draws)
         conflicts = list(range(-1, k - 1)) if dense else _conflicts(offsets, features, R)
-        yield t0, offsets, features, values, data.y.take(draws.ravel(), axis=0), conflicts
+        yield t0, offsets, features, values, draws.ravel(), conflicts
 
 
 def _chain(r: int | None) -> str:
@@ -357,20 +352,27 @@ def _groups(flat: np.ndarray, idx: np.ndarray, vals: np.ndarray, n: int, offsets
     return groups
 
 
-def _block_limits(offsets: np.ndarray, conflicts: list[int], R: int, c: int) -> list[int]:
-    """For each step lo of a chunk, the end of the longest block that may start at it.
+def _block_edges(offsets: np.ndarray, conflicts: list[int], R: int, c: int, ends: list[int]) -> list[int]:
+    """The first step of each block of a chunk, then the chunk's size.
 
     A block stops before the first step that reads a row of V an earlier
-    step of the block wrote, and before its values of V pass ``_BLOCK_VALUES``.
+    step of the block wrote, before its values of V pass ``_BLOCK_VALUES``,
+    and at the first of the sorted ends past its start; the last end is
+    the chunk's size.
     """
     size = (len(offsets) - 1) // R
     # Step s ends every block that starts at or before conflicts[s] (< s):
     # a block from lo ends at the least such s, a suffix minimum.
-    ends = np.full(size + 1, size)
-    np.minimum.at(ends, np.add(conflicts, 1), np.arange(size))  # a step without conflicts lands on 0
-    ends = np.minimum.accumulate(ends[::-1])[::-1][1:]
+    stops = np.full(size + 1, size)
+    np.minimum.at(stops, np.add(conflicts, 1), np.arange(size))  # a step without conflicts lands on 0
+    stops = np.minimum.accumulate(stops[::-1])[::-1][1:]
     fits = np.searchsorted(offsets[R::R], offsets[:-1:R] + _BLOCK_VALUES // c, "right")
-    return np.minimum(ends, np.maximum(np.arange(1, size + 1), fits)).tolist()
+    limits = np.minimum(stops, np.maximum(np.arange(1, size + 1), fits)).tolist()
+    edges = [0]
+    for end in ends:
+        while edges[-1] < end:
+            edges.append(min(end, limits[edges[-1]]))
+    return edges
 
 
 def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
@@ -394,7 +396,8 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     chain_ids = list(range(R)) if R > 1 else [None]
     a, v, v_sq = 1.0, np.zeros((R, d, c)), np.zeros(R)
     flat = v.reshape(R * d, c)
-    for t0, offsets, features, values, labels, conflicts in _chunks(data, rows, configs):
+    labels = loss.plan(data.y)
+    for t0, offsets, features, values, drawn, conflicts in _chunks(data, rows, configs):
         size = (len(offsets) - 1) // R
         eta = schedule.eta(np.arange(t0 + 1, t0 + size + 1))
         before, after, folds = _scales(reg, a, eta)
@@ -402,8 +405,6 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         # Each drawn row (in step, chain order) is scored at the scale
         # before its step and updated with eta_t / a after it.
         scale, ratio = np.repeat(before, R)[:, None], np.repeat(eta / after, R)[:, None, None]
-        labels = loss.plan(labels)
-        limits = _block_limits(offsets, conflicts, R, c)
         uniform = bool(np.ptp(np.diff(offsets)) == 0)
         cuts = offsets.tolist()
         # Row 0 of sq holds each chain's ||V_r||^2 before the chunk, and row
@@ -414,12 +415,15 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         sq[0] = v_sq
         changes = sq[1:].reshape(-1)
         checks = {size, min(size, total - t0), *range(record_every - t0 % record_every, size, record_every)}
-        folded, lo, g0 = set(folds), 0, 0
-        for end in sorted(checks.union(folds, [f + 1 for f in folds]) - {0}):
+        ends = sorted(checks.union(folds, [f + 1 for f in folds]) - {0})
+        edges = _block_edges(offsets, conflicts, R, c, ends)
+        blocks = loss.blocks(labels, drawn, [lo * R for lo in edges])
+        folded, b, g0 = set(folds), 0, 0
+        for end in ends:
             with np.errstate(all="ignore"):  # a non-finite iterate raises below, naming its step
-                while lo < end:
+                while edges[b] < end:
                     # One block: steps lo to hi - 1 advance in one batched pass.
-                    hi = min(end, limits[lo])
+                    lo, hi = edges[b], edges[b + 1]
                     r0, r1 = lo * R, hi * R
                     idx, vals = features[cuts[r0] : cuts[r1]], values[cuts[r0] : cuts[r1]]
                     starts = None if uniform or r1 - r0 == 1 else offsets[r0 : r1 + 1] - cuts[r0]
@@ -427,7 +431,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
                     scores = np.empty((r1 - r0, c))
                     for members, _, grid, x in groups:
                         scores[members] = (x @ grid)[:, 0]
-                    coef = loss.coef(scale[r0:r1] * scores, labels[r0:r1])
+                    coef = loss.coef(scale[r0:r1] * scores, blocks[b])
                     base = None
                     if lo in folded:
                         _rescale(reg, float(before[lo]), v, float(eta[lo]))
@@ -440,7 +444,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
                         block_changes[members] = _squares(new) - _squares(grid)
                     if base is not None:
                         block_changes += base
-                    lo = hi
+                    b += 1
             if end not in checks:
                 continue
             t = t0 + end

@@ -25,6 +25,14 @@ replaced; on rows whose norm neither overflows nor underflows they give the
 same bits.  ``prescaled_unit_values`` is the per-row normalization with the
 prescaling, which the blockwise ``normalize_rows`` must match on every row.
 
+``pair_slots`` lists each sign row's (positive, negative) pairs one row at
+a time, as the ranking plan lays them out in array passes.
+
+``per_token_parse`` is the sparse text parser that ``parse_sparse_text``
+replaced with array passes over batches of lines: it reads one token at a
+time and raises each ``ParseError`` where it meets it.  The two give the
+same dataset, or the same error, on every input.
+
 ``take`` copies rows of a dataset into a dataset of their own, as every
 split and chain held its rows before chains read row maps into one pool;
 ``lone_run`` trains one chain on such a copy, the reference that a chain of
@@ -32,12 +40,15 @@ split and chain held its rows before chains read row maps into one pool;
 """
 
 import math
+from array import array
 from dataclasses import replace
+from itertools import chain
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
-from vvlearn.dataio import Dataset
+from vvlearn.dataio import Dataset, ParseError
 from vvlearn.optimizer import train, train_many
 
 
@@ -327,3 +338,131 @@ def lone_run(pool, rows, config):
     local = take(pool, np.concatenate([rows, config.eval_holdout]))
     holdout = np.arange(len(rows), len(local))
     return train_many(local, [np.arange(len(rows))], [replace(config, eval_holdout=holdout)])[0]
+
+
+def pair_slots(y, per_positive, flat_pairs):
+    """(p, q, lead, pairs, wide) of the ranking plan of sign rows y, built row by row.
+
+    A row with 1 to flat_pairs pairs lists its runs: one per positive p for
+    coefficients, the whole row for values, each led by a slot (p, p) of
+    its first positive and then its pairs (p, q) p-major, p and q indexing
+    the raveled (n, c) scores.  pairs repeats the row's pair count per slot;
+    wide marks the other rows.
+    """
+    p, q, lead, pairs, wide = [], [], [], [], []
+    c = y.shape[1]
+    for i, row in enumerate(y):
+        pos, neg = (np.flatnonzero(row > 0) + i * c).tolist(), (np.flatnonzero(row < 0) + i * c).tolist()
+        count = len(pos) * len(neg)
+        wide.append(not 0 < count <= flat_pairs)
+        for run in ([] if wide[-1] else [[j] for j in pos] if per_positive else [pos]):
+            p += [run[0]] + [j for j in run for _ in neg]
+            q += [run[0]] + neg * len(run)
+            lead += [True] + [False] * (len(run) * len(neg))
+            pairs += [count] * (1 + len(run) * len(neg))
+    return p, q, lead, pairs, np.array(wide)
+
+
+def _parse_label_field(token: str, task: str, line_no: int) -> list[int]:
+    """Raw label ids from the first token; multilabel ids shifted to 0-based."""
+    if task == "mcc":
+        try:
+            return [int(token)]
+        except ValueError:
+            raise ParseError(f"bad class id {token!r}", line_no) from None
+    ids = []
+    for part in token.split(","):
+        try:
+            value = int(part)
+        except ValueError:
+            raise ParseError(f"bad label id {part!r}", line_no) from None
+        if value < 1:
+            raise ParseError(f"label ids are 1-based, got {value}", line_no)
+        ids.append(value - 1)
+    if len(set(ids)) != len(ids):
+        raise ParseError(f"duplicate label id in {token!r}", line_no)
+    return ids
+
+
+def _parse_features(tokens: list[str], line_no: int, d: int | None, cols: array, vals: array) -> None:
+    """Append one line's 0-based feature indices and values to cols and vals."""
+    seen: set[int] = set()
+    for token in tokens:
+        head, sep, tail = token.partition(":")
+        if not sep or not head or not tail:
+            raise ParseError(f"bad feature token {token!r}", line_no)
+        try:
+            idx = int(head)
+            val = float(tail)
+            cols.append(idx - 1)  # OverflowError past int64; a bad line ends the parse anyway
+        except (ValueError, OverflowError):
+            raise ParseError(f"bad feature token {token!r}", line_no) from None
+        if idx < 1:
+            raise ParseError(f"feature indices are 1-based, got {idx}", line_no)
+        if not math.isfinite(val):
+            raise ParseError(f"non-finite feature value in {token!r}", line_no)
+        if idx in seen:
+            raise ParseError(f"duplicate feature index {idx}", line_no)
+        seen.add(idx)
+        vals.append(val)
+    if d is not None and seen and max(seen) > d:
+        raise ParseError(f"feature index {max(seen)} exceeds declared d={d}", line_no)
+
+
+def per_token_parse(
+    source, task: str, d: int | None = None, label_map: dict[int, int] | None = None
+) -> Dataset:
+    """``vvlearn.dataio.parse_sparse_text`` one token at a time, as it was before its array passes.
+
+    ``source`` is a path or a file-like object.  ``d`` overrides the
+    inferred dimension (max feature index); a feature index past it is a
+    parse error.  ``label_map`` (file id, 0-based for multilabel, to
+    component) replaces the inference the module docstring describes and
+    sets c to its size; a label outside it is a parse error.
+    """
+    if task not in ("mcc", "mlc"):
+        raise ValueError(f"task must be 'mcc' or 'mlc', got {task!r}")
+    if hasattr(source, "read"):
+        lines = source.read().splitlines()
+    else:
+        with open(source) as handle:
+            lines = handle.read().splitlines()
+
+    labels: list[list[int]] = []
+    counts: list[int] = []
+    cols, vals = array("q"), array("d")
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split()
+        labels.append(_parse_label_field(fields[0], task, line_no))
+        _parse_features(fields[1:], line_no, d, cols, vals)
+        counts.append(len(fields) - 1)
+    if not labels:
+        raise ParseError("no examples found")
+
+    n = len(labels)
+    cols, vals = np.frombuffer(cols, dtype=np.int64), np.frombuffer(vals, dtype=np.float64)
+    row = np.repeat(np.arange(n), counts)
+    if np.any((row[1:] == row[:-1]) & (cols[1:] < cols[:-1])):
+        order = np.lexsort((cols, row))  # sort each row by feature index
+        cols, vals = cols[order], vals[order]
+    dim = d if d is not None else (int(cols.max()) + 1 if cols.size else 0)
+    seen = list(dict.fromkeys(chain.from_iterable(labels)))
+    if label_map is None and (task == "mlc" or set(seen) == set(range(len(seen)))):
+        label_map = {i: i for i in range(max(seen) + 1)}
+    elif label_map is None:
+        label_map = {i: rank for rank, i in enumerate(seen)}
+    unknown = [i for i in seen if i not in label_map]
+    if unknown:
+        shown = unknown[0] + (task == "mlc")  # multilabel ids are 1-based on disk
+        raise ParseError(f"label id {shown} is not one of the {len(label_map)} known classes")
+    if task == "mcc":
+        y = np.array([label_map[ids[0]] for ids in labels], dtype=np.int64)
+    else:
+        y = np.full((n, len(label_map)), -1, dtype=np.int8)
+        hits = [label_map[i] for ids in labels for i in ids]
+        y[np.repeat(np.arange(n), [len(ids) for ids in labels]), hits] = 1
+    indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+    X = sp.csr_matrix((vals, cols, indptr), shape=(n, dim))
+    return Dataset(X, y, len(label_map), task, label_map)

@@ -188,6 +188,22 @@ class TestTrainCommand:
             "--sigma", "0.1", "--passes", "1",
         ) == 2
 
+    def test_undecodable_data_file_is_data_error(self, tmp_path, mcc_file, capsys):
+        data = tmp_path / "bytes.txt"
+        data.write_bytes(b"1 1:0.5\n2 2:\xff\n")
+        model = tmp_path / "m.bin"
+        assert run("train", "--data", mcc_file, "--loss", "mlogistic", "--sigma", "0.1", "--passes", "1",
+                   "--model-out", str(model), "--log-out", str(tmp_path / "l.csv")) == 0  # fmt: skip
+        commands = [
+            ["train", "--loss", "mlogistic", "--sigma", "0.1", "--passes", "1", "--model-out", str(tmp_path / "x.bin")],
+            ["eval", "--model", str(model)],
+            ["curve", "--kind", "passes", "--grid", "1", "--out", str(tmp_path / "c.csv")],
+        ]
+        for argv in commands:
+            capsys.readouterr()
+            assert run(*argv, "--data", str(data)) == 2
+            assert capsys.readouterr().err.startswith("data error: line 2: cannot decode b'\\xff' as ")
+
     def test_bad_synth_spec(self):
         assert run(
             "train", "--synth", "n=50,bogus=3", "--loss", "mlogistic",

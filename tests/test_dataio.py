@@ -2,11 +2,16 @@ import io
 import math
 import os
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import vvlearn.dataio as dataio_module
 from vvlearn.dataio import (
     Dataset,
     ParseError,
@@ -267,6 +272,160 @@ class TestParseErrors:
     def test_bad_task_rejected(self):
         with pytest.raises(ValueError):
             parse_text("0 1:1.0\n", "other")
+
+
+def outcome(parse, text, task, **kwargs):
+    """The bytes of everything a parse returns, or the type and text of what it raises."""
+    try:
+        ds = parse(io.StringIO(text), task, **kwargs)
+    except Exception as err:  # the two parsers must fail alike, whatever the type
+        return type(err).__name__, str(err)
+    X = ds.X
+    arrays = (X.indptr, X.indices, X.data, ds.y)
+    return [(a.dtype.str, a.tobytes()) for a in arrays], X.shape, ds.c, ds.task, ds.label_map
+
+
+def both(text, task, batch_chars=None, **kwargs):
+    """The outcomes of the array parser (in batches of batch_chars characters, if given) and the per-token oracle."""
+    with pytest.MonkeyPatch.context() as m:
+        if batch_chars is not None:
+            m.setattr(dataio_module, "_PARSE_BATCH_CHARS", batch_chars)
+        new = outcome(parse_sparse_text, text, task, **kwargs)
+    return new, outcome(oracles.per_token_parse, text, task, **kwargs)
+
+
+@st.composite
+def sparse_files(draw):
+    """(text, task, kwargs) of a valid file: any row order of columns, comments, blank lines, CRLF or LF."""
+    task = draw(st.sampled_from(["mcc", "mlc"]))
+    d, c = draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    value = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    lines, ids = [], set()
+    for _ in range(draw(st.integers(1, 25))):
+        columns = draw(st.lists(st.integers(1, d), unique=True, max_size=d))
+        if draw(st.booleans()):
+            columns.sort()
+        if task == "mcc":
+            head = draw(st.integers(-3, c + 5))
+            ids.add(head)
+            head = str(head)
+        else:
+            labels = draw(st.lists(st.integers(1, c), min_size=1, max_size=c, unique=True))
+            ids.update(j - 1 for j in labels)
+            head = ",".join(map(str, labels))
+        feats = [f"{j}:{draw(value)!r}" for j in columns]
+        lines.append(" ".join([head, *feats]) if draw(st.booleans()) else "\t".join([head, *feats]) + " ")
+        lines += draw(st.lists(st.sampled_from(["", "   ", "# note 3:4", "#"]), max_size=2))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    kwargs = {}
+    if draw(st.booleans()):
+        kwargs["d"] = d + draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        known = sorted(ids) + draw(st.lists(st.integers(50, 60), unique=True, max_size=2))
+        kwargs["label_map"] = {i: k for k, i in enumerate(known)} if task == "mcc" else identity(max(ids) + 1)
+    return text, task, kwargs
+
+
+class TestParseAgainstOracle:
+    """The array passes against the per-token parser they replaced: same dataset, or same error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_files(), st.sampled_from([None, 1, 24, 200]))
+    def test_valid_files_parse_bit_for_bit(self, file, batch_chars):
+        text, task, kwargs = file
+        new, old = both(text, task, batch_chars, **kwargs)
+        assert new == old and not isinstance(new[0], str)
+
+    MALFORMED = [
+        ("0 1:0.5 1:0.7\n", "mcc"),
+        ("0 0:0.5\n", "mcc"),
+        ("0 1:abc\n", "mcc"),
+        ("0 1=0.5\n", "mcc"),
+        ("x 1:0.5\n", "mcc"),
+        ("0 1:nan\n", "mcc"),
+        ("0 1:inf\n", "mcc"),
+        ("0 99999999999999999999:1\n", "mcc"),  # past int64
+        ("0 -9223372036854775808:1\n", "mcc"),  # its idx - 1 is past int64
+        ("0 -5:1\n", "mcc"),
+        ("0 1:1.0\n0 1:x\nq 1:1.0\n", "mcc"),
+        ("# one\n0 1:1.0\n0 1:1.0 1:2.0\n", "mcc"),
+        ("0 5:1:2\n", "mcc"),
+        ("0 :5\n", "mcc"),
+        ("0 5:\n", "mcc"),
+        ("0 +5:1\n", "mcc"),  # valid: int("+5") is 5
+        ("0 1_0:2\n", "mcc"),  # valid: int("1_0") is 10
+        ("0 2:1_5\n", "mcc"),  # valid: float("1_5") is 15.0
+        ("0 5 1:2:3\n", "mcc"),  # token counts that add up across a bad pair
+        ("0 5: 7\n", "mcc"),
+        ("0 3:1 1:1 3:2\n", "mcc"),  # a duplicate inside an unsorted row
+        ("0 1:1\n0 2:1 1:1 2:5\n", "mcc"),
+        ("1:2 3:4\n", "mcc"),
+        ("0 1:1e999\n", "mcc"),
+        (" # not a comment 1:1\n", "mcc"),
+        ("", "mcc"),
+        ("# only a comment\n\n", "mcc"),
+        ("0,2 1:1.0\n", "mlc"),
+        ("1,1 1:1.0\n", "mlc"),
+        ("2,1,2 1:1.0\n", "mlc"),
+        ("1,,2 1:1.0\n", "mlc"),
+        ("1, 1:1.0\n", "mlc"),
+        ("a 1:1.0\n", "mlc"),
+        ("1 1:1.0\n-3 2:1.0\n", "mlc"),
+        ("1 2:1.0 1:1.0 1:3.0\n", "mlc"),
+    ]
+
+    @pytest.mark.parametrize("text,task", MALFORMED)
+    @pytest.mark.parametrize("batch_chars", [None, 1])
+    def test_malformed_lines_fail_alike(self, text, task, batch_chars):
+        new, old = both(text, task, batch_chars)
+        assert new == old
+
+    def test_component_ids_past_int64_are_bad_label_ids(self):
+        # The oracle reads such an id and then builds a label map with one entry per id below it.
+        with pytest.raises(ParseError, match="^line 2: bad label id '9223372036854775808'$"):
+            parse_text("1 1:1.0\n9223372036854775808 2:1.0\n", "mlc")
+
+    @pytest.mark.parametrize("batch_chars", [None, 8])
+    def test_d_overflow_on_an_earlier_line_than_a_bad_token(self, batch_chars):
+        new, old = both("0 1:1\n0 9:1\n0 1:x\n", "mcc", batch_chars, d=4)
+        assert new == old == ("ParseError", "line 2: feature index 9 exceeds declared d=4")
+
+    def test_errors_after_every_line_fail_alike(self):
+        for text, label_map in [("7 1:1.0\n3 1:1.0\n", identity(2)), ("1,5 1:1.0\n", identity(4))]:
+            task = "mlc" if "," in text else "mcc"
+            new, old = both(text, task, label_map=label_map)
+            assert new == old and new[0] == "ParseError"
+
+    def test_a_bad_line_in_a_later_batch_names_its_line(self):
+        text = "".join(f"0 {i % 5 + 1}:1.0\n" for i in range(200)) + "0 2:x\n"
+        new, old = both(text, "mcc", 64)
+        assert new == old == ("ParseError", "line 201: bad feature token '2:x'")
+
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"# caf\xc3\xa9\r\n1 1:0.5\r\n2 2:\xff\n")
+        with pytest.raises(ParseError, match=r"^line 3: cannot decode b'\\xff' as "):
+            parse_sparse_text(path, "mcc")
+
+    def test_peak_memory_is_no_more_than_the_oracles(self, tmp_path):
+        rng = np.random.default_rng(5)
+        lines = []
+        for _ in range(5000):
+            cols = np.sort(rng.choice(2000, size=20, replace=False)) + 1
+            labels = np.sort(rng.choice(10, size=int(rng.integers(1, 4)), replace=False)) + 1
+            feats = " ".join(f"{j}:{v!r}" for j, v in zip(cols.tolist(), rng.standard_normal(20).tolist()))
+            lines.append(",".join(map(str, labels.tolist())) + " " + feats)
+        path = tmp_path / "mlc.txt"
+        path.write_text("\n".join(lines) + "\n")
+        peaks = []
+        for parse in (parse_sparse_text, oracles.per_token_parse):
+            tracemalloc.start()
+            try:
+                parse(path, "mlc")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= peaks[1]
 
 
 class TestRoundTrip:

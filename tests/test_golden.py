@@ -1,11 +1,13 @@
-"""The bytes of four small CLI runs, pinned by their sha256.
+"""The bytes of five small CLI runs, pinned by their sha256.
 
 A change meant to keep every result bit for bit leaves these digests alone.
 One that moves numbers on purpose updates them here and lists old -> new
 values in CHANGES.md.  The runs cover the step loop's main paths: sparse
 ranking rows under the theorem schedule (the scale folds at step 1, and
 some rows have more than 256 pairs), ragged multiclass rows with one
-chain, a lockstep passes curve, and the group (2, p) regularizer.
+chain, a lockstep passes curve, and the group (2, p) regularizer.  The
+fifth evaluates the ranking model on a file the parser has to work for:
+comment and blank lines, CRLF endings and unsorted feature indices.
 """
 
 import hashlib
@@ -80,6 +82,9 @@ DIGESTS = {
         "model.bin": "dc585362991da2ab45eea42ff464965680f5aa862a81a701257a875566486310",
         "log.csv": "67a672fef542f1206637947d9028bb157f486440dfa9ed3b9fa32ed5441a5075",
     },
+    "eval-messy-mlc": {
+        "stdout": "466c333189a11244a68d08896d10e4bbfee5b41f16af18cf0b682f4d223549ae",
+    },
 }
 
 
@@ -98,3 +103,32 @@ def test_outputs_keep_their_bytes(tmp_path, capsys, case):
     assert main(argv) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS[case]}
     assert digests == DIGESTS[case]
+
+
+def messy_lines(text, seed):
+    """The rows of text with shuffled feature tokens, CRLF endings, and comment and blank lines between them."""
+    rng = generator(seed)
+    lines = ["# a header comment", ""]
+    for i, line in enumerate(text.splitlines()):
+        head, *feats = line.split()
+        lines.append(" ".join([head, *(feats[j] for j in rng.permutation(len(feats)))]))
+        if i % 7 == 3:
+            lines += ["", "# between rows", "   "]
+    return "\r\n".join(lines) + "\r\n"
+
+
+def test_eval_output_keeps_its_bytes(tmp_path, capsys):
+    data, argv = CASES["ranking-sparse-theorem"]
+    train_path, model = tmp_path / "train.txt", tmp_path / "model.bin"
+    train_path.write_text(sparse_lines(*data))
+    argv = [*argv, "--data", str(train_path), "--model-out", str(model), "--log-out", str(tmp_path / "log.csv")]
+    assert main(argv) == 0
+    text = sparse_lines("mlc", 120, 400, 36, 8)
+    heads = [line.split()[0].split(",") for line in text.splitlines()]
+    assert max(len(h) * (36 - len(h)) for h in heads) > 256  # a row scored on its own block
+    eval_path = tmp_path / "eval.txt"
+    eval_path.write_bytes(messy_lines(text, 9).encode())
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(eval_path), "--loss", "ranking", "--sigma", "0.05"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == DIGESTS["eval-messy-mlc"]["stdout"]

@@ -730,11 +730,11 @@ class TestPairListRankingKernel:
         y, S = sign_rows(rng, n, c), rng.standard_normal((n, c)) * 3.0
         r0 = data.draw(st.integers(0, n - 1))
         r1 = data.draw(st.integers(r0 + 1, n))
-        rows = slice(r0, r1)
+        rows, cut = slice(r0, r1), [0, r0, r1, n] if r0 else [0, r1, n]
         for base in (HINGE, LOGISTIC):
             spec = LossSpec.ranking(base)
-            values = spec.value(S[rows], losses_module._pair_plan(y, per_positive=False)[rows])
-            coefs = spec.coef(S[rows], spec.plan(y)[rows])
+            values = spec.value(S[rows], losses_module._pair_table(y, per_positive=False).plans(np.arange(n), cut)[r0 > 0])
+            coefs = spec.coef(S[rows], spec.blocks(spec.plan(y), np.arange(n), cut)[r0 > 0])
             assert values.tobytes() == spec.value(S[rows], y[rows]).tobytes()
             assert coefs.tobytes() == spec.coef(S[rows], y[rows]).tobytes()
             assert values.tobytes() == oracles.grouped_ranking_value(spec, S[rows], y[rows]).tobytes()
@@ -747,14 +747,48 @@ class TestPairListRankingKernel:
     def test_plan_serves_the_kernel_it_was_made_for(self):
         spec, y = LossSpec.ranking(HINGE), np.array([[1, -1, -1], [-1, 1, 1]], dtype=np.int8)
         with pytest.raises(ValueError, match="either value or coef"):
-            spec.value(np.zeros((2, 3)), spec.plan(y))
-        assert LossSpec.mc_svm(HINGE).plan(np.array([0, 2])).tolist() == [0, 2]  # other labels stay as they are
+            spec.value(np.zeros((2, 3)), spec.blocks(spec.plan(y), np.arange(2), [0, 2])[0])
+        plan = LossSpec.mc_svm(HINGE).plan(np.array([0, 2]))
+        assert plan.tolist() == [0, 2]  # other labels stay as they are
+        assert [b.tolist() for b in LossSpec.mc_svm(HINGE).blocks(plan, np.array([1, 1, 0]), [0, 2, 3])] == [[2, 2], [0]]
+
+    @pytest.mark.parametrize("c", [6, 40])
+    @pytest.mark.parametrize("per_positive", [False, True])
+    def test_pool_plan_gathers_the_plan_of_the_drawn_rows(self, c, per_positive):
+        # at c = 40 many rows have more than 256 pairs; draws come in (step, chain) order of R = 3 chains
+        rng = np.random.default_rng(c)
+        y = sign_rows(rng, 50, c)
+        table = losses_module._pair_table(y, per_positive)
+        for _ in range(5):
+            draws = rng.integers(0, len(y), size=(20, 3)).ravel()
+            got = table.plans(draws, [0, len(draws)])[0]
+            direct = losses_module._planned(y.take(draws, axis=0), per_positive)
+            want = oracles.pair_slots(y.take(draws, axis=0), per_positive, losses_module._FLAT_PAIRS)
+            assert np.array_equal(got.y, y.take(draws, axis=0)) and got.per_positive == per_positive
+            for plan in (got, direct):
+                lead = np.zeros(len(plan.p), dtype=bool)
+                lead[plan.runs] = True
+                assert [plan.p.tolist(), plan.q.tolist(), lead.tolist(), plan.pairs.tolist()] == list(want[:4])
+                assert plan.heads.tolist() == plan.p[plan.runs].tolist()
+                assert (plan.wide is None and not want[4].any()) or plan.wide.tolist() == want[4].tolist()
+
+    @pytest.mark.parametrize("c", [6, 40])
+    def test_block_coef_equals_the_call_on_its_rows(self, c):
+        rng = np.random.default_rng(c + 1)
+        y, spec = sign_rows(rng, 40, c), LossSpec.ranking(LOGISTIC)
+        plan = spec.plan(y)
+        for _ in range(5):
+            draws = rng.integers(0, len(y), size=60)
+            bounds = [0, *np.sort(rng.choice(np.arange(1, 60), size=6, replace=False)).tolist(), 60]
+            S = rng.standard_normal((60, c)) * 3.0
+            for b0, b1, labels in zip(bounds, bounds[1:], spec.blocks(plan, draws, bounds)):
+                assert spec.coef(S[b0:b1], labels).tobytes() == spec.coef(S[b0:b1], y[draws[b0:b1]]).tobytes()
 
     def test_cached_pair_runs_are_read_only(self):
         signs = np.array([1, -1, 1, -1, -1], dtype=np.int8).tobytes()
         for per_positive in (False, True):
             plan = losses_module._row_plan(signs, per_positive)
             assert plan.pairs[0] == 6 and plan.wide is None
-            for a in (plan.y, plan.p, plan.q, plan.lead, plan.pairs):
+            for a in (plan.y, plan.p, plan.q, plan.pairs, plan.runs, plan.heads):
                 with pytest.raises(ValueError, match="read-only"):
                     a[0] = 0

@@ -806,7 +806,7 @@ class TestStepBlocks:
         def draws(data, rows, configs):
             offsets, features, values = optimizer_module._gather(data, np.arange(4)[:, None])
             conflicts = optimizer_module._conflicts(offsets, features, 1)
-            yield 0, offsets, features, values, data.y[:4], conflicts
+            yield 0, offsets, features, values, np.arange(4), conflicts
 
         monkeypatch.setattr(optimizer_module, "_chunks", draws)
         sizes = block_sizes(monkeypatch, 1)
