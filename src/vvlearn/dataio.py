@@ -33,8 +33,8 @@ import scipy.sparse as sp
 from .seeding import generator
 
 
-# Entries per block that ``normalize_rows`` rescales at once, bounding its
-# temporary arrays.
+# Entries per block of equal-nnz rows that ``_row_blocks`` yields, bounding
+# the temporary arrays of ``row_sq_norms`` and ``normalize_rows``.
 _NORMALIZE_CHUNK_ENTRIES = 1 << 14
 # Characters of whole lines that ``parse_sparse_text`` reads at once, bounding
 # its token lists.
@@ -109,11 +109,9 @@ class Dataset:
     def row_sq_norms(self) -> np.ndarray:
         """Each row's squared norm, with the per-row dot ``normalize_rows`` makes 1.0."""
         # vecdot on equal-nnz row blocks runs np.linalg.norm's per-row dot
-        starts, lengths = self.X.indptr[:-1], np.diff(self.X.indptr)
         out = np.zeros(len(self))
-        for k in np.unique(lengths[lengths > 0]):
-            rows = lengths == k
-            block = self.X.data[starts[rows][:, None] + np.arange(k)]
+        for rows, entries in _row_blocks(self.X):
+            block = self.X.data[entries]
             out[rows] = np.vecdot(block, block)
         return out
 
@@ -135,6 +133,18 @@ class Dataset:
             and np.array_equal(a.data, b.data)
             and np.array_equal(self.y, other.y)
         )
+
+
+def _row_blocks(X: sp.csr_matrix):
+    """Yield (rows, entries) for blocks of nonempty rows of X with equal nnz k:
+    the row ids, and their (len(rows), k) positions in X.data, at most
+    _NORMALIZE_CHUNK_ENTRIES positions (or one row) per block."""
+    starts, lengths = X.indptr[:-1], np.diff(X.indptr)
+    for k in np.unique(lengths[lengths > 0]):
+        rows, size = np.flatnonzero(lengths == k), max(1, _NORMALIZE_CHUNK_ENTRIES // k)
+        for lo in range(0, len(rows), size):
+            block = rows[lo : lo + size]
+            yield block, starts[block, None] + np.arange(k)
 
 
 def write_lines(destination, lines) -> None:
@@ -373,17 +383,12 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
 def normalize_rows(dataset: Dataset) -> Dataset:
     """Scale every nonzero input to unit Euclidean norm; zero rows stay.
 
-    Rows are rescaled in blocks of equal nnz, as ``Dataset.row_sq_norms``
-    reads them, of at most _NORMALIZE_CHUNK_ENTRIES entries each.
+    Rows are rescaled in the equal-nnz blocks ``Dataset.row_sq_norms`` reads.
     """
     X = dataset.X
     data = X.data.copy()
-    starts, lengths = X.indptr[:-1], np.diff(X.indptr)
-    for k in np.unique(lengths[lengths > 0]):
-        firsts, size = starts[lengths == k], max(1, _NORMALIZE_CHUNK_ENTRIES // k)
-        for lo in range(0, len(firsts), size):
-            entries = firsts[lo : lo + size, None] + np.arange(k)
-            data[entries] = _unit_rows(data[entries])
+    for _, entries in _row_blocks(X):
+        data[entries] = _unit_rows(data[entries])
     unit = sp.csr_matrix((data, X.indices, X.indptr), shape=X.shape)
     return Dataset(unit, dataset.y, dataset.c, dataset.task, dict(dataset.label_map))
 

@@ -31,6 +31,8 @@ _SUBSAMPLE_TAG = 12
 _TRAIN_TAG = 13
 
 CURVE_KINDS = ("passes", "samplesize", "gap")
+# The smallest sample size of the default sample-size grid.
+GRID_START = 100
 
 
 @dataclass(frozen=True)
@@ -152,16 +154,11 @@ def run_curve(pool: Dataset, spec: CurveSpec) -> dict[str, np.ndarray]:
     return metrics
 
 
-def default_samplesize_grid(available: int, start: int = 100) -> tuple[int, ...]:
-    """Geometric grid start, 2*start, 4*start, ... capped by the pool."""
-    if available < start:
-        raise ValueError(f"pool of {available} is smaller than the grid start {start}")
-    grid = []
-    value = start
-    while value <= available:
-        grid.append(value)
-        value *= 2
-    return tuple(grid)
+def default_samplesize_grid(available: int) -> tuple[int, ...]:
+    """Geometric grid GRID_START, 2*GRID_START, 4*GRID_START, ... capped by the pool."""
+    if available < GRID_START:
+        raise ValueError(f"pool of {available} is smaller than the grid start {GRID_START}")
+    return tuple(GRID_START << i for i in range((available // GRID_START).bit_length()))
 
 
 def emit_csv(spec: CurveSpec, metrics: dict[str, np.ndarray], destination) -> None:

@@ -514,13 +514,13 @@ class LossSpec:
         return _KERNELS[self.kind][1](self, S, y)
 
 
-def standard_loss_specs(k: int = 2) -> list[LossSpec]:
-    """The eight (loss, margin) combinations used by the property suites."""
+def standard_loss_specs() -> list[LossSpec]:
+    """The eight (loss, margin) combinations used by the property suites, top-k at k = 2."""
     return [
         LossSpec.mc_svm(HINGE),
         LossSpec.mc_svm(LOGISTIC),
         LossSpec.multinomial_logistic(),
-        LossSpec.topk_svm(k),
+        LossSpec.topk_svm(2),
         LossSpec.subset(HINGE),
         LossSpec.subset(LOGISTIC),
         LossSpec.ranking(HINGE),

@@ -15,6 +15,7 @@ from scipy.stats import spearmanr
 
 import oracles
 
+import vvlearn.checks as checks
 from vvlearn.checks import (
     convexity_suite,
     gradient_suite,
@@ -67,27 +68,31 @@ def test_01_lipschitz_constants():
         "ranking/logistic": 2.0,
     }
     with criterion(1, "lipschitz-constants", 30):
+        assert (checks.D, checks.C, checks.TOL) == (8, 5, 1e-9)
         specs = standard_loss_specs()
         assert {spec.name: spec.lipschitz_inf for spec in specs} == expected
-        report = lipschitz_suite(trials=1000, seed=0, tol=1e-9, specs=specs)
+        report = lipschitz_suite(trials=1000, seed=0, specs=specs)
         assert report.failures == [], report.failures[:5]
 
 
 def test_02_convexity_and_subgradients():
     with criterion(2, "convexity-and-subgradients", 30):
-        report = convexity_suite(trials=1000, seed=0, tol=1e-9)
+        report = convexity_suite(trials=1000, seed=0)
         assert report.failures == [], report.failures[:5]
 
 
 def test_03_finite_difference_gradients():
     with criterion(3, "finite-difference-gradients", 10):
-        report = gradient_suite(points=100, seed=0, step=1e-6, rel_tol=1e-5)
+        assert (checks.FD_STEP, checks.FD_REL_TOL) == (1e-6, 1e-5)
+        report = gradient_suite(trials=100, seed=0)
         assert report.failures == [], report.failures[:5]
 
 
 def test_04_sgd_iterate_certificate():
     with criterion(4, "sgd-iterate-certificate", 60):
-        report = sgd_bound_suite(seed=0, n=2000, d=20, c=5, sigma=0.01, passes=10)
+        settings = (checks.SGD_N, checks.SGD_D, checks.SGD_C, checks.SGD_SIGMA, checks.SGD_PASSES, checks.SGD_NOISE)
+        assert settings == (2000, 20, 5, 0.01, 10, 0.05)
+        report = sgd_bound_suite(seed=0)
         assert report.checks == 10
         assert report.failures == [], report.failures[:5]
 

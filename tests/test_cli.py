@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import vvlearn.checks as checks_module
 import vvlearn.cli as cli_module
 import vvlearn.optimizer as optimizer_module
 from vvlearn.cli import DataError, load_model, main, save_model
@@ -142,6 +143,20 @@ class TestTrainCommand:
         ) == 1
         assert "usage error: total_steps must be positive, got 0" in capsys.readouterr().err
         assert not (tmp_path / "m.bin").exists()
+
+    def test_certificate_failure_exits_three_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        coef = LossSpec.coef
+        monkeypatch.setattr(LossSpec, "coef", lambda self, S, y: 3.0 * coef(self, S, y))
+        model, log = tmp_path / "m.bin", tmp_path / "l.csv"
+        code = run(
+            "train", "--synth", "n=50,d=3,c=3", "--loss", "mlogistic", "--sigma", "0.1",
+            "--passes", "1", "--model-out", str(model), "--log-out", str(log),
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("property failure: iterate norm 24.4949 exceeded the certified bound 20 at step 1")
+        assert captured.out == ""
+        assert not model.exists() and not log.exists()
 
     @pytest.mark.parametrize(
         "strength", [("--sigma", "inf"), ("--lambda", "inf"), ("--sigma", "1e-320")]
@@ -673,6 +688,21 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "counterexample" in out
+
+    def test_override_lipschitz_reaches_the_sgd_bound_suite(self, monkeypatch, capsys):
+        # ten short runs instead of ten of SGD_PASSES * SGD_N = 20,000 steps
+        monkeypatch.setattr(checks_module, "SGD_N", 200)
+        monkeypatch.setattr(checks_module, "SGD_PASSES", 1)
+        assert run("check", "--suite", "sgd-bound", "--seed", "0") == 0
+        assert capsys.readouterr().out == "sgd-bound: PASS (10 checks)\n"
+        code = run(
+            "check", "--suite", "sgd-bound", "--seed", "0", "--override-lipschitz", "ranking/hinge=0.5",
+        )
+        assert code == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "sgd-bound: FAIL (1 of 10 checks)"
+        assert lines[1].startswith("  counterexample: loss=ranking/hinge: iterate norm")
+        assert len(lines) == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
     def test_override_lipschitz_must_be_finite_and_nonnegative(self, capsys, value):

@@ -105,6 +105,14 @@ class TestDatasetConstructor:
             for data in (ds, normalize_rows(ds)):
                 assert data.kappa == oracles.max_row_norm(data.X)
 
+    def test_row_sq_norms_match_the_per_row_dot(self, monkeypatch):
+        # blocks of at most 40 entries, so the rows of one nnz span several blocks
+        monkeypatch.setattr(dataio_module, "_NORMALIZE_CHUNK_ENTRIES", 40)
+        rng = np.random.default_rng(25)
+        rows = [rng.standard_normal(int(rng.integers(0, 30))) * 10.0 ** rng.uniform(-5, 5) for _ in range(500)]
+        norms = ragged_rows(rows, d=30, seed=26).row_sq_norms
+        assert norms.tobytes() == np.array([np.vecdot(values, values) for values in rows]).tobytes()
+
     def test_equality_is_exact(self):
         def make(v):
             return Dataset(one_row([1], [v], d=3), np.array([0]), 2, "mcc")

@@ -8,6 +8,8 @@ some rows have more than 256 pairs), ragged multiclass rows with one
 chain, a lockstep passes curve, and the group (2, p) regularizer.  The
 fifth evaluates the ranking model on a file the parser has to work for:
 comment and blank lines, CRLF endings and unsorted feature indices.
+``vvlearn check`` runs are pinned the same way, by the digest of their
+stdout and their exit code, one of them with counterexamples.
 """
 
 import hashlib
@@ -132,3 +134,23 @@ def test_eval_output_keeps_its_bytes(tmp_path, capsys):
     assert main(["eval", "--model", str(model), "--data", str(eval_path), "--loss", "ranking", "--sigma", "0.05"]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == DIGESTS["eval-messy-mlc"]["stdout"]
+
+
+CHECK_RUNS = {
+    "lipschitz": (["--suite", "lipschitz", "--trials", "200", "--seed", "3"], 0,
+                  "5967435ec7db8a47b4720c86870cb2ffc1ca6b3a378a85e46f0d4084c5ddb431"),
+    "convexity": (["--suite", "convexity", "--trials", "200", "--seed", "3"], 0,
+                  "c420027f425540c7a500665d3b71315d04a45a547c5e7fa7a855c14b4d97a2b6"),
+    "gradients": (["--suite", "gradients", "--trials", "200", "--seed", "3"], 0,
+                  "3ba6f49a1fa7605f942e96dd6d13d1cb2a4ed6b3ca498f6f845e721c509e63d6"),
+    "override": (["--suite", "lipschitz", "--trials", "50", "--seed", "1", "--override-lipschitz", "ranking/hinge=0.3"], 3,
+                 "6819eda9b4970a05830991e4bafd97102c7e7dde43e1fadcb70a4011bcd1d84a"),
+}  # fmt: skip
+
+
+@pytest.mark.parametrize("case", list(CHECK_RUNS))
+def test_check_output_keeps_its_bytes(capsys, case):
+    argv, code, digest = CHECK_RUNS[case]
+    assert main(["check", *argv]) == code
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest

@@ -498,7 +498,7 @@ class TestRankingSubgrad:
 
 
 def loss_pairs():
-    specs = standard_loss_specs(k=2)
+    specs = standard_loss_specs()
     return [pytest.param(spec, id=spec.name) for spec in specs]
 
 
@@ -553,12 +553,12 @@ EXPECTED_LIPSCHITZ = {
 
 
 def test_lipschitz_table_frozen():
-    specs = standard_loss_specs(k=2)
+    specs = standard_loss_specs()
     assert {s.name: s.lipschitz_inf for s in specs} == EXPECTED_LIPSCHITZ
 
 
 def test_standard_specs_cover_eight_combinations():
-    names = [s.name for s in standard_loss_specs(k=2)]
+    names = [s.name for s in standard_loss_specs()]
     assert len(names) == len(set(names)) == 8
 
 
@@ -595,7 +595,7 @@ def test_with_lipschitz_replaces_only_constant():
 # Batched kernels against the per-example oracles, row by row.
 
 
-ORACLE_SPECS = standard_loss_specs(k=2) + [LossSpec.topk_svm(3), LossSpec.topk_svm(4)]
+ORACLE_SPECS = standard_loss_specs() + [LossSpec.topk_svm(3), LossSpec.topk_svm(4)]
 # Hinge-based kinds must match exactly; logistic and softmax to 1e-15.
 SMOOTH = {"mc_svm/logistic", "multinomial_logistic", "subset/logistic", "ranking/logistic"}
 

@@ -229,7 +229,7 @@ class TestEvaluateObjective:
 class TestBatchedEvaluation:
     @pytest.mark.parametrize(
         "spec",
-        standard_loss_specs(k=2) + [LossSpec.topk_svm(3), LossSpec.topk_svm(4)],
+        standard_loss_specs() + [LossSpec.topk_svm(3), LossSpec.topk_svm(4)],
         ids=lambda s: s.name,
     )
     def test_matches_per_row_oracle(self, spec):
@@ -453,7 +453,7 @@ class TestLazyLoopOracle:
         ],
         ids=["theorem", "experiment", "eta-sigma-above-1"],
     )
-    @pytest.mark.parametrize("spec", standard_loss_specs(k=2), ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
     @pytest.mark.parametrize("reg", REGULARIZERS, ids=lambda r: r.name)
     def test_train_matches_dense_sgd_step_replay(self, monkeypatch, reg, spec, schedule):
         data = sparse_wide_dataset("mlc" if spec.is_multilabel else "mcc")
@@ -583,7 +583,7 @@ class TestLockstepChains:
         )
         assert_chains_equal_lone_runs(*pooled(*datasets), configs)
 
-    @pytest.mark.parametrize("spec", standard_loss_specs(k=2), ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
     def test_every_loss(self, spec):
         task = "mlc" if spec.is_multilabel else "mcc"
         datasets = [ragged_dataset(task, n=60, seed=s) for s in range(3)]
@@ -919,7 +919,7 @@ class TestFailuresInsideBlocks:
 
 
 class TestIterateNormCertificate:
-    @pytest.mark.parametrize("spec", standard_loss_specs(k=2), ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
     def test_bound_holds_on_synthetic_runs(self, spec):
         task = "mlc" if spec.is_multilabel else "mcc"
         data = synth_gen(n=150, d=8, c=4, task=task, noise=0.1, seed=5)
@@ -984,7 +984,7 @@ class TestIterateNormCertificate:
         with pytest.raises(CertificateError, match="loss coefficients at step 1 have l1 norm"):
             train(data, config)
 
-    @pytest.mark.parametrize("spec", standard_loss_specs(k=2), ids=lambda s: s.name)
+    @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
     @pytest.mark.parametrize("reg", REGULARIZERS[:2], ids=lambda r: r.name)
     def test_duality_check_holds_on_every_step(self, reg, spec):
         data = synth_gen(n=60, d=6, c=4, task="mlc" if spec.is_multilabel else "mcc", noise=0.1, seed=4)
