@@ -92,6 +92,8 @@ def load_model(path) -> tuple[np.ndarray, str, dict]:
             f"{path}: payload holds {len(payload)} bytes, expected {8 * d * c}"
         )
     w = np.frombuffer(payload, dtype="<f8").reshape((d, c), order="F").copy()
+    if not np.all(np.isfinite(w)):
+        raise DataError(f"{path}: weights hold a NaN or infinite value")
     return w, task, metadata
 
 

@@ -16,7 +16,8 @@ is its R = 1 case and ``train_many`` runs the R repetitions of a learning
 curve.  The chains share the data pool, loss, regularizer, schedule, length
 and record cadence; each keeps its own rows of the pool (its i-th draw is
 row rows[r][i]), holdout rows, PCG64 stream and certificates, and chain r
-of a lockstep run equals a lone ``train`` on its rows bit for bit.
+of a lockstep run equals a lone ``train`` on its rows bit for bit.  A record
+scores the pool once per chain and reads both its means from those losses.
 
 Every chain stores its iterate lazily scaled, W_r = a * V_r (Pegasos,
 Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
@@ -173,31 +174,38 @@ def _check_rows(rows, n: int, what: str) -> np.ndarray:
     return rows
 
 
-def evaluate_objective(w: np.ndarray, data: Dataset, loss: LossSpec, reg: RegularizerSpec, rows=None) -> float:
-    """Mean loss over the data, or over the given rows of it, plus the regularizer."""
-    return evaluate_mean_loss(w, data, loss, rows) + reg.value(w)
+def evaluate_objective(w: np.ndarray, data: Dataset, loss: LossSpec, reg: RegularizerSpec) -> float:
+    """Mean loss over the data plus the regularizer."""
+    return evaluate_mean_loss(w, data, loss) + reg.value(w)
 
 
-def evaluate_mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec, rows=None) -> float:
-    """Mean loss over the data, or over the given rows of it, without the regularization term.
-
-    Scores come from one sparse product per chunk of rows.  A chunk holds
-    at most ``_EVAL_CHUNK_ENTRIES`` entries of the arrays its loss call
-    allocates (``LossSpec.work``), or one row; the chunks change no value.
-    """
-    rows = _check_rows(np.arange(len(data)) if rows is None else rows, len(data), "rows")
+def evaluate_mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec) -> float:
+    """Mean loss over the data, without the regularization term."""
+    if not len(data):
+        raise ValueError("cannot evaluate on data with no rows")
     loss.check_labels(data.y, data.c)
     if np.shape(w) != (data.d, data.c):
         raise ValueError(f"data has dimensions {(data.d, data.c)}, the weight matrix {np.shape(w)}")
-    y, n = data.y.take(rows, axis=0), len(rows)
+    return float(np.sum(_row_losses(w, data, loss)) / len(data))
+
+
+def _row_losses(w: np.ndarray, data: Dataset, loss: LossSpec) -> np.ndarray:
+    """The loss of every row of data at w, shape (n,).
+
+    Scores come from one sparse product per contiguous chunk of rows.  A
+    chunk holds at most ``_EVAL_CHUNK_ENTRIES`` entries of the arrays its
+    loss call allocates (``LossSpec.work``), or one row; a row's loss does
+    not depend on its chunk.
+    """
+    n = len(data)
     work = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(loss.work(y, data.c), out=work[1:])
+    np.cumsum(loss.work(data.y, data.c), out=work[1:])
     values, lo = np.empty(n), 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(work, work[lo] + _EVAL_CHUNK_ENTRIES, "right")) - 1)
-        values[lo:hi] = loss.value(predict(w, data.X[rows[lo:hi]]), y[lo:hi])
+        values[lo:hi] = loss.value(predict(w, data.X[lo:hi]), data.y[lo:hi])
         lo = hi
-    return float(np.sum(values) / n)
+    return values
 
 
 def _gather(data: Dataset, draws: np.ndarray):
@@ -501,25 +509,17 @@ def train_many(
                 f"config {r} differs from config 0 in loss, regularizer, schedule, total_steps or record_every"
             )
     rows = [_check_rows(chain, len(data), f"rows of chain {r}") for r, chain in enumerate(rows)]
-    for r, config in enumerate(configs):
-        if config.eval_holdout is not None:
-            _check_rows(config.eval_holdout, len(data), f"holdout rows of chain {r}")
+    holdouts = [config.eval_holdout for config in configs]
+    holdouts = [h if h is None else _check_rows(h, len(data), f"holdout rows of chain {r}") for r, h in enumerate(holdouts)]
     loss.check_labels(data.y, data.c)
 
     records: list[list[RunRecord]] = [[] for _ in configs]
     for t, w, norms in _steps(data, rows, configs):
-        for chain_rows, config, w_r, norm, chain in zip(rows, configs, w, norms, records):
-            holdout = None
-            if config.eval_holdout is not None:
-                holdout = evaluate_objective(w_r, data, loss, reg, config.eval_holdout)
-            chain.append(
-                RunRecord(
-                    step=t,
-                    empirical_objective=evaluate_objective(w_r, data, loss, reg, chain_rows),
-                    holdout_objective=holdout,
-                    iterate_frobenius_norm=norm,
-                )
-            )
+        for chain_rows, holdout, w_r, norm, chain in zip(rows, holdouts, w, norms, records):
+            # One pass scores the pool; each mean sums its rows' losses in the order evaluate_objective would.
+            values, penalty = _row_losses(w_r, data, loss), reg.value(w_r)
+            means = [None if m is None else float(np.sum(values.take(m)) / len(m)) + penalty for m in (chain_rows, holdout)]
+            chain.append(RunRecord(t, *means, norm))
     return list(zip(w, records))
 
 

@@ -20,5 +20,7 @@ def derive_seed(base: int, *tags: int) -> int:
 
 
 def generator(seed: int) -> np.random.Generator:
-    """A PCG64 generator for the given seed."""
+    """A PCG64 generator for the given nonnegative seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     return np.random.Generator(np.random.PCG64(seed))

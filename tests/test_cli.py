@@ -72,6 +72,24 @@ class TestModelContainer:
         assert run("eval", "--model", str(model), "--data", mcc_file) == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_rejects_non_finite_weights(self, tmp_path, capsys, bad):
+        model = tmp_path / "m.bin"
+        assert run(
+            "train", "--synth", "n=50,d=3,c=2", "--loss", "mlogistic", "--sigma", "0.1", "--steps", "20",
+            "--model-out", str(model), "--log-out", str(tmp_path / "l.csv"),
+        ) == 0
+        header, payload = model.read_bytes().split(b"\n", 1)
+        model.write_bytes(header + b"\n" + np.array([bad], dtype="<f8").tobytes() + payload[8:])
+        with pytest.raises(DataError, match="NaN or infinite"):
+            load_model(model)
+        data = tmp_path / "d.txt"
+        write_sparse_text(synth_gen(n=20, d=3, c=2, task="mcc", noise=0.1, seed=0), data)
+        capsys.readouterr()
+        assert run("eval", "--model", str(model), "--data", str(data)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"data error: {model}: weights hold a NaN" in captured.err
+
     def test_rejects_whitespace_metadata(self, tmp_path):
         with pytest.raises(ValueError):
             save_model(tmp_path / "m.bin", np.ones((1, 1)), "mcc", {"a": "b c"})
@@ -87,6 +105,18 @@ class TestTopLevel:
 
     def test_unknown_flag(self):
         assert run("train", "--loss", "mlogistic", "--bogus") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--suite", "lipschitz", "--trials", "5", "--seed", "-1"],
+            ["train", "--synth", "n=5,d=3,c=2,seed=-1", "--loss", "mc_svm", "--sigma", "0.1", "--steps", "10"],
+        ],
+        ids=["check", "synth"],
+    )
+    def test_negative_seed_is_usage_error(self, capsys, argv):
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == "usage error: seed must be nonnegative, got -1\n"
 
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1

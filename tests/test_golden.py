@@ -1,13 +1,15 @@
-"""The bytes of five small CLI runs, pinned by their sha256.
+"""The bytes of six small CLI runs, pinned by their sha256.
 
 A change meant to keep every result bit for bit leaves these digests alone.
 One that moves numbers on purpose updates them here and lists old -> new
 values in CHANGES.md.  The runs cover the step loop's main paths: sparse
 ranking rows under the theorem schedule (the scale folds at step 1, and
 some rows have more than 256 pairs), ragged multiclass rows with one
-chain, a lockstep passes curve, and the group (2, p) regularizer.  The
-fifth evaluates the ranking model on a file the parser has to work for:
-comment and blank lines, CRLF endings and unsorted feature indices.
+chain, a lockstep passes curve, and the group (2, p) regularizer.  A
+ranking gap curve records train and holdout objectives over subsets of
+the pool.  The sixth evaluates the ranking model on a file the parser has
+to work for: comment and blank lines, CRLF endings and unsorted feature
+indices.
 ``vvlearn check`` runs are pinned the same way, by the digest of their
 stdout and their exit code, one of them with counterexamples.
 """
@@ -66,6 +68,11 @@ CASES = {
         ["train", "--synth", "n=200,d=12,c=4,noise=0.1,seed=4", "--loss", "mlogistic", "--reg", "l2p",
          "--p", "1.5", "--sigma", "0.05", "--steps", "1000", "--record-every", "250", "--seed", "23"],
     ),
+    "ranking-gap-curve": (
+        None,
+        ["curve", "--kind", "gap", "--synth", "n=600,d=10,c=6,noise=0.1,task=mlc,seed=3", "--task", "mlc",
+         "--loss", "ranking", "--grid", "100,200,400", "--reps", "3", "--seed", "5"],
+    ),
 }  # fmt: skip
 
 DIGESTS = {
@@ -83,6 +90,9 @@ DIGESTS = {
     "l2p": {
         "model.bin": "dc585362991da2ab45eea42ff464965680f5aa862a81a701257a875566486310",
         "log.csv": "67a672fef542f1206637947d9028bb157f486440dfa9ed3b9fa32ed5441a5075",
+    },
+    "ranking-gap-curve": {
+        "curve.csv": "54b680e5dcf75da783488c3d2743eb0fd05c34da6b559c6c2a8b3fde27c632da",
     },
     "eval-messy-mlc": {
         "stdout": "466c333189a11244a68d08896d10e4bbfee5b41f16af18cf0b682f4d223549ae",

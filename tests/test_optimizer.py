@@ -253,18 +253,6 @@ class TestBatchedEvaluation:
         monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", 7 * data.c * data.c)
         assert evaluate_mean_loss(w, data, spec) == whole
 
-    @pytest.mark.parametrize("spec", [MLOG, LossSpec.ranking(HINGE)], ids=lambda s: s.name)
-    def test_rows_equal_their_copy_bit_for_bit(self, monkeypatch, spec):
-        data = sparse_wide_dataset("mlc" if spec.is_multilabel else "mcc", n=300, d=60)
-        rows = generator(3).integers(0, len(data), size=250)  # repeats and any order
-        w = np.random.default_rng(10).standard_normal((data.d, data.c))
-        reg = RegularizerSpec.frobenius(0.1)
-        for chunk in (optimizer_module._EVAL_CHUNK_ENTRIES, 7 * data.c * data.c):
-            monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", chunk)
-            copy = oracles.take(data, rows)
-            assert evaluate_mean_loss(w, data, spec, rows) == evaluate_mean_loss(w, copy, spec)
-            assert evaluate_objective(w, data, spec, reg, rows) == evaluate_objective(w, copy, spec, reg)
-
     def test_weight_shape_checked(self):
         data = tiny_dataset()
         with pytest.raises(ValueError):
@@ -546,6 +534,21 @@ class TestLockstepChains:
             record_every=84, repetitions=R, holdouts=[test for _, test in splits],
         )
         assert_chains_equal_lone_runs(pool, [train_rows for train_rows, _ in splits], configs)
+
+    @pytest.mark.parametrize("spec", [MLOG, LossSpec.ranking(HINGE)], ids=lambda s: s.name)
+    def test_records_over_repeated_rows_in_any_order(self, monkeypatch, spec):
+        # a record scores the whole pool once; its means must equal the copies' whatever the chunks
+        pool = sparse_wide_dataset("mlc" if spec.is_multilabel else "mcc", n=300, d=60)
+        rng = generator(3)
+        rows = [rng.integers(0, len(pool), size=250) for _ in range(3)]  # repeats and any order
+        holdouts = [rng.integers(0, len(pool), size=120) for _ in range(3)]
+        configs = chain_configs(
+            spec, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 300,
+            record_every=100, holdouts=holdouts,
+        )
+        for chunk in (optimizer_module._EVAL_CHUNK_ENTRIES, 7 * pool.c * pool.c):
+            monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", chunk)
+            assert_chains_equal_lone_runs(pool, rows, configs)
 
     def test_ranking_on_multilabel_data(self):
         datasets = [tiny_dataset(n=50, d=6, c=5, seed=s, task="mlc") for s in range(3)]
