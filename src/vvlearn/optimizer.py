@@ -17,7 +17,8 @@ curve.  The chains share the data pool, loss, regularizer, schedule, length
 and record cadence; each keeps its own rows of the pool (its i-th draw is
 row rows[r][i]), holdout rows, PCG64 stream and certificates, and chain r
 of a lockstep run equals a lone ``train`` on its rows bit for bit.  A record
-scores the pool once per chain and reads both its means from those losses.
+scores each chain's train and holdout rows in one pass and reads both its
+means from those losses.
 
 Every chain stores its iterate lazily scaled, W_r = a * V_r (Pegasos,
 Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
@@ -186,24 +187,24 @@ def evaluate_mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec) -> float:
     loss.check_labels(data.y, data.c)
     if np.shape(w) != (data.d, data.c):
         raise ValueError(f"data has dimensions {(data.d, data.c)}, the weight matrix {np.shape(w)}")
-    return float(np.sum(_row_losses(w, data, loss)) / len(data))
+    return float(np.sum(_row_losses(w, data, loss, np.arange(len(data)))) / len(data))
 
 
-def _row_losses(w: np.ndarray, data: Dataset, loss: LossSpec) -> np.ndarray:
-    """The loss of every row of data at w, shape (n,).
+def _row_losses(w: np.ndarray, data: Dataset, loss: LossSpec, rows: np.ndarray) -> np.ndarray:
+    """The loss of each of the given rows of data at w, shape (len(rows),).
 
-    Scores come from one sparse product per contiguous chunk of rows.  A
-    chunk holds at most ``_EVAL_CHUNK_ENTRIES`` entries of the arrays its
-    loss call allocates (``LossSpec.work``), or one row; a row's loss does
-    not depend on its chunk.
+    Scores come from one sparse product per chunk of rows, gathered from
+    the data.  A chunk holds at most ``_EVAL_CHUNK_ENTRIES`` entries of the
+    arrays its loss call allocates (``LossSpec.work``), or one row; a row's
+    loss does not depend on its chunk.
     """
-    n = len(data)
+    y, n = data.y.take(rows, axis=0), len(rows)
     work = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(loss.work(data.y, data.c), out=work[1:])
+    np.cumsum(loss.work(y, data.c), out=work[1:])
     values, lo = np.empty(n), 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(work, work[lo] + _EVAL_CHUNK_ENTRIES, "right")) - 1)
-        values[lo:hi] = loss.value(predict(w, data.X[lo:hi]), data.y[lo:hi])
+        values[lo:hi] = loss.value(predict(w, data.X[rows[lo:hi]]), y[lo:hi])
         lo = hi
     return values
 
@@ -509,17 +510,31 @@ def train_many(
                 f"config {r} differs from config 0 in loss, regularizer, schedule, total_steps or record_every"
             )
     rows = [_check_rows(chain, len(data), f"rows of chain {r}") for r, chain in enumerate(rows)]
-    holdouts = [config.eval_holdout for config in configs]
-    holdouts = [h if h is None else _check_rows(h, len(data), f"holdout rows of chain {r}") for r, h in enumerate(holdouts)]
+    for r, config in enumerate(configs):
+        if config.eval_holdout is not None:
+            _check_rows(config.eval_holdout, len(data), f"holdout rows of chain {r}")
     loss.check_labels(data.y, data.c)
 
     records: list[list[RunRecord]] = [[] for _ in configs]
     for t, w, norms in _steps(data, rows, configs):
-        for chain_rows, holdout, w_r, norm, chain in zip(rows, holdouts, w, norms, records):
-            # One pass scores the pool; each mean sums its rows' losses in the order evaluate_objective would.
-            values, penalty = _row_losses(w_r, data, loss), reg.value(w_r)
-            means = [None if m is None else float(np.sum(values.take(m)) / len(m)) + penalty for m in (chain_rows, holdout)]
-            chain.append(RunRecord(t, *means, norm))
+        for chain_rows, config, w_r, norm, chain in zip(rows, configs, w, norms, records):
+            # One pass scores the chain's train rows, then its holdout rows; a
+            # learning curve's chains need only a subsample and the test split.
+            holdout = config.eval_holdout
+            scored = chain_rows if holdout is None else np.concatenate([chain_rows, holdout])
+            values = _row_losses(w_r, data, loss, scored)
+            penalty, k = reg.value(w_r), len(chain_rows)
+            holdout_objective = None
+            if holdout is not None:
+                holdout_objective = float(np.sum(values[k:]) / len(holdout)) + penalty
+            chain.append(
+                RunRecord(
+                    step=t,
+                    empirical_objective=float(np.sum(values[:k]) / k) + penalty,
+                    holdout_objective=holdout_objective,
+                    iterate_frobenius_norm=norm,
+                )
+            )
     return list(zip(w, records))
 
 

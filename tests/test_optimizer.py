@@ -537,7 +537,7 @@ class TestLockstepChains:
 
     @pytest.mark.parametrize("spec", [MLOG, LossSpec.ranking(HINGE)], ids=lambda s: s.name)
     def test_records_over_repeated_rows_in_any_order(self, monkeypatch, spec):
-        # a record scores the whole pool once; its means must equal the copies' whatever the chunks
+        # a record scores train then holdout rows in one pass; its means must equal the copies' whatever the chunks
         pool = sparse_wide_dataset("mlc" if spec.is_multilabel else "mcc", n=300, d=60)
         rng = generator(3)
         rows = [rng.integers(0, len(pool), size=250) for _ in range(3)]  # repeats and any order
