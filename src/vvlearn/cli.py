@@ -9,6 +9,7 @@ and 3 when a property check or certificate fails.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -459,6 +460,9 @@ def main(argv=None) -> int:
         print("usage error: a subcommand is required (see --help)", file=sys.stderr)
         return 1
     try:
+        for path in [getattr(args, key) for key in ("model_out", "log_out", "out") if hasattr(args, key)]:
+            if not os.path.isdir(os.path.dirname(path) or "."):  # before any work starts
+                raise DataError(f"{path}: output directory {os.path.dirname(path)} does not exist")
         return args.handler(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)

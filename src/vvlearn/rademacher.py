@@ -14,7 +14,11 @@ when m is small.  One kernel, ``_accumulate``, forms A for a matrix of
 sign vectors from the pairs stable-sorted by component, so each column of
 A is one contiguous slice of the signs times contiguous input rows.  The
 exact average meets in the middle over the sign patterns of two halves of
-the pairs; Monte-Carlo signs are unpacked from packed random bytes.
+the pairs; Monte-Carlo signs are unpacked from packed random bytes.  Both
+fill suprema in cache-sized blocks of ``_BLOCK_ENTRIES`` values; sums and
+draws keep their ``_CHUNK_ENTRIES`` chunks, so exact bits do not depend on
+the block size, while Monte-Carlo values may move in their last digit
+(BLAS rounding depends on the row count).
 ``sandwich_check`` compares estimates on unit-norm inputs against the
 analytic band
 
@@ -36,6 +40,7 @@ from .seeding import derive_seed, generator
 
 _EXACT_LIMIT = 20
 _CHUNK_ENTRIES = 4_000_000
+_BLOCK_ENTRIES = 1 << 16
 
 
 def identical_pair_sample(m: int, d: int, c: int) -> Dataset:
@@ -43,15 +48,6 @@ def identical_pair_sample(m: int, d: int, c: int) -> Dataset:
     X = np.zeros((m, d))
     X[:, 0] = 1.0
     return Dataset(X, np.zeros(m, dtype=np.int64), c, "mcc")
-
-
-def _by_component(sample: Dataset):
-    """Stable pair order by component, sorted dense inputs and ids, and the ids in use."""
-    if sample.task != "mcc" or len(sample) == 0:
-        raise ValueError("an extended sample must be a nonempty 'mcc' Dataset")
-    order = np.argsort(sample.y, kind="stable")
-    js = sample.y[order]
-    return order, sample.X[order].toarray(), js, np.unique(js)
 
 
 def _accumulate(signs: np.ndarray, X: np.ndarray, js: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -69,26 +65,12 @@ def _accumulate(signs: np.ndarray, X: np.ndarray, js: np.ndarray, slots: np.ndar
     return A
 
 
-def _sup(A: np.ndarray, radius: float) -> np.ndarray:
-    sups = radius * np.sqrt(np.einsum("...w,...w->...", A, A))
-    if not np.all(np.isfinite(sups)):
+def _sup(sq: np.ndarray, radius: float) -> np.ndarray:
+    """radius * sqrt of squared norms, in place."""
+    sq = np.multiply(np.sqrt(sq, out=sq), radius, out=sq)
+    if not np.isfinite(sq.max()):
         raise ValueError("a supremum overflowed; the inputs or the radius are too large")
-    return sups
-
-
-def sup_ball(sample: Dataset, signs: np.ndarray, radius: float) -> float:
-    """Closed-form supremum of the signed sum over the Frobenius ball.
-
-    Accumulates signs[i] * x_i into column j_i and returns radius times
-    the Frobenius norm of the accumulated matrix.
-    """
-    signs = np.asarray(signs, dtype=np.float64)
-    if signs.shape != (len(sample),):
-        raise ValueError(f"expected {len(sample)} signs, got shape {signs.shape}")
-    if not 0.0 <= radius < np.inf:
-        raise ValueError(f"radius must be nonnegative and finite, got {radius}")
-    order, X, js, slots = _by_component(sample)
-    return float(_sup(_accumulate(signs[None, order], X, js, slots), radius)[0])
+    return sq
 
 
 @dataclass
@@ -110,14 +92,21 @@ def _exact_sum(X: np.ndarray, js: np.ndarray, slots: np.ndarray, radius: float) 
     """Sum of sup over all 2^m sign vectors: over every pair of sign
     patterns of the two halves of the pairs.  A_high + A_low is formed
     directly, since expanding its square norm leaves a rounding residue
-    near A = 0 that can be negative."""
+    near A = 0 that can be negative.  Each summation block of high rows
+    fills its suprema a cache-sized group of rows at a time."""
     h = X.shape[0] // 2
     low = _accumulate(_all_signs(h), X[:h], js[:h], slots)
     high = _accumulate(_all_signs(X.shape[0] - h), X[h:], js[h:], slots)
-    rows = max(1, _CHUNK_ENTRIES // max(1, low.size))
+    rows = min(high.shape[0], max(1, _CHUNK_ENTRIES // low.size))
+    group = min(rows, max(1, _BLOCK_ENTRIES // low.size))
+    A, sq = np.empty((group, *low.shape)), np.empty((rows, low.shape[0]))
     acc = 0.0
     for b in range(0, high.shape[0], rows):
-        block = high[b : b + rows, None, :] + low[None, :, :]
+        block = sq[: min(rows, high.shape[0] - b)]
+        for g in range(0, len(block), group):
+            part = A[: min(group, len(block) - g)]
+            np.add(high[b + g : b + g + len(part), None, :], low, out=part)
+            np.einsum("...w,...w->...", part, part, out=block[g : g + len(part)])
         acc += float(np.sum(_sup(block, radius)))
     return acc
 
@@ -141,7 +130,10 @@ def estimate_complexity(
     m = len(sample)
     if trials == 0 and m > _EXACT_LIMIT:
         raise ValueError(f"exact enumeration needs m <= {_EXACT_LIMIT}, got {m}")
-    _, X, js, slots = _by_component(sample)
+    if sample.task != "mcc" or m == 0:
+        raise ValueError("an extended sample must be a nonempty 'mcc' Dataset")
+    order = np.argsort(sample.y, kind="stable")  # pairs stable-sorted by component
+    X, js, slots = sample.X[order].toarray(), sample.y[order], np.unique(sample.y)
     if trials == 0:
         total = 1 << m
         return RademacherEstimate(_exact_sum(X, js, slots, radius) / (total * m), 0.0, total, True)
@@ -149,11 +141,13 @@ def estimate_complexity(
     width = (m + 7) // 8
     rng = generator(seed)
     sups = np.empty(trials)
+    block = max(1, _BLOCK_ENTRIES // m)
     for done in range(0, trials, chunk):
-        k = min(chunk, trials - done)
-        packed = np.frombuffer(rng.bytes(k * width), dtype=np.uint8).reshape(k, width)
-        signs = 2 * np.unpackbits(packed, axis=1, count=m).view(np.int8) - 1
-        sups[done : done + k] = _sup(_accumulate(signs, X, js, slots), radius)
+        packed = np.frombuffer(rng.bytes(min(chunk, trials - done) * width), dtype=np.uint8).reshape(-1, width)
+        for b in range(0, len(packed), block):
+            signs = 2 * np.unpackbits(packed[b : b + block], axis=1, count=m).view(np.int8) - 1
+            A = _accumulate(signs, X, js, slots)
+            _sup(np.einsum("kw,kw->k", A, A, out=sups[done + b : done + b + len(A)]), radius)
     per_trial = sups / m
     std_error = 0.0
     if trials > 1:

@@ -13,8 +13,10 @@ The Rademacher oracles take an extended sample, a multiclass ``Dataset``
 whose class ids are the components.  They are the per-component supremum
 loop and the flat enumeration of all 2^m sign vectors that
 ``vvlearn.rademacher`` replaced with component-sorted slices and a
-meet-in-the-middle sum, plus the exact sign-sum moment E|sum of m signs|
-behind the sandwich's Khintchine floor.
+blocked meet-in-the-middle sum, plus the exact sign-sum moment
+E|sum of m signs| behind the sandwich's Khintchine floor.  ``sup_ball``,
+the supremum for one sign vector, is the closed form the other tests check
+by brute force over ball directions.
 
 ``sgd_step`` is the dense O(d * c) subgradient step that the lazily scaled
 training loop in ``vvlearn.optimizer`` must reproduce to rounding.
@@ -218,7 +220,8 @@ def row_coef(spec, s, y):
 
 
 def sup_batch(sample, signs, radius):
-    """sup_ball for each row of a (K, m) sign matrix, one component at a time."""
+    """The supremum over the Frobenius ball of radius ``radius`` for each row
+    of a (K, m) sign matrix, R * ||A||_F, one component at a time."""
     X = sample.X.toarray()
     sq = np.zeros(signs.shape[0])
     s_float = signs.astype(np.float64)
@@ -227,6 +230,11 @@ def sup_batch(sample, signs, radius):
         col = s_float[:, idx] @ X[idx]
         sq += np.einsum("kd,kd->k", col, col)
     return radius * np.sqrt(sq)
+
+
+def sup_ball(sample, signs, radius):
+    """The supremum for one sign vector: the single-row case of sup_batch."""
+    return float(sup_batch(sample, np.asarray(signs)[None, :], radius)[0])
 
 
 def enumerate_signs(m, lo, hi):

@@ -756,3 +756,40 @@ class TestCheckCommand:
 
     def test_bad_suite_name(self):
         assert run("check", "--suite", "bogus") == 1
+
+
+class TestOutputDirectoriesCheckedUpFront:
+    """A missing output directory exits 2 before training, curves or enumeration start."""
+
+    @pytest.mark.parametrize(
+        "argv, work, missing",
+        [
+            (["train", "--synth", "n=50,d=3,c=3", "--loss", "mlogistic", "--sigma", "0.1", "--passes", "1",
+              "--model-out", "{gone}/m.bin", "--log-out", "{tmp}/l.csv"], "train", "--model-out"),
+            (["train", "--synth", "n=50,d=3,c=3", "--loss", "mlogistic", "--sigma", "0.1", "--passes", "1",
+              "--model-out", "{tmp}/m.bin", "--log-out", "{gone}/l.csv"], "train", "--log-out"),
+            (["curve", "--kind", "passes", "--synth", "n=100,d=3,c=3", "--grid", "1,2", "--reps", "2",
+              "--out", "{gone}/curve.csv"], "run_curve", "--out"),
+            (["rademacher", "--n", "10", "--c", "2", "--d", "6", "--trials", "0",
+              "--out", "{gone}/r.csv"], "sandwich_check", "--out"),
+        ],
+        ids=["train-model", "train-log", "curve", "rademacher"],
+    )  # fmt: skip
+    def test_missing_directory_exits_two_and_writes_nothing(self, tmp_path, monkeypatch, capsys, argv, work, missing):
+        calls = []
+        monkeypatch.setattr(cli_module, work, lambda *a, **k: calls.append(a))
+        gone = tmp_path / "no_such_dir"
+        argv = [arg.format(gone=gone, tmp=tmp_path) for arg in argv]
+        assert run(*argv) == 2
+        captured = capsys.readouterr()
+        path = argv[argv.index(missing) + 1]
+        assert captured.err == f"data error: {path}: output directory {gone} does not exist\n"
+        assert captured.out == ""
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_bare_file_name_writes_to_the_working_directory(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("rademacher", "--n", "2", "--c", "2", "--d", "3", "--trials", "0", "--out", "r.csv") == 0
+        assert (tmp_path / "r.csv").exists()
+        capsys.readouterr()

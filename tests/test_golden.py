@@ -1,4 +1,4 @@
-"""The bytes of six small CLI runs, pinned by their sha256.
+"""The bytes of eight small CLI runs, pinned by their sha256.
 
 A change meant to keep every result bit for bit leaves these digests alone.
 One that moves numbers on purpose updates them here and lists old -> new
@@ -7,8 +7,10 @@ ranking rows under the theorem schedule (the scale folds at step 1, and
 some rows have more than 256 pairs), ragged multiclass rows with one
 chain, a lockstep passes curve, and the group (2, p) regularizer.  A
 ranking gap curve records train and holdout objectives over subsets of
-the pool.  The sixth evaluates the ranking model on a file the parser has
-to work for: comment and blank lines, CRLF endings and unsorted feature
+the pool.  Two ``rademacher`` runs pin the sandwich CSV: an exhaustive one
+over 2^20 sign vectors, whose bits no block size may move, and a
+Monte-Carlo one.  The last evaluates the ranking model on a file the parser
+has to work for: comment and blank lines, CRLF endings and unsorted feature
 indices.
 ``vvlearn check`` runs are pinned the same way, by the digest of their
 stdout and their exit code, one of them with counterexamples.
@@ -73,6 +75,10 @@ CASES = {
         ["curve", "--kind", "gap", "--synth", "n=600,d=10,c=6,noise=0.1,task=mlc,seed=3", "--task", "mlc",
          "--loss", "ranking", "--grid", "100,200,400", "--reps", "3", "--seed", "5"],
     ),
+    "rademacher-exact": (None, ["rademacher", "--n", "10", "--c", "2", "--d", "6", "--trials", "0", "--seed", "3"]),
+    "rademacher-monte-carlo": (
+        None, ["rademacher", "--n", "100", "--c", "4", "--d", "6", "--trials", "4000", "--seed", "3"],
+    ),
 }  # fmt: skip
 
 DIGESTS = {
@@ -85,14 +91,20 @@ DIGESTS = {
         "log.csv": "e4e71bec241037df82e808a4433b620fb3ca2de6ea854de888d9cce4d5a549a8",
     },
     "passes-curve": {
-        "curve.csv": "a8261446d04cdd4523090c55cfb90e31d7b35fc5b47beac326390f91df0f3e3c",
+        "out.csv": "a8261446d04cdd4523090c55cfb90e31d7b35fc5b47beac326390f91df0f3e3c",
     },
     "l2p": {
         "model.bin": "dc585362991da2ab45eea42ff464965680f5aa862a81a701257a875566486310",
         "log.csv": "67a672fef542f1206637947d9028bb157f486440dfa9ed3b9fa32ed5441a5075",
     },
     "ranking-gap-curve": {
-        "curve.csv": "54b680e5dcf75da783488c3d2743eb0fd05c34da6b559c6c2a8b3fde27c632da",
+        "out.csv": "54b680e5dcf75da783488c3d2743eb0fd05c34da6b559c6c2a8b3fde27c632da",
+    },
+    "rademacher-exact": {
+        "out.csv": "281bcf6b276f46310874ca3121be5c279938e4a890aefb7c000a8ead873ae43c",
+    },
+    "rademacher-monte-carlo": {
+        "out.csv": "a4582e5dc9b3c683310081361c9d6fd1c56d5ff016c7e8561b2cc342df47d9b9",
     },
     "eval-messy-mlc": {
         "stdout": "466c333189a11244a68d08896d10e4bbfee5b41f16af18cf0b682f4d223549ae",
@@ -111,7 +123,7 @@ def test_outputs_keep_their_bytes(tmp_path, capsys, case):
     if argv[0] == "train":
         argv += ["--model-out", str(tmp_path / "model.bin"), "--log-out", str(tmp_path / "log.csv")]
     else:
-        argv += ["--out", str(tmp_path / "curve.csv")]
+        argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS[case]}
     assert digests == DIGESTS[case]

@@ -1,16 +1,18 @@
 import io
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+import vvlearn.rademacher as rademacher_module
+from oracles import sup_ball
 from vvlearn.dataio import Dataset
 from vvlearn.rademacher import (
     estimate_complexity,
     identical_pair_sample,
     sandwich_check,
-    sup_ball,
     write_report_csv,
 )
 
@@ -51,6 +53,8 @@ def exhaustive_estimate(sample, radius):
 
 
 class TestSupBall:
+    """The closed form behind every estimate, through the one-row oracle."""
+
     def test_single_pair_all_plus(self):
         x = np.array([1.0, 2.0, 2.0])
         sample = sample_from_dense([x], [0], 2)
@@ -79,20 +83,6 @@ class TestSupBall:
             assert brute <= exact + 1e-9
             assert np.isclose(brute, exact, rtol=0.02)
 
-    def test_matches_oracle_on_random_sign_rows(self):
-        sample = random_sample(9, 4, seed=2)
-        signs = np.random.default_rng(3).choice([-1.0, 1.0], size=(50, len(sample)))
-        expected = oracles.sup_batch(sample, signs, 1.7)
-        got = np.array([sup_ball(sample, row, 1.7) for row in signs])
-        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
-
-    def test_sign_shape_checked(self):
-        sample = sample_from_dense([[1.0]], [0], 1)
-        with pytest.raises(ValueError):
-            sup_ball(sample, np.array([1.0, -1.0]), 1.0)
-        with pytest.raises(ValueError):
-            sup_ball(sample, np.array([1.0]), -0.5)
-
 
 class TestExtendedSample:
     def test_identical_pair_sample(self):
@@ -116,8 +106,6 @@ class TestExtendedSample:
         with pytest.raises(ValueError):
             estimate_complexity(empty, radius=1.0, trials=10, seed=0)
         with pytest.raises(ValueError):
-            sup_ball(empty, np.array([]), 1.0)
-        with pytest.raises(ValueError):
             Dataset(x, np.array([2], dtype=np.int64), 2, "mcc")  # j out of range
         with pytest.raises(ValueError):
             Dataset(np.ones((2, 1)), np.array([0], dtype=np.int64), 2, "mcc")  # length mismatch
@@ -136,8 +124,6 @@ class TestExtendedSample:
         sample = Dataset(np.eye(2), np.array([[1, -1], [-1, 1]]), 2, "mlc")
         with pytest.raises(ValueError, match="mcc"):
             estimate_complexity(sample, radius=1.0, trials=0, seed=0)
-        with pytest.raises(ValueError, match="mcc"):
-            sup_ball(sample, np.ones(2), 1.0)
 
 
 class TestEstimateComplexity:
@@ -220,8 +206,6 @@ class TestEstimateComplexity:
         sample = identical_pair_sample(3, 2, 2)
         with pytest.raises(ValueError, match="finite"):
             estimate_complexity(sample, radius=np.inf, trials=trials, seed=0)
-        with pytest.raises(ValueError, match="finite"):
-            sup_ball(sample, np.ones(3), np.inf)
 
     @pytest.mark.parametrize("trials", [0, 100])
     def test_power_of_two_scaling_is_exact_in_range(self, trials):
@@ -247,14 +231,58 @@ class TestEstimateComplexity:
         sample = sample_from_dense([[1e160, 0.0], [1e160, 1.0]], [0, 0], 2)
         with pytest.raises(ValueError, match="overflowed"):
             estimate_complexity(sample, radius=1.0, trials=trials, seed=0)
-        with pytest.raises(ValueError, match="overflowed"):
-            sup_ball(sample, np.ones(2), 1.0)
 
     @pytest.mark.parametrize("trials", [0, 100])
     def test_negative_radius_rejected(self, trials):
         sample = identical_pair_sample(3, 2, 2)
         with pytest.raises(ValueError):
             estimate_complexity(sample, radius=-1.0, trials=trials, seed=0)
+
+
+def block_sizes(row_entries):
+    """One row's worth of block entries, an odd number of rows, and the default."""
+    return [row_entries, 7 * row_entries, rademacher_module._BLOCK_ENTRIES]
+
+
+class TestBlockedSums:
+    @pytest.mark.parametrize("m,c", [(1, 2), (7, 5), (19, 4), (20, 5)])
+    def test_exact_bits_do_not_depend_on_the_block_size(self, monkeypatch, m, c):
+        sample = random_sample(m, c, seed=m)
+        low_size = 2 ** (m // 2) * len(np.unique(sample.y)) * sample.d  # A_high[i] + A_low for one high row i
+        means = []
+        for entries in block_sizes(low_size):
+            monkeypatch.setattr(rademacher_module, "_BLOCK_ENTRIES", entries)
+            means.append(estimate_complexity(sample, radius=0.9, trials=0, seed=0).mean)
+        assert means == [means[-1]] * 3
+        expected = oracles.exact_complexity(sample, 0.9)
+        assert abs(means[-1] - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("m,c,trials", [(13, 4, 3000), (50, 6, 2000)])
+    def test_monte_carlo_repeats_per_block_size(self, monkeypatch, m, c, trials):
+        sample = random_sample(m, c, seed=m)
+        runs = []
+        for entries in block_sizes(m):
+            monkeypatch.setattr(rademacher_module, "_BLOCK_ENTRIES", entries)
+            est = estimate_complexity(sample, radius=1.0, trials=trials, seed=4)
+            again = estimate_complexity(sample, radius=1.0, trials=trials, seed=4)
+            assert (est.mean, est.std_error) == (again.mean, again.std_error)
+            runs.append(est)
+        for est in runs[:-1]:
+            assert abs(est.mean - runs[-1].mean) <= 1e-13 * runs[-1].mean
+            assert abs(est.std_error - runs[-1].std_error) <= 1e-13 * runs[-1].std_error
+
+    @pytest.mark.parametrize("m,trials", [(20, 0), (1600, 10_000)])
+    def test_peak_memory_stays_cache_sized(self, m, trials):
+        # one summation block of A_high + A_low alone took 32 MB, and a
+        # Monte-Carlo chunk widened 8 MB of signs per component
+        sample = random_sample(m, 5, d=6, seed=1)
+        tracemalloc.start()
+        try:
+            estimate_complexity(sample, radius=1.0, trials=trials, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, peak
 
 
 class TestSignSumMoments:
