@@ -6,7 +6,9 @@ constants), convexity and the subgradient inequality, finite-difference
 gradient agreement, and the SGD iterate-norm certificate.  Each suite
 takes ``(trials, seed, specs)``, runs at the fixed settings below, and
 returns a report with counterexample descriptions rather than raising,
-so callers can print failures and choose an exit code.
+so callers can print failures and choose an exit code.  The Lipschitz and
+convexity suites score their trials in blocks of at most ``TRIAL_BLOCK``,
+one call per loss kernel and block, and report the same at any block size.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import inf_norm_diff
 from .dataio import synth_gen
 from .losses import LossSpec, standard_loss_specs
 from .optimizer import CertificateError, StepSchedule, TrainConfig, train
@@ -23,8 +24,9 @@ from .regularizers import RegularizerSpec
 from .seeding import derive_seed, generator
 
 # The loss and convexity suites draw (D, C) weight matrices and length-D
-# inputs, and allow each inequality a slack of TOL.
-D, C, TOL = 8, 5, 1e-9
+# inputs, allow each inequality a slack of TOL, and score their trials in
+# blocks of at most TRIAL_BLOCK, one loss call per block.
+D, C, TOL, TRIAL_BLOCK = 8, 5, 1e-9, 1000
 # The gradient suite compares (FD_D, FD_C) gradients at min(trials,
 # FD_MAX_POINTS) points with central differences of step FD_STEP, to within
 # FD_REL_TOL relative to max(1, ||fd||).
@@ -50,53 +52,65 @@ class SuiteReport:
         return f"{self.suite}: FAIL ({len(self.failures)} of {self.checks} checks)"
 
 
-def _random_triple(rng: np.random.Generator):
-    """Two (D, C) weight matrices and a dense input, entries uniform in [-5, 5]."""
+def _random_trial(rng: np.random.Generator):
+    """Two (D, C) weight matrices and a dense input, entries uniform in [-5, 5],
+    a class id, and a sign row holding both signs."""
     w1 = rng.uniform(-5.0, 5.0, size=(D, C))
     w2 = rng.uniform(-5.0, 5.0, size=(D, C))
     x = rng.uniform(-5.0, 5.0, size=D)
     x[rng.random(D) < 0.3] = 0.0  # keep zero features in the mix
-    return w1, w2, x
-
-
-def _random_labels(rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """One-row label arrays: a class id, and a sign row holding both signs."""
-    y = np.array([rng.integers(0, C)])
+    y = int(rng.integers(0, C))
     signs = 2 * rng.integers(0, 2, size=C, dtype=np.int8) - 1
     while np.all(signs == signs[0]):
         signs = 2 * rng.integers(0, 2, size=C, dtype=np.int8) - 1
-    return y, signs[None, :]
+    return w1, w2, x, y, signs
 
 
-def _value(spec: LossSpec, scores: np.ndarray, labels: np.ndarray) -> float:
-    return float(spec.value(scores[None, :], labels)[0])
+def _trial_blocks(rng: np.random.Generator, trials: int, draw):
+    """(first, parts) for each block of at most TRIAL_BLOCK trials from trial first on, each part of
+    draw(rng) stacked over them; trials draw in order, so the stream is the same at every block size."""
+    for first in range(0, trials, TRIAL_BLOCK):
+        draws = [draw(rng) for _ in range(min(TRIAL_BLOCK, trials - first))]
+        yield first, map(np.array, zip(*draws))
+
+
+def _scores(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x[i] @ w[i] for every trial i, bit for bit: numpy takes each stacked product as the lone one."""
+    return (x[:, None, :] @ w)[:, 0]
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(a[i]) for every i, bit for bit: both take the root of one BLAS dot per row."""
+    a = a.reshape(len(a), -1)
+    return np.sqrt(np.vecdot(a, a))
 
 
 def lipschitz_suite(trials: int = 1000, seed: int = 0, specs: list[LossSpec] | None = None) -> SuiteReport:
     """Check |value(w) - value(w')| <= L * max-norm score gap, plus the
     induced weight-space bound ||subgrad||_F <= L * ||x||_2."""
     specs = standard_loss_specs() if specs is None else specs
-    rng = generator(seed)
+    bounds = np.array([spec.lipschitz_inf for spec in specs])
     failures: list[str] = []
-    for trial in range(trials):
-        w1, w2, x = _random_triple(rng)
-        y, signs = _random_labels(rng)
-        s1, s2 = x @ w1, x @ w2
-        gap = inf_norm_diff(s1, s2)
-        x_norm = float(np.linalg.norm(x))
-        for spec in specs:
+    for first, (w1, w2, x, y, signs) in _trial_blocks(generator(seed), trials, _random_trial):
+        s1, s2 = _scores(x, w1), _scores(x, w2)
+        gaps, x_norms = np.max(np.abs(s1 - s2), axis=1), _row_norms(x)
+        diffs, grad_norms = np.empty((2, len(x), len(specs)))  # (trial, loss)
+        for k, spec in enumerate(specs):  # one value pair and one coef call per loss
             labels = signs if spec.is_multilabel else y
-            diff = abs(_value(spec, s1, labels) - _value(spec, s2, labels))
-            if diff > spec.lipschitz_inf * gap + TOL:
+            diffs[:, k] = np.abs(spec.value(s1, labels) - spec.value(s2, labels))
+            grad_norms[:, k] = _row_norms(x[:, :, None] * spec.coef(s1, labels)[:, None, :])
+        broken = np.stack([diffs > bounds * gaps[:, None] + TOL, grad_norms > bounds * x_norms[:, None] + TOL], axis=2)
+        for i, k, grad in np.argwhere(broken).tolist():  # trial, then loss, value first
+            name, bound, trial = specs[k].name, specs[k].lipschitz_inf, first + i
+            if not grad:
                 failures.append(
-                    f"loss={spec.name} trial={trial}: value gap {diff:.9g} exceeds "
-                    f"L*score_gap = {spec.lipschitz_inf:.3g}*{gap:.9g} + {TOL:g}"
+                    f"loss={name} trial={trial}: value gap {diffs[i, k]:.9g} exceeds "
+                    f"L*score_gap = {bound:.3g}*{gaps[i]:.9g} + {TOL:g}"
                 )
-            grad_norm = float(np.linalg.norm(np.outer(x, spec.coef(s1[None, :], labels)[0])))
-            if grad_norm > spec.lipschitz_inf * x_norm + TOL:
+            else:
                 failures.append(
-                    f"loss={spec.name} trial={trial}: subgradient norm {grad_norm:.9g} "
-                    f"exceeds L*||x|| = {spec.lipschitz_inf * x_norm:.9g} + {TOL:g}"
+                    f"loss={name} trial={trial}: subgradient norm {grad_norms[i, k]:.9g} "
+                    f"exceeds L*||x|| = {bound * x_norms[i]:.9g} + {TOL:g}"
                 )
     return SuiteReport("lipschitz", 2 * len(specs) * trials, failures)
 
@@ -108,57 +122,62 @@ def _random_regularizer(rng: np.random.Generator) -> RegularizerSpec:
     return RegularizerSpec.l2p(sigma, float(rng.uniform(1.05, 2.0)))
 
 
+def _convexity_trial(rng: np.random.Generator):
+    """A lipschitz trial, then a chord parameter theta and a regularizer."""
+    return *_random_trial(rng), float(rng.uniform(0.0, 1.0)), _random_regularizer(rng)
+
+
 def convexity_suite(trials: int = 1000, seed: int = 0, specs: list[LossSpec] | None = None) -> SuiteReport:
     """Convexity and the subgradient inequality for every loss, and the
     strong-convexity inequalities for both regularizers."""
     specs = standard_loss_specs() if specs is None else specs
-    rng = generator(seed)
     failures: list[str] = []
-    for trial in range(trials):
-        w1, w2, x = _random_triple(rng)
-        y, signs = _random_labels(rng)
-        theta = float(rng.uniform(0.0, 1.0))
-        mid = theta * w1 + (1.0 - theta) * w2
-        s1, s2, s_mid = x @ w1, x @ w2, x @ mid
-        for spec in specs:
+    for first, (w1, w2, x, y, signs, theta, regs) in _trial_blocks(generator(seed), trials, _convexity_trial):
+        t = theta[:, None, None]
+        s1, s2, s_mid = (_scores(x, w) for w in (w1, w2, t * w1 + (1.0 - t) * w2))
+        v2, lhs = np.empty((2, len(x), len(specs)))  # (trial, loss)
+        above = np.empty(v2.shape, dtype=bool)  # the midpoint's value above the chord
+        for k, spec in enumerate(specs):  # one value call per score matrix and one coef call per loss
             labels = signs if spec.is_multilabel else y
-            v1, v2 = _value(spec, s1, labels), _value(spec, s2, labels)
-            if _value(spec, s_mid, labels) > theta * v1 + (1.0 - theta) * v2 + TOL:
-                failures.append(f"loss={spec.name} trial={trial}: convexity broken at theta={theta:.6g}")
-            lhs = v1 + float(np.sum(np.outer(x, spec.coef(s1[None, :], labels)[0]) * (w2 - w1)))
-            if v2 < lhs - TOL:
-                failures.append(
-                    f"loss={spec.name} trial={trial}: subgradient inequality broken "
-                    f"({v2:.9g} < {lhs:.9g} - {TOL:g})"
-                )
+            v1, v2[:, k], v_mid = (spec.value(s, labels) for s in (s1, s2, s_mid))
+            lhs[:, k] = v1 + np.sum(x[:, :, None] * spec.coef(s1, labels)[:, None, :] * (w2 - w1), axis=(1, 2))
+            above[:, k] = v_mid > theta * v1 + (1.0 - theta) * v2[:, k] + TOL
+        broken = np.stack([above, v2 < lhs - TOL], axis=2)
+        for i, (a, b, reg) in enumerate(zip(w1, w2, regs)):  # the trial's two weight matrices
+            trial = first + i
+            for k, sub in np.argwhere(broken[i]).tolist():  # loss, convexity first
+                if not sub:
+                    failures.append(f"loss={specs[k].name} trial={trial}: convexity broken at theta={theta[i]:.6g}")
+                else:
+                    failures.append(
+                        f"loss={specs[k].name} trial={trial}: subgradient inequality broken "
+                        f"({v2[i, k]:.9g} < {lhs[i, k]:.9g} - {TOL:g})"
+                    )
 
-        reg = _random_regularizer(rng)
-        mu = reg.strong_convexity
-        gap = reg.norm(w1 - w2)
-        mid_val = reg.value(0.5 * (w1 + w2))
-        bound = 0.5 * reg.value(w1) + 0.5 * reg.value(w2) - mu / 8.0 * gap**2
-        if mid_val > bound + TOL:
-            failures.append(
-                f"reg={reg.name} trial={trial}: midpoint strong convexity broken "
-                f"({mid_val:.9g} > {bound:.9g} + {TOL:g})"
-            )
-        lhs = reg.value(w1) + float(np.sum(reg.grad(w1) * (w2 - w1))) + mu / 2.0 * gap**2
-        if reg.value(w2) < lhs - TOL:
-            failures.append(
-                f"reg={reg.name} trial={trial}: gradient strong convexity broken "
-                f"({reg.value(w2):.9g} < {lhs:.9g} - {TOL:g})"
-            )
+            mu = reg.strong_convexity
+            gap = reg.norm(a - b)
+            mid_val = reg.value(0.5 * (a + b))
+            bound = 0.5 * reg.value(a) + 0.5 * reg.value(b) - mu / 8.0 * gap**2
+            if mid_val > bound + TOL:
+                failures.append(
+                    f"reg={reg.name} trial={trial}: midpoint strong convexity broken "
+                    f"({mid_val:.9g} > {bound:.9g} + {TOL:g})"
+                )
+            lhs_reg = reg.value(a) + float(np.sum(reg.grad(a) * (b - a))) + mu / 2.0 * gap**2
+            if reg.value(b) < lhs_reg - TOL:
+                failures.append(
+                    f"reg={reg.name} trial={trial}: gradient strong convexity broken "
+                    f"({reg.value(b):.9g} < {lhs_reg:.9g} - {TOL:g})"
+                )
     return SuiteReport("convexity", (2 * len(specs) + 2) * trials, failures)
 
 
 def central_difference(function, w: np.ndarray, step: float) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function of w."""
-    grad = np.zeros_like(w, dtype=np.float64)
-    for idx in np.ndindex(w.shape):
-        bump = np.zeros_like(w, dtype=np.float64)
-        bump[idx] = step
-        grad[idx] = (function(w + bump) - function(w - bump)) / (2.0 * step)
-    return grad
+    """Central finite-difference gradient of a scalar function of w; ``function`` maps a stack of
+    matrices shaped like w to their values, and is called once, on every bumped matrix."""
+    bumps = step * np.eye(w.size).reshape(w.size, *w.shape)
+    values = function(np.concatenate([w + bumps, w - bumps]))
+    return ((values[: w.size] - values[w.size :]) / (2.0 * step)).reshape(w.shape)
 
 
 def gradient_suite(trials: int = 100, seed: int = 0, specs: list[LossSpec] | None = None) -> SuiteReport:
@@ -175,9 +194,9 @@ def gradient_suite(trials: int = 100, seed: int = 0, specs: list[LossSpec] | Non
     for point in range(points):
         w = rng.uniform(-2.0, 2.0, size=(FD_D, FD_C))
         x = rng.uniform(-1.0, 1.0, size=FD_D)
-        labels = np.array([int(rng.integers(0, FD_C))])
-        fd = central_difference(lambda v: _value(loss, x @ v, labels), w, FD_STEP)
-        grad = np.outer(x, loss.coef((x @ w)[None, :], labels)[0])
+        label = int(rng.integers(0, FD_C))
+        fd = central_difference(lambda ws: loss.value(x @ ws, np.full(len(ws), label)), w, FD_STEP)
+        grad = np.outer(x, loss.coef((x @ w)[None, :], np.array([label]))[0])
         err = float(np.linalg.norm(grad - fd))
         if err > FD_REL_TOL * max(1.0, float(np.linalg.norm(fd))):
             failures.append(f"multinomial_logistic point={point}: FD mismatch {err:.3g}")
@@ -188,7 +207,7 @@ def gradient_suite(trials: int = 100, seed: int = 0, specs: list[LossSpec] | Non
         w = rng.uniform(-2.0, 2.0, size=(FD_D, FD_C))
         while float(np.min(np.linalg.norm(w, axis=0))) < 0.1:
             w = rng.uniform(-2.0, 2.0, size=(FD_D, FD_C))  # keep FD away from the origin kink
-        fd = central_difference(reg.value, w, FD_STEP)
+        fd = central_difference(lambda ws: np.array([reg.value(v) for v in ws]), w, FD_STEP)
         err = float(np.linalg.norm(reg.grad(w) - fd))
         if err > FD_REL_TOL * max(1.0, float(np.linalg.norm(fd))):
             failures.append(f"l2p(p={p:.4g}) point={point}: FD mismatch {err:.3g}")

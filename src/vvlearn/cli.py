@@ -341,7 +341,7 @@ def _cmd_rademacher(args) -> int:
 def _cmd_check(args) -> int:
     specs = standard_loss_specs()
     if args.override_lipschitz:
-        name, sep, value = args.override_lipschitz.partition("=")
+        name, sep, value = args.override_lipschitz.rpartition("=")  # a name may hold "=", as topk_svm/k=2 does
         if not sep:
             raise UsageError("--override-lipschitz takes name=value")
         matches = [s for s in specs if s.name == name]

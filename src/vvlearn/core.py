@@ -61,13 +61,3 @@ def l2p_norm(w: np.ndarray, p: float) -> float:
     col_norms = np.linalg.norm(np.asarray(w, dtype=np.float64), axis=0)
     return float(np.sum(col_norms**p) ** (1.0 / p))
 
-
-def inf_norm_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Max absolute componentwise difference of two score vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))

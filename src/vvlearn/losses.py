@@ -34,7 +34,7 @@ once, laid out in array passes, and gathers the plans of any rows of its
 labels the way a CSR gather does (``core.segments``).  SGD plans the pool's
 labels once; each chunk of draws gathers its rows' pairs and cuts them into
 step blocks (``LossSpec.blocks``), already shifted to each block's own
-rows.  Evaluation plans once per call, and a single row's plan is cached.
+rows.  Evaluation plans once per call.
 A call's pair terms are two ``take`` calls and a subtraction, and
 ``np.add.reduceat`` and ``bincount`` sum them per row and per column, in
 the order of the grouped kernel in ``tests/oracles.py`` except a row's lone
@@ -46,7 +46,6 @@ blocks, which numpy sums as the grouped kernel does.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
@@ -320,20 +319,9 @@ def _pair_table(y, per_positive: bool) -> PairTable:
     return PairTable(y, per_positive, index, slots, p, q, lead, pairs.take(row), None if flat.all() else ~flat)
 
 
-@lru_cache(maxsize=1024)
-def _row_plan(signs: bytes, per_positive: bool) -> PairPlan:
-    """The plan of one int8 sign row, its arrays read-only."""
-    plan = _pair_table(np.frombuffer(signs, dtype=np.int8)[None, :], per_positive).plans(np.arange(1), [0, 1])[0]
-    for a in (plan.y, plan.p, plan.q, plan.pairs, plan.runs, plan.heads):
-        a.setflags(write=False)
-    return plan
-
-
 def _planned(y, per_positive: bool) -> PairPlan:
-    """The plan of raw or planned labels y; a single row's is cached, as the property suites call row by row."""
+    """The plan of raw or planned labels y."""
     if not isinstance(y, PairPlan):
-        if len(y) == 1:
-            return _row_plan(np.ascontiguousarray(y, dtype=np.int8).tobytes(), per_positive)
         return _pair_table(y, per_positive).plans(np.arange(len(y)), [0, len(y)])[0]
     if y.per_positive != per_positive:
         raise ValueError("a ranking plan serves either value or coef calls, not both")

@@ -271,11 +271,13 @@ def khintchine_floor(m):
     return float(np.sqrt(m / 2.0))
 
 
-def sgd_step(w, data, i, loss, reg, eta):
+def sgd_step(w, data, i, loss, reg, eta, labels=None):
     """Single subgradient step w - eta * (loss_subgrad + reg_grad) on row i.
 
     The dense reference step: it costs O(d * c) and serves as the oracle
-    for the training loop.  The input array is not modified.
+    for the training loop.  The input array is not modified.  labels, if
+    given, are row i's labels as ``LossSpec.blocks`` plans them, whose
+    coefficients equal the raw row's bit for bit.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (data.d, data.c):
@@ -283,7 +285,7 @@ def sgd_step(w, data, i, loss, reg, eta):
     lo, hi = data.X.indptr[i], data.X.indptr[i + 1]
     idx, vals = data.X.indices[lo:hi], data.X.data[lo:hi]
     grad = reg.grad(w)
-    coef = loss.coef((vals @ w[idx])[None, :], data.y[i : i + 1])[0]
+    coef = loss.coef((vals @ w[idx])[None, :], data.y[i : i + 1] if labels is None else labels)[0]
     grad[idx, :] += vals[:, None] * coef[None, :]
     return w - eta * grad
 

@@ -719,6 +719,16 @@ class TestCheckCommand:
         assert "FAIL" in out
         assert "counterexample" in out
 
+    def test_override_lipschitz_names_the_topk_loss(self, capsys):
+        code = run(
+            "check", "--suite", "lipschitz", "--trials", "100", "--seed", "1",
+            "--override-lipschitz", "topk_svm/k=2=0.5",
+        )
+        assert code == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("lipschitz: FAIL")
+        assert all(line.startswith("  counterexample: loss=topk_svm/k=2 ") for line in lines[1:11])
+
     def test_override_lipschitz_reaches_the_sgd_bound_suite(self, monkeypatch, capsys):
         # ten short runs instead of ten of SGD_PASSES * SGD_N = 20,000 steps
         monkeypatch.setattr(checks_module, "SGD_N", 200)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import scipy.sparse as sp
 
-from vvlearn.core import frobenius_norm, inf_norm_diff, l2p_norm, predict
+from vvlearn.core import frobenius_norm, l2p_norm, predict
 
 
 def predict_oracle(w, x):
@@ -95,14 +95,3 @@ class TestNorms:
     def test_l2p_exponent_range(self, p):
         with pytest.raises(ValueError):
             l2p_norm(np.ones((2, 2)), p)
-
-
-class TestInfNormDiff:
-    def test_values(self):
-        assert inf_norm_diff(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-        assert inf_norm_diff(np.array([1.0, -2.0]), np.array([0.0, 0.0])) == 2.0
-        assert inf_norm_diff(np.array([0.5, 3.0, -1.0]), np.array([0.5, 1.0, -1.0])) == 2.0
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            inf_norm_diff(np.zeros(2), np.zeros(3))

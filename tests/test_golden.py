@@ -13,7 +13,8 @@ Monte-Carlo one.  The last evaluates the ranking model on a file the parser
 has to work for: comment and blank lines, CRLF endings and unsorted feature
 indices.
 ``vvlearn check`` runs are pinned the same way, by the digest of their
-stdout and their exit code, one of them with counterexamples.
+stdout and their exit code, two of them with counterexamples: one from a
+ranking loss and one from a multiclass loss.
 """
 
 import hashlib
@@ -167,6 +168,9 @@ CHECK_RUNS = {
                   "3ba6f49a1fa7605f942e96dd6d13d1cb2a4ed6b3ca498f6f845e721c509e63d6"),
     "override": (["--suite", "lipschitz", "--trials", "50", "--seed", "1", "--override-lipschitz", "ranking/hinge=0.3"], 3,
                  "6819eda9b4970a05830991e4bafd97102c7e7dde43e1fadcb70a4011bcd1d84a"),
+    "override-multiclass": (["--suite", "lipschitz", "--trials", "300", "--seed", "4", "--override-lipschitz",
+                             "multinomial_logistic=1.2"], 3,
+                            "7fa2c230fe478c8703b9dcc670cedcffaa7829ba00f2b5229bba2f7a02bf06e6"),
 }  # fmt: skip
 
 

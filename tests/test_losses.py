@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 import vvlearn.losses as losses_module
+from vvlearn.checks import central_difference
 from vvlearn.losses import HINGE, LOGISTIC, LossSpec, standard_loss_specs
 
 # ---------------------------------------------------------------------------
@@ -74,13 +75,9 @@ def ranking_oracle(w, z, base):
     return sum(vals) / len(vals)
 
 
-def central_fd(fun, w, step=1e-6):
-    grad = np.zeros_like(w)
-    for idx in np.ndindex(w.shape):
-        bump = np.zeros_like(w)
-        bump[idx] = step
-        grad[idx] = (fun(w + bump) - fun(w - bump)) / (2 * step)
-    return grad
+def central_fd(spec, w, z):
+    """Central differences of value(spec, ., z) at w, every bumped matrix scored in one call."""
+    return central_difference(lambda ws: spec.value(z.x @ ws, np.repeat(z.label, len(ws), axis=0)), w, 1e-6)
 
 
 def mcc_example(x_dense, y):
@@ -322,7 +319,7 @@ class TestMcSvmSubgrad:
             top2 = np.sort(vals)[-2:]
             if vals.size > 1 and top2[1] - top2[0] < 1e-3:
                 continue  # too close to the max kink for finite differences
-            fd = central_fd(lambda m: value(LossSpec.mc_svm(LOGISTIC), m, z), w)
+            fd = central_fd(LossSpec.mc_svm(LOGISTIC), w, z)
             g = subgrad(LossSpec.mc_svm(LOGISTIC), w, z)
             assert np.allclose(g, fd, atol=1e-6), (g, fd)
             checked += 1
@@ -352,7 +349,7 @@ class TestMultinomialLogisticSubgrad:
             d, c = int(rng.integers(1, 5)), int(rng.integers(2, 6))
             w = rng.standard_normal((d, c))
             z = random_mcc(rng, d, c)
-            fd = central_fd(lambda m: value(MLOG, m, z), w)
+            fd = central_fd(MLOG, w, z)
             g = subgrad(MLOG, w, z)
             assert np.allclose(g, fd, atol=1e-6)
 
@@ -391,7 +388,7 @@ class TestTopkSubgrad:
                 continue
             if k < c and ordered[k - 1] - ordered[k] < 1e-3:  # selection tie
                 continue
-            fd = central_fd(lambda m: value(LossSpec.topk_svm(k), m, z), w)
+            fd = central_fd(LossSpec.topk_svm(k), w, z)
             g = subgrad(LossSpec.topk_svm(k), w, z)
             assert np.allclose(g, fd, atol=1e-6)
             checked += 1
@@ -453,7 +450,7 @@ class TestSubsetSubgrad:
             top2 = np.sort(vals)[-2:]
             if top2[1] - top2[0] < 1e-3:
                 continue
-            fd = central_fd(lambda m: value(LossSpec.subset(LOGISTIC), m, z), w)
+            fd = central_fd(LossSpec.subset(LOGISTIC), w, z)
             g = subgrad(LossSpec.subset(LOGISTIC), w, z)
             assert np.allclose(g, fd, atol=1e-6)
             checked += 1
@@ -488,7 +485,7 @@ class TestRankingSubgrad:
             d, c = int(rng.integers(1, 5)), int(rng.integers(2, 6))
             w = rng.standard_normal((d, c))
             z = random_mlc(rng, d, c)
-            fd = central_fd(lambda m: value(LossSpec.ranking(LOGISTIC), m, z), w)
+            fd = central_fd(LossSpec.ranking(LOGISTIC), w, z)
             g = subgrad(LossSpec.ranking(LOGISTIC), w, z)
             assert np.allclose(g, fd, atol=1e-6)
 
@@ -712,7 +709,7 @@ class TestPairListRankingKernel:
         rng = np.random.default_rng(c)
         for base in (HINGE, LOGISTIC):
             spec = LossSpec.ranking(base)
-            # rows with one positive (few pairs, cached) and balanced rows (many) mixed
+            # rows with one positive (few pairs) and balanced rows (many) mixed
             y = np.concatenate([sign_rows(rng, 6, c, positives=1), sign_rows(rng, 6, c)])
             S = rng.standard_normal((12, c)) * 3.0
             alone = [(spec.value(S[i : i + 1], y[i : i + 1]), spec.coef(S[i : i + 1], y[i : i + 1])) for i in range(12)]
@@ -783,12 +780,3 @@ class TestPairListRankingKernel:
             S = rng.standard_normal((60, c)) * 3.0
             for b0, b1, labels in zip(bounds, bounds[1:], spec.blocks(plan, draws, bounds)):
                 assert spec.coef(S[b0:b1], labels).tobytes() == spec.coef(S[b0:b1], y[draws[b0:b1]]).tobytes()
-
-    def test_cached_pair_runs_are_read_only(self):
-        signs = np.array([1, -1, 1, -1, -1], dtype=np.int8).tobytes()
-        for per_positive in (False, True):
-            plan = losses_module._row_plan(signs, per_positive)
-            assert plan.pairs[0] == 6 and plan.wide is None
-            for a in (plan.y, plan.p, plan.q, plan.pairs, plan.runs, plan.heads):
-                with pytest.raises(ValueError, match="read-only"):
-                    a[0] = 0

@@ -414,12 +414,17 @@ def sparse_wide_dataset(task, n=100, d=200, nnz=5, c=6, seed=0):
 
 def dense_replay(data, config):
     """The iterate after the last step and ||w_t||_F at every step t,
-    rebuilt from plain sgd_step calls."""
+    rebuilt from plain sgd_step calls.
+
+    Each step's labels are planned up front, one block per step, so a
+    ranking row is not planned again at every step.
+    """
     indices = generator(config.seed).integers(0, len(data), size=config.total_steps)
+    labels = config.loss.blocks(config.loss.plan(data.y), indices, np.arange(len(indices) + 1))
     w = np.zeros((data.d, data.c))
     norms = []
     for t, i in enumerate(indices, start=1):
-        w = oracles.sgd_step(w, data, int(i), config.loss, config.reg, config.schedule.eta(t))
+        w = oracles.sgd_step(w, data, int(i), config.loss, config.reg, config.schedule.eta(t), labels[t - 1])
         norms.append(frobenius_norm(w))
     return w, norms
 
