@@ -134,8 +134,9 @@ def _multinomial_logistic_value(spec, S, y):
 
 def _multinomial_logistic_coef(spec, S, y):
     """p_j for j != y and p_y - 1 at y, p the softmax of the scores."""
-    e = np.exp(S - S.max(axis=1, keepdims=True))
-    coef = e / e.sum(axis=1, keepdims=True)
+    # the ufunc reductions behind .max and .sum, called without the method dispatch
+    e = np.exp(S - np.maximum.reduce(S, axis=1, keepdims=True))
+    coef = e / np.add.reduce(e, axis=1, keepdims=True)
     coef[np.arange(len(y)), y] -= 1.0
     return coef
 

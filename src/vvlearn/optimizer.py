@@ -17,8 +17,7 @@ curve.  The chains share the data pool, loss, regularizer, schedule, length
 and record cadence; each keeps its own rows of the pool (its i-th draw is
 row rows[r][i]), holdout rows, PCG64 stream and certificates, and chain r
 of a lockstep run equals a lone ``train`` on its rows bit for bit.  A record
-scores each chain's train and holdout rows in one pass and reads both its
-means from those losses.
+scores each chain's train and holdout rows in one pass.
 
 Every chain stores its iterate lazily scaled, W_r = a * V_r (Pegasos,
 Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
@@ -29,36 +28,32 @@ into V (at step 1 of the theorem schedule the shrink is zero), and every
 group (2, p) step rescales V's columns at O(d * c); both leave a = 1.
 
 Indices are drawn a chunk of steps at a time, each chain from its own
-generator (numpy's bounded-integer stream does not depend on how the draws
-are split).  Each chunk is planned in arrays: its drawn pool rows, read
-from the pool's CSR step by step with feature indices offset by r * d into
-V viewed as (R * d, c); eta_t, the scale before and after each step and
-eta_t / a; its blocks; and each block's labels, gathered from the labels
-planned once for the pool (``LossSpec.plan`` and ``LossSpec.blocks``).
-Left folds in numpy (``np.multiply.accumulate``) keep the sequential
-loop's bits.
+generator.  Each chunk is planned in arrays: its drawn rows, with feature
+indices offset by r * d into V viewed as (R * d, c); eta_t and the scale
+before and after each step; its blocks and their labels (``LossSpec.plan``
+and ``LossSpec.blocks``).  Left folds (``np.multiply.accumulate``) keep
+the sequential loop's bits.  Python then walks blocks, not steps: maximal
+runs of steps in which no step reads a row of V that an earlier one wrote.
+A block scores its B drawn rows with stacked (B, 1, k) @ (B, k, c)
+products, makes one ``LossSpec.coef`` call and writes its rows of V back.
+When a chunk's rows all have nnz k, its blocks slice views made once per
+chunk, and at k = d (one step per block) they score and update V in place;
+ragged blocks group their rows by nnz.  A stacked product equals each
+row's own product and the update is elementwise, so a blocked run equals
+stepping one at a time bit for bit.  Recording steps end a block, a block
+of more than one step gathers at most ``_BLOCK_VALUES`` values of V, and
+a folding step stands alone.
 
-Python then walks blocks, not steps: maximal runs of steps in which no step
-reads a row of V that an earlier one wrote (offset indices of different
-chains never meet).  A block is one row gather, one stacked (B, 1, k) @
-(B, k, c) product and one scatter per distinct nnz k among its B drawn
-rows, and one ``LossSpec.coef`` call.  A stacked product equals each row's
-own vals @ rows bit for bit and the update is elementwise, so a blocked run
-equals stepping one at a time bit for bit.  Recording steps end a block, a
-block of more than one step gathers at most ``_BLOCK_VALUES`` values of V,
-and a folding step stands alone.  When some chain's rows all hold more
-than d / 2 entries, any two share a column and every block is one step.
-
-Each block writes its change to every chain's ||V_r||_F^2 into a chunk
-array whose left fold (``np.add.accumulate``) is the running norm after
-each step.  One comparison per segment, up to each recording step and the
+A step's change to ||V_r||_F^2 follows from its raw scores x . V_r and
+coefficients (``_norm_changes``; a fold adds ||V_r||^2 after its rescale
+and scores the rescaled V).  Their left fold is the running norm after each
+step.  One comparison per segment, up to each recording step and the
 chunk's end, certifies them all, and names the first failing step (and
 chain, when R > 1); a non-finite norm stops any run.  Recording steps
 materialize W, check each exact norm, and check the l-infinity duality
 ||coef_r||_1 <= L of the step's loss coefficients, which bounds the loss
 subgradient by kappa * L for either regularizer.  Trajectories agree with
-the dense ``sgd_step`` oracle in ``tests/oracles.py`` to rounding (about
-1e-15), not bit for bit.
+the dense ``sgd_step`` oracle in ``tests/oracles.py`` to rounding.
 """
 
 from __future__ import annotations
@@ -269,9 +264,7 @@ def _chain(r: int | None) -> str:
 def _check_iterate(norm: float, bound: float, t: int, loss: LossSpec, reg: RegularizerSpec, r=None):
     """The certificate on one chain's iterate norm; r names the chain when R > 1."""
     if not math.isfinite(norm):
-        raise CertificateError(
-            f"iterate norm became {norm} at step {t}{_chain(r)} (loss {loss.name}, {reg.name})"
-        )
+        raise CertificateError(f"iterate norm became {norm} at step {t}{_chain(r)} (loss {loss.name}, {reg.name})")
     if norm > bound:
         raise CertificateError(
             f"iterate norm {norm:.6g} exceeded the certified bound "
@@ -337,20 +330,30 @@ def _rescale(reg: RegularizerSpec, a: float, v: np.ndarray, eta: float) -> None:
             chain *= 1.0 - eta * reg.column_scale(chain)
 
 
-def _groups(flat: np.ndarray, idx: np.ndarray, vals: np.ndarray, n: int, offsets: np.ndarray | None):
-    """A block's n drawn rows, grouped by nnz, as stacked matrices.
+def _norm_changes(scores: np.ndarray, coef: np.ndarray, x_sq: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Each drawn row's change to ||V_r||_F^2, from its raw scores x . V_r, coefficients, ||x||^2 and rho.
+
+    V_r loses rho * x^T coef: -2 rho <x . V_r, coef> + rho^2 ||x||^2 ||coef||^2.
+    An infinite coefficient gives +inf, as the iterate's norm does, not inf - inf.
+    """
+    quad = rho * rho * x_sq * np.add.reduce(coef * coef, axis=1)
+    return np.where(np.isinf(quad), quad, quad - 2.0 * rho * np.add.reduce(scores * coef, axis=1))
+
+
+def _equal_width(offsets: np.ndarray) -> int | None:
+    """The nnz that every drawn row of a chunk has, or None when they differ."""
+    return int(offsets[1] - offsets[0]) if np.ptp(np.diff(offsets)) == 0 else None
+
+
+def _groups(flat: np.ndarray, idx: np.ndarray, vals: np.ndarray, offsets: np.ndarray):
+    """A block's drawn rows, grouped by nnz, as stacked matrices.
 
     idx and vals (entries,) hold the block's indices into V, viewed as
-    ``flat`` of shape (R * d, c), and the input values; offsets, counted
-    from 0, says where each drawn row's entries start, and is None when all
-    n have the same nnz.  Returns (members, where, grid, x) per nnz: the
-    drawn rows with it, their indices into V as (members, nnz), their rows
-    of V as (members, nnz, c) and their values as (members, 1, nnz).
+    ``flat`` of shape (R * d, c), and its values; offsets, counted from 0,
+    says where each drawn row starts.  Returns (members, where, grid, x) per
+    nnz: the drawn rows with it, their indices into V as (members, nnz),
+    their rows of V as (members, nnz, c) and values as (members, 1, nnz).
     """
-    if offsets is None:
-        k = len(vals) // n
-        where = idx.reshape(n, k)
-        return [(slice(None), where, flat.take(where, axis=0), vals.reshape(n, 1, k))]
     rows = flat.take(idx, axis=0)
     widths = np.diff(offsets)
     order = np.argsort(widths, kind="stable")
@@ -407,22 +410,32 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     flat = v.reshape(R * d, c)
     labels = loss.plan(data.y)
     for t0, offsets, features, values, drawn, conflicts in _chunks(data, rows, configs):
-        size = (len(offsets) - 1) // R
+        n = len(offsets) - 1
+        size = n // R
         eta = schedule.eta(np.arange(t0 + 1, t0 + size + 1))
         before, after, folds = _scales(reg, a, eta)
         a = float(after[-1])
-        # Each drawn row (in step, chain order) is scored at the scale
-        # before its step and updated with eta_t / a after it.
-        scale, ratio = np.repeat(before, R)[:, None], np.repeat(eta / after, R)[:, None, None]
-        uniform = bool(np.ptp(np.diff(offsets)) == 0)
-        cuts = offsets.tolist()
-        # Row 0 of sq holds each chain's ||V_r||^2 before the chunk, and row
-        # j + 1 the change that step j makes, added to ||V_r||^2 after the
-        # rescale when step j folds.  A left fold of the rows from each start
-        # gives the running sums, checked at recording steps and the chunk's end.
-        sq = np.empty((size + 1, R))
-        sq[0] = v_sq
-        changes = sq[1:].reshape(-1)
+        # Drawn rows (in step, chain order) score at the scale before their step and update with rho = eta_t / a.
+        scale, rho = np.repeat(before, R)[:, None], np.repeat(eta / after, R)
+        x_sq = np.bincount(np.repeat(np.arange(n), np.diff(offsets)), weights=values * values, minlength=n)
+        k, cuts = _equal_width(offsets), offsets.tolist()
+        if k is not None:
+            xs, where = values.reshape(n, 1, k), features.reshape(n, k)
+
+        def gather(r0, r1):
+            """``_groups`` of drawn rows r0 to r1 - 1, with rows of V None when they are all of V in order."""
+            if k is None:
+                e0, e1 = cuts[r0], cuts[r1]
+                return _groups(flat, features[e0:e1], values[e0:e1], offsets[r0 : r1 + 1] - e0)
+            if k == d:  # full-width rows: one step of every chain
+                return [(slice(None), None, v, xs[r0:r1])]
+            return [(slice(None), where[r0:r1], flat.take(where[r0:r1], axis=0), xs[r0:r1])]
+
+        # Row 0 of sq holds each chain's ||V_r||^2 before the chunk and row
+        # j + 1 that after a fold at step j, to which each segment adds its
+        # steps' changes; a left fold from each start gives the running sums.
+        scores, coefs = np.empty((n, c)), np.empty((n, c))
+        sq = np.concatenate([v_sq[None], np.zeros((size, R))])
         checks = {size, min(size, total - t0), *range(record_every - t0 % record_every, size, record_every)}
         ends = sorted(checks.union(folds, [f + 1 for f in folds]) - {0})
         edges = _block_edges(offsets, conflicts, R, c, ends)
@@ -434,25 +447,20 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
                     # One block: steps lo to hi - 1 advance in one batched pass.
                     lo, hi = edges[b], edges[b + 1]
                     r0, r1 = lo * R, hi * R
-                    idx, vals = features[cuts[r0] : cuts[r1]], values[cuts[r0] : cuts[r1]]
-                    starts = None if uniform or r1 - r0 == 1 else offsets[r0 : r1 + 1] - cuts[r0]
-                    groups = _groups(flat, idx, vals, r1 - r0, starts)
-                    scores = np.empty((r1 - r0, c))
+                    groups, block_scores = gather(r0, r1), scores[r0:r1]
                     for members, _, grid, x in groups:
-                        scores[members] = (x @ grid)[:, 0]
-                    coef = loss.coef(scale[r0:r1] * scores, blocks[b])
-                    base = None
-                    if lo in folded:
+                        block_scores[members] = (x @ grid)[:, 0]
+                    coef = coefs[r0:r1] = loss.coef(scale[r0:r1] * block_scores, blocks[b])
+                    if lo in folded:  # the norm change starts from the rescaled V
                         _rescale(reg, float(before[lo]), v, float(eta[lo]))
-                        base = _squares(v)
-                        groups = _groups(flat, idx, vals, r1 - r0, starts)
-                    block_ratio, block_changes = ratio[r0:r1], changes[r0:r1]
-                    for members, where, grid, x in groups:
-                        new = grid - block_ratio[members] * (x.mT * coef[members, None, :])
-                        flat[where] = new
-                        block_changes[members] = _squares(new) - _squares(grid)
-                    if base is not None:
-                        block_changes += base
+                        sq[lo + 1] = _squares(v)
+                        groups = gather(r0, r1)
+                        for members, _, grid, x in groups:
+                            block_scores[members] = (x @ grid)[:, 0]
+                    for members, rows_of_v, grid, x in groups:
+                        grid -= rho[r0:r1, None, None][members] * (x.mT * coef[members, None, :])
+                        if rows_of_v is not None:  # grid is a copy of those rows
+                            flat[rows_of_v] = grid
                     b += 1
             if end not in checks:
                 continue
@@ -460,6 +468,9 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
             recording = t % record_every == 0 or t == total
             restarts = [g0, *(f + 1 for f in folds if g0 <= f < end), end + 1]
             with np.errstate(over="ignore", invalid="ignore"):
+                r0, r1 = g0 * R, end * R
+                changes = _norm_changes(scores[r0:r1], coefs[r0:r1], x_sq[r0:r1], rho[r0:r1])
+                sq[g0 + 1 : end + 1] += changes.reshape(-1, R)
                 for s0, s1 in zip(restarts, restarts[1:]):
                     np.add.accumulate(sq[s0:s1], axis=0, out=sq[s0:s1])
             last = end - recording

@@ -20,6 +20,9 @@ by brute force over ball directions.
 
 ``sgd_step`` is the dense O(d * c) subgradient step that the lazily scaled
 training loop in ``vvlearn.optimizer`` must reproduce to rounding.
+``squares`` and ``norm_changes`` are the exact per-block bookkeeping of the
+running iterate norm that the loop replaced with changes computed from each
+step's scores and coefficients.
 
 ``unit_values`` and ``max_row_norm`` are the row normalization without the
 power-of-two prescaling and the per-row norm loop that ``vvlearn.dataio``
@@ -288,6 +291,17 @@ def sgd_step(w, data, i, loss, reg, eta, labels=None):
     coef = loss.coef((vals @ w[idx])[None, :], data.y[i : i + 1] if labels is None else labels)[0]
     grad[idx, :] += vals[:, None] * coef[None, :]
     return w - eta * grad
+
+
+def squares(v):
+    """||v[i]||^2 for every i, v of shape (n, ...)."""
+    flat = np.asarray(v, dtype=np.float64).reshape(len(v), -1)
+    return np.sum(flat * flat, axis=1)
+
+
+def norm_changes(grid, new):
+    """Each row block's change to the squared norm: grid (n, ...) holds rows of V before a step, new after it."""
+    return squares(new) - squares(grid)
 
 
 def unit_values(values):

@@ -926,6 +926,110 @@ class TestFailuresInsideBlocks:
         assert f"iterate norm became {shown} at step {t} in chain {r} " in message
 
 
+class TestRunningNorm:
+    """The running ||V_r||^2, built from each step's raw scores and coefficients, against exact norms."""
+
+    SIGMA = 0.05
+
+    def step(self, B=50, k=7, c=4, seed=5):
+        """Random rows of V, inputs, coefficients and rho, with the rows after the step."""
+        rng = generator(seed)
+        grid, x = rng.standard_normal((B, k, c)), rng.standard_normal((B, 1, k))
+        coef, rho = rng.standard_normal((B, c)), rng.random(B)
+        return grid, x, coef, rho
+
+    def changes(self, grid, x, coef, rho):
+        """(changes from scores and coefficients, exact changes from the rows before and after)."""
+        new = grid - rho[:, None, None] * (x.mT * coef[:, None, :])
+        with np.errstate(over="ignore", invalid="ignore"):
+            changes = optimizer_module._norm_changes((x @ grid)[:, 0], coef, np.sum(x * x, axis=(1, 2)), rho)
+            return changes, oracles.norm_changes(grid, new)
+
+    def test_changes_equal_the_exact_bookkeeping(self):
+        grid, x, coef, rho = self.step()
+        changes, exact = self.changes(grid, x, coef, rho)
+        new = grid - rho[:, None, None] * (x.mT * coef[:, None, :])
+        assert np.all(np.abs(changes - exact) <= 1e-12 * (oracles.squares(grid) + oracles.squares(new)))
+
+    def test_non_finite_coefficients_give_the_exact_non_finite_change(self):
+        grid, x, coef, rho = self.step(B=3)
+        coef[0] = np.inf  # +inf - inf in score space; the iterate's norm is +inf
+        coef[1, 0] = np.nan
+        changes, exact = self.changes(grid, x, coef, rho)
+        assert changes[0] == exact[0] == np.inf
+        assert np.isnan(changes[1]) and np.isnan(exact[1])
+        assert np.isfinite(changes[2])
+
+    @pytest.mark.parametrize("case", ["ranking-sparse", "ragged-mcc", "dense-passes-R3", "l2p"])
+    def test_running_norm_equals_the_exact_norm_at_every_record(self, monkeypatch, case):
+        loss, reg, R = MLOG, RegularizerSpec.frobenius(self.SIGMA), 1
+        schedule = StepSchedule.theorem(self.SIGMA)  # the scale folds at step 1
+        if case == "ranking-sparse":
+            loss, datasets = LossSpec.ranking(HINGE), [sparse_wide_dataset("mlc", n=200, d=400, nnz=8, c=6)]
+        elif case == "ragged-mcc":
+            loss, datasets = LossSpec.mc_svm(HINGE), [ragged_wide_dataset("mcc")]
+        elif case == "dense-passes-R3":
+            R, schedule = 3, StepSchedule.experiment(self.SIGMA)
+            datasets = [tiny_dataset(n=60, d=8, c=4, seed=s) for s in range(R)]
+        else:  # every group (2, p) step folds
+            reg, R = RegularizerSpec.l2p(self.SIGMA, 1.5), 2
+            datasets = [sparse_wide_dataset("mcc", seed=s) for s in range(R)]
+        pool, rows = pooled(*datasets)
+        configs = chain_configs(loss, reg, schedule, 600, record_every=50, repetitions=R)
+        running, check_segment = {}, optimizer_module._check_segment
+
+        def spy(a, v_sq, bounds, t, loss, reg):
+            for j, (scale, row) in enumerate(zip(a, v_sq)):
+                running[t + j] = scale * scale * row  # ||W_r||^2 = a^2 ||V_r||^2, before the record resyncs it
+            check_segment(a, v_sq, bounds, t, loss, reg)
+
+        monkeypatch.setattr(optimizer_module, "_check_segment", spy)
+        steps = []
+        for t, w, _ in optimizer_module._steps(pool, rows, configs):
+            exact = oracles.squares(w)
+            assert np.all(np.abs(running[t] - exact) <= 1e-12 * exact), t
+            steps.append(t)
+        assert steps == list(range(50, 601, 50))
+
+
+class TestEqualWidthViews:
+    """Chunks whose rows share one nnz slice views made once per chunk, and at nnz = d update V in place.
+
+    Both equal the grouped path, forced by reporting every chunk as ragged, bit for bit.
+    """
+
+    SIGMA = 0.05
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("reg", [RegularizerSpec.frobenius(SIGMA), RegularizerSpec.l2p(SIGMA, 1.5)], ids=lambda r: r.name)
+    @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("width", ["full", "equal"])
+    def test_views_equal_the_grouped_path(self, monkeypatch, width, spec, reg, R):
+        task = "mlc" if spec.is_multilabel else "mcc"
+        if width == "full":
+            datasets = [tiny_dataset(n=40, d=6, c=5, seed=s, task=task) for s in range(R)]
+        else:
+            datasets = [sparse_wide_dataset(task, n=60, d=50, nnz=4, c=5, seed=s) for s in range(R)]
+        pool, rows = pooled(*datasets)
+        # the theorem schedule folds the Frobenius scale at step 1
+        configs = chain_configs(spec, reg, StepSchedule.theorem(self.SIGMA), 120, record_every=40, repetitions=R)
+        widths, equal_width = [], optimizer_module._equal_width
+
+        def spy(offsets):
+            widths.append(equal_width(offsets))
+            return widths[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(optimizer_module, "_equal_width", spy)
+            fast = train_many(pool, rows, configs)
+        assert set(widths) == {pool.d if width == "full" else 4}
+        with monkeypatch.context() as m:
+            m.setattr(optimizer_module, "_equal_width", lambda offsets: None)
+            grouped = train_many(pool, rows, configs)
+        for (w, records), (w_grouped, records_grouped) in zip(fast, grouped):
+            assert w.tobytes() == w_grouped.tobytes() and records == records_grouped
+
+
 class TestIterateNormCertificate:
     @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
     def test_bound_holds_on_synthetic_runs(self, spec):
