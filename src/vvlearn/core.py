@@ -46,8 +46,13 @@ def segments(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def frobenius_norm(w: np.ndarray) -> float:
-    """Frobenius norm (sum of squared column norms, rooted)."""
-    return float(np.linalg.norm(np.asarray(w, dtype=np.float64)))
+    """Frobenius norm: the root of numpy's pairwise sum of squares.
+
+    Not ``np.linalg.norm``: its BLAS dot splits long sums across threads,
+    so its last bits would depend on the BLAS thread count.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    return float(np.sqrt(np.sum(w * w)))
 
 
 def l2p_norm(w: np.ndarray, p: float) -> float:

@@ -287,9 +287,8 @@ def _check_segment(a: np.ndarray, v_sq: np.ndarray, bounds: np.ndarray, t: int, 
 
 
 def _squares(v: np.ndarray) -> np.ndarray:
-    """||v[i]||^2 for every i, v of shape (n, ...)."""
-    flat = v.reshape(len(v), -1)
-    return np.vecdot(flat, flat)
+    """||v[i]||^2 for every i, v of shape (n, ...), by pairwise sums that no BLAS thread count moves."""
+    return np.sum((v * v).reshape(len(v), -1), axis=1)
 
 
 def _scales(reg: RegularizerSpec, a: float, eta: np.ndarray):

@@ -15,13 +15,22 @@ indices.
 ``vvlearn check`` runs are pinned the same way, by the digest of their
 stdout and their exit code, two of them with counterexamples: one from a
 ranking loss and one from a multiclass loss.
+
+The digests hold at any BLAS thread count: no result goes through a BLAS
+reduction that splits its sum across threads.  The ``train`` cases run in
+subprocesses at ``OPENBLAS_NUM_THREADS`` 1 and 2 to keep it so.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vvlearn
 from vvlearn.cli import main
 from vvlearn.seeding import generator
 
@@ -89,17 +98,17 @@ DIGESTS = {
     },
     "ragged-mcc-one-chain": {
         "model.bin": "87e5713f8a501f2147d65b748196a33d8ece9b0a0059445e9f31eb7d579259a6",
-        "log.csv": "e4e71bec241037df82e808a4433b620fb3ca2de6ea854de888d9cce4d5a549a8",
+        "log.csv": "322e4e46ee1a3aeebde52a9bf7bb19cd2104f1650d2aedc30f269cccedcb825f",
     },
     "passes-curve": {
         "out.csv": "a8261446d04cdd4523090c55cfb90e31d7b35fc5b47beac326390f91df0f3e3c",
     },
     "l2p": {
         "model.bin": "dc585362991da2ab45eea42ff464965680f5aa862a81a701257a875566486310",
-        "log.csv": "67a672fef542f1206637947d9028bb157f486440dfa9ed3b9fa32ed5441a5075",
+        "log.csv": "761964af97b0c1c37981565116463abd2e48f1ebe7d01c898347b2155dfdbd5b",
     },
     "ranking-gap-curve": {
-        "out.csv": "54b680e5dcf75da783488c3d2743eb0fd05c34da6b559c6c2a8b3fde27c632da",
+        "out.csv": "a4c442d31fbfa6fb1d26b23c0dc2c049aeca0a87ff2392625c97d064202bd675",
     },
     "rademacher-exact": {
         "out.csv": "281bcf6b276f46310874ca3121be5c279938e4a890aefb7c000a8ead873ae43c",
@@ -113,21 +122,39 @@ DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", list(CASES))
-def test_outputs_keep_their_bytes(tmp_path, capsys, case):
+def case_argv(case, out):
+    """The CLI arguments of a golden case, writing its data and outputs under the directory out."""
     data, argv = CASES[case]
     argv = list(argv)
     if data is not None:
-        path = tmp_path / "data.txt"
+        path = out / "data.txt"
         path.write_text(sparse_lines(*data))
         argv += ["--data", str(path)]
     if argv[0] == "train":
-        argv += ["--model-out", str(tmp_path / "model.bin"), "--log-out", str(tmp_path / "log.csv")]
-    else:
-        argv += ["--out", str(tmp_path / "out.csv")]
-    assert main(argv) == 0
+        return argv + ["--model-out", str(out / "model.bin"), "--log-out", str(out / "log.csv")]
+    return argv + ["--out", str(out / "out.csv")]
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_outputs_keep_their_bytes(tmp_path, capsys, case):
+    assert main(case_argv(case, tmp_path)) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in DIGESTS[case]}
     assert digests == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", [case for case, (_, argv) in CASES.items() if argv[0] == "train"])
+def test_train_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, case):
+    src = str(Path(vvlearn.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        out.mkdir()
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = [sys.executable, "-c", "import sys; from vvlearn.cli import main; sys.exit(main(sys.argv[1:]))"]
+        subprocess.run(run + case_argv(case, out), env=env, check=True, capture_output=True)
+        outputs.append({name: (out / name).read_bytes() for name in DIGESTS[case]})
+    assert outputs[0] == outputs[1]
 
 
 def messy_lines(text, seed):
