@@ -28,12 +28,13 @@ into V (at step 1 of the theorem schedule the shrink is zero), and every
 group (2, p) step rescales V's columns at O(d * c); both leave a = 1.
 
 Indices are drawn a chunk of steps at a time, each chain from its own
-generator.  Each chunk is planned in arrays: its drawn rows, with feature
+generator (numpy's bounded-integer stream does not depend on how the draws
+are split).  Each chunk is planned in arrays: its drawn rows, with feature
 indices offset by r * d into V viewed as (R * d, c); eta_t and the scale
 before and after each step; its blocks and their labels (``LossSpec.plan``
-and ``LossSpec.blocks``).  Left folds (``np.multiply.accumulate``) keep
-the sequential loop's bits.  Python then walks blocks, not steps: maximal
-runs of steps in which no step reads a row of V that an earlier one wrote.
+and ``LossSpec.blocks``).  Left folds (``np.multiply.accumulate``) keep the
+sequential loop's bits.  Python then walks blocks, not steps: maximal runs
+of steps in which no step reads a row of V that an earlier one wrote.
 A block scores its B drawn rows with stacked (B, 1, k) @ (B, k, c)
 products, makes one ``LossSpec.coef`` call and writes its rows of V back.
 When a chunk's rows all have nnz k, its blocks slice views made once per
@@ -430,9 +431,8 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
                 return [(slice(None), None, v, xs[r0:r1])]
             return [(slice(None), where[r0:r1], flat.take(where[r0:r1], axis=0), xs[r0:r1])]
 
-        # Row 0 of sq holds each chain's ||V_r||^2 before the chunk and row
-        # j + 1 that after a fold at step j, to which each segment adds its
-        # steps' changes; a left fold from each start gives the running sums.
+        # Row 0 of sq holds each chain's ||V_r||^2 before the chunk and row j + 1 that after a fold at step j;
+        # each segment adds its steps' changes, and a left fold from each start gives the running sums.
         scores, coefs = np.empty((n, c)), np.empty((n, c))
         sq = np.concatenate([v_sq[None], np.zeros((size, R))])
         checks = {size, min(size, total - t0), *range(record_every - t0 % record_every, size, record_every)}

@@ -939,23 +939,21 @@ class TestRunningNorm:
         return grid, x, coef, rho
 
     def changes(self, grid, x, coef, rho):
-        """(changes from scores and coefficients, exact changes from the rows before and after)."""
+        """(changes from scores and coefficients, exact changes, squared norms before plus after)."""
         new = grid - rho[:, None, None] * (x.mT * coef[:, None, :])
         with np.errstate(over="ignore", invalid="ignore"):
             changes = optimizer_module._norm_changes((x @ grid)[:, 0], coef, np.sum(x * x, axis=(1, 2)), rho)
-            return changes, oracles.norm_changes(grid, new)
+            return changes, oracles.norm_changes(grid, new), oracles.squares(grid) + oracles.squares(new)
 
     def test_changes_equal_the_exact_bookkeeping(self):
-        grid, x, coef, rho = self.step()
-        changes, exact = self.changes(grid, x, coef, rho)
-        new = grid - rho[:, None, None] * (x.mT * coef[:, None, :])
-        assert np.all(np.abs(changes - exact) <= 1e-12 * (oracles.squares(grid) + oracles.squares(new)))
+        changes, exact, size = self.changes(*self.step())
+        assert np.all(np.abs(changes - exact) <= 1e-12 * size)
 
     def test_non_finite_coefficients_give_the_exact_non_finite_change(self):
         grid, x, coef, rho = self.step(B=3)
         coef[0] = np.inf  # +inf - inf in score space; the iterate's norm is +inf
         coef[1, 0] = np.nan
-        changes, exact = self.changes(grid, x, coef, rho)
+        changes, exact, _ = self.changes(grid, x, coef, rho)
         assert changes[0] == exact[0] == np.inf
         assert np.isnan(changes[1]) and np.isnan(exact[1])
         assert np.isfinite(changes[2])
