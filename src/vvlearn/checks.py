@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import squared_norms
 from .dataio import synth_gen
 from .losses import LossSpec, standard_loss_specs
 from .optimizer import CertificateError, StepSchedule, TrainConfig, train
@@ -81,8 +82,7 @@ def _scores(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
     """np.linalg.norm(a[i]) for every i, bit for bit: both take the root of one BLAS dot per row."""
-    a = a.reshape(len(a), -1)
-    return np.sqrt(np.vecdot(a, a))
+    return np.sqrt(squared_norms(a.reshape(len(a), -1)))
 
 
 def lipschitz_suite(trials: int = 1000, seed: int = 0, specs: list[LossSpec] | None = None) -> SuiteReport:
@@ -207,7 +207,7 @@ def gradient_suite(trials: int = 100, seed: int = 0, specs: list[LossSpec] | Non
         w = rng.uniform(-2.0, 2.0, size=(FD_D, FD_C))
         while float(np.min(np.linalg.norm(w, axis=0))) < 0.1:
             w = rng.uniform(-2.0, 2.0, size=(FD_D, FD_C))  # keep FD away from the origin kink
-        fd = central_difference(lambda ws: np.array([reg.value(v) for v in ws]), w, FD_STEP)
+        fd = central_difference(reg.value, w, FD_STEP)
         err = float(np.linalg.norm(reg.grad(w) - fd))
         if err > FD_REL_TOL * max(1.0, float(np.linalg.norm(fd))):
             failures.append(f"l2p(p={p:.4g}) point={point}: FD mismatch {err:.3g}")

@@ -2,30 +2,48 @@
 
 A predictor is a dense weight matrix ``w`` of shape ``(d, c)`` holding one
 column per output component: component j scores an input x as the inner
-product <w[:, j], x>.  Inputs are the rows of a scipy CSR matrix (see
-``dataio.Dataset``) or dense vectors.  Weight matrices are plain float64
-numpy arrays throughout; rows are feature-contiguous so the per-example
-update in stochastic training touches contiguous memory.
+product <w[:, j], x>.  Inputs are the rows of a CSR record of plain numpy
+arrays (see ``dataio.Dataset``).  Weight matrices are plain float64 numpy
+arrays throughout; rows are feature-contiguous so the per-example update
+in stochastic training touches contiguous memory.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+# Entries per BLAS dot in ``squared_norms``; OpenBLAS threads a longer dot.
+_DOT_PIECE = 1 << 13
 
-def predict(w: np.ndarray, x) -> np.ndarray:
-    """Scores x @ w: shape (n, c) for an (n, d) input matrix, (c,) for a vector.
 
-    ``x`` may be a scipy sparse matrix or a dense array.
+def predict(w: np.ndarray, X, rows: np.ndarray | None = None) -> np.ndarray:
+    """Scores X[rows] @ w, shape (len(rows), c), for a CSR record X (all rows when rows is None).
+
+    Each score sums value * w[col] over its row's entries in entry order from
+    +0.0, as scipy's sparse product does, bit for bit.  ``einsum`` keeps that
+    order while its inner loop runs over two or more scores, so a lone column
+    is scored beside a zero one.
     """
-    w = np.asarray(w)
+    w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ValueError(f"weight matrix must be two-dimensional, got shape {w.shape}")
-    if x.shape[-1] != w.shape[0]:
-        raise ValueError(
-            f"input has dimension {x.shape[-1]} but weight matrix expects {w.shape[0]}"
-        )
-    return np.asarray(x @ w)
+    if X.shape[1] != w.shape[0]:
+        raise ValueError(f"input has dimension {X.shape[1]} but weight matrix expects {w.shape[0]}")
+    if w.shape[1] == 1:
+        return predict(np.hstack([w, np.zeros_like(w)]), X, rows)[:, :1]
+    rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows)
+    starts = X.indptr.take(rows)
+    widths = X.indptr.take(rows + 1) - starts
+    out = np.zeros((len(rows), w.shape[1]))
+    for k in np.unique(widths[widths > 0]).tolist():
+        members = np.flatnonzero(widths == k)
+        entries = starts.take(members) + np.arange(k)[:, None]  # entry j of every member in row j
+        values = X.data.take(entries)
+        if k == w.shape[0]:  # full-width rows hold columns 0 to d - 1 in order
+            out[members] = np.einsum("kn,kc->cn", values, w).T
+        else:
+            out[members] = np.einsum("kn,knc->nc", values, w.take(X.indices.take(entries), axis=0))
+    return out
 
 
 def segments(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,24 +63,37 @@ def segments(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return offsets, source
 
 
-def frobenius_norm(w: np.ndarray) -> float:
-    """Frobenius norm: the root of numpy's pairwise sum of squares.
+def squared_norms(a: np.ndarray) -> np.ndarray:
+    """||a[i]||^2 for each row of an (m, k) array: the per-row dots of ``np.linalg.norm`` over
+    pieces of ``_DOT_PIECE`` entries, added left to right, so no BLAS thread count moves a bit."""
+    out = np.vecdot(a[:, :_DOT_PIECE], a[:, :_DOT_PIECE])
+    for lo in range(_DOT_PIECE, a.shape[1], _DOT_PIECE):
+        out += np.vecdot(a[:, lo : lo + _DOT_PIECE], a[:, lo : lo + _DOT_PIECE])
+    return out
+
+
+def _each(norms):
+    return float(norms) if np.ndim(norms) == 0 else norms  # a float for one matrix, an array for a stack
+
+
+def frobenius_norm(w: np.ndarray):
+    """Frobenius norm of a (d, c) matrix, or of each of a (..., d, c) stack: the root of a pairwise sum of squares.
 
     Not ``np.linalg.norm``: its BLAS dot splits long sums across threads,
     so its last bits would depend on the BLAS thread count.
     """
     w = np.asarray(w, dtype=np.float64)
-    return float(np.sqrt(np.sum(w * w)))
+    return _each(np.sqrt(np.sum(w * w, axis=(-2, -1))))
 
 
-def l2p_norm(w: np.ndarray, p: float) -> float:
-    """Group (2, p)-norm: the p-norm of the vector of column 2-norms.
+def l2p_norm(w: np.ndarray, p: float):
+    """Group (2, p)-norm of a (d, c) matrix or of each of a (..., d, c) stack: the p-norm of the column 2-norms.
 
     Computes (sum_j ||w[:, j]||_2^p)^(1/p).  Only p in (1, 2] is
     accepted; at p = 2 this coincides with the Frobenius norm.
     """
     if not 1.0 < p <= 2.0:
         raise ValueError(f"p must lie in (1, 2], got {p}")
-    col_norms = np.linalg.norm(np.asarray(w, dtype=np.float64), axis=0)
-    return float(np.sum(col_norms**p) ** (1.0 / p))
-
+    sums = np.sum(np.linalg.norm(np.asarray(w, dtype=np.float64), axis=-2) ** p, axis=-1)
+    # one scalar power per matrix: numpy's vectorized power can differ in the last bit
+    return _each(np.array([total ** (1.0 / p) for total in sums.ravel()]).reshape(sums.shape))

@@ -22,14 +22,15 @@ time, up to the line that raises the error with its 1-based number.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
-import scipy.sparse as sp
 
+from .core import squared_norms
 from .seeding import generator
 
 
@@ -49,20 +50,27 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+# An (n, d) sparse matrix in plain numpy arrays: row i holds the values
+# data[indptr[i] : indptr[i + 1]] at the columns indices[indptr[i] : indptr[i + 1]].
+CSR = namedtuple("CSR", ["data", "indices", "indptr", "shape"])
+
+
 @dataclass(eq=False)
 class Dataset:
-    """Input rows as a CSR matrix, their labels, and the task kind.
+    """Input rows as a CSR record, their labels, and the task kind.
 
-    ``X`` is an (n, d) scipy CSR matrix (anything ``scipy.sparse.csr_matrix``
-    accepts, dense arrays included) with sorted, unique column indices in
-    every row and finite values.  ``task`` is "mcc" (multiclass: ``y`` holds
-    integer class ids in [0, c), shape (n,)) or "mlc" (multilabel: ``y``
-    holds signs in {-1, +1}, shape (n, c)).  The constructor rejects
-    anything else.  ``label_map`` records how file label ids were remapped
-    to dense indices; it is bookkeeping, not part of equality.
+    ``X`` is an (n, d) ``CSR`` record, made from anything with CSR
+    attributes, a scipy sparse matrix of any layout or a dense 2-D array, with
+    strictly increasing column indices in every row and finite values; its
+    index arrays are int32 while every index fits, as scipy's are.
+    ``task`` is "mcc" (multiclass: ``y`` holds integer class ids in [0, c),
+    shape (n,)) or "mlc" (multilabel: ``y`` holds signs in {-1, +1}, shape
+    (n, c)).  The constructor rejects anything else.  ``label_map`` records
+    how file label ids were remapped to dense indices; it is bookkeeping,
+    not part of equality.
     """
 
-    X: sp.csr_matrix
+    X: CSR
     y: np.ndarray
     c: int
     task: str
@@ -73,16 +81,26 @@ class Dataset:
             raise ValueError(f"task must be 'mcc' or 'mlc', got {self.task!r}")
         if self.c < 0:
             raise ValueError(f"component count must be nonnegative, got {self.c}")
-        X = sp.csr_matrix(self.X, dtype=np.float64)
-        # A fresh matrix, so scipy recomputes its canonical-format flag.
-        X = sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
-        n, d = X.shape
-        if X.nnz and (X.indices.min() < 0 or X.indices.max() >= d):
+        X = self.X.tocsr() if getattr(self.X, "format", "csr") != "csr" else self.X  # scipy's other layouts
+        if not hasattr(X, "indptr"):  # a dense 2-D array keeps its nonzero entries
+            dense = np.asarray(X, dtype=np.float64)
+            if dense.ndim != 2:
+                raise ValueError(f"inputs must be a CSR matrix or a two-dimensional array, got shape {dense.shape}")
+            rows, cols = np.nonzero(dense)  # row by row, columns increasing
+            X = CSR(dense[rows, cols], cols, np.searchsorted(rows, np.arange(len(dense) + 1)), dense.shape)
+        (n, d), data, indices, indptr = map(int, X.shape), np.asarray(X.data, np.float64), X.indices, X.indptr
+        nnz, widths = len(data), np.diff(indptr)
+        if len(indptr) != n + 1 or indptr[0] != 0 or indptr[-1] != nnz or len(indices) != nnz or np.any(widths < 0):
+            raise ValueError(f"row pointer must rise from 0 to the {nnz} entries in {n} steps")
+        if nnz and (indices.min() < 0 or indices.max() >= d):
             raise ValueError(f"column indices must lie in [0, {d})")
-        if not X.has_canonical_format:
+        row = np.repeat(np.arange(n), widths)
+        if np.any((row[1:] == row[:-1]) & (indices[1:] <= indices[:-1])):
             raise ValueError("column indices must be strictly increasing within each row")
-        if not np.all(np.isfinite(X.data)):
+        if not np.all(np.isfinite(data)):
             raise ValueError("values must be finite")
+        index = np.int32 if max(n, d, nnz) < 2**31 else np.int64
+        X = CSR(data, np.asarray(indices, index), np.asarray(indptr, index), (n, d))
         y = np.asarray(self.y)
         if self.task == "mcc":
             if y.shape != (n,) or (n and not np.issubdtype(y.dtype, np.integer)):
@@ -108,11 +126,10 @@ class Dataset:
     @cached_property
     def row_sq_norms(self) -> np.ndarray:
         """Each row's squared norm, with the per-row dot ``normalize_rows`` makes 1.0."""
-        # vecdot on equal-nnz row blocks runs np.linalg.norm's per-row dot
+        # per-row dots on equal-nnz row blocks, as np.linalg.norm takes them
         out = np.zeros(len(self))
         for rows, entries in _row_blocks(self.X):
-            block = self.X.data[entries]
-            out[rows] = np.vecdot(block, block)
+            out[rows] = squared_norms(self.X.data[entries])
         return out
 
     @property
@@ -123,19 +140,11 @@ class Dataset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dataset):
             return NotImplemented
-        a, b = self.X, other.X
-        return (
-            a.shape == b.shape
-            and self.c == other.c
-            and self.task == other.task
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data)
-            and np.array_equal(self.y, other.y)
-        )
+        same = all(map(np.array_equal, (*self.X, self.y), (*other.X, other.y)))
+        return same and self.c == other.c and self.task == other.task
 
 
-def _row_blocks(X: sp.csr_matrix):
+def _row_blocks(X: CSR):
     """Yield (rows, entries) for blocks of nonempty rows of X with equal nnz k:
     the row ids, and their (len(rows), k) positions in X.data, at most
     _NORMALIZE_CHUNK_ENTRIES positions (or one row) per block."""
@@ -316,10 +325,8 @@ def parse_sparse_text(
     else:
         y = np.full((n, len(label_map)), -1, dtype=np.int8)
         y[np.repeat(np.arange(n), np.concatenate(counts)), hits] = 1
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(widths, out=indptr[1:])
-    X = sp.csr_matrix((vals, cols, indptr), shape=(n, dim))
-    return Dataset(X, y, len(label_map), task, label_map)
+    indptr = np.concatenate(([0], np.cumsum(widths)))
+    return Dataset(CSR(vals, cols, indptr, (n, dim)), y, len(label_map), task, label_map)
 
 
 def write_sparse_text(dataset: Dataset, destination) -> None:
@@ -353,7 +360,8 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     Each row is first scaled by the power of two that brings its largest
     entry into [0.5, 1), which is exact and keeps the norm clear of
     overflow and underflow, then divided by its norm.  Norms are per-row
-    dots (``np.vecdot``), the same bits as ``np.linalg.norm`` of the row.
+    dots (``core.squared_norms``), the same bits as ``np.linalg.norm`` of a
+    row of up to 8,192 entries.
     Plain division can leave the norm a few ulps off 1.0; on those rows the
     largest entry is then stepped one ulp at a time, all such rows at once,
     until each norm lands on 1.0 exactly.  Near 1.0 the achievable norms
@@ -364,13 +372,13 @@ def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """
     largest = np.maximum(rows.max(axis=1, initial=0.0), -rows.min(axis=1, initial=0.0))
     out = np.ldexp(rows, -np.frexp(largest)[1][:, None])
-    norms = np.sqrt(np.vecdot(out, out))
+    norms = np.sqrt(squared_norms(out))
     walk = (norms != 0.0) & (norms != 1.0)
     np.divide(out, norms[:, None], out=out, where=walk[:, None])
     walk = walk.nonzero()[0]
     top = np.argmax(np.abs(out[walk]), axis=1)  # the entry each row's walk steps
     for _ in range(100_000):
-        norms = np.sqrt(np.vecdot(out[walk], out[walk]))
+        norms = np.sqrt(squared_norms(out[walk]))
         off = norms != 1.0
         if not off.any():
             return out
@@ -389,8 +397,7 @@ def normalize_rows(dataset: Dataset) -> Dataset:
     data = X.data.copy()
     for _, entries in _row_blocks(X):
         data[entries] = _unit_rows(data[entries])
-    unit = sp.csr_matrix((data, X.indices, X.indptr), shape=X.shape)
-    return Dataset(unit, dataset.y, dataset.c, dataset.task, dict(dataset.label_map))
+    return Dataset(X._replace(data=data), dataset.y, dataset.c, dataset.task, dict(dataset.label_map))
 
 
 def split(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -451,7 +458,7 @@ def synth_gen(
         flip = rng.random((n, c)) < noise
         y = np.where(flip, -signs, signs).astype(np.int8)
         _force_both_signs(y, scores)
-    X = sp.csr_matrix((inputs.ravel(), np.tile(np.arange(d), n), np.arange(0, n * d + 1, d)), shape=(n, d))
+    X = CSR(inputs.ravel(), np.tile(np.arange(d), n), np.arange(0, n * d + 1, d), (n, d))
     return Dataset(X, y, c, task, {i: i for i in range(c)})
 
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .core import segments
 
@@ -82,6 +81,8 @@ class BaseLoss:
         t = np.asarray(t, dtype=np.float64)
         if self.kind == "hinge":
             return (t >= 1.0) - 1.0  # -1 below the kink, +0 from it on
+        from scipy.special import expit  # only here: numpy's 1 / (1 + exp(t)) misses expit's last bits
+
         return -expit(-t)
 
 

@@ -71,7 +71,7 @@ from .regularizers import RegularizerSpec
 
 # Steps per draw chunk are this many entries over R times the widest row,
 # bounding the gathered index and value buffers of a chunk.
-_DRAW_CHUNK_ENTRIES = 1 << 13
+_DRAW_CHUNK_ENTRIES = 1 << 15
 # A block of steps gathers at most this many values of V (entries times c)
 # unless it is one step, so its stacked temporaries stay cache-sized: at
 # c = 256 blocks measured slower than single steps without this bound.
@@ -189,10 +189,10 @@ def evaluate_mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec) -> float:
 def _row_losses(w: np.ndarray, data: Dataset, loss: LossSpec, rows: np.ndarray) -> np.ndarray:
     """The loss of each of the given rows of data at w, shape (len(rows),).
 
-    Scores come from one sparse product per chunk of rows, gathered from
-    the data.  A chunk holds at most ``_EVAL_CHUNK_ENTRIES`` entries of the
-    arrays its loss call allocates (``LossSpec.work``), or one row; a row's
-    loss does not depend on its chunk.
+    Scores come from one ``predict`` call per chunk of rows.  A chunk holds
+    at most ``_EVAL_CHUNK_ENTRIES`` entries of the arrays its loss call
+    allocates (``LossSpec.work``), or one row; a row's loss does not depend
+    on its chunk.
     """
     y, n = data.y.take(rows, axis=0), len(rows)
     work = np.zeros(n + 1, dtype=np.int64)
@@ -200,7 +200,7 @@ def _row_losses(w: np.ndarray, data: Dataset, loss: LossSpec, rows: np.ndarray) 
     values, lo = np.empty(n), 0
     while lo < n:
         hi = max(lo + 1, int(np.searchsorted(work, work[lo] + _EVAL_CHUNK_ENTRIES, "right")) - 1)
-        values[lo:hi] = loss.value(predict(w, data.X[rows[lo:hi]]), y[lo:hi])
+        values[lo:hi] = loss.value(predict(w, data.X, rows[lo:hi]), y[lo:hi])
         lo = hi
     return values
 

@@ -133,7 +133,8 @@ def estimate_complexity(
     if sample.task != "mcc" or m == 0:
         raise ValueError("an extended sample must be a nonempty 'mcc' Dataset")
     order = np.argsort(sample.y, kind="stable")  # pairs stable-sorted by component
-    X, js, slots = sample.X[order].toarray(), sample.y[order], np.unique(sample.y)
+    X, js, slots = np.zeros((m, sample.d)), sample.y[order], np.unique(sample.y)
+    X[np.repeat(np.argsort(order), np.diff(sample.X.indptr)), sample.X.indices] = sample.X.data  # in sorted order
     if trials == 0:
         total = 1 << m
         return RademacherEstimate(_exact_sum(X, js, slots, radius) / (total * m), 0.0, total, True)

@@ -53,13 +53,14 @@ class RegularizerSpec:
             return self.sigma
         return self.sigma * (self.p - 1.0)
 
-    def norm(self, w: np.ndarray) -> float:
-        """The norm this regularizer penalizes (and is strongly convex in)."""
+    def norm(self, w: np.ndarray):
+        """The norm this regularizer penalizes (and is strongly convex in), of w or of each matrix of a stack."""
         if self.kind == "frobenius":
             return frobenius_norm(w)
         return l2p_norm(w, self.p)
 
-    def value(self, w: np.ndarray) -> float:
+    def value(self, w: np.ndarray):
+        """(sigma/2) * N(w)^2 for a (d, c) matrix, or the array of them for a (..., d, c) stack."""
         return 0.5 * self.sigma * self.norm(w) ** 2
 
     def column_scale(self, w: np.ndarray) -> np.ndarray:

@@ -38,6 +38,9 @@ replaced with array passes over batches of lines: it reads one token at a
 time and raises each ``ParseError`` where it meets it.  The two give the
 same dataset, or the same error, on every input.
 
+``scipy_csr`` turns a dataset's CSR record into the scipy matrix it
+stands for, for the tests that slice, stack or densify it.
+
 ``take`` copies rows of a dataset into a dataset of their own, as every
 split and chain held its rows before chains read row maps into one pool;
 ``lone_run`` trains one chain on such a copy, the reference that a chain of
@@ -225,7 +228,7 @@ def row_coef(spec, s, y):
 def sup_batch(sample, signs, radius):
     """The supremum over the Frobenius ball of radius ``radius`` for each row
     of a (K, m) sign matrix, R * ||A||_F, one component at a time."""
-    X = sample.X.toarray()
+    X = scipy_csr(sample.X).toarray()
     sq = np.zeros(signs.shape[0])
     s_float = signs.astype(np.float64)
     for j in np.unique(sample.y):
@@ -346,9 +349,14 @@ def max_row_norm(X):
     return max((float(np.linalg.norm(data[s:e])) for s, e in zip(bounds, bounds[1:])), default=0.0)
 
 
+def scipy_csr(X):
+    """A CSR record (``Dataset.X``) as a scipy CSR matrix."""
+    return sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
+
+
 def take(data, rows):
     """The rows of data at the given indices, in that order, as a Dataset of their own."""
-    return Dataset(data.X[rows], data.y[rows], data.c, data.task)
+    return Dataset(scipy_csr(data.X)[rows], data.y[rows], data.c, data.task)
 
 
 def lone_run(pool, rows, config):

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import oracles
 import vvlearn.checks as checks_module
 import vvlearn.cli as cli_module
 import vvlearn.optimizer as optimizer_module
@@ -120,6 +127,27 @@ class TestTopLevel:
 
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1
+
+
+def test_runs_without_a_logistic_base_import_no_scipy(tmp_path):
+    data = tmp_path / "mlc.txt"
+    write_sparse_text(synth_gen(n=60, d=8, c=4, task="mlc", noise=0.1, seed=0), data)
+    runs = [
+        [
+            "train", "--data", str(data), "--task", "mlc", "--loss", "ranking", "--base", "hinge", "--sigma", "0.1",
+            "--steps", "200", "--model-out", str(tmp_path / "m.bin"), "--log-out", str(tmp_path / "log.csv"),
+        ],
+        ["curve", "--kind", "passes", "--synth", "n=100,d=4,c=3", "--grid", "1,2", "--reps", "2", "--out", str(tmp_path / "c.csv")],
+        ["rademacher", "--n", "5", "--c", "2", "--d", "4", "--trials", "100", "--out", str(tmp_path / "r.csv")],
+    ]  # fmt: skip
+    script = (
+        "import json, sys\nfrom vvlearn.cli import main\nfor argv in json.loads(sys.argv[1]):\n    assert main(argv) == 0, argv\n"
+        "print(sorted(name for name in sys.modules if name.partition('.')[0] == 'scipy'))"
+    )
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env, check=True, capture_output=True, text=True)
+    assert run.stdout.splitlines()[-1] == "[]"  # the scipy modules loaded, after the runs' own output
 
 
 class TestTrainCommand:
@@ -416,7 +444,7 @@ class TestModelRecordsHowItsDataWasRead:
         data = synth_gen(n=300, d=6, c=3, task="mcc", noise=0.1, seed=0)
         if scale_rows:
             scales = 10.0 ** np.random.default_rng(1).uniform(-1.0, 1.0, size=len(data))
-            data = Dataset(data.X.multiply(scales[:, None]).tocsr(), data.y, data.c, data.task)
+            data = Dataset(oracles.scipy_csr(data.X).multiply(scales[:, None]).tocsr(), data.y, data.c, data.task)
         write_sparse_text(Dataset(data.X, data.y, data.c, data.task, {raw: k for k, raw in enumerate(ids)}), path)
         lines = [line for line in path.read_text().splitlines() if keep(int(line.split()[0]))]
         path.write_text("\n".join(lines) + "\n")

@@ -5,7 +5,11 @@ from hypothesis import strategies as st
 
 import scipy.sparse as sp
 
-from vvlearn.core import frobenius_norm, l2p_norm, predict
+import vvlearn.core as core_module
+import vvlearn.optimizer as optimizer_module
+from vvlearn.core import frobenius_norm, l2p_norm, predict, squared_norms
+from vvlearn.dataio import Dataset
+from vvlearn.losses import LossSpec
 
 
 def predict_oracle(w, x):
@@ -25,7 +29,7 @@ class TestPredict:
 
     def test_identity_like_columns_trivial(self):
         w = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert np.array_equal(predict(w, np.array([1.0, 1.0])), np.array([1.0, 1.0]))
+        assert np.array_equal(predict(w, sp.csr_matrix(np.array([[1.0, 1.0]]))), np.array([[1.0, 1.0]]))
 
     def test_two_column_value(self):
         # columns (1,2,0) and (0,0,3) against sparse {0: 2.0, 2: 1.0}
@@ -61,6 +65,68 @@ class TestPredict:
         w = rng.standard_normal((d, c))
         x = random_sparse(rng, d)
         assert np.allclose(predict(w, x), predict_oracle(w, x), atol=1e-12)
+
+
+def same_bits(a, b):
+    """Equal shapes and float64 bits, so signs of zero count."""
+    return a.shape == b.shape and np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def mixed_rows(rng, n, d):
+    """A CSR matrix of ragged, empty and full-width rows, with explicit +0.0 and -0.0 entries."""
+    dense = np.where(rng.random((n, d)) < rng.uniform(0.1, 0.9), rng.standard_normal((n, d)), 0.0)
+    dense[rng.random(n) < 0.3] = rng.standard_normal(d)  # full-width rows
+    dense[rng.random(n) < 0.2] = 0.0  # empty rows
+    dense *= 10.0 ** rng.integers(-3, 4, size=(n, d))
+    X = sp.csr_matrix(dense)
+    X.data[rng.random(X.nnz) < 0.05] = -0.0
+    X.data[rng.random(X.nnz) < 0.05] = 0.0
+    return X
+
+
+class TestPredictOracle:
+    """predict against scipy's sparse product, bit for bit."""
+
+    @pytest.mark.parametrize("c", [1, 2, 5, 36])
+    def test_matches_scipy_bit_for_bit(self, c):
+        rng = np.random.default_rng(c)
+        for _ in range(60):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            X = mixed_rows(rng, n, d)
+            w = rng.standard_normal((d, c)) * 10.0 ** rng.integers(-3, 4, size=(d, c))
+            w[rng.random((d, c)) < 0.1] = -0.0
+            rows = rng.integers(0, n, size=int(rng.integers(1, 3 * n)))
+            assert same_bits(predict(w, X, rows), np.asarray(X[rows] @ w))
+            assert same_bits(predict(w, X), np.asarray(X @ w))
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        X = sp.csr_matrix((np.array([-0.0, 1.0, -1.0]), np.array([0, 0, 1]), np.array([0, 0, 1, 3])), shape=(3, 2))
+        w = np.array([[1.0, -0.0], [1.0, -0.0]])  # every product is 0.0 or -0.0, or row 2's 1.0 and -1.0
+        assert same_bits(predict(w, X), np.zeros((3, 2))) and same_bits(np.asarray(X @ w), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("c", [1, 2, 5, 36])
+    def test_chunked_row_losses_match_scipy_scores(self, c, monkeypatch):
+        rng = np.random.default_rng(40 + c)
+        X = mixed_rows(rng, 50, 12)
+        data = Dataset(X, rng.integers(0, c, size=50), c, "mcc")
+        w = rng.standard_normal((12, c))
+        rows = rng.integers(0, 50, size=90)
+        loss = LossSpec.multinomial_logistic()
+        monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", 7 * c)  # seven rows per chunk
+        got = optimizer_module._row_losses(w, data, loss, rows)
+        assert same_bits(got, loss.value(np.asarray(X[rows] @ w), data.y[rows]))
+
+
+class TestSquaredNorms:
+    def test_rows_of_one_piece_are_one_dot(self):
+        a = np.random.default_rng(4).standard_normal((3, core_module._DOT_PIECE))
+        assert squared_norms(a).tobytes() == np.vecdot(a, a).tobytes()
+
+    def test_longer_rows_add_their_pieces_left_to_right(self, monkeypatch):
+        monkeypatch.setattr(core_module, "_DOT_PIECE", 4)
+        a = np.random.default_rng(5).standard_normal((6, 11)) * 10.0 ** np.arange(11)
+        pieces = [np.vecdot(a[:, lo : lo + 4], a[:, lo : lo + 4]) for lo in (0, 4, 8)]
+        assert squared_norms(a).tobytes() == ((pieces[0] + pieces[1]) + pieces[2]).tobytes()
 
 
 class TestNorms:

@@ -1,8 +1,10 @@
 import io
 import math
 import os
-
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 import vvlearn.dataio as dataio_module
 from vvlearn.dataio import (
+    CSR,
     Dataset,
     ParseError,
     normalize_rows,
@@ -81,7 +84,7 @@ class TestDatasetConstructor:
             dense[rng.random((3, 7)) < 0.4] = 0.0
             ds = Dataset(dense, np.array([0, 1, 0]), 2, "mcc")
             assert ds.d == 7 and len(ds) == 3
-            assert np.array_equal(ds.X.toarray(), dense)
+            assert np.array_equal(oracles.scipy_csr(ds.X).toarray(), dense)
 
     def test_kappa_is_largest_row_norm(self):
         ds = Dataset(np.array([[3.0, 4.0], [0.0, 1.0]]), np.array([0, 1]), 2, "mcc")
@@ -89,7 +92,7 @@ class TestDatasetConstructor:
 
     def test_empty_rows(self):
         ds = Dataset(sp.csr_matrix((2, 3)), np.array([0, 1]), 2, "mcc")
-        assert ds.X.nnz == 0 and ds.kappa == 0.0
+        assert oracles.scipy_csr(ds.X).nnz == 0 and ds.kappa == 0.0
         assert len(Dataset(sp.csr_matrix((0, 3)), np.zeros(0, dtype=int), 2, "mcc")) == 0
 
     def test_kappa_skips_empty_rows(self):
@@ -146,6 +149,43 @@ class TestDatasetConstructor:
         with pytest.raises(ValueError):
             Dataset(one_row([0], [1.0]), np.array([0]), 2, "other")
 
+    @pytest.mark.parametrize(
+        "indptr",
+        [[0, 1], [1, 2, 2], [0, 2, 1], [0, 1, 3], [0, 1, 1]],  # short, not from 0, falling, past, short of the entries
+    )
+    def test_rejects_a_bad_row_pointer(self, indptr):
+        X = CSR(np.ones(2), np.array([0, 1]), np.array(indptr), (2, 3))
+        with pytest.raises(ValueError):
+            Dataset(X, np.zeros(2, dtype=int), 2, "mcc")
+
+    def test_holds_the_arrays_scipy_would(self):
+        rng = np.random.default_rng(27)
+        for trial in range(100):
+            dense = np.where(rng.random((6, 5)) < 0.5, rng.standard_normal((6, 5)), 0.0)
+            dense[rng.random((6, 5)) < 0.1] = -0.0  # dropped, as scipy drops it
+            want = sp.csr_matrix(dense)
+            wide = CSR(want.data, want.indices.astype(np.int64), want.indptr, want.shape)
+            for source in (dense, want, wide, want.tocsc(), sp.coo_matrix(dense)):
+                X = Dataset(source, np.zeros(6, dtype=int), 2, "mcc").X
+                assert isinstance(X, CSR) and X.shape == want.shape
+                for got, expected in zip(X[:3], (want.data, want.indices, want.indptr)):
+                    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    def test_long_row_norms_do_not_depend_on_the_blas_thread_count(self):
+        # OpenBLAS splits a dot of more than 10,000 entries across threads
+        script = (
+            "import hashlib, numpy as np; from vvlearn.dataio import Dataset, normalize_rows; "
+            "ds = Dataset(np.random.default_rng(5).standard_normal((1, 50_000)), np.zeros(1, dtype=int), 2, 'mcc'); "
+            "print(ds.row_sq_norms.tobytes().hex(), hashlib.sha256(normalize_rows(ds).X.data.tobytes()).hexdigest())"
+        )
+        path = os.pathsep.join([str(Path(dataio_module.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            run = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+
 
 class TestParseMcc:
     def test_single_line_mapping(self):
@@ -192,7 +232,7 @@ class TestParseMcc:
 
     def test_empty_feature_rows_kept(self):
         ds = parse_text("0\n1 2:1.0\n", "mcc")
-        assert len(ds) == 2 and ds.X[0].nnz == 0 and ds.d == 2
+        assert len(ds) == 2 and oracles.scipy_csr(ds.X)[0].nnz == 0 and ds.d == 2
 
     def test_comments_and_blank_lines_skipped(self):
         ds = parse_text("# header\n\n0 1:1.0\n# trailing\n1 1:2.0\n\n", "mcc")
@@ -496,7 +536,7 @@ class TestNormalize:
     def test_zero_row_untouched(self):
         ds = Dataset(np.array([[0.0, 0.0], [0.0, 2.0]]), np.array([1, 0]), 2, "mcc", {1: 1})
         out = normalize_rows(ds)
-        assert out.X[0].nnz == 0
+        assert oracles.scipy_csr(out.X)[0].nnz == 0
         assert np.array_equal(out.X.data, np.array([1.0]))
 
     def test_kappa_exactly_one(self):
@@ -504,7 +544,7 @@ class TestNormalize:
         X = rng.standard_normal((200, 7)) * 10.0 ** rng.integers(-2, 3, size=(200, 1))
         ds = Dataset(X, rng.integers(3, size=200), 3, "mcc", {i: i for i in range(3)})
         out = normalize_rows(ds)
-        norms = [np.linalg.norm(out.X[i].data) for i in range(len(out))]
+        norms = [np.linalg.norm(oracles.scipy_csr(out.X)[i].data) for i in range(len(out))]
         assert out.kappa == 1.0
         assert min(norms) == 1.0 and max(norms) == 1.0
 
@@ -587,7 +627,7 @@ class TestSplit:
             X = sp.random(n, d, density=rng.uniform(0.0, 1.0), format="csr", random_state=trial)
             pool = Dataset(X * 10.0 ** rng.uniform(-5, 5), np.zeros(n, dtype=int), 2, "mcc")
             for part in split(n, 0.5, seed=trial):
-                side = Dataset(pool.X[part], pool.y[part], 2, "mcc")
+                side = Dataset(oracles.scipy_csr(pool.X)[part], pool.y[part], 2, "mcc")
                 assert side.row_sq_norms.tobytes() == pool.row_sq_norms[part].tobytes()
                 assert side.kappa == math.sqrt(float(pool.row_sq_norms[part].max()))
 
@@ -634,7 +674,7 @@ class TestSynthGen:
     def test_noise_changes_labels_only(self):
         clean = synth_gen(n=60, d=5, c=3, task="mcc", noise=0.0, seed=8)
         noisy = synth_gen(n=60, d=5, c=3, task="mcc", noise=0.5, seed=8)
-        assert np.array_equal(clean.X.toarray(), noisy.X.toarray())
+        assert np.array_equal(oracles.scipy_csr(clean.X).toarray(), oracles.scipy_csr(noisy.X).toarray())
         assert np.sum(clean.y != noisy.y) > 0
 
     def test_validation(self):

@@ -163,7 +163,7 @@ class TestSampleSizeAndGapCurves:
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "ragged"])
     def test_repetitions_equal_lone_train_runs(self, pool, sparse):
         if sparse:  # rows of different nnz, so lockstep steps score chain by chain
-            dense = pool.X.toarray()
+            dense = oracles.scipy_csr(pool.X).toarray()
             dense[np.random.default_rng(0).random(dense.shape) < 0.5] = 0.0
             pool = Dataset(dense, pool.y, pool.c, pool.task)
         spec = CurveSpec(

@@ -36,7 +36,7 @@ def tiny_dataset(n=40, d=5, c=3, seed=0, task="mcc"):
 def pooled(*datasets):
     """One pool holding the datasets back to back, and the rows of each in it."""
     first = datasets[0]
-    X = sp.vstack([data.X for data in datasets], format="csr")
+    X = sp.vstack([oracles.scipy_csr(data.X) for data in datasets], format="csr")
     pool = Dataset(X, np.concatenate([data.y for data in datasets]), first.c, first.task)
     bounds = np.cumsum([0] + [len(data) for data in datasets])
     return pool, [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
@@ -54,7 +54,7 @@ def single_row(x, y, c=None):
 
 def loss_grad(loss, w, data, i=0):
     """The dense (d, c) loss subgradient at row i."""
-    x = data.X[i].toarray()
+    x = oracles.scipy_csr(data.X)[i].toarray()
     return x.T * loss.coef(x @ w, data.y[i : i + 1])
 
 
@@ -196,7 +196,7 @@ class TestEvaluateObjective:
         w = np.full((data.d, data.c), 0.2)
         reg = RegularizerSpec.frobenius(0.3)
         got = evaluate_objective(w, first, MLOG, reg)
-        scores = first.X.toarray()[0] @ w
+        scores = oracles.scipy_csr(first.X).toarray()[0] @ w
         assert np.isclose(got, oracles.row_value(MLOG, scores, first.y[0]) + reg.value(w), atol=1e-15)
 
     def test_naive_two_pass_oracle(self):
@@ -205,7 +205,7 @@ class TestEvaluateObjective:
         reg = RegularizerSpec.l2p(0.4, 1.5)
         for _ in range(10):
             w = rng.standard_normal((data.d, data.c))
-            dense = data.X.toarray()
+            dense = oracles.scipy_csr(data.X).toarray()
             values = [oracles.row_value(MLOG, dense[i] @ w, data.y[i]) for i in range(len(data))]
             naive = sum(values) / len(values) + reg.value(w)
             assert np.isclose(evaluate_objective(w, data, MLOG, reg), naive, atol=1e-12)
@@ -235,7 +235,7 @@ class TestBatchedEvaluation:
     def test_matches_per_row_oracle(self, spec):
         data = sparse_wide_dataset("mlc" if spec.is_multilabel else "mcc", n=300, d=60)
         rng = np.random.default_rng(8)
-        dense = data.X.toarray()
+        dense = oracles.scipy_csr(data.X).toarray()
         reg = RegularizerSpec.frobenius(0.1)
         for _ in range(3):
             w = rng.standard_normal((data.d, data.c))
@@ -271,7 +271,7 @@ class TestBatchedEvaluation:
         w = np.random.default_rng(13).standard_normal((data.d, c))
         spec = LossSpec.ranking(HINGE)
         calls, predict = [], optimizer_module.predict
-        monkeypatch.setattr(optimizer_module, "predict", lambda w, X: calls.append(X.shape[0]) or predict(w, X))
+        monkeypatch.setattr(optimizer_module, "predict", lambda w, X, rows: calls.append(len(rows)) or predict(w, X, rows))
         got = evaluate_mean_loss(w, data, spec)
         positives = np.sum(y > 0, axis=1)
         pairs = positives * (c - positives)
@@ -487,7 +487,7 @@ def ragged_dataset(task="mcc", n=120, d=40, c=5, seed=0):
     base = synth_gen(n=n, d=d, c=c, task=task, noise=0.1, seed=seed)
     keep = generator(seed + 1).random((n, d)) < 0.2
     keep[np.arange(n), generator(seed + 2).integers(0, d, size=n)] = True
-    return Dataset(np.where(keep, base.X.toarray(), 0.0), base.y, c, task)
+    return Dataset(np.where(keep, oracles.scipy_csr(base.X).toarray(), 0.0), base.y, c, task)
 
 
 def chain_configs(loss, reg, schedule, total_steps, record_every=None, repetitions=3, holdouts=None):
@@ -602,7 +602,7 @@ class TestLockstepChains:
 
     def test_run_longer_than_one_chunk_matches_dense_replay(self):
         datasets = [sparse_wide_dataset("mcc", seed=s) for s in range(3)]
-        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 2500)
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 4500)
         assert configs[0].total_steps > 2 * optimizer_module._DRAW_CHUNK_ENTRIES // (3 * 5)  # nnz is 5
         for (w, _), data, config in zip(train_many(*pooled(*datasets), configs), datasets, configs):
             expected, _ = dense_replay(data, config)
@@ -685,7 +685,7 @@ def ragged_wide_dataset(task="mcc", n=120, d=300, c=5, seed=0):
     base = synth_gen(n=n, d=10, c=c, task=task, noise=0.1, seed=seed)
     rng = generator(seed + 1)
     widths = rng.integers(1, 11, size=n)
-    values = base.X.toarray()
+    values = oracles.scipy_csr(base.X).toarray()
     cols = np.concatenate([np.sort(rng.choice(d, size=k, replace=False)) for k in widths])
     data = np.concatenate([values[i, :k] for i, k in enumerate(widths)])
     X = sp.csr_matrix((data, cols, np.concatenate(([0], np.cumsum(widths)))), shape=(n, d))

@@ -26,7 +26,7 @@ def brute_force_sup(sample, signs, radius, directions=200_000, seed=0):
     true supremum that approaches it as the direction count grows."""
     rng = np.random.default_rng(seed)
     d, c = sample.d, sample.c
-    dense = sample.X.toarray()
+    dense = oracles.scipy_csr(sample.X).toarray()
     best = -np.inf
     for _ in range(4):
         ws = rng.standard_normal((directions // 4, d * c))
@@ -89,7 +89,7 @@ class TestExtendedSample:
         sample = identical_pair_sample(4, 3, 2)
         assert len(sample) == 4 and sample.d == 3 and sample.c == 2
         assert sample.task == "mcc" and sample.kappa == 1.0
-        assert np.array_equal(sample.X.toarray(), np.tile([1.0, 0.0, 0.0], (4, 1)))
+        assert np.array_equal(oracles.scipy_csr(sample.X).toarray(), np.tile([1.0, 0.0, 0.0], (4, 1)))
         assert np.array_equal(sample.y, np.zeros(4, dtype=np.int64))
 
     def test_scaled_identical_pairs_scale_the_estimate(self):
@@ -210,7 +210,7 @@ class TestEstimateComplexity:
     @pytest.mark.parametrize("trials", [0, 100])
     def test_power_of_two_scaling_is_exact_in_range(self, trials):
         sample = random_sample(9, 3, seed=4)
-        scaled = sample_from_dense(2.0**400 * sample.X.toarray(), sample.y, 3)
+        scaled = sample_from_dense(2.0**400 * oracles.scipy_csr(sample.X).toarray(), sample.y, 3)
         unit = estimate_complexity(sample, radius=1.0, trials=trials, seed=2)
         big = estimate_complexity(scaled, radius=1.0, trials=trials, seed=2)
         assert big.mean == 2.0**400 * unit.mean

@@ -36,6 +36,17 @@ class TestValues:
             lp = RegularizerSpec.l2p(sigma, p)
             assert np.isclose(lp.value(w), 0.5 * sigma * l2p_norm(w, p) ** 2, rtol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(6, 4), (7, 1), (1, 5), (40, 30)])
+    def test_a_stack_gets_each_matrix_value_bit_for_bit(self, shape):
+        rng = np.random.default_rng(2)
+        stack = rng.standard_normal((9, *shape)) * 10.0 ** rng.integers(-3, 4, size=(9, 1, 1))
+        for reg in (RegularizerSpec.frobenius(0.3), RegularizerSpec.l2p(0.3, 1.37)):
+            values = reg.value(stack)
+            assert values.shape == (9,)
+            assert values.tobytes() == np.array([reg.value(w) for w in stack]).tobytes()
+            assert type(reg.value(stack[0])) is float
+            assert reg.value(stack.reshape(3, 3, *shape)).tobytes() == values.tobytes()
+
     def test_l2p_at_two_equals_frobenius(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
