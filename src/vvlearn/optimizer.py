@@ -50,10 +50,11 @@ coefficients (``_norm_changes``; a fold adds ||V_r||^2 after its rescale
 and scores the rescaled V).  Their left fold is the running norm after each
 step.  One comparison per segment, up to each recording step and the
 chunk's end, certifies them all, and names the first failing step (and
-chain, when R > 1); a non-finite norm stops any run.  Recording steps
-materialize W, check each exact norm, and check the l-infinity duality
-||coef_r||_1 <= L of the step's loss coefficients, which bounds the loss
-subgradient by kappa * L for either regularizer.  Trajectories agree with
+chain, when R > 1); a non-finite norm stops any run.  The same segments
+check the l-infinity duality ||coef_r||_1 <= L of every step's loss
+coefficients, which bounds the loss subgradient by kappa * L for either
+regularizer, and name a step that fails both checks by it.  Recording
+steps materialize W and check each exact norm.  Trajectories agree with
 the dense ``sgd_step`` oracle in ``tests/oracles.py`` to rounding.
 """
 
@@ -472,20 +473,22 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
                 sq[g0 + 1 : end + 1] += changes.reshape(-1, R)
                 for s0, s1 in zip(restarts, restarts[1:]):
                     np.add.accumulate(sq[s0:s1], axis=0, out=sq[s0:s1])
-            last = end - recording
+            # An L-Lipschitz loss in the max norm has subgradients of l1 norm <= L; a non-finite
+            # one makes the running norm non-finite at its step, and the norm check names it.
+            duals = np.add.reduce(np.abs(coefs[r0:r1]), axis=1)
+            over = np.flatnonzero(np.isfinite(duals) & (duals > loss.lipschitz_inf + _CERT_TOL))
+            last = g0 + int(over[0]) // R if over.size else end  # at a step failing both, duality wins
             if last > g0:
                 _check_segment(after[g0:last], sq[g0 + 1 : last + 1], bounds, t0 + g0 + 1, loss, reg)
+            if over.size:
+                raise CertificateError(
+                    f"loss coefficients at step {t0 + last + 1}{_chain(chain_ids[over[0] % R])} have l1 norm "
+                    f"{duals[over[0]]:.6g}, above the certified max-norm Lipschitz constant "
+                    f"{loss.lipschitz_inf:.6g} (loss {loss.name})"
+                )
             g0 = end
             if not recording:
                 continue
-            # An L-Lipschitz loss in the max norm has subgradients of l1 norm <= L.
-            for r, dual in zip(chain_ids, np.sum(np.abs(coef[-R:]), axis=1).tolist()):
-                if not dual <= loss.lipschitz_inf + _CERT_TOL:
-                    raise CertificateError(
-                        f"loss coefficients at step {t}{_chain(r)} have l1 norm {dual:.6g}, above the "
-                        f"certified max-norm Lipschitz constant {loss.lipschitz_inf:.6g} (loss {loss.name})"
-                    )
-            _check_segment(after[last:end], sq[end : end + 1], bounds, t, loss, reg)
             w = float(after[end - 1]) * v
             sq[end] = _squares(v)
             norms = [frobenius_norm(w_r) for w_r in w]

@@ -14,7 +14,9 @@ when m is small.  One kernel, ``_accumulate``, forms A for a matrix of
 sign vectors from the pairs stable-sorted by component, so each column of
 A is one contiguous slice of the signs times contiguous input rows.  The
 exact average meets in the middle over the sign patterns of two halves of
-the pairs; Monte-Carlo signs are unpacked from packed random bytes.  Both
+the pairs and fills only the lower half of the high patterns (a store of
+at most 2^19 suprema, 4.2 MB), since flipping every sign keeps a
+supremum.  Monte-Carlo signs are unpacked from packed random bytes.  Both
 fill suprema in cache-sized blocks of ``_BLOCK_ENTRIES`` values; sums and
 draws keep their ``_CHUNK_ENTRIES`` chunks, so exact bits do not depend on
 the block size, while Monte-Carlo values may move in their last digit
@@ -50,18 +52,21 @@ def identical_pair_sample(m: int, d: int, c: int) -> Dataset:
     return Dataset(X, np.zeros(m, dtype=np.int64), c, "mcc")
 
 
-def _accumulate(signs: np.ndarray, X: np.ndarray, js: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """A for each row of a (K, m) sign matrix, flattened to (K, slots.size * d).
-
-    ``X`` and ``js`` are sorted by component; block t sums the pairs of
-    component slots[t], one column slice of ``signs`` widened to float64 alone.
-    """
-    d = X.shape[1]
-    A = np.zeros((signs.shape[0], slots.size * d))
+def _spans(js: np.ndarray, slots: np.ndarray, d: int) -> list[tuple[slice, slice]]:
+    """(columns of A, pairs) for each component slot with pairs, from ``js`` sorted by component."""
     lo, hi = np.searchsorted(js, slots, side="left"), np.searchsorted(js, slots, side="right")
-    for t in np.flatnonzero(hi > lo):
-        block = np.asarray(signs[:, lo[t] : hi[t]], dtype=np.float64)
-        A[:, t * d : (t + 1) * d] = block @ X[lo[t] : hi[t]]
+    return [(slice(t * d, (t + 1) * d), slice(lo[t], hi[t])) for t in np.flatnonzero(hi > lo).tolist()]
+
+
+def _accumulate(signs: np.ndarray, X: np.ndarray, spans: list[tuple[slice, slice]], width: int) -> np.ndarray:
+    """A for each row of a (K, m) sign matrix, flattened to (K, width).
+
+    ``X`` is sorted by component; each of the ``_spans`` sums the pairs of
+    one component, one column slice of ``signs`` widened to float64 alone.
+    """
+    A = np.zeros((signs.shape[0], width))
+    for columns, pairs in spans:
+        A[:, columns] = np.asarray(signs[:, pairs], dtype=np.float64) @ X[pairs]
     return A
 
 
@@ -92,22 +97,29 @@ def _exact_sum(X: np.ndarray, js: np.ndarray, slots: np.ndarray, radius: float) 
     """Sum of sup over all 2^m sign vectors: over every pair of sign
     patterns of the two halves of the pairs.  A_high + A_low is formed
     directly, since expanding its square norm leaves a rounding residue
-    near A = 0 that can be negative.  Each summation block of high rows
-    fills its suprema a cache-sized group of rows at a time."""
-    h = X.shape[0] // 2
-    low = _accumulate(_all_signs(h), X[:h], js[:h], slots)
-    high = _accumulate(_all_signs(X.shape[0] - h), X[h:], js[h:], slots)
-    rows = min(high.shape[0], max(1, _CHUNK_ENTRIES // low.size))
-    group = min(rows, max(1, _BLOCK_ENTRIES // low.size))
-    A, sq = np.empty((group, *low.shape)), np.empty((rows, low.shape[0]))
+    near A = 0 that can be negative.  ``_accumulate`` negates A exactly for
+    complement patterns, rows i and H-1-i of ``_all_signs``, so sup(i, j) ==
+    sup(H-1-i, L-1-j) bit for bit (a test pins this): rows i < H/2 fill a
+    store, and each summation block reads rows i >= H/2 from it reversed."""
+    h, d = X.shape[0] // 2, X.shape[1]
+    low = _accumulate(_all_signs(h), X[:h], _spans(js[:h], slots, d), slots.size * d)
+    high = _accumulate(_all_signs(X.shape[0] - h), X[h:], _spans(js[h:], slots, d), slots.size * d)
+    H, half = high.shape[0], high.shape[0] // 2
+    rows = min(H, max(1, _CHUNK_ENTRIES // low.size))
+    group = min(half, max(1, _BLOCK_ENTRIES // low.size))
+    A, store, sq = np.empty((group, *low.shape)), np.empty((half, low.shape[0])), np.empty((rows, low.shape[0]))
+    for g in range(0, half, group):
+        part = A[: min(group, half - g)]
+        np.add(high[g : g + len(part), None, :], low, out=part)
+        np.einsum("...w,...w->...", part, part, out=store[g : g + len(part)])
+    _sup(store, radius)
     acc = 0.0
-    for b in range(0, high.shape[0], rows):
-        block = sq[: min(rows, high.shape[0] - b)]
-        for g in range(0, len(block), group):
-            part = A[: min(group, len(block) - g)]
-            np.add(high[b + g : b + g + len(part), None, :], low, out=part)
-            np.einsum("...w,...w->...", part, part, out=block[g : g + len(part)])
-        acc += float(np.sum(_sup(block, radius)))
+    for b in range(0, H, rows):
+        block = sq[: min(rows, H - b)]
+        top = min(len(block), max(0, half - b))  # the block's rows in the store
+        block[:top] = store[b : b + top]
+        block[top:] = store[H - b - len(block) : H - b - top][::-1, ::-1]
+        acc += float(np.sum(block))
     return acc
 
 
@@ -142,12 +154,12 @@ def estimate_complexity(
     width = (m + 7) // 8
     rng = generator(seed)
     sups = np.empty(trials)
-    block = max(1, _BLOCK_ENTRIES // m)
+    block, spans = max(1, _BLOCK_ENTRIES // m), _spans(js, slots, sample.d)
     for done in range(0, trials, chunk):
         packed = np.frombuffer(rng.bytes(min(chunk, trials - done) * width), dtype=np.uint8).reshape(-1, width)
         for b in range(0, len(packed), block):
             signs = 2 * np.unpackbits(packed[b : b + block], axis=1, count=m).view(np.int8) - 1
-            A = _accumulate(signs, X, js, slots)
+            A = _accumulate(signs, X, spans, slots.size * sample.d)
             _sup(np.einsum("kw,kw->k", A, A, out=sups[done + b : done + b + len(A)]), radius)
     per_trial = sups / m
     std_error = 0.0

@@ -16,7 +16,11 @@ loop and the flat enumeration of all 2^m sign vectors that
 blocked meet-in-the-middle sum, plus the exact sign-sum moment
 E|sum of m signs| behind the sandwich's Khintchine floor.  ``sup_ball``,
 the supremum for one sign vector, is the closed form the other tests check
-by brute force over ball directions.
+by brute force over ball directions.  ``full_grid_sum`` is the
+meet-in-the-middle sum over every pair of high and low sign patterns,
+which the exact path halved by reading half of the pairs as mirror images
+of the others; it keeps the same summation blocks, so the two agree bit for
+bit.
 
 ``sgd_step`` is the dense O(d * c) subgradient step that the lazily scaled
 training loop in ``vvlearn.optimizer`` must reproduce to rounding.
@@ -259,6 +263,45 @@ def exact_complexity(sample, radius, chunk=200_000):
         hi = min(lo + chunk, total)
         acc += float(np.sum(sup_batch(sample, enumerate_signs(m, lo, hi), radius)))
     return acc / (total * m)
+
+
+def sorted_pairs(sample):
+    """A sample's inputs, components and component slots stable-sorted by
+    component, as ``estimate_complexity`` hands them to its sums."""
+    order = np.argsort(sample.y, kind="stable")
+    return scipy_csr(sample.X).toarray()[order], sample.y[order], np.unique(sample.y)
+
+
+def _component_sums(signs, X, js, slots):
+    """A for each row of a (K, m) sign matrix, one component at a time, flattened to (K, slots.size * d)."""
+    d = X.shape[1]
+    A = np.zeros((signs.shape[0], slots.size * d))
+    lo, hi = np.searchsorted(js, slots, side="left"), np.searchsorted(js, slots, side="right")
+    for t in np.flatnonzero(hi > lo):
+        A[:, t * d : (t + 1) * d] = np.asarray(signs[:, lo[t] : hi[t]], dtype=np.float64) @ X[lo[t] : hi[t]]
+    return A
+
+
+def full_grid_sum(X, js, slots, radius, chunk_entries, block_entries):
+    """The meet-in-the-middle sum of sup over all 2^m sign vectors that fills
+    every (high, low) pattern pair, before the exact path mirrored half of
+    them.  X, js and slots come from ``sorted_pairs``; each summation block
+    of high rows is summed on its own and the block sums are folded left."""
+    h = X.shape[0] // 2
+    low = _component_sums(enumerate_signs(h, 0, 1 << h), X[:h], js[:h], slots)
+    high = _component_sums(enumerate_signs(X.shape[0] - h, 0, 1 << (X.shape[0] - h)), X[h:], js[h:], slots)
+    rows = min(high.shape[0], max(1, chunk_entries // low.size))
+    group = min(rows, max(1, block_entries // low.size))
+    A, sq = np.empty((group, *low.shape)), np.empty((rows, low.shape[0]))
+    acc = 0.0
+    for b in range(0, high.shape[0], rows):
+        block = sq[: min(rows, high.shape[0] - b)]
+        for g in range(0, len(block), group):
+            part = A[: min(group, len(block) - g)]
+            np.add(high[b + g : b + g + len(part), None, :], low, out=part)
+            np.einsum("...w,...w->...", part, part, out=block[g : g + len(part)])
+        acc += float(np.sum(radius * np.sqrt(block)))
+    return acc
 
 
 def mean_abs_sign_sum(m):

@@ -212,7 +212,10 @@ class TestTrainCommand:
         )
         assert code == 3
         captured = capsys.readouterr()
-        assert captured.err.startswith("property failure: iterate norm 24.4949 exceeded the certified bound 20 at step 1")
+        assert captured.err.startswith(
+            "property failure: loss coefficients at step 1 have l1 norm 4, above the certified max-norm Lipschitz "
+            "constant 2 (loss multinomial_logistic)"
+        )
         assert captured.out == ""
         assert not model.exists() and not log.exists()
 
@@ -769,7 +772,10 @@ class TestCheckCommand:
         assert code == 3
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "sgd-bound: FAIL (1 of 10 checks)"
-        assert lines[1].startswith("  counterexample: loss=ranking/hinge: iterate norm")
+        assert lines[1] == (
+            "  counterexample: loss=ranking/hinge: loss coefficients at step 1 have l1 norm 2, "
+            "above the certified max-norm Lipschitz constant 0.5 (loss ranking/hinge)"
+        )
         assert len(lines) == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

@@ -873,6 +873,13 @@ class TestFailuresInsideBlocks:
         message = self.raise_both(monkeypatch, pool, rows, configs, (t - 1) * self.R + r, lambda row: row * 3.0)
         assert f"loss coefficients at step {t} in chain {r} have l1 norm" in message
 
+    def test_inflated_coefficients_at_a_step_that_does_not_record(self, monkeypatch):
+        pool, rows, configs, sizes = self.setup(monkeypatch)  # only the final step, 300, records
+        t, r = self.mid_block_steps(sizes)[0], 2
+        assert t < configs[0].total_steps
+        message = self.raise_both(monkeypatch, pool, rows, configs, (t - 1) * self.R + r, lambda row: row * 3.0)
+        assert f"loss coefficients at step {t} in chain {r} have l1 norm" in message
+
     def chain_norms(self, monkeypatch, pool, rows, configs, r):
         """Chain r's running norm at every step, read through the certificate."""
         norms, check_segment = [], optimizer_module._check_segment
@@ -1055,10 +1062,10 @@ class TestIterateNormCertificate:
         with pytest.raises(CertificateError):
             train(data, config_for(data, total_steps=5))
 
-    def test_running_norm_trips_between_records(self, monkeypatch):
+    def test_running_norm_trips_between_records(self):
         # a bound below every nonzero norm; only the final step records
         data = tiny_dataset()
-        monkeypatch.setattr(optimizer_module, "_CERT_TOL", -1e6)
+        set_kappa(data, np.arange(len(data)), 1e-6)
         with pytest.raises(CertificateError, match="certified bound") as err:
             train(data, config_for(data, total_steps=50, record_every=50))
         assert int(re.search(r"at step (\d+)", str(err.value)).group(1)) < 50

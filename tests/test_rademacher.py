@@ -45,6 +45,12 @@ def random_sample(m, c, d=3, seed=0):
     return sample_from_dense(rng.standard_normal((m, d)), rng.integers(0, c - 1, size=m), c)
 
 
+def mixed_sample(m, c, d, seed=0):
+    """m random pairs over all c components."""
+    rng = np.random.default_rng(seed)
+    return sample_from_dense(rng.standard_normal((m, d)), rng.integers(0, c, size=m), c)
+
+
 def exhaustive_estimate(sample, radius):
     sups = []
     for signs in itertools.product((-1.0, 1.0), repeat=len(sample)):
@@ -283,6 +289,75 @@ class TestBlockedSums:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000, peak
+
+    def test_peak_memory_of_a_whole_grid_block(self):
+        # at c = d = 1 one summation block is the whole 1,024 x 1,024 grid
+        # (8.4 MB) and the filled top half adds 4.2 MB; a full grid store
+        # would add 8.4 MB
+        sample = mixed_sample(20, 1, 1, seed=1)
+        tracemalloc.start()
+        try:
+            estimate_complexity(sample, radius=1.0, trials=0, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14_000_000, peak
+
+
+def exact_sums(sample, radius=0.9):
+    """(the exact path's sum, the full-grid oracle's sum) at the module's block sizes."""
+    X, js, slots = oracles.sorted_pairs(sample)
+    chunk, block = rademacher_module._CHUNK_ENTRIES, rademacher_module._BLOCK_ENTRIES
+    return rademacher_module._exact_sum(X, js, slots, radius), oracles.full_grid_sum(X, js, slots, radius, chunk, block)
+
+
+PREMISE_SHAPES = [(20, 6, 2), (19, 5, 3), (7, 3, 2), (20, 1, 1), (13, 40, 4), (20, 6, 4)]  # (m, d, c)
+
+
+class TestMirroredSum:
+    """The exact path fills half the (high, low) grid and mirrors the rest."""
+
+    @pytest.mark.parametrize("d", [1, 6])
+    @pytest.mark.parametrize("c", [1, 2, 5])
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 13, 20])
+    def test_equals_the_full_grid_sum(self, m, c, d):
+        new, full = exact_sums(mixed_sample(m, c, d, seed=m * 10 + c))
+        assert new == full
+
+    @pytest.mark.parametrize("m", [7, 13])
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 5])
+    def test_equals_the_full_grid_sum_at_any_block_size(self, monkeypatch, m, chunk_rows, block_rows):
+        # H = 2^(m - m // 2) high rows, mirrored at H / 2: with 3 or 5 rows a
+        # summation block straddles the mirror row and later ones lie wholly
+        # below it; with 1 row every block holds one row
+        sample = mixed_sample(m, 3, 2, seed=m)
+        row = 2 ** (m // 2) * len(np.unique(sample.y)) * sample.d  # A_high[i] + A_low for one high row i
+        monkeypatch.setattr(rademacher_module, "_CHUNK_ENTRIES", chunk_rows * row)
+        monkeypatch.setattr(rademacher_module, "_BLOCK_ENTRIES", block_rows * row)
+        half = 2 ** (m - m // 2) // 2
+        assert chunk_rows == 1 or half % chunk_rows  # a block straddles the mirror row
+        new, full = exact_sums(sample)
+        assert new == full
+
+    @pytest.mark.parametrize("m,d,c", PREMISE_SHAPES)
+    def test_complement_patterns_give_negated_sums(self, m, d, c):
+        X, js, slots = oracles.sorted_pairs(mixed_sample(m, c, d, seed=m + d + c))
+        h = m // 2
+        halves = []
+        for part in (slice(None, h), slice(h, None)):
+            k = len(js[part])
+            A = rademacher_module._accumulate(
+                rademacher_module._all_signs(k), X[part], rademacher_module._spans(js[part], slots, d), slots.size * d
+            )
+            assert np.array_equal(A[::-1], -A)
+            halves.append(A)
+        low, high = halves
+        grid = np.empty((len(high), len(low)))
+        for i in range(0, len(high), 64):
+            part = high[i : i + 64, None, :] + low
+            np.einsum("...w,...w->...", part, part, out=grid[i : i + 64])
+        assert np.array_equal(grid, grid[::-1, ::-1])
 
 
 class TestSignSumMoments:
