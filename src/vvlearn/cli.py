@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: train, eval, curve, rademacher, check.  Exit codes are 0 on
-success, 1 for usage errors (bad or contradictory flags), 2 for data or
-parse errors (unreadable files, malformed lines, dimension mismatches),
-and 3 when a property check or certificate fails.
+success, 1 for usage errors (bad or contradictory flags, sizes too large to
+allocate), 2 for data or parse errors (unreadable files, malformed lines,
+dimension mismatches), and 3 when a property check or certificate fails.
 """
 
 from __future__ import annotations
@@ -464,7 +464,7 @@ def main(argv=None) -> int:
             if not os.path.isdir(os.path.dirname(path) or "."):  # before any work starts
                 raise DataError(f"{path}: output directory {os.path.dirname(path)} does not exist")
         return args.handler(args)
-    except UsageError as err:
+    except (UsageError, MemoryError) as err:  # numpy's MemoryError names the size it could not allocate
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except (DataError, ParseError, OSError) as err:

@@ -10,17 +10,20 @@ ball of radius R the supremum of the signed sum has a closed form,
 
 where A accumulates s_i * x_i into column j_i.  Complexity estimates
 average sup/m over random sign vectors, or over all 2^m of them exactly
-when m is small.  One kernel, ``_accumulate``, forms A for a matrix of
-sign vectors from the pairs stable-sorted by component, so each column of
-A is one contiguous slice of the signs times contiguous input rows.  The
-exact average meets in the middle over the sign patterns of two halves of
-the pairs and fills only the lower half of the high patterns (a store of
-at most 2^19 suprema, 4.2 MB), since flipping every sign keeps a
-supremum.  Monte-Carlo signs are unpacked from packed random bytes.  Both
-fill suprema in cache-sized blocks of ``_BLOCK_ENTRIES`` values; sums and
-draws keep their ``_CHUNK_ENTRIES`` chunks, so exact bits do not depend on
-the block size, while Monte-Carlo values may move in their last digit
-(BLAS rounding depends on the row count).
+when m is small.  A run of n consecutive equal pairs (one component, equal
+inputs) adds k * x for the sum k of its signs, so ``_accumulate`` forms A
+from a matrix of run sign sums, the pairs stable-sorted by component.  The
+exact average meets in the middle over two halves of the pairs, each
+listing its sign-sum vectors in mixed radix with their counts of sign
+vectors (``_all_counts``), and stores only the lower half of the high
+vectors' suprema (at most 2^19, 4.2 MB), since flipping every sign keeps a
+supremum; weighted suprema take the radius once, at the end, so integer
+ones sum exactly.  Monte-Carlo signs are packed random bytes, whose ones
+``np.bitwise_count`` counts per run (they are unpacked if no run repeats a
+pair).  Blocks hold ``_BLOCK_ENTRIES`` suprema or ``_SIGN_BLOCK_ENTRIES``
+signs (0.5 MB); chunks of ``_CHUNK_ENTRIES`` fix the sums and draws, so
+exact bits do not depend on the block size, while Monte-Carlo values may
+move in their last digit (BLAS rounding depends on the row count).
 ``sandwich_check`` compares estimates on unit-norm inputs against the
 analytic band
 
@@ -33,6 +36,7 @@ half holds for every sample with input norms at most 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +47,8 @@ from .seeding import derive_seed, generator
 _EXACT_LIMIT = 20
 _CHUNK_ENTRIES = 4_000_000
 _BLOCK_ENTRIES = 1 << 16
+_SIGN_BLOCK_ENTRIES = 1 << 19
+_BINOMIALS = np.array([[math.comb(n, k) for k in range(11)] for n in range(11)], dtype=float)  # a half of m <= 20 pairs
 
 
 def identical_pair_sample(m: int, d: int, c: int) -> Dataset:
@@ -88,23 +94,37 @@ class RademacherEstimate:
     exact: bool
 
 
-def _all_signs(h: int) -> np.ndarray:
-    """All 2^h sign vectors of length h as rows of +-1 floats."""
-    return ((np.arange(1 << h)[:, None] >> np.arange(h)) & 1) * 2.0 - 1.0
+def _runs(X: np.ndarray, js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first pair, size) of each run of consecutive equal pairs: one component and equal input rows."""
+    starts = np.flatnonzero(np.r_[True, (js[1:] != js[:-1]) | np.any(X[1:] != X[:-1], axis=1)][: len(js)])
+    return starts, np.diff(np.r_[starts, len(js)])
+
+
+def _all_counts(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every vector of sign sums over runs of ``sizes`` pairs, in mixed radix with run 0 fastest,
+    and how many sign vectors give each.  With every size 1 these are all 2^h sign vectors."""
+    radix = sizes + 1
+    ones = np.arange(np.prod(radix))[:, None] // (np.cumprod(radix) // radix) % radix
+    return ones * 2.0 - sizes, _BINOMIALS[sizes, ones].prod(axis=1)
 
 
 def _exact_sum(X: np.ndarray, js: np.ndarray, slots: np.ndarray, radius: float) -> float:
-    """Sum of sup over all 2^m sign vectors: over every pair of sign
-    patterns of the two halves of the pairs.  A_high + A_low is formed
-    directly, since expanding its square norm leaves a rounding residue
-    near A = 0 that can be negative.  ``_accumulate`` negates A exactly for
-    complement patterns, rows i and H-1-i of ``_all_signs``, so sup(i, j) ==
-    sup(H-1-i, L-1-j) bit for bit (a test pins this): rows i < H/2 fill a
-    store, and each summation block reads rows i >= H/2 from it reversed."""
+    """Sum of sup over all 2^m sign vectors: over every pair of sign-sum
+    vectors of the two halves of the pairs, each split into its runs.  A_high
+    + A_low is formed directly, since expanding its square norm leaves a
+    rounding residue near A = 0 that can be negative.  ``_accumulate``
+    negates A exactly for rows i and H-1-i of ``_all_counts``, so sup(i, j)
+    == sup(H-1-i, L-1-j) bit for bit (a test pins this): rows i < H/2 fill a
+    store, and summation blocks read the others from it reversed."""
     h, d = X.shape[0] // 2, X.shape[1]
-    low = _accumulate(_all_signs(h), X[:h], _spans(js[:h], slots, d), slots.size * d)
-    high = _accumulate(_all_signs(X.shape[0] - h), X[h:], _spans(js[h:], slots, d), slots.size * d)
-    H, half = high.shape[0], high.shape[0] // 2
+    halves = []
+    for Xh, jh in ((X[:h], js[:h]), (X[h:], js[h:])):
+        starts, sizes = _runs(Xh, jh)
+        counts, weights = _all_counts(sizes)
+        halves.append((_accumulate(counts, Xh[starts], _spans(jh[starts], slots, d), slots.size * d), weights))
+    (low, wl), (high, wh) = halves
+    weighted = max(wl.max(), wh.max()) > 1.0
+    H, half = high.shape[0], (high.shape[0] + 1) // 2
     rows = min(H, max(1, _CHUNK_ENTRIES // low.size))
     group = min(half, max(1, _BLOCK_ENTRIES // low.size))
     A, store, sq = np.empty((group, *low.shape)), np.empty((half, low.shape[0])), np.empty((rows, low.shape[0]))
@@ -112,7 +132,9 @@ def _exact_sum(X: np.ndarray, js: np.ndarray, slots: np.ndarray, radius: float) 
         part = A[: min(group, half - g)]
         np.add(high[g : g + len(part), None, :], low, out=part)
         np.einsum("...w,...w->...", part, part, out=store[g : g + len(part)])
-    _sup(store, radius)
+    _sup(store, 1.0 if weighted else radius)
+    if weighted:
+        store *= wh[:half, None] * wl
     acc = 0.0
     for b in range(0, H, rows):
         block = sq[: min(rows, H - b)]
@@ -120,6 +142,8 @@ def _exact_sum(X: np.ndarray, js: np.ndarray, slots: np.ndarray, radius: float) 
         block[:top] = store[b : b + top]
         block[top:] = store[H - b - len(block) : H - b - top][::-1, ::-1]
         acc += float(np.sum(block))
+    if weighted and not np.isfinite(acc := acc * radius):
+        raise ValueError("the summed suprema overflowed; the inputs or the radius are too large")
     return acc
 
 
@@ -150,15 +174,21 @@ def estimate_complexity(
     if trials == 0:
         total = 1 << m
         return RademacherEstimate(_exact_sum(X, js, slots, radius) / (total * m), 0.0, total, True)
-    chunk = max(1, _CHUNK_ENTRIES // m)
-    width = (m + 7) // 8
-    rng = generator(seed)
-    sups = np.empty(trials)
-    block, spans = max(1, _BLOCK_ENTRIES // m), _spans(js, slots, sample.d)
+    chunk, width = max(1, _CHUNK_ENTRIES // m), (m + 7) // 8
+    rng, sups = generator(seed), np.empty(trials)
+    starts, sizes = _runs(X, js)
+    block, X, spans = max(1, _SIGN_BLOCK_ENTRIES // m), X[starts], _spans(js[starts], slots, sample.d)
+    byte = np.minimum(np.r_[starts, m] // 8, width - 1)  # ones before a run bound: whole bytes, then lead bits
+    lead = (0xFF00 >> (np.r_[starts, m] - 8 * byte)).astype(np.uint8)
     for done in range(0, trials, chunk):
         packed = np.frombuffer(rng.bytes(min(chunk, trials - done) * width), dtype=np.uint8).reshape(-1, width)
         for b in range(0, len(packed), block):
-            signs = 2 * np.unpackbits(packed[b : b + block], axis=1, count=m).view(np.int8) - 1
+            part = packed[b : b + block]
+            if len(starts) < m:  # reduceat's last segment runs to the end, and a repeated index reads one byte
+                ones = np.add.reduceat(np.bitwise_count(part), byte, axis=1, dtype=np.int64)[:, :-1] * (np.diff(byte) > 0)
+                signs = 2 * (ones + np.diff(np.bitwise_count(part[:, byte] & lead).astype(np.int64), axis=1)) - sizes
+            else:
+                signs = 2 * np.unpackbits(part, axis=1, count=m).view(np.int8) - 1
             A = _accumulate(signs, X, spans, slots.size * sample.d)
             _sup(np.einsum("kw,kw->k", A, A, out=sups[done + b : done + b + len(A)]), radius)
     per_trial = sups / m

@@ -14,7 +14,11 @@ whose class ids are the components.  They are the per-component supremum
 loop and the flat enumeration of all 2^m sign vectors that
 ``vvlearn.rademacher`` replaced with component-sorted slices and a
 blocked meet-in-the-middle sum, plus the exact sign-sum moment
-E|sum of m signs| behind the sandwich's Khintchine floor.  ``sup_ball``,
+E|sum of m signs| behind the sandwich's Khintchine floor.  ``all_signs``
+lists the 2^h sign vectors that the exact path enumerates as sign sums
+over runs of equal pairs, and ``monte_carlo_complexity`` scores the
+Monte-Carlo stream unpacked one sign per pair, where the estimator counts
+the ones of each run in its packed bytes.  ``sup_ball``,
 the supremum for one sign vector, is the closed form the other tests check
 by brute force over ball directions.  ``full_grid_sum`` is the
 meet-in-the-middle sum over every pair of high and low sign patterns,
@@ -62,6 +66,7 @@ from scipy.special import expit
 
 from vvlearn.dataio import Dataset, ParseError
 from vvlearn.optimizer import train, train_many
+from vvlearn.seeding import generator
 
 
 def base_value(base, t):
@@ -245,6 +250,32 @@ def sup_batch(sample, signs, radius):
 def sup_ball(sample, signs, radius):
     """The supremum for one sign vector: the single-row case of sup_batch."""
     return float(sup_batch(sample, np.asarray(signs)[None, :], radius)[0])
+
+
+def all_signs(h):
+    """All 2^h sign vectors of length h as rows of +-1 floats, bit i of the
+    row index giving sign i: the enumeration the exact path generalized to
+    sign sums over runs of equal pairs."""
+    return ((np.arange(1 << h)[:, None] >> np.arange(h)) & 1) * 2.0 - 1.0
+
+
+def monte_carlo_complexity(sample, radius, trials, seed, chunk_entries):
+    """(mean, std_error) of sup/m over ``trials`` sign vectors unpacked one
+    sign per pair from the estimator's packed stream, drawn in its chunks of
+    ``chunk_entries // m`` vectors.  Bit i of a vector is the sign of the
+    i-th pair in component order."""
+    m, width = len(sample), (len(sample) + 7) // 8
+    chunk, rng = max(1, chunk_entries // m), generator(seed)
+    order = np.argsort(sample.y, kind="stable")
+    sups = []
+    for done in range(0, trials, chunk):
+        packed = np.frombuffer(rng.bytes(min(chunk, trials - done) * width), dtype=np.uint8).reshape(-1, width)
+        signs = np.empty((len(packed), m), dtype=np.int8)
+        signs[:, order] = 2 * np.unpackbits(packed, axis=1, count=m).view(np.int8) - 1
+        sups.append(sup_batch(sample, signs, radius))
+    per_trial = np.concatenate(sups) / m
+    _, e = np.frexp(np.max(per_trial))
+    return float(np.mean(per_trial)), float(np.ldexp(np.std(np.ldexp(per_trial, -e), ddof=1), e) / np.sqrt(trials))
 
 
 def enumerate_signs(m, lo, hi):

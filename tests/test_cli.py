@@ -730,6 +730,21 @@ class TestRademacherCommand:
             "--out", str(tmp_path / "r.csv"),
         ) == 1
 
+    def test_unallocatable_sample_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # numpy's message for n * c = 4e9 pairs of d = 6, as --n 2000000 --c 2000 --d 6 raises it
+        message = "Unable to allocate 179. GiB for an array with shape (4000000000, 6) and data type float64"
+
+        def fail(**kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli_module, "sandwich_check", fail)
+        out = tmp_path / "r.csv"
+        assert run(
+            "rademacher", "--n", "2000000", "--c", "2000", "--d", "6", "--trials", "1", "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
 
 class TestCheckCommand:
     def test_lipschitz_suite_passes(self, capsys):

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -267,8 +268,8 @@ class TestBlockedSums:
     def test_monte_carlo_repeats_per_block_size(self, monkeypatch, m, c, trials):
         sample = random_sample(m, c, seed=m)
         runs = []
-        for entries in block_sizes(m):
-            monkeypatch.setattr(rademacher_module, "_BLOCK_ENTRIES", entries)
+        for entries in [m, 7 * m, rademacher_module._SIGN_BLOCK_ENTRIES]:
+            monkeypatch.setattr(rademacher_module, "_SIGN_BLOCK_ENTRIES", entries)
             est = estimate_complexity(sample, radius=1.0, trials=trials, seed=4)
             again = estimate_complexity(sample, radius=1.0, trials=trials, seed=4)
             assert (est.mean, est.std_error) == (again.mean, again.std_error)
@@ -280,15 +281,16 @@ class TestBlockedSums:
     @pytest.mark.parametrize("m,trials", [(20, 0), (1600, 10_000)])
     def test_peak_memory_stays_cache_sized(self, m, trials):
         # one summation block of A_high + A_low alone took 32 MB, and a
-        # Monte-Carlo chunk widened 8 MB of signs per component
-        sample = random_sample(m, 5, d=6, seed=1)
-        tracemalloc.start()
-        try:
-            estimate_complexity(sample, radius=1.0, trials=trials, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8_000_000, peak
+        # Monte-Carlo chunk widened 8 MB of signs per component; the
+        # worst-case sample counts its one run's signs in packed bytes
+        for sample in (random_sample(m, 5, d=6, seed=1), identical_pair_sample(m, 6, 5)):
+            tracemalloc.start()
+            try:
+                estimate_complexity(sample, radius=1.0, trials=trials, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8_000_000, peak
 
     def test_peak_memory_of_a_whole_grid_block(self):
         # at c = d = 1 one summation block is the whole 1,024 x 1,024 grid
@@ -348,7 +350,7 @@ class TestMirroredSum:
         for part in (slice(None, h), slice(h, None)):
             k = len(js[part])
             A = rademacher_module._accumulate(
-                rademacher_module._all_signs(k), X[part], rademacher_module._spans(js[part], slots, d), slots.size * d
+                oracles.all_signs(k), X[part], rademacher_module._spans(js[part], slots, d), slots.size * d
             )
             assert np.array_equal(A[::-1], -A)
             halves.append(A)
@@ -358,6 +360,96 @@ class TestMirroredSum:
             part = high[i : i + 64, None, :] + low
             np.einsum("...w,...w->...", part, part, out=grid[i : i + 64])
         assert np.array_equal(grid, grid[::-1, ::-1])
+
+
+def runs_sample(runs, d=3, seed=0):
+    """A sample laid out in runs: each (size, component, row) repeats one of
+    a few random input rows, chosen by its index, on one component."""
+    rows = np.random.default_rng(seed).standard_normal((1 + max(row for _, _, row in runs), d))
+    sizes, js, picks = zip(*runs)
+    return sample_from_dense(np.repeat(rows[list(picks)], sizes, axis=0), np.repeat(js, sizes), 1 + max(js))
+
+
+RUN_LAYOUTS = {
+    # h = m // 2 = 5 falls inside the middle run; the high half has 5 * 3 sign-sum rows, an odd count
+    "straddles-the-split": [(3, 0, 0), (6, 0, 1), (2, 1, 2)],
+    # runs over pairs 5..13 and 14..16 cross the byte boundaries at 8 and 16
+    "crosses-bytes": [(5, 0, 0), (9, 0, 1), (3, 1, 2), (3, 1, 3)],
+    "row-split-by-component": [(4, 0, 0), (3, 1, 0), (2, 1, 1)],
+    "single-between-long": [(6, 0, 0), (1, 0, 1), (7, 0, 2)],
+    "one-pair": [(1, 0, 0)],
+    # components alternate, so only the stable sort by component forms the runs
+    "interleaved": [(1, 0, 0), (1, 1, 1)] * 6,
+}
+
+
+class TestRunsOfEqualPairs:
+    """A run of n equal pairs adds k * x for the sum k of its n signs."""
+
+    @pytest.mark.parametrize("h", [0, 1, 2, 5, 10])
+    def test_all_counts_of_single_pairs_are_all_signs(self, h):
+        counts, weights = rademacher_module._all_counts(np.ones(h, dtype=np.int64))
+        assert np.array_equal(counts, oracles.all_signs(h))
+        assert np.array_equal(weights, np.ones(1 << h))
+
+    def test_all_counts_tally_every_sign_vector_once(self):
+        # runs of 3, 1 and 4 pairs: the sign sums of all 2^8 sign vectors, tallied
+        counts, weights = rademacher_module._all_counts(np.array([3, 1, 4]))
+        assert np.array_equal(counts[:2], [[-3, -1, -4], [-1, -1, -4]])  # run 0 varies fastest
+        signs = oracles.all_signs(8)
+        sums = np.stack([signs[:, :3].sum(1), signs[:, 3], signs[:, 4:].sum(1)], axis=1)
+        patterns, tally = np.unique(sums, axis=0, return_counts=True)
+        by_row = np.lexsort(counts.T[::-1])  # np.unique's order: the first column slowest
+        assert np.array_equal(counts[by_row], patterns) and np.array_equal(weights[by_row], tally)
+        assert np.array_equal(counts[::-1], -counts)
+
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_worst_case_exact_equals_the_closed_form(self, m):
+        total = sum(math.comb(m, k) * abs(m - 2 * k) for k in range(m + 1))
+        for c, d, radius in itertools.product((1, 2, 3), (1, 6), (np.sqrt(2.0), 1.0, 0.37, 123.456)):
+            est = estimate_complexity(identical_pair_sample(m, d, c), radius, trials=0, seed=0)
+            assert est.mean == radius * total / (2**m * m)
+            assert est.trials == 2**m
+
+    @pytest.mark.parametrize("layout", RUN_LAYOUTS)
+    def test_exact_matches_flat_enumeration_oracle(self, layout):
+        sample = runs_sample(RUN_LAYOUTS[layout])
+        est = estimate_complexity(sample, radius=0.9, trials=0, seed=0)
+        expected = oracles.exact_complexity(sample, 0.9)
+        assert abs(est.mean - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("layout", RUN_LAYOUTS)
+    def test_monte_carlo_matches_the_unpacked_stream(self, layout):
+        sample = runs_sample(RUN_LAYOUTS[layout])
+        est = estimate_complexity(sample, radius=0.9, trials=3000, seed=11)
+        mean, std_error = oracles.monte_carlo_complexity(sample, 0.9, 3000, 11, rademacher_module._CHUNK_ENTRIES)
+        assert abs(est.mean - mean) <= 1e-13 * mean
+        assert abs(est.std_error - std_error) <= 1e-13 * std_error
+
+    def test_monte_carlo_matches_the_unpacked_stream_across_chunks(self, monkeypatch):
+        # random run lengths over 300 pairs, with chunks and blocks of a few rows
+        sizes = np.random.default_rng(3).integers(1, 20, size=30)
+        sample = runs_sample([(int(n), r % 3, r) for r, n in enumerate(sizes)], d=4, seed=3)
+        monkeypatch.setattr(rademacher_module, "_CHUNK_ENTRIES", 250 * len(sample))
+        monkeypatch.setattr(rademacher_module, "_SIGN_BLOCK_ENTRIES", 37 * len(sample))
+        est = estimate_complexity(sample, radius=1.0, trials=1000, seed=2)
+        mean, std_error = oracles.monte_carlo_complexity(sample, 1.0, 1000, 2, 250 * len(sample))
+        assert abs(est.mean - mean) <= 1e-13 * mean
+        assert abs(est.std_error - std_error) <= 1e-13 * std_error
+
+    @pytest.mark.parametrize("rows,radius", [([[1e160, 0.0]] * 2, 1.0), ([[1.0, 0.0]] * 4, 1e308)])
+    def test_overflow_with_runs_rejected(self, rows, radius):
+        # a supremum past the float range at radius 1, and a weighted sum past it at the radius
+        with pytest.raises(ValueError, match="overflowed"):
+            estimate_complexity(sample_from_dense(rows, [0] * len(rows), 2), radius=radius, trials=0, seed=0)
+
+    @pytest.mark.parametrize("m", [1, 7, 8, 13, 100, 401, 1600])
+    def test_worst_case_monte_carlo_keeps_the_unpacked_bits(self, m):
+        # A = k * e_0 is exact whether k is counted or summed sign by sign
+        sample = identical_pair_sample(m, 6, 4)
+        est = estimate_complexity(sample, radius=0.9, trials=2600, seed=m)
+        expected = oracles.monte_carlo_complexity(sample, 0.9, 2600, m, rademacher_module._CHUNK_ENTRIES)
+        assert (est.mean, est.std_error) == expected
 
 
 class TestSignSumMoments:
