@@ -1,4 +1,4 @@
-"""Prediction and matrix norms.
+"""Prediction, the grouping of CSR rows by nnz, and matrix norms.
 
 A predictor is a dense weight matrix ``w`` of shape ``(d, c)`` holding one
 column per output component: component j scores an input x as the inner
@@ -31,19 +31,34 @@ def predict(w: np.ndarray, X, rows: np.ndarray | None = None) -> np.ndarray:
         raise ValueError(f"input has dimension {X.shape[1]} but weight matrix expects {w.shape[0]}")
     if w.shape[1] == 1:
         return predict(np.hstack([w, np.zeros_like(w)]), X, rows)[:, :1]
-    rows = np.arange(X.shape[0]) if rows is None else np.asarray(rows)
-    starts = X.indptr.take(rows)
-    widths = X.indptr.take(rows + 1) - starts
-    out = np.zeros((len(rows), w.shape[1]))
-    for k in np.unique(widths[widths > 0]).tolist():
-        members = np.flatnonzero(widths == k)
-        entries = starts.take(members) + np.arange(k)[:, None]  # entry j of every member in row j
+    out = np.zeros((X.shape[0] if rows is None else len(rows), w.shape[1]))
+    for members, starts, k in nnz_groups(X.indptr, rows):
+        entries = starts + np.arange(k)[:, None]  # entry j of every member in row j
         values = X.data.take(entries)
         if k == w.shape[0]:  # full-width rows hold columns 0 to d - 1 in order
             out[members] = np.einsum("kn,kc->cn", values, w).T
         else:
             out[members] = np.einsum("kn,knc->nc", values, w.take(X.indices.take(entries), axis=0))
     return out
+
+
+def nnz_groups(indptr: np.ndarray, rows: np.ndarray | None = None, max_entries: int | None = None):
+    """Rows of a CSR layout grouped by nnz: yields (members, starts, k) for k ascending.
+
+    indptr is the layout's row pointer.  members holds the ascending
+    positions in rows (every row when rows is None) whose row has k > 0
+    entries, and starts where each one's entries begin; rows without entries
+    belong to no group.  With max_entries, a group comes in pieces of at
+    most that many entries, or of one row.
+    """
+    starts = indptr[:-1] if rows is None else indptr.take(rows)
+    widths = (indptr[1:] if rows is None else indptr.take(np.add(rows, 1))) - starts
+    for k in np.unique(widths[widths > 0]).tolist():
+        members = np.flatnonzero(widths == k)
+        size = len(members) if max_entries is None else max(1, max_entries // k)
+        for lo in range(0, len(members), size):
+            piece = members[lo : lo + size]
+            yield piece, starts.take(piece), k
 
 
 def segments(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

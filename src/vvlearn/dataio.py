@@ -30,12 +30,12 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import squared_norms
+from .core import nnz_groups, squared_norms
 from .seeding import generator
 
 
-# Entries per block of equal-nnz rows that ``_row_blocks`` yields, bounding
-# the temporary arrays of ``row_sq_norms`` and ``normalize_rows``.
+# Entries per block of equal-nnz rows that ``row_sq_norms`` and
+# ``normalize_rows`` take from ``core.nnz_groups``, bounding their temporaries.
 _NORMALIZE_CHUNK_ENTRIES = 1 << 14
 # Characters of whole lines that ``parse_sparse_text`` reads at once, bounding
 # its token lists.
@@ -128,8 +128,8 @@ class Dataset:
         """Each row's squared norm, with the per-row dot ``normalize_rows`` makes 1.0."""
         # per-row dots on equal-nnz row blocks, as np.linalg.norm takes them
         out = np.zeros(len(self))
-        for rows, entries in _row_blocks(self.X):
-            out[rows] = squared_norms(self.X.data[entries])
+        for rows, starts, k in nnz_groups(self.X.indptr, max_entries=_NORMALIZE_CHUNK_ENTRIES):
+            out[rows] = squared_norms(self.X.data[starts[:, None] + np.arange(k)])
         return out
 
     @property
@@ -142,18 +142,6 @@ class Dataset:
             return NotImplemented
         same = all(map(np.array_equal, (*self.X, self.y), (*other.X, other.y)))
         return same and self.c == other.c and self.task == other.task
-
-
-def _row_blocks(X: CSR):
-    """Yield (rows, entries) for blocks of nonempty rows of X with equal nnz k:
-    the row ids, and their (len(rows), k) positions in X.data, at most
-    _NORMALIZE_CHUNK_ENTRIES positions (or one row) per block."""
-    starts, lengths = X.indptr[:-1], np.diff(X.indptr)
-    for k in np.unique(lengths[lengths > 0]):
-        rows, size = np.flatnonzero(lengths == k), max(1, _NORMALIZE_CHUNK_ENTRIES // k)
-        for lo in range(0, len(rows), size):
-            block = rows[lo : lo + size]
-            yield block, starts[block, None] + np.arange(k)
 
 
 def write_lines(destination, lines) -> None:
@@ -395,7 +383,8 @@ def normalize_rows(dataset: Dataset) -> Dataset:
     """
     X = dataset.X
     data = X.data.copy()
-    for _, entries in _row_blocks(X):
+    for _, starts, k in nnz_groups(X.indptr, max_entries=_NORMALIZE_CHUNK_ENTRIES):
+        entries = starts[:, None] + np.arange(k)
         data[entries] = _unit_rows(data[entries])
     return Dataset(X._replace(data=data), dataset.y, dataset.c, dataset.task, dict(dataset.label_map))
 

@@ -30,20 +30,19 @@ group (2, p) step rescales V's columns at O(d * c); both leave a = 1.
 Indices are drawn a chunk of steps at a time, each chain from its own
 generator (numpy's bounded-integer stream does not depend on how the draws
 are split).  Each chunk is planned in arrays: its drawn rows, with feature
-indices offset by r * d into V viewed as (R * d, c); eta_t and the scale
-before and after each step; its blocks and their labels (``LossSpec.plan``
-and ``LossSpec.blocks``).  Left folds (``np.multiply.accumulate``) keep the
-sequential loop's bits.  Python then walks blocks, not steps: maximal runs
-of steps in which no step reads a row of V that an earlier one wrote.
-A block scores its B drawn rows with stacked (B, 1, k) @ (B, k, c)
-products, makes one ``LossSpec.coef`` call and writes its rows of V back.
-When a chunk's rows all have nnz k, its blocks slice views made once per
-chunk, and at k = d (one step per block) they score and update V in place;
-ragged blocks group their rows by nnz.  A stacked product equals each
-row's own product and the update is elementwise, so a blocked run equals
-stepping one at a time bit for bit.  Recording steps end a block, a block
-of more than one step gathers at most ``_BLOCK_VALUES`` values of V, and
-a folding step stands alone.
+indices offset by r * d into V viewed as (R * d, c), grouped by nnz
+(``core.nnz_groups``); eta_t and the scale before and after each step; its
+blocks and their labels (``LossSpec.plan`` and ``LossSpec.blocks``).  Left
+folds (``np.multiply.accumulate``) keep the sequential loop's bits.  Python
+then walks blocks, not steps: maximal runs of steps in which no step reads
+a row of V that an earlier one wrote.  A block scores each group's rows with
+stacked (m, 1, k) @ (m, k, c) products over their gathered rows of V, makes
+one ``LossSpec.coef`` call and writes the rows back; rows without entries
+score zero.  A chunk of one nnz is one group of views, updating V in place
+at k = d.  A stacked product equals each row's own product and the update is
+elementwise, so a blocked run equals stepping one at a time bit for
+bit.  Recording steps end a block, a block of more than one step gathers at
+most ``_BLOCK_VALUES`` values of V, and a folding step stands alone.
 
 A step's change to ||V_r||_F^2 follows from its raw scores x . V_r and
 coefficients (``_norm_changes``; a fold adds ||V_r||^2 after its rescale
@@ -65,10 +64,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import frobenius_norm, predict, segments
+from .core import frobenius_norm, nnz_groups, predict, segments
 from .dataio import Dataset
 from .losses import LossSpec
 from .regularizers import RegularizerSpec
+from .seeding import generator
 
 # Steps per draw chunk are this many entries over R times the widest row,
 # bounding the gathered index and value buffers of a chunk.
@@ -245,7 +245,7 @@ def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     step conflicts with the one before and the scan is skipped.
     """
     R = len(rows)
-    rngs = [np.random.Generator(np.random.PCG64(config.seed)) for config in configs]
+    rngs = [generator(config.seed) for config in configs]
     widths = [np.diff(data.X.indptr).take(chain) for chain in rows]
     widest = max(int(np.max(w)) for w in widths)
     dense = any(2 * int(np.min(w)) > data.d for w in widths)
@@ -286,11 +286,6 @@ def _check_segment(a: np.ndarray, v_sq: np.ndarray, bounds: np.ndarray, t: int, 
     if failed.size:
         j, r = divmod(int(failed[0]), len(bounds))
         _check_iterate(float(norms[j, r]), float(bounds[r]), t + j, loss, reg, r if len(bounds) > 1 else None)
-
-
-def _squares(v: np.ndarray) -> np.ndarray:
-    """||v[i]||^2 for every i, v of shape (n, ...), by pairwise sums that no BLAS thread count moves."""
-    return np.sum((v * v).reshape(len(v), -1), axis=1)
 
 
 def _scales(reg: RegularizerSpec, a: float, eta: np.ndarray):
@@ -341,28 +336,22 @@ def _norm_changes(scores: np.ndarray, coef: np.ndarray, x_sq: np.ndarray, rho: n
     return np.where(np.isinf(quad), quad, quad - 2.0 * rho * np.add.reduce(scores * coef, axis=1))
 
 
-def _equal_width(offsets: np.ndarray) -> int | None:
-    """The nnz that every drawn row of a chunk has, or None when they differ."""
-    return int(offsets[1] - offsets[0]) if np.ptp(np.diff(offsets)) == 0 else None
+def _plan(offsets: np.ndarray, features: np.ndarray, values: np.ndarray, lows: list[int], d: int):
+    """A chunk's drawn rows grouped by nnz, for blocks that start at drawn rows lows, then n.
 
-
-def _groups(flat: np.ndarray, idx: np.ndarray, vals: np.ndarray, offsets: np.ndarray):
-    """A block's drawn rows, grouped by nnz, as stacked matrices.
-
-    idx and vals (entries,) hold the block's indices into V, viewed as
-    ``flat`` of shape (R * d, c), and its values; offsets, counted from 0,
-    says where each drawn row starts.  Returns (members, where, grid, x) per
-    nnz: the drawn rows with it, their indices into V as (members, nnz),
-    their rows of V as (members, nnz, c) and values as (members, 1, nnz).
+    Yields (members, where, xs, firsts) per group: its drawn rows, their
+    indices into V viewed as (R * d, c) and values, shaped (m, k) and
+    (m, 1, k), and firsts[b] the position in members of block b's first
+    member.  A group of every row is views; at k = d where is None.
     """
-    rows = flat.take(idx, axis=0)
-    widths = np.diff(offsets)
-    order = np.argsort(widths, kind="stable")
-    groups = []
-    for members in np.split(order, np.flatnonzero(np.diff(widths.take(order))) + 1):
-        entries = offsets.take(members)[:, None] + np.arange(widths[members[0]])
-        groups.append((members, idx[entries], rows[entries], vals[entries][:, None, :]))
-    return groups
+    n = len(offsets) - 1
+    for members, starts, k in nnz_groups(offsets):
+        if len(members) == n:
+            where, xs = (None if k == d else features.reshape(n, k)), values.reshape(n, 1, k)
+        else:
+            entries = starts[:, None] + np.arange(k)
+            where, xs = features.take(entries), values.take(entries)[:, None, :]
+        yield members, where, xs, np.searchsorted(members, lows).tolist()
 
 
 def _block_edges(offsets: np.ndarray, conflicts: list[int], R: int, c: int, ends: list[int]) -> list[int]:
@@ -419,44 +408,42 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         # Drawn rows (in step, chain order) score at the scale before their step and update with rho = eta_t / a.
         scale, rho = np.repeat(before, R)[:, None], np.repeat(eta / after, R)
         x_sq = np.bincount(np.repeat(np.arange(n), np.diff(offsets)), weights=values * values, minlength=n)
-        k, cuts = _equal_width(offsets), offsets.tolist()
-        if k is not None:
-            xs, where = values.reshape(n, 1, k), features.reshape(n, k)
-
-        def gather(r0, r1):
-            """``_groups`` of drawn rows r0 to r1 - 1, with rows of V None when they are all of V in order."""
-            if k is None:
-                e0, e1 = cuts[r0], cuts[r1]
-                return _groups(flat, features[e0:e1], values[e0:e1], offsets[r0 : r1 + 1] - e0)
-            if k == d:  # full-width rows: one step of every chain
-                return [(slice(None), None, v, xs[r0:r1])]
-            return [(slice(None), where[r0:r1], flat.take(where[r0:r1], axis=0), xs[r0:r1])]
-
         # Row 0 of sq holds each chain's ||V_r||^2 before the chunk and row j + 1 that after a fold at step j;
         # each segment adds its steps' changes, and a left fold from each start gives the running sums.
-        scores, coefs = np.empty((n, c)), np.empty((n, c))
+        scores, coefs = np.zeros((n, c)), np.empty((n, c))  # rows without entries score zero
         sq = np.concatenate([v_sq[None], np.zeros((size, R))])
-        checks = {size, min(size, total - t0), *range(record_every - t0 % record_every, size, record_every)}
+        checks = {size, *range(record_every - t0 % record_every, size, record_every)}
         ends = sorted(checks.union(folds, [f + 1 for f in folds]) - {0})
         edges = _block_edges(offsets, conflicts, R, c, ends)
-        blocks = loss.blocks(labels, drawn, [lo * R for lo in edges])
+        lows = [lo * R for lo in edges]
+        blocks, plan = loss.blocks(labels, drawn, lows), list(_plan(offsets, features, values, lows, d))
+
+        def score(b, r0, r1):
+            """Score block b's drawn rows r0 to r1 - 1; returns (members, rows of V or None, grid, x) per group."""
+            groups = []
+            for members, where, xs, firsts in plan:
+                i0, i1 = firsts[b], firsts[b + 1]
+                if where is None:  # full-width rows: one step of every chain
+                    groups.append((slice(None), None, v, xs[i0:i1]))
+                elif i0 < i1:
+                    own = slice(None) if i1 - i0 == r1 - r0 else members[i0:i1] - r0
+                    groups.append((own, where[i0:i1], flat.take(where[i0:i1], axis=0), xs[i0:i1]))
+            for own, _, grid, x in groups:
+                scores[r0:r1][own] = (x @ grid)[:, 0]
+            return groups
+
         folded, b, g0 = set(folds), 0, 0
         for end in ends:
             with np.errstate(all="ignore"):  # a non-finite iterate raises below, naming its step
                 while edges[b] < end:
-                    # One block: steps lo to hi - 1 advance in one batched pass.
-                    lo, hi = edges[b], edges[b + 1]
-                    r0, r1 = lo * R, hi * R
-                    groups, block_scores = gather(r0, r1), scores[r0:r1]
-                    for members, _, grid, x in groups:
-                        block_scores[members] = (x @ grid)[:, 0]
-                    coef = coefs[r0:r1] = loss.coef(scale[r0:r1] * block_scores, blocks[b])
+                    # One block: steps edges[b] to edges[b + 1] - 1 advance in one batched pass.
+                    lo, r0, r1 = edges[b], lows[b], lows[b + 1]
+                    groups = score(b, r0, r1)
+                    coef = coefs[r0:r1] = loss.coef(scale[r0:r1] * scores[r0:r1], blocks[b])
                     if lo in folded:  # the norm change starts from the rescaled V
                         _rescale(reg, float(before[lo]), v, float(eta[lo]))
-                        sq[lo + 1] = _squares(v)
-                        groups = gather(r0, r1)
-                        for members, _, grid, x in groups:
-                            block_scores[members] = (x @ grid)[:, 0]
+                        sq[lo + 1] = np.sum(v * v, axis=(1, 2))
+                        groups = score(b, r0, r1)
                     for members, rows_of_v, grid, x in groups:
                         grid -= rho[r0:r1, None, None][members] * (x.mT * coef[members, None, :])
                         if rows_of_v is not None:  # grid is a copy of those rows
@@ -490,7 +477,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
             if not recording:
                 continue
             w = float(after[end - 1]) * v
-            sq[end] = _squares(v)
+            sq[end] = np.sum(v * v, axis=(1, 2))
             norms = [frobenius_norm(w_r) for w_r in w]
             for r, norm, bound in zip(chain_ids, norms, bounds.tolist()):
                 _check_iterate(norm, bound, t, loss, reg, r)

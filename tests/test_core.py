@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 import vvlearn.core as core_module
 import vvlearn.optimizer as optimizer_module
-from vvlearn.core import frobenius_norm, l2p_norm, predict, squared_norms
+from vvlearn.core import frobenius_norm, l2p_norm, nnz_groups, predict, squared_norms
 from vvlearn.dataio import Dataset
 from vvlearn.losses import LossSpec
 
@@ -115,6 +115,55 @@ class TestPredictOracle:
         monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", 7 * c)  # seven rows per chunk
         got = optimizer_module._row_losses(w, data, loss, rows)
         assert same_bits(got, loss.value(np.asarray(X[rows] @ w), data.y[rows]))
+
+
+def per_row_groups(indptr, rows, max_entries):
+    """The groups ``nnz_groups`` should yield, found one row at a time."""
+    positions = range(len(indptr) - 1) if rows is None else range(len(rows))
+    row = (lambda i: i) if rows is None else (lambda i: int(rows[i]))
+    widths = {i: int(indptr[row(i) + 1] - indptr[row(i)]) for i in positions}
+    groups = []
+    for k in sorted(set(widths.values()) - {0}):
+        members = [i for i in positions if widths[i] == k]
+        size = len(members) if max_entries is None else max(1, max_entries // k)
+        for lo in range(0, len(members), size):
+            piece = members[lo : lo + size]
+            groups.append((piece, [int(indptr[row(i)]) for i in piece], k))
+    return groups
+
+
+class TestNnzGroups:
+    """nnz_groups against a per-row oracle: k ascending, members ascending, empty rows skipped."""
+
+    @pytest.mark.parametrize("max_entries", [None, 1, 5, 12, 1000])
+    @pytest.mark.parametrize("given", [False, True])
+    def test_matches_per_row_grouping(self, given, max_entries):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            widths = rng.integers(0, 9, size=n) * (rng.random(n) < 0.8)  # about one row in five is empty
+            indptr = np.concatenate(([0], np.cumsum(widths)))
+            rows = rng.integers(0, n, size=int(rng.integers(1, 3 * n))) if given else None  # repeats when given
+            got = [(m.tolist(), s.tolist(), k) for m, s, k in nnz_groups(indptr, rows, max_entries)]
+            assert got == per_row_groups(indptr, rows, max_entries)
+            for members, _, k in got:
+                assert k > 0 and members == sorted(members)
+                assert max_entries is None or len(members) * k <= max_entries or len(members) == 1
+            assert [k for _, _, k in got] == sorted(k for _, _, k in got)
+
+    def test_a_row_wider_than_the_bound_is_a_group_of_one(self):
+        indptr = np.array([0, 7, 14, 16])
+        assert [(m.tolist(), s.tolist(), k) for m, s, k in nnz_groups(indptr, max_entries=4)] == [
+            ([2], [14], 2),
+            ([0], [0], 7),
+            ([1], [7], 7),
+        ]
+
+    def test_a_layout_without_entries_has_no_groups(self):
+        indptr = np.zeros(5, dtype=np.int64)
+        assert list(nnz_groups(indptr)) == []
+        assert list(nnz_groups(indptr, np.array([3, 0, 3]), max_entries=2)) == []
+        assert list(nnz_groups(np.zeros(1, dtype=np.int64))) == []
 
 
 class TestSquaredNorms:

@@ -1,4 +1,4 @@
-"""The bytes of eight small CLI runs, pinned by their sha256.
+"""The bytes of ten small CLI runs, pinned by their sha256.
 
 A change meant to keep every result bit for bit leaves these digests alone.
 One that moves numbers on purpose updates them here and lists old -> new
@@ -7,9 +7,10 @@ ranking rows under the theorem schedule (the scale folds at step 1, and
 some rows have more than 256 pairs), ragged multiclass rows with one
 chain, a lockstep passes curve, and the group (2, p) regularizer.  A
 ranking gap curve records train and holdout objectives over subsets of
-the pool.  Two ``rademacher`` runs pin the sandwich CSV: an exhaustive one
-over 2^20 sign vectors, whose bits no block size may move, and a
-Monte-Carlo one.  The last evaluates the ranking model on a file the parser
+the pool.  A ragged train and a passes curve read files in which one row
+in seven has labels and no features.  Two ``rademacher`` runs pin the
+sandwich CSV: an exhaustive one over 2^20 sign vectors, whose bits no
+block size may move, and a Monte-Carlo one.  The last evaluates the ranking model on a file the parser
 has to work for: comment and blank lines, CRLF endings and unsorted feature
 indices.
 ``vvlearn check`` runs are pinned the same way, by the digest of their
@@ -35,11 +36,12 @@ from vvlearn.cli import main
 from vvlearn.seeding import generator
 
 
-def sparse_lines(task, n, d, c, seed):
+def sparse_lines(task, n, d, c, seed, empty_every=0):
     """Sparse text rows of 1 to 10 entries over d columns.
 
     mlc rows get 1 to c / 2 positive components at random, so with c = 36
-    some rows have more than 256 (positive, negative) pairs.
+    some rows have more than 256 (positive, negative) pairs.  With
+    empty_every = m, rows m - 1, 2m - 1, ... keep only their labels.
     """
     rng = generator(seed)
     lines = []
@@ -55,7 +57,9 @@ def sparse_lines(task, n, d, c, seed):
             head = ",".join(str(int(j) + 1) for j in positive)
         else:
             head = str(c - 1 if i == 0 else int(rng.integers(0, c)))
-        lines.append(head + " " + " ".join(f"{int(j) + 1}:{float(v)!r}" for j, v in zip(cols, vals)))
+        if empty_every and i % empty_every == empty_every - 1:
+            cols = cols[:0]
+        lines.append(" ".join([head, *(f"{int(j) + 1}:{float(v)!r}" for j, v in zip(cols, vals))]))
     return "\n".join(lines) + "\n"
 
 
@@ -85,6 +89,15 @@ CASES = {
         ["curve", "--kind", "gap", "--synth", "n=600,d=10,c=6,noise=0.1,task=mlc,seed=3", "--task", "mlc",
          "--loss", "ranking", "--grid", "100,200,400", "--reps", "3", "--seed", "5"],
     ),
+    "ragged-empty-rows": (
+        ("mcc", 210, 60, 5, 6, 7),
+        ["train", "--loss", "mc_svm", "--lambda", "0.01", "--steps", "2000", "--record-every", "500",
+         "--seed", "13"],
+    ),
+    "passes-curve-empty-rows": (
+        ("mcc", 210, 60, 5, 9, 7),
+        ["curve", "--kind", "passes", "--loss", "mc_svm", "--grid", "1,2,3", "--reps", "3", "--seed", "5"],
+    ),
     "rademacher-exact": (None, ["rademacher", "--n", "10", "--c", "2", "--d", "6", "--trials", "0", "--seed", "3"]),
     "rademacher-monte-carlo": (
         None, ["rademacher", "--n", "100", "--c", "4", "--d", "6", "--trials", "4000", "--seed", "3"],
@@ -109,6 +122,13 @@ DIGESTS = {
     },
     "ranking-gap-curve": {
         "out.csv": "a4c442d31fbfa6fb1d26b23c0dc2c049aeca0a87ff2392625c97d064202bd675",
+    },
+    "ragged-empty-rows": {
+        "model.bin": "bfd24502fa644aae5e11b512af69b555126b6a1f5bd56e0cf62ac5a68e0c93d9",
+        "log.csv": "3aa6ae771bd15b7a8f57864ca2c59a37e4159fa2ebfaf652f001109540eaa765",
+    },
+    "passes-curve-empty-rows": {
+        "out.csv": "de40d4ac95ea8a10bb9edd01cbb81af3eebe917d0d0f46ceeb57564c3fbb4f41",
     },
     "rademacher-exact": {
         "out.csv": "281bcf6b276f46310874ca3121be5c279938e4a890aefb7c000a8ead873ae43c",

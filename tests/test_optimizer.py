@@ -965,7 +965,7 @@ class TestRunningNorm:
         assert np.isnan(changes[1]) and np.isnan(exact[1])
         assert np.isfinite(changes[2])
 
-    @pytest.mark.parametrize("case", ["ranking-sparse", "ragged-mcc", "dense-passes-R3", "l2p"])
+    @pytest.mark.parametrize("case", ["ranking-sparse", "ragged-mcc", "empty-rows", "dense-passes-R3", "l2p"])
     def test_running_norm_equals_the_exact_norm_at_every_record(self, monkeypatch, case):
         loss, reg, R = MLOG, RegularizerSpec.frobenius(self.SIGMA), 1
         schedule = StepSchedule.theorem(self.SIGMA)  # the scale folds at step 1
@@ -973,6 +973,11 @@ class TestRunningNorm:
             loss, datasets = LossSpec.ranking(HINGE), [sparse_wide_dataset("mlc", n=200, d=400, nnz=8, c=6)]
         elif case == "ragged-mcc":
             loss, datasets = LossSpec.mc_svm(HINGE), [ragged_wide_dataset("mcc")]
+        elif case == "empty-rows":  # rows without entries score zero and leave V alone
+            base = ragged_dataset()
+            dense = oracles.scipy_csr(base.X).toarray()
+            dense[::7] = 0.0
+            datasets = [Dataset(dense, base.y, base.c, base.task)]
         elif case == "dense-passes-R3":
             R, schedule = 3, StepSchedule.experiment(self.SIGMA)
             datasets = [tiny_dataset(n=60, d=8, c=4, seed=s) for s in range(R)]
@@ -998,12 +1003,47 @@ class TestRunningNorm:
 
 
 class TestEqualWidthViews:
-    """Chunks whose rows share one nnz slice views made once per chunk, and at nnz = d update V in place.
+    """A chunk whose rows share one nnz is one group of views, and at nnz = d it updates V in place.
 
-    Both equal the grouped path, forced by reporting every chunk as ragged, bit for bit.
+    Both equal the general per-nnz grouping bit for bit.  That grouping is
+    forced by handing the chunk plan its groups in pieces of at most half a
+    chunk's entries, so no group holds every drawn row.  Ragged blocks
+    mixing several nnz keep their bits when their groups come in pieces.
     """
 
     SIGMA = 0.05
+
+    def runs(self, monkeypatch, datasets, spec, reg, R):
+        """Both trainings' results, with the plans each one's chunks made and their features."""
+        pool, rows = pooled(*datasets)
+        # the theorem schedule folds the Frobenius scale at step 1
+        configs = chain_configs(spec, reg, StepSchedule.theorem(self.SIGMA), 120, record_every=40, repetitions=R)
+        plan, nnz_groups = optimizer_module._plan, optimizer_module.nnz_groups
+
+        def spy(plans):
+            def planned(offsets, features, *rest):
+                plans.append((features, list(plan(offsets, features, *rest))))
+                return plans[-1][1]
+
+            return planned
+
+        def pieces(offsets):
+            return nnz_groups(offsets, max_entries=max(1, int(offsets[-1]) // 2))
+
+        results = []
+        for forced in (False, True):
+            with monkeypatch.context() as m:
+                plans = []
+                m.setattr(optimizer_module, "_plan", spy(plans))
+                if forced:
+                    m.setattr(optimizer_module, "nnz_groups", pieces)
+                results.append((train_many(pool, rows, configs), plans))
+        (fast, fast_plans), (grouped, grouped_plans) = results
+        for (w, records), (w_grouped, records_grouped) in zip(fast, grouped):
+            assert w.tobytes() == w_grouped.tobytes() and records == records_grouped
+        for _, groups in grouped_plans:  # no group holds every drawn row
+            assert len(groups) > 1 and all(where is not None for _, where, _, _ in groups)
+        return fast_plans, pool.d
 
     @pytest.mark.parametrize("R", [1, 3])
     @pytest.mark.parametrize("reg", [RegularizerSpec.frobenius(SIGMA), RegularizerSpec.l2p(SIGMA, 1.5)], ids=lambda r: r.name)
@@ -1015,24 +1055,22 @@ class TestEqualWidthViews:
             datasets = [tiny_dataset(n=40, d=6, c=5, seed=s, task=task) for s in range(R)]
         else:
             datasets = [sparse_wide_dataset(task, n=60, d=50, nnz=4, c=5, seed=s) for s in range(R)]
-        pool, rows = pooled(*datasets)
-        # the theorem schedule folds the Frobenius scale at step 1
-        configs = chain_configs(spec, reg, StepSchedule.theorem(self.SIGMA), 120, record_every=40, repetitions=R)
-        widths, equal_width = [], optimizer_module._equal_width
+        plans, d = self.runs(monkeypatch, datasets, spec, reg, R)
+        for features, [(_, where, xs, _)] in plans:  # one group per chunk
+            assert xs.shape[2] == (d if width == "full" else 4)
+            assert where is None if width == "full" else np.shares_memory(where, features)
 
-        def spy(offsets):
-            widths.append(equal_width(offsets))
-            return widths[-1]
-
-        with monkeypatch.context() as m:
-            m.setattr(optimizer_module, "_equal_width", spy)
-            fast = train_many(pool, rows, configs)
-        assert set(widths) == {pool.d if width == "full" else 4}
-        with monkeypatch.context() as m:
-            m.setattr(optimizer_module, "_equal_width", lambda offsets: None)
-            grouped = train_many(pool, rows, configs)
-        for (w, records), (w_grouped, records_grouped) in zip(fast, grouped):
-            assert w.tobytes() == w_grouped.tobytes() and records == records_grouped
+    @pytest.mark.parametrize("reg", [RegularizerSpec.frobenius(SIGMA), RegularizerSpec.l2p(SIGMA, 1.5)], ids=lambda r: r.name)
+    @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
+    def test_ragged_blocks_keep_their_bits_in_pieces(self, monkeypatch, spec, reg):
+        task = "mlc" if spec.is_multilabel else "mcc"
+        plans, _ = self.runs(monkeypatch, [ragged_wide_dataset(task, n=60, seed=s) for s in range(3)], spec, reg, 3)
+        mixed = [
+            sum(firsts[b] < firsts[b + 1] for _, _, _, firsts in groups)
+            for _, groups in plans
+            for b in range(len(groups[0][3]) - 1)
+        ]
+        assert max(mixed) > 2  # some block scores rows of three or more nnz
 
 
 class TestIterateNormCertificate:
