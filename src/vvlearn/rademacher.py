@@ -11,19 +11,22 @@ ball of radius R the supremum of the signed sum has a closed form,
 where A accumulates s_i * x_i into column j_i.  Complexity estimates
 average sup/m over random sign vectors, or over all 2^m of them exactly
 when m is small.  A run of n consecutive equal pairs (one component, equal
-inputs) adds k * x for the sum k of its signs, so ``_accumulate`` forms A
-from a matrix of run sign sums, the pairs stable-sorted by component.  The
-exact average meets in the middle over two halves of the pairs, each
-listing its sign-sum vectors in mixed radix with their counts of sign
-vectors (``_all_counts``), and stores only the lower half of the high
-vectors' suprema (at most 2^19, 4.2 MB), since flipping every sign keeps a
-supremum; weighted suprema take the radius once, at the end, so integer
-ones sum exactly.  Monte-Carlo signs are packed random bytes, whose ones
-``np.bitwise_count`` counts per run (they are unpacked if no run repeats a
-pair).  Blocks hold ``_BLOCK_ENTRIES`` suprema or ``_SIGN_BLOCK_ENTRIES``
-signs (0.5 MB); chunks of ``_CHUNK_ENTRIES`` fix the sums and draws, so
-exact bits do not depend on the block size, while Monte-Carlo values may
-move in their last digit (BLAS rounding depends on the row count).
+inputs) adds k * x for the sum k of its signs, so A is formed from run sign
+sums, the pairs stable-sorted by component.  The exact average meets in the
+middle at the component boundary nearest the middle of the pairs; ||A||^2
+sums over components, so a (high, low) pair of sign-sum vectors costs one
+add of the sides' square norms, each side the same grid over its pairs.
+One component is cut at its middle, and an entry squares the d-wide sum of
+the halves' A over their runs' sign sums (``_all_counts``).  Flipping every
+sign keeps a supremum, so only the lower half of the high rows is stored
+(at most 2^19 suprema, 4.2 MB); weighted suprema take the radius once, at
+the end, so integer ones sum exactly.  Monte-Carlo signs are packed random
+bytes, whose ones ``np.bitwise_count`` counts per run (unpacked if no run
+repeats a pair); ``_accumulate`` forms their A.  Blocks hold
+``_BLOCK_ENTRIES`` entries or ``_SIGN_BLOCK_ENTRIES`` signs (0.5 MB);
+chunks of ``_CHUNK_ENTRIES`` fix the sums and draws, so exact bits do not
+depend on the block size, while Monte-Carlo values may move in their last
+digit (BLAS rounding depends on the row count).
 ``sandwich_check`` compares estimates on unit-norm inputs against the
 analytic band
 
@@ -108,39 +111,68 @@ def _all_counts(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ones * 2.0 - sizes, _BINOMIALS[sizes, ones].prod(axis=1)
 
 
-def _exact_sum(X: np.ndarray, js: np.ndarray, slots: np.ndarray, radius: float) -> float:
-    """Sum of sup over all 2^m sign vectors: over every pair of sign-sum
-    vectors of the two halves of the pairs, each split into its runs.  A_high
-    + A_low is formed directly, since expanding its square norm leaves a
-    rounding residue near A = 0 that can be negative.  ``_accumulate``
-    negates A exactly for rows i and H-1-i of ``_all_counts``, so sup(i, j)
-    == sup(H-1-i, L-1-j) bit for bit (a test pins this): rows i < H/2 fill a
-    store, and summation blocks read the others from it reversed."""
-    h, d = X.shape[0] // 2, X.shape[1]
-    halves = []
-    for Xh, jh in ((X[:h], js[:h]), (X[h:], js[h:])):
-        starts, sizes = _runs(Xh, jh)
-        counts, weights = _all_counts(sizes)
-        halves.append((_accumulate(counts, Xh[starts], _spans(jh[starts], slots, d), slots.size * d), weights))
-    (low, wl), (high, wh) = halves
-    weighted = max(wl.max(), wh.max()) > 1.0
-    H, half = high.shape[0], (high.shape[0] + 1) // 2
-    rows = min(H, max(1, _CHUNK_ENTRIES // low.size))
-    group = min(half, max(1, _BLOCK_ENTRIES // low.size))
-    A, store, sq = np.empty((group, *low.shape)), np.empty((half, low.shape[0])), np.empty((rows, low.shape[0]))
-    for g in range(0, half, group):
-        part = A[: min(group, half - g)]
+def _fill(high: np.ndarray, low: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Square norms of A for high rows 0..len(out)-1 by every low row: one add
+    of sides' square norms, or in blocks the square of A_high + A_low, formed
+    directly since expanding it leaves a residue near A = 0 that can be < 0."""
+    if high.ndim == 1:
+        return np.add(high[: len(out), None], low, out=out)
+    group = max(1, _BLOCK_ENTRIES // low.size)
+    A = np.empty((min(group, len(out)), *low.shape))
+    for g in range(0, len(out), group):
+        part = A[: min(group, len(out) - g)]
         np.add(high[g : g + len(part), None, :], low, out=part)
-        np.einsum("...w,...w->...", part, part, out=store[g : g + len(part)])
-    _sup(store, 1.0 if weighted else radius)
+        np.einsum("...w,...w->...", part, part, out=out[g : g + len(part)])
+    return out
+
+
+def _factors(X: np.ndarray, js: np.ndarray, half: bool) -> tuple:
+    """(high, its counts, H, low, its counts) of the grid of the pairs' sign-sum
+    vectors: at a component boundary each side's square norms (``_norms``),
+    else each half's A over its runs.  With ``half``, high holds the rows < H/2."""
+    bounds = np.flatnonzero(js[1:] != js[:-1]) + 1
+    if not bounds.size:
+        out = []
+        for part in (slice(len(js) // 2, None), slice(None, len(js) // 2)):
+            starts, sizes = _runs(X[part], js[part])
+            counts, weights = _all_counts(sizes)
+            out += [counts @ X[part][starts], weights]
+        return out[0], out[1], len(out[1]), out[2], out[3]
+    cut = int(bounds[np.argmin(np.abs(2 * bounds - len(js)))])
+    high, low = (slice(cut, None), slice(None, cut)) if 2 * cut <= len(js) else (slice(None, cut), slice(cut, None))
+    return (*_norms(X[high], js[high], half), *_norms(X[low], js[low], False)[:2])
+
+
+def _norms(X: np.ndarray, js: np.ndarray, half: bool) -> tuple:
+    """(square norms, counts, their number) over the flattened grid of ``_factors``."""
+    high, wh, H, low, wl = _factors(X, js, half)
+    rows, L = (H + 1) // 2 if half else H, len(wl)
+    weights = (wh[:rows, None] * wl).ravel() if max(wh.max(), wl.max()) > 1.0 else np.broadcast_to(1.0, rows * L)
+    return _fill(high, low, np.empty((rows, L))).ravel(), weights, H * L
+
+
+def _exact_sum(X: np.ndarray, js: np.ndarray, slots: np.ndarray, radius: float) -> float:
+    """Sum of sup over all 2^m sign vectors, over the (high, low) grid of
+    ``_factors``.  Every factor is a palindrome, as a half's A negates exactly
+    for rows i and H-1-i of ``_all_counts``, so sup(i, j) ==
+    sup(H-1-i, L-1-j) bit for bit (a test pins this): rows i < H/2 fill a
+    store, and summation chunks of rows read the others from it reversed."""
+    high, wh, H, low, wl = _factors(X, js, True)
+    L, half = len(wl), (H + 1) // 2
+    weighted = max(wl.max(), wh.max()) > 1.0
+    store = _sup(_fill(high, low, np.empty((half, L))), 1.0 if weighted else radius)
     if weighted:
         store *= wh[:half, None] * wl
-    acc = 0.0
+    del high, low  # a side holds up to 2^18 square norms
+    rows = min(H, max(1, _CHUNK_ENTRIES // (L * slots.size * X.shape[1])))
+    sq, acc = np.empty((rows, L)), 0.0
     for b in range(0, H, rows):
-        block = sq[: min(rows, H - b)]
-        top = min(len(block), max(0, half - b))  # the block's rows in the store
-        block[:top] = store[b : b + top]
-        block[top:] = store[H - b - len(block) : H - b - top][::-1, ::-1]
+        n = min(rows, H - b)
+        top = min(n, max(0, half - b))  # the chunk's rows in the store, which sums them in place
+        block = store[b : b + n] if top == n else sq[:n]
+        if top < n:
+            block[:top] = store[b : b + top]
+            block[top:] = store[H - b - n : H - b - top][::-1, ::-1]
         acc += float(np.sum(block))
     if weighted and not np.isfinite(acc := acc * radius):
         raise ValueError("the summed suprema overflowed; the inputs or the radius are too large")

@@ -20,11 +20,11 @@ over runs of equal pairs, and ``monte_carlo_complexity`` scores the
 Monte-Carlo stream unpacked one sign per pair, where the estimator counts
 the ones of each run in its packed bytes.  ``sup_ball``,
 the supremum for one sign vector, is the closed form the other tests check
-by brute force over ball directions.  ``full_grid_sum`` is the
-meet-in-the-middle sum over every pair of high and low sign patterns,
-which the exact path halved by reading half of the pairs as mirror images
-of the others; it keeps the same summation blocks, so the two agree bit for
-bit.
+by brute force over ball directions.  ``grid_norms`` lists ||A||^2 over
+the exact path's grid of high and low sign patterns, cut at a component
+boundary where there is one, and ``full_grid_sum`` sums the whole grid,
+where the exact path fills half of it and reads the rest as mirror images;
+it keeps the same summation chunks, so the two agree bit for bit.
 
 ``sgd_step`` is the dense O(d * c) subgradient step that the lazily scaled
 training loop in ``vvlearn.optimizer`` must reproduce to rounding.
@@ -303,35 +303,48 @@ def sorted_pairs(sample):
     return scipy_csr(sample.X).toarray()[order], sample.y[order], np.unique(sample.y)
 
 
-def _component_sums(signs, X, js, slots):
-    """A for each row of a (K, m) sign matrix, one component at a time, flattened to (K, slots.size * d)."""
-    d = X.shape[1]
-    A = np.zeros((signs.shape[0], slots.size * d))
-    lo, hi = np.searchsorted(js, slots, side="left"), np.searchsorted(js, slots, side="right")
-    for t in np.flatnonzero(hi > lo):
-        A[:, t * d : (t + 1) * d] = np.asarray(signs[:, lo[t] : hi[t]], dtype=np.float64) @ X[lo[t] : hi[t]]
-    return A
+def top_cut(js):
+    """The component boundary nearest the middle of pairs sorted by component,
+    or None when they share one component."""
+    bounds = np.flatnonzero(js[1:] != js[:-1]) + 1
+    return int(bounds[np.argmin(np.abs(2 * bounds - len(js)))]) if bounds.size else None
 
 
-def full_grid_sum(X, js, slots, radius, chunk_entries, block_entries):
-    """The meet-in-the-middle sum of sup over all 2^m sign vectors that fills
-    every (high, low) pattern pair, before the exact path mirrored half of
-    them.  X, js and slots come from ``sorted_pairs``; each summation block
-    of high rows is summed on its own and the block sums are folded left."""
-    h = X.shape[0] // 2
-    low = _component_sums(enumerate_signs(h, 0, 1 << h), X[:h], js[:h], slots)
-    high = _component_sums(enumerate_signs(X.shape[0] - h, 0, 1 << (X.shape[0] - h)), X[h:], js[h:], slots)
-    rows = min(high.shape[0], max(1, chunk_entries // low.size))
-    group = min(rows, max(1, block_entries // low.size))
-    A, sq = np.empty((group, *low.shape)), np.empty((rows, low.shape[0]))
+def grid_shape(js):
+    """(H, L): the counts of high and low sign vectors at the top cut of ``grid_norms``."""
+    cut = top_cut(js)
+    low = len(js) // 2 if cut is None else min(cut, len(js) - cut)
+    return 1 << (len(js) - low), 1 << low
+
+
+def grid_norms(X, js):
+    """||A||^2 for every sign vector of pairs sorted by component, flattened in
+    the exact path's grid order, one sign per pair (no runs).  The pairs are
+    cut at ``top_cut``, the side with more pairs high, and an entry adds the
+    two sides' square norms; a single component is cut at its middle, and an
+    entry squares A_high + A_low."""
+    cut = top_cut(js)
+    if cut is not None:
+        high, low = (slice(cut, None), slice(None, cut)) if 2 * cut <= len(js) else (slice(None, cut), slice(cut, None))
+        return (grid_norms(X[high], js[high])[:, None] + grid_norms(X[low], js[low])).ravel()
+    h = len(js) // 2
+    A = (all_signs(len(js) - h) @ X[h:])[:, None] + all_signs(h) @ X[:h]
+    return np.einsum("ijw,ijw->ij", A, A).ravel()
+
+
+def full_grid_sum(X, js, slots, radius, chunk_entries):
+    """The sum of sup over all 2^m sign vectors of a sample without runs: the
+    whole grid of ``grid_norms``, with no mirror and no store.  It sums the
+    same chunks of grid rows as the exact path (the rows whose A would hold
+    ``chunk_entries`` entries at the sample's full width), each on its own,
+    and folds the chunk sums left.  X, js and slots come from
+    ``sorted_pairs``."""
+    H, L = grid_shape(js)
+    grid = grid_norms(X, js).reshape(H, L)
+    rows = min(H, max(1, chunk_entries // (L * slots.size * X.shape[1])))
     acc = 0.0
-    for b in range(0, high.shape[0], rows):
-        block = sq[: min(rows, high.shape[0] - b)]
-        for g in range(0, len(block), group):
-            part = A[: min(group, len(block) - g)]
-            np.add(high[b + g : b + g + len(part), None, :], low, out=part)
-            np.einsum("...w,...w->...", part, part, out=block[g : g + len(part)])
-        acc += float(np.sum(radius * np.sqrt(block)))
+    for b in range(0, H, rows):
+        acc += float(np.sum(radius * np.sqrt(grid[b : b + rows])))
     return acc
 
 

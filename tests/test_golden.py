@@ -20,6 +20,15 @@ ranking loss and one from a multiclass loss.
 The digests hold at any BLAS thread count: no result goes through a BLAS
 reduction that splits its sum across threads.  The ``train`` cases run in
 subprocesses at ``OPENBLAS_NUM_THREADS`` 1 and 2 to keep it so.
+
+They were pinned under numpy's AVX-512 dispatch (numpy 2.4.6 on an x86-64
+machine with AVX-512).  With ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
+AVX512_SPR"``, and also with ``X86_V3`` disabled besides, ``passes-curve``
+and ``l2p`` fail and the other 17 cases pass: numpy's AVX-512 float64
+``exp`` and ``log`` loops, which the multinomial logistic loss of both runs
+calls, and its AVX-512 (SVML) float64 ``power`` loop, which the group-(2, p)
+regularizer calls for ``col_norms ** p``, round differently in the last
+place from the loops numpy falls back to.
 """
 
 import hashlib

@@ -252,12 +252,13 @@ def block_sizes(row_entries):
 
 
 class TestBlockedSums:
-    @pytest.mark.parametrize("m,c", [(1, 2), (7, 5), (19, 4), (20, 5)])
+    @pytest.mark.parametrize("m,c", [(1, 2), (7, 5), (19, 4), (20, 5), (20, 2)])
     def test_exact_bits_do_not_depend_on_the_block_size(self, monkeypatch, m, c):
+        # blocks fill the d-wide grids of single components: here one or seven
+        # rows of the largest one's, whose low half of n pairs has 2^(n // 2) rows
         sample = random_sample(m, c, seed=m)
-        low_size = 2 ** (m // 2) * len(np.unique(sample.y)) * sample.d  # A_high[i] + A_low for one high row i
         means = []
-        for entries in block_sizes(low_size):
+        for entries in block_sizes(2 ** (np.bincount(sample.y).max() // 2) * sample.d):
             monkeypatch.setattr(rademacher_module, "_BLOCK_ENTRIES", entries)
             means.append(estimate_complexity(sample, radius=0.9, trials=0, seed=0).mean)
         assert means == [means[-1]] * 3
@@ -282,8 +283,11 @@ class TestBlockedSums:
     def test_peak_memory_stays_cache_sized(self, m, trials):
         # one summation block of A_high + A_low alone took 32 MB, and a
         # Monte-Carlo chunk widened 8 MB of signs per component; the
-        # worst-case sample counts its one run's signs in packed bytes
-        for sample in (random_sample(m, 5, d=6, seed=1), identical_pair_sample(m, 6, 5)):
+        # worst-case sample counts its one run's signs in packed bytes.  Cut
+        # off centre, the larger side holds up to 2^19 square norms, and the
+        # grid keeps only the half of them that its store reads.
+        off_centre = [layout_sample([k * m // 20, m - k * m // 20], seed=1) for k in (15, 19)]
+        for sample in (random_sample(m, 5, d=6, seed=1), identical_pair_sample(m, 6, 5), *off_centre):
             tracemalloc.start()
             try:
                 estimate_complexity(sample, radius=1.0, trials=trials, seed=1)
@@ -307,10 +311,10 @@ class TestBlockedSums:
 
 
 def exact_sums(sample, radius=0.9):
-    """(the exact path's sum, the full-grid oracle's sum) at the module's block sizes."""
+    """(the exact path's sum, the full-grid oracle's sum) at the module's chunk size."""
     X, js, slots = oracles.sorted_pairs(sample)
-    chunk, block = rademacher_module._CHUNK_ENTRIES, rademacher_module._BLOCK_ENTRIES
-    return rademacher_module._exact_sum(X, js, slots, radius), oracles.full_grid_sum(X, js, slots, radius, chunk, block)
+    chunk = rademacher_module._CHUNK_ENTRIES
+    return rademacher_module._exact_sum(X, js, slots, radius), oracles.full_grid_sum(X, js, slots, radius, chunk)
 
 
 PREMISE_SHAPES = [(20, 6, 2), (19, 5, 3), (7, 3, 2), (20, 1, 1), (13, 40, 4), (20, 6, 4)]  # (m, d, c)
@@ -326,40 +330,82 @@ class TestMirroredSum:
         new, full = exact_sums(mixed_sample(m, c, d, seed=m * 10 + c))
         assert new == full
 
-    @pytest.mark.parametrize("m", [7, 13])
-    @pytest.mark.parametrize("block_rows", [1, 3])
+    @pytest.mark.parametrize("m,c", [(7, 3), (13, 3), (13, 1), (20, 2)])
+    @pytest.mark.parametrize("block_entries", [1, 7, None])
     @pytest.mark.parametrize("chunk_rows", [1, 3, 5])
-    def test_equals_the_full_grid_sum_at_any_block_size(self, monkeypatch, m, chunk_rows, block_rows):
-        # H = 2^(m - m // 2) high rows, mirrored at H / 2: with 3 or 5 rows a
-        # summation block straddles the mirror row and later ones lie wholly
-        # below it; with 1 row every block holds one row
-        sample = mixed_sample(m, 3, 2, seed=m)
-        row = 2 ** (m // 2) * len(np.unique(sample.y)) * sample.d  # A_high[i] + A_low for one high row i
-        monkeypatch.setattr(rademacher_module, "_CHUNK_ENTRIES", chunk_rows * row)
-        monkeypatch.setattr(rademacher_module, "_BLOCK_ENTRIES", block_rows * row)
-        half = 2 ** (m - m // 2) // 2
-        assert chunk_rows == 1 or half % chunk_rows  # a block straddles the mirror row
+    def test_equals_the_full_grid_sum_at_any_block_size(self, monkeypatch, m, c, chunk_rows, block_entries):
+        # H = 2^k high rows, mirrored at H / 2: with 3 or 5 rows a summation
+        # chunk straddles the mirror row and later ones lie wholly below it;
+        # with 1 row every chunk holds one row.  Blocks of 1 or 7 entries
+        # fill every d-wide grid one row at a time.
+        sample = mixed_sample(m, c, 2, seed=m)
+        H, L = oracles.grid_shape(oracles.sorted_pairs(sample)[1])
+        width = len(np.unique(sample.y)) * sample.d  # a chunk row stands for L rows of this width
+        monkeypatch.setattr(rademacher_module, "_CHUNK_ENTRIES", chunk_rows * L * width)
+        if block_entries:
+            monkeypatch.setattr(rademacher_module, "_BLOCK_ENTRIES", block_entries)
+        assert chunk_rows == 1 or (H // 2) % chunk_rows  # a chunk straddles the mirror row
         new, full = exact_sums(sample)
         assert new == full
 
     @pytest.mark.parametrize("m,d,c", PREMISE_SHAPES)
-    def test_complement_patterns_give_negated_sums(self, m, d, c):
+    def test_every_factor_is_a_palindrome(self, m, d, c):
+        # halves of a component negate A exactly in reversed order, so their
+        # square-norm grids, the sides built from them and the whole grid
+        # read the same reversed
         X, js, slots = oracles.sorted_pairs(mixed_sample(m, c, d, seed=m + d + c))
-        h = m // 2
-        halves = []
-        for part in (slice(None, h), slice(h, None)):
-            k = len(js[part])
-            A = rademacher_module._accumulate(
-                oracles.all_signs(k), X[part], rademacher_module._spans(js[part], slots, d), slots.size * d
-            )
-            assert np.array_equal(A[::-1], -A)
-            halves.append(A)
-        low, high = halves
-        grid = np.empty((len(high), len(low)))
-        for i in range(0, len(high), 64):
-            part = high[i : i + 64, None, :] + low
-            np.einsum("...w,...w->...", part, part, out=grid[i : i + 64])
-        assert np.array_equal(grid, grid[::-1, ::-1])
+        for t in slots:
+            high, _, _, low, _ = rademacher_module._factors(X[js == t], js[js == t], False)
+            assert np.array_equal(high[::-1], -high) and np.array_equal(low[::-1], -low)
+        high, wh, H, low, wl = rademacher_module._factors(X, js, False)
+        for factor in (high, wh, low, wl):
+            assert np.array_equal(factor[::-1], factor if factor.ndim == 1 else -factor)
+        grid = oracles.grid_norms(X, js).reshape(oracles.grid_shape(js))
+        assert grid.shape == (H, len(wl)) and np.array_equal(grid, grid[::-1, ::-1])
+
+
+def layout_sample(counts, d=6, seed=0):
+    """Random pairs in shuffled order, counts[t] of them on component t."""
+    rng = np.random.default_rng(seed)
+    js = rng.permutation(np.repeat(np.arange(len(counts)), counts))
+    return sample_from_dense(rng.standard_normal((len(js), d)), js, len(counts))
+
+
+CUT_LAYOUTS = {  # pairs per component at m = 20: (counts, H, L at the top cut)
+    "balanced": ([10, 10], 2**10, 2**10),
+    "off-centre-15-5": ([15, 5], 2**15, 2**5),
+    "off-centre-5-15": ([5, 15], 2**15, 2**5),
+    "off-centre-19-1": ([19, 1], 2**19, 2**1),
+    "one-component": ([20], 2**10, 2**10),
+    "five-components": ([6, 2, 5, 4, 3], 2**12, 2**8),
+}
+
+
+class TestComponentCut:
+    """Pairs are cut at the component boundary nearest their middle."""
+
+    @pytest.mark.parametrize("layout", CUT_LAYOUTS)
+    def test_exact_matches_flat_enumeration_oracle(self, layout):
+        sample = layout_sample(CUT_LAYOUTS[layout][0])
+        est = estimate_complexity(sample, radius=0.9, trials=0, seed=0)
+        expected = oracles.exact_complexity(sample, 0.9)
+        assert abs(est.mean - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("layout", CUT_LAYOUTS)
+    def test_equals_the_full_grid_sum(self, layout):
+        new, full = exact_sums(layout_sample(CUT_LAYOUTS[layout][0], seed=1))
+        assert new == full
+
+    @pytest.mark.parametrize("layout", CUT_LAYOUTS)
+    def test_one_add_per_sign_vector_unless_one_component(self, layout):
+        counts, H, L = CUT_LAYOUTS[layout]
+        X, js, _ = oracles.sorted_pairs(layout_sample(counts))
+        high, _, rows, low, _ = rademacher_module._factors(X, js, True)
+        assert (rows, low.shape[0]) == (H, L)
+        # the sides are square-norm vectors, holding only the high rows the store reads
+        assert (high.ndim, low.ndim) == ((2, 2) if len(counts) == 1 else (1, 1))
+        if len(counts) > 1:
+            assert H // 2 <= len(high) < H
 
 
 def runs_sample(runs, d=3, seed=0):
@@ -371,8 +417,10 @@ def runs_sample(runs, d=3, seed=0):
 
 
 RUN_LAYOUTS = {
-    # h = m // 2 = 5 falls inside the middle run; the high half has 5 * 3 sign-sum rows, an odd count
+    # the pairs are cut at the boundary 9, and component 0 at its middle 4, inside its second run
     "straddles-the-split": [(3, 0, 0), (6, 0, 1), (2, 1, 2)],
+    # runs of even size only: component 0 has 5 * 9 sign-sum vectors, an odd count of high rows
+    "odd-high-rows": [(2, 0, 0), (6, 0, 1), (2, 1, 2)],
     # runs over pairs 5..13 and 14..16 cross the byte boundaries at 8 and 16
     "crosses-bytes": [(5, 0, 0), (9, 0, 1), (3, 1, 2), (3, 1, 3)],
     "row-split-by-component": [(4, 0, 0), (3, 1, 0), (2, 1, 1)],
@@ -380,6 +428,10 @@ RUN_LAYOUTS = {
     "one-pair": [(1, 0, 0)],
     # components alternate, so only the stable sort by component forms the runs
     "interleaved": [(1, 0, 0), (1, 1, 1)] * 6,
+    # m = 20: one component cut at 10, inside the run over pairs 7..12
+    "one-component-20": [(7, 0, 0), (6, 0, 1), (7, 0, 2)],
+    # m = 20 cut 15 / 5 at the boundary; each component's middle falls inside a run
+    "off-centre-20": [(5, 0, 0), (6, 0, 1), (4, 0, 2), (1, 1, 3), (3, 1, 4), (1, 1, 5)],
 }
 
 
