@@ -27,20 +27,27 @@ Tie-breaking is deterministic everywhere: argmax and top-k selections
 prefer the smallest index, and at kinks of the margin function or of the
 outer max{0, .} the minimal-magnitude subgradient (zero) is chosen.
 
+Labels can be planned.  SGD plans the pool's labels once (``LossSpec.plan``)
+and cuts each chunk of draws into step blocks (``LossSpec.blocks``), each
+block's plan already shifted to its own rows; evaluation plans once per
+call.  A ``coef`` call on a block's plan equals the call on its raw labels
+bit for bit.  The multiclass kernels read the true classes through a class
+plan: the flat positions i * c + y_i of the call's raveled scores, from
+which one ``take`` gives the true-class scores and one indexed subtraction
+the one-hot term.  A ``ClassTable`` makes the plans of a chunk's blocks in
+one array pass, in memory bounded by the chunk's rows.
+
 The ranking kernels work on a pair plan: the (positive, negative) pairs of
 the call's rows in one flat list of runs, each led by a zeroed slot.  A
-``PairTable`` (``LossSpec.plan``) lists each distinct sign row's pairs
-once, laid out in array passes, and gathers the plans of any rows of its
-labels the way a CSR gather does (``core.segments``).  SGD plans the pool's
-labels once; each chunk of draws gathers its rows' pairs and cuts them into
-step blocks (``LossSpec.blocks``), already shifted to each block's own
-rows.  Evaluation plans once per call.
-A call's pair terms are two ``take`` calls and a subtraction, and
-``np.add.reduceat`` and ``bincount`` sum them per row and per column, in
-the order of the grouped kernel in ``tests/oracles.py`` except a row's lone
-negative column, which adds its terms in pair order where numpy sums them
-pairwise.  Rows with many pairs are scored on their own (|pos|, |neg|)
-blocks, which numpy sums as the grouped kernel does.
+``PairTable`` lists each distinct sign row's pairs once, laid out in array
+passes, and gathers the plans of any rows of its labels the way a CSR
+gather does (``core.segments``).  A call's pair terms are two ``take``
+calls and a subtraction, and ``np.add.reduceat`` and ``bincount`` sum them
+per row and per column, in the order of the grouped kernel in
+``tests/oracles.py`` except a row's lone negative column, which adds its
+terms in pair order where numpy sums them pairwise.  Rows with many pairs
+are scored on their own (|pos|, |neg|) blocks, which numpy sums as the
+grouped kernel does.
 """
 
 from __future__ import annotations
@@ -91,29 +98,75 @@ LOGISTIC = BaseLoss("logistic")
 
 
 # ---------------------------------------------------------------------------
+# Planned class ids: flat positions into a call's raveled scores.
+
+
+@dataclass(slots=True, eq=False)
+class ClassPlan:
+    """The class ids y of one multiclass call's rows as flat positions into its raveled (n, c) scores.
+
+    Row i starts at starts[i] = i * c, and its true class sits at
+    at[i] = starts[i] + y[i].
+    """
+
+    starts: np.ndarray
+    at: np.ndarray
+
+
+@dataclass(slots=True, eq=False)
+class ClassTable:
+    """Class ids y over c classes, from which the plans of any rows of y are made."""
+
+    y: np.ndarray
+    c: int
+
+    def plans(self, rows: np.ndarray, bounds) -> list[ClassPlan]:
+        """The plans of y[rows[b0:b1]] for each pair b0, b1 of consecutive bounds, each as if planned alone."""
+        bounds = np.asarray(bounds)
+        starts = (np.arange(len(rows)) - np.repeat(bounds[:-1], np.diff(bounds))) * self.c
+        at, b = starts + self.y.take(rows), bounds.tolist()
+        return [ClassPlan(starts[b0:b1], at[b0:b1]) for b0, b1 in zip(b, b[1:])]
+
+
+def _classes(y, c: int) -> ClassPlan:
+    """The plan of raw or planned class ids y over c classes."""
+    if isinstance(y, ClassPlan):
+        return y
+    starts = np.arange(len(y)) * c
+    return ClassPlan(starts, starts + y)
+
+
+def _row_max(a):
+    """Each row's maximum, the bits of ``a.max(axis=1)``; over a class-major copy it takes a few long passes."""
+    return np.ascontiguousarray(a.T).max(axis=0)
+
+
+# ---------------------------------------------------------------------------
 # Multiclass SVM: max over wrong classes of base(s_y - s_j).
 
 
 def _mc_svm_terms(spec, S, y):
-    rows = np.arange(len(y))
-    margins = S[rows, y, None] - S
+    """The plan of y, the margins s_y - s_j, and their base losses with the true class at -inf."""
+    plan = _classes(y, S.shape[1])
+    margins = S.take(plan.at)[:, None] - S
     vals = spec.base.value(margins)
-    vals[rows, y] = -np.inf  # exclude the true class; argmax picks the first max
-    return rows, margins, vals, vals.argmax(axis=1)
+    vals.put(plan.at, -np.inf)  # exclude the true class; argmax picks the first max
+    return plan, margins, vals
 
 
 def _mc_svm_value(spec, S, y):
-    return _mc_svm_terms(spec, S, y)[2].max(axis=1)
+    return _row_max(_mc_svm_terms(spec, S, y)[2])
 
 
-def _mc_svm_coef(spec, S, y):
+def _mc_svm_coef(spec, S, y, out):
     """Column y gets g, the argmax class -g, with g = base'(s_y - s_argmax)."""
-    rows, margins, _, top = _mc_svm_terms(spec, S, y)
-    g = spec.base.deriv(margins[rows, top])
-    coef = np.zeros(S.shape)
-    coef[rows, y] = g
-    coef[rows, top] = -g  # top != y: the true class is excluded
-    return coef
+    plan, margins, vals = _mc_svm_terms(spec, S, y)
+    top = plan.starts + vals.argmax(axis=1)
+    g = spec.base.deriv(margins.take(top))
+    out.fill(0.0)
+    out.put(plan.at, g)
+    out.put(top, -g)  # top != y: the true class is excluded
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -126,20 +179,22 @@ def _multinomial_logistic_value(spec, S, y):
     The j = y term contributes exp(0) = 1, so the value is nonnegative;
     it is clamped at 0 to absorb last-bit rounding.
     """
-    rows = np.arange(len(y))
-    diffs = S - S[rows, y, None]
-    diffs[rows, y] = 0.0
-    m = diffs.max(axis=1)
+    at = _classes(y, S.shape[1]).at
+    diffs = S - S.take(at)[:, None]
+    diffs.put(at, 0.0)
+    m = _row_max(diffs)
     return np.maximum(0.0, m + np.log(np.exp(diffs - m[:, None]).sum(axis=1)))
 
 
-def _multinomial_logistic_coef(spec, S, y):
-    """p_j for j != y and p_y - 1 at y, p the softmax of the scores."""
+def _multinomial_logistic_coef(spec, S, y, out):
+    """p_j for j != y and p_y - 1 at y, p the softmax of the scores, each step written into out."""
+    at = _classes(y, S.shape[1]).at
     # the ufunc reductions behind .max and .sum, called without the method dispatch
-    e = np.exp(S - np.maximum.reduce(S, axis=1, keepdims=True))
-    coef = e / np.add.reduce(e, axis=1, keepdims=True)
-    coef[np.arange(len(y)), y] -= 1.0
-    return coef
+    np.subtract(S, np.maximum.reduce(S, axis=1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    np.divide(out, np.add.reduce(out, axis=1, keepdims=True), out=out)
+    out.reshape(-1)[at] -= 1.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +202,11 @@ def _multinomial_logistic_coef(spec, S, y):
 
 
 def _topk_terms(S, y):
-    """a_j = 1[j != y] + s_j - s_y."""
-    rows = np.arange(len(y))
-    a = 1.0 + S - S[rows, y, None]
-    a[rows, y] = 0.0  # indicator vanishes for the true class
-    return rows, a
+    """The plan of y and a_j = 1[j != y] + s_j - s_y."""
+    plan = _classes(y, S.shape[1])
+    a = 1.0 + S - S.take(plan.at)[:, None]
+    a.put(plan.at, 0.0)  # indicator vanishes for the true class
+    return plan, a
 
 
 def _topk_svm_value(spec, S, y):
@@ -160,7 +215,7 @@ def _topk_svm_value(spec, S, y):
     return np.maximum(0.0, np.sort(a, axis=1)[:, -spec.k :].sum(axis=1) / spec.k)
 
 
-def _topk_svm_coef(spec, S, y):
+def _topk_svm_coef(spec, S, y, out):
     """The k selected columns get 1/k and column y absorbs -1.
 
     Selection takes the k largest a_j, ties resolved toward the smaller
@@ -168,38 +223,32 @@ def _topk_svm_coef(spec, S, y):
     positive.
     """
     k = spec.k
-    rows, a = _topk_terms(S, y)
-    top = np.argsort(-a, axis=1, kind="stable")[:, :k]  # descending, ties to smaller index
-    coef = np.zeros(S.shape)
-    coef[rows[:, None], top] = 1.0 / k
-    coef[rows, y] -= 1.0
+    plan, a = _topk_terms(S, y)
+    top = plan.starts[:, None] + np.argsort(-a, axis=1, kind="stable")[:, :k]  # descending, ties to smaller index
+    out.fill(0.0)
+    out.put(top, 1.0 / k)
+    out.reshape(-1)[plan.at] -= 1.0
     # flat region of max{0, .}, and zero at the kink itself
-    coef[a[rows[:, None], top].sum(axis=1) / k <= 0.0] = 0.0
-    return coef
+    out[a.take(top).sum(axis=1) / k <= 0.0] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Subset loss: worst single component against its target sign.
 
 
-def _subset_terms(spec, S, y):
-    rows = np.arange(len(y))
-    t = y * S
-    vals = spec.base.value(t)
-    return rows, t, vals, vals.argmax(axis=1)
-
-
 def _subset_value(spec, S, y):
     """max_j base(y_j * s_j)."""
-    return _subset_terms(spec, S, y)[2].max(axis=1)
+    return _row_max(spec.base.value(y * S))
 
 
-def _subset_coef(spec, S, y):
+def _subset_coef(spec, S, y, out):
     """A single nonzero column at the argmax component j*."""
-    rows, t, _, top = _subset_terms(spec, S, y)
-    coef = np.zeros(S.shape)
-    coef[rows, top] = y[rows, top] * spec.base.deriv(t[rows, top])
-    return coef
+    t = y * S
+    rows, top = np.arange(len(y)), spec.base.value(t).argmax(axis=1)
+    out.fill(0.0)
+    out[rows, top] = y[rows, top] * spec.base.deriv(t[rows, top])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +408,7 @@ def _ranking_value(spec, S, y):
     return out
 
 
-def _ranking_coef(spec, S, y):
+def _ranking_coef(spec, S, y, out):
     """Each pair (p, q) adds g to column p and -g to column q, g = base'(s_p - s_q) / (|pos| * |neg|).
 
     A flat row's negative column adds its terms in pair order
@@ -368,14 +417,13 @@ def _ranking_coef(spec, S, y):
     """
     plan = _planned(y, per_positive=True)
     g = _pair_terms(spec.base.deriv, S, plan) / plan.pairs
-    coef = np.negative(np.bincount(plan.q, g, S.size), dtype=np.float64)  # bincount of no slots is int
-    coef[plan.heads] = np.add.reduceat(g, plan.runs)
-    coef = coef.reshape(S.shape)
+    np.negative(np.bincount(plan.q, g, S.size), dtype=np.float64, out=out.reshape(-1))  # bincount of no slots is int
+    out.put(plan.heads, np.add.reduceat(g, plan.runs))
     for i, pos, neg, diffs in _wide_rows(S, plan):
         g = spec.base.deriv(diffs) / (pos.size * neg.size)
-        coef[i, pos] = g.sum(axis=1)
-        coef[i, neg] = -g.sum(axis=0)
-    return coef
+        out[i, pos] = g.sum(axis=1)
+        out[i, neg] = -g.sum(axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,9 +521,15 @@ class LossSpec:
                     f"{single.size} of {len(y)} rows have one sign only (first: row {single[0]})"
                 )
 
-    def plan(self, y: np.ndarray):
-        """The labels y prepared for ``blocks``: ranking labels become a ``PairTable``, others stay as they are."""
-        return _pair_table(y, per_positive=True) if self.kind == "ranking" else y
+    def plan(self, y: np.ndarray, c: int):
+        """The labels y over c components prepared for ``blocks``.
+
+        Ranking labels become a ``PairTable`` and class ids a ``ClassTable``;
+        subset labels stay as they are.
+        """
+        if self.kind == "ranking":
+            return _pair_table(y, per_positive=True)
+        return y if self.is_multilabel else ClassTable(np.asarray(y), c)
 
     def blocks(self, plan, rows: np.ndarray, bounds) -> list:
         """The labels of rows[b0:b1] of planned labels, for each pair b0, b1 of consecutive bounds.
@@ -483,7 +537,7 @@ class LossSpec:
         A ``coef`` call on a block's labels equals the call on those rows
         of the raw labels bit for bit.
         """
-        if isinstance(plan, PairTable):
+        if isinstance(plan, (PairTable, ClassTable)):
             return plan.plans(rows, bounds)
         labels = plan.take(rows, axis=0)
         return [labels[b0:b1] for b0, b1 in zip(bounds, bounds[1:])]
@@ -499,9 +553,17 @@ class LossSpec:
         """Loss values, shape (n,), at the score rows S (n, c) with labels y (raw or planned)."""
         return _KERNELS[self.kind][0](self, S, y)
 
-    def coef(self, S: np.ndarray, y) -> np.ndarray:
-        """Subgradient column coefficients, shape (n, c), with labels y raw or planned; see the module docstring."""
-        return _KERNELS[self.kind][1](self, S, y)
+    def coef(self, S: np.ndarray, y, out: np.ndarray | None = None) -> np.ndarray:
+        """Subgradient column coefficients, shape (n, c), with labels y raw or planned; see the module docstring.
+
+        They are written into out, a C-contiguous float64 array shaped like S
+        and apart from it, when given, and returned.
+        """
+        if out is None:
+            out = np.empty(S.shape)
+        elif out.shape != S.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous float64 array of shape {S.shape}")
+        return _KERNELS[self.kind][1](self, S, y, out)
 
 
 def standard_loss_specs() -> list[LossSpec]:

@@ -3,58 +3,46 @@
 The objective is the empirical mean of a convex loss plus a strongly
 convex regularizer.  Training starts at w = 0, samples one example index
 uniformly (with replacement) per step, and returns the last iterate; a
-"pass" is n steps, not an epoch shuffle.
-
-For the Frobenius regularizer with step sizes satisfying eta_t * sigma <= 1
-the iterates provably stay inside the ball ||w_t||_F <= L * kappa / sigma,
-where L is the loss's certified max-norm Lipschitz constant and kappa the
-largest input norm.  That bound is enforced as a runtime certificate on
-every training run, not just under test.
+"pass" is n steps, not an epoch shuffle.  For the Frobenius regularizer
+with eta_t * sigma <= 1 the iterates provably stay inside the ball
+||w_t||_F <= L * kappa / sigma (L the loss's certified max-norm Lipschitz
+constant, kappa the largest input norm), a certificate every run enforces.
 
 One loop, ``_steps``, advances R independent chains in lockstep; ``train``
-is its R = 1 case and ``train_many`` runs the R repetitions of a learning
-curve.  The chains share the data pool, loss, regularizer, schedule, length
-and record cadence; each keeps its own rows of the pool (its i-th draw is
-row rows[r][i]), holdout rows, PCG64 stream and certificates, and chain r
-of a lockstep run equals a lone ``train`` on its rows bit for bit.  A record
-scores each chain's train and holdout rows in one pass.
-
-Every chain stores its iterate lazily scaled, W_r = a * V_r (Pegasos,
+is its R = 1 case and ``train_many`` runs the repetitions of a learning
+curve.  Chain r keeps its own rows, holdout rows, PCG64 stream and
+certificates, and equals a lone ``train`` on its rows bit for bit.  Every
+chain stores its iterate lazily scaled, W_r = a * V_r (Pegasos,
 Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
-2012), with V of shape (R, d, c) and one scale a that all chains share.
-The Frobenius shrink (1 - eta*sigma) multiplies a, so a step costs
-O(nnz * c) per chain.  A step that would take |a| below a floor folds a
-into V (at step 1 of the theorem schedule the shrink is zero), and every
-group (2, p) step rescales V's columns at O(d * c); both leave a = 1.
+2012), with one scale a for all chains: the Frobenius shrink multiplies a,
+so a step costs O(nnz * c) per chain.  A step that would take |a| below a
+floor folds a into V, and every group (2, p) step rescales V's columns at
+O(d * c); both leave a = 1.
 
 Indices are drawn a chunk of steps at a time, each chain from its own
 generator (numpy's bounded-integer stream does not depend on how the draws
-are split).  Each chunk is planned in arrays: its drawn rows, with feature
-indices offset by r * d into V viewed as (R * d, c), grouped by nnz
-(``core.nnz_groups``); eta_t and the scale before and after each step; its
-blocks and their labels (``LossSpec.plan`` and ``LossSpec.blocks``).  Left
-folds (``np.multiply.accumulate``) keep the sequential loop's bits.  Python
-then walks blocks, not steps: maximal runs of steps in which no step reads
-a row of V that an earlier one wrote.  A block scores each group's rows with
-stacked (m, 1, k) @ (m, k, c) products over their gathered rows of V, makes
-one ``LossSpec.coef`` call and writes the rows back; rows without entries
-score zero.  A chunk of one nnz is one group of views, updating V in place
-at k = d.  A stacked product equals each row's own product and the update is
-elementwise, so a blocked run equals stepping one at a time bit for
-bit.  Recording steps end a block, a block of more than one step gathers at
-most ``_BLOCK_VALUES`` values of V, and a folding step stands alone.
+are split).  A chunk is planned in arrays: its drawn rows, with feature
+indices offset by r * d into V viewed as (R * d, c); the scales, as left
+folds with the sequential loop's bits; its blocks, maximal runs of steps in
+which no step reads a row of V an earlier one wrote, and their labels
+(``LossSpec.plan``, ``LossSpec.blocks``).  Python walks blocks, not steps.
+In a chunk of full-width rows a block is one step of every chain: a fixed
+run of ufuncs scores x . V_r, makes one ``LossSpec.coef`` call and
+subtracts rho * x^T coef from V, each into the chunk's rows or a reused
+buffer.  Other chunks group their rows by nnz (``_plan``), and a block
+scores its groups with stacked (m, 1, k) @ (m, k, c) products over their
+gathered rows of V and writes the rows back.  A stacked product equals each
+row's own and the update is elementwise, so blocking keeps every bit.
+Recording steps end a block, a block of more than one step gathers at most
+``_BLOCK_VALUES`` values of V, and a folding step stands alone.
 
-A step's change to ||V_r||_F^2 follows from its raw scores x . V_r and
-coefficients (``_norm_changes``; a fold adds ||V_r||^2 after its rescale
-and scores the rescaled V).  Their left fold is the running norm after each
-step.  One comparison per segment, up to each recording step and the
-chunk's end, certifies them all, and names the first failing step (and
-chain, when R > 1); a non-finite norm stops any run.  The same segments
-check the l-infinity duality ||coef_r||_1 <= L of every step's loss
-coefficients, which bounds the loss subgradient by kappa * L for either
-regularizer, and name a step that fails both checks by it.  Recording
-steps materialize W and check each exact norm.  Trajectories agree with
-the dense ``sgd_step`` oracle in ``tests/oracles.py`` to rounding.
+Each step's change to ||V_r||_F^2 follows from its scores and coefficients
+(``_norm_changes``), and their left fold is the running norm.  One check
+per segment, up to each recording step and the chunk's end, certifies all
+of them and the l-infinity duality ||coef_r||_1 <= L of each step, naming
+the first failing step (and chain); a non-finite norm stops any run.
+Recording steps check each exact norm.  Trajectories agree with the dense
+``sgd_step`` oracle in ``tests/oracles.py`` to rounding.
 """
 
 from __future__ import annotations
@@ -242,7 +230,8 @@ def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     from ``_gather``.  Chain r draws indices into rows[r] uniformly from a
     PCG64 seeded with its config's seed.  When some chain's rows all hold
     more than d / 2 entries, any two of its rows share a column, so every
-    step conflicts with the one before and the scan is skipped.
+    step conflicts with the one before: the scan is skipped, conflicts is
+    None and every step is a block.
     """
     R = len(rows)
     rngs = [generator(config.seed) for config in configs]
@@ -255,7 +244,7 @@ def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         k = min(size, total - t0)
         draws = np.stack([chain.take(rng.integers(0, len(chain), size=k)) for rng, chain in zip(rngs, rows)], axis=1)
         offsets, features, values = _gather(data, draws)
-        conflicts = list(range(-1, k - 1)) if dense else _conflicts(offsets, features, R)
+        conflicts = None if dense else _conflicts(offsets, features, R)
         yield t0, offsets, features, values, draws.ravel(), conflicts
 
 
@@ -337,21 +326,25 @@ def _norm_changes(scores: np.ndarray, coef: np.ndarray, x_sq: np.ndarray, rho: n
 
 
 def _plan(offsets: np.ndarray, features: np.ndarray, values: np.ndarray, lows: list[int], d: int):
-    """A chunk's drawn rows grouped by nnz, for blocks that start at drawn rows lows, then n.
+    """A chunk's drawn rows grouped by nnz, for blocks that start at drawn rows lows, then n; None at full width.
 
-    Yields (members, where, xs, firsts) per group: its drawn rows, their
+    Returns (members, where, xs, firsts) per group: its drawn rows, their
     indices into V viewed as (R * d, c) and values, shaped (m, k) and
     (m, 1, k), and firsts[b] the position in members of block b's first
-    member.  A group of every row is views; at k = d where is None.
+    member.  A group of every row is views.
     """
     n = len(offsets) - 1
+    if offsets[-1] == n * d:  # a row holds at most d entries
+        return None
+    groups = []
     for members, starts, k in nnz_groups(offsets):
         if len(members) == n:
-            where, xs = (None if k == d else features.reshape(n, k)), values.reshape(n, 1, k)
+            where, xs = features.reshape(n, k), values.reshape(n, 1, k)
         else:
             entries = starts[:, None] + np.arange(k)
             where, xs = features.take(entries), values.take(entries)[:, None, :]
-        yield members, where, xs, np.searchsorted(members, lows).tolist()
+        groups.append((members, where, xs, np.searchsorted(members, lows).tolist()))
+    return groups
 
 
 def _block_edges(offsets: np.ndarray, conflicts: list[int], R: int, c: int, ends: list[int]) -> list[int]:
@@ -398,7 +391,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     chain_ids = list(range(R)) if R > 1 else [None]
     a, v, v_sq = 1.0, np.zeros((R, d, c)), np.zeros(R)
     flat = v.reshape(R * d, c)
-    labels = loss.plan(data.y)
+    labels = loss.plan(data.y, c)
     for t0, offsets, features, values, drawn, conflicts in _chunks(data, rows, configs):
         n = len(offsets) - 1
         size = n // R
@@ -414,40 +407,47 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         sq = np.concatenate([v_sq[None], np.zeros((size, R))])
         checks = {size, *range(record_every - t0 % record_every, size, record_every)}
         ends = sorted(checks.union(folds, [f + 1 for f in folds]) - {0})
-        edges = _block_edges(offsets, conflicts, R, c, ends)
+        edges = list(range(size + 1)) if conflicts is None else _block_edges(offsets, conflicts, R, c, ends)
         lows = [lo * R for lo in edges]
-        blocks, plan = loss.blocks(labels, drawn, lows), list(_plan(offsets, features, values, lows, d))
+        blocks, plan = loss.blocks(labels, drawn, lows), _plan(offsets, features, values, lows, d)
+        if plan is None:  # full width: a step reads every row its chain's last step wrote, so block j is step j
+            xs, xt, rs = values.reshape(size, R, 1, d), values.reshape(size, R, d, 1), rho.reshape(size, R, 1, 1)
+            ss, sc, scaled = scores.reshape(size, R, 1, c), scores.reshape(size, R, c), np.empty((R, c))
+            cs, cc, update = coefs.reshape(size, R, 1, c), coefs.reshape(size, R, c), np.empty((R, d, c))
 
-        def score(b, r0, r1):
-            """Score block b's drawn rows r0 to r1 - 1; returns (members, rows of V or None, grid, x) per group."""
-            groups = []
-            for members, where, xs, firsts in plan:
+        def score(b, r0, r1):  # block b's drawn rows r0 to r1 - 1 by group; returns (rows, rows of V, their copy, x)
+            grids = []
+            for members, where, x, firsts in plan:
                 i0, i1 = firsts[b], firsts[b + 1]
-                if where is None:  # full-width rows: one step of every chain
-                    groups.append((slice(None), None, v, xs[i0:i1]))
-                elif i0 < i1:
+                if i0 < i1:
                     own = slice(None) if i1 - i0 == r1 - r0 else members[i0:i1] - r0
-                    groups.append((own, where[i0:i1], flat.take(where[i0:i1], axis=0), xs[i0:i1]))
-            for own, _, grid, x in groups:
+                    grids.append((own, where[i0:i1], flat.take(where[i0:i1], axis=0), x[i0:i1]))
+            for own, _, grid, x in grids:
                 scores[r0:r1][own] = (x @ grid)[:, 0]
-            return groups
+            return grids
 
         folded, b, g0 = set(folds), 0, 0
         for end in ends:
             with np.errstate(all="ignore"):  # a non-finite iterate raises below, naming its step
-                while edges[b] < end:
-                    # One block: steps edges[b] to edges[b + 1] - 1 advance in one batched pass.
+                while edges[b] < end:  # one block: steps edges[b] to edges[b + 1] - 1 in one batched pass
                     lo, r0, r1 = edges[b], lows[b], lows[b + 1]
-                    groups = score(b, r0, r1)
-                    coef = coefs[r0:r1] = loss.coef(scale[r0:r1] * scores[r0:r1], blocks[b])
+                    if plan is None:  # a fixed run of ufuncs, each writing into the chunk's rows or a buffer
+                        np.matmul(xs[b], v, out=ss[b])
+                        loss.coef(np.multiply(before[b], sc[b], out=scaled), blocks[b], cc[b])
+                    else:
+                        grids = score(b, r0, r1)
+                        coef = loss.coef(scale[r0:r1] * scores[r0:r1], blocks[b], coefs[r0:r1])
                     if lo in folded:  # the norm change starts from the rescaled V
                         _rescale(reg, float(before[lo]), v, float(eta[lo]))
                         sq[lo + 1] = np.sum(v * v, axis=(1, 2))
-                        groups = score(b, r0, r1)
-                    for members, rows_of_v, grid, x in groups:
-                        grid -= rho[r0:r1, None, None][members] * (x.mT * coef[members, None, :])
-                        if rows_of_v is not None:  # grid is a copy of those rows
-                            flat[rows_of_v] = grid
+                        grids = np.matmul(xs[b], v, out=ss[b]) if plan is None else score(b, r0, r1)
+                    if plan is None:  # V -= rho * x^T coef
+                        np.multiply(np.multiply(xt[b], cs[b], out=update), rs[b], out=update)
+                        np.subtract(v, update, out=v)
+                    else:
+                        for own, where, grid, x in grids:
+                            grid -= rho[r0:r1, None, None][own] * (x.mT * coef[own, None, :])
+                            flat[where] = grid
                     b += 1
             if end not in checks:
                 continue

@@ -204,7 +204,11 @@ class TestTrainCommand:
 
     def test_certificate_failure_exits_three_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         coef = LossSpec.coef
-        monkeypatch.setattr(LossSpec, "coef", lambda self, S, y: 3.0 * coef(self, S, y))
+
+        def tripled(self, S, y, out=None):
+            return np.multiply(3.0, coef(self, S, y, out), out=out)
+
+        monkeypatch.setattr(LossSpec, "coef", tripled)
         model, log = tmp_path / "m.bin", tmp_path / "l.csv"
         code = run(
             "train", "--synth", "n=50,d=3,c=3", "--loss", "mlogistic", "--sigma", "0.1",

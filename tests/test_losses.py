@@ -674,6 +674,42 @@ def test_check_labels_accepts_its_own_kind(spec):
 
 
 # ---------------------------------------------------------------------------
+# Planned class ids against raw ones.
+
+MULTICLASS_SPECS = [spec for spec in ORACLE_SPECS if not spec.is_multilabel]
+
+
+@pytest.mark.parametrize("cut", ["steps", "chains", "ragged"])
+@pytest.mark.parametrize("spec", MULTICLASS_SPECS, ids=lambda s: s.name)
+def test_planned_class_ids_equal_raw_ones(spec, cut):
+    # blocks of one row, of R = 4 rows (one step of every chain) and of mixed sizes,
+    # over draws of a pool whose labels include the first and the last column
+    rng, c, n = np.random.default_rng(43), 6, 48
+    pool = rng.integers(0, c, size=30)
+    pool[:5], pool[5:10] = 0, c - 1
+    draws = rng.permutation(np.concatenate([np.arange(10), rng.integers(0, 30, size=n - 10)]))
+    bounds = {"steps": range(n + 1), "chains": range(0, n + 1, 4), "ragged": [0, 1, 4, 5, 11, 17, 30, 31, n]}[cut]
+    bounds = list(bounds)
+    for trial in range(6):
+        S = rng.integers(-4, 5, size=(n, c)) * 0.5 if trial % 2 else rng.standard_normal((n, c)) * 3.0
+        S[: n // 8] = 0.0  # ties, and on the grid of halves kinks and flat regions
+        for b0, b1, plan in zip(bounds, bounds[1:], spec.blocks(spec.plan(pool, c), draws, bounds)):
+            raw, block = pool[draws[b0:b1]], S[b0:b1]
+            assert spec.value(block, plan).tobytes() == spec.value(block, raw).tobytes()
+            want, out = spec.coef(block, raw), np.full(block.shape, np.nan)
+            assert spec.coef(block, plan).tobytes() == want.tobytes()
+            assert spec.coef(block, plan, out) is out and out.tobytes() == want.tobytes()
+            assert [int(at % c) for at in plan.at] == raw.tolist()
+
+
+def test_coef_rejects_an_out_it_cannot_fill_in_place():
+    spec, S, y = LossSpec.multinomial_logistic(), np.zeros((4, 3)), np.array([0, 1, 2, 0])
+    for out in (np.empty((3, 4)).T, np.empty((4, 3), dtype=np.float32), np.empty((4, 4))):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            spec.coef(S, y, out)
+
+
+# ---------------------------------------------------------------------------
 # The pair-list ranking kernel against the grouped kernel it replaced.
 
 
@@ -731,7 +767,7 @@ class TestPairListRankingKernel:
         for base in (HINGE, LOGISTIC):
             spec = LossSpec.ranking(base)
             values = spec.value(S[rows], losses_module._pair_table(y, per_positive=False).plans(np.arange(n), cut)[r0 > 0])
-            coefs = spec.coef(S[rows], spec.blocks(spec.plan(y), np.arange(n), cut)[r0 > 0])
+            coefs = spec.coef(S[rows], spec.blocks(spec.plan(y, c), np.arange(n), cut)[r0 > 0])
             assert values.tobytes() == spec.value(S[rows], y[rows]).tobytes()
             assert coefs.tobytes() == spec.coef(S[rows], y[rows]).tobytes()
             assert values.tobytes() == oracles.grouped_ranking_value(spec, S[rows], y[rows]).tobytes()
@@ -744,10 +780,12 @@ class TestPairListRankingKernel:
     def test_plan_serves_the_kernel_it_was_made_for(self):
         spec, y = LossSpec.ranking(HINGE), np.array([[1, -1, -1], [-1, 1, 1]], dtype=np.int8)
         with pytest.raises(ValueError, match="either value or coef"):
-            spec.value(np.zeros((2, 3)), spec.blocks(spec.plan(y), np.arange(2), [0, 2])[0])
-        plan = LossSpec.mc_svm(HINGE).plan(np.array([0, 2]))
-        assert plan.tolist() == [0, 2]  # other labels stay as they are
-        assert [b.tolist() for b in LossSpec.mc_svm(HINGE).blocks(plan, np.array([1, 1, 0]), [0, 2, 3])] == [[2, 2], [0]]
+            spec.value(np.zeros((2, 3)), spec.blocks(spec.plan(y, 3), np.arange(2), [0, 2])[0])
+        plan = LossSpec.mc_svm(HINGE).plan(np.array([0, 2]), 3)
+        blocks = LossSpec.mc_svm(HINGE).blocks(plan, np.array([1, 1, 0]), [0, 2, 3])
+        # block-local flat positions i * c + y_i into each block's raveled scores
+        assert [(b.starts.tolist(), b.at.tolist()) for b in blocks] == [([0, 3], [2, 5]), ([0], [0])]
+        assert LossSpec.subset(HINGE).plan(y, 3) is y  # sign rows stay as they are
 
     @pytest.mark.parametrize("c", [6, 40])
     @pytest.mark.parametrize("per_positive", [False, True])
@@ -773,7 +811,7 @@ class TestPairListRankingKernel:
     def test_block_coef_equals_the_call_on_its_rows(self, c):
         rng = np.random.default_rng(c + 1)
         y, spec = sign_rows(rng, 40, c), LossSpec.ranking(LOGISTIC)
-        plan = spec.plan(y)
+        plan = spec.plan(y, c)
         for _ in range(5):
             draws = rng.integers(0, len(y), size=60)
             bounds = [0, *np.sort(rng.choice(np.arange(1, 60), size=6, replace=False)).tolist(), 60]

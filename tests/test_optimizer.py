@@ -420,7 +420,7 @@ def dense_replay(data, config):
     ranking row is not planned again at every step.
     """
     indices = generator(config.seed).integers(0, len(data), size=config.total_steps)
-    labels = config.loss.blocks(config.loss.plan(data.y), indices, np.arange(len(indices) + 1))
+    labels = config.loss.blocks(config.loss.plan(data.y, data.c), indices, np.arange(len(indices) + 1))
     w = np.zeros((data.d, data.c))
     norms = []
     for t, i in enumerate(indices, start=1):
@@ -626,8 +626,8 @@ class TestLockstepChains:
     def test_non_finite_chain_is_named(self, monkeypatch):
         coef = LossSpec.coef
 
-        def nan_in_chain_one(self, S, y):
-            out = coef(self, S, y)
+        def nan_in_chain_one(self, S, y, out=None):
+            out = coef(self, S, y, out)
             out[1] = np.nan
             return out
 
@@ -640,8 +640,8 @@ class TestLockstepChains:
     def test_inflated_chain_coefficients_are_named(self, monkeypatch):
         coef = LossSpec.coef
 
-        def inflate_chain_two(self, S, y):
-            out = coef(self, S, y)
+        def inflate_chain_two(self, S, y, out=None):
+            out = coef(self, S, y, out)
             out[2] *= 3.0
             return out
 
@@ -703,10 +703,10 @@ def block_sizes(monkeypatch, R):
     """Steps per block, read from the rows of each LossSpec.coef call; filled as training runs."""
     sizes, coef = [], LossSpec.coef
 
-    def spy(self, S, y):
+    def spy(self, S, y, out=None):
         assert len(S) % R == 0
         sizes.append(len(S) // R)
-        return coef(self, S, y)
+        return coef(self, S, y, out)
 
     monkeypatch.setattr(LossSpec, "coef", spy)
     return sizes
@@ -720,8 +720,8 @@ def patch_coef_row(monkeypatch, row, change):
     """
     seen, coef = [0], LossSpec.coef
 
-    def patched(self, S, y):
-        out = coef(self, S, y)
+    def patched(self, S, y, out=None):
+        out = coef(self, S, y, out)
         if seen[0] <= row < seen[0] + len(S):
             out[row - seen[0]] = change(out[row - seen[0]])
         seen[0] += len(S)
@@ -1003,12 +1003,13 @@ class TestRunningNorm:
 
 
 class TestEqualWidthViews:
-    """A chunk whose rows share one nnz is one group of views, and at nnz = d it updates V in place.
+    """A chunk whose rows share one nnz is one group of views, and at nnz = d it steps V in place.
 
     Both equal the general per-nnz grouping bit for bit.  That grouping is
-    forced by handing the chunk plan its groups in pieces of at most half a
-    chunk's entries, so no group holds every drawn row.  Ragged blocks
-    mixing several nnz keep their bits when their groups come in pieces.
+    forced by handing the chunk plan a d one larger, so no chunk is full
+    width, and its groups in pieces of at most half a chunk's entries, so no
+    group holds every drawn row.  Ragged blocks mixing several nnz keep
+    their bits when their groups come in pieces.
     """
 
     SIGMA = 0.05
@@ -1020,9 +1021,9 @@ class TestEqualWidthViews:
         configs = chain_configs(spec, reg, StepSchedule.theorem(self.SIGMA), 120, record_every=40, repetitions=R)
         plan, nnz_groups = optimizer_module._plan, optimizer_module.nnz_groups
 
-        def spy(plans):
-            def planned(offsets, features, *rest):
-                plans.append((features, list(plan(offsets, features, *rest))))
+        def spy(plans, wider):
+            def planned(offsets, features, values, lows, d):
+                plans.append((features, plan(offsets, features, values, lows, d + wider)))
                 return plans[-1][1]
 
             return planned
@@ -1034,15 +1035,15 @@ class TestEqualWidthViews:
         for forced in (False, True):
             with monkeypatch.context() as m:
                 plans = []
-                m.setattr(optimizer_module, "_plan", spy(plans))
+                m.setattr(optimizer_module, "_plan", spy(plans, int(forced)))
                 if forced:
                     m.setattr(optimizer_module, "nnz_groups", pieces)
                 results.append((train_many(pool, rows, configs), plans))
         (fast, fast_plans), (grouped, grouped_plans) = results
         for (w, records), (w_grouped, records_grouped) in zip(fast, grouped):
             assert w.tobytes() == w_grouped.tobytes() and records == records_grouped
-        for _, groups in grouped_plans:  # no group holds every drawn row
-            assert len(groups) > 1 and all(where is not None for _, where, _, _ in groups)
+        for features, groups in grouped_plans:  # no group holds every drawn row
+            assert len(groups) > 1 and not any(np.shares_memory(where, features) for _, where, _, _ in groups)
         return fast_plans, pool.d
 
     @pytest.mark.parametrize("R", [1, 3])
@@ -1056,9 +1057,12 @@ class TestEqualWidthViews:
         else:
             datasets = [sparse_wide_dataset(task, n=60, d=50, nnz=4, c=5, seed=s) for s in range(R)]
         plans, d = self.runs(monkeypatch, datasets, spec, reg, R)
-        for features, [(_, where, xs, _)] in plans:  # one group per chunk
-            assert xs.shape[2] == (d if width == "full" else 4)
-            assert where is None if width == "full" else np.shares_memory(where, features)
+        for features, groups in plans:
+            if width == "full":  # no groups: V is scored and stepped in place
+                assert groups is None
+            else:
+                [(_, where, xs, _)] = groups  # one group per chunk
+                assert xs.shape[2] == 4 and np.shares_memory(where, features)
 
     @pytest.mark.parametrize("reg", [RegularizerSpec.frobenius(SIGMA), RegularizerSpec.l2p(SIGMA, 1.5)], ids=lambda r: r.name)
     @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
@@ -1071,6 +1075,32 @@ class TestEqualWidthViews:
             for b in range(len(groups[0][3]) - 1)
         ]
         assert max(mixed) > 2  # some block scores rows of three or more nnz
+
+
+class TestFullWidthLockstep:
+    """A chunk of full-width rows steps V in place, one ``LossSpec.coef`` call per step of every chain."""
+
+    @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
+    def test_one_coef_call_per_block_and_no_gathered_rows_of_v(self, monkeypatch, spec):
+        R, steps = 3, 300
+        task = "mlc" if spec.is_multilabel else "mcc"
+        pool, rows = pooled(*[tiny_dataset(n=50, d=6, c=5, seed=s, task=task) for s in range(R)])
+        configs = chain_configs(spec, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), steps, repetitions=R)
+        calls, plans, coef, plan = [], [], LossSpec.coef, optimizer_module._plan
+
+        def spy(self, S, y, out=None):
+            calls.append((len(S), out is not None and out.base is not None))  # written into the chunk's rows
+            return coef(self, S, y, out)
+
+        def planned(*args):
+            plans.append(plan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(LossSpec, "coef", spy)
+        monkeypatch.setattr(optimizer_module, "_plan", planned)
+        train_many(pool, rows, configs)
+        assert calls == [(R, True)] * steps
+        assert plans and all(groups is None for groups in plans)  # no nnz group, so no rows of V are gathered
 
 
 class TestIterateNormCertificate:
@@ -1111,7 +1141,7 @@ class TestIterateNormCertificate:
     @pytest.mark.parametrize("reg", REGULARIZERS[:2], ids=lambda r: r.name)
     def test_non_finite_iterate_fails_fast(self, monkeypatch, reg):
         data = tiny_dataset()
-        monkeypatch.setattr(LossSpec, "coef", lambda self, S, y: np.full(S.shape, np.nan))
+        monkeypatch.setattr(LossSpec, "coef", lambda self, S, y, out=None: np.add(np.nan, np.zeros(S.shape), out=out))
         config = TrainConfig(
             loss=MLOG,
             reg=reg,
@@ -1127,7 +1157,11 @@ class TestIterateNormCertificate:
     def test_inflated_loss_coefficients_fail_duality_check(self, monkeypatch, reg):
         data = tiny_dataset()
         coef = LossSpec.coef
-        monkeypatch.setattr(LossSpec, "coef", lambda self, S, y: 3.0 * coef(self, S, y))
+
+        def tripled(self, S, y, out=None):
+            return np.multiply(3.0, coef(self, S, y, out), out=out)
+
+        monkeypatch.setattr(LossSpec, "coef", tripled)
         config = TrainConfig(
             loss=MLOG,
             reg=reg,
