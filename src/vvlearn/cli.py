@@ -9,6 +9,7 @@ dimension mismatches), and 3 when a property check or certificate fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -391,6 +392,7 @@ def _add_data_flags(sub):
     )
 
 
+@functools.cache  # parse_args leaves the parser as it found it, so one serves every main call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vvlearn", description=__doc__)
     commands = parser.add_subparsers(dest="command")

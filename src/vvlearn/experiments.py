@@ -2,9 +2,11 @@
 
 Each curve repeats training over independent repetitions, and the
 repetitions of a curve (passes) or of a grid point (sample size, gap) run
-in lockstep through one ``train_many`` call.  The pool is held once: splits
-and subsamples are arrays of its row indices, and every repetition trains
-and evaluates on its rows of the pool.  ``run_curve`` returns the
+in lockstep.  The passes curve walks the iterates of ``iterates`` and
+scores only each repetition's test rows at its grid passes; the others read
+the final records of one ``train_many`` call.  The pool is held once:
+splits and subsamples are arrays of its row indices, and every repetition
+trains and evaluates on its rows of the pool.  ``run_curve`` returns the
 objective of every repetition at every grid point as arrays of shape
 (len(grid), repetitions), one per metric, and ``emit_csv`` reduces them to
 a mean and standard deviation per grid point.  All randomness (splits,
@@ -22,7 +24,7 @@ import numpy as np
 
 from .dataio import Dataset, split, subsample, write_lines
 from .losses import LossSpec
-from .optimizer import StepSchedule, TrainConfig, train_many
+from .optimizer import StepSchedule, TrainConfig, iterates, mean_objective, train_many
 from .regularizers import RegularizerSpec
 from .seeding import derive_seed
 
@@ -74,9 +76,9 @@ class CurveSpec:
 def run_passes_curve(pool: Dataset, spec: CurveSpec) -> np.ndarray:
     """Test objectives after each grid pass count, shape (len(grid), repetitions).
 
-    Each repetition resplits the pool, trains once for max(grid) passes,
-    and reads the held-out objective at the recorded pass boundaries; the
-    repetitions train in lockstep.
+    Each repetition resplits the pool and trains once for max(grid)
+    passes; the repetitions train in lockstep.  At each grid pass boundary
+    only the test rows are scored: the curve reads no training objective.
     """
     if spec.kind != "passes":
         raise ValueError(f"spec kind is {spec.kind!r}, expected 'passes'")
@@ -92,13 +94,18 @@ def run_passes_curve(pool: Dataset, spec: CurveSpec) -> np.ndarray:
             total_steps=spec.grid[-1] * n,
             seed=derive_seed(spec.seed, _TRAIN_TAG, rep),
             record_every=n,
-            eval_holdout=test_rows,
         )
-        for rep, (_, test_rows) in enumerate(splits)
+        for rep in reps
     ]
-    runs = train_many(pool, [train_rows for train_rows, _ in splits], configs)
-    # Records fall at every pass boundary: records[g - 1] is pass g.
-    return np.asarray([[records[g - 1].holdout_objective for _, records in runs] for g in spec.grid])
+    # Records fall at every pass boundary: step g * n ends pass g.
+    points = {g * n: gi for gi, g in enumerate(spec.grid)}
+    test = np.empty((len(spec.grid), spec.repetitions))
+    for t, w, _ in iterates(pool, [train_rows for train_rows, _ in splits], configs):
+        if t in points:
+            test[points[t]] = [
+                mean_objective(w_r, pool, spec.loss, spec.reg, test_rows) for w_r, (_, test_rows) in zip(w, splits)
+            ]
+    return test
 
 
 def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -8,31 +8,31 @@ with eta_t * sigma <= 1 the iterates provably stay inside the ball
 ||w_t||_F <= L * kappa / sigma (L the loss's certified max-norm Lipschitz
 constant, kappa the largest input norm), a certificate every run enforces.
 
-One loop, ``_steps``, advances R independent chains in lockstep; ``train``
-is its R = 1 case and ``train_many`` runs the repetitions of a learning
-curve.  Chain r keeps its own rows, holdout rows, PCG64 stream and
-certificates, and equals a lone ``train`` on its rows bit for bit.  Every
-chain stores its iterate lazily scaled, W_r = a * V_r (Pegasos,
-Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
-2012), with one scale a for all chains: the Frobenius shrink multiplies a,
-so a step costs O(nnz * c) per chain.  A step that would take |a| below a
-floor folds a into V, and every group (2, p) step rescales V's columns at
-O(d * c); both leave a = 1.
+One loop advances R independent chains in lockstep.  ``iterates`` checks
+its inputs and yields every chain's iterate at the recording steps, where
+``train_many`` records objectives (``train`` is its R = 1 case) and a
+passes curve scores its test rows.  Chain r keeps its own rows, holdout
+rows, PCG64 stream and certificates, and equals a lone ``train`` on its
+rows bit for bit.  Every chain stores its iterate lazily scaled, W_r =
+a * V_r (Pegasos, Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient
+Descent Tricks", 2012), with one scale a for all chains: the Frobenius
+shrink multiplies a, so a step costs O(nnz * c) per chain.  A step that
+would take |a| below a floor folds a into V, and every group (2, p) step
+rescales V's columns at O(d * c); both leave a = 1.
 
 Indices are drawn a chunk of steps at a time, each chain from its own
 generator (numpy's bounded-integer stream does not depend on how the draws
-are split).  A chunk is planned in arrays: its drawn rows, with feature
-indices offset by r * d into V viewed as (R * d, c); the scales, as left
-folds with the sequential loop's bits; its blocks, maximal runs of steps in
-which no step reads a row of V an earlier one wrote, and their labels
-(``LossSpec.plan``, ``LossSpec.blocks``).  Python walks blocks, not steps.
-In a chunk of full-width rows a block is one step of every chain: a fixed
-run of ufuncs scores x . V_r, makes one ``LossSpec.coef`` call and
-subtracts rho * x^T coef from V, each into the chunk's rows or a reused
-buffer.  Other chunks group their rows by nnz (``_plan``), and a block
-scores its groups with stacked (m, 1, k) @ (m, k, c) products over their
-gathered rows of V and writes the rows back.  A stacked product equals each
-row's own and the update is elementwise, so blocking keeps every bit.
+are split); the scales are left folds with the sequential loop's bits.  A
+full-width pool, whose rows all hold d entries, takes a chunk's rows from
+X.data viewed as (n, d), and a ``for`` loop walks its steps: each scores
+x . V_r, makes one ``LossSpec.coef`` call and subtracts rho * x^T coef
+from V, a fixed run of ufuncs writing into the chunk's rows or a buffer.
+Other pools gather a chunk's CSR entries, their feature indices offset by
+r * d into V viewed as (R * d, c), and walk blocks: maximal runs of steps
+in which no step reads a row of V an earlier one wrote.  A block scores its
+nnz groups (``_plan``) with stacked (m, 1, k) @ (m, k, c) products over
+their gathered rows of V and writes the rows back; a stacked product equals
+each row's own and the update is elementwise, so blocking keeps every bit.
 Recording steps end a block, a block of more than one step gathers at most
 ``_BLOCK_VALUES`` values of V, and a folding step stands alone.
 
@@ -231,21 +231,33 @@ def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     PCG64 seeded with its config's seed.  When some chain's rows all hold
     more than d / 2 entries, any two of its rows share a column, so every
     step conflicts with the one before: the scan is skipped, conflicts is
-    None and every step is a block.
+    None and every step is a block.  In a full-width pool values is the
+    drawn rows, shape (steps * R, d), and the rest is None.
     """
-    R = len(rows)
+    R, X = len(rows), data.X
     rngs = [generator(config.seed) for config in configs]
-    widths = [np.diff(data.X.indptr).take(chain) for chain in rows]
+    widths = [np.diff(X.indptr).take(chain) for chain in rows]
     widest = max(int(np.max(w)) for w in widths)
     dense = any(2 * int(np.min(w)) > data.d for w in widths)
+    full = data.d > 0 and X.indptr[-1] == len(data) * data.d
     size = max(1, _DRAW_CHUNK_ENTRIES // (R * max(1, widest)))
     total = configs[0].total_steps
     for t0 in range(0, total, size):
         k = min(size, total - t0)
         draws = np.stack([chain.take(rng.integers(0, len(chain), size=k)) for rng, chain in zip(rngs, rows)], axis=1)
-        offsets, features, values = _gather(data, draws)
-        conflicts = None if dense else _conflicts(offsets, features, R)
-        yield t0, offsets, features, values, draws.ravel(), conflicts
+        drawn = draws.ravel()
+        if full:
+            yield t0, None, None, X.data.reshape(len(data), data.d).take(drawn, axis=0), drawn, None
+        else:
+            offsets, features, values = _gather(data, draws)
+            yield t0, offsets, features, values, drawn, None if dense else _conflicts(offsets, features, R)
+
+
+def _row_squares(values: np.ndarray) -> np.ndarray:
+    """||x||^2 of each row of an (n, d) array, its squares added left to right as ``np.bincount`` adds them."""
+    sq = np.multiply(values, values, order="F")  # class-major: a reduce adds a column at a time
+    # one row is a contiguous reduce, which may add pairwise, so it accumulates
+    return np.add.reduce(sq, axis=1) if len(sq) > 1 else np.add.accumulate(sq, axis=1)[:, -1]
 
 
 def _chain(r: int | None) -> str:
@@ -301,8 +313,8 @@ def _scales(reg: RegularizerSpec, a: float, eta: np.ndarray):
     return np.concatenate(([start], after[:-1])), after, folds
 
 
-def _rescale(reg: RegularizerSpec, a: float, v: np.ndarray, eta: float) -> None:
-    """The regularizer's step on V when a cannot carry it; a becomes 1.
+def _rescale(reg: RegularizerSpec, a: float, v: np.ndarray, eta: float) -> np.ndarray:
+    """The regularizer's step on V when a cannot carry it, after which a is 1; returns each ||V_r||_F^2.
 
     Frobenius folds the shrunk scale into V (an exact or near-zero shrink,
     as eta_1 * sigma = 1 under the theorem schedule, so a is never divided
@@ -313,6 +325,7 @@ def _rescale(reg: RegularizerSpec, a: float, v: np.ndarray, eta: float) -> None:
     else:
         for chain in v:
             chain *= 1.0 - eta * reg.column_scale(chain)
+    return np.sum(v * v, axis=(1, 2))
 
 
 def _norm_changes(scores: np.ndarray, coef: np.ndarray, x_sq: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -325,8 +338,8 @@ def _norm_changes(scores: np.ndarray, coef: np.ndarray, x_sq: np.ndarray, rho: n
     return np.where(np.isinf(quad), quad, quad - 2.0 * rho * np.add.reduce(scores * coef, axis=1))
 
 
-def _plan(offsets: np.ndarray, features: np.ndarray, values: np.ndarray, lows: list[int], d: int):
-    """A chunk's drawn rows grouped by nnz, for blocks that start at drawn rows lows, then n; None at full width.
+def _plan(offsets: np.ndarray, features: np.ndarray, values: np.ndarray, lows: list[int]):
+    """A chunk's drawn rows grouped by nnz, for blocks that start at drawn rows lows, then n.
 
     Returns (members, where, xs, firsts) per group: its drawn rows, their
     indices into V viewed as (R * d, c) and values, shaped (m, k) and
@@ -334,8 +347,6 @@ def _plan(offsets: np.ndarray, features: np.ndarray, values: np.ndarray, lows: l
     member.  A group of every row is views.
     """
     n = len(offsets) - 1
-    if offsets[-1] == n * d:  # a row holds at most d entries
-        return None
     groups = []
     for members, starts, k in nnz_groups(offsets):
         if len(members) == n:
@@ -371,10 +382,7 @@ def _block_edges(offsets: np.ndarray, conflicts: list[int], R: int, c: int, ends
 
 
 def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
-    """SGD on W_r = a * V_r for every chain; yields (t, W, norms) on recording steps.
-
-    W has shape (R, d, c) and norms lists each chain's ||W_r||_F.
-    """
+    """SGD on W_r = a * V_r for every chain: ``iterates`` on checked rows."""
     config = configs[0]
     loss, reg, schedule, total = config.loss, config.reg, config.schedule, config.total_steps
     record_every = config.record_every or total
@@ -393,62 +401,70 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     flat = v.reshape(R * d, c)
     labels = loss.plan(data.y, c)
     for t0, offsets, features, values, drawn, conflicts in _chunks(data, rows, configs):
-        n = len(offsets) - 1
+        n, full = len(drawn), offsets is None
         size = n // R
         eta = schedule.eta(np.arange(t0 + 1, t0 + size + 1))
         before, after, folds = _scales(reg, a, eta)
         a = float(after[-1])
         # Drawn rows (in step, chain order) score at the scale before their step and update with rho = eta_t / a.
-        scale, rho = np.repeat(before, R)[:, None], np.repeat(eta / after, R)
-        x_sq = np.bincount(np.repeat(np.arange(n), np.diff(offsets)), weights=values * values, minlength=n)
+        rho = np.repeat(eta / after, R)
+        if full:
+            x_sq = _row_squares(values)
+        else:
+            x_sq = np.bincount(np.repeat(np.arange(n), np.diff(offsets)), weights=values * values, minlength=n)
         # Row 0 of sq holds each chain's ||V_r||^2 before the chunk and row j + 1 that after a fold at step j;
         # each segment adds its steps' changes, and a left fold from each start gives the running sums.
         scores, coefs = np.zeros((n, c)), np.empty((n, c))  # rows without entries score zero
         sq = np.concatenate([v_sq[None], np.zeros((size, R))])
         checks = {size, *range(record_every - t0 % record_every, size, record_every)}
         ends = sorted(checks.union(folds, [f + 1 for f in folds]) - {0})
-        edges = list(range(size + 1)) if conflicts is None else _block_edges(offsets, conflicts, R, c, ends)
-        lows = [lo * R for lo in edges]
-        blocks, plan = loss.blocks(labels, drawn, lows), _plan(offsets, features, values, lows, d)
-        if plan is None:  # full width: a step reads every row its chain's last step wrote, so block j is step j
+        folded = set(folds)
+        if full:  # a step reads every row its chain's last step wrote, so each step is a block
+            blocks = loss.blocks(labels, drawn, range(0, n + 1, R))
             xs, xt, rs = values.reshape(size, R, 1, d), values.reshape(size, R, d, 1), rho.reshape(size, R, 1, 1)
             ss, sc, scaled = scores.reshape(size, R, 1, c), scores.reshape(size, R, c), np.empty((R, c))
             cs, cc, update = coefs.reshape(size, R, 1, c), coefs.reshape(size, R, c), np.empty((R, d, c))
+        else:
+            scale = np.repeat(before, R)[:, None]
+            edges = list(range(size + 1)) if conflicts is None else _block_edges(offsets, conflicts, R, c, ends)
+            lows = [lo * R for lo in edges]
+            blocks, plan = loss.blocks(labels, drawn, lows), _plan(offsets, features, values, lows)
 
-        def score(b, r0, r1):  # block b's drawn rows r0 to r1 - 1 by group; returns (rows, rows of V, their copy, x)
-            grids = []
-            for members, where, x, firsts in plan:
-                i0, i1 = firsts[b], firsts[b + 1]
-                if i0 < i1:
-                    own = slice(None) if i1 - i0 == r1 - r0 else members[i0:i1] - r0
-                    grids.append((own, where[i0:i1], flat.take(where[i0:i1], axis=0), x[i0:i1]))
-            for own, _, grid, x in grids:
-                scores[r0:r1][own] = (x @ grid)[:, 0]
-            return grids
+            def score(b, r0, r1):  # block b's drawn rows r0 to r1 - 1 by group; returns (rows, rows of V, their copy, x)
+                grids = []
+                for members, where, x, firsts in plan:
+                    i0, i1 = firsts[b], firsts[b + 1]
+                    if i0 < i1:
+                        own = slice(None) if i1 - i0 == r1 - r0 else members[i0:i1] - r0
+                        grids.append((own, where[i0:i1], flat.take(where[i0:i1], axis=0), x[i0:i1]))
+                for own, _, grid, x in grids:
+                    scores[r0:r1][own] = (x @ grid)[:, 0]
+                return grids
 
-        folded, b, g0 = set(folds), 0, 0
-        for end in ends:
+        b, g0 = 0, 0
+        for lo, end in zip([0, *ends], ends):
             with np.errstate(all="ignore"):  # a non-finite iterate raises below, naming its step
-                while edges[b] < end:  # one block: steps edges[b] to edges[b + 1] - 1 in one batched pass
-                    lo, r0, r1 = edges[b], lows[b], lows[b + 1]
-                    if plan is None:  # a fixed run of ufuncs, each writing into the chunk's rows or a buffer
-                        np.matmul(xs[b], v, out=ss[b])
-                        loss.coef(np.multiply(before[b], sc[b], out=scaled), blocks[b], cc[b])
-                    else:
+                if full:  # steps lo to end - 1, each a fixed run of ufuncs writing into the chunk's rows or a buffer
+                    for j in range(lo, end):
+                        np.matmul(xs[j], v, out=ss[j])
+                        loss.coef(np.multiply(before[j], sc[j], out=scaled), blocks[j], cc[j])
+                        if j in folded:  # the norm change starts from the rescaled V
+                            sq[j + 1] = _rescale(reg, float(before[j]), v, float(eta[j]))
+                            np.matmul(xs[j], v, out=ss[j])
+                        np.multiply(np.multiply(xt[j], cs[j], out=update), rs[j], out=update)  # V -= rho * x^T coef
+                        np.subtract(v, update, out=v)
+                else:
+                    while edges[b] < end:  # one block: steps edges[b] to edges[b + 1] - 1 in one batched pass
+                        j, r0, r1 = edges[b], lows[b], lows[b + 1]
                         grids = score(b, r0, r1)
                         coef = loss.coef(scale[r0:r1] * scores[r0:r1], blocks[b], coefs[r0:r1])
-                    if lo in folded:  # the norm change starts from the rescaled V
-                        _rescale(reg, float(before[lo]), v, float(eta[lo]))
-                        sq[lo + 1] = np.sum(v * v, axis=(1, 2))
-                        grids = np.matmul(xs[b], v, out=ss[b]) if plan is None else score(b, r0, r1)
-                    if plan is None:  # V -= rho * x^T coef
-                        np.multiply(np.multiply(xt[b], cs[b], out=update), rs[b], out=update)
-                        np.subtract(v, update, out=v)
-                    else:
+                        if j in folded:  # the norm change starts from the rescaled V
+                            sq[j + 1] = _rescale(reg, float(before[j]), v, float(eta[j]))
+                            grids = score(b, r0, r1)
                         for own, where, grid, x in grids:
                             grid -= rho[r0:r1, None, None][own] * (x.mT * coef[own, None, :])
                             flat[where] = grid
-                    b += 1
+                        b += 1
             if end not in checks:
                 continue
             t = t0 + end
@@ -485,66 +501,58 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         v_sq = sq[size].copy()
 
 
-def train_many(
-    data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]
-) -> list[tuple[np.ndarray, list[RunRecord]]]:
-    """Run one SGD chain per (rows, config) pair in lockstep over the pool data.
+def iterates(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
+    """One SGD chain per (rows, config) pair in lockstep over the pool data, as a generator.
 
-    Chain r trains on rows[r] of data, an integer array: its i-th draw is
-    row rows[r][i].  Returns each chain's last iterate and records, bit for
-    bit what ``train`` returns on those rows alone.  The configs must agree
-    on loss, regularizer, schedule, ``total_steps`` and ``record_every``;
-    each keeps its own seed and holdout rows.  The data, labels and rows
-    are checked before the first step.
+    Yields (t, W, norms) at each recording step t: W (R, d, c) holds every
+    chain's iterate and norms each ||W_r||_F.  Chain r draws from rows[r],
+    an integer array of pool rows.  The configs must agree on all but seed
+    and ``eval_holdout``.  Data, labels and rows are checked on this call.
     """
     if not configs:
         raise ValueError("need at least one chain")
     if len(rows) != len(configs):
         raise ValueError(f"need one config per chain, got {len(rows)} row arrays and {len(configs)} configs")
-    first = configs[0]
-    loss, reg = first.loss, first.reg
-    shared = (loss, reg, first.schedule, first.total_steps, first.record_every)
+    shared = [(config.loss, config.reg, config.schedule, config.total_steps, config.record_every) for config in configs]
     for r, config in enumerate(configs):
-        if (config.loss, config.reg, config.schedule, config.total_steps, config.record_every) != shared:
-            raise ValueError(
-                f"config {r} differs from config 0 in loss, regularizer, schedule, total_steps or record_every"
-            )
-    rows = [_check_rows(chain, len(data), f"rows of chain {r}") for r, chain in enumerate(rows)]
-    for r, config in enumerate(configs):
+        if shared[r] != shared[0]:
+            raise ValueError(f"config {r} differs from config 0 in loss, regularizer, schedule, total_steps or record_every")
         if config.eval_holdout is not None:
             _check_rows(config.eval_holdout, len(data), f"holdout rows of chain {r}")
-    loss.check_labels(data.y, data.c)
+    rows = [_check_rows(chain, len(data), f"rows of chain {r}") for r, chain in enumerate(rows)]
+    configs[0].loss.check_labels(data.y, data.c)
+    return _steps(data, rows, configs)
 
+
+def mean_objective(w: np.ndarray, data: Dataset, loss: LossSpec, reg: RegularizerSpec, rows: np.ndarray) -> float:
+    """The objective at w over the given rows of data: their mean loss plus the regularizer."""
+    return float(np.sum(_row_losses(w, data, loss, rows)) / len(rows)) + reg.value(w)
+
+
+def train_many(
+    data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]
+) -> list[tuple[np.ndarray, list[RunRecord]]]:
+    """The chains of ``iterates``, each with its last iterate and records.
+
+    A chain's records hold the objective on its rows and, with
+    ``eval_holdout``, on its holdout rows, bit for bit what ``train``
+    returns on those rows alone.
+    """
     records: list[list[RunRecord]] = [[] for _ in configs]
-    for t, w, norms in _steps(data, rows, configs):
+    for t, w, norms in iterates(data, rows, configs):
         for chain_rows, config, w_r, norm, chain in zip(rows, configs, w, norms, records):
-            # One pass scores the chain's train rows, then its holdout rows; a
-            # learning curve's chains need only a subsample and the test split.
-            holdout = config.eval_holdout
-            scored = chain_rows if holdout is None else np.concatenate([chain_rows, holdout])
-            values = _row_losses(w_r, data, loss, scored)
-            penalty, k = reg.value(w_r), len(chain_rows)
-            holdout_objective = None
-            if holdout is not None:
-                holdout_objective = float(np.sum(values[k:]) / len(holdout)) + penalty
-            chain.append(
-                RunRecord(
-                    step=t,
-                    empirical_objective=float(np.sum(values[:k]) / k) + penalty,
-                    holdout_objective=holdout_objective,
-                    iterate_frobenius_norm=norm,
-                )
-            )
+            holdout, loss, reg = config.eval_holdout, config.loss, config.reg
+            empirical = mean_objective(w_r, data, loss, reg, chain_rows)
+            held_out = None if holdout is None else mean_objective(w_r, data, loss, reg, holdout)
+            chain.append(RunRecord(t, empirical, held_out, norm))
     return list(zip(w, records))
 
 
 def train(data: Dataset, config: TrainConfig) -> tuple[np.ndarray, list[RunRecord]]:
     """Run SGD from w = 0 over every row of data and return the last iterate with its records.
 
-    Indices are drawn i.i.d. uniform from a seeded PCG64 generator, so a
-    fixed config reproduces the run bit for bit.  Records are emitted
-    every ``record_every`` steps and at the final step.  The labels and
-    holdout rows are checked before the first step.  This is
-    ``train_many`` with one chain over ``np.arange(len(data))``.
+    Records fall every ``record_every`` steps and at the final step, and a
+    fixed config reproduces the run bit for bit: it is ``train_many`` with
+    one chain over ``np.arange(len(data))``.
     """
     return train_many(data, [np.arange(len(data))], [config])[0]

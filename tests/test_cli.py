@@ -128,6 +128,32 @@ class TestTopLevel:
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # a good train, a usage error, a curve and --help, twice over through the one cached parser
+        argvs = [
+            ["train", "--synth", "n=40,d=3,c=3", "--loss", "mlogistic", "--sigma", "0.1", "--passes", "1",
+             "--model-out", str(tmp_path / "m.bin"), "--log-out", str(tmp_path / "l.csv")],
+            ["train", "--loss", "mlogistic", "--bogus"],
+            ["curve", "--kind", "passes", "--synth", "n=60,d=3,c=3", "--grid", "1,2", "--reps", "2",
+             "--out", str(tmp_path / "c.csv")],
+            ["--help"],
+        ]  # fmt: skip
+        cli_module._build_parser.cache_clear()
+        rounds = []
+        for _ in range(2):
+            calls = []
+            for argv in argvs:
+                code = run(*argv)
+                captured = capsys.readouterr()
+                calls.append((code, captured.out, captured.err))
+            files = [(tmp_path / name).read_bytes() for name in ("m.bin", "l.csv", "c.csv")]
+            rounds.append((calls, files))
+        assert [code for code, _, _ in rounds[0][0]] == [0, 1, 0, 0]
+        assert "usage error: unrecognized arguments: --bogus" in rounds[0][0][1][2]
+        assert rounds[0][0][3][1].startswith("usage: vvlearn")
+        assert rounds[1] == rounds[0]
+        assert cli_module._build_parser.cache_info().misses == 1
+
 
 def test_runs_without_a_logistic_base_import_no_scipy(tmp_path):
     data = tmp_path / "mlc.txt"

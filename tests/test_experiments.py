@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from vvlearn.experiments import (
     run_passes_curve,
 )
 from vvlearn.losses import HINGE, LossSpec
-from vvlearn.optimizer import StepSchedule, TrainConfig, evaluate_objective, train
+from vvlearn.optimizer import StepSchedule, TrainConfig, evaluate_objective, train, train_many
 from vvlearn.regularizers import RegularizerSpec
 from vvlearn.seeding import derive_seed
 
@@ -97,6 +98,23 @@ class TestPassesCurve:
             )
             _, records = oracles.lone_run(pool, train_rows, config)
             assert test[:, rep].tolist() == [records[0].holdout_objective, records[2].holdout_objective]
+
+    @pytest.mark.parametrize("loss", [MLOG, LossSpec.mc_svm(HINGE), LossSpec.topk_svm(2)], ids=lambda loss: loss.name)
+    def test_test_objectives_equal_train_many_holdout_objectives(self, pool, loss):
+        # the curve scores only the test rows; train_many scores each chain's train and holdout rows
+        spec = replace(make_spec("passes", (1, 2, 4), reps=3, seed=6), loss=loss)
+        splits = [split(len(pool), 0.8, derive_seed(6, 11, rep)) for rep in range(3)]
+        n = len(splits[0][0])
+        configs = [
+            TrainConfig(
+                loss=loss, reg=FRO, schedule=SCHED, total_steps=4 * n,
+                seed=derive_seed(6, 13, rep), record_every=n, eval_holdout=test_rows,
+            )
+            for rep, (_, test_rows) in enumerate(splits)
+        ]  # fmt: skip
+        runs = train_many(pool, [train_rows for train_rows, _ in splits], configs)
+        expected = [[records[g - 1].holdout_objective for _, records in runs] for g in spec.grid]
+        assert run_passes_curve(pool, spec).tolist() == expected
 
     def test_grid_points_share_one_trajectory(self, pool):
         # evaluating at 1 and 2 passes must match two separate shorter runs

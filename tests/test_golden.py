@@ -1,4 +1,4 @@
-"""The bytes of twelve small CLI runs, pinned by their sha256.
+"""The bytes of thirteen small CLI runs, pinned by their sha256.
 
 A change meant to keep every result bit for bit leaves these digests alone.
 One that moves numbers on purpose updates them here and lists old -> new
@@ -6,7 +6,8 @@ values in CHANGES.md.  The runs cover the step loop's main paths: sparse
 ranking rows under the theorem schedule (the scale folds at step 1, and
 some rows have more than 256 pairs), ragged multiclass rows with one
 chain, lockstep passes curves of full-width rows under each multiclass
-loss, and the group (2, p) regularizer.  A ranking gap curve records
+loss, a one-chain passes curve whose 3,277 steps end in a one-step chunk,
+and the group (2, p) regularizer.  A ranking gap curve records
 train and holdout objectives over subsets of the pool.  A ragged train and a passes curve read files in which one row
 in seven has labels and no features.  Two ``rademacher`` runs pin the
 sandwich CSV: an exhaustive one over 2^20 sign vectors, whose bits no
@@ -24,7 +25,7 @@ subprocesses at ``OPENBLAS_NUM_THREADS`` 1 and 2 to keep it so.
 They were pinned under numpy's AVX-512 dispatch (numpy 2.4.6 on an x86-64
 machine with AVX-512).  With ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
 AVX512_SPR"``, and also with ``X86_V3`` disabled besides, ``passes-curve``
-and ``l2p`` fail and the other 19 cases pass: numpy's AVX-512 float64
+and ``l2p`` fail and the other 20 cases pass: numpy's AVX-512 float64
 ``exp`` and ``log`` loops, which the multinomial logistic loss of both runs
 calls, and its AVX-512 (SVML) float64 ``power`` loop, which the group-(2, p)
 regularizer calls for ``col_norms ** p``, round differently in the last
@@ -98,6 +99,11 @@ CASES = {
         ["curve", "--kind", "passes", "--synth", "n=300,d=10,c=4,noise=0.1,seed=3", "--loss", "topk", "--k", "2",
          "--grid", "1,2,3", "--reps", "3", "--seed", "5"],
     ),
+    "passes-curve-one-step-chunk": (
+        None,
+        ["curve", "--kind", "passes", "--synth", "n=4097,d=10,c=4,noise=0.1,seed=3", "--grid", "1", "--reps", "1",
+         "--seed", "2"],
+    ),
     "l2p": (
         None,
         ["train", "--synth", "n=200,d=12,c=4,noise=0.1,seed=4", "--loss", "mlogistic", "--reg", "l2p",
@@ -140,6 +146,9 @@ DIGESTS = {
     },
     "passes-curve-topk": {
         "out.csv": "4b34f153b66d179dc82bd957b2d9a5f5d4bc81f5d43f51bd44ca95cd3fc1368b",
+    },
+    "passes-curve-one-step-chunk": {
+        "out.csv": "722753fe6bbe58c999f414dcc87ed07fe57c34aafe8611029204ddca4ed8ee0d",
     },
     "l2p": {
         "model.bin": "dc585362991da2ab45eea42ff464965680f5aa862a81a701257a875566486310",

@@ -1003,27 +1003,31 @@ class TestRunningNorm:
 
 
 class TestEqualWidthViews:
-    """A chunk whose rows share one nnz is one group of views, and at nnz = d it steps V in place.
+    """A chunk whose rows share one nnz is one group of views, and a full-width pool steps V in place.
 
     Both equal the general per-nnz grouping bit for bit.  That grouping is
-    forced by handing the chunk plan a d one larger, so no chunk is full
-    width, and its groups in pieces of at most half a chunk's entries, so no
-    group holds every drawn row.  Ragged blocks mixing several nnz keep
-    their bits when their groups come in pieces.
+    forced by adding a pool row of one entry, which no chain draws, so the
+    pool is not full width, and by handing the chunk plan its groups in
+    pieces of at most half a chunk's entries, so no group holds every drawn
+    row.  Ragged blocks mixing several nnz keep their bits when their groups
+    come in pieces.
     """
 
     SIGMA = 0.05
 
     def runs(self, monkeypatch, datasets, spec, reg, R):
-        """Both trainings' results, with the plans each one's chunks made and their features."""
+        """The plans the chunks of the first training made, after both trainings' results are compared."""
         pool, rows = pooled(*datasets)
+        one_entry = sp.csr_matrix(([1.0], [0], [0, 1]), shape=(1, pool.d))
+        X = sp.vstack([oracles.scipy_csr(pool.X), one_entry], format="csr")
+        wider = Dataset(X, np.concatenate([pool.y, pool.y[:1]]), pool.c, pool.task)
         # the theorem schedule folds the Frobenius scale at step 1
         configs = chain_configs(spec, reg, StepSchedule.theorem(self.SIGMA), 120, record_every=40, repetitions=R)
         plan, nnz_groups = optimizer_module._plan, optimizer_module.nnz_groups
 
-        def spy(plans, wider):
-            def planned(offsets, features, values, lows, d):
-                plans.append((features, plan(offsets, features, values, lows, d + wider)))
+        def spy(plans):
+            def planned(offsets, features, values, lows):
+                plans.append((features, plan(offsets, features, values, lows)))
                 return plans[-1][1]
 
             return planned
@@ -1035,16 +1039,17 @@ class TestEqualWidthViews:
         for forced in (False, True):
             with monkeypatch.context() as m:
                 plans = []
-                m.setattr(optimizer_module, "_plan", spy(plans, int(forced)))
+                m.setattr(optimizer_module, "_plan", spy(plans))
                 if forced:
                     m.setattr(optimizer_module, "nnz_groups", pieces)
-                results.append((train_many(pool, rows, configs), plans))
+                results.append((train_many(wider if forced else pool, rows, configs), plans))
         (fast, fast_plans), (grouped, grouped_plans) = results
         for (w, records), (w_grouped, records_grouped) in zip(fast, grouped):
             assert w.tobytes() == w_grouped.tobytes() and records == records_grouped
+        assert grouped_plans
         for features, groups in grouped_plans:  # no group holds every drawn row
             assert len(groups) > 1 and not any(np.shares_memory(where, features) for _, where, _, _ in groups)
-        return fast_plans, pool.d
+        return fast_plans
 
     @pytest.mark.parametrize("R", [1, 3])
     @pytest.mark.parametrize("reg", [RegularizerSpec.frobenius(SIGMA), RegularizerSpec.l2p(SIGMA, 1.5)], ids=lambda r: r.name)
@@ -1056,19 +1061,18 @@ class TestEqualWidthViews:
             datasets = [tiny_dataset(n=40, d=6, c=5, seed=s, task=task) for s in range(R)]
         else:
             datasets = [sparse_wide_dataset(task, n=60, d=50, nnz=4, c=5, seed=s) for s in range(R)]
-        plans, d = self.runs(monkeypatch, datasets, spec, reg, R)
+        plans = self.runs(monkeypatch, datasets, spec, reg, R)
+        if width == "full":  # nothing is planned: V is scored and stepped in place
+            assert plans == []
         for features, groups in plans:
-            if width == "full":  # no groups: V is scored and stepped in place
-                assert groups is None
-            else:
-                [(_, where, xs, _)] = groups  # one group per chunk
-                assert xs.shape[2] == 4 and np.shares_memory(where, features)
+            [(_, where, xs, _)] = groups  # one group per chunk
+            assert xs.shape[2] == 4 and np.shares_memory(where, features)
 
     @pytest.mark.parametrize("reg", [RegularizerSpec.frobenius(SIGMA), RegularizerSpec.l2p(SIGMA, 1.5)], ids=lambda r: r.name)
     @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
     def test_ragged_blocks_keep_their_bits_in_pieces(self, monkeypatch, spec, reg):
         task = "mlc" if spec.is_multilabel else "mcc"
-        plans, _ = self.runs(monkeypatch, [ragged_wide_dataset(task, n=60, seed=s) for s in range(3)], spec, reg, 3)
+        plans = self.runs(monkeypatch, [ragged_wide_dataset(task, n=60, seed=s) for s in range(3)], spec, reg, 3)
         mixed = [
             sum(firsts[b] < firsts[b + 1] for _, _, _, firsts in groups)
             for _, groups in plans
@@ -1078,7 +1082,7 @@ class TestEqualWidthViews:
 
 
 class TestFullWidthLockstep:
-    """A chunk of full-width rows steps V in place, one ``LossSpec.coef`` call per step of every chain."""
+    """A full-width pool steps V in place from its dense rows, one ``LossSpec.coef`` call per step of every chain."""
 
     @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
     def test_one_coef_call_per_block_and_no_gathered_rows_of_v(self, monkeypatch, spec):
@@ -1086,21 +1090,48 @@ class TestFullWidthLockstep:
         task = "mlc" if spec.is_multilabel else "mcc"
         pool, rows = pooled(*[tiny_dataset(n=50, d=6, c=5, seed=s, task=task) for s in range(R)])
         configs = chain_configs(spec, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), steps, repetitions=R)
-        calls, plans, coef, plan = [], [], LossSpec.coef, optimizer_module._plan
+        calls, coef = [], LossSpec.coef
 
         def spy(self, S, y, out=None):
             calls.append((len(S), out is not None and out.base is not None))  # written into the chunk's rows
             return coef(self, S, y, out)
 
-        def planned(*args):
-            plans.append(plan(*args))
-            return plans[-1]
-
         monkeypatch.setattr(LossSpec, "coef", spy)
-        monkeypatch.setattr(optimizer_module, "_plan", planned)
+        for name in ("_gather", "_plan"):  # no CSR entries are gathered and no nnz groups planned
+            monkeypatch.setattr(optimizer_module, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
         train_many(pool, rows, configs)
         assert calls == [(R, True)] * steps
-        assert plans and all(groups is None for groups in plans)  # no nnz group, so no rows of V are gathered
+
+
+class TestDenseChunks:
+    """A full-width pool's chunk values and ||x||^2 equal ``_gather``'s and the bincount's bit for bit."""
+
+    @pytest.mark.parametrize("per_chunk, sizes", [(5, [5, 5, 1]), (1, [1] * 11)], ids=["ends-in-one-step", "one-step"])
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("d", [1, 8, 9, 20])
+    def test_dense_rows_equal_the_gathered_rows(self, monkeypatch, d, R, per_chunk, sizes):
+        # rows of unnormalized normals, whose squares a pairwise sum adds with other bits than a left fold
+        datasets = [Dataset(generator(s).standard_normal((30, d)), np.arange(30) % 3, 3, "mcc") for s in range(R)]
+        pool, rows = pooled(*datasets)
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), 11, repetitions=R)
+        monkeypatch.setattr(optimizer_module, "_DRAW_CHUNK_ENTRIES", per_chunk * R * d)
+        chunk_sizes = []
+        for _, offsets, features, values, drawn, conflicts in optimizer_module._chunks(pool, rows, configs):
+            assert offsets is None and features is None and conflicts is None
+            n = len(drawn)
+            offsets, _, gathered = optimizer_module._gather(pool, drawn.reshape(-1, R))
+            x_sq = np.bincount(np.repeat(np.arange(n), np.diff(offsets)), weights=gathered * gathered, minlength=n)
+            assert values.shape == (n, d) and values.tobytes() == gathered.tobytes()
+            assert optimizer_module._row_squares(values).tobytes() == x_sq.tobytes()
+            chunk_sizes.append(n // R)
+        assert chunk_sizes == sizes
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_rows_without_columns_train(self, steps):
+        # at d = 0 every row is empty, so the pool takes the CSR path, one-row chunk or not
+        data = Dataset(np.zeros((3, 0)), np.array([0, 1, 0]), 2, "mcc")
+        w, records = train(data, config_for(data, total_steps=steps))
+        assert w.shape == (0, 2) and [r.empirical_objective for r in records] == [np.log(2.0)]
 
 
 class TestIterateNormCertificate:
