@@ -20,13 +20,7 @@ from .checks import SUITE_NAMES, run_suite
 from .dataio import Dataset, ParseError, normalize_rows, parse_sparse_text, synth_gen, write_lines
 from .experiments import CURVE_KINDS, CurveSpec, default_samplesize_grid, emit_csv, run_curve
 from .losses import HINGE, LOGISTIC, LossSpec, standard_loss_specs
-from .optimizer import (
-    CertificateError,
-    StepSchedule,
-    TrainConfig,
-    evaluate_mean_loss,
-    train,
-)
+from .optimizer import CertificateError, StepSchedule, TrainConfig, mean_loss, train
 from .rademacher import sandwich_check, write_report_csv
 from .regularizers import RegularizerSpec
 
@@ -199,13 +193,10 @@ def _data_reading(metadata: dict, task: str, c: int) -> tuple[dict[int, int], bo
 
 
 def _write_log_csv(records, destination) -> None:
+    # The third column is always empty; it is kept so the log format holds.
     lines = ["step,empirical_objective,holdout_objective,iterate_frobenius_norm"]
     for record in records:
-        holdout = "" if record.holdout_objective is None else f"{record.holdout_objective:.17g}"
-        lines.append(
-            f"{record.step},{record.empirical_objective:.17g},{holdout},"
-            f"{record.iterate_frobenius_norm:.17g}"
-        )
+        lines.append(f"{record.step},{record.empirical_objective:.17g},,{record.iterate_frobenius_norm:.17g}")
     write_lines(destination, lines)
 
 
@@ -263,9 +254,9 @@ def _cmd_eval(args) -> int:
     _check_labels(loss, data)
     if normalize:
         data = normalize_rows(data)
-    mean_loss = evaluate_mean_loss(w, data, loss)
-    objective = mean_loss + reg.value(w)  # evaluate_objective, scoring the data once
-    print(f"objective={objective:.17g} loss={mean_loss:.17g}")
+    average = mean_loss(w, data, loss)
+    objective = average + reg.value(w)  # evaluate_objective, scoring the data once
+    print(f"objective={objective:.17g} loss={average:.17g}")
     return 0
 
 

@@ -317,31 +317,6 @@ def parse_sparse_text(
     return Dataset(CSR(vals, cols, indptr, (n, dim)), y, len(label_map), task, label_map)
 
 
-def write_sparse_text(dataset: Dataset, destination) -> None:
-    """Write a Dataset in the sparse text format (inverse of parsing).
-
-    Labels are written through the inverse of ``label_map`` so a parsed
-    file writes back with its original ids; floats use the shortest
-    representation that round-trips exactly.
-    """
-    inverse = {dense: raw for raw, dense in dataset.label_map.items()}
-    X = dataset.X
-    bounds, cols, vals = X.indptr.tolist(), (X.indices + 1).tolist(), X.data.tolist()
-    lines = []
-    for i, (s, e) in enumerate(zip(bounds, bounds[1:])):
-        if dataset.task == "mlc":
-            positive = np.flatnonzero(dataset.y[i] > 0).tolist()
-            if not positive:
-                raise ValueError("cannot serialize a sign vector with no +1 entries")
-            head = ",".join(str(inverse.get(j, j) + 1) for j in positive)
-        else:
-            label = int(dataset.y[i])
-            head = str(inverse.get(label, label))
-        feats = " ".join(f"{j}:{v!r}" for j, v in zip(cols[s:e], vals[s:e]))
-        lines.append(f"{head} {feats}".rstrip())
-    write_lines(destination, lines)
-
-
 def _unit_rows(rows: np.ndarray) -> np.ndarray:
     """Rescale each row of an (m, k) array so its recomputed Euclidean norm is exactly 1.0.
 

@@ -2,18 +2,18 @@
 
 Each curve repeats training over independent repetitions, and the
 repetitions of a curve (passes) or of a grid point (sample size, gap) run
-in lockstep.  The passes curve walks the iterates of ``iterates`` and
-scores only each repetition's test rows at its grid passes; the others read
-the final records of one ``train_many`` call.  The pool is held once:
-splits and subsamples are arrays of its row indices, and every repetition
-trains and evaluates on its rows of the pool.  ``run_curve`` returns the
-objective of every repetition at every grid point as arrays of shape
-(len(grid), repetitions), one per metric, and ``emit_csv`` reduces them to
-a mean and standard deviation per grid point.  All randomness (splits,
-subsamples, SGD index draws) is derived from the spec's base seed with
-fixed tags, and each lockstep chain equals a lone ``train`` of its
-repetition bit for bit, so a spec maps to one exact curve whether the
-repetitions run together or one at a time.
+in lockstep, walking the iterates of ``iterates``.  The passes curve scores
+only each repetition's test rows at its grid passes; the others score each
+repetition's subsample and the shared test rows at the final step.  The
+pool is held once: splits and subsamples are arrays of its row indices, and
+every repetition trains and evaluates on its rows of the pool.
+``run_curve`` returns the objective of every repetition at every grid point
+as arrays of shape (len(grid), repetitions), one per metric, and
+``emit_csv`` reduces them to a mean and standard deviation per grid point.
+All randomness (splits, subsamples, SGD index draws) is derived from the
+spec's base seed with fixed tags, and each lockstep chain equals a lone
+``train`` of its repetition bit for bit, so a spec maps to one exact curve
+whether the repetitions run together or one at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .dataio import Dataset, split, subsample, write_lines
 from .losses import LossSpec
-from .optimizer import StepSchedule, TrainConfig, iterates, mean_objective, train_many
+from .optimizer import StepSchedule, TrainConfig, iterates, mean_loss
 from .regularizers import RegularizerSpec
 from .seeding import derive_seed
 
@@ -83,13 +83,13 @@ def run_passes_curve(pool: Dataset, spec: CurveSpec) -> np.ndarray:
     if spec.kind != "passes":
         raise ValueError(f"spec kind is {spec.kind!r}, expected 'passes'")
 
-    reps = range(spec.repetitions)
+    reps, loss, reg = range(spec.repetitions), spec.loss, spec.reg
     splits = [split(len(pool), spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG, rep)) for rep in reps]
     n = len(splits[0][0])
     configs = [
         TrainConfig(
-            loss=spec.loss,
-            reg=spec.reg,
+            loss=loss,
+            reg=reg,
             schedule=spec.schedule,
             total_steps=spec.grid[-1] * n,
             seed=derive_seed(spec.seed, _TRAIN_TAG, rep),
@@ -102,9 +102,7 @@ def run_passes_curve(pool: Dataset, spec: CurveSpec) -> np.ndarray:
     test = np.empty((len(spec.grid), spec.repetitions))
     for t, w, _ in iterates(pool, [train_rows for train_rows, _ in splits], configs):
         if t in points:
-            test[points[t]] = [
-                mean_objective(w_r, pool, spec.loss, spec.reg, test_rows) for w_r, (_, test_rows) in zip(w, splits)
-            ]
+            test[points[t]] = [mean_loss(w_r, pool, loss, rows) + reg.value(w_r) for w_r, (_, rows) in zip(w, splits)]
     return test
 
 
@@ -122,7 +120,7 @@ def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.nda
             f"grid value {spec.grid[-1]} exceeds the available pool of {len(train_rows)}"
         )
 
-    reps = range(spec.repetitions)
+    reps, loss, reg = range(spec.repetitions), spec.loss, spec.reg
     train_vals, test_vals = [], []
     for gi, size in enumerate(spec.grid):
         subsets = [
@@ -131,18 +129,17 @@ def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.nda
         ]
         configs = [
             TrainConfig(
-                loss=spec.loss,
-                reg=spec.reg,
+                loss=loss,
+                reg=reg,
                 schedule=spec.schedule,
                 total_steps=spec.passes_per_point * size,
                 seed=derive_seed(spec.seed, _TRAIN_TAG, gi, rep),
-                eval_holdout=test_rows,
             )
             for rep in reps
         ]
-        finals = [records[-1] for _, records in train_many(pool, subsets, configs)]
-        train_vals.append([final.empirical_objective for final in finals])
-        test_vals.append([final.holdout_objective for final in finals])
+        [(_, w, _)] = iterates(pool, subsets, configs)  # one record, at the final step
+        train_vals.append([mean_loss(w_r, pool, loss, rows) + reg.value(w_r) for w_r, rows in zip(w, subsets)])
+        test_vals.append([mean_loss(w_r, pool, loss, test_rows) + reg.value(w_r) for w_r in w])
     return np.asarray(train_vals), np.asarray(test_vals)
 
 

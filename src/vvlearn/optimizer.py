@@ -10,15 +10,15 @@ constant, kappa the largest input norm), a certificate every run enforces.
 
 One loop advances R independent chains in lockstep.  ``iterates`` checks
 its inputs and yields every chain's iterate at the recording steps, where
-``train_many`` records objectives (``train`` is its R = 1 case) and a
-passes curve scores its test rows.  Chain r keeps its own rows, holdout
-rows, PCG64 stream and certificates, and equals a lone ``train`` on its
-rows bit for bit.  Every chain stores its iterate lazily scaled, W_r =
-a * V_r (Pegasos, Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient
-Descent Tricks", 2012), with one scale a for all chains: the Frobenius
-shrink multiplies a, so a step costs O(nnz * c) per chain.  A step that
-would take |a| below a floor folds a into V, and every group (2, p) step
-rescales V's columns at O(d * c); both leave a = 1.
+``train`` (its R = 1 case) records objectives and a curve scores rows
+through ``mean_loss``.  Chain r keeps its own rows, PCG64 stream and
+certificates, and equals a lone ``train`` on its rows bit for bit.  Every
+chain stores its iterate lazily scaled, W_r = a * V_r (Pegasos,
+Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
+2012), with one scale a for all chains: the Frobenius shrink multiplies a,
+so a step costs O(nnz * c) per chain.  A step that would take |a| below a
+floor folds a into V, and every group (2, p) step rescales V's columns at
+O(d * c); both leave a = 1.
 
 Indices are drawn a chunk of steps at a time, each chain from its own
 generator (numpy's bounded-integer stream does not depend on how the draws
@@ -118,9 +118,7 @@ class StepSchedule:
 class TrainConfig:
     """Everything a training run depends on, seed included.
 
-    ``record_every`` of None records only the final step.  ``eval_holdout``,
-    an integer array of rows of the training pool, adds the objective on
-    those held-out rows to every record.
+    ``record_every`` of None records only the final step.
     """
 
     loss: LossSpec
@@ -129,7 +127,6 @@ class TrainConfig:
     total_steps: int
     seed: int
     record_every: int | None = None
-    eval_holdout: np.ndarray | None = None
 
     def __post_init__(self):
         if self.total_steps < 1:
@@ -146,7 +143,6 @@ class RunRecord:
 
     step: int
     empirical_objective: float
-    holdout_objective: float | None
     iterate_frobenius_norm: float
 
 
@@ -162,17 +158,21 @@ def _check_rows(rows, n: int, what: str) -> np.ndarray:
 
 def evaluate_objective(w: np.ndarray, data: Dataset, loss: LossSpec, reg: RegularizerSpec) -> float:
     """Mean loss over the data plus the regularizer."""
-    return evaluate_mean_loss(w, data, loss) + reg.value(w)
+    return mean_loss(w, data, loss) + reg.value(w)
 
 
-def evaluate_mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec) -> float:
-    """Mean loss over the data, without the regularization term."""
-    if not len(data):
-        raise ValueError("cannot evaluate on data with no rows")
-    loss.check_labels(data.y, data.c)
+def mean_loss(w: np.ndarray, data: Dataset, loss: LossSpec, rows: np.ndarray | None = None) -> float:
+    """Mean loss over the given rows of data (by default every row), without the regularization term.
+
+    Only a call over every row checks labels: callers that pass rows score
+    a pool whose labels ``iterates`` checked, at each of its records.
+    """
+    if rows is None:
+        loss.check_labels(data.y, data.c)
+    rows = _check_rows(np.arange(len(data)) if rows is None else rows, len(data), "rows of data")
     if np.shape(w) != (data.d, data.c):
         raise ValueError(f"data has dimensions {(data.d, data.c)}, the weight matrix {np.shape(w)}")
-    return float(np.sum(_row_losses(w, data, loss, np.arange(len(data)))) / len(data))
+    return float(np.sum(_row_losses(w, data, loss, rows)) / len(rows))
 
 
 def _row_losses(w: np.ndarray, data: Dataset, loss: LossSpec, rows: np.ndarray) -> np.ndarray:
@@ -506,53 +506,30 @@ def iterates(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
 
     Yields (t, W, norms) at each recording step t: W (R, d, c) holds every
     chain's iterate and norms each ||W_r||_F.  Chain r draws from rows[r],
-    an integer array of pool rows.  The configs must agree on all but seed
-    and ``eval_holdout``.  Data, labels and rows are checked on this call.
+    an integer array of pool rows.  The configs must agree on all but
+    seed.  Data, labels and rows are checked on this call.
     """
     if not configs:
         raise ValueError("need at least one chain")
     if len(rows) != len(configs):
         raise ValueError(f"need one config per chain, got {len(rows)} row arrays and {len(configs)} configs")
     shared = [(config.loss, config.reg, config.schedule, config.total_steps, config.record_every) for config in configs]
-    for r, config in enumerate(configs):
-        if shared[r] != shared[0]:
+    for r, key in enumerate(shared):
+        if key != shared[0]:
             raise ValueError(f"config {r} differs from config 0 in loss, regularizer, schedule, total_steps or record_every")
-        if config.eval_holdout is not None:
-            _check_rows(config.eval_holdout, len(data), f"holdout rows of chain {r}")
     rows = [_check_rows(chain, len(data), f"rows of chain {r}") for r, chain in enumerate(rows)]
     configs[0].loss.check_labels(data.y, data.c)
     return _steps(data, rows, configs)
 
 
-def mean_objective(w: np.ndarray, data: Dataset, loss: LossSpec, reg: RegularizerSpec, rows: np.ndarray) -> float:
-    """The objective at w over the given rows of data: their mean loss plus the regularizer."""
-    return float(np.sum(_row_losses(w, data, loss, rows)) / len(rows)) + reg.value(w)
-
-
-def train_many(
-    data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]
-) -> list[tuple[np.ndarray, list[RunRecord]]]:
-    """The chains of ``iterates``, each with its last iterate and records.
-
-    A chain's records hold the objective on its rows and, with
-    ``eval_holdout``, on its holdout rows, bit for bit what ``train``
-    returns on those rows alone.
-    """
-    records: list[list[RunRecord]] = [[] for _ in configs]
-    for t, w, norms in iterates(data, rows, configs):
-        for chain_rows, config, w_r, norm, chain in zip(rows, configs, w, norms, records):
-            holdout, loss, reg = config.eval_holdout, config.loss, config.reg
-            empirical = mean_objective(w_r, data, loss, reg, chain_rows)
-            held_out = None if holdout is None else mean_objective(w_r, data, loss, reg, holdout)
-            chain.append(RunRecord(t, empirical, held_out, norm))
-    return list(zip(w, records))
-
-
 def train(data: Dataset, config: TrainConfig) -> tuple[np.ndarray, list[RunRecord]]:
     """Run SGD from w = 0 over every row of data and return the last iterate with its records.
 
-    Records fall every ``record_every`` steps and at the final step, and a
-    fixed config reproduces the run bit for bit: it is ``train_many`` with
-    one chain over ``np.arange(len(data))``.
+    Records fall every ``record_every`` steps and at the final step, each
+    holding the objective over every row; a fixed config reproduces the
+    run bit for bit.  It is ``iterates`` with one chain.
     """
-    return train_many(data, [np.arange(len(data))], [config])[0]
+    rows, records = np.arange(len(data)), []
+    for t, w, norms in iterates(data, [rows], [config]):
+        records.append(RunRecord(t, mean_loss(w[0], data, config.loss, rows) + config.reg.value(w[0]), norms[0]))
+    return w[0], records

@@ -48,24 +48,26 @@ same dataset, or the same error, on every input.
 
 ``scipy_csr`` turns a dataset's CSR record into the scipy matrix it
 stands for, for the tests that slice, stack or densify it.
+``write_sparse_text`` writes a dataset back in the sparse text format, for
+the tests that round-trip datasets through files.
 
 ``take`` copies rows of a dataset into a dataset of their own, as every
 split and chain held its rows before chains read row maps into one pool;
 ``lone_run`` trains one chain on such a copy, the reference that a chain of
-``train_many`` must equal bit for bit.
+``lockstep_runs`` must equal bit for bit.  ``lockstep_runs`` records every
+chain of one ``iterates`` call as ``train`` records a lone run.
 """
 
 import math
 from array import array
-from dataclasses import replace
 from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from vvlearn.dataio import Dataset, ParseError
-from vvlearn.optimizer import train, train_many
+from vvlearn.dataio import Dataset, ParseError, write_lines
+from vvlearn.optimizer import RunRecord, iterates, mean_loss, train
 from vvlearn.seeding import generator
 
 
@@ -441,22 +443,49 @@ def scipy_csr(X):
     return sp.csr_matrix((X.data, X.indices, X.indptr), shape=X.shape)
 
 
+def write_sparse_text(dataset: Dataset, destination) -> None:
+    """Write a Dataset in the sparse text format (inverse of parsing).
+
+    Labels are written through the inverse of ``label_map`` so a parsed
+    file writes back with its original ids; floats use the shortest
+    representation that round-trips exactly.
+    """
+    inverse = {dense: raw for raw, dense in dataset.label_map.items()}
+    X = dataset.X
+    bounds, cols, vals = X.indptr.tolist(), (X.indices + 1).tolist(), X.data.tolist()
+    lines = []
+    for i, (s, e) in enumerate(zip(bounds, bounds[1:])):
+        if dataset.task == "mlc":
+            positive = np.flatnonzero(dataset.y[i] > 0).tolist()
+            if not positive:
+                raise ValueError("cannot serialize a sign vector with no +1 entries")
+            head = ",".join(str(inverse.get(j, j) + 1) for j in positive)
+        else:
+            label = int(dataset.y[i])
+            head = str(inverse.get(label, label))
+        feats = " ".join(f"{j}:{v!r}" for j, v in zip(cols[s:e], vals[s:e]))
+        lines.append(f"{head} {feats}".rstrip())
+    write_lines(destination, lines)
+
+
 def take(data, rows):
     """The rows of data at the given indices, in that order, as a Dataset of their own."""
     return Dataset(scipy_csr(data.X)[rows], data.y[rows], data.c, data.task)
 
 
 def lone_run(pool, rows, config):
-    """``train`` of one chain on its own copy of its rows of the pool.
+    """``train`` of one chain on its own copy of its rows of the pool."""
+    return train(take(pool, rows), config)
 
-    With holdout rows, the copy holds the chain's rows and then its holdout
-    rows, and the chain trains on the first part.
-    """
-    if config.eval_holdout is None:
-        return train(take(pool, rows), config)
-    local = take(pool, np.concatenate([rows, config.eval_holdout]))
-    holdout = np.arange(len(rows), len(local))
-    return train_many(local, [np.arange(len(rows))], [replace(config, eval_holdout=holdout)])[0]
+
+def lockstep_runs(pool, rows, configs):
+    """(last iterate, records) of each chain of ``iterates``, each record scoring the chain's rows."""
+    records = [[] for _ in configs]
+    for t, w, norms in iterates(pool, rows, configs):
+        for chain_rows, config, w_r, norm, chain_records in zip(rows, configs, w, norms, records):
+            objective = mean_loss(w_r, pool, config.loss, chain_rows) + config.reg.value(w_r)
+            chain_records.append(RunRecord(t, objective, norm))
+    return list(zip(w, records))
 
 
 def pair_slots(y, per_positive, flat_pairs):

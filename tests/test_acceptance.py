@@ -23,7 +23,7 @@ from vvlearn.checks import (
     sgd_bound_suite,
 )
 from vvlearn.cli import main
-from vvlearn.dataio import parse_sparse_text, synth_gen, write_sparse_text
+from vvlearn.dataio import parse_sparse_text, synth_gen
 from vvlearn.experiments import CurveSpec, run_curve
 from vvlearn.losses import LossSpec, standard_loss_specs
 from vvlearn.optimizer import StepSchedule
@@ -193,6 +193,6 @@ def test_09_parser_round_trip(tmp_path):
             noise = float(rng.uniform(0.0, 0.4))
             data = synth_gen(n=n, d=d, c=c, task=task, noise=noise, seed=1000 + i)
             path = tmp_path / f"{task}_{i}.txt"
-            write_sparse_text(data, path)
+            oracles.write_sparse_text(data, path)
             back = parse_sparse_text(path, task, d=data.d, label_map=data.label_map)
             assert back == data, f"dataset {i} ({task}) changed across write->parse"

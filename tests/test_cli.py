@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import write_sparse_text
 import vvlearn.checks as checks_module
 import vvlearn.cli as cli_module
 import vvlearn.optimizer as optimizer_module
 from vvlearn.cli import DataError, load_model, main, save_model
-from vvlearn.dataio import Dataset, normalize_rows, parse_sparse_text, synth_gen, write_sparse_text
+from vvlearn.dataio import Dataset, normalize_rows, parse_sparse_text, synth_gen
 from vvlearn.losses import LossSpec
-from vvlearn.optimizer import evaluate_mean_loss, evaluate_objective
+from vvlearn.optimizer import evaluate_objective, mean_loss
 from vvlearn.regularizers import RegularizerSpec
 
 
@@ -418,7 +419,7 @@ class TestEvalCommand:
         loss = LossSpec.multinomial_logistic()
         reg = RegularizerSpec.frobenius(0.01)
         assert float(fields["objective"]) == evaluate_objective(w, data, loss, reg)
-        assert float(fields["loss"]) == evaluate_mean_loss(w, data, loss)
+        assert float(fields["loss"]) == mean_loss(w, data, loss)
 
     def test_scores_the_file_once(self, tmp_path, mcc_file, monkeypatch, capsys):
         model = self.train_once(tmp_path, mcc_file)
@@ -516,7 +517,7 @@ class TestModelRecordsHowItsDataWasRead:
         w, task, _ = load_model(model)
         label_map = parse_sparse_text(data, task).label_map
         rows = normalize_rows(parse_sparse_text(subset, task, d=w.shape[0], label_map=label_map))
-        expected = evaluate_mean_loss(w, rows, LossSpec.multinomial_logistic())
+        expected = mean_loss(w, rows, LossSpec.multinomial_logistic())
         assert float(self.evaluate(capsys, model, subset)["loss"]) == expected
 
     def test_no_normalize_model_scores_the_training_objective(self, tmp_path, capsys):

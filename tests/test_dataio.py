@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import write_sparse_text
 import vvlearn.dataio as dataio_module
 from vvlearn.dataio import (
     CSR,
@@ -23,7 +24,6 @@ from vvlearn.dataio import (
     split,
     subsample,
     synth_gen,
-    write_sparse_text,
     _unit_rows,
 )
 

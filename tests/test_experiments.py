@@ -15,7 +15,7 @@ from vvlearn.experiments import (
     run_passes_curve,
 )
 from vvlearn.losses import HINGE, LossSpec
-from vvlearn.optimizer import StepSchedule, TrainConfig, evaluate_objective, train, train_many
+from vvlearn.optimizer import StepSchedule, TrainConfig, evaluate_objective, iterates, train
 from vvlearn.regularizers import RegularizerSpec
 from vvlearn.seeding import derive_seed
 
@@ -86,35 +86,39 @@ class TestPassesCurve:
         assert test[0, 0] == expected
 
     def test_repetitions_equal_lone_train_runs(self, pool):
-        # the repetitions run in lockstep; each equals its own train call bit for bit
+        # the repetitions run in lockstep; each equals its own train calls on copies of its split bit for bit
         spec = make_spec("passes", (1, 3), reps=3, seed=4)
         test = run_passes_curve(pool, spec)
         for rep in range(3):
             train_rows, test_rows = split(len(pool), 0.8, derive_seed(4, 11, rep))
-            n = len(train_rows)
-            config = TrainConfig(
-                loss=MLOG, reg=FRO, schedule=SCHED, total_steps=3 * n,
-                seed=derive_seed(4, 13, rep), record_every=n, eval_holdout=test_rows,
-            )
-            _, records = oracles.lone_run(pool, train_rows, config)
-            assert test[:, rep].tolist() == [records[0].holdout_objective, records[2].holdout_objective]
+            n, held_out = len(train_rows), oracles.take(pool, test_rows)
+            expected = []
+            for passes in spec.grid:
+                config = TrainConfig(
+                    loss=MLOG, reg=FRO, schedule=SCHED, total_steps=passes * n, seed=derive_seed(4, 13, rep),
+                )
+                w, _ = oracles.lone_run(pool, train_rows, config)
+                expected.append(evaluate_objective(w, held_out, MLOG, FRO))
+            assert test[:, rep].tolist() == expected
 
     @pytest.mark.parametrize("loss", [MLOG, LossSpec.mc_svm(HINGE), LossSpec.topk_svm(2)], ids=lambda loss: loss.name)
-    def test_test_objectives_equal_train_many_holdout_objectives(self, pool, loss):
-        # the curve scores only the test rows; train_many scores each chain's train and holdout rows
+    def test_test_objectives_equal_objectives_on_copied_test_rows(self, pool, loss):
+        # the curve scores each chain's test rows of the pool at its grid passes, bit for bit as their copies
         spec = replace(make_spec("passes", (1, 2, 4), reps=3, seed=6), loss=loss)
         splits = [split(len(pool), 0.8, derive_seed(6, 11, rep)) for rep in range(3)]
         n = len(splits[0][0])
         configs = [
             TrainConfig(
-                loss=loss, reg=FRO, schedule=SCHED, total_steps=4 * n,
-                seed=derive_seed(6, 13, rep), record_every=n, eval_holdout=test_rows,
+                loss=loss, reg=FRO, schedule=SCHED, total_steps=4 * n, seed=derive_seed(6, 13, rep), record_every=n,
             )
-            for rep, (_, test_rows) in enumerate(splits)
+            for rep in range(3)
         ]  # fmt: skip
-        runs = train_many(pool, [train_rows for train_rows, _ in splits], configs)
-        expected = [[records[g - 1].holdout_objective for _, records in runs] for g in spec.grid]
-        assert run_passes_curve(pool, spec).tolist() == expected
+        held_out = [oracles.take(pool, test_rows) for _, test_rows in splits]
+        objectives = {
+            t // n: [evaluate_objective(w_r, data, loss, FRO) for w_r, data in zip(w, held_out)]
+            for t, w, _ in iterates(pool, [train_rows for train_rows, _ in splits], configs)
+        }
+        assert run_passes_curve(pool, spec).tolist() == [objectives[g] for g in spec.grid]
 
     def test_grid_points_share_one_trajectory(self, pool):
         # evaluating at 1 and 2 passes must match two separate shorter runs
@@ -194,12 +198,11 @@ class TestSampleSizeAndGapCurves:
             for rep in range(3):
                 subset = train_rows[subsample(len(train_rows), size, derive_seed(6, 12, gi, rep))]
                 config = TrainConfig(
-                    loss=spec.loss, reg=FRO, schedule=SCHED, total_steps=2 * size,
-                    seed=derive_seed(6, 13, gi, rep), eval_holdout=test_rows,
+                    loss=spec.loss, reg=FRO, schedule=SCHED, total_steps=2 * size, seed=derive_seed(6, 13, gi, rep),
                 )
-                final = oracles.lone_run(pool, subset, config)[1][-1]
-                assert metrics["train"][gi, rep] == final.empirical_objective
-                assert metrics["test"][gi, rep] == final.holdout_objective
+                w, records = oracles.lone_run(pool, subset, config)
+                assert metrics["train"][gi, rep] == records[-1].empirical_objective
+                assert metrics["test"][gi, rep] == evaluate_objective(w, oracles.take(pool, test_rows), spec.loss, FRO)
 
     def test_single_repetition_has_zero_std(self, pool):
         spec = make_spec("samplesize", (60,), reps=1)

@@ -7,8 +7,8 @@ ranking rows under the theorem schedule (the scale folds at step 1, and
 some rows have more than 256 pairs), ragged multiclass rows with one
 chain, lockstep passes curves of full-width rows under each multiclass
 loss, a one-chain passes curve whose 3,277 steps end in a one-step chunk,
-and the group (2, p) regularizer.  A ranking gap curve records
-train and holdout objectives over subsets of the pool.  A ragged train and a passes curve read files in which one row
+and the group (2, p) regularizer.  A ranking gap curve scores
+train and test objectives over subsets of the pool.  A ragged train and a passes curve read files in which one row
 in seven has labels and no features.  Two ``rademacher`` runs pin the
 sandwich CSV: an exhaustive one over 2^20 sign vectors, whose bits no
 block size may move, and a Monte-Carlo one.  The last evaluates the ranking model on a file the parser

@@ -17,10 +17,10 @@ from vvlearn.optimizer import (
     CertificateError,
     StepSchedule,
     TrainConfig,
-    evaluate_mean_loss,
     evaluate_objective,
+    iterates,
+    mean_loss,
     train,
-    train_many,
 )
 from vvlearn.regularizers import RegularizerSpec
 from vvlearn.seeding import generator
@@ -183,6 +183,20 @@ class TestSgdStep:
             oracles.sgd_step(np.zeros((2, 2)), data, 0, MLOG, RegularizerSpec.frobenius(0.5), 0.1)
 
 
+# Row index arrays that every function taking rows of a 40-row dataset rejects, with the error's ending.
+BAD_ROWS = pytest.mark.parametrize(
+    "bad, match",
+    [
+        (np.array([], dtype=int), "must be a nonempty array"),
+        (np.array([3, 40]), r"must lie in \[0, 40\)"),
+        (np.array([-1, 3]), r"must lie in \[0, 40\)"),
+        (np.array([0.0, 1.0]), "must be a nonempty array of row indices"),
+        (np.array([[0, 1]]), "must be a nonempty array"),
+    ],
+    ids=["empty", "past-the-end", "negative", "floats", "two-dimensional"],
+)
+
+
 class TestEvaluateObjective:
     def test_zero_model_log_c(self):
         data = tiny_dataset(c=4)
@@ -215,7 +229,7 @@ class TestEvaluateObjective:
         w = np.full((data.d, data.c), 0.3)
         reg = RegularizerSpec.frobenius(0.5)
         assert np.isclose(
-            evaluate_objective(w, data, MLOG, reg) - evaluate_mean_loss(w, data, MLOG),
+            evaluate_objective(w, data, MLOG, reg) - mean_loss(w, data, MLOG),
             reg.value(w),
             atol=1e-12,
         )
@@ -224,6 +238,12 @@ class TestEvaluateObjective:
         empty = Dataset(sp.csr_matrix((0, 2)), np.zeros(0, dtype=int), 2, "mcc")
         with pytest.raises(ValueError):
             evaluate_objective(np.zeros((2, 2)), empty, MLOG, RegularizerSpec.frobenius(0.1))
+
+    @BAD_ROWS
+    def test_bad_rows_rejected(self, bad, match):
+        data = tiny_dataset()
+        with pytest.raises(ValueError, match="rows of data " + match):
+            mean_loss(np.zeros((data.d, data.c)), data, MLOG, bad)
 
 
 class TestBatchedEvaluation:
@@ -249,14 +269,14 @@ class TestBatchedEvaluation:
         data = sparse_wide_dataset("mlc", n=300, d=60)
         w = np.random.default_rng(9).standard_normal((data.d, data.c))
         spec = LossSpec.ranking(HINGE)
-        whole = evaluate_mean_loss(w, data, spec)
+        whole = mean_loss(w, data, spec)
         monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", 7 * data.c * data.c)
-        assert evaluate_mean_loss(w, data, spec) == whole
+        assert mean_loss(w, data, spec) == whole
 
     def test_weight_shape_checked(self):
         data = tiny_dataset()
         with pytest.raises(ValueError):
-            evaluate_mean_loss(np.zeros((data.d, data.c + 1)), data, MLOG)
+            mean_loss(np.zeros((data.d, data.c + 1)), data, MLOG)
 
     def test_chunks_hold_the_work_present(self, monkeypatch):
         # c = 256: half the rows have one positive (255 pairs, listed in the
@@ -272,39 +292,26 @@ class TestBatchedEvaluation:
         spec = LossSpec.ranking(HINGE)
         calls, predict = [], optimizer_module.predict
         monkeypatch.setattr(optimizer_module, "predict", lambda w, X, rows: calls.append(len(rows)) or predict(w, X, rows))
-        got = evaluate_mean_loss(w, data, spec)
+        got = mean_loss(w, data, spec)
         positives = np.sum(y > 0, axis=1)
         pairs = positives * (c - positives)
         work = c * len(data) + int(np.sum(np.where(pairs <= losses_module._FLAT_PAIRS, pairs + 1, 0)))
         assert sum(calls) == len(data) and len(calls) <= -(-work // 2**16) + 1
         monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", 1 << 40)
-        assert evaluate_mean_loss(w, data, spec) == got
+        assert mean_loss(w, data, spec) == got
 
 
 class TestLabelsCheckedUpFront:
-    @pytest.mark.parametrize(
-        "chain_rows, holdout, match",
-        [
-            (np.array([], dtype=int), None, "rows of chain 1 must be a nonempty array"),
-            (np.array([3, 40]), None, r"rows of chain 1 must lie in \[0, 40\)"),
-            (np.array([-1, 3]), None, r"rows of chain 1 must lie in \[0, 40\)"),
-            (np.array([0.0, 1.0]), None, "rows of chain 1 must be a nonempty array of row indices"),
-            (np.array([[0, 1]]), None, "rows of chain 1 must be a nonempty array"),
-            (np.arange(20), np.array([20, 40]), r"holdout rows of chain 1 must lie in \[0, 40\)"),
-            (np.arange(20), np.array([0.5]), "holdout rows of chain 1 must be a nonempty array"),
-        ],
-        ids=["empty", "past-the-end", "negative", "floats", "two-dimensional", "holdout-past-the-end", "holdout-floats"],
-    )
-    def test_bad_rows_fail_before_training(self, monkeypatch, chain_rows, holdout, match):
+    @BAD_ROWS
+    def test_bad_rows_fail_before_training(self, monkeypatch, bad, match):
         data = tiny_dataset()
         steps = []
         monkeypatch.setattr(optimizer_module, "_chunks", lambda *a: steps.append(1) or iter(()))
         configs = chain_configs(
-            MLOG, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), 10, record_every=5,
-            repetitions=2, holdouts=[np.arange(20, 40), holdout],
+            MLOG, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), 10, record_every=5, repetitions=2
         )
-        with pytest.raises(ValueError, match=match):
-            train_many(data, [np.arange(20), chain_rows], configs)
+        with pytest.raises(ValueError, match="rows of chain 1 " + match):
+            iterates(data, [np.arange(20), bad], configs)
         assert steps == []
 
     def test_single_sign_row_fails_before_training(self, monkeypatch):
@@ -376,26 +383,6 @@ class TestTrain:
             assert np.isfinite(r.empirical_objective)
             assert np.isfinite(r.iterate_frobenius_norm)
         assert np.isclose(records[-1].iterate_frobenius_norm, frobenius_norm(w), atol=1e-15)
-
-    def test_holdout_objective_recorded(self):
-        holdout = tiny_dataset(seed=1)
-        pool, (rows, holdout_rows) = pooled(tiny_dataset(seed=0), holdout)
-        config = TrainConfig(
-            loss=MLOG,
-            reg=RegularizerSpec.frobenius(0.05),
-            schedule=StepSchedule.theorem(0.05),
-            total_steps=40,
-            seed=0,
-            record_every=20,
-            eval_holdout=holdout_rows,
-        )
-        w, records = train_many(pool, [rows], [config])[0]
-        assert all(r.holdout_objective is not None for r in records)
-        assert np.isclose(
-            records[-1].holdout_objective,
-            evaluate_objective(w, holdout, MLOG, config.reg),
-            atol=1e-15,
-        )
 
     def test_empty_data_rejected(self):
         empty = Dataset(sp.csr_matrix((0, 5)), np.zeros(0, dtype=int), 3, "mcc")
@@ -490,8 +477,7 @@ def ragged_dataset(task="mcc", n=120, d=40, c=5, seed=0):
     return Dataset(np.where(keep, oracles.scipy_csr(base.X).toarray(), 0.0), base.y, c, task)
 
 
-def chain_configs(loss, reg, schedule, total_steps, record_every=None, repetitions=3, holdouts=None):
-    holdouts = holdouts or [None] * repetitions
+def chain_configs(loss, reg, schedule, total_steps, record_every=None, repetitions=3):
     return [
         TrainConfig(
             loss=loss,
@@ -500,19 +486,22 @@ def chain_configs(loss, reg, schedule, total_steps, record_every=None, repetitio
             total_steps=total_steps,
             seed=100 + r,
             record_every=record_every,
-            eval_holdout=holdouts[r],
         )
         for r in range(repetitions)
     ]
 
 
-def assert_chains_equal_lone_runs(pool, rows, configs):
-    runs = train_many(pool, rows, configs)
+def assert_chains_equal_lone_runs(pool, rows, configs, holdouts=None):
+    """Each chain equals a lone run on a copy of its rows, and scores its holdout rows as their copy."""
+    runs = oracles.lockstep_runs(pool, rows, configs)
     assert len(runs) == len(configs)
-    for (w, records), chain_rows, config in zip(runs, rows, configs):
+    for (w, records), chain_rows, config, holdout in zip(runs, rows, configs, holdouts or [None] * len(rows)):
         w_alone, records_alone = oracles.lone_run(pool, chain_rows, config)
         assert w.shape == w_alone.shape and w.tobytes() == w_alone.tobytes()
         assert records == records_alone
+        if holdout is not None:
+            held_out = mean_loss(w, pool, config.loss, holdout) + config.reg.value(w)
+            assert held_out == evaluate_objective(w, oracles.take(pool, holdout), config.loss, config.reg)
 
 
 class TestLockstepChains:
@@ -524,9 +513,9 @@ class TestLockstepChains:
         pool, rows = pooled(*datasets, *holdouts)
         configs = chain_configs(
             MLOG, RegularizerSpec.frobenius(0.01), StepSchedule.experiment(0.01), 300,
-            record_every=60, repetitions=4, holdouts=rows[4:],
+            record_every=60, repetitions=4,
         )
-        assert_chains_equal_lone_runs(pool, rows[:4], configs)
+        assert_chains_equal_lone_runs(pool, rows[:4], configs, holdouts=rows[4:])
 
     @pytest.mark.parametrize("R", [1, 3])
     @pytest.mark.parametrize("rows_kind", ["dense", "ragged"])
@@ -536,24 +525,25 @@ class TestLockstepChains:
         splits = [split(len(pool), 0.7, seed) for seed in range(R)]
         configs = chain_configs(
             MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 250,
-            record_every=84, repetitions=R, holdouts=[test for _, test in splits],
+            record_every=84, repetitions=R,
         )
-        assert_chains_equal_lone_runs(pool, [train_rows for train_rows, _ in splits], configs)
+        train_rows, test_rows = zip(*splits)
+        assert_chains_equal_lone_runs(pool, list(train_rows), configs, test_rows)
 
     @pytest.mark.parametrize("spec", [MLOG, LossSpec.ranking(HINGE)], ids=lambda s: s.name)
     def test_records_over_repeated_rows_in_any_order(self, monkeypatch, spec):
-        # a record scores train then holdout rows in one pass; its means must equal the copies' whatever the chunks
+        # rows and holdout rows of the pool must score as their copies whatever the chunks
         pool = sparse_wide_dataset("mlc" if spec.is_multilabel else "mcc", n=300, d=60)
         rng = generator(3)
         rows = [rng.integers(0, len(pool), size=250) for _ in range(3)]  # repeats and any order
         holdouts = [rng.integers(0, len(pool), size=120) for _ in range(3)]
         configs = chain_configs(
             spec, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 300,
-            record_every=100, holdouts=holdouts,
+            record_every=100,
         )
         for chunk in (optimizer_module._EVAL_CHUNK_ENTRIES, 7 * pool.c * pool.c):
             monkeypatch.setattr(optimizer_module, "_EVAL_CHUNK_ENTRIES", chunk)
-            assert_chains_equal_lone_runs(pool, rows, configs)
+            assert_chains_equal_lone_runs(pool, rows, configs, holdouts)
 
     def test_ranking_on_multilabel_data(self):
         datasets = [tiny_dataset(n=50, d=6, c=5, seed=s, task="mlc") for s in range(3)]
@@ -604,16 +594,16 @@ class TestLockstepChains:
         datasets = [sparse_wide_dataset("mcc", seed=s) for s in range(3)]
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 4500)
         assert configs[0].total_steps > 2 * optimizer_module._DRAW_CHUNK_ENTRIES // (3 * 5)  # nnz is 5
-        for (w, _), data, config in zip(train_many(*pooled(*datasets), configs), datasets, configs):
+        for (w, _), data, config in zip(oracles.lockstep_runs(*pooled(*datasets), configs), datasets, configs):
             expected, _ = dense_replay(data, config)
             assert np.max(np.abs(w - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
 
     def test_chunk_size_changes_no_value(self, monkeypatch):
         pool, rows = pooled(*[ragged_dataset(seed=s) for s in range(3)])
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 300)
-        runs = train_many(pool, rows, configs)
+        runs = oracles.lockstep_runs(pool, rows, configs)
         monkeypatch.setattr(optimizer_module, "_DRAW_CHUNK_ENTRIES", 7)
-        for (w, records), (w_small, records_small) in zip(runs, train_many(pool, rows, configs)):
+        for (w, records), (w_small, records_small) in zip(runs, oracles.lockstep_runs(pool, rows, configs)):
             assert w.tobytes() == w_small.tobytes() and records == records_small
 
     def test_chain_over_its_bound_is_named(self):
@@ -621,7 +611,7 @@ class TestLockstepChains:
         set_kappa(pool, rows[2], 1e-6)  # a bound no nonzero step-1 iterate meets
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
         with pytest.raises(CertificateError, match="certified bound .* at step 1 in chain 2 "):
-            train_many(pool, rows, configs)
+            oracles.lockstep_runs(pool, rows, configs)
 
     def test_non_finite_chain_is_named(self, monkeypatch):
         coef = LossSpec.coef
@@ -635,7 +625,7 @@ class TestLockstepChains:
         pool, rows = pooled(*[tiny_dataset(seed=s) for s in range(3)])
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
         with pytest.raises(CertificateError, match="iterate norm became nan at step 1 in chain 1 "):
-            train_many(pool, rows, configs)
+            oracles.lockstep_runs(pool, rows, configs)
 
     def test_inflated_chain_coefficients_are_named(self, monkeypatch):
         coef = LossSpec.coef
@@ -651,7 +641,7 @@ class TestLockstepChains:
             MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20, record_every=1
         )
         with pytest.raises(CertificateError, match="loss coefficients at step 1 in chain 2 have l1 norm"):
-            train_many(pool, rows, configs)
+            oracles.lockstep_runs(pool, rows, configs)
 
     @pytest.mark.parametrize(
         "change",
@@ -669,15 +659,15 @@ class TestLockstepChains:
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
         configs[1] = replace(configs[1], **change)
         with pytest.raises(ValueError, match="config 1 differs from config 0"):
-            train_many(pool, rows, configs)
+            oracles.lockstep_runs(pool, rows, configs)
 
     def test_one_config_per_chain(self):
         pool, rows = pooled(tiny_dataset())
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
         with pytest.raises(ValueError, match="one config per chain"):
-            train_many(pool, rows, configs)
+            oracles.lockstep_runs(pool, rows, configs)
         with pytest.raises(ValueError, match="at least one chain"):
-            train_many(pool, [], [])
+            oracles.lockstep_runs(pool, [], [])
 
 
 def ragged_wide_dataset(task="mcc", n=120, d=300, c=5, seed=0):
@@ -739,10 +729,10 @@ class TestStepBlocks:
     SIGMA = 0.05
 
     def run_both(self, monkeypatch, pool, rows, configs):
-        blocked = train_many(pool, rows, configs)
+        blocked = oracles.lockstep_runs(pool, rows, configs)
         with monkeypatch.context() as m:
             one_step_blocks(m)
-            stepped = train_many(pool, rows, configs)
+            stepped = oracles.lockstep_runs(pool, rows, configs)
         return blocked, stepped
 
     @pytest.mark.parametrize("case", ["ranking-R1", "ragged-R3", "l2p", "fold-mid-run"])
@@ -763,7 +753,7 @@ class TestStepBlocks:
         first = datasets[0]
         holdout = sparse_wide_dataset(first.task, n=50, d=first.d, nnz=3, c=first.c, seed=9)
         pool, rows = pooled(*datasets, holdout)
-        configs = chain_configs(loss, reg, schedule, 600, record_every=150, repetitions=R, holdouts=[rows[R]] * R)
+        configs = chain_configs(loss, reg, schedule, 600, record_every=150, repetitions=R)
         sizes = block_sizes(monkeypatch, R)
         blocked, stepped = self.run_both(monkeypatch, pool, rows[:R], configs)
         blocked_sizes = sizes[: len(sizes) - 600]  # the stepped run added 600 one-step calls
@@ -777,7 +767,9 @@ class TestStepBlocks:
             assert blocked_sizes[first_steps(blocked_sizes).index(fold)] == 1
         for (w, records), (w_one, records_one) in zip(blocked, stepped):
             assert w.tobytes() == w_one.tobytes()
-            assert records == records_one and all(r.holdout_objective is not None for r in records)
+            assert records == records_one
+            held_out = mean_loss(w, pool, loss, rows[R]) + reg.value(w)
+            assert held_out == evaluate_objective(w, oracles.take(pool, rows[R]), loss, reg)
 
     def test_blocks_form_on_sparse_rows_and_never_on_dense_rows(self, monkeypatch):
         loss, reg = LossSpec.ranking(HINGE), RegularizerSpec.frobenius(0.01)
@@ -787,7 +779,7 @@ class TestStepBlocks:
         assert sum(sizes) == 2000 and max(sizes) > 1 and len(sizes) < 1500
         dense = [tiny_dataset(n=60, d=6, c=5, seed=s, task="mlc") for s in range(3)]
         sizes = block_sizes(monkeypatch, 3)
-        train_many(*pooled(*dense), chain_configs(loss, reg, StepSchedule.theorem(0.01), 300, repetitions=3))
+        oracles.lockstep_runs(*pooled(*dense), chain_configs(loss, reg, StepSchedule.theorem(0.01), 300, repetitions=3))
         assert sizes == [1] * 300
 
     def test_a_block_gathers_at_most_block_values_of_v(self, monkeypatch):
@@ -839,7 +831,7 @@ class TestFailuresInsideBlocks:
         )
         with monkeypatch.context() as m:
             sizes = block_sizes(m, self.R)
-            train_many(pool, rows, configs)
+            oracles.lockstep_runs(pool, rows, configs)
         return pool, rows, configs, sizes
 
     def raise_both(self, monkeypatch, pool, rows, configs, row=None, change=None):
@@ -851,7 +843,7 @@ class TestFailuresInsideBlocks:
                 if change is not None:
                     patch_coef_row(m, row, change)
                 with pytest.raises(CertificateError) as err:
-                    train_many(pool, rows, configs)
+                    oracles.lockstep_runs(pool, rows, configs)
                 messages.append(str(err.value))
         assert messages[0] == messages[1]
         return messages[0]
@@ -891,7 +883,7 @@ class TestFailuresInsideBlocks:
 
         with monkeypatch.context() as m:
             m.setattr(optimizer_module, "_check_segment", spy)
-            train_many(pool, rows, configs)
+            oracles.lockstep_runs(pool, rows, configs)
         return norms
 
     def test_chain_over_its_bound_mid_block(self, monkeypatch):
@@ -1042,7 +1034,7 @@ class TestEqualWidthViews:
                 m.setattr(optimizer_module, "_plan", spy(plans))
                 if forced:
                     m.setattr(optimizer_module, "nnz_groups", pieces)
-                results.append((train_many(wider if forced else pool, rows, configs), plans))
+                results.append((oracles.lockstep_runs(wider if forced else pool, rows, configs), plans))
         (fast, fast_plans), (grouped, grouped_plans) = results
         for (w, records), (w_grouped, records_grouped) in zip(fast, grouped):
             assert w.tobytes() == w_grouped.tobytes() and records == records_grouped
@@ -1099,7 +1091,7 @@ class TestFullWidthLockstep:
         monkeypatch.setattr(LossSpec, "coef", spy)
         for name in ("_gather", "_plan"):  # no CSR entries are gathered and no nnz groups planned
             monkeypatch.setattr(optimizer_module, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
-        train_many(pool, rows, configs)
+        oracles.lockstep_runs(pool, rows, configs)
         assert calls == [(R, True)] * steps
 
 

@@ -3,7 +3,10 @@
 The checks in ``perfbench/workloads.py`` call the library directly
 (``evaluate_objective(w, data, loss, reg)``, ``parse_sparse_text(path, "mlc")``
 and ``normalize_rows``), so a change to that surface fails here, not only
-in a benchmark run.  The module is imported as it is and never modified.
+in a benchmark run.  Likewise every layer of ``perfbench/tracer.py`` must
+find at least one of its wrap targets, so renaming a traced function such
+as ``train``, ``evaluate_objective`` or ``run_passes_curve`` fails here.
+The modules are imported as they are and never modified.
 """
 
 import importlib
@@ -17,15 +20,16 @@ from vvlearn.cli import main
 PERFBENCH = str(Path(__file__).resolve().parents[1] / "perfbench")
 
 
-def load_workloads():
+def load_perfbench(name):
     sys.path.insert(0, PERFBENCH)  # workloads imports its sibling module calibration
     try:
-        return importlib.import_module("workloads").WORKLOADS
+        return importlib.import_module(name)
     finally:
         sys.path.remove(PERFBENCH)
 
 
-WORKLOADS = load_workloads()
+WORKLOADS = load_perfbench("workloads").WORKLOADS
+tracer = load_perfbench("tracer")
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -34,3 +38,9 @@ def test_workload_runs_and_passes_its_checks(tmp_path, name):
     for op in workload.ops:
         assert main(op.argv) == 0
         assert op.check([path.read_bytes() for path in op.outputs]) == []
+
+
+@pytest.mark.parametrize("layer", sorted(tracer.LAYERS))
+def test_every_traced_layer_resolves_a_wrap_target(layer):
+    targets, _ = tracer.LAYERS[layer]
+    assert any(tracer._resolve(target) for target in targets), f"layer {layer} wraps none of {targets}"
