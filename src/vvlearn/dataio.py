@@ -125,7 +125,7 @@ class Dataset:
 
     @cached_property
     def row_sq_norms(self) -> np.ndarray:
-        """Each row's squared norm, with the per-row dot ``normalize_rows`` makes 1.0."""
+        """Each row's squared norm, with the per-row dot ``normalize_rows`` makes 1.0: kappa and SGD's ||x||^2."""
         # per-row dots on equal-nnz row blocks, as np.linalg.norm takes them
         out = np.zeros(len(self))
         for rows, starts, k in nnz_groups(self.X.indptr, max_entries=_NORMALIZE_CHUNK_ENTRIES):

@@ -28,14 +28,13 @@ prefer the smallest index, and at kinks of the margin function or of the
 outer max{0, .} the minimal-magnitude subgradient (zero) is chosen.
 
 Labels can be planned.  SGD plans the pool's labels once (``LossSpec.plan``)
-and cuts each chunk of draws into step blocks (``LossSpec.blocks``), each
-block's plan already shifted to its own rows; evaluation plans once per
-call.  A ``coef`` call on a block's plan equals the call on its raw labels
-bit for bit.  The multiclass kernels read the true classes through a class
-plan: the flat positions i * c + y_i of the call's raveled scores, from
-which one ``take`` gives the true-class scores and one indexed subtraction
-the one-hot term.  A ``ClassTable`` makes the plans of a chunk's blocks in
-one array pass, in memory bounded by the chunk's rows.
+and cuts each chunk of draws into step blocks (``LossSpec.blocks``), and a
+``coef`` call on a block's labels equals the call on its raw labels bit for
+bit.  Only ranking labels change form (below); other blocks are views of
+the raw labels.  The multiclass kernels read the true classes at the flat
+positions i * c + y_i of the call's raveled scores (``_positions``): one
+``take`` gives the true-class scores and one indexed subtraction the
+one-hot term.
 
 The ranking kernels work on a pair plan: the (positive, negative) pairs of
 the call's rows in one flat list of runs, each led by a zeroed slot.  A
@@ -97,43 +96,10 @@ HINGE = BaseLoss("hinge")
 LOGISTIC = BaseLoss("logistic")
 
 
-# ---------------------------------------------------------------------------
-# Planned class ids: flat positions into a call's raveled scores.
-
-
-@dataclass(slots=True, eq=False)
-class ClassPlan:
-    """The class ids y of one multiclass call's rows as flat positions into its raveled (n, c) scores.
-
-    Row i starts at starts[i] = i * c, and its true class sits at
-    at[i] = starts[i] + y[i].
-    """
-
-    starts: np.ndarray
-    at: np.ndarray
-
-
-@dataclass(slots=True, eq=False)
-class ClassTable:
-    """Class ids y over c classes, from which the plans of any rows of y are made."""
-
-    y: np.ndarray
-    c: int
-
-    def plans(self, rows: np.ndarray, bounds) -> list[ClassPlan]:
-        """The plans of y[rows[b0:b1]] for each pair b0, b1 of consecutive bounds, each as if planned alone."""
-        bounds = np.asarray(bounds)
-        starts = (np.arange(len(rows)) - np.repeat(bounds[:-1], np.diff(bounds))) * self.c
-        at, b = starts + self.y.take(rows), bounds.tolist()
-        return [ClassPlan(starts[b0:b1], at[b0:b1]) for b0, b1 in zip(b, b[1:])]
-
-
-def _classes(y, c: int) -> ClassPlan:
-    """The plan of raw or planned class ids y over c classes."""
-    if isinstance(y, ClassPlan):
-        return y
-    starts = np.arange(len(y)) * c
-    return ClassPlan(starts, starts + y)
+def _positions(S, y):
+    """Row starts i * c and true-class positions i * c + y_i in the raveled (n, c) scores S of class ids y."""
+    starts = np.arange(0, S.size, S.shape[1])
+    return starts, starts + y
 
 
 def _row_max(a):
@@ -146,25 +112,25 @@ def _row_max(a):
 
 
 def _mc_svm_terms(spec, S, y):
-    """The plan of y, the margins s_y - s_j, and their base losses with the true class at -inf."""
-    plan = _classes(y, S.shape[1])
-    margins = S.take(plan.at)[:, None] - S
+    """The row starts, true-class positions, margins s_y - s_j and their base losses, the true class at -inf."""
+    starts, at = _positions(S, y)
+    margins = S.take(at)[:, None] - S
     vals = spec.base.value(margins)
-    vals.put(plan.at, -np.inf)  # exclude the true class; argmax picks the first max
-    return plan, margins, vals
+    vals.put(at, -np.inf)  # exclude the true class; argmax picks the first max
+    return starts, at, margins, vals
 
 
 def _mc_svm_value(spec, S, y):
-    return _row_max(_mc_svm_terms(spec, S, y)[2])
+    return _row_max(_mc_svm_terms(spec, S, y)[3])
 
 
 def _mc_svm_coef(spec, S, y, out):
     """Column y gets g, the argmax class -g, with g = base'(s_y - s_argmax)."""
-    plan, margins, vals = _mc_svm_terms(spec, S, y)
-    top = plan.starts + vals.argmax(axis=1)
+    starts, at, margins, vals = _mc_svm_terms(spec, S, y)
+    top = starts + vals.argmax(axis=1)
     g = spec.base.deriv(margins.take(top))
     out.fill(0.0)
-    out.put(plan.at, g)
+    out.put(at, g)
     out.put(top, -g)  # top != y: the true class is excluded
     return out
 
@@ -179,7 +145,7 @@ def _multinomial_logistic_value(spec, S, y):
     The j = y term contributes exp(0) = 1, so the value is nonnegative;
     it is clamped at 0 to absorb last-bit rounding.
     """
-    at = _classes(y, S.shape[1]).at
+    at = _positions(S, y)[1]
     diffs = S - S.take(at)[:, None]
     diffs.put(at, 0.0)
     m = _row_max(diffs)
@@ -188,7 +154,7 @@ def _multinomial_logistic_value(spec, S, y):
 
 def _multinomial_logistic_coef(spec, S, y, out):
     """p_j for j != y and p_y - 1 at y, p the softmax of the scores, each step written into out."""
-    at = _classes(y, S.shape[1]).at
+    at = _positions(S, y)[1]
     # the ufunc reductions behind .max and .sum, called without the method dispatch
     np.subtract(S, np.maximum.reduce(S, axis=1, keepdims=True), out=out)
     np.exp(out, out=out)
@@ -202,16 +168,16 @@ def _multinomial_logistic_coef(spec, S, y, out):
 
 
 def _topk_terms(S, y):
-    """The plan of y and a_j = 1[j != y] + s_j - s_y."""
-    plan = _classes(y, S.shape[1])
-    a = 1.0 + S - S.take(plan.at)[:, None]
-    a.put(plan.at, 0.0)  # indicator vanishes for the true class
-    return plan, a
+    """The row starts and true-class positions, and a_j = 1[j != y] + s_j - s_y."""
+    starts, at = _positions(S, y)
+    a = 1.0 + S - S.take(at)[:, None]
+    a.put(at, 0.0)  # indicator vanishes for the true class
+    return starts, at, a
 
 
 def _topk_svm_value(spec, S, y):
     """max(0, average of the k largest a_j)."""
-    _, a = _topk_terms(S, y)
+    a = _topk_terms(S, y)[2]
     return np.maximum(0.0, np.sort(a, axis=1)[:, -spec.k :].sum(axis=1) / spec.k)
 
 
@@ -223,11 +189,11 @@ def _topk_svm_coef(spec, S, y, out):
     positive.
     """
     k = spec.k
-    plan, a = _topk_terms(S, y)
-    top = plan.starts[:, None] + np.argsort(-a, axis=1, kind="stable")[:, :k]  # descending, ties to smaller index
+    starts, at, a = _topk_terms(S, y)
+    top = starts[:, None] + np.argsort(-a, axis=1, kind="stable")[:, :k]  # descending, ties to smaller index
     out.fill(0.0)
     out.put(top, 1.0 / k)
-    out.reshape(-1)[plan.at] -= 1.0
+    out.reshape(-1)[at] -= 1.0
     # flat region of max{0, .}, and zero at the kink itself
     out[a.take(top).sum(axis=1) / k <= 0.0] = 0.0
     return out
@@ -521,15 +487,9 @@ class LossSpec:
                     f"{single.size} of {len(y)} rows have one sign only (first: row {single[0]})"
                 )
 
-    def plan(self, y: np.ndarray, c: int):
-        """The labels y over c components prepared for ``blocks``.
-
-        Ranking labels become a ``PairTable`` and class ids a ``ClassTable``;
-        subset labels stay as they are.
-        """
-        if self.kind == "ranking":
-            return _pair_table(y, per_positive=True)
-        return y if self.is_multilabel else ClassTable(np.asarray(y), c)
+    def plan(self, y: np.ndarray):
+        """The labels y prepared for ``blocks``: ranking labels become a ``PairTable``, others stay as they are."""
+        return _pair_table(y, per_positive=True) if self.kind == "ranking" else y
 
     def blocks(self, plan, rows: np.ndarray, bounds) -> list:
         """The labels of rows[b0:b1] of planned labels, for each pair b0, b1 of consecutive bounds.
@@ -537,7 +497,7 @@ class LossSpec:
         A ``coef`` call on a block's labels equals the call on those rows
         of the raw labels bit for bit.
         """
-        if isinstance(plan, (PairTable, ClassTable)):
+        if isinstance(plan, PairTable):
             return plan.plans(rows, bounds)
         labels = plan.take(rows, axis=0)
         return [labels[b0:b1] for b0, b1 in zip(bounds, bounds[1:])]

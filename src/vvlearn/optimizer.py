@@ -36,7 +36,8 @@ each row's own and the update is elementwise, so blocking keeps every bit.
 Recording steps end a block, a block of more than one step gathers at most
 ``_BLOCK_VALUES`` values of V, and a folding step stands alone.
 
-Each step's change to ||V_r||_F^2 follows from its scores and coefficients
+Each step's change to ||V_r||_F^2 follows from its scores, coefficients
+and ||x||^2, read from the pool's cached ``Dataset.row_sq_norms``
 (``_norm_changes``), and their left fold is the running norm.  One check
 per segment, up to each recording step and the chunk's end, certifies all
 of them and the l-infinity duality ||coef_r||_1 <= L of each step, naming
@@ -228,17 +229,12 @@ def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     for its steps t0 + 1, t0 + 2, ...: drawn holds the drawn pool rows in
     (step, chain) order, conflicts comes from ``_conflicts`` and the rest
     from ``_gather``.  Chain r draws indices into rows[r] uniformly from a
-    PCG64 seeded with its config's seed.  When some chain's rows all hold
-    more than d / 2 entries, any two of its rows share a column, so every
-    step conflicts with the one before: the scan is skipped, conflicts is
-    None and every step is a block.  In a full-width pool values is the
-    drawn rows, shape (steps * R, d), and the rest is None.
+    PCG64 seeded with its config's seed.  In a full-width pool values is
+    the drawn rows, shape (steps * R, d), and the rest is None.
     """
     R, X = len(rows), data.X
     rngs = [generator(config.seed) for config in configs]
-    widths = [np.diff(X.indptr).take(chain) for chain in rows]
-    widest = max(int(np.max(w)) for w in widths)
-    dense = any(2 * int(np.min(w)) > data.d for w in widths)
+    widest = max(int(np.diff(X.indptr).take(chain).max()) for chain in rows)
     full = data.d > 0 and X.indptr[-1] == len(data) * data.d
     size = max(1, _DRAW_CHUNK_ENTRIES // (R * max(1, widest)))
     total = configs[0].total_steps
@@ -250,14 +246,7 @@ def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
             yield t0, None, None, X.data.reshape(len(data), data.d).take(drawn, axis=0), drawn, None
         else:
             offsets, features, values = _gather(data, draws)
-            yield t0, offsets, features, values, drawn, None if dense else _conflicts(offsets, features, R)
-
-
-def _row_squares(values: np.ndarray) -> np.ndarray:
-    """||x||^2 of each row of an (n, d) array, its squares added left to right as ``np.bincount`` adds them."""
-    sq = np.multiply(values, values, order="F")  # class-major: a reduce adds a column at a time
-    # one row is a contiguous reduce, which may add pairwise, so it accumulates
-    return np.add.reduce(sq, axis=1) if len(sq) > 1 else np.add.accumulate(sq, axis=1)[:, -1]
+            yield t0, offsets, features, values, drawn, _conflicts(offsets, features, R)
 
 
 def _chain(r: int | None) -> str:
@@ -381,25 +370,31 @@ def _block_edges(offsets: np.ndarray, conflicts: list[int], R: int, c: int, ends
     return edges
 
 
+def _bounds(data: Dataset, rows: list[np.ndarray], config: TrainConfig) -> np.ndarray:
+    """Each chain's certified bound on ||W_r||_F: L * kappa_r / sigma, kappa_r the largest norm of its rows, or inf.
+
+    Valid for the Frobenius regularizer whenever eta_1 * sigma <= 1 (both
+    schedules qualify at their usual parameters), since then
+    ||w_{t+1}|| <= max(||w_t||, L*kappa/sigma).  Otherwise only finiteness is checked.
+    """
+    loss, reg = config.loss, config.reg
+    if reg.kind == "frobenius" and config.schedule.eta(1) * reg.sigma <= 1.0 + 1e-12:
+        kappas = [math.sqrt(float(data.row_sq_norms.take(chain).max())) for chain in rows]
+        return np.array([loss.lipschitz_inf * kappa / reg.sigma + _CERT_TOL for kappa in kappas])
+    return np.full(len(rows), math.inf)
+
+
 def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     """SGD on W_r = a * V_r for every chain: ``iterates`` on checked rows."""
     config = configs[0]
     loss, reg, schedule, total = config.loss, config.reg, config.schedule, config.total_steps
     record_every = config.record_every or total
     R, d, c = len(rows), data.d, data.c
-    # Valid for the Frobenius regularizer whenever eta_1 * sigma <= 1 (both
-    # schedules qualify at their usual parameters), since then
-    # ||w_{t+1}|| <= max(||w_t||, L*kappa/sigma), kappa the largest norm of
-    # the chain's rows.  Otherwise only finiteness is checked.
-    if reg.kind == "frobenius" and schedule.eta(1) * reg.sigma <= 1.0 + 1e-12:
-        kappas = [math.sqrt(float(data.row_sq_norms.take(chain).max())) for chain in rows]
-        bounds = np.array([loss.lipschitz_inf * kappa / reg.sigma + _CERT_TOL for kappa in kappas])
-    else:
-        bounds = np.full(R, math.inf)
+    bounds = _bounds(data, rows, config)
     chain_ids = list(range(R)) if R > 1 else [None]
     a, v, v_sq = 1.0, np.zeros((R, d, c)), np.zeros(R)
     flat = v.reshape(R * d, c)
-    labels = loss.plan(data.y, c)
+    labels = loss.plan(data.y)
     for t0, offsets, features, values, drawn, conflicts in _chunks(data, rows, configs):
         n, full = len(drawn), offsets is None
         size = n // R
@@ -407,11 +402,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         before, after, folds = _scales(reg, a, eta)
         a = float(after[-1])
         # Drawn rows (in step, chain order) score at the scale before their step and update with rho = eta_t / a.
-        rho = np.repeat(eta / after, R)
-        if full:
-            x_sq = _row_squares(values)
-        else:
-            x_sq = np.bincount(np.repeat(np.arange(n), np.diff(offsets)), weights=values * values, minlength=n)
+        rho, x_sq = np.repeat(eta / after, R), data.row_sq_norms.take(drawn)
         # Row 0 of sq holds each chain's ||V_r||^2 before the chunk and row j + 1 that after a fold at step j;
         # each segment adds its steps' changes, and a left fold from each start gives the running sums.
         scores, coefs = np.zeros((n, c)), np.empty((n, c))  # rows without entries score zero
@@ -426,7 +417,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
             cs, cc, update = coefs.reshape(size, R, 1, c), coefs.reshape(size, R, c), np.empty((R, d, c))
         else:
             scale = np.repeat(before, R)[:, None]
-            edges = list(range(size + 1)) if conflicts is None else _block_edges(offsets, conflicts, R, c, ends)
+            edges = _block_edges(offsets, conflicts, R, c, ends)
             lows = [lo * R for lo in edges]
             blocks, plan = loss.blocks(labels, drawn, lows), _plan(offsets, features, values, lows)
 

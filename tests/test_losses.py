@@ -645,12 +645,19 @@ def test_batched_kernels_match_per_example_oracles(spec):
 
 @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.name)
 def test_single_row_kernel_matches_its_batch_row(spec):
-    # the SGD step calls the kernels on one row; that must equal the batch
-    for S, y in oracle_batches(spec, seed=41):
+    # the SGD step calls the kernels on one row, writing into its chunk's rows; that must equal the batch
+    for trial, (S, y) in enumerate(oracle_batches(spec, seed=41)):
+        if not spec.is_multilabel and trial % 2:  # on the grid of halves, true classes in the first and last column
+            y = y.copy()
+            y[::3], y[1::3] = 0, S.shape[1] - 1
         values, coefs = spec.value(S, y), spec.coef(S, y)
+        out, rows = np.full(S.shape, np.nan), np.full(S.shape, np.nan)
+        assert spec.coef(S, y, out) is out and out.tobytes() == coefs.tobytes()
         for i in range(len(y)):
             assert spec.value(S[i : i + 1], y[i : i + 1])[0] == values[i]
-            assert np.array_equal(spec.coef(S[i : i + 1], y[i : i + 1])[0], coefs[i])
+            row = rows[i : i + 1]
+            assert spec.coef(S[i : i + 1], y[i : i + 1], row) is row
+        assert rows.tobytes() == coefs.tobytes()
 
 
 def test_tie_breaking_is_pinned():
@@ -671,35 +678,6 @@ def test_tie_breaking_is_pinned():
 def test_check_labels_accepts_its_own_kind(spec):
     for S, y in oracle_batches(spec, seed=42):
         spec.check_labels(y, S.shape[1])
-
-
-# ---------------------------------------------------------------------------
-# Planned class ids against raw ones.
-
-MULTICLASS_SPECS = [spec for spec in ORACLE_SPECS if not spec.is_multilabel]
-
-
-@pytest.mark.parametrize("cut", ["steps", "chains", "ragged"])
-@pytest.mark.parametrize("spec", MULTICLASS_SPECS, ids=lambda s: s.name)
-def test_planned_class_ids_equal_raw_ones(spec, cut):
-    # blocks of one row, of R = 4 rows (one step of every chain) and of mixed sizes,
-    # over draws of a pool whose labels include the first and the last column
-    rng, c, n = np.random.default_rng(43), 6, 48
-    pool = rng.integers(0, c, size=30)
-    pool[:5], pool[5:10] = 0, c - 1
-    draws = rng.permutation(np.concatenate([np.arange(10), rng.integers(0, 30, size=n - 10)]))
-    bounds = {"steps": range(n + 1), "chains": range(0, n + 1, 4), "ragged": [0, 1, 4, 5, 11, 17, 30, 31, n]}[cut]
-    bounds = list(bounds)
-    for trial in range(6):
-        S = rng.integers(-4, 5, size=(n, c)) * 0.5 if trial % 2 else rng.standard_normal((n, c)) * 3.0
-        S[: n // 8] = 0.0  # ties, and on the grid of halves kinks and flat regions
-        for b0, b1, plan in zip(bounds, bounds[1:], spec.blocks(spec.plan(pool, c), draws, bounds)):
-            raw, block = pool[draws[b0:b1]], S[b0:b1]
-            assert spec.value(block, plan).tobytes() == spec.value(block, raw).tobytes()
-            want, out = spec.coef(block, raw), np.full(block.shape, np.nan)
-            assert spec.coef(block, plan).tobytes() == want.tobytes()
-            assert spec.coef(block, plan, out) is out and out.tobytes() == want.tobytes()
-            assert [int(at % c) for at in plan.at] == raw.tolist()
 
 
 def test_coef_rejects_an_out_it_cannot_fill_in_place():
@@ -767,7 +745,7 @@ class TestPairListRankingKernel:
         for base in (HINGE, LOGISTIC):
             spec = LossSpec.ranking(base)
             values = spec.value(S[rows], losses_module._pair_table(y, per_positive=False).plans(np.arange(n), cut)[r0 > 0])
-            coefs = spec.coef(S[rows], spec.blocks(spec.plan(y, c), np.arange(n), cut)[r0 > 0])
+            coefs = spec.coef(S[rows], spec.blocks(spec.plan(y), np.arange(n), cut)[r0 > 0])
             assert values.tobytes() == spec.value(S[rows], y[rows]).tobytes()
             assert coefs.tobytes() == spec.coef(S[rows], y[rows]).tobytes()
             assert values.tobytes() == oracles.grouped_ranking_value(spec, S[rows], y[rows]).tobytes()
@@ -780,12 +758,12 @@ class TestPairListRankingKernel:
     def test_plan_serves_the_kernel_it_was_made_for(self):
         spec, y = LossSpec.ranking(HINGE), np.array([[1, -1, -1], [-1, 1, 1]], dtype=np.int8)
         with pytest.raises(ValueError, match="either value or coef"):
-            spec.value(np.zeros((2, 3)), spec.blocks(spec.plan(y, 3), np.arange(2), [0, 2])[0])
-        plan = LossSpec.mc_svm(HINGE).plan(np.array([0, 2]), 3)
-        blocks = LossSpec.mc_svm(HINGE).blocks(plan, np.array([1, 1, 0]), [0, 2, 3])
-        # block-local flat positions i * c + y_i into each block's raveled scores
-        assert [(b.starts.tolist(), b.at.tolist()) for b in blocks] == [([0, 3], [2, 5]), ([0], [0])]
-        assert LossSpec.subset(HINGE).plan(y, 3) is y  # sign rows stay as they are
+            spec.value(np.zeros((2, 3)), spec.blocks(spec.plan(y), np.arange(2), [0, 2])[0])
+        classes = np.array([0, 2])
+        for other, labels in ((LossSpec.mc_svm(HINGE), classes), (LossSpec.subset(HINGE), y)):
+            assert other.plan(labels) is labels  # class ids and sign rows stay as they are
+            blocks = other.blocks(labels, np.array([1, 1, 0]), [0, 2, 3])
+            assert [b.tolist() for b in blocks] == [labels[[1, 1]].tolist(), labels[[0]].tolist()]
 
     @pytest.mark.parametrize("c", [6, 40])
     @pytest.mark.parametrize("per_positive", [False, True])
@@ -811,7 +789,7 @@ class TestPairListRankingKernel:
     def test_block_coef_equals_the_call_on_its_rows(self, c):
         rng = np.random.default_rng(c + 1)
         y, spec = sign_rows(rng, 40, c), LossSpec.ranking(LOGISTIC)
-        plan = spec.plan(y, c)
+        plan = spec.plan(y)
         for _ in range(5):
             draws = rng.integers(0, len(y), size=60)
             bounds = [0, *np.sort(rng.choice(np.arange(1, 60), size=6, replace=False)).tolist(), 60]

@@ -42,9 +42,16 @@ def pooled(*datasets):
     return pool, [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def set_kappa(pool, rows, kappa):
-    """Give the chain on these rows the largest row norm kappa, through the pool's cached row norms."""
-    pool.row_sq_norms[rows] = kappa**2
+def set_bound(monkeypatch, r, bound):
+    """Give chain r the certified bound on its iterate norm, whatever its rows' norms."""
+    bounds = optimizer_module._bounds
+
+    def patched(data, rows, config):
+        out = bounds(data, rows, config)
+        out[r] = bound
+        return out
+
+    monkeypatch.setattr(optimizer_module, "_bounds", patched)
 
 
 def single_row(x, y, c=None):
@@ -407,7 +414,7 @@ def dense_replay(data, config):
     ranking row is not planned again at every step.
     """
     indices = generator(config.seed).integers(0, len(data), size=config.total_steps)
-    labels = config.loss.blocks(config.loss.plan(data.y, data.c), indices, np.arange(len(indices) + 1))
+    labels = config.loss.blocks(config.loss.plan(data.y), indices, np.arange(len(indices) + 1))
     w = np.zeros((data.d, data.c))
     norms = []
     for t, i in enumerate(indices, start=1):
@@ -606,9 +613,9 @@ class TestLockstepChains:
         for (w, records), (w_small, records_small) in zip(runs, oracles.lockstep_runs(pool, rows, configs)):
             assert w.tobytes() == w_small.tobytes() and records == records_small
 
-    def test_chain_over_its_bound_is_named(self):
+    def test_chain_over_its_bound_is_named(self, monkeypatch):
         pool, rows = pooled(*[tiny_dataset(seed=s) for s in range(3)])
-        set_kappa(pool, rows[2], 1e-6)  # a bound no nonzero step-1 iterate meets
+        set_bound(monkeypatch, 2, 1e-6)  # a bound no nonzero step-1 iterate meets
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
         with pytest.raises(CertificateError, match="certified bound .* at step 1 in chain 2 "):
             oracles.lockstep_runs(pool, rows, configs)
@@ -893,7 +900,7 @@ class TestFailuresInsideBlocks:
         # a mid-block step whose norm tops every earlier one of chain r
         t = next(t for t in self.mid_block_steps(sizes) if norms[t - 1] > max(norms[: t - 1]))
         bound = (norms[t - 1] + max(norms[: t - 1])) / 2
-        set_kappa(pool, rows[r], (bound - optimizer_module._CERT_TOL) * self.SIGMA / MLOG.lipschitz_inf)
+        set_bound(monkeypatch, r, bound)
         message = self.raise_both(monkeypatch, pool, rows, configs)
         assert f"exceeded the certified bound {bound:.6g} at step {t} in chain {r} " in message
 
@@ -905,7 +912,7 @@ class TestFailuresInsideBlocks:
         # in the same chunk and running-norm segment (nothing records before the end)
         t = next(t for t in range(10, steps - 3) if norms[t - 1] > max(norms[: t - 1]))
         bound = (norms[t - 1] + max(norms[: t - 1])) / 2
-        set_kappa(pool, rows[2], (bound - optimizer_module._CERT_TOL) * self.SIGMA / MLOG.lipschitz_inf)
+        set_bound(monkeypatch, 2, bound)
         message = self.raise_both(monkeypatch, pool, rows, configs, (t + 2) * self.R, lambda row: row * np.nan)
         assert f"exceeded the certified bound {bound:.6g} at step {t} in chain 2 " in message
 
@@ -992,6 +999,35 @@ class TestRunningNorm:
             assert np.all(np.abs(running[t] - exact) <= 1e-12 * exact), t
             steps.append(t)
         assert steps == list(range(50, 601, 50))
+
+    @pytest.mark.parametrize("width", ["full", "csr"])
+    def test_x_sq_is_the_pools_cached_row_norms(self, monkeypatch, width):
+        R = 3
+        if width == "full":
+            datasets = [tiny_dataset(n=60, d=8, c=4, seed=s) for s in range(R)]
+        else:
+            datasets = [ragged_wide_dataset("mcc", seed=s) for s in range(R)]
+        pool, rows = pooled(*datasets)
+        schedule = StepSchedule.theorem(self.SIGMA)
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), schedule, 600, record_every=50, repetitions=R)
+        drawn, seen = [], []
+        chunks, norm_changes = optimizer_module._chunks, optimizer_module._norm_changes
+
+        def chunk_spy(data, rows, configs):
+            for chunk in chunks(data, rows, configs):
+                assert (chunk[1] is None) == (width == "full")  # the run takes the path it tests
+                drawn.append(chunk[4])
+                yield chunk
+
+        def spy(scores, coef, x_sq, rho):
+            seen.append(x_sq.copy())
+            return norm_changes(scores, coef, x_sq, rho)
+
+        monkeypatch.setattr(optimizer_module, "_chunks", chunk_spy)
+        monkeypatch.setattr(optimizer_module, "_norm_changes", spy)
+        oracles.lockstep_runs(pool, rows, configs)
+        assert len(seen) >= 12  # the segments cover every drawn row once, in order
+        assert np.concatenate(seen).tobytes() == pool.row_sq_norms.take(np.concatenate(drawn)).tobytes()
 
 
 class TestEqualWidthViews:
@@ -1096,13 +1132,12 @@ class TestFullWidthLockstep:
 
 
 class TestDenseChunks:
-    """A full-width pool's chunk values and ||x||^2 equal ``_gather``'s and the bincount's bit for bit."""
+    """A full-width pool's chunk values equal ``_gather``'s bit for bit."""
 
     @pytest.mark.parametrize("per_chunk, sizes", [(5, [5, 5, 1]), (1, [1] * 11)], ids=["ends-in-one-step", "one-step"])
     @pytest.mark.parametrize("R", [1, 3])
     @pytest.mark.parametrize("d", [1, 8, 9, 20])
     def test_dense_rows_equal_the_gathered_rows(self, monkeypatch, d, R, per_chunk, sizes):
-        # rows of unnormalized normals, whose squares a pairwise sum adds with other bits than a left fold
         datasets = [Dataset(generator(s).standard_normal((30, d)), np.arange(30) % 3, 3, "mcc") for s in range(R)]
         pool, rows = pooled(*datasets)
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), 11, repetitions=R)
@@ -1111,10 +1146,8 @@ class TestDenseChunks:
         for _, offsets, features, values, drawn, conflicts in optimizer_module._chunks(pool, rows, configs):
             assert offsets is None and features is None and conflicts is None
             n = len(drawn)
-            offsets, _, gathered = optimizer_module._gather(pool, drawn.reshape(-1, R))
-            x_sq = np.bincount(np.repeat(np.arange(n), np.diff(offsets)), weights=gathered * gathered, minlength=n)
+            gathered = optimizer_module._gather(pool, drawn.reshape(-1, R))[2]
             assert values.shape == (n, d) and values.tobytes() == gathered.tobytes()
-            assert optimizer_module._row_squares(values).tobytes() == x_sq.tobytes()
             chunk_sizes.append(n // R)
         assert chunk_sizes == sizes
 
@@ -1153,10 +1186,10 @@ class TestIterateNormCertificate:
         with pytest.raises(CertificateError):
             train(data, config_for(data, total_steps=5))
 
-    def test_running_norm_trips_between_records(self):
+    def test_running_norm_trips_between_records(self, monkeypatch):
         # a bound below every nonzero norm; only the final step records
         data = tiny_dataset()
-        set_kappa(data, np.arange(len(data)), 1e-6)
+        set_bound(monkeypatch, 0, 1e-6)
         with pytest.raises(CertificateError, match="certified bound") as err:
             train(data, config_for(data, total_steps=50, record_every=50))
         assert int(re.search(r"at step (\d+)", str(err.value)).group(1)) < 50
