@@ -680,6 +680,34 @@ def test_check_labels_accepts_its_own_kind(spec):
         spec.check_labels(y, S.shape[1])
 
 
+# ---------------------------------------------------------------------------
+# Blocks of raw class ids against one call on all rows.
+
+MULTICLASS_SPECS = [spec for spec in ORACLE_SPECS if not spec.is_multilabel]
+
+
+@pytest.mark.parametrize("cut", ["steps", "chains", "ragged"])
+@pytest.mark.parametrize("spec", MULTICLASS_SPECS, ids=lambda s: s.name)
+def test_blocked_class_ids_equal_one_call_on_all_rows(spec, cut):
+    # blocks of one row, of R = 4 rows (one step of every chain) and of mixed sizes,
+    # over draws of a pool whose labels include the first and the last column
+    rng, c, n = np.random.default_rng(43), 6, 48
+    pool = rng.integers(0, c, size=30)
+    pool[:5], pool[5:10] = 0, c - 1
+    draws = rng.permutation(np.concatenate([np.arange(10), rng.integers(0, 30, size=n - 10)]))
+    bounds = list({"steps": range(n + 1), "chains": range(0, n + 1, 4), "ragged": [0, 1, 4, 5, 11, 17, 30, 31, n]}[cut])
+    assert spec.plan(pool) is pool
+    for trial in range(6):
+        S = rng.integers(-4, 5, size=(n, c)) * 0.5 if trial % 2 else rng.standard_normal((n, c)) * 3.0
+        S[: n // 8] = 0.0  # ties, and on the grid of halves kinks and flat regions
+        values, coefs = spec.value(S, pool[draws]), spec.coef(S, pool[draws])
+        for b0, b1, labels in zip(bounds, bounds[1:], spec.blocks(pool, draws, bounds)):
+            block, out = S[b0:b1], np.full((b1 - b0, c), np.nan)
+            assert labels.tobytes() == pool[draws[b0:b1]].tobytes()
+            assert spec.value(block, labels).tobytes() == values[b0:b1].tobytes()
+            assert spec.coef(block, labels, out) is out and out.tobytes() == coefs[b0:b1].tobytes()
+
+
 def test_coef_rejects_an_out_it_cannot_fill_in_place():
     spec, S, y = LossSpec.multinomial_logistic(), np.zeros((4, 3)), np.array([0, 1, 2, 0])
     for out in (np.empty((3, 4)).T, np.empty((4, 3), dtype=np.float32), np.empty((4, 4))):
