@@ -52,6 +52,7 @@ grouped kernel does.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -521,9 +522,22 @@ class LossSpec:
         """
         if out is None:
             out = np.empty(S.shape)
-        elif out.shape != S.shape or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-contiguous float64 array of shape {S.shape}")
+        else:
+            check_out(out, S.shape)
         return _KERNELS[self.kind][1](self, S, y, out)
+
+    def coef_kernel(self):
+        """``coef`` unchecked, kernel(S, y, out) -> out, for a caller that checks its own buffers (``check_out``)."""
+        return partial(_KERNELS[self.kind][1], self)
+
+
+def check_out(out: np.ndarray, shape: tuple) -> None:
+    """Raise ValueError unless out is a C-contiguous float64 array of the given shape.
+
+    Its row slices are then C-contiguous float64 too, so one check covers every kernel call into them.
+    """
+    if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
 
 
 def standard_loss_specs() -> list[LossSpec]:

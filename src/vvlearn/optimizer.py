@@ -24,9 +24,10 @@ Indices are drawn a chunk of steps at a time, each chain from its own
 generator (numpy's bounded-integer stream does not depend on how the draws
 are split); the scales are left folds with the sequential loop's bits.  A
 full-width pool, whose rows all hold d entries, takes a chunk's rows from
-X.data viewed as (n, d), and a ``for`` loop walks its steps: each scores
-x . V_r, makes one ``LossSpec.coef`` call and subtracts rho * x^T coef
-from V, a fixed run of ufuncs writing into the chunk's rows or a buffer.
+X.data viewed as (n, d), and a ``for`` loop walks its steps' views: each
+scores x . V_r, makes one call of the coefficient kernel (resolved once per
+run by ``LossSpec.coef_kernel``) and subtracts rho_t * x^T coef from V, a
+fixed run of ufuncs writing into the chunk's rows or a buffer.
 Other pools gather a chunk's CSR entries, their feature indices offset by
 r * d into V viewed as (R * d, c), and walk blocks: maximal runs of steps
 in which no step reads a row of V an earlier one wrote.  A block scores its
@@ -55,7 +56,7 @@ import numpy as np
 
 from .core import frobenius_norm, nnz_groups, predict, segments
 from .dataio import Dataset
-from .losses import LossSpec
+from .losses import LossSpec, check_out
 from .regularizers import RegularizerSpec
 from .seeding import generator
 
@@ -390,31 +391,30 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     loss, reg, schedule, total = config.loss, config.reg, config.schedule, config.total_steps
     record_every = config.record_every or total
     R, d, c = len(rows), data.d, data.c
-    bounds = _bounds(data, rows, config)
-    chain_ids = list(range(R)) if R > 1 else [None]
+    bounds, chain_ids = _bounds(data, rows, config), (list(range(R)) if R > 1 else [None])
     a, v, v_sq = 1.0, np.zeros((R, d, c)), np.zeros(R)
     flat = v.reshape(R * d, c)
-    labels = loss.plan(data.y)
+    labels, kernel = loss.plan(data.y), loss.coef_kernel()
     for t0, offsets, features, values, drawn, conflicts in _chunks(data, rows, configs):
-        n, full = len(drawn), offsets is None
-        size = n // R
+        n, full, size = len(drawn), offsets is None, len(drawn) // R
         eta = schedule.eta(np.arange(t0 + 1, t0 + size + 1))
         before, after, folds = _scales(reg, a, eta)
         a = float(after[-1])
         # Drawn rows (in step, chain order) score at the scale before their step and update with rho = eta_t / a.
-        rho, x_sq = np.repeat(eta / after, R), data.row_sq_norms.take(drawn)
+        rho, x_sq = np.repeat(ratio := eta / after, R), data.row_sq_norms.take(drawn)
         # Row 0 of sq holds each chain's ||V_r||^2 before the chunk and row j + 1 that after a fold at step j;
         # each segment adds its steps' changes, and a left fold from each start gives the running sums.
         scores, coefs = np.zeros((n, c)), np.empty((n, c))  # rows without entries score zero
+        check_out(coefs, scores.shape)  # each kernel call's out is a row slice of coefs shaped like its scores
         sq = np.concatenate([v_sq[None], np.zeros((size, R))])
         checks = {size, *range(record_every - t0 % record_every, size, record_every)}
         ends = sorted(checks.union(folds, [f + 1 for f in folds]) - {0})
         folded = set(folds)
         if full:  # a step reads every row its chain's last step wrote, so each step is a block
-            blocks = loss.blocks(labels, drawn, range(0, n + 1, R))
-            xs, xt, rs = values.reshape(size, R, 1, d), values.reshape(size, R, d, 1), rho.reshape(size, R, 1, 1)
-            ss, sc, scaled = scores.reshape(size, R, 1, c), scores.reshape(size, R, c), np.empty((R, c))
-            cs, cc, update = coefs.reshape(size, R, 1, c), coefs.reshape(size, R, c), np.empty((R, d, c))
+            blocks, scaled, update = loss.blocks(labels, drawn, range(0, n + 1, R)), np.empty((R, c)), np.empty((R, d, c))
+            xs, xt, ss = values.reshape(size, R, 1, d), values.reshape(size, R, d, 1), scores.reshape(size, R, 1, c)
+            sc, cs, cc = scores.reshape(size, R, c), coefs.reshape(size, R, 1, c), coefs.reshape(size, R, c)
+            views = (range(size), xs, xt, ss, sc, cs, cc, blocks, before.tolist(), ratio.tolist())  # one entry per step
         else:
             scale = np.repeat(before, R)[:, None]
             edges = _block_edges(offsets, conflicts, R, c, ends)
@@ -436,19 +436,19 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         for lo, end in zip([0, *ends], ends):
             with np.errstate(all="ignore"):  # a non-finite iterate raises below, naming its step
                 if full:  # steps lo to end - 1, each a fixed run of ufuncs writing into the chunk's rows or a buffer
-                    for j in range(lo, end):
-                        np.matmul(xs[j], v, out=ss[j])
-                        loss.coef(np.multiply(before[j], sc[j], out=scaled), blocks[j], cc[j])
+                    for j, x, x_t, s, s_c, c_s, c_c, block, a_j, r in zip(*(view[lo:end] for view in views)):
+                        np.matmul(x, v, out=s)
+                        kernel(np.multiply(a_j, s_c, out=scaled), block, c_c)
                         if j in folded:  # the norm change starts from the rescaled V
                             sq[j + 1] = _rescale(reg, float(before[j]), v, float(eta[j]))
-                            np.matmul(xs[j], v, out=ss[j])
-                        np.multiply(np.multiply(xt[j], cs[j], out=update), rs[j], out=update)  # V -= rho * x^T coef
+                            np.matmul(x, v, out=s)
+                        np.multiply(np.multiply(x_t, c_s, out=update), r, out=update)  # V -= rho * x^T coef
                         np.subtract(v, update, out=v)
                 else:
                     while edges[b] < end:  # one block: steps edges[b] to edges[b + 1] - 1 in one batched pass
                         j, r0, r1 = edges[b], lows[b], lows[b + 1]
                         grids = score(b, r0, r1)
-                        coef = loss.coef(scale[r0:r1] * scores[r0:r1], blocks[b], coefs[r0:r1])
+                        coef = kernel(scale[r0:r1] * scores[r0:r1], blocks[b], coefs[r0:r1])
                         if j in folded:  # the norm change starts from the rescaled V
                             sq[j + 1] = _rescale(reg, float(before[j]), v, float(eta[j]))
                             grids = score(b, r0, r1)

@@ -21,9 +21,10 @@ the halves' A over their runs' sign sums (``_all_counts``).  Flipping every
 sign keeps a supremum, so only the lower half of the high rows is stored
 (at most 2^19 suprema, 4.2 MB); weighted suprema take the radius once, at
 the end, so integer ones sum exactly.  Monte-Carlo signs are packed random
-bytes, whose ones ``np.bitwise_count`` counts per run (unpacked if no run
-repeats a pair); ``_accumulate`` forms their A.  Blocks hold
-``_BLOCK_ENTRIES`` entries or ``_SIGN_BLOCK_ENTRIES`` signs (0.5 MB);
+bytes, ``Generator.bytes``' stream read from the raw draws
+(``_random_bytes``), whose ones ``np.bitwise_count`` counts per run
+(unpacked if no run repeats a pair); ``_accumulate`` forms their A.
+Blocks hold ``_BLOCK_ENTRIES`` entries or ``_SIGN_BLOCK_ENTRIES`` signs (0.5 MB);
 chunks of ``_CHUNK_ENTRIES`` fix the sums and draws, so exact bits do not
 depend on the block size, while Monte-Carlo values may move in their last
 digit (BLAS rounding depends on the row count).
@@ -179,6 +180,26 @@ def _exact_sum(X: np.ndarray, js: np.ndarray, slots: np.ndarray, radius: float) 
     return acc
 
 
+def _random_bytes(rng: np.random.Generator):
+    """A function that returns ``rng.bytes(length)``'s bytes call after call, read from the raw PCG64 draws.
+
+    numpy fills the bytes with 32-bit words, one even for no bytes, each
+    raw 64-bit draw giving its low half first and keeping its high half
+    for the next word; the raw draws skip its bounded-integer path.  The
+    rng draws nothing else meanwhile.
+    """
+    raw, pending = rng.bit_generator.random_raw, b""
+
+    def draw(length: int) -> bytes:
+        nonlocal pending
+        words = (max(length, 1) + 3) // 4
+        buf = pending + raw((words - len(pending) // 4 + 1) // 2).astype("<u8", copy=False).tobytes()
+        pending = buf[4 * words :]
+        return buf[:length]
+
+    return draw
+
+
 def estimate_complexity(
     sample: Dataset, radius: float, trials: int, seed: int
 ) -> RademacherEstimate:
@@ -207,13 +228,13 @@ def estimate_complexity(
         total = 1 << m
         return RademacherEstimate(_exact_sum(X, js, slots, radius) / (total * m), 0.0, total, True)
     chunk, width = max(1, _CHUNK_ENTRIES // m), (m + 7) // 8
-    rng, sups = generator(seed), np.empty(trials)
+    draw, sups = _random_bytes(generator(seed)), np.empty(trials)
     starts, sizes = _runs(X, js)
     block, X, spans = max(1, _SIGN_BLOCK_ENTRIES // m), X[starts], _spans(js[starts], slots, sample.d)
     byte = np.minimum(np.r_[starts, m] // 8, width - 1)  # ones before a run bound: whole bytes, then lead bits
     lead = (0xFF00 >> (np.r_[starts, m] - 8 * byte)).astype(np.uint8)
     for done in range(0, trials, chunk):
-        packed = np.frombuffer(rng.bytes(min(chunk, trials - done) * width), dtype=np.uint8).reshape(-1, width)
+        packed = np.frombuffer(draw(min(chunk, trials - done) * width), dtype=np.uint8).reshape(-1, width)
         for b in range(0, len(packed), block):
             part = packed[b : b + block]
             if len(starts) < m:  # reduceat's last segment runs to the end, and a repeated index reads one byte

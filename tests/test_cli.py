@@ -230,12 +230,13 @@ class TestTrainCommand:
         assert not (tmp_path / "m.bin").exists()
 
     def test_certificate_failure_exits_three_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
-        coef = LossSpec.coef
+        resolve = LossSpec.coef_kernel  # the kernel training resolves once per run
 
-        def tripled(self, S, y, out=None):
-            return np.multiply(3.0, coef(self, S, y, out), out=out)
+        def tripled(self):
+            kernel = resolve(self)
+            return lambda S, y, out: np.multiply(3.0, kernel(S, y, out), out=out)
 
-        monkeypatch.setattr(LossSpec, "coef", tripled)
+        monkeypatch.setattr(LossSpec, "coef_kernel", tripled)
         model, log = tmp_path / "m.bin", tmp_path / "l.csv"
         code = run(
             "train", "--synth", "n=50,d=3,c=3", "--loss", "mlogistic", "--sigma", "0.1",

@@ -1,4 +1,4 @@
-"""The bytes of thirteen small CLI runs, pinned by their sha256.
+"""The bytes of fourteen small CLI runs, pinned by their sha256.
 
 A change meant to keep every result bit for bit leaves these digests alone.
 One that moves numbers on purpose updates them here and lists old -> new
@@ -7,7 +7,8 @@ ranking rows under the theorem schedule (the scale folds at step 1, and
 some rows have more than 256 pairs), ragged multiclass rows with one
 chain, lockstep passes curves of full-width rows under each multiclass
 loss, a one-chain passes curve whose 3,277 steps end in a one-step chunk,
-and the group (2, p) regularizer.  A ranking gap curve scores
+a full-width mc_svm train whose scale folds at step 1 inside the dense step
+loop, and the group (2, p) regularizer.  A ranking gap curve scores
 train and test objectives over subsets of the pool.  A ragged train and a passes curve read files in which one row
 in seven has labels and no features.  Two ``rademacher`` runs pin the
 sandwich CSV: an exhaustive one over 2^20 sign vectors, whose bits no
@@ -25,7 +26,7 @@ subprocesses at ``OPENBLAS_NUM_THREADS`` 1 and 2 to keep it so.
 They were pinned under numpy's AVX-512 dispatch (numpy 2.4.6 on an x86-64
 machine with AVX-512).  With ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
 AVX512_SPR"``, and also with ``X86_V3`` disabled besides, ``passes-curve``
-and ``l2p`` fail and the other 20 cases pass: numpy's AVX-512 float64
+and ``l2p`` fail and the other 22 cases pass: numpy's AVX-512 float64
 ``exp`` and ``log`` loops, which the multinomial logistic loss of both runs
 calls, and its AVX-512 (SVML) float64 ``power`` loop, which the group-(2, p)
 regularizer calls for ``col_norms ** p``, round differently in the last
@@ -109,6 +110,11 @@ CASES = {
         ["train", "--synth", "n=200,d=12,c=4,noise=0.1,seed=4", "--loss", "mlogistic", "--reg", "l2p",
          "--p", "1.5", "--sigma", "0.05", "--steps", "1000", "--record-every", "250", "--seed", "23"],
     ),
+    "dense-fold-mc-svm": (
+        None,
+        ["train", "--synth", "n=200,d=12,c=4,noise=0.1,seed=4", "--loss", "mc_svm", "--sigma", "0.05",
+         "--steps", "1000", "--record-every", "250", "--seed", "23"],
+    ),
     "ranking-gap-curve": (
         None,
         ["curve", "--kind", "gap", "--synth", "n=600,d=10,c=6,noise=0.1,task=mlc,seed=3", "--task", "mlc",
@@ -153,6 +159,10 @@ DIGESTS = {
     "l2p": {
         "model.bin": "dc585362991da2ab45eea42ff464965680f5aa862a81a701257a875566486310",
         "log.csv": "761964af97b0c1c37981565116463abd2e48f1ebe7d01c898347b2155dfdbd5b",
+    },
+    "dense-fold-mc-svm": {
+        "model.bin": "0c69ff9a980b20d9f3e1546dabeff30a6d4aaaeb6a537af9c0f9903161a65729",
+        "log.csv": "3d9ceafbd9221ee90d7fbbf3edf1e8c27e23f8b43962de70b59d50bc3986c784",
     },
     "ranking-gap-curve": {
         "out.csv": "a4c442d31fbfa6fb1d26b23c0dc2c049aeca0a87ff2392625c97d064202bd675",

@@ -1,6 +1,7 @@
 import re
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -52,6 +53,12 @@ def set_bound(monkeypatch, r, bound):
         return out
 
     monkeypatch.setattr(optimizer_module, "_bounds", patched)
+
+
+def patch_kernel(monkeypatch, wrap):
+    """Make the coefficient kernel the step walks resolve call wrap(kernel, S, y, out), kernel the loss's own."""
+    resolve = LossSpec.coef_kernel
+    monkeypatch.setattr(LossSpec, "coef_kernel", lambda self: partial(wrap, resolve(self)))
 
 
 def single_row(x, y, c=None):
@@ -428,8 +435,7 @@ REGULARIZERS = [RegularizerSpec.frobenius(0.05), RegularizerSpec.l2p(0.05, 1.5),
 
 class TestLazyLoopOracle:
     SIGMA = 0.05
-
-    @pytest.mark.parametrize(
+    SCHEDULES = pytest.mark.parametrize(
         "schedule",
         [
             StepSchedule.theorem(SIGMA),
@@ -440,18 +446,26 @@ class TestLazyLoopOracle:
         ],
         ids=["theorem", "experiment", "eta-sigma-above-1"],
     )
+
+    @SCHEDULES
     @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
     @pytest.mark.parametrize("reg", REGULARIZERS, ids=lambda r: r.name)
     def test_train_matches_dense_sgd_step_replay(self, monkeypatch, reg, spec, schedule):
         data = sparse_wide_dataset("mlc" if spec.is_multilabel else "mcc")
-        config = TrainConfig(
-            loss=spec,
-            reg=reg,
-            schedule=schedule,
-            total_steps=2000,
-            seed=17,
-            record_every=500,
-        )
+        config = TrainConfig(loss=spec, reg=reg, schedule=schedule, total_steps=2000, seed=17, record_every=500)
+        self.assert_matches_dense_replay(monkeypatch, data, config)
+
+    @SCHEDULES
+    @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
+    def test_full_width_train_matches_dense_sgd_step_replay(self, monkeypatch, spec, schedule):
+        data = tiny_dataset(n=50, d=6, c=5, task="mlc" if spec.is_multilabel else "mcc")
+        assert data.X.indptr[-1] == len(data) * data.d  # every row holds d entries, so the dense step loop runs
+        reg = RegularizerSpec.frobenius(self.SIGMA)
+        config = TrainConfig(loss=spec, reg=reg, schedule=schedule, total_steps=1000, seed=17, record_every=250)
+        self.assert_matches_dense_replay(monkeypatch, data, config)
+
+    def assert_matches_dense_replay(self, monkeypatch, data, config):
+        """The run's iterate and every norm it certifies, running or exact, equal a dense replay's to rounding."""
         running, exact = [], []  # (step, norm) of every certificate check
         check_segment, check_iterate = optimizer_module._check_segment, optimizer_module._check_iterate
 
@@ -605,6 +619,14 @@ class TestLockstepChains:
             expected, _ = dense_replay(data, config)
             assert np.max(np.abs(w - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
 
+    def test_full_width_run_longer_than_one_chunk_matches_dense_replay(self):
+        datasets = [tiny_dataset(n=50, d=6, c=5, seed=s) for s in range(3)]
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 4500)
+        assert configs[0].total_steps > 2 * optimizer_module._DRAW_CHUNK_ENTRIES // (3 * 6)  # every row holds d = 6
+        for (w, _), data, config in zip(oracles.lockstep_runs(*pooled(*datasets), configs), datasets, configs):
+            expected, _ = dense_replay(data, config)
+            assert np.max(np.abs(w - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+
     def test_chunk_size_changes_no_value(self, monkeypatch):
         pool, rows = pooled(*[ragged_dataset(seed=s) for s in range(3)])
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 300)
@@ -621,28 +643,24 @@ class TestLockstepChains:
             oracles.lockstep_runs(pool, rows, configs)
 
     def test_non_finite_chain_is_named(self, monkeypatch):
-        coef = LossSpec.coef
-
-        def nan_in_chain_one(self, S, y, out=None):
-            out = coef(self, S, y, out)
+        def nan_in_chain_one(kernel, S, y, out):
+            out = kernel(S, y, out)
             out[1] = np.nan
             return out
 
-        monkeypatch.setattr(LossSpec, "coef", nan_in_chain_one)
+        patch_kernel(monkeypatch, nan_in_chain_one)
         pool, rows = pooled(*[tiny_dataset(seed=s) for s in range(3)])
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
         with pytest.raises(CertificateError, match="iterate norm became nan at step 1 in chain 1 "):
             oracles.lockstep_runs(pool, rows, configs)
 
     def test_inflated_chain_coefficients_are_named(self, monkeypatch):
-        coef = LossSpec.coef
-
-        def inflate_chain_two(self, S, y, out=None):
-            out = coef(self, S, y, out)
+        def inflate_chain_two(kernel, S, y, out):
+            out = kernel(S, y, out)
             out[2] *= 3.0
             return out
 
-        monkeypatch.setattr(LossSpec, "coef", inflate_chain_two)
+        patch_kernel(monkeypatch, inflate_chain_two)
         pool, rows = pooled(*[tiny_dataset(seed=s) for s in range(3)])
         configs = chain_configs(
             MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20, record_every=1
@@ -697,34 +715,34 @@ def one_step_blocks(monkeypatch):
 
 
 def block_sizes(monkeypatch, R):
-    """Steps per block, read from the rows of each LossSpec.coef call; filled as training runs."""
-    sizes, coef = [], LossSpec.coef
+    """Steps per block, read from the rows of each coefficient kernel call; filled as training runs."""
+    sizes = []
 
-    def spy(self, S, y, out=None):
+    def spy(kernel, S, y, out):
         assert len(S) % R == 0
         sizes.append(len(S) // R)
-        return coef(self, S, y, out)
+        return kernel(S, y, out)
 
-    monkeypatch.setattr(LossSpec, "coef", spy)
+    patch_kernel(monkeypatch, spy)
     return sizes
 
 
 def patch_coef_row(monkeypatch, row, change):
-    """Apply change to coefficient row `row` of a run, counting rows across LossSpec.coef calls.
+    """Apply change to coefficient row `row` of a run, counting rows across coefficient kernel calls.
 
     Rows come in step, chain order whether steps are blocked or not, so row
     (t - 1) * R + r is chain r at step t either way.
     """
-    seen, coef = [0], LossSpec.coef
+    seen = [0]
 
-    def patched(self, S, y, out=None):
-        out = coef(self, S, y, out)
+    def patched(kernel, S, y, out):
+        out = kernel(S, y, out)
         if seen[0] <= row < seen[0] + len(S):
             out[row - seen[0]] = change(out[row - seen[0]])
         seen[0] += len(S)
         return out
 
-    monkeypatch.setattr(LossSpec, "coef", patched)
+    patch_kernel(monkeypatch, patched)
 
 
 def first_steps(sizes):
@@ -1110,7 +1128,7 @@ class TestEqualWidthViews:
 
 
 class TestFullWidthLockstep:
-    """A full-width pool steps V in place from its dense rows, one ``LossSpec.coef`` call per step of every chain."""
+    """A full-width pool steps V in place from its dense rows, one coefficient kernel call per step of every chain."""
 
     @pytest.mark.parametrize("spec", standard_loss_specs(), ids=lambda s: s.name)
     def test_one_coef_call_per_block_and_no_gathered_rows_of_v(self, monkeypatch, spec):
@@ -1118,17 +1136,49 @@ class TestFullWidthLockstep:
         task = "mlc" if spec.is_multilabel else "mcc"
         pool, rows = pooled(*[tiny_dataset(n=50, d=6, c=5, seed=s, task=task) for s in range(R)])
         configs = chain_configs(spec, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), steps, repetitions=R)
-        calls, coef = [], LossSpec.coef
+        calls = []
 
-        def spy(self, S, y, out=None):
-            calls.append((len(S), out is not None and out.base is not None))  # written into the chunk's rows
-            return coef(self, S, y, out)
+        def spy(kernel, S, y, out):
+            calls.append((len(S), out.base is not None))  # written into the chunk's rows
+            return kernel(S, y, out)
 
-        monkeypatch.setattr(LossSpec, "coef", spy)
+        patch_kernel(monkeypatch, spy)
         for name in ("_gather", "_plan"):  # no CSR entries are gathered and no nnz groups planned
             monkeypatch.setattr(optimizer_module, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
         oracles.lockstep_runs(pool, rows, configs)
         assert calls == [(R, True)] * steps
+
+
+class TestCoefficientBuffers:
+    """Both step walks check each chunk's coefficient buffer once, and every kernel call fills a row slice of it."""
+
+    @pytest.mark.parametrize("make", [tiny_dataset, ragged_dataset], ids=["full-width", "ragged"])
+    def test_out_is_checked_once_per_chunk(self, monkeypatch, make):
+        pool, rows = pooled(*[make(seed=s) for s in range(3)])
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), 200)
+        monkeypatch.setattr(optimizer_module, "_DRAW_CHUNK_ENTRIES", 1000)
+        chunk_rows, checked, calls = [], [], [0]
+        chunks, check_out = optimizer_module._chunks, optimizer_module.check_out
+
+        def counted(*args):
+            for chunk in chunks(*args):
+                chunk_rows.append(len(chunk[4]))
+                yield chunk
+
+        def spy_check(out, shape):
+            checked.append(out)
+            check_out(out, shape)
+
+        def spy_kernel(kernel, S, y, out):
+            assert out.shape == S.shape and out.flags.c_contiguous and np.shares_memory(out, checked[-1])
+            calls[0] += 1
+            return kernel(S, y, out)
+
+        monkeypatch.setattr(optimizer_module, "_chunks", counted)
+        monkeypatch.setattr(optimizer_module, "check_out", spy_check)
+        patch_kernel(monkeypatch, spy_kernel)
+        oracles.lockstep_runs(pool, rows, configs)
+        assert len(chunk_rows) > 2 and [len(out) for out in checked] == chunk_rows and calls[0] >= len(chunk_rows)
 
 
 class TestDenseChunks:
@@ -1197,7 +1247,7 @@ class TestIterateNormCertificate:
     @pytest.mark.parametrize("reg", REGULARIZERS[:2], ids=lambda r: r.name)
     def test_non_finite_iterate_fails_fast(self, monkeypatch, reg):
         data = tiny_dataset()
-        monkeypatch.setattr(LossSpec, "coef", lambda self, S, y, out=None: np.add(np.nan, np.zeros(S.shape), out=out))
+        patch_kernel(monkeypatch, lambda kernel, S, y, out: np.add(np.nan, np.zeros(S.shape), out=out))
         config = TrainConfig(
             loss=MLOG,
             reg=reg,
@@ -1212,12 +1262,7 @@ class TestIterateNormCertificate:
     @pytest.mark.parametrize("reg", REGULARIZERS[:2], ids=lambda r: r.name)
     def test_inflated_loss_coefficients_fail_duality_check(self, monkeypatch, reg):
         data = tiny_dataset()
-        coef = LossSpec.coef
-
-        def tripled(self, S, y, out=None):
-            return np.multiply(3.0, coef(self, S, y, out), out=out)
-
-        monkeypatch.setattr(LossSpec, "coef", tripled)
+        patch_kernel(monkeypatch, lambda kernel, S, y, out: np.multiply(3.0, kernel(S, y, out), out=out))
         config = TrainConfig(
             loss=MLOG,
             reg=reg,

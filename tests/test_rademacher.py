@@ -16,6 +16,7 @@ from vvlearn.rademacher import (
     sandwich_check,
     write_report_csv,
 )
+from vvlearn.seeding import generator
 
 
 def sample_from_dense(rows, js, c):
@@ -244,6 +245,28 @@ class TestEstimateComplexity:
         sample = identical_pair_sample(3, 2, 2)
         with pytest.raises(ValueError):
             estimate_complexity(sample, radius=-1.0, trials=trials, seed=0)
+
+
+class TestRandomBytes:
+    """``_random_bytes`` returns ``Generator.bytes``' bytes call after call."""
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[0], [1], [3], [5], [8], [500_000], [0, 0, 8], [1, 3, 5, 8], [5, 500_000, 3], [3, 500_000, 0, 1, 500_000, 5]],
+        ids=str,
+    )
+    def test_equals_generator_bytes(self, lengths):
+        # odd word counts (1, 3, 5 bytes and 0, which draws one word) leave a raw draw's high half for the next call
+        draw, rng = rademacher_module._random_bytes(generator(17)), generator(17)
+        for length in lengths:
+            assert draw(length) == rng.bytes(length)
+        assert draw(8) == rng.bytes(8)  # both streams end at the same word
+
+    def test_equals_generator_bytes_on_random_call_sequences(self):
+        lengths = generator(3).integers(0, 50, size=(40, 12)).tolist()
+        for seed, sequence in enumerate(lengths):
+            draw, rng = rademacher_module._random_bytes(generator(seed)), generator(seed)
+            assert [draw(k) for k in sequence] == [rng.bytes(k) for k in sequence]
 
 
 def block_sizes(row_entries):
