@@ -14,6 +14,9 @@ import numpy as np
 
 # Entries per BLAS dot in ``squared_norms``; OpenBLAS threads a longer dot.
 _DOT_PIECE = 1 << 13
+# Values of w (512 KB) that ``predict`` copies for one piece of a group of
+# rows, so the copy stays in cache at any c.
+_GATHER_VALUES = 1 << 16
 
 
 def predict(w: np.ndarray, X, rows: np.ndarray | None = None) -> np.ndarray:
@@ -22,7 +25,10 @@ def predict(w: np.ndarray, X, rows: np.ndarray | None = None) -> np.ndarray:
     Each score sums value * w[col] over its row's entries in entry order from
     +0.0, as scipy's sparse product does, bit for bit.  ``einsum`` keeps that
     order while its inner loop runs over two or more scores, so a lone column
-    is scored beside a zero one.
+    is scored beside a zero one.  Rows are scored by equal nnz k in pieces of
+    ``core.nnz_groups``: m rows whose gathered copy of w, (k, m, c), holds at
+    most ``_GATHER_VALUES`` values (or one row), so the call's working set
+    does not grow with the rows scored.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
@@ -32,7 +38,7 @@ def predict(w: np.ndarray, X, rows: np.ndarray | None = None) -> np.ndarray:
     if w.shape[1] == 1:
         return predict(np.hstack([w, np.zeros_like(w)]), X, rows)[:, :1]
     out = np.zeros((X.shape[0] if rows is None else len(rows), w.shape[1]))
-    for members, starts, k in nnz_groups(X.indptr, rows):
+    for members, starts, k in nnz_groups(X.indptr, rows, _GATHER_VALUES // w.shape[1]):
         entries = starts + np.arange(k)[:, None]  # entry j of every member in row j
         values = X.data.take(entries)
         if k == w.shape[0]:  # full-width rows hold columns 0 to d - 1 in order

@@ -13,16 +13,19 @@ first appearance unless they already are dense, and multilabel component
 ids are positional and never remapped; the mapping is retained on the
 dataset.  A given map (a saved model's classes) is used as it is.
 
-The parser reads batches of whole lines in array passes: one tokenization,
-Python's ``int`` and ``float`` mapped over every token, and one numpy mask
-per rule.  Only a batch that breaks a rule is read again, one line at a
-time, up to the line that raises the error with its 1-based number.
+The parser streams its source: it reads a block at a time, decodes the
+whole lines read so far and parses them as one batch in array passes (one
+tokenization, Python's ``int`` and ``float`` mapped over the tokens, and one
+numpy mask per rule), so it never holds the file's text.  Only a batch that
+breaks a rule is read again, one line at a time, up to the line that raises
+the error with its 1-based number.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -37,8 +40,9 @@ from .seeding import generator
 # Entries per block of equal-nnz rows that ``row_sq_norms`` and
 # ``normalize_rows`` take from ``core.nnz_groups``, bounding their temporaries.
 _NORMALIZE_CHUNK_ENTRIES = 1 << 14
-# Characters of whole lines that ``parse_sparse_text`` reads at once, bounding
-# its token lists.
+# Bytes (characters for a text source) that ``parse_sparse_text`` reads at
+# once; it decodes and parses the whole lines read so far, bounding its text
+# and token lists.
 _PARSE_BATCH_CHARS = 1 << 15
 
 
@@ -189,27 +193,50 @@ def _check_line(line: str, line_no: int, task: str, d: int | None) -> None:
         raise ParseError(f"feature index {max(seen)} exceeds declared d={d}", line_no)
 
 
-def _read_text(source) -> str:
-    """The text of a path or a file-like object; undecodable bytes are a ParseError naming their line."""
+def _whole_lines(read, newline):
+    """Runs of whole lines from read(_PARSE_BATCH_CHARS) until it returns nothing.
+
+    Each block is cut after its last newline and the rest is carried into
+    the next run, so a line longer than a block spans several reads.
+    """
+    carry = []
+    while block := read(_PARSE_BATCH_CHARS):
+        cut = block.rfind(newline) + 1
+        if cut:
+            yield block[:0].join([*carry, block[:cut]])
+            carry = []
+        carry.append(block[cut:])
+    if tail := block.join(carry):  # block is empty here
+        yield tail
+
+
+def _runs(source):
+    """(number of the first line, lines) of runs of whole lines of a path or a file-like object.
+
+    A path is read as bytes and each run decoded on its own with the
+    encoding ``open`` picks; a cut after a newline byte never falls inside
+    a CRLF or a UTF-8 sequence.  Undecodable bytes are a ParseError naming
+    their line, raised once the whole lines before them have been yielded.
+    """
+    number = 1
     if hasattr(source, "read"):
-        return source.read()
+        for run in _whole_lines(source.read, "\n"):
+            lines = run.splitlines()
+            yield number, lines
+            number += len(lines)
+        return
     with open(source) as handle:
-        encoding, raw = handle.encoding, handle.buffer.read()
-    try:
-        return raw.decode(encoding)
-    except UnicodeDecodeError as err:
-        line = len((raw[: err.start].decode(encoding) + ".").splitlines())
-        raise ParseError(f"cannot decode {raw[err.start : err.end]!r} as {encoding}", line) from None
-
-
-def _batches(text: str):
-    """(number of the first line, lines) of runs of whole lines of about _PARSE_BATCH_CHARS characters."""
-    start, number = 0, 1
-    while start < len(text):
-        cut = text.find("\n", start + _PARSE_BATCH_CHARS) + 1 or len(text)  # never inside a CRLF
-        lines = text[start:cut].splitlines()
-        yield number, lines
-        start, number = cut, number + len(lines)
+        encoding = handle.encoding
+        for run in _whole_lines(handle.buffer.read, b"\n"):
+            try:
+                lines = run.decode(encoding).splitlines()
+            except UnicodeDecodeError as err:
+                *lines, _ = (run[: err.start].decode(encoding) + ".").splitlines()
+                yield number, lines
+                line = number + len(lines)
+                raise ParseError(f"cannot decode {run[err.start : err.end]!r} as {encoding}", line) from None
+            yield number, lines
+            number += len(lines)
 
 
 def _sorted_within(rows: np.ndarray, keys: np.ndarray):
@@ -269,35 +296,35 @@ def parse_sparse_text(
     inferred dimension (max feature index); a feature index past it is a
     parse error.  ``label_map`` (file id, 0-based for multilabel, to
     component) replaces the inference the module docstring describes and
-    sets c to its size; a label outside it is a parse error.  Lines are
-    read in batches of about ``_PARSE_BATCH_CHARS`` characters.
+    sets c to its size; a label outside it is a parse error.  The source is
+    read, decoded and parsed in runs of whole lines of about
+    ``_PARSE_BATCH_CHARS`` bytes (characters for a text source), so errors
+    come in file order: the first bad line raises, an undecodable one too.
     """
     if task not in ("mcc", "mlc"):
         raise ValueError(f"task must be 'mcc' or 'mlc', got {task!r}")
-    text = _read_text(source)
-    bound = text.count(":")  # every token holds one ':'
-    cols, vals = np.empty(bound, dtype=np.int64), np.empty(bound)
-    widths, ids, counts, filled = [], [], [], 0
-    for number, lines in _batches(text):
-        examples = [line for line in lines if line and not line.isspace() and line[0] != "#"]
-        if not examples:
-            continue
-        parsed = _parse_batch(examples, task, d)
-        if parsed is None:  # some line breaks a rule; reading them in order raises its error
-            for line_no, line in enumerate(lines, start=number):
-                if line and not line.isspace() and line[0] != "#":
-                    _check_line(line, line_no, task, d)
-        w, c, v, i, k = parsed
-        cols[filled : filled + len(c)], vals[filled : filled + len(v)] = c, v
-        filled += len(c)
-        widths.append(w)
-        ids += i if task == "mcc" else (i - 1).tolist()
-        counts.append(k)
+    widths, cols, vals, ids, counts = [], [], [], [], []
+    with closing(_runs(source)) as runs:
+        for number, lines in runs:
+            examples = [line for line in lines if line and not line.isspace() and line[0] != "#"]
+            if not examples:
+                continue
+            parsed = _parse_batch(examples, task, d)
+            if parsed is None:  # some line breaks a rule; reading them in order raises its error
+                for line_no, line in enumerate(lines, start=number):
+                    if line and not line.isspace() and line[0] != "#":
+                        _check_line(line, line_no, task, d)
+            w, c, v, i, k = parsed
+            widths.append(w)
+            cols.append(c)
+            vals.append(v)
+            ids += i if task == "mcc" else (i - 1).tolist()
+            counts.append(k)
     if not widths:
         raise ParseError("no examples found")
-    widths = np.concatenate(widths)
-    n, cols, vals = len(widths), cols[:filled], vals[:filled]
-    dim = d if d is not None else (int(cols.max()) + 1 if filled else 0)
+    widths, cols, vals = np.concatenate(widths), np.concatenate(cols), np.concatenate(vals)
+    n = len(widths)
+    dim = d if d is not None else (int(cols.max()) + 1 if len(cols) else 0)
     seen = list(dict.fromkeys(ids))
     if label_map is None and (task == "mlc" or set(seen) == set(range(len(seen)))):
         label_map = {i: i for i in range(max(seen) + 1)}

@@ -22,7 +22,9 @@ O(d * c); both leave a = 1.
 
 Indices are drawn a chunk of steps at a time, each chain from its own
 generator (numpy's bounded-integer stream does not depend on how the draws
-are split); the scales are left folds with the sequential loop's bits.  A
+are split); the scales are left folds with the sequential loop's bits.
+Only one chunk is alive at a time: its drawn arrays and everything made
+while walking it are freed before the next chunk is drawn.  A
 full-width pool, whose rows all hold d entries, takes a chunk's rows from
 X.data viewed as (n, d), and a ``for`` loop walks its steps' views: each
 scores x . V_r, makes one call of the coefficient kernel (resolved once per
@@ -231,23 +233,27 @@ def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     (step, chain) order, conflicts comes from ``_conflicts`` and the rest
     from ``_gather``.  Chain r draws indices into rows[r] uniformly from a
     PCG64 seeded with its config's seed.  In a full-width pool values is
-    the drawn rows, shape (steps * R, d), and the rest is None.
+    the drawn rows, shape (steps * R, d), and the rest is None.  No chunk's
+    arrays stay here while the next one is drawn.
     """
-    R, X = len(rows), data.X
+    X = data.X
     rngs = [generator(config.seed) for config in configs]
     widest = max(int(np.diff(X.indptr).take(chain).max()) for chain in rows)
     full = data.d > 0 and X.indptr[-1] == len(data) * data.d
-    size = max(1, _DRAW_CHUNK_ENTRIES // (R * max(1, widest)))
+    size = max(1, _DRAW_CHUNK_ENTRIES // (len(rows) * max(1, widest)))
     total = configs[0].total_steps
     for t0 in range(0, total, size):
-        k = min(size, total - t0)
-        draws = np.stack([chain.take(rng.integers(0, len(chain), size=k)) for rng, chain in zip(rngs, rows)], axis=1)
-        drawn = draws.ravel()
-        if full:
-            yield t0, None, None, X.data.reshape(len(data), data.d).take(drawn, axis=0), drawn, None
-        else:
-            offsets, features, values = _gather(data, draws)
-            yield t0, offsets, features, values, drawn, _conflicts(offsets, features, R)
+        yield t0, *_chunk(data, rngs, rows, min(size, total - t0), full)
+
+
+def _chunk(data: Dataset, rngs: list, rows: list[np.ndarray], k: int, full: bool):
+    """(offsets, features, values, drawn, conflicts) of a chunk of k steps, as ``_chunks`` yields them."""
+    draws = np.stack([chain.take(rng.integers(0, len(chain), size=k)) for rng, chain in zip(rngs, rows)], axis=1)
+    drawn = draws.ravel()
+    if full:
+        return None, None, data.X.data.reshape(len(data), data.d).take(drawn, axis=0), drawn, None
+    offsets, features, values = _gather(data, draws)
+    return offsets, features, values, drawn, _conflicts(offsets, features, draws.shape[1])
 
 
 def _chain(r: int | None) -> str:
@@ -395,7 +401,9 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     a, v, v_sq = 1.0, np.zeros((R, d, c)), np.zeros(R)
     flat = v.reshape(R * d, c)
     labels, kernel = loss.plan(data.y), loss.coef_kernel()
-    for t0, offsets, features, values, drawn, conflicts in _chunks(data, rows, configs):
+
+    def walk(t0, offsets, features, values, drawn, conflicts):  # one chunk; its arrays end with it
+        nonlocal a, v_sq
         n, full, size = len(drawn), offsets is None, len(drawn) // R
         eta = schedule.eta(np.arange(t0 + 1, t0 + size + 1))
         before, after, folds = _scales(reg, a, eta)
@@ -490,6 +498,10 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
                 _check_iterate(norm, bound, t, loss, reg, r)
             yield t, w, norms
         v_sq = sq[size].copy()
+
+    for chunk in _chunks(data, rows, configs):
+        yield from walk(*chunk)
+        del chunk  # before the next chunk is drawn
 
 
 def iterates(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import oracles
 from oracles import write_sparse_text
@@ -154,6 +156,35 @@ class TestTopLevel:
         assert rounds[0][0][3][1].startswith("usage: vvlearn")
         assert rounds[1] == rounds[0]
         assert cli_module._build_parser.cache_info().misses == 1
+
+
+def test_train_peak_memory_on_a_sparse_multilabel_file(tmp_path):
+    # 5,000 rows of 20 entries at d = 2,000 and c = 10, and 4,000 steps: two full draw chunks of 1,638 steps.
+    # Both chunks' arrays alive at once (a 6.5 MB peak) or one gather of w for every row the evaluation
+    # scores (8.7 MB) would take the traced peak (5.2 MB) past the bound.
+    n, d, k, c = 5000, 2000, 20, 10
+    rng = np.random.default_rng(23)
+    cols = np.concatenate([np.sort(rng.choice(d, size=k, replace=False)) for _ in range(n)])
+    y = -np.ones((n, c), dtype=np.int8)
+    for i, labels in enumerate(rng.integers(1, 4, size=n)):
+        y[i, rng.choice(c, size=labels, replace=False)] = 1
+    y[:, 0] = np.where(np.all(y > 0, axis=1), -1, y[:, 0])  # the ranking loss needs both signs
+    X = sp.csr_matrix((rng.standard_normal(n * k), cols, np.arange(0, n * k + 1, k)), shape=(n, d))
+    path = tmp_path / "train.txt"
+    write_sparse_text(Dataset(X, y, c, "mlc"), path)
+    argv = [
+        "train", "--data", str(path), "--task", "mlc", "--loss", "ranking", "--base", "hinge", "--sigma", "0.01",
+        "--steps", "4000", "--record-every", "4000", "--seed", "5",
+        "--model-out", str(tmp_path / "m.bin"), "--log-out", str(tmp_path / "l.csv"),
+    ]  # fmt: skip
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 6 << 20
 
 
 def test_runs_without_a_logistic_base_import_no_scipy(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 import scipy.sparse as sp
 
+import oracles
 import vvlearn.core as core_module
 import vvlearn.optimizer as optimizer_module
 from vvlearn.core import frobenius_norm, l2p_norm, nnz_groups, predict, squared_norms
@@ -87,8 +90,11 @@ def mixed_rows(rng, n, d):
 class TestPredictOracle:
     """predict against scipy's sparse product, bit for bit."""
 
+    @pytest.mark.parametrize("budget", [1, 16, 37, None], ids=lambda b: f"gather{b or ''}")
     @pytest.mark.parametrize("c", [1, 2, 5, 36])
-    def test_matches_scipy_bit_for_bit(self, c):
+    def test_matches_scipy_bit_for_bit(self, c, budget, monkeypatch):
+        if budget is not None:  # pieces of one row up to whole groups
+            monkeypatch.setattr(core_module, "_GATHER_VALUES", budget)
         rng = np.random.default_rng(c)
         for _ in range(60):
             n, d = int(rng.integers(1, 40)), int(rng.integers(1, 30))
@@ -98,6 +104,24 @@ class TestPredictOracle:
             rows = rng.integers(0, n, size=int(rng.integers(1, 3 * n)))
             assert same_bits(predict(w, X, rows), np.asarray(X[rows] @ w))
             assert same_bits(predict(w, X), np.asarray(X @ w))
+
+    def test_peak_memory_holds_one_piece_of_w(self):
+        # 1,000 rows of 20 entries at c = 256: one gather of w for them all would be 41 MB
+        n, d, k, c = 1000, 2000, 20, 256
+        rng = np.random.default_rng(6)
+        cols = np.concatenate([np.sort(rng.choice(d, size=k, replace=False)) for _ in range(n)])
+        X = Dataset(sp.csr_matrix((rng.standard_normal(n * k), cols, np.arange(0, n * k + 1, k)), shape=(n, d)),
+                    np.zeros(n, dtype=int), 1, "mcc").X
+        w = rng.standard_normal((d, c))
+        tracemalloc.start()
+        try:
+            out = predict(w, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n * k * c * 8 > 8 << 20
+        assert peak <= 8 * core_module._GATHER_VALUES + out.nbytes + (64 << 10)
+        assert same_bits(out, np.asarray(oracles.scipy_csr(X) @ w))
 
     def test_negative_zero_products_sum_to_positive_zero(self):
         X = sp.csr_matrix((np.array([-0.0, 1.0, -1.0]), np.array([0, 0, 1]), np.array([0, 0, 1, 3])), shape=(3, 2))

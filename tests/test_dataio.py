@@ -323,9 +323,9 @@ class TestParseErrors:
 
 
 def outcome(parse, text, task, **kwargs):
-    """The bytes of everything a parse returns, or the type and text of what it raises."""
+    """The bytes of everything a parse of text (or of a path) returns, or the type and text of what it raises."""
     try:
-        ds = parse(io.StringIO(text), task, **kwargs)
+        ds = parse(io.StringIO(text) if isinstance(text, str) else text, task, **kwargs)
     except Exception as err:  # the two parsers must fail alike, whatever the type
         return type(err).__name__, str(err)
     X = ds.X
@@ -474,6 +474,66 @@ class TestParseAgainstOracle:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= peaks[1]
+        # The parse holds its entries (an int64 column and a float64 value each) twice while it joins
+        # them, and one batch's text and tokens; not the file's 2.3 MB of text, once or twice.
+        assert peaks[0] <= 2 * 16 * 5000 * 20 + (1 << 20)
+
+
+def path_outcome(path, task, batch_chars):
+    """The outcome of parsing a path in blocks of batch_chars bytes."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dataio_module, "_PARSE_BATCH_CHARS", batch_chars)
+        return outcome(parse_sparse_text, path, task)
+
+
+def across_a_cut(batch_chars, data, cut):
+    """data with a comment line in front, so that a block of batch_chars bytes ends before data[cut]."""
+    return b"#" + b"x" * (-(2 + cut) % batch_chars) + b"\n" + data
+
+
+class TestStreamingPaths:
+    """A path read in blocks of bytes parses as the StringIO of its decoded text does, wherever the blocks end."""
+
+    ENCODING = io.TextIOWrapper(io.BytesIO()).encoding  # the one ``open`` picks for a path
+    WIDE = "1 " + " ".join(f"{j}:0.{j}25" for j in range(1, 30))  # longer than any tested block
+    # (text, a piece of it, where in that piece's bytes a block ends)
+    CASES = {
+        "crlf": ("1 1:0.5\r\n2 2:1.5\r\n3 1:2\r\n", "\r\n2", 1),
+        "multi-byte character": ("1 1:0.5\n2 \u0663\u0663:1.5\n# caf\u00e9\n", "\u0663", 1),  # int("\u0663\u0663") is 33
+        "comment": ("1 1:0.5\n# a comment\n2 2:1.5\n", "comment", 4),
+        "blank lines": ("1 1:0.5\n\n   \n\r\n2 2:1.5\n", "   ", 1),
+        "no trailing newline": ("1 1:0.5\n2 2:1.5", "1.5", 1),
+        "long line": ("1 1:0.5\n" + WIDE + "\n2 2:1.5\n", "3:0.325", 2),
+        "bad token": ("1 1:0.5\n2 2:1.5x\n3 1:2\n", "1.5x", 2),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=str)
+    @pytest.mark.parametrize("batch_chars", [1, 7, 64])
+    def test_equals_the_parse_of_the_decoded_text(self, tmp_path, case, batch_chars):
+        path = tmp_path / "f.txt"
+        text, piece, offset = self.CASES[case]
+        data = text.encode(self.ENCODING)
+        path.write_bytes(across_a_cut(batch_chars, data, data.index(piece.encode(self.ENCODING)) + offset))
+        text = path.read_bytes().decode(self.ENCODING)
+        assert path_outcome(path, "mcc", batch_chars) == outcome(parse_sparse_text, text, "mcc")
+
+    @pytest.mark.parametrize("batch_chars", [1, 7, 64])
+    def test_undecodable_byte_in_a_later_batch_names_its_line(self, tmp_path, batch_chars):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"".join(b"%d %d:0.5\r\n" % (i % 3, i % 7 + 1) for i in range(40)) + b"1 2:\xff\n0 1:1\n")
+        message = f"line 41: cannot decode b'\\xff' as {self.ENCODING}"
+        assert path_outcome(path, "mcc", batch_chars) == ("ParseError", message)
+
+    @pytest.mark.parametrize("batch_chars", [7, 1 << 15])
+    def test_errors_come_in_file_order(self, tmp_path, batch_chars):
+        # Each run of lines is decoded and parsed before the next is read, so an undecodable byte no longer
+        # outranks an earlier malformed line, in a later batch or in the same one; a later one still
+        # raises after every line before it parsed.
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"0 1:1\n0 1:x\n" + b"0 1:1\n" * 20 + b"0 1:\xff\n")
+        assert path_outcome(path, "mcc", batch_chars) == ("ParseError", "line 2: bad feature token '1:x'")
+        path.write_bytes(b"0 1:1\n0 1:1\n" + b"0 1:1\n" * 20 + b"0 1:\xff\n0 1:x\n")
+        assert path_outcome(path, "mcc", batch_chars)[1].startswith("line 23: cannot decode b'\\xff'")
 
 
 class TestRoundTrip:

@@ -1,5 +1,6 @@
 import re
 import warnings
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -1207,6 +1208,36 @@ class TestDenseChunks:
         data = Dataset(np.zeros((3, 0)), np.array([0, 1, 0]), 2, "mcc")
         w, records = train(data, config_for(data, total_steps=steps))
         assert w.shape == (0, 2) and [r.empirical_objective for r in records] == [np.log(2.0)]
+
+
+class TestOneLiveChunk:
+    """No array of a chunk, drawn or made while walking it, is alive when the next chunk is drawn."""
+
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("full", [True, False], ids=["full-width", "sparse"])
+    def test_a_chunk_is_freed_before_the_next_is_drawn(self, monkeypatch, full, R):
+        make = partial(tiny_dataset, n=50, d=6, c=5) if full else partial(sparse_wide_dataset, "mcc")
+        pool, rows = pooled(*[make(seed=s) for s in range(R)])
+        configs = chain_configs(
+            MLOG, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), 120, record_every=50, repetitions=R
+        )
+        monkeypatch.setattr(optimizer_module, "_DRAW_CHUNK_ENTRIES", 7 * R * 6)  # seven or eight steps per chunk
+        chunk, norm_changes, refs = optimizer_module._chunk, optimizer_module._norm_changes, []
+
+        def spied_chunk(*args):
+            assert [ref() for ref in refs] == [None] * len(refs)
+            out = chunk(*args)
+            refs.extend(weakref.ref(a) for a in out if isinstance(a, np.ndarray))
+            return out
+
+        def spied_changes(scores, coef, x_sq, rho):  # row slices of the chunk's scores, coefficients, ||x||^2 and rho
+            refs.extend(weakref.ref(a.base) for a in (scores, coef, x_sq, rho))
+            return norm_changes(scores, coef, x_sq, rho)
+
+        monkeypatch.setattr(optimizer_module, "_chunk", spied_chunk)
+        monkeypatch.setattr(optimizer_module, "_norm_changes", spied_changes)
+        oracles.lockstep_runs(pool, rows, configs)
+        assert len(refs) >= 6 * 15  # at least 15 chunks of at least six arrays
 
 
 class TestIterateNormCertificate:
