@@ -18,7 +18,7 @@ import numpy as np
 
 from .checks import SUITE_NAMES, run_suite
 from .dataio import Dataset, ParseError, normalize_rows, parse_sparse_text, synth_gen, write_lines
-from .experiments import CURVE_KINDS, CurveSpec, default_samplesize_grid, emit_csv, run_curve
+from .experiments import CURVE_KINDS, CurveSpec, default_samplesize_grid, emit_csv, run_curve, training_pool_size
 from .losses import HINGE, LOGISTIC, LossSpec, standard_loss_specs
 from .optimizer import CertificateError, StepSchedule, TrainConfig, mean_loss, train
 from .rademacher import sandwich_check, write_report_csv
@@ -264,7 +264,6 @@ def _cmd_curve(args) -> int:
     loss = _loss_from_flags(args)
     strength, schedule = _strength_and_schedule(args, default_lambda=0.01)
     reg = _reg_from_flags(args, strength)
-    data = _load_training_data(args, loss)
     grid = None
     if args.grid is not None:
         try:
@@ -273,7 +272,7 @@ def _cmd_curve(args) -> int:
             raise UsageError(f"--grid must be comma-separated integers, got {args.grid!r}") from None
     elif args.kind == "passes":
         raise UsageError("--grid is required for --kind passes")
-    # The spec checks train_fraction before it sizes the pool; the default grid replaces (1,).
+    # The spec checks every flag before any data is read; the default grid replaces (1,).
     spec = CurveSpec(
         kind=args.kind,
         grid=grid or (1,),
@@ -285,18 +284,13 @@ def _cmd_curve(args) -> int:
         train_fraction=args.train_fraction,
         passes_per_point=args.passes_per_point,
     )
-    available = int(spec.train_fraction * len(data))
-    if not 0 < available < len(data):
-        raise DataError(f"train fraction {spec.train_fraction} leaves an empty side for n={len(data)}")
-    if grid is None:
-        try:
+    data = _load_training_data(args, loss)
+    try:
+        available = training_pool_size(len(data), spec)
+        if grid is None:
             spec = replace(spec, grid=default_samplesize_grid(available))
-        except ValueError as err:
-            raise DataError(str(err)) from None
-    if spec.kind != "passes" and spec.grid[-1] > available:
-        raise DataError(
-            f"grid value {spec.grid[-1]} exceeds the available training pool of {available}"
-        )
+    except ValueError as err:
+        raise DataError(str(err)) from None
     emit_csv(spec, run_curve(data, spec), args.out)
     print(f"wrote {len(spec.grid)} curve points to {args.out}")
     return 0

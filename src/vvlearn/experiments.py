@@ -1,24 +1,27 @@
 """Learning-curve experiments: error versus passes, sample size, and gap.
 
-Each curve repeats training over independent repetitions, and the
-repetitions of a curve (passes) or of a grid point (sample size, gap) run
-in lockstep, walking the iterates of ``iterates``.  The passes curve scores
-only each repetition's test rows at its grid passes; the others score each
-repetition's subsample and the shared test rows at the final step.  The
-pool is held once: splits and subsamples are arrays of its row indices, and
-every repetition trains and evaluates on its rows of the pool.
+Each curve repeats training over independent repetitions.  ``run_curve``
+builds a curve as a list of chains, each a training run with the steps
+at which it is scored and the pool rows each metric scores, and trains
+them all in one lockstep ``iterates`` call.  A passes curve has one chain
+per repetition, on its own split, scoring its test rows at the grid
+passes.  A sample-size or gap curve has one chain per (grid point,
+repetition), longest first, on a subsample of one split's training side,
+scoring the subsample and the shared test rows at its last step.  The
+pool is held once: splits and subsamples are arrays of its row indices.
 ``run_curve`` returns the objective of every repetition at every grid point
 as arrays of shape (len(grid), repetitions), one per metric, and
 ``emit_csv`` reduces them to a mean and standard deviation per grid point.
 All randomness (splits, subsamples, SGD index draws) is derived from the
 spec's base seed with fixed tags, and each lockstep chain equals a lone
 ``train`` of its repetition bit for bit, so a spec maps to one exact curve
-whether the repetitions run together or one at a time.
+whether the chains run together or one at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -73,89 +76,75 @@ class CurveSpec:
             raise ValueError(f"passes_per_point must be positive, got {self.passes_per_point}")
 
 
-def run_passes_curve(pool: Dataset, spec: CurveSpec) -> np.ndarray:
-    """Test objectives after each grid pass count, shape (len(grid), repetitions).
+def training_pool_size(n: int, spec: CurveSpec) -> int:
+    """The rows a curve's split of an n-row pool trains on, floor(train_fraction * n).
 
-    Each repetition resplits the pool and trains once for max(grid)
-    passes; the repetitions train in lockstep.  At each grid pass boundary
-    only the test rows are scored: the curve reads no training objective.
+    Raises ValueError when a side of the split would be empty, or when a
+    sample-size grid asks for more rows than the training side holds.
     """
-    if spec.kind != "passes":
-        raise ValueError(f"spec kind is {spec.kind!r}, expected 'passes'")
-
-    reps, loss, reg = range(spec.repetitions), spec.loss, spec.reg
-    splits = [split(len(pool), spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG, rep)) for rep in reps]
-    n = len(splits[0][0])
-    configs = [
-        TrainConfig(
-            loss=loss,
-            reg=reg,
-            schedule=spec.schedule,
-            total_steps=spec.grid[-1] * n,
-            seed=derive_seed(spec.seed, _TRAIN_TAG, rep),
-            record_every=n,
-        )
-        for rep in reps
-    ]
-    # Records fall at every pass boundary: step g * n ends pass g.
-    points = {g * n: gi for gi, g in enumerate(spec.grid)}
-    test = np.empty((len(spec.grid), spec.repetitions))
-    for t, w, _ in iterates(pool, [train_rows for train_rows, _ in splits], configs):
-        if t in points:
-            test[points[t]] = [mean_loss(w_r, pool, loss, rows) + reg.value(w_r) for w_r, (_, rows) in zip(w, splits)]
-    return test
+    available = int(spec.train_fraction * n)
+    if not 0 < available < n:
+        raise ValueError(f"train fraction {spec.train_fraction} leaves an empty side for n={n}")
+    if spec.kind != "passes" and spec.grid[-1] > available:
+        raise ValueError(f"grid value {spec.grid[-1]} exceeds the available training pool of {available}")
+    return available
 
 
-def _samplesize_runs(pool: Dataset, spec: CurveSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Train/test objectives, shape (len(grid), repetitions) each.
+def _chains(pool: Dataset, spec: CurveSpec) -> list[tuple]:
+    """The curve's chains, longest first: (rows, config, points, scored) each.
 
-    A single split reserves the test set once; each (size, repetition)
-    pair draws a fresh training subsample of that size and trains for
-    ``passes_per_point`` passes over it, the repetitions of one size in
-    lockstep.
+    points maps each step at which the chain is scored to its (grid index,
+    repetition), and scored maps each metric to the pool rows it scores.
+    A passes chain resplits the pool per repetition, trains for max(grid)
+    passes and scores its test rows at each grid pass.  A sample-size chain
+    trains ``passes_per_point`` passes on a fresh subsample, per (size,
+    repetition), of one split's training side and scores the subsample and
+    the test rows at its last step.
     """
+    reps, chains = range(spec.repetitions), []
+    make = partial(TrainConfig, spec.loss, spec.reg, spec.schedule)
+    if spec.kind == "passes":
+        for rep in reps:
+            train_rows, test_rows = split(len(pool), spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG, rep))
+            n = len(train_rows)  # step g * n ends pass g
+            config = make(total_steps=spec.grid[-1] * n, seed=derive_seed(spec.seed, _TRAIN_TAG, rep), record_every=n)
+            points = {g * n: (gi, rep) for gi, g in enumerate(spec.grid)}
+            chains.append((train_rows, config, points, {"test": test_rows}))
+        return chains
     train_rows, test_rows = split(len(pool), spec.train_fraction, derive_seed(spec.seed, _SPLIT_TAG))
-    if spec.grid[-1] > len(train_rows):
-        raise ValueError(
-            f"grid value {spec.grid[-1]} exceeds the available pool of {len(train_rows)}"
-        )
-
-    reps, loss, reg = range(spec.repetitions), spec.loss, spec.reg
-    train_vals, test_vals = [], []
-    for gi, size in enumerate(spec.grid):
-        subsets = [
-            train_rows.take(subsample(len(train_rows), size, derive_seed(spec.seed, _SUBSAMPLE_TAG, gi, rep)))
-            for rep in reps
-        ]
-        configs = [
-            TrainConfig(
-                loss=loss,
-                reg=reg,
-                schedule=spec.schedule,
-                total_steps=spec.passes_per_point * size,
-                seed=derive_seed(spec.seed, _TRAIN_TAG, gi, rep),
-            )
-            for rep in reps
-        ]
-        [(_, w, _)] = iterates(pool, subsets, configs)  # one record, at the final step
-        train_vals.append([mean_loss(w_r, pool, loss, rows) + reg.value(w_r) for w_r, rows in zip(w, subsets)])
-        test_vals.append([mean_loss(w_r, pool, loss, test_rows) + reg.value(w_r) for w_r in w])
-    return np.asarray(train_vals), np.asarray(test_vals)
+    for gi, size in reversed(list(enumerate(spec.grid))):
+        for rep in reps:
+            subset = train_rows.take(subsample(len(train_rows), size, derive_seed(spec.seed, _SUBSAMPLE_TAG, gi, rep)))
+            config = make(total_steps=spec.passes_per_point * size, seed=derive_seed(spec.seed, _TRAIN_TAG, gi, rep))
+            chains.append((subset, config, {config.total_steps: (gi, rep)}, {"train": subset, "test": test_rows}))
+    return chains
 
 
 def run_curve(pool: Dataset, spec: CurveSpec) -> dict[str, np.ndarray]:
     """Per-repetition objectives by metric, each of shape (len(grid), repetitions).
 
     "passes" gives "test"; "samplesize" gives "train" and "test"; "gap"
-    adds "gap", each repetition's test minus its train objective.
+    adds "gap", each repetition's test minus its train objective.  Every
+    chain of the curve trains in one ``iterates`` call.
     """
-    if spec.kind == "passes":
-        return {"test": run_passes_curve(pool, spec)}
-    train_vals, test_vals = _samplesize_runs(pool, spec)
-    metrics = {"train": train_vals, "test": test_vals}
+    training_pool_size(len(pool), spec)
+    rows, configs, points, scored = zip(*_chains(pool, spec))
+    metrics = {metric: np.empty((len(spec.grid), spec.repetitions)) for metric in scored[0]}
+    for t, w, _ in iterates(pool, list(rows), list(configs)):
+        for w_r, at, chain_scored in zip(w, points, scored):
+            if t in at:
+                for metric, metric_rows in chain_scored.items():
+                    metrics[metric][at[t]] = mean_loss(w_r, pool, spec.loss, metric_rows) + spec.reg.value(w_r)
     if spec.kind == "gap":
-        metrics["gap"] = test_vals - train_vals
+        metrics["gap"] = metrics["test"] - metrics["train"]
     return metrics
+
+
+def run_passes_curve(pool: Dataset, spec: CurveSpec) -> np.ndarray:
+    """Test objectives after each grid pass count, shape (len(grid), repetitions): ``run_curve``'s "test"."""
+    if spec.kind != "passes":
+        raise ValueError(f"spec kind is {spec.kind!r}, expected 'passes'")
+    return run_curve(pool, spec)["test"]
 
 
 def default_samplesize_grid(available: int) -> tuple[int, ...]:

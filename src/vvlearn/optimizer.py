@@ -18,7 +18,10 @@ Shalev-Shwartz et al. 2011; Bottou, "Stochastic Gradient Descent Tricks",
 2012), with one scale a for all chains: the Frobenius shrink multiplies a,
 so a step costs O(nnz * c) per chain.  A step that would take |a| below a
 floor folds a into V, and every group (2, p) step rescales V's columns at
-O(d * c); both leave a = 1.
+O(d * c); both leave a = 1.  Chains may differ in length and come longest
+first: chains 0 to R - 1 step together until chain R - 1's last step,
+where it records and drops out.  The scale depends only on the step, and
+only the running chains' rows of V are read or written.
 
 Indices are drawn a chunk of steps at a time, each chain from its own
 generator (numpy's bounded-integer stream does not depend on how the draws
@@ -228,8 +231,10 @@ def _conflicts(offsets: np.ndarray, features: np.ndarray, R: int) -> list[int]:
 def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     """The draws of every chain, one chunk of steps at a time.
 
-    Yields (t0, offsets, features, values, drawn, conflicts) per chunk,
-    for its steps t0 + 1, t0 + 2, ...: drawn holds the drawn pool rows in
+    Yields (t0, R, offsets, features, values, drawn, conflicts) per chunk,
+    for steps t0 + 1, t0 + 2, ... of chains 0 to R - 1: the configs come
+    longest first, and chains 0 to R - 1 step together until chain R - 1's
+    last step, which ends a chunk.  drawn holds the drawn pool rows in
     (step, chain) order, conflicts comes from ``_conflicts`` and the rest
     from ``_gather``.  Chain r draws indices into rows[r] uniformly from a
     PCG64 seeded with its config's seed.  In a full-width pool values is
@@ -240,10 +245,12 @@ def _chunks(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     rngs = [generator(config.seed) for config in configs]
     widest = max(int(np.diff(X.indptr).take(chain).max()) for chain in rows)
     full = data.d > 0 and X.indptr[-1] == len(data) * data.d
-    size = max(1, _DRAW_CHUNK_ENTRIES // (len(rows) * max(1, widest)))
-    total = configs[0].total_steps
-    for t0 in range(0, total, size):
-        yield t0, *_chunk(data, rngs, rows, min(size, total - t0), full)
+    t0 = 0
+    for R in range(len(rows), 0, -1):
+        size, end = max(1, _DRAW_CHUNK_ENTRIES // (R * max(1, widest))), configs[R - 1].total_steps
+        for t in range(t0, end, size):
+            yield t, R, *_chunk(data, rngs[:R], rows[:R], min(size, end - t), full)
+        t0 = end
 
 
 def _chunk(data: Dataset, rngs: list, rows: list[np.ndarray], k: int, full: bool):
@@ -274,14 +281,15 @@ def _check_iterate(norm: float, bound: float, t: int, loss: LossSpec, reg: Regul
 def _check_segment(a: np.ndarray, v_sq: np.ndarray, bounds: np.ndarray, t: int, loss: LossSpec, reg: RegularizerSpec):
     """The certificate on the running norms |a[j]| * sqrt(|v_sq[j, r]|) after steps t, t + 1, ...
 
-    a (steps,) holds the scale after each step and v_sq (steps, R) each
-    chain's running ||V_r||_F^2; the first failing step and chain raise.
+    a (steps,) holds the scale after each step, v_sq (steps, R) the running
+    ||V_r||_F^2 of chains 0 to R - 1 and bounds every chain's bound; the
+    first failing step and chain raise.
     """
     with np.errstate(over="ignore"):  # abs: rounding can leave a near-zero running sum just below zero
         norms = np.abs(a)[:, None] * np.sqrt(np.abs(v_sq))
-    failed = np.flatnonzero(~(norms <= bounds) | np.isinf(norms))  # NaN fails the comparison
+    failed = np.flatnonzero(~(norms <= bounds[: v_sq.shape[1]]) | np.isinf(norms))  # NaN fails the comparison
     if failed.size:
-        j, r = divmod(int(failed[0]), len(bounds))
+        j, r = divmod(int(failed[0]), v_sq.shape[1])
         _check_iterate(float(norms[j, r]), float(bounds[r]), t + j, loss, reg, r if len(bounds) > 1 else None)
 
 
@@ -393,18 +401,17 @@ def _bounds(data: Dataset, rows: list[np.ndarray], config: TrainConfig) -> np.nd
 
 def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     """SGD on W_r = a * V_r for every chain: ``iterates`` on checked rows."""
-    config = configs[0]
-    loss, reg, schedule, total = config.loss, config.reg, config.schedule, config.total_steps
-    record_every = config.record_every or total
-    R, d, c = len(rows), data.d, data.c
-    bounds, chain_ids = _bounds(data, rows, config), (list(range(R)) if R > 1 else [None])
-    a, v, v_sq = 1.0, np.zeros((R, d, c)), np.zeros(R)
-    flat = v.reshape(R * d, c)
+    config, chains, d, c = configs[0], len(rows), data.d, data.c
+    loss, reg, schedule = config.loss, config.reg, config.schedule
+    record_every, lasts = config.record_every or config.total_steps, {other.total_steps for other in configs}
+    bounds, chain_ids = _bounds(data, rows, config), (list(range(chains)) if chains > 1 else [None])
+    a, v, v_sq = 1.0, np.zeros((chains, d, c)), np.zeros(chains)
+    flat = v.reshape(chains * d, c)
     labels, kernel = loss.plan(data.y), loss.coef_kernel()
 
-    def walk(t0, offsets, features, values, drawn, conflicts):  # one chunk; its arrays end with it
+    def walk(t0, R, offsets, features, values, drawn, conflicts):  # chains 0 to R - 1 over one chunk; its arrays end with it
         nonlocal a, v_sq
-        n, full, size = len(drawn), offsets is None, len(drawn) // R
+        n, full, size, live = len(drawn), offsets is None, len(drawn) // R, v[:R]
         eta = schedule.eta(np.arange(t0 + 1, t0 + size + 1))
         before, after, folds = _scales(reg, a, eta)
         a = float(after[-1])
@@ -414,7 +421,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         # each segment adds its steps' changes, and a left fold from each start gives the running sums.
         scores, coefs = np.zeros((n, c)), np.empty((n, c))  # rows without entries score zero
         check_out(coefs, scores.shape)  # each kernel call's out is a row slice of coefs shaped like its scores
-        sq = np.concatenate([v_sq[None], np.zeros((size, R))])
+        sq = np.concatenate([v_sq[None, :R], np.zeros((size, R))])
         checks = {size, *range(record_every - t0 % record_every, size, record_every)}
         ends = sorted(checks.union(folds, [f + 1 for f in folds]) - {0})
         folded = set(folds)
@@ -445,20 +452,20 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
             with np.errstate(all="ignore"):  # a non-finite iterate raises below, naming its step
                 if full:  # steps lo to end - 1, each a fixed run of ufuncs writing into the chunk's rows or a buffer
                     for j, x, x_t, s, s_c, c_s, c_c, block, a_j, r in zip(*(view[lo:end] for view in views)):
-                        np.matmul(x, v, out=s)
+                        np.matmul(x, live, out=s)
                         kernel(np.multiply(a_j, s_c, out=scaled), block, c_c)
                         if j in folded:  # the norm change starts from the rescaled V
-                            sq[j + 1] = _rescale(reg, float(before[j]), v, float(eta[j]))
-                            np.matmul(x, v, out=s)
+                            sq[j + 1] = _rescale(reg, float(before[j]), live, float(eta[j]))
+                            np.matmul(x, live, out=s)
                         np.multiply(np.multiply(x_t, c_s, out=update), r, out=update)  # V -= rho * x^T coef
-                        np.subtract(v, update, out=v)
+                        np.subtract(live, update, out=live)
                 else:
                     while edges[b] < end:  # one block: steps edges[b] to edges[b + 1] - 1 in one batched pass
                         j, r0, r1 = edges[b], lows[b], lows[b + 1]
                         grids = score(b, r0, r1)
                         coef = kernel(scale[r0:r1] * scores[r0:r1], blocks[b], coefs[r0:r1])
                         if j in folded:  # the norm change starts from the rescaled V
-                            sq[j + 1] = _rescale(reg, float(before[j]), v, float(eta[j]))
+                            sq[j + 1] = _rescale(reg, float(before[j]), live, float(eta[j]))
                             grids = score(b, r0, r1)
                         for own, where, grid, x in grids:
                             grid -= rho[r0:r1, None, None][own] * (x.mT * coef[own, None, :])
@@ -467,7 +474,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
             if end not in checks:
                 continue
             t = t0 + end
-            recording = t % record_every == 0 or t == total
+            recording = t % record_every == 0 or t in lasts
             restarts = [g0, *(f + 1 for f in folds if g0 <= f < end), end + 1]
             with np.errstate(over="ignore", invalid="ignore"):
                 r0, r1 = g0 * R, end * R
@@ -491,8 +498,8 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
             g0 = end
             if not recording:
                 continue
-            w = float(after[end - 1]) * v
-            sq[end] = np.sum(v * v, axis=(1, 2))
+            w = float(after[end - 1]) * live
+            sq[end] = np.sum(live * live, axis=(1, 2))
             norms = [frobenius_norm(w_r) for w_r in w]
             for r, norm, bound in zip(chain_ids, norms, bounds.tolist()):
                 _check_iterate(norm, bound, t, loss, reg, r)
@@ -507,19 +514,24 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
 def iterates(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     """One SGD chain per (rows, config) pair in lockstep over the pool data, as a generator.
 
-    Yields (t, W, norms) at each recording step t: W (R, d, c) holds every
-    chain's iterate and norms each ||W_r||_F.  Chain r draws from rows[r],
-    an integer array of pool rows.  The configs must agree on all but
-    seed.  Data, labels and rows are checked on this call.
+    Chains may differ in length and come longest first: each records at
+    the multiples of record_every and at its own last step, after which it
+    drops out.  Yields (t, W, norms) at every step t where a chain records:
+    W (k, d, c) holds the iterates of the first k chains, those still
+    running at t, and norms each ||W_r||_F.  Chain r draws from rows[r], an integer array of
+    pool rows.  The configs must agree on all but seed and total_steps.
+    Data, labels and rows are checked on this call.
     """
     if not configs:
         raise ValueError("need at least one chain")
     if len(rows) != len(configs):
         raise ValueError(f"need one config per chain, got {len(rows)} row arrays and {len(configs)} configs")
-    shared = [(config.loss, config.reg, config.schedule, config.total_steps, config.record_every) for config in configs]
+    shared = [(config.loss, config.reg, config.schedule, config.record_every) for config in configs]
     for r, key in enumerate(shared):
         if key != shared[0]:
-            raise ValueError(f"config {r} differs from config 0 in loss, regularizer, schedule, total_steps or record_every")
+            raise ValueError(f"config {r} differs from config 0 in loss, regularizer, schedule or record_every")
+        if r and configs[r].total_steps > configs[r - 1].total_steps:
+            raise ValueError(f"config {r} runs longer than config {r - 1}: chains must come longest first")
     rows = [_check_rows(chain, len(data), f"rows of chain {r}") for r, chain in enumerate(rows)]
     configs[0].loss.check_labels(data.y, data.c)
     return _steps(data, rows, configs)

@@ -479,13 +479,20 @@ def lone_run(pool, rows, config):
 
 
 def lockstep_runs(pool, rows, configs):
-    """(last iterate, records) of each chain of ``iterates``, each record scoring the chain's rows."""
-    records = [[] for _ in configs]
+    """(last iterate, records) of each chain of ``iterates``, each record scoring the chain's rows.
+
+    A chain records where a lone ``train`` of it would, and its last
+    iterate is the last one yielded for it: chains that end early drop out
+    of later yields.
+    """
+    runs = [[None, []] for _ in configs]
     for t, w, norms in iterates(pool, rows, configs):
-        for chain_rows, config, w_r, norm, chain_records in zip(rows, configs, w, norms, records):
-            objective = mean_loss(w_r, pool, config.loss, chain_rows) + config.reg.value(w_r)
-            chain_records.append(RunRecord(t, objective, norm))
-    return list(zip(w, records))
+        for chain_rows, config, w_r, norm, run in zip(rows, configs, w, norms, runs):
+            if t % (config.record_every or config.total_steps) == 0 or t == config.total_steps:
+                objective = mean_loss(w_r, pool, config.loss, chain_rows) + config.reg.value(w_r)
+                run[1].append(RunRecord(t, objective, norm))
+            run[0] = w_r
+    return [tuple(run) for run in runs]
 
 
 def pair_slots(y, per_positive, flat_pairs):

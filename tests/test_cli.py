@@ -680,6 +680,21 @@ class TestCurveCommand:
         assert "train_fraction must lie in (0, 1), got -0.5" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kind", "passes", "--grid", "1", "--reps", "0"], "repetitions must be positive, got 0"),
+            (["--kind", "passes", "--grid", "1,x"], "--grid must be comma-separated integers, got '1,x'"),
+            (["--kind", "gap", "--grid", "10", "--passes-per-point", "0"], "passes_per_point must be positive, got 0"),
+        ],
+        ids=["reps", "grid", "passes-per-point"],
+    )
+    def test_flags_are_checked_before_the_data_is_read(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.csv"
+        assert run("curve", *flags, "--data", str(tmp_path / "missing.txt"), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not out.exists()
+
     def test_bad_grid_string(self, tmp_path):
         assert run(
             "curve", "--kind", "passes", "--synth", "n=100,d=4,c=3",

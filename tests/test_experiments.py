@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+import vvlearn.experiments as experiments_module
 from vvlearn.dataio import Dataset, split, subsample, synth_gen
 from vvlearn.experiments import (
     CurveSpec,
@@ -13,6 +14,7 @@ from vvlearn.experiments import (
     emit_csv,
     run_curve,
     run_passes_curve,
+    training_pool_size,
 )
 from vvlearn.losses import HINGE, LossSpec
 from vvlearn.optimizer import StepSchedule, TrainConfig, evaluate_objective, iterates, train
@@ -164,6 +166,46 @@ class TestOnePool:
         for kind, grid in [("passes", (1, 2)), ("samplesize", (40, 80)), ("gap", (40, 80))]:
             run_curve(pool, make_spec(kind, grid, reps=3))
         assert built == []
+
+
+class TestOneWalk:
+    def test_a_gap_curve_is_one_iterates_call(self, pool, monkeypatch):
+        # one chain per (size, repetition), longest first; the longest runs passes_per_point * max(grid) steps
+        calls = []
+
+        def spy(data, rows, configs):
+            calls.append([config.total_steps for config in configs])
+            return iterates(data, rows, configs)
+
+        monkeypatch.setattr(experiments_module, "iterates", spy)
+        run_curve(pool, make_spec("gap", (40, 80, 160), reps=3, passes_per_point=2))
+        assert calls == [[320] * 3 + [160] * 3 + [80] * 3]
+
+    def test_criterion_seven_walks_sixteen_thousand_lockstep_steps(self, monkeypatch):
+        # one call per grid point walked 5 * (100 + 200 + ... + 3200) = 31,500 lockstep steps
+        calls = []
+
+        def spy(data, rows, configs):  # trains nothing
+            calls.append([config.total_steps for config in configs])
+            return iter(())
+
+        monkeypatch.setattr(experiments_module, "iterates", spy)
+        spec = make_spec("gap", (100, 200, 400, 800, 1600, 3200), reps=10, passes_per_point=5)
+        run_curve(synth_gen(n=8000, d=20, c=5, task="mcc", noise=0.05, seed=0), spec)
+        assert calls == [[5 * size for size in (3200, 1600, 800, 400, 200, 100) for _ in range(10)]]
+
+    @pytest.mark.parametrize("kind", ["passes", "samplesize", "gap"])
+    def test_a_split_leaving_an_empty_side_is_rejected_before_training(self, pool, monkeypatch, kind):
+        monkeypatch.setattr(experiments_module, "iterates", lambda *a: pytest.fail("trained"))
+        spec = replace(make_spec(kind, (1,)), train_fraction=0.001)
+        with pytest.raises(ValueError, match="train fraction 0.001 leaves an empty side for n=300"):
+            run_curve(pool, spec)
+
+    def test_pool_size_is_the_training_side_of_the_split(self, pool):
+        assert training_pool_size(len(pool), make_spec("gap", (240,))) == len(split(len(pool), 0.8, 0)[0]) == 240
+        with pytest.raises(ValueError, match="grid value 241 exceeds the available training pool of 240"):
+            training_pool_size(len(pool), make_spec("samplesize", (241,)))
+        assert training_pool_size(len(pool), make_spec("passes", (241,))) == 240  # a passes grid counts passes
 
 
 class TestSampleSizeAndGapCurves:

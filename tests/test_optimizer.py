@@ -582,7 +582,7 @@ class TestLockstepChains:
             record_every=100,
         )
         # a step is ragged when the chains' drawn rows differ in nnz
-        widths = np.concatenate([np.diff(chunk[1]) for chunk in optimizer_module._chunks(*pooled(*datasets), configs)])
+        widths = np.concatenate([np.diff(chunk[2]) for chunk in optimizer_module._chunks(*pooled(*datasets), configs)])
         ragged = np.any(widths.reshape(-1, 3) != widths.reshape(-1, 3)[:, :1], axis=1)
         assert len(ragged) == 400 and 0 < ragged.sum() < 400
         assert_chains_equal_lone_runs(*pooled(*datasets), configs)
@@ -675,7 +675,6 @@ class TestLockstepChains:
             {"loss": LossSpec.mc_svm(HINGE)},
             {"reg": RegularizerSpec.frobenius(0.1)},
             {"schedule": StepSchedule.experiment(0.05)},
-            {"total_steps": 21},
             {"record_every": 5},
         ],
         ids=lambda change: next(iter(change)),
@@ -687,6 +686,13 @@ class TestLockstepChains:
         with pytest.raises(ValueError, match="config 1 differs from config 0"):
             oracles.lockstep_runs(pool, rows, configs)
 
+    def test_chains_come_longest_first(self):
+        pool, rows = pooled(*[tiny_dataset(seed=s) for s in range(3)])
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
+        configs[1] = replace(configs[1], total_steps=21)
+        with pytest.raises(ValueError, match="config 1 runs longer than config 0: chains must come longest first"):
+            oracles.lockstep_runs(pool, rows, configs)
+
     def test_one_config_per_chain(self):
         pool, rows = pooled(tiny_dataset())
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 20)
@@ -694,6 +700,72 @@ class TestLockstepChains:
             oracles.lockstep_runs(pool, rows, configs)
         with pytest.raises(ValueError, match="at least one chain"):
             oracles.lockstep_runs(pool, [], [])
+
+
+class TestChainsOfUnequalLength:
+    """Chains that end early drop out of the lockstep walk and still equal their lone runs."""
+
+    SIGMA = 0.05
+    LENGTHS = [97, 60, 60, 43, 20]
+    # Ten steps per chunk while all five chains run: chain 4 ends on a chunk boundary, chain 3
+    # one step inside a twelve-step chunk, chains 1 and 2 together, and chain 0 runs alone.
+    PLAN = [(0, 5, 10), (10, 5, 10), (20, 4, 12), (32, 4, 11), (43, 3, 16), (59, 3, 1), (60, 1, 37)]
+
+    @pytest.mark.parametrize("record_every", [None, 15])
+    @pytest.mark.parametrize(
+        "reg, schedule",
+        [
+            (RegularizerSpec.frobenius(SIGMA), StepSchedule.theorem(SIGMA)),
+            (RegularizerSpec.frobenius(SIGMA), StepSchedule.experiment(SIGMA)),
+            (RegularizerSpec.l2p(SIGMA, 1.5), StepSchedule.theorem(SIGMA)),  # folds every step
+        ],
+        ids=["frobenius-theorem", "frobenius-experiment", "group"],
+    )
+    @pytest.mark.parametrize("width", ["full", "ragged"])
+    def test_each_chain_equals_its_lone_run(self, monkeypatch, width, reg, schedule, record_every):
+        make = partial(tiny_dataset, n=50, d=6, c=4) if width == "full" else partial(ragged_dataset, n=60, c=4)
+        pool, rows = pooled(*[make(seed=s) for s in range(len(self.LENGTHS))])
+        configs = [
+            replace(config, total_steps=steps)
+            for config, steps in zip(chain_configs(MLOG, reg, schedule, 1, record_every, len(rows)), self.LENGTHS)
+        ]
+        widest = int(np.diff(pool.X.indptr).max())
+        monkeypatch.setattr(optimizer_module, "_DRAW_CHUNK_ENTRIES", 10 * len(rows) * widest)
+        plan, chunks = [], optimizer_module._chunks
+
+        def spied_chunks(data, rows, configs):
+            for chunk in chunks(data, rows, configs):
+                assert (chunk[2] is None) == (width == "full")  # the run takes the path it tests
+                plan.append((chunk[0], chunk[1], len(chunk[5]) // chunk[1]))
+                yield chunk
+
+        monkeypatch.setattr(optimizer_module, "_chunks", spied_chunks)
+        records = {
+            r: {*range(record_every or steps, steps + 1, record_every or steps), steps}
+            for r, steps in enumerate(self.LENGTHS)
+        }
+        yielded = [(t, len(w)) for t, w, _ in iterates(pool, rows, configs)]
+        # a step yields where any chain records, with the chains still running (the first k)
+        steps = sorted(set().union(*records.values()))
+        assert yielded == [(t, sum(length >= t for length in self.LENGTHS)) for t in steps]
+        assert plan == self.PLAN
+        assert_chains_equal_lone_runs(pool, rows, configs)
+        for (_, chain_records), steps in zip(oracles.lockstep_runs(pool, rows, configs), records.values()):
+            assert [record.step for record in chain_records] == sorted(steps)
+
+    def test_a_failure_after_chains_drop_out_names_its_chain(self, monkeypatch):
+        def nan_in_chain_one_of_two(kernel, S, y, out):  # a full-width step scores one row per running chain
+            out = kernel(S, y, out)
+            if len(out) == 2:
+                out[1] = np.nan
+            return out
+
+        patch_kernel(monkeypatch, nan_in_chain_one_of_two)
+        pool, rows = pooled(*[tiny_dataset(seed=s) for s in range(3)])
+        configs = chain_configs(MLOG, RegularizerSpec.frobenius(self.SIGMA), StepSchedule.theorem(self.SIGMA), 30)
+        configs = [replace(config, total_steps=steps) for config, steps in zip(configs, [30, 20, 10])]
+        with pytest.raises(CertificateError, match="iterate norm became nan at step 11 in chain 1 "):
+            oracles.lockstep_runs(pool, rows, configs)
 
 
 def ragged_wide_dataset(task="mcc", n=120, d=300, c=5, seed=0):
@@ -832,7 +904,7 @@ class TestStepBlocks:
         def draws(data, rows, configs):
             offsets, features, values = optimizer_module._gather(data, np.arange(4)[:, None])
             conflicts = optimizer_module._conflicts(offsets, features, 1)
-            yield 0, offsets, features, values, np.arange(4), conflicts
+            yield 0, 1, offsets, features, values, np.arange(4), conflicts
 
         monkeypatch.setattr(optimizer_module, "_chunks", draws)
         sizes = block_sizes(monkeypatch, 1)
@@ -925,7 +997,7 @@ class TestFailuresInsideBlocks:
 
     def test_first_of_two_failures_in_a_chunk_is_named(self, monkeypatch):
         pool, rows, configs, _ = self.setup(monkeypatch)
-        steps = (len(next(optimizer_module._chunks(pool, rows, configs))[1]) - 1) // self.R
+        steps = (len(next(optimizer_module._chunks(pool, rows, configs))[2]) - 1) // self.R
         norms = self.chain_norms(monkeypatch, pool, rows, configs, 2)
         # chain 2 tops its bound at step t and chain 0 turns NaN at step t + 3,
         # in the same chunk and running-norm segment (nothing records before the end)
@@ -1034,8 +1106,8 @@ class TestRunningNorm:
 
         def chunk_spy(data, rows, configs):
             for chunk in chunks(data, rows, configs):
-                assert (chunk[1] is None) == (width == "full")  # the run takes the path it tests
-                drawn.append(chunk[4])
+                assert (chunk[2] is None) == (width == "full")  # the run takes the path it tests
+                drawn.append(chunk[5])
                 yield chunk
 
         def spy(scores, coef, x_sq, rho):
@@ -1163,7 +1235,7 @@ class TestCoefficientBuffers:
 
         def counted(*args):
             for chunk in chunks(*args):
-                chunk_rows.append(len(chunk[4]))
+                chunk_rows.append(len(chunk[5]))
                 yield chunk
 
         def spy_check(out, shape):
@@ -1194,7 +1266,7 @@ class TestDenseChunks:
         configs = chain_configs(MLOG, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), 11, repetitions=R)
         monkeypatch.setattr(optimizer_module, "_DRAW_CHUNK_ENTRIES", per_chunk * R * d)
         chunk_sizes = []
-        for _, offsets, features, values, drawn, conflicts in optimizer_module._chunks(pool, rows, configs):
+        for _, _, offsets, features, values, drawn, conflicts in optimizer_module._chunks(pool, rows, configs):
             assert offsets is None and features is None and conflicts is None
             n = len(drawn)
             gathered = optimizer_module._gather(pool, drawn.reshape(-1, R))[2]
