@@ -30,11 +30,11 @@ outer max{0, .} the minimal-magnitude subgradient (zero) is chosen.
 Labels can be planned.  SGD plans the pool's labels once (``LossSpec.plan``)
 and cuts each chunk of draws into step blocks (``LossSpec.blocks``), and a
 ``coef`` call on a block's labels equals the call on its raw labels bit for
-bit.  Only ranking labels change form (below); other blocks are views of
-the raw labels.  The multiclass kernels read the true classes at the flat
-positions i * c + y_i of the call's raveled scores (``_positions``): one
-``take`` gives the true-class scores and one indexed subtraction the
-one-hot term.
+bit.  Ranking labels become pair plans (below), and multinomial-logistic
+blocks float64 one-hot rows over the chunk's drawn rows, which the softmax
+subtracts whole (p - 0.0 = p) and no ``value`` call takes; other blocks
+are views of the raw labels.  The class-id kernels find the true classes
+at the flat positions i * c + y_i of the raveled scores (``_positions``).
 
 The ranking kernels work on a pair plan: the (positive, negative) pairs of
 the call's rows in one flat list of runs, each led by a zeroed slot.  A
@@ -103,6 +103,11 @@ def _positions(S, y):
     return starts, starts + y
 
 
+def _one_hot(y, c: int) -> np.ndarray:
+    """Class ids y as one-hot rows (n, c), C-contiguous float64 of exact 0.0 and 1.0; one-hot rows pass through."""
+    return y if np.ndim(y) == 2 else (np.asarray(y)[:, None] == np.arange(c)) * 1.0
+
+
 def _row_max(a):
     """Each row's maximum, the bits of ``a.max(axis=1)``; over a class-major copy it takes a few long passes."""
     return np.ascontiguousarray(a.T).max(axis=0)
@@ -146,6 +151,8 @@ def _multinomial_logistic_value(spec, S, y):
     The j = y term contributes exp(0) = 1, so the value is nonnegative;
     it is clamped at 0 to absorb last-bit rounding.
     """
+    if np.ndim(y) == 2:
+        raise ValueError("one-hot labels serve coef calls, not value calls")
     at = _positions(S, y)[1]
     diffs = S - S.take(at)[:, None]
     diffs.put(at, 0.0)
@@ -155,13 +162,11 @@ def _multinomial_logistic_value(spec, S, y):
 
 def _multinomial_logistic_coef(spec, S, y, out):
     """p_j for j != y and p_y - 1 at y, p the softmax of the scores, each step written into out."""
-    at = _positions(S, y)[1]
     # the ufunc reductions behind .max and .sum, called without the method dispatch
     np.subtract(S, np.maximum.reduce(S, axis=1, keepdims=True), out=out)
     np.exp(out, out=out)
     np.divide(out, np.add.reduce(out, axis=1, keepdims=True), out=out)
-    out.reshape(-1)[at] -= 1.0
-    return out
+    return np.subtract(out, _one_hot(y, S.shape[1]), out=out)  # p - 0.0 = p, and p - 1.0 at y
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +497,17 @@ class LossSpec:
         """The labels y prepared for ``blocks``: ranking labels become a ``PairTable``, others stay as they are."""
         return _pair_table(y, per_positive=True) if self.kind == "ranking" else y
 
-    def blocks(self, plan, rows: np.ndarray, bounds) -> list:
-        """The labels of rows[b0:b1] of planned labels, for each pair b0, b1 of consecutive bounds.
+    def blocks(self, plan, rows: np.ndarray, bounds, c: int) -> list:
+        """The labels of rows[b0:b1] of planned labels over c components, for each pair b0, b1 of consecutive bounds.
 
         A ``coef`` call on a block's labels equals the call on those rows
-        of the raw labels bit for bit.
+        of the raw labels bit for bit; multinomial-logistic blocks are row
+        slices of one (len(rows), c) one-hot array made on this call.
         """
         if isinstance(plan, PairTable):
             return plan.plans(rows, bounds)
         labels = plan.take(rows, axis=0)
+        labels = _one_hot(labels, c) if self.kind == "multinomial_logistic" else labels
         return [labels[b0:b1] for b0, b1 in zip(bounds, bounds[1:])]
 
     def work(self, y: np.ndarray, c: int) -> np.ndarray:

@@ -27,11 +27,12 @@ Indices are drawn a chunk of steps at a time, each chain from its own
 generator (numpy's bounded-integer stream does not depend on how the draws
 are split); the scales are left folds with the sequential loop's bits.
 Only one chunk is alive at a time: its drawn arrays and everything made
-while walking it are freed before the next chunk is drawn.  A
-full-width pool, whose rows all hold d entries, takes a chunk's rows from
-X.data viewed as (n, d), and a ``for`` loop walks its steps' views: each
-scores x . V_r, makes one call of the coefficient kernel (resolved once per
-run by ``LossSpec.coef_kernel``) and subtracts rho_t * x^T coef from V, a
+while walking it (its label blocks too, one-hot rows for the multinomial
+logistic loss) are freed before the next chunk is drawn.  A full-width
+pool, whose rows all hold d entries, takes a chunk's rows from X.data
+viewed as (n, d), and a ``for`` loop walks its steps' views: each scores
+x . V_r, makes one call of the coefficient kernel (resolved once per run
+by ``LossSpec.coef_kernel``) and subtracts rho_t * x^T coef from V, a
 fixed run of ufuncs writing into the chunk's rows or a buffer.
 Other pools gather a chunk's CSR entries, their feature indices offset by
 r * d into V viewed as (R * d, c), and walk blocks: maximal runs of steps
@@ -426,7 +427,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         ends = sorted(checks.union(folds, [f + 1 for f in folds]) - {0})
         folded = set(folds)
         if full:  # a step reads every row its chain's last step wrote, so each step is a block
-            blocks, scaled, update = loss.blocks(labels, drawn, range(0, n + 1, R)), np.empty((R, c)), np.empty((R, d, c))
+            blocks, scaled, update = loss.blocks(labels, drawn, range(0, n + 1, R), c), np.empty((R, c)), np.empty((R, d, c))
             xs, xt, ss = values.reshape(size, R, 1, d), values.reshape(size, R, d, 1), scores.reshape(size, R, 1, c)
             sc, cs, cc = scores.reshape(size, R, c), coefs.reshape(size, R, 1, c), coefs.reshape(size, R, c)
             views = (range(size), xs, xt, ss, sc, cs, cc, blocks, before.tolist(), ratio.tolist())  # one entry per step
@@ -434,7 +435,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
             scale = np.repeat(before, R)[:, None]
             edges = _block_edges(offsets, conflicts, R, c, ends)
             lows = [lo * R for lo in edges]
-            blocks, plan = loss.blocks(labels, drawn, lows), _plan(offsets, features, values, lows)
+            blocks, plan = loss.blocks(labels, drawn, lows, c), _plan(offsets, features, values, lows)
 
             def score(b, r0, r1):  # block b's drawn rows r0 to r1 - 1 by group; returns (rows, rows of V, their copy, x)
                 grids = []

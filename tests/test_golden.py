@@ -1,12 +1,13 @@
-"""The bytes of fourteen small CLI runs, pinned by their sha256.
+"""The bytes of fifteen small CLI runs, pinned by their sha256.
 
 A change meant to keep every result bit for bit leaves these digests alone.
 One that moves numbers on purpose updates them here and lists old -> new
 values in CHANGES.md.  The runs cover the step loop's main paths: sparse
 ranking rows under the theorem schedule (the scale folds at step 1, and
 some rows have more than 256 pairs), ragged multiclass rows with one
-chain, lockstep passes curves of full-width rows under each multiclass
-loss, a one-chain passes curve whose 3,277 steps end in a one-step chunk,
+chain under mc_svm and under the multinomial logistic loss (the blocked
+step walk with one-hot labels), lockstep passes curves of full-width rows
+under each multiclass loss, a one-chain passes curve whose 3,277 steps end in a one-step chunk,
 a full-width mc_svm train whose scale folds at step 1 inside the dense step
 loop, and the group (2, p) regularizer.  A ranking gap curve scores
 train and test objectives over subsets of the pool.  A ragged train and a passes curve read files in which one row
@@ -25,12 +26,12 @@ subprocesses at ``OPENBLAS_NUM_THREADS`` 1 and 2 to keep it so.
 
 They were pinned under numpy's AVX-512 dispatch (numpy 2.4.6 on an x86-64
 machine with AVX-512).  With ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL
-AVX512_SPR"``, and also with ``X86_V3`` disabled besides, ``passes-curve``
-and ``l2p`` fail and the other 22 cases pass: numpy's AVX-512 float64
-``exp`` and ``log`` loops, which the multinomial logistic loss of both runs
-calls, and its AVX-512 (SVML) float64 ``power`` loop, which the group-(2, p)
-regularizer calls for ``col_norms ** p``, round differently in the last
-place from the loops numpy falls back to.
+AVX512_SPR"``, and also with ``X86_V3`` disabled besides, ``passes-curve``,
+``ragged-mlogistic`` and ``l2p`` fail and the other 23 cases pass: numpy's
+AVX-512 float64 ``exp`` and ``log`` loops, which the multinomial logistic
+loss of those runs calls, and its AVX-512 (SVML) float64 ``power`` loop,
+which the group-(2, p) regularizer calls for ``col_norms ** p``, round
+differently in the last place from the loops numpy falls back to.
 """
 
 import hashlib
@@ -84,6 +85,11 @@ CASES = {
         ("mcc", 200, 60, 5, 2),
         ["train", "--loss", "mc_svm", "--lambda", "0.01", "--steps", "2000", "--record-every", "500",
          "--seed", "11"],
+    ),
+    "ragged-mlogistic": (
+        ("mcc", 200, 60, 5, 14),
+        ["train", "--loss", "mlogistic", "--lambda", "0.01", "--steps", "2000", "--record-every", "500",
+         "--seed", "17"],
     ),
     "passes-curve": (
         None,
@@ -143,6 +149,10 @@ DIGESTS = {
     "ragged-mcc-one-chain": {
         "model.bin": "87e5713f8a501f2147d65b748196a33d8ece9b0a0059445e9f31eb7d579259a6",
         "log.csv": "322e4e46ee1a3aeebde52a9bf7bb19cd2104f1650d2aedc30f269cccedcb825f",
+    },
+    "ragged-mlogistic": {
+        "model.bin": "cfea320e75ac5a7f01ca6048d4c77444270d6db65f799cff4f453be190a5a4e2",
+        "log.csv": "d159500043599dfd3634077f39608b1339a729494922cb868494226f5fe8e3fb",
     },
     "passes-curve": {
         "out.csv": "a8261446d04cdd4523090c55cfb90e31d7b35fc5b47beac326390f91df0f3e3c",

@@ -658,6 +658,25 @@ def test_single_row_kernel_matches_its_batch_row(spec):
             row = rows[i : i + 1]
             assert spec.coef(S[i : i + 1], y[i : i + 1], row) is row
         assert rows.tobytes() == coefs.tobytes()
+        if spec.kind == "multinomial_logistic":
+            assert_one_hot_rows_match_class_ids(spec, S, y)
+
+
+def assert_one_hot_rows_match_class_ids(spec, S, y):
+    """coef on one-hot rows gives the bytes of the raw-id call, on NaN and +-inf score rows too, into a chunk's rows."""
+    S, n, c = S.copy(), len(y), S.shape[1]
+    S[::4, 0], S[1::4, c - 1], S[2::5], S[3::6, 1] = np.nan, np.inf, -np.inf, -np.inf
+    hot = spec.blocks(y, np.arange(n), [0, n], c)[0]
+    with np.errstate(invalid="ignore"):  # inf - inf on the non-finite rows
+        coefs = spec.coef(S, y)
+        chunk, rows = np.full((n + 2, c), 7.0), np.full((n + 2, c), 7.0)
+        out = chunk[1 : n + 1]
+        assert spec.coef(S, hot).tobytes() == coefs.tobytes()
+        assert spec.coef(S, hot, out) is out and out.tobytes() == coefs.tobytes()
+        for i in range(n):
+            row = rows[1 + i : 2 + i]
+            assert spec.coef(S[i : i + 1], hot[i : i + 1], row) is row
+    assert rows[1 : n + 1].tobytes() == coefs.tobytes() and not (chunk[[0, -1]] - 7.0).any()
 
 
 def test_tie_breaking_is_pinned():
@@ -690,22 +709,35 @@ MULTICLASS_SPECS = [spec for spec in ORACLE_SPECS if not spec.is_multilabel]
 @pytest.mark.parametrize("spec", MULTICLASS_SPECS, ids=lambda s: s.name)
 def test_blocked_class_ids_equal_one_call_on_all_rows(spec, cut):
     # blocks of one row, of R = 4 rows (one step of every chain) and of mixed sizes,
-    # over draws of a pool whose labels include the first and the last column
+    # over draws of a pool whose labels include the first and the last column;
+    # multinomial-logistic blocks are the one-hot rows of their draws' class ids, which no value call takes
     rng, c, n = np.random.default_rng(43), 6, 48
     pool = rng.integers(0, c, size=30)
     pool[:5], pool[5:10] = 0, c - 1
     draws = rng.permutation(np.concatenate([np.arange(10), rng.integers(0, 30, size=n - 10)]))
     bounds = list({"steps": range(n + 1), "chains": range(0, n + 1, 4), "ragged": [0, 1, 4, 5, 11, 17, 30, 31, n]}[cut])
     assert spec.plan(pool) is pool
+    one_hot = spec.kind == "multinomial_logistic"
     for trial in range(6):
         S = rng.integers(-4, 5, size=(n, c)) * 0.5 if trial % 2 else rng.standard_normal((n, c)) * 3.0
         S[: n // 8] = 0.0  # ties, and on the grid of halves kinks and flat regions
         values, coefs = spec.value(S, pool[draws]), spec.coef(S, pool[draws])
-        for b0, b1, labels in zip(bounds, bounds[1:], spec.blocks(pool, draws, bounds)):
-            block, out = S[b0:b1], np.full((b1 - b0, c), np.nan)
-            assert labels.tobytes() == pool[draws[b0:b1]].tobytes()
-            assert spec.value(block, labels).tobytes() == values[b0:b1].tobytes()
+        for b0, b1, labels in zip(bounds, bounds[1:], spec.blocks(pool, draws, bounds, c)):
+            block, out, ids = S[b0:b1], np.full((b1 - b0, c), np.nan), pool[draws[b0:b1]]
+            if one_hot:
+                want = np.zeros((b1 - b0, c))
+                want[np.arange(b1 - b0), ids] = 1.0
+                assert labels.dtype == np.float64 and labels.flags.c_contiguous
+                assert labels.tobytes() == want.tobytes()
+                with pytest.raises(ValueError, match="one-hot labels serve coef calls"):
+                    spec.value(block, labels)
+            else:
+                assert labels.tobytes() == ids.tobytes()
+                assert spec.value(block, labels).tobytes() == values[b0:b1].tobytes()
             assert spec.coef(block, labels, out) is out and out.tobytes() == coefs[b0:b1].tobytes()
+    if one_hot:  # the blocks put labels in the first and the last column
+        hot = np.concatenate(spec.blocks(pool, draws, bounds, c))
+        assert hot[:, 0].any() and hot[:, c - 1].any() and np.array_equal(hot.sum(axis=1), np.ones(n))
 
 
 def test_coef_rejects_an_out_it_cannot_fill_in_place():
@@ -773,7 +805,7 @@ class TestPairListRankingKernel:
         for base in (HINGE, LOGISTIC):
             spec = LossSpec.ranking(base)
             values = spec.value(S[rows], losses_module._pair_table(y, per_positive=False).plans(np.arange(n), cut)[r0 > 0])
-            coefs = spec.coef(S[rows], spec.blocks(spec.plan(y), np.arange(n), cut)[r0 > 0])
+            coefs = spec.coef(S[rows], spec.blocks(spec.plan(y), np.arange(n), cut, c)[r0 > 0])
             assert values.tobytes() == spec.value(S[rows], y[rows]).tobytes()
             assert coefs.tobytes() == spec.coef(S[rows], y[rows]).tobytes()
             assert values.tobytes() == oracles.grouped_ranking_value(spec, S[rows], y[rows]).tobytes()
@@ -786,11 +818,11 @@ class TestPairListRankingKernel:
     def test_plan_serves_the_kernel_it_was_made_for(self):
         spec, y = LossSpec.ranking(HINGE), np.array([[1, -1, -1], [-1, 1, 1]], dtype=np.int8)
         with pytest.raises(ValueError, match="either value or coef"):
-            spec.value(np.zeros((2, 3)), spec.blocks(spec.plan(y), np.arange(2), [0, 2])[0])
+            spec.value(np.zeros((2, 3)), spec.blocks(spec.plan(y), np.arange(2), [0, 2], 3)[0])
         classes = np.array([0, 2])
         for other, labels in ((LossSpec.mc_svm(HINGE), classes), (LossSpec.subset(HINGE), y)):
             assert other.plan(labels) is labels  # class ids and sign rows stay as they are
-            blocks = other.blocks(labels, np.array([1, 1, 0]), [0, 2, 3])
+            blocks = other.blocks(labels, np.array([1, 1, 0]), [0, 2, 3], 3)
             assert [b.tolist() for b in blocks] == [labels[[1, 1]].tolist(), labels[[0]].tolist()]
 
     @pytest.mark.parametrize("c", [6, 40])
@@ -822,5 +854,5 @@ class TestPairListRankingKernel:
             draws = rng.integers(0, len(y), size=60)
             bounds = [0, *np.sort(rng.choice(np.arange(1, 60), size=6, replace=False)).tolist(), 60]
             S = rng.standard_normal((60, c)) * 3.0
-            for b0, b1, labels in zip(bounds, bounds[1:], spec.blocks(plan, draws, bounds)):
+            for b0, b1, labels in zip(bounds, bounds[1:], spec.blocks(plan, draws, bounds, c)):
                 assert spec.coef(S[b0:b1], labels).tobytes() == spec.coef(S[b0:b1], y[draws[b0:b1]]).tobytes()

@@ -422,7 +422,7 @@ def dense_replay(data, config):
     ranking row is not planned again at every step.
     """
     indices = generator(config.seed).integers(0, len(data), size=config.total_steps)
-    labels = config.loss.blocks(config.loss.plan(data.y), indices, np.arange(len(indices) + 1))
+    labels = config.loss.blocks(config.loss.plan(data.y), indices, np.arange(len(indices) + 1), data.c)
     w = np.zeros((data.d, data.c))
     norms = []
     for t, i in enumerate(indices, start=1):
@@ -1294,22 +1294,36 @@ class TestOneLiveChunk:
             MLOG, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), 120, record_every=50, repetitions=R
         )
         monkeypatch.setattr(optimizer_module, "_DRAW_CHUNK_ENTRIES", 7 * R * 6)  # seven or eight steps per chunk
-        chunk, norm_changes, refs = optimizer_module._chunk, optimizer_module._norm_changes, []
+        chunk, norm_changes, blocks = optimizer_module._chunk, optimizer_module._norm_changes, LossSpec.blocks
+        refs, hots, drawn = [], [], []
 
         def spied_chunk(*args):
             assert [ref() for ref in refs] == [None] * len(refs)
             out = chunk(*args)
             refs.extend(weakref.ref(a) for a in out if isinstance(a, np.ndarray))
+            drawn.append(out[3].copy())  # a copy: the drawn rows die with their chunk
             return out
 
         def spied_changes(scores, coef, x_sq, rho):  # row slices of the chunk's scores, coefficients, ||x||^2 and rho
             refs.extend(weakref.ref(a.base) for a in (scores, coef, x_sq, rho))
             return norm_changes(scores, coef, x_sq, rho)
 
+        def spied_blocks(self, plan, rows, bounds, c):  # the multinomial-logistic blocks slice one one-hot array
+            out = blocks(self, plan, rows, bounds, c)
+            hot = out[0].base
+            assert all(block.base is hot for block in out) and np.array_equal(rows, drawn[-1])
+            assert hot.shape == (len(rows), c) and len(rows) < len(pool)  # the chunk's drawn rows, never the pool's
+            assert hot.tobytes() == (pool.y.take(rows)[:, None] == np.arange(c)).astype(np.float64).tobytes()
+            refs.append(weakref.ref(hot))
+            hots.append(len(hot))
+            return out
+
         monkeypatch.setattr(optimizer_module, "_chunk", spied_chunk)
         monkeypatch.setattr(optimizer_module, "_norm_changes", spied_changes)
+        monkeypatch.setattr(LossSpec, "blocks", spied_blocks)
         oracles.lockstep_runs(pool, rows, configs)
-        assert len(refs) >= 6 * 15  # at least 15 chunks of at least six arrays
+        assert len(refs) >= 7 * 15  # at least 15 chunks of at least seven arrays, the one-hot labels among them
+        assert len(hots) == len(drawn) >= 15 and hots == [len(rows) for rows in drawn]
 
 
 class TestIterateNormCertificate:
