@@ -210,18 +210,13 @@ def _cmd_train(args) -> int:
     loss = _loss_from_flags(args)
     strength, schedule = _strength_and_schedule(args)
     reg = _reg_from_flags(args, strength)
+    # The config checks every flag before any data is read: --passes p stands in as p steps until n is known.
+    count = args.steps if args.passes is None else args.passes
+    config = TrainConfig(loss, reg, schedule, count, args.seed, args.record_every or None)
     data = _load_training_data(args, loss)
     n = len(data)
-    total_steps = args.steps if args.steps is not None else args.passes * n
-    record_every = args.record_every if args.record_every else n
-    config = TrainConfig(
-        loss=loss,
-        reg=reg,
-        schedule=schedule,
-        total_steps=total_steps,
-        seed=args.seed,
-        record_every=record_every,
-    )
+    total_steps = count if args.passes is None else count * n
+    config = replace(config, total_steps=total_steps, record_every=args.record_every or n)
     w, records = train(data, config)
     metadata = {
         "loss": loss.name.replace("/", ":"),

@@ -74,6 +74,8 @@ class CurveSpec:
             raise ValueError(f"train_fraction must lie in (0, 1), got {self.train_fraction}")
         if self.passes_per_point < 1:
             raise ValueError(f"passes_per_point must be positive, got {self.passes_per_point}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def training_pool_size(n: int, spec: CurveSpec) -> int:

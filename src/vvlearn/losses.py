@@ -27,22 +27,21 @@ Tie-breaking is deterministic everywhere: argmax and top-k selections
 prefer the smallest index, and at kinks of the margin function or of the
 outer max{0, .} the minimal-magnitude subgradient (zero) is chosen.
 
-Labels can be planned.  SGD plans the pool's labels once (``LossSpec.plan``)
-and cuts each chunk of draws into step blocks (``LossSpec.blocks``), and a
-``coef`` call on a block's labels equals the call on its raw labels bit for
-bit.  Ranking labels become pair plans (below), and multinomial-logistic
-blocks float64 one-hot rows over the chunk's drawn rows, which the softmax
+Labels can be planned.  SGD cuts each chunk of draws of the pool's raw
+labels into step blocks (``LossSpec.blocks``), planning only the drawn
+rows, and a ``coef`` call on a block's labels equals the call on its raw
+labels bit for bit.  Ranking blocks are pair plans (below), and
+multinomial-logistic blocks float64 one-hot rows, which the softmax
 subtracts whole (p - 0.0 = p) and no ``value`` call takes; other blocks
 are views of the raw labels.  The class-id kernels find the true classes
 at the flat positions i * c + y_i of the raveled scores (``_positions``).
 
 The ranking kernels work on a pair plan: the (positive, negative) pairs of
-the call's rows in one flat list of runs, each led by a zeroed slot.  A
-``PairTable`` lists each distinct sign row's pairs once, laid out in array
-passes, and gathers the plans of any rows of its labels the way a CSR
-gather does (``core.segments``).  A call's pair terms are two ``take``
-calls and a subtraction, and ``np.add.reduceat`` and ``bincount`` sum them
-per row and per column, in the order of the grouped kernel in
+the call's rows in one flat list of runs, each led by a zeroed slot.
+``_pair_plans`` lays out the slots of given sign rows in array passes and
+cuts them into one plan per block of rows.  A call's pair terms are two
+``take`` calls and a subtraction, and ``np.add.reduceat`` and ``bincount``
+sum them per row and per column, in the order of the grouped kernel in
 ``tests/oracles.py`` except a row's lone negative column, which adds its
 terms in pair order where numpy sums them pairwise.  Rows with many pairs
 are scored on their own (|pos|, |neg|) blocks, which numpy sums as the
@@ -55,8 +54,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-
-from .core import segments
 
 
 @dataclass(frozen=True)
@@ -260,92 +257,60 @@ class PairPlan:
     wide: np.ndarray | None
 
 
-@dataclass(slots=True, eq=False)
-class PairTable:
-    """The slots of sign rows y, listed once per distinct row, from which plans of any rows of y are gathered.
-
-    Row i of y is distinct row u = index[i], whose slots run from slots[u]
-    to slots[u + 1] in p, q, lead and pairs; here p and q are columns.
-    wide marks the distinct rows that are not flat, or is None.
-    """
-
-    y: np.ndarray
-    per_positive: bool
-    index: np.ndarray
-    slots: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-    lead: np.ndarray
-    pairs: np.ndarray
-    wide: np.ndarray | None
-
-    def plans(self, rows: np.ndarray, bounds) -> list[PairPlan]:
-        """The plans of y[rows[b0:b1]] for each pair b0, b1 of consecutive bounds, each as if planned alone."""
-        c, bounds = self.y.shape[1], np.asarray(bounds)
-        distinct = self.index.take(rows)
-        offsets, source = segments(self.slots, distinct)
-        local = np.arange(len(rows)) - np.repeat(bounds[:-1], np.diff(bounds))
-        shift = np.repeat(local * c, np.diff(offsets))
-        p, q = self.p.take(source) + shift, self.q.take(source) + shift
-        pairs, runs = self.pairs.take(source), np.flatnonzero(self.lead.take(source))
-        heads, cuts = p.take(runs), offsets.take(bounds)
-        firsts = np.searchsorted(runs, cuts)
-        runs -= np.repeat(cuts[:-1], np.diff(firsts))
-        y, wide = self.y.take(rows, axis=0), None if self.wide is None else self.wide.take(distinct)
-        b, s, k = bounds.tolist(), cuts.tolist(), firsts.tolist()
-        return [
-            PairPlan(
-                y[b[i] : b[i + 1]], self.per_positive, p[s[i] : s[i + 1]], q[s[i] : s[i + 1]],
-                pairs[s[i] : s[i + 1]], runs[k[i] : k[i + 1]], heads[k[i] : k[i + 1]],
-                None if wide is None else wide[b[i] : b[i + 1]],
-            )
-            for i in range(len(b) - 1)
-        ]  # fmt: skip
-
-
 def _pairs(y: np.ndarray) -> np.ndarray:
     """The (positive, negative) pair count of each sign row."""
     positives = np.count_nonzero(y > 0, axis=1)
     return positives * (y.shape[1] - positives)
 
 
-def _pair_table(y, per_positive: bool) -> PairTable:
-    """The table of sign rows y, its distinct rows' slots laid out in array passes.
+def _pair_plans(y, per_positive: bool, bounds) -> list[PairPlan]:
+    """The plans of y[b0:b1] for each pair b0, b1 of consecutive bounds, each as if planned alone.
 
-    A coefficient run is one positive p's pairs (p, q), negatives q in
-    column order, behind a lead (p, p); a row's value run is its coefficient
-    runs behind the first one's lead alone.  A row without pairs has no slots.
+    The slots of every row of y are laid out in array passes, then cut at
+    the bounds.  A coefficient run is one positive p's pairs (p, q),
+    negatives q in column order, behind a lead (p, p); a row's value run
+    is its coefficient runs behind the first one's lead alone.  Only flat
+    rows' positives and negatives are listed, so a row without slots costs
+    no slot pass.
     """
-    c = y.shape[1]
-    signs = np.ascontiguousarray(y, dtype=np.int8).view(np.dtype((np.void, c))).ravel()
-    distinct, index = np.unique(signs, return_inverse=True)
-    rows = np.frombuffer(distinct.tobytes(), dtype=np.int8).reshape(-1, c)
-    nneg = np.count_nonzero(rows < 0, axis=1)
-    pairs = np.count_nonzero(rows > 0, axis=1) * nneg
+    c, bounds = y.shape[1], np.asarray(bounds)
+    positive, negative = y > 0, y < 0
+    nneg = np.count_nonzero(negative, axis=1)
+    pairs = np.count_nonzero(positive, axis=1) * nneg
     flat = (pairs > 0) & (pairs <= _FLAT_PAIRS)
-    run_row, lead_col = ((rows > 0) & flat[:, None]).nonzero()
-    width = nneg.take(run_row) + 1
+    shift = np.repeat(bounds[:-1] * c, np.diff(bounds))  # row i's block starts at raveled position shift[i]
+    heads, negs = np.flatnonzero(positive & flat[:, None]), np.flatnonzero(negative & flat[:, None])
+    row = heads // c  # one run per positive of a flat row, row-major
+    lead = np.ones(len(row), dtype=np.int64) if per_positive else (np.diff(row, prepend=-1) != 0) * 1
+    nneg[~flat] = 0  # the negatives listed
+    width = nneg.take(row) + lead
     starts = np.cumsum(width) - width
-    row = np.repeat(run_row, width)
-    # each slot's place among all rows' negatives; at a lead, one before its row's first
-    at = np.repeat(np.cumsum(nneg).take(run_row) - width - starts, width) + np.arange(len(row))
-    p, q = np.repeat(lead_col, width), (rows < 0).nonzero()[1].take(at)
-    q[starts] = lead_col
-    lead = np.zeros(len(p), dtype=bool)
-    lead[starts] = True
-    if not per_positive:
-        keep = ~lead
-        keep[starts[np.diff(run_row, prepend=-1) != 0]] = True
-        p, q, lead, row = p[keep], q[keep], lead[keep], row[keep]
-    slots = np.zeros(len(rows) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=len(rows)), out=slots[1:])
-    return PairTable(y, per_positive, index, slots, p, q, lead, pairs.take(row), None if flat.all() else ~flat)
+    heads -= shift.take(row)
+    negs -= shift.take(negs // c)
+    p = np.repeat(heads, width)
+    # each slot's place among the listed negatives; at a lead, one before its row's first
+    at = np.repeat((np.cumsum(nneg) - nneg).take(row) - starts - lead, width) + np.arange(len(p))
+    q, runs, heads = negs.take(at), starts.compress(lead), heads.compress(lead)
+    q[runs] = heads
+    slot_pairs = np.repeat(pairs.take(row), width)
+    cuts = np.append(starts, len(p)).take(np.searchsorted(row, bounds))
+    firsts = np.searchsorted(runs, cuts)
+    runs -= np.repeat(cuts[:-1], np.diff(firsts))
+    wide = np.searchsorted(np.flatnonzero(~flat), bounds).tolist()  # wide rows before each bound
+    b, s, k = bounds.tolist(), cuts.tolist(), firsts.tolist()
+    return [
+        PairPlan(
+            y[b[i] : b[i + 1]], per_positive, p[s[i] : s[i + 1]], q[s[i] : s[i + 1]], slot_pairs[s[i] : s[i + 1]],
+            runs[k[i] : k[i + 1]], heads[k[i] : k[i + 1]], ~flat[b[i] : b[i + 1]] if wide[i + 1] > wide[i] else None,
+        )
+        for i in range(len(b) - 1)
+    ]  # fmt: skip
 
 
 def _planned(y, per_positive: bool) -> PairPlan:
     """The plan of raw or planned labels y."""
     if not isinstance(y, PairPlan):
-        return _pair_table(y, per_positive).plans(np.arange(len(y)), [0, len(y)])[0]
+        return _pair_plans(y, per_positive, [0, len(y)])[0]
     if y.per_positive != per_positive:
         raise ValueError("a ranking plan serves either value or coef calls, not both")
     return y
@@ -493,20 +458,18 @@ class LossSpec:
                     f"{single.size} of {len(y)} rows have one sign only (first: row {single[0]})"
                 )
 
-    def plan(self, y: np.ndarray):
-        """The labels y prepared for ``blocks``: ranking labels become a ``PairTable``, others stay as they are."""
-        return _pair_table(y, per_positive=True) if self.kind == "ranking" else y
-
-    def blocks(self, plan, rows: np.ndarray, bounds, c: int) -> list:
-        """The labels of rows[b0:b1] of planned labels over c components, for each pair b0, b1 of consecutive bounds.
+    def blocks(self, labels: np.ndarray, rows: np.ndarray, bounds, c: int) -> list:
+        """The labels of rows[b0:b1] of the pool's labels over c components, for each pair b0, b1 of consecutive bounds.
 
         A ``coef`` call on a block's labels equals the call on those rows
-        of the raw labels bit for bit; multinomial-logistic blocks are row
-        slices of one (len(rows), c) one-hot array made on this call.
+        of the raw labels bit for bit.  Only the drawn rows are planned, on
+        this call: ranking blocks are the pair plans of one slot layout over
+        them, and multinomial-logistic blocks row slices of one
+        (len(rows), c) one-hot array; other blocks are raw labels.
         """
-        if isinstance(plan, PairTable):
-            return plan.plans(rows, bounds)
-        labels = plan.take(rows, axis=0)
+        labels = labels.take(rows, axis=0)
+        if self.kind == "ranking":
+            return _pair_plans(labels, True, bounds)
         labels = _one_hot(labels, c) if self.kind == "multinomial_logistic" else labels
         return [labels[b0:b1] for b0, b1 in zip(bounds, bounds[1:])]
 

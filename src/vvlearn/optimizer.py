@@ -27,10 +27,10 @@ Indices are drawn a chunk of steps at a time, each chain from its own
 generator (numpy's bounded-integer stream does not depend on how the draws
 are split); the scales are left folds with the sequential loop's bits.
 Only one chunk is alive at a time: its drawn arrays and everything made
-while walking it (its label blocks too, one-hot rows for the multinomial
-logistic loss) are freed before the next chunk is drawn.  A full-width
-pool, whose rows all hold d entries, takes a chunk's rows from X.data
-viewed as (n, d), and a ``for`` loop walks its steps' views: each scores
+while walking it (its label blocks too: one-hot rows or ranking pair
+plans) are freed before the next chunk is drawn.  A full-width pool,
+whose rows all hold d entries, takes a chunk's rows from X.data viewed
+as (n, d), and a ``for`` loop walks its steps' views: each scores
 x . V_r, makes one call of the coefficient kernel (resolved once per run
 by ``LossSpec.coef_kernel``) and subtracts rho_t * x^T coef from V, a
 fixed run of ufuncs writing into the chunk's rows or a buffer.
@@ -407,8 +407,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
     record_every, lasts = config.record_every or config.total_steps, {other.total_steps for other in configs}
     bounds, chain_ids = _bounds(data, rows, config), (list(range(chains)) if chains > 1 else [None])
     a, v, v_sq = 1.0, np.zeros((chains, d, c)), np.zeros(chains)
-    flat = v.reshape(chains * d, c)
-    labels, kernel = loss.plan(data.y), loss.coef_kernel()
+    flat, kernel = v.reshape(chains * d, c), loss.coef_kernel()
 
     def walk(t0, R, offsets, features, values, drawn, conflicts):  # chains 0 to R - 1 over one chunk; its arrays end with it
         nonlocal a, v_sq
@@ -427,7 +426,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
         ends = sorted(checks.union(folds, [f + 1 for f in folds]) - {0})
         folded = set(folds)
         if full:  # a step reads every row its chain's last step wrote, so each step is a block
-            blocks, scaled, update = loss.blocks(labels, drawn, range(0, n + 1, R), c), np.empty((R, c)), np.empty((R, d, c))
+            blocks, scaled, update = loss.blocks(data.y, drawn, range(0, n + 1, R), c), np.empty((R, c)), np.empty((R, d, c))
             xs, xt, ss = values.reshape(size, R, 1, d), values.reshape(size, R, d, 1), scores.reshape(size, R, 1, c)
             sc, cs, cc = scores.reshape(size, R, c), coefs.reshape(size, R, 1, c), coefs.reshape(size, R, c)
             views = (range(size), xs, xt, ss, sc, cs, cc, blocks, before.tolist(), ratio.tolist())  # one entry per step
@@ -435,7 +434,7 @@ def _steps(data: Dataset, rows: list[np.ndarray], configs: list[TrainConfig]):
             scale = np.repeat(before, R)[:, None]
             edges = _block_edges(offsets, conflicts, R, c, ends)
             lows = [lo * R for lo in edges]
-            blocks, plan = loss.blocks(labels, drawn, lows, c), _plan(offsets, features, values, lows)
+            blocks, plan = loss.blocks(data.y, drawn, lows, c), _plan(offsets, features, values, lows)
 
             def score(b, r0, r1):  # block b's drawn rows r0 to r1 - 1 by group; returns (rows, rows of V, their copy, x)
                 grids = []

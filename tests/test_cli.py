@@ -67,6 +67,20 @@ class TestModelContainer:
         with pytest.raises(DataError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"vvlearn-model 2 mcc 1 1", "unsupported model version 2"),
+            (b"vvlearn-model 1 mcc 1 1 seed", "malformed metadata token 'seed'"),
+        ],
+        ids=["version", "token"],
+    )
+    def test_rejects_a_bad_header(self, tmp_path, header, message):
+        path = tmp_path / "m.bin"
+        path.write_bytes(header + b"\n" + b"\x00" * 8)
+        with pytest.raises(DataError, match=f"{path}: {message}$"):
+            load_model(path)
+
     def test_rejects_unknown_task(self, tmp_path):
         path = tmp_path / "m.bin"
         path.write_bytes(b"vvlearn-model 1 xyz 1 1\n" + b"\x00" * 8)
@@ -244,6 +258,27 @@ class TestTrainCommand:
             "train", "--synth", "n=50,d=3,c=2", "--loss", "mlogistic",
             "--sigma", "0.1", "--lambda", "0.1", "--passes", "1",
         ) == 1
+
+    def test_sigma_or_lambda_required(self, capsys):
+        assert run("train", "--synth", "n=50,d=3,c=2", "--loss", "mlogistic", "--passes", "1") == 1
+        assert capsys.readouterr().err == "usage error: exactly one of --sigma or --lambda is required\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--steps", "0"], "total_steps must be positive, got 0"),
+            (["--passes", "0"], "total_steps must be positive, got 0"),
+            (["--steps", "5", "--seed", "-1"], "seed must fit in 64 unsigned bits, got -1"),
+            (["--steps", "5", "--record-every", "-1"], "record_every must be positive, got -1"),
+        ],
+        ids=["steps", "passes", "seed", "record-every"],
+    )
+    def test_flags_are_checked_before_the_data_is_read(self, tmp_path, capsys, flags, message):
+        model, log = tmp_path / "m.bin", tmp_path / "l.csv"
+        argv = ["train", "--data", str(tmp_path / "missing.txt"), "--loss", "mc_svm", "--sigma", "1", *flags]
+        assert run(*argv, "--model-out", str(model), "--log-out", str(log)) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not model.exists() and not log.exists()
 
     def test_k_zero_rejected(self):
         assert run(
@@ -686,8 +721,9 @@ class TestCurveCommand:
             (["--kind", "passes", "--grid", "1", "--reps", "0"], "repetitions must be positive, got 0"),
             (["--kind", "passes", "--grid", "1,x"], "--grid must be comma-separated integers, got '1,x'"),
             (["--kind", "gap", "--grid", "10", "--passes-per-point", "0"], "passes_per_point must be positive, got 0"),
+            (["--kind", "passes", "--grid", "1", "--seed", "-1"], "seed must be nonnegative, got -1"),
         ],
-        ids=["reps", "grid", "passes-per-point"],
+        ids=["reps", "grid", "passes-per-point", "seed"],
     )
     def test_flags_are_checked_before_the_data_is_read(self, tmp_path, capsys, flags, message):
         out = tmp_path / "x.csv"
@@ -885,6 +921,11 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "trials must be positive" in captured.err
+
+    def test_override_lipschitz_needs_a_value(self, capsys):
+        assert run("check", "--suite", "lipschitz", "--trials", "5", "--override-lipschitz", "mc_svm/hinge") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "usage error: --override-lipschitz takes name=value\n"
 
     def test_override_unknown_name(self):
         assert run(

@@ -71,6 +71,12 @@ class TestCurveSpecValidation:
             )
 
 
+@pytest.mark.parametrize("components", [(-1,), (3, -2), (3, 4, -1)])
+def test_derive_seed_rejects_a_negative_component(components):
+    with pytest.raises(ValueError, match="seed components must be nonnegative"):
+        derive_seed(*components)
+
+
 class TestPassesCurve:
     def test_single_grid_point_equals_one_train_call(self, pool):
         spec = make_spec("passes", (1,), reps=1, seed=4)

@@ -716,7 +716,6 @@ def test_blocked_class_ids_equal_one_call_on_all_rows(spec, cut):
     pool[:5], pool[5:10] = 0, c - 1
     draws = rng.permutation(np.concatenate([np.arange(10), rng.integers(0, 30, size=n - 10)]))
     bounds = list({"steps": range(n + 1), "chains": range(0, n + 1, 4), "ragged": [0, 1, 4, 5, 11, 17, 30, 31, n]}[cut])
-    assert spec.plan(pool) is pool
     one_hot = spec.kind == "multinomial_logistic"
     for trial in range(6):
         S = rng.integers(-4, 5, size=(n, c)) * 0.5 if trial % 2 else rng.standard_normal((n, c)) * 3.0
@@ -804,8 +803,8 @@ class TestPairListRankingKernel:
         rows, cut = slice(r0, r1), [0, r0, r1, n] if r0 else [0, r1, n]
         for base in (HINGE, LOGISTIC):
             spec = LossSpec.ranking(base)
-            values = spec.value(S[rows], losses_module._pair_table(y, per_positive=False).plans(np.arange(n), cut)[r0 > 0])
-            coefs = spec.coef(S[rows], spec.blocks(spec.plan(y), np.arange(n), cut, c)[r0 > 0])
+            values = spec.value(S[rows], losses_module._pair_plans(y, False, cut)[r0 > 0])
+            coefs = spec.coef(S[rows], spec.blocks(y, np.arange(n), cut, c)[r0 > 0])
             assert values.tobytes() == spec.value(S[rows], y[rows]).tobytes()
             assert coefs.tobytes() == spec.coef(S[rows], y[rows]).tobytes()
             assert values.tobytes() == oracles.grouped_ranking_value(spec, S[rows], y[rows]).tobytes()
@@ -818,27 +817,27 @@ class TestPairListRankingKernel:
     def test_plan_serves_the_kernel_it_was_made_for(self):
         spec, y = LossSpec.ranking(HINGE), np.array([[1, -1, -1], [-1, 1, 1]], dtype=np.int8)
         with pytest.raises(ValueError, match="either value or coef"):
-            spec.value(np.zeros((2, 3)), spec.blocks(spec.plan(y), np.arange(2), [0, 2], 3)[0])
+            spec.value(np.zeros((2, 3)), spec.blocks(y, np.arange(2), [0, 2], 3)[0])
         classes = np.array([0, 2])
         for other, labels in ((LossSpec.mc_svm(HINGE), classes), (LossSpec.subset(HINGE), y)):
-            assert other.plan(labels) is labels  # class ids and sign rows stay as they are
-            blocks = other.blocks(labels, np.array([1, 1, 0]), [0, 2, 3], 3)
+            blocks = other.blocks(labels, np.array([1, 1, 0]), [0, 2, 3], 3)  # class ids and sign rows as they are
             assert [b.tolist() for b in blocks] == [labels[[1, 1]].tolist(), labels[[0]].tolist()]
 
     @pytest.mark.parametrize("c", [6, 40])
     @pytest.mark.parametrize("per_positive", [False, True])
     def test_pool_plan_gathers_the_plan_of_the_drawn_rows(self, c, per_positive):
-        # at c = 40 many rows have more than 256 pairs; draws come in (step, chain) order of R = 3 chains
+        # at c = 40 many rows have more than 256 pairs; draws come in (step, chain) order of R = 3 chains,
+        # cut at random bounds, and every block's plan is that of its rows alone
         rng = np.random.default_rng(c)
         y = sign_rows(rng, 50, c)
-        table = losses_module._pair_table(y, per_positive)
         for _ in range(5):
-            draws = rng.integers(0, len(y), size=(20, 3)).ravel()
-            got = table.plans(draws, [0, len(draws)])[0]
-            direct = losses_module._planned(y.take(draws, axis=0), per_positive)
-            want = oracles.pair_slots(y.take(draws, axis=0), per_positive, losses_module._FLAT_PAIRS)
-            assert np.array_equal(got.y, y.take(draws, axis=0)) and got.per_positive == per_positive
-            for plan in (got, direct):
+            drawn = y.take(rng.integers(0, len(y), size=(20, 3)).ravel(), axis=0)
+            bounds = [0, *np.sort(rng.choice(np.arange(1, 60), size=8, replace=False)).tolist(), 60]
+            plans = losses_module._pair_plans(drawn, per_positive, bounds)
+            assert len(plans) == len(bounds) - 1
+            for b0, b1, plan in [*zip(bounds, bounds[1:], plans), (0, 60, losses_module._planned(drawn, per_positive))]:
+                want = oracles.pair_slots(drawn[b0:b1], per_positive, losses_module._FLAT_PAIRS)
+                assert np.array_equal(plan.y, drawn[b0:b1]) and plan.per_positive == per_positive
                 lead = np.zeros(len(plan.p), dtype=bool)
                 lead[plan.runs] = True
                 assert [plan.p.tolist(), plan.q.tolist(), lead.tolist(), plan.pairs.tolist()] == list(want[:4])
@@ -849,10 +848,9 @@ class TestPairListRankingKernel:
     def test_block_coef_equals_the_call_on_its_rows(self, c):
         rng = np.random.default_rng(c + 1)
         y, spec = sign_rows(rng, 40, c), LossSpec.ranking(LOGISTIC)
-        plan = spec.plan(y)
         for _ in range(5):
             draws = rng.integers(0, len(y), size=60)
             bounds = [0, *np.sort(rng.choice(np.arange(1, 60), size=6, replace=False)).tolist(), 60]
             S = rng.standard_normal((60, c)) * 3.0
-            for b0, b1, labels in zip(bounds, bounds[1:], spec.blocks(plan, draws, bounds, c)):
+            for b0, b1, labels in zip(bounds, bounds[1:], spec.blocks(y, draws, bounds, c)):
                 assert spec.coef(S[b0:b1], labels).tobytes() == spec.coef(S[b0:b1], y[draws[b0:b1]]).tobytes()

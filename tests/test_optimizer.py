@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -105,6 +106,11 @@ class TestStepSchedule:
         with pytest.raises(ValueError, match="finite eta_1"):
             StepSchedule.theorem(1e-320)  # eta_1 = 1 / 1e-320 overflows
         assert StepSchedule.experiment(1e-320).eta(1) == 1.0
+
+    @pytest.mark.parametrize("t", [0, np.array([3, 0, 2])])
+    def test_step_counter_is_one_based(self, t):
+        with pytest.raises(ValueError, match="step counter is 1-based"):
+            StepSchedule.theorem(0.5).eta(t)
 
 
 
@@ -422,7 +428,7 @@ def dense_replay(data, config):
     ranking row is not planned again at every step.
     """
     indices = generator(config.seed).integers(0, len(data), size=config.total_steps)
-    labels = config.loss.blocks(config.loss.plan(data.y), indices, np.arange(len(indices) + 1), data.c)
+    labels = config.loss.blocks(data.y, indices, np.arange(len(indices) + 1), data.c)
     w = np.zeros((data.d, data.c))
     norms = []
     for t, i in enumerate(indices, start=1):
@@ -1287,15 +1293,17 @@ class TestOneLiveChunk:
 
     @pytest.mark.parametrize("R", [1, 3])
     @pytest.mark.parametrize("full", [True, False], ids=["full-width", "sparse"])
-    def test_a_chunk_is_freed_before_the_next_is_drawn(self, monkeypatch, full, R):
-        make = partial(tiny_dataset, n=50, d=6, c=5) if full else partial(sparse_wide_dataset, "mcc")
+    @pytest.mark.parametrize("loss", [MLOG, LossSpec.ranking(HINGE)], ids=lambda loss: loss.name)
+    def test_a_chunk_is_freed_before_the_next_is_drawn(self, monkeypatch, loss, full, R):
+        task = "mlc" if loss.is_multilabel else "mcc"
+        make = partial(tiny_dataset, n=50, d=6, c=5, task=task) if full else partial(sparse_wide_dataset, task)
         pool, rows = pooled(*[make(seed=s) for s in range(R)])
         configs = chain_configs(
-            MLOG, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), 120, record_every=50, repetitions=R
+            loss, RegularizerSpec.frobenius(0.05), StepSchedule.theorem(0.05), 120, record_every=50, repetitions=R
         )
         monkeypatch.setattr(optimizer_module, "_DRAW_CHUNK_ENTRIES", 7 * R * 6)  # seven or eight steps per chunk
         chunk, norm_changes, blocks = optimizer_module._chunk, optimizer_module._norm_changes, LossSpec.blocks
-        refs, hots, drawn = [], [], []
+        refs, planned, drawn = [], [], []
 
         def spied_chunk(*args):
             assert [ref() for ref in refs] == [None] * len(refs)
@@ -1308,22 +1316,51 @@ class TestOneLiveChunk:
             refs.extend(weakref.ref(a.base) for a in (scores, coef, x_sq, rho))
             return norm_changes(scores, coef, x_sq, rho)
 
-        def spied_blocks(self, plan, rows, bounds, c):  # the multinomial-logistic blocks slice one one-hot array
-            out = blocks(self, plan, rows, bounds, c)
-            hot = out[0].base
-            assert all(block.base is hot for block in out) and np.array_equal(rows, drawn[-1])
-            assert hot.shape == (len(rows), c) and len(rows) < len(pool)  # the chunk's drawn rows, never the pool's
-            assert hot.tobytes() == (pool.y.take(rows)[:, None] == np.arange(c)).astype(np.float64).tobytes()
-            refs.append(weakref.ref(hot))
-            hots.append(len(hot))
+        def spied_blocks(self, labels, rows, bounds, c):  # the blocks of one array, or one slot layout, per chunk
+            out = blocks(self, labels, rows, bounds, c)
+            assert labels is pool.y and np.array_equal(rows, drawn[-1]) and len(rows) < len(pool)
+            y = pool.y.take(rows, axis=0)  # the chunk's drawn rows, never the pool's
+            if self.kind == "ranking":  # each block's slots are a slice of one layout over the drawn rows
+                p, q = out[0].p.base, out[0].q.base
+                assert all(plan.p.base is p and plan.q.base is q for plan in out)
+                assert np.concatenate([plan.p for plan in out]).tobytes() == p.tobytes()
+                shift = np.concatenate([np.full(len(plan.p), b0 * c) for b0, plan in zip(bounds, out)])
+                want = oracles.pair_slots(y, True, losses_module._FLAT_PAIRS)
+                assert (p + shift).tolist() == want[0] and (q + shift).tolist() == want[1]
+                refs.extend(weakref.ref(a) for a in (p, q))
+            else:
+                hot = out[0].base
+                assert all(block.base is hot for block in out) and hot.shape == (len(rows), c)
+                assert hot.tobytes() == (y[:, None] == np.arange(c)).astype(np.float64).tobytes()
+                refs.append(weakref.ref(hot))
+            planned.append(len(rows))
             return out
 
         monkeypatch.setattr(optimizer_module, "_chunk", spied_chunk)
         monkeypatch.setattr(optimizer_module, "_norm_changes", spied_changes)
         monkeypatch.setattr(LossSpec, "blocks", spied_blocks)
         oracles.lockstep_runs(pool, rows, configs)
-        assert len(refs) >= 7 * 15  # at least 15 chunks of at least seven arrays, the one-hot labels among them
-        assert len(hots) == len(drawn) >= 15 and hots == [len(rows) for rows in drawn]
+        assert len(refs) >= 7 * 15  # at least 15 chunks of at least seven arrays, the planned labels among them
+        assert len(planned) == len(drawn) >= 15 and planned == [len(rows) for rows in drawn]
+
+    def test_ranking_plans_only_the_drawn_rows_of_an_extreme_multilabel_pool(self):
+        # 2,000 rows of 5 entries at d = 50 and c = 1,024 with 5 positives, so 5,095 pairs and no slots per row;
+        # a plan over the pool's distinct rows took this 50-step run's traced peak to 53.5 MB, the run needs 6.0 MB
+        n, d, k, c = 2000, 50, 5, 1024
+        rng = generator(11)
+        cols = np.concatenate([np.sort(rng.choice(d, size=k, replace=False)) for _ in range(n)])
+        X = sp.csr_matrix((rng.standard_normal(n * k), cols, np.arange(0, n * k + 1, k)), shape=(n, d))
+        y = -np.ones((n, c), dtype=np.int8)
+        y[np.arange(n)[:, None], np.argsort(rng.random((n, c)), axis=1)[:, :5]] = 1
+        data = Dataset(X, y, c, "mlc")
+        config = TrainConfig(LossSpec.ranking(HINGE), RegularizerSpec.frobenius(0.1), StepSchedule.theorem(0.1), 50, seed=3)
+        tracemalloc.start()
+        try:
+            train(data, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
 
 class TestIterateNormCertificate:
